@@ -56,6 +56,7 @@ from .removed_sets import (
 )
 from .welfare import (
     Allocation,
+    WelfarePool,
     WelfareResult,
     brute_force_welfare,
     constrained_welfare,

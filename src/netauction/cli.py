@@ -25,7 +25,7 @@ from .instance_io import (
     random_instance,
     serialize_instance,
 )
-from .market import ReportProfile, build_bfs_tree, compute_market
+from .market import Market, ReportProfile, build_bfs_tree, compute_market
 from .mechanisms import (
     LdmTrace,
     Outcome,
@@ -64,15 +64,15 @@ def _load_instance(path: str) -> ReportProfile:
         return parse_instance(handle.read())
 
 
-def _resolve_run_mu(profile: ReportProfile, override: int | None,
+def _resolve_run_mu(market: Market, override: int | None,
                     require_mu: bool) -> int:
     if override is not None:
         return override
-    if profile.mu is not None:
-        return profile.mu
+    if market.profile.mu is not None:
+        return market.profile.mu
     if require_mu:
         raise ValidationError(None, "instance has no mu and --require-mu is set")
-    fallback = min_valid_mu(build_bfs_tree(compute_market(profile)))
+    fallback = min_valid_mu(build_bfs_tree(market))
     print(f"warning: mu missing, defaulting to min valid bound {fallback} "
           "(post-hoc, not a prior)", file=sys.stderr)
     return fallback
@@ -120,9 +120,8 @@ def _parse_gen_spec(spec: str) -> GeneratorConfig:
         raise ParseError(str(exc)) from exc
 
 
-def _run_mechanism(profile: ReportProfile, name: str, mu: int,
+def _run_mechanism(market: Market, name: str, mu: int,
                    reserve: ReservePrice | None) -> Outcome:
-    market = compute_market(profile)
     if name == "vcg-l1":
         return run_vcg_first_layer(market, reserve)
     if name == "dna-mu":
@@ -130,10 +129,10 @@ def _run_mechanism(profile: ReportProfile, name: str, mu: int,
     return run_ldm(market, mu, reserve)
 
 
-def _outcome_doc(profile: ReportProfile, name: str, mu: int,
+def _outcome_doc(market: Market, name: str, mu: int,
                  outcome: Outcome, with_trace: bool) -> dict:
+    profile = market.profile
     label = profile.label_of
-    market = compute_market(profile)
     doc = {
         "mechanism": name,
         "k": profile.k,
@@ -195,13 +194,13 @@ def _describe_violation(report: DeviationReport, profile: ReportProfile) -> str:
 
 
 def cmd_run(args) -> int:
-    profile = _load_instance(args.instance)
+    market = compute_market(_load_instance(args.instance))
     mu = 0
     if args.mechanism in ("ldm", "ldm-tree"):
-        mu = _resolve_run_mu(profile, args.mu, args.require_mu)
+        mu = _resolve_run_mu(market, args.mu, args.require_mu)
     reserve = ReservePrice(args.reserve) if args.reserve is not None else None
-    outcome = _run_mechanism(profile, args.mechanism, mu, reserve)
-    _print_outcome(_outcome_doc(profile, args.mechanism, mu, outcome, args.trace),
+    outcome = _run_mechanism(market, args.mechanism, mu, reserve)
+    _print_outcome(_outcome_doc(market, args.mechanism, mu, outcome, args.trace),
                    args.format)
     return 0
 

@@ -2,15 +2,17 @@
 BFS trees, and cumulative-value arithmetic.
 
 All money amounts are exact non-negative integers ("value units"); nothing in
-this package ever compares floats. Buyer ids are non-negative integers whose
-ascending order is the universal tie-break order. The seller is the sentinel
-``SELLER`` (-1); reserve-price dummies, when a mechanism injects them, live at
-``DUMMY_BASE`` and above so every real buyer wins id ties against them.
+this package ever compares floats. Buyer ids are non-negative integers below
+``DUMMY_BASE`` whose ascending order is the universal tie-break order. The
+seller is the sentinel ``SELLER`` (-1); reserve-price dummies, when a
+mechanism injects them, live at ``DUMMY_BASE`` and above, a range
+``validate_profile`` refuses to real buyers, so every real buyer wins id
+ties against them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from .errors import ContractError, ValidationError
@@ -73,8 +75,7 @@ class Market:
 
     ``layers[d-1]`` is the set of valid buyers at shortest invitation-chain
     length d. ``invites`` is the directed adjacency actually used for chain
-    construction (j in invites[i] iff i invited j and both are relevant);
-    ``edges`` is the undirected view over {seller} + valid buyers.
+    construction (j in invites[i] iff i invited j and both are relevant).
     """
 
     profile: ReportProfile
@@ -82,7 +83,6 @@ class Market:
     layer_of: Mapping[BuyerId, int]
     layers: tuple[frozenset[BuyerId], ...]
     invites: Mapping[BuyerId, frozenset[BuyerId]]
-    edges: frozenset[frozenset] = field(repr=False)
 
     @property
     def k(self) -> int:
@@ -154,6 +154,9 @@ def validate_profile(raw: ReportProfile) -> ReportProfile:
     for i in sorted(raw.reports):
         if not _as_int(i) or i < 0:
             raise ValidationError(i, "buyer id must be a non-negative integer")
+        if is_dummy(i):
+            raise ValidationError(i, f"buyer id must be below {DUMMY_BASE}, "
+                                     "where reserve-price dummies start")
         rep = raw.reports[i]
         vals = rep.values
         if len(vals) != raw.k:
@@ -199,55 +202,44 @@ def compute_market(profile: ReportProfile) -> Market:
     invites = {
         i: frozenset(j for j in reports[i].invited if j in valid) for i in valid
     }
-    pairs: set[frozenset] = set()
-    for i in valid & profile.seller_neighbors:
-        pairs.add(frozenset((SELLER, i)))
-    for i in valid:
-        for j in invites[i]:
-            pairs.add(frozenset((i, j)))
     return Market(
         profile=profile,
         valid=valid,
         layer_of=layer_of,
         layers=tuple(layers),
         invites=invites,
-        edges=frozenset(pairs),
     )
 
 
 def build_bfs_tree(market: Market) -> TreeMarket:
     """Deterministic BFS tree rooted at the seller.
 
-    The frontier expands in ascending id order, so each buyer's parent is the
-    smallest-id inviter in the previous layer. Tree layers coincide with
-    market layers because BFS preserves shortest distances.
+    Each buyer's parent is her smallest-id inviter in the previous layer:
+    that layer is walked in ascending id order and every invitee goes to the
+    first inviter that reaches her, so the tree costs O(edges). Tree layers
+    coincide with market layers because BFS preserves shortest distances.
+    Descendant sets are built bottom-up, deepest layer first.
     """
     parent: dict[BuyerId, BuyerId] = {}
     children: dict[BuyerId, set[BuyerId]] = {i: set() for i in market.valid}
-    prev: list[BuyerId] = []
     for d, layer in enumerate(market.layers):
-        for j in sorted(layer):
-            if d == 0:
+        if d == 0:
+            for j in layer:
                 parent[j] = SELLER
-            else:
-                p = min(i for i in prev if j in market.invites[i])
-                parent[j] = p
-                children[p].add(j)
-        prev = sorted(layer)
+            continue
+        for i in sorted(market.layers[d - 1]):
+            for j in market.invites[i]:
+                if j in layer and j not in parent:
+                    parent[j] = i
+                    children[i].add(j)
 
     descendants: dict[BuyerId, frozenset[BuyerId]] = {}
-
-    def collect(i: BuyerId) -> frozenset[BuyerId]:
-        if i not in descendants:
-            acc: set[BuyerId] = set()
+    for layer in reversed(market.layers):
+        for i in layer:
+            acc: set[BuyerId] = set(children[i])
             for c in children[i]:
-                acc.add(c)
-                acc |= collect(c)
+                acc |= descendants[c]
             descendants[i] = frozenset(acc)
-        return descendants[i]
-
-    for i in market.valid:
-        collect(i)
     return TreeMarket(
         market=market,
         parent=parent,

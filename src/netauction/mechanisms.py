@@ -29,7 +29,7 @@ from .market import (
     is_dummy,
 )
 from .removed_sets import removed_sets_for
-from .welfare import constrained_welfare, kth_highest_first_unit
+from .welfare import WelfarePool, kth_highest_first_unit
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,8 @@ def run_vcg_first_layer(market: Market, reserve: ReservePrice | None = None) -> 
     if not aug.layers:
         return _zero_outcome(market, trace=VcgTrace(0, {}, {}, frozenset()))
     layer1 = aug.layers[0]
-    full = constrained_welfare(aug, layer1, {}, k)
+    pool = WelfarePool(aug, layer1, {}, k)
+    full = pool.best()
     units = {i: 0 for i in market.valid}
     payments = {i: 0 for i in market.valid}
     sw_without: dict[BuyerId, Money] = {}
@@ -157,7 +158,7 @@ def run_vcg_first_layer(market: Market, reserve: ReservePrice | None = None) -> 
         if i not in market.valid:
             continue
         pi = full.units_of(i)
-        without = constrained_welfare(aug, layer1 - {i}, {}, k).welfare
+        without = pool.welfare({i})
         sw_without[i] = without
         units[i] = pi
         payments[i] = without - (full.welfare - cumulative_value(aug.values_of(i), pi))
@@ -216,7 +217,8 @@ def run_ldm_tree(tree: TreeMarket, mu: int, order: Sequence[BuyerId] | None = No
     lower layers frozen at their committed units, commit each layer-l buyer's
     tentative units, and charge her the welfare difference against the economy
     without her subtree influence (D_i). Stops once all K units are committed,
-    zeroing the deeper layers.
+    zeroing the deeper layers. Each layer sorts one welfare pool; every
+    SW_{-D_i} of the layer is a walk over it.
 
     `order` optionally reorders the within-layer buyer loop (a testing hook;
     the outcome provably does not depend on it).
@@ -253,12 +255,14 @@ def run_ldm_tree(tree: TreeMarket, mu: int, order: Sequence[BuyerId] | None = No
         for i in members:
             r_l |= per_buyer_removed[i]
         included = valid - r_l
-        layer_opt = constrained_welfare(market, included, committed, k)
+        pool = WelfarePool(market, included, committed, k)
+        layer_opt = pool.best()
         sw_l = layer_opt.welfare
         sw_d: dict[BuyerId, Money] = {}
         for i in members:
-            d_i = r_l | tree.children[i] | {i}
-            sw_d[i] = constrained_welfare(market, valid - d_i, committed, k).welfare
+            # valid - D_i = included - (C_i + {i}); committed buyers sit in
+            # earlier layers, so none of them is ever left out
+            sw_d[i] = pool.welfare(tree.children[i] | {i})
             pi = layer_opt.units_of(i)
             if not is_dummy(i):
                 units[i] = pi

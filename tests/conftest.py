@@ -39,6 +39,14 @@ def make_profile(k: int, seller, buyers: dict) -> ReportProfile:
     )
 
 
+def chain_profile(n: int, k: int) -> ReportProfile:
+    """Buyers 0..n-1 in one invitation chain from the seller, values falling."""
+    return make_profile(k, {0}, {
+        i: ((n - i,) + (0,) * (k - 1), [i + 1] if i + 1 < n else [])
+        for i in range(n)
+    })
+
+
 def fig3_ids(chars: str) -> set[int]:
     return {FIG3_LABELS.index(c) for c in chars}
 

@@ -1,0 +1,176 @@
+"""Slow, obvious versions of the BFS tree, LDM-Tree and first-layer VCG.
+
+The oracle for the fast paths in `netauction.market` and
+`netauction.mechanisms`, in the pattern of `brute_force_welfare`: every
+`SW_{-D_i}` and every VCG `SW_{-i}` is a fresh `constrained_welfare` solve on
+the explicit buyer set, and each BFS parent comes from a scan of the whole
+previous layer. Testing use only; it must never share code with the sorted
+welfare pool or the linear tree construction.
+"""
+
+from __future__ import annotations
+
+from netauction.market import (
+    SELLER,
+    BuyerId,
+    Market,
+    Money,
+    TreeMarket,
+    compute_market,
+    cumulative_value,
+    is_dummy,
+)
+from netauction.mechanisms import (
+    LayerRecord,
+    LdmTrace,
+    Outcome,
+    ReservePrice,
+    VcgTrace,
+    inject_dummies,
+)
+from netauction.removed_sets import removed_sets_for
+from netauction.welfare import constrained_welfare
+
+
+def build_bfs_tree(market: Market) -> TreeMarket:
+    """Parent = the smallest-id inviter in the previous layer, found by scanning it."""
+    parent: dict[BuyerId, BuyerId] = {}
+    children: dict[BuyerId, set[BuyerId]] = {i: set() for i in market.valid}
+    prev: list[BuyerId] = []
+    for d, layer in enumerate(market.layers):
+        for j in sorted(layer):
+            if d == 0:
+                parent[j] = SELLER
+            else:
+                p = min(i for i in prev if j in market.invites[i])
+                parent[j] = p
+                children[p].add(j)
+        prev = sorted(layer)
+
+    descendants: dict[BuyerId, frozenset[BuyerId]] = {}
+
+    def collect(i: BuyerId) -> frozenset[BuyerId]:
+        if i not in descendants:
+            acc: set[BuyerId] = set()
+            for c in children[i]:
+                acc.add(c)
+                acc |= collect(c)
+            descendants[i] = frozenset(acc)
+        return descendants[i]
+
+    for i in market.valid:
+        collect(i)
+    return TreeMarket(
+        market=market,
+        parent=parent,
+        children={i: frozenset(c) for i, c in children.items()},
+        descendants=descendants,
+        depth=len(market.layers),
+    )
+
+
+def run_vcg_first_layer(market: Market, reserve: ReservePrice | None = None) -> Outcome:
+    """Clarke pivot over layer 1, re-solving the welfare problem once per buyer."""
+    if reserve is not None:
+        aug = compute_market(inject_dummies(market.profile, reserve))
+    else:
+        aug = market
+    k = market.profile.k
+    if not aug.layers:
+        zeros = {i: 0 for i in market.valid if not is_dummy(i)}
+        return Outcome(units=dict(zeros), payments=dict(zeros),
+                       trace=VcgTrace(0, {}, {}, frozenset()))
+    layer1 = aug.layers[0]
+    full = constrained_welfare(aug, layer1, {}, k)
+    units = {i: 0 for i in market.valid}
+    payments = {i: 0 for i in market.valid}
+    sw_without: dict[BuyerId, Money] = {}
+    for i in sorted(layer1):
+        if is_dummy(i) or i not in market.valid:
+            continue
+        pi = full.units_of(i)
+        without = constrained_welfare(aug, layer1 - {i}, {}, k).welfare
+        sw_without[i] = without
+        units[i] = pi
+        payments[i] = without - (full.welfare - cumulative_value(aug.values_of(i), pi))
+    dummies = frozenset(i for i in layer1 if is_dummy(i))
+    trace = VcgTrace(sw=full.welfare, allocation=full.allocation,
+                     sw_without=sw_without, dummies=dummies)
+    return Outcome(units=units, payments=payments, trace=trace)
+
+
+def run_ldm_tree(tree: TreeMarket, mu: int) -> Outcome:
+    """LDM-Tree with every SW_{-D_i} solved on the explicit set valid - D_i."""
+    market = tree.market
+    k = market.profile.k
+    valid = market.valid
+    reports = market.profile.reports
+    units = {i: 0 for i in valid if not is_dummy(i)}
+    payments = {i: 0 for i in valid if not is_dummy(i)}
+    per_buyer_removed = removed_sets_for(tree, mu)
+    if not tree.layers:
+        return Outcome(units=units, payments=payments,
+                       trace=LdmTrace(mu, k, (), frozenset(), tree))
+
+    suffix: list[frozenset[BuyerId]] = [frozenset()] * (tree.depth + 1)
+    acc: set[BuyerId] = set()
+    for d in range(tree.depth - 1, -1, -1):
+        acc |= tree.layers[d]
+        suffix[d] = frozenset(acc)
+
+    committed: dict[BuyerId, int] = {}
+    k_remain = k
+    records: list[LayerRecord] = []
+    dummies = frozenset(i for i in valid if is_dummy(i))
+    for l in range(1, tree.depth + 1):
+        members = sorted(tree.layers[l - 1])
+        r_l: set[BuyerId] = set(suffix[l + 1]) if l + 1 <= tree.depth else set()
+        for i in members:
+            r_l |= per_buyer_removed[i]
+        included = valid - r_l
+        layer_opt = constrained_welfare(market, included, committed, k)
+        sw_l = layer_opt.welfare
+        sw_d: dict[BuyerId, Money] = {}
+        for i in members:
+            d_i = r_l | tree.children[i] | {i}
+            sw_d[i] = constrained_welfare(market, valid - d_i, committed, k).welfare
+            pi = layer_opt.units_of(i)
+            if not is_dummy(i):
+                units[i] = pi
+            if pi:
+                k_remain -= pi
+                payment = sw_d[i] - (sw_l - cumulative_value(reports[i].values, pi))
+            else:
+                payment = sw_d[i] - sw_l
+            if not is_dummy(i):
+                payments[i] = payment
+        for i in members:
+            committed[i] = layer_opt.units_of(i)
+        records.append(LayerRecord(
+            layer=l,
+            removed=frozenset(r_l),
+            included=frozenset(included),
+            sw=sw_l,
+            tentative_units=dict(layer_opt.allocation),
+            tentative_value={
+                j: cumulative_value(reports[j].values, m)
+                for j, m in layer_opt.allocation.items()
+            },
+            sw_minus_d=sw_d,
+            k_remain_after=k_remain,
+        ))
+        if k_remain == 0:
+            break
+    return Outcome(units=units, payments=payments,
+                   trace=LdmTrace(mu, k, tuple(records), dummies, tree))
+
+
+def run_ldm(market: Market, mu: int, reserve: ReservePrice | None = None) -> Outcome:
+    """LDM on graphs through the reference tree and the reference LDM-Tree."""
+    if reserve is None:
+        return run_ldm_tree(build_bfs_tree(market), mu)
+    aug = compute_market(inject_dummies(market.profile, reserve))
+    out = run_ldm_tree(build_bfs_tree(aug), mu)
+    units = {i: m for i, m in out.units.items() if not is_dummy(i)}
+    payments = {i: p for i, p in out.payments.items() if not is_dummy(i)}
+    return Outcome(units=units, payments=payments, trace=out.trace)

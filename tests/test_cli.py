@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from netauction.cli import main
+from netauction.instance_io import serialize_instance
 
-from conftest import DATA
+from conftest import DATA, chain_profile
 
 FIG3 = str(DATA / "fig3.json")
 FIG4 = str(DATA / "fig4.json")
@@ -67,6 +68,19 @@ def test_run_invalid_instance_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["run", str(bad), "--mechanism", "ldm"], capsys)
     assert code == 2
     assert "non-increasing" in err
+
+
+def test_run_long_invitation_chain(tmp_path, capsys):
+    chain = tmp_path / "chain.json"
+    chain.write_text(serialize_instance(chain_profile(1500, 2)))
+    code, out, _ = run_cli(["run", str(chain), "--mechanism", "ldm", "--format", "json"],
+                           capsys)
+    assert code == 0
+    assert json.loads(out)["allocation"] == {"0": 2}
+    code, out, _ = run_cli(["run", str(chain), "--mechanism", "dna-mu", "--format", "json"],
+                           capsys)
+    assert code == 0
+    assert json.loads(out)["allocation"] == {"0": 1, "1": 1}
 
 
 def test_run_mu_too_small_exits_3(capsys):

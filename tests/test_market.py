@@ -6,6 +6,7 @@ import pytest
 
 from netauction.errors import ContractError, ValidationError
 from netauction.market import (
+    DUMMY_BASE,
     SELLER,
     ReportProfile,
     ReportedType,
@@ -56,6 +57,14 @@ def test_validate_reports_first_violation_in_id_order():
     with pytest.raises(ValidationError) as err:
         make_profile(2, {1}, {1: ((1, 2), ()), 2: ((5, 9), ())})
     assert err.value.buyer == 1
+
+
+def test_validate_rejects_reserved_dummy_ids():
+    # such a buyer would be treated as a reserve dummy: with k=1 LDM withheld
+    # the unit from her and VCG sold nothing
+    with pytest.raises(ValidationError) as err:
+        make_profile(1, {2, DUMMY_BASE}, {DUMMY_BASE: ((9,), ()), 2: ((4,), ())})
+    assert err.value.buyer == DUMMY_BASE
 
 
 def test_compute_market_layers():

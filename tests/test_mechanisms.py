@@ -23,7 +23,7 @@ from netauction.mechanisms import (
     run_vcg_first_layer,
 )
 
-from conftest import FIG3_LABELS, make_profile
+from conftest import FIG3_LABELS, chain_profile, make_profile
 
 
 def lid(c):
@@ -223,6 +223,18 @@ def test_ldm_empty_market_all_zero():
     market = compute_market(make_profile(2, set(), {1: ((5, 1), ())}))
     out = run_ldm(market, 0)
     assert out.units == {} and out.payments == {} and out.revenue == 0
+
+
+def test_long_invitation_chain_runs():
+    # deeper than the interpreter's default recursion limit
+    market = compute_market(chain_profile(1500, 2))
+    tree = build_bfs_tree(market)
+    assert tree.depth == 1500 and len(tree.descendants[0]) == 1499
+    ldm = run_ldm(market, 1)
+    assert ldm.units == {i: 2 if i == 0 else 0 for i in range(1500)}
+    assert ldm.revenue == 0
+    dna = run_dna_mu(tree)
+    assert dna.units == {i: 1 if i < 2 else 0 for i in range(1500)}
 
 
 def test_ldm_utility_identity_from_trace(fig3_profile, t4_profile):

@@ -7,7 +7,8 @@ import pytest
 from netauction.errors import ContractError, FixedOutsideIncluded, OverCommitted, TooLarge
 from netauction.market import build_bfs_tree, compute_market
 from netauction.removed_sets import layer_removed_set
-from netauction.welfare import brute_force_welfare, constrained_welfare, kth_highest_first_unit
+from netauction.welfare import (WelfarePool, brute_force_welfare, constrained_welfare,
+                                kth_highest_first_unit)
 
 from conftest import fig3_ids, make_profile
 
@@ -87,6 +88,31 @@ def test_greedy_matches_oracle_randomized(fig3_profile):
         assert greedy.welfare == oracle.welfare
         for i, m in fixed.items():
             assert greedy.allocation.get(i, 0) == m
+
+
+def test_pool_walk_matches_fresh_solves(fig3_profile):
+    rng = random.Random(23)
+    market = compute_market(fig3_profile)
+    ids = sorted(market.valid)
+    for _ in range(300):
+        included = frozenset(rng.sample(ids, rng.randint(0, 8)))
+        k = rng.randint(1, 4)
+        fixed = {}
+        remaining = k
+        for i in sorted(included):
+            if remaining and rng.random() < 0.3:
+                m = rng.randint(0, min(remaining, 3))
+                fixed[i] = m
+                remaining -= m
+        pool = WelfarePool(market, included, fixed, k)
+        assert pool.best() == constrained_welfare(market, included, fixed, k)
+        free = sorted(included - set(fixed))
+        excluded = frozenset(rng.sample(free, rng.randint(0, len(free))))
+        oracle = brute_force_welfare(market, included - excluded, fixed, k)
+        assert pool.welfare(excluded) == oracle.welfare
+        if fixed:
+            with pytest.raises(FixedOutsideIncluded):
+                pool.welfare(excluded | {min(fixed)})
 
 
 def test_monotone_in_included_set(fig3_profile):
