@@ -21,8 +21,9 @@ FAMILY = GeneratorConfig(seed=113, buyers=(5, 7), k=(4, 4), v_max=10,
 def main():
     print("searching random trees (up to 7 buyers, 4 units) for a buyer who")
     print("profits by hiding a neighbor from DNA-MU...")
-    report = search_counterexample(dna_mu_mechanism(), instance_stream(FAMILY, 20000), 20000)
-    assert report is not None
+    found = search_counterexample(dna_mu_mechanism(), instance_stream(FAMILY, 20000), 20000)
+    assert found is not None
+    _, report = found
     hidden = sorted(report.truthful_report.invited - report.deviating_report.invited)
     label = report.instance.label_of
     print(f"\nfound: buyer {label(report.buyer)} hides {[label(h) for h in hidden]}:")

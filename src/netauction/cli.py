@@ -1,21 +1,24 @@
 """Command-line front end: run mechanisms, verify properties, generate
 instances, search for counterexamples, and compare against first-layer VCG.
 
+Mechanism names, the properties they admit and how each one runs come from
+`verify.MECHANISMS`; `verify` and `search` use the harness's
+`run_properties` and `search_counterexample`, so this module only parses
+arguments and prints.
+
 Exit codes: 0 success (for `verify`, no violations; for `search`, a
 counterexample was found), 1 violations found / nothing found, 2 validation
-or parse errors, 3 undersized mu, 4 enumeration budget exceeded. Output is
-deterministic for fixed inputs and seeds; timings go to stderr and only with
---timing. NETAUCTION_THREADS caps the worker count for instance batches.
+or parse errors (argparse usage errors included), 3 undersized mu, 4
+enumeration budget exceeded. Output is deterministic for fixed inputs and
+seeds; timings go to stderr and only with --timing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import MuTooSmall, NetAuctionError, ParseError, SearchBudgetExceeded, ValidationError
 from .instance_io import (
@@ -26,37 +29,25 @@ from .instance_io import (
     serialize_instance,
 )
 from .market import Market, ReportProfile, build_bfs_tree, compute_market
-from .mechanisms import (
-    LdmTrace,
-    Outcome,
-    ReservePrice,
-    outcome_welfare,
-    run_dna_mu,
-    run_ldm,
-    run_vcg_first_layer,
-)
-from .removed_sets import min_valid_mu, robust_mu
+from .mechanisms import LdmTrace, Outcome, ReservePrice, outcome_welfare
+from .removed_sets import min_valid_mu
 from .verify import (
+    MECHANISMS,
     PROPERTY_NAMES,
     DeviationReport,
-    check_invitation_ic,
-    check_value_ic,
     compare_vs_vcg,
-    dna_mu_mechanism,
-    ldm_mechanism,
     run_properties,
+    search_counterexample,
 )
 
-MECHANISMS = ("vcg-l1", "dna-mu", "ldm-tree", "ldm")
 CLI_PROPERTIES = tuple(p for p in PROPERTY_NAMES if p != "order-independence")
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("NETAUCTION_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _non_negative(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _load_instance(path: str) -> ReportProfile:
@@ -120,15 +111,6 @@ def _parse_gen_spec(spec: str) -> GeneratorConfig:
         raise ParseError(str(exc)) from exc
 
 
-def _run_mechanism(market: Market, name: str, mu: int,
-                   reserve: ReservePrice | None) -> Outcome:
-    if name == "vcg-l1":
-        return run_vcg_first_layer(market, reserve)
-    if name == "dna-mu":
-        return run_dna_mu(build_bfs_tree(market))
-    return run_ldm(market, mu, reserve)
-
-
 def _outcome_doc(market: Market, name: str, mu: int,
                  outcome: Outcome, with_trace: bool) -> dict:
     profile = market.profile
@@ -136,7 +118,7 @@ def _outcome_doc(market: Market, name: str, mu: int,
     doc = {
         "mechanism": name,
         "k": profile.k,
-        "mu": mu if name in ("ldm", "ldm-tree") else None,
+        "mu": mu if MECHANISMS[name].layered else None,
         "allocation": {label(i): u for i, u in sorted(outcome.units.items()) if u},
         "payments": {label(i): p for i, p in sorted(outcome.payments.items())},
         "revenue": outcome.revenue,
@@ -195,19 +177,13 @@ def _describe_violation(report: DeviationReport, profile: ReportProfile) -> str:
 
 def cmd_run(args) -> int:
     market = compute_market(_load_instance(args.instance))
-    mu = 0
-    if args.mechanism in ("ldm", "ldm-tree"):
-        mu = _resolve_run_mu(market, args.mu, args.require_mu)
+    entry = MECHANISMS[args.mechanism]
+    mu = _resolve_run_mu(market, args.mu, args.require_mu) if entry.layered else 0
     reserve = ReservePrice(args.reserve) if args.reserve is not None else None
-    outcome = _run_mechanism(market, args.mechanism, mu, reserve)
+    outcome = entry.run(market, mu, reserve)
     _print_outcome(_outcome_doc(market, args.mechanism, mu, outcome, args.trace),
                    args.format)
     return 0
-
-
-def _verify_one(profile: ReportProfile, args) -> list:
-    properties = CLI_PROPERTIES if args.all else tuple(args.property.split(","))
-    return run_properties(profile, args.mechanism, properties, mu=args.mu)
 
 
 def cmd_verify(args) -> int:
@@ -216,12 +192,11 @@ def cmd_verify(args) -> int:
     else:
         config = _parse_gen_spec(args.gen)
         instances = list(instance_stream(config, args.count))
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            all_results = list(pool.map(lambda p: _verify_one(p, args), instances))
-    else:
-        all_results = [_verify_one(profile, args) for profile in instances]
+    properties = CLI_PROPERTIES if args.all else tuple(args.property.split(","))
+    # Every instance is checked before anything is printed, so an error exits
+    # with empty stdout.
+    all_results = [run_properties(profile, args.mechanism, properties, mu=args.mu)
+                   for profile in instances]
 
     exit_code = 0
     failed = 0
@@ -245,34 +220,17 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     config = _parse_gen_spec(args.gen)
-    if args.mechanism in ("ldm", "ldm-tree"):
-        def mechanism_for(inst: ReportProfile):
-            mu = args.mu if args.mu is not None else robust_mu(inst)
-            return ldm_mechanism(mu)
-    else:
-        fixed = dna_mu_mechanism()
-
-        def mechanism_for(inst: ReportProfile):
-            return fixed
-
-    found = None
-    scanned = 0
-    for index, instance in enumerate(instance_stream(config, args.budget)):
-        scanned = index + 1
-        mech = mechanism_for(instance)
-        reports = check_invitation_ic(mech, instance)
-        if not reports and args.value_ic:
-            reports = check_value_ic(mech, instance)
-        if reports:
-            found = (index, reports[0], instance)
-            break
+    entry = MECHANISMS[args.mechanism]
+    found = search_counterexample(
+        lambda instance: entry.checked(entry.pinned_mu(instance, args.mu)),
+        instance_stream(config, args.budget), args.budget, args.value_ic)
     if found is None:
-        print(f"no counterexample within {scanned} instances")
+        print(f"no counterexample within {args.budget} instances")
         return 1
-    index, report, instance = found
+    index, report = found
     print(f"counterexample at instance {index}:")
-    print(_describe_violation(report, instance))
-    text = serialize_instance(instance)
+    print(_describe_violation(report, report.instance))
+    text = serialize_instance(report.instance)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -323,23 +281,15 @@ def cmd_compare(args) -> int:
         instances = list(instance_stream(config, args.count))
     reserves = _parse_reserve_range(args.reserve)
 
-    def row_for(item):
-        index, profile, r = item
+    rows = []
+    for index, profile in enumerate(instances):
         market = compute_market(profile)
         mu = args.mu if args.mu is not None else (
             profile.mu if profile.mu is not None
             else min_valid_mu(build_bfs_tree(market)))
-        reserve = ReservePrice(r) if r is not None else None
-        cmp = compare_vs_vcg(market, mu, reserve)
-        return (index, r, cmp)
-
-    jobs = [(i, p, r) for i, p in enumerate(instances) for r in reserves]
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row_for, jobs))
-    else:
-        rows = [row_for(job) for job in jobs]
+        for r in reserves:
+            reserve = ReservePrice(r) if r is not None else None
+            rows.append((index, r, compare_vs_vcg(market, mu, reserve)))
 
     print("instance reserve ldm_welfare vcg_welfare ldm_revenue vcg_revenue welfare>= revenue>=")
     all_dominant = True
@@ -378,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check properties on an instance or a batch")
     p_verify.add_argument("instance", nargs="?")
     p_verify.add_argument("--gen", help="generator spec, e.g. seed=7,n=6,k=2")
-    p_verify.add_argument("--count", type=int, default=100,
+    p_verify.add_argument("--count", type=_non_negative, default=100,
                           help="instances to draw from --gen")
     p_verify.add_argument("--mechanism", choices=MECHANISMS, required=True)
     p_verify.add_argument("--property", default="ir",
@@ -390,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="hunt for an incentive counterexample")
     p_search.add_argument("--mechanism", choices=MECHANISMS, required=True)
     p_search.add_argument("--gen", required=True)
-    p_search.add_argument("--budget", type=int, default=100000)
+    p_search.add_argument("--budget", type=_non_negative, default=100000)
     p_search.add_argument("--value-ic", action="store_true",
                           help="also try value misreports")
     p_search.add_argument("--mu", type=int, default=None)
@@ -413,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="LDM vs first-layer VCG table")
     p_cmp.add_argument("instance", nargs="?")
     p_cmp.add_argument("--gen")
-    p_cmp.add_argument("--count", type=int, default=20)
+    p_cmp.add_argument("--count", type=_non_negative, default=20)
     p_cmp.add_argument("--reserve", default=None,
                        help="single value or sweep like 0..5")
     p_cmp.add_argument("--mu", type=int, default=None)

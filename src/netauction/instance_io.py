@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ParseError
-from .market import BuyerId, ReportProfile, ReportedType, validate_profile
+from .market import BuyerId, ReportProfile, ReportedType, _as_int, validate_profile
 
 
 def _reject_float(value: str):
@@ -39,10 +39,6 @@ def _no_duplicate_keys(pairs):
             raise ParseError(f"duplicate key {key!r}")
         seen.add(key)
     return dict(pairs)
-
-
-def _as_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def parse_instance(text: str) -> ReportProfile:
@@ -180,12 +176,9 @@ def random_instance(config: GeneratorConfig, index: int = 0) -> ReportProfile:
     layer = {}
     seller_neighbors: set[BuyerId] = set()
     invited: dict[BuyerId, set[BuyerId]] = {i: set() for i in range(n)}
+    # the seller, then every earlier buyer whose layer admits a child, ascending
+    pool: list[BuyerId] = [-1]
     for i in range(n):
-        pool: list[BuyerId] = [-1]
-        pool.extend(
-            j for j in range(i)
-            if config.max_depth is None or layer[j] < config.max_depth
-        )
         if config.seller_bias and rng.random() < config.seller_bias:
             parent = -1
         else:
@@ -196,6 +189,8 @@ def random_instance(config: GeneratorConfig, index: int = 0) -> ReportProfile:
         else:
             invited[parent].add(i)
             layer[i] = layer[parent] + 1
+        if config.max_depth is None or layer[i] < config.max_depth:
+            pool.append(i)
 
     if config.topology == "graph" and config.edge_density > 0:
         for u in range(n):

@@ -28,19 +28,15 @@ from .market import (
     cumulative_value,
     is_dummy,
 )
-from .removed_sets import removed_sets_for
+from .removed_sets import layer_removed_sets
 from .welfare import WelfarePool, kth_highest_first_unit
 
 
 @dataclass(frozen=True)
 class ReservePrice:
-    """Reserve level r, realized as `dummy_count` layer-1 dummies (default K)."""
+    """Reserve level r, realized as K unit-demand layer-1 dummies."""
 
     r: Money
-    dummy_count: int | None = None
-
-    def count_for(self, k: int) -> int:
-        return self.dummy_count if self.dummy_count is not None else k
 
 
 @dataclass(frozen=True)
@@ -116,11 +112,10 @@ def outcome_welfare(market: Market, outcome: Outcome) -> Money:
 
 def inject_dummies(profile: ReportProfile, reserve: ReservePrice) -> ReportProfile:
     """Profile with reserve dummies added to the seller's neighbor set."""
-    count = reserve.count_for(profile.k)
     vector = (reserve.r,) + (0,) * (profile.k - 1)
     reports = dict(profile.reports)
     neighbors = set(profile.seller_neighbors)
-    for j in range(count):
+    for j in range(profile.k):
         ident = DUMMY_BASE + j
         reports[ident] = ReportedType(vector, frozenset())
         neighbors.add(ident)
@@ -229,31 +224,15 @@ def run_ldm_tree(tree: TreeMarket, mu: int, order: Sequence[BuyerId] | None = No
     reports = market.profile.reports
     units = {i: 0 for i in valid if not is_dummy(i)}
     payments = {i: 0 for i in valid if not is_dummy(i)}
-    per_buyer_removed = removed_sets_for(tree, mu)
-    if not tree.layers:
-        trace = LdmTrace(mu, k, (), frozenset(), tree) if want_trace else None
-        return Outcome(units=units, payments=payments, trace=trace)
-
-    # suffix[d] = all buyers in 0-based layers >= d; R_l adds suffix[l + 1],
-    # i.e. every layer from l + 2 down.
-    suffix: list[frozenset[BuyerId]] = [frozenset()] * (tree.depth + 1)
-    acc: set[BuyerId] = set()
-    for d in range(tree.depth - 1, -1, -1):
-        acc |= tree.layers[d]
-        suffix[d] = frozenset(acc)
-
     committed: dict[BuyerId, int] = {}
     k_remain = k
     records: list[LayerRecord] = []
     dummies = frozenset(i for i in valid if is_dummy(i))
-    for l in range(1, tree.depth + 1):
+    for l, r_l in enumerate(layer_removed_sets(tree, mu), start=1):
         members = sorted(tree.layers[l - 1])
         if order is not None:
             position = {b: p for p, b in enumerate(order)}
             members.sort(key=lambda b: position[b])
-        r_l: set[BuyerId] = set(suffix[l + 1]) if l + 1 <= tree.depth else set()
-        for i in members:
-            r_l |= per_buyer_removed[i]
         included = valid - r_l
         pool = WelfarePool(market, included, committed, k)
         layer_opt = pool.best()
@@ -278,8 +257,8 @@ def run_ldm_tree(tree: TreeMarket, mu: int, order: Sequence[BuyerId] | None = No
         if want_trace:
             records.append(LayerRecord(
                 layer=l,
-                removed=frozenset(r_l),
-                included=frozenset(included),
+                removed=r_l,
+                included=included,
                 sw=sw_l,
                 tentative_units=dict(layer_opt.allocation),
                 tentative_value={

@@ -9,6 +9,9 @@ i's own children and i itself yields her payment exclusion set D_i.
 
 from __future__ import annotations
 
+from itertools import islice
+from typing import Iterator
+
 from .errors import ContractError, MuTooSmall
 from .market import BuyerId, ReportProfile, TreeMarket
 
@@ -90,16 +93,25 @@ def removed_sets_for(tree: TreeMarket, mu: int) -> dict[BuyerId, frozenset[Buyer
     return out
 
 
+def layer_removed_sets(tree: TreeMarket, mu: int) -> Iterator[frozenset[BuyerId]]:
+    """R_1, R_2, ... in layer order, each built only when it is asked for.
+
+    R_l is the union of C_i^R over layer l plus every buyer in layers >= l+2.
+    mu is validated once, before R_1.
+    """
+    per_buyer = removed_sets_for(tree, mu)
+    deeper = set().union(*tree.layers[2:])
+    for d, layer in enumerate(tree.layers):
+        yield frozenset().union(deeper, *(per_buyer[i] for i in layer))
+        if d + 2 < tree.depth:
+            deeper -= tree.layers[d + 2]
+
+
 def layer_removed_set(tree: TreeMarket, layer: int, mu: int) -> frozenset[BuyerId]:
-    """R_l: the union of C_i^R over layer l, plus every buyer in layers >= l+2."""
+    """R_l for one layer l, read from `layer_removed_sets`."""
     if not 1 <= layer <= tree.depth:
         raise ContractError(f"layer {layer} outside 1..{tree.depth}")
-    out: set[BuyerId] = set()
-    for i in tree.layers[layer - 1]:
-        out |= removed_set(tree, i, mu)
-    for d in range(layer + 1, tree.depth):
-        out |= tree.layers[d]
-    return frozenset(out)
+    return next(islice(layer_removed_sets(tree, mu), layer - 1, None))
 
 
 def exclusion_set(tree: TreeMarket, i: BuyerId, mu: int) -> frozenset[BuyerId]:

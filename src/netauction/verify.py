@@ -74,12 +74,12 @@ def ldm_mechanism(mu: int, reserve: ReservePrice | None = None) -> MechanismUnde
     return MechanismUnderTest("ldm", run, tree_run)
 
 
-def dna_mu_mechanism(order: str = "id", seed: int | None = None) -> MechanismUnderTest:
+def dna_mu_mechanism() -> MechanismUnderTest:
     def run(profile: ReportProfile) -> Outcome:
-        return run_dna_mu(build_bfs_tree(compute_market(profile)), order, seed)
+        return run_dna_mu(build_bfs_tree(compute_market(profile)))
 
     def tree_run(tree: TreeMarket) -> Outcome:
-        return run_dna_mu(tree, order, seed)
+        return run_dna_mu(tree)
 
     return MechanismUnderTest("dna-mu", run, tree_run)
 
@@ -92,6 +92,57 @@ def vcg_mechanism(reserve: ReservePrice | None = None) -> MechanismUnderTest:
         return run_vcg_first_layer(tree.market, reserve)
 
     return MechanismUnderTest("vcg-l1", run, tree_run)
+
+
+def _run_dna_mu_on(market: Market, mu: int, reserve: ReservePrice | None) -> Outcome:
+    if reserve is not None:
+        raise ContractError("dna-mu takes no reserve price")
+    return run_dna_mu(build_bfs_tree(market))
+
+
+@dataclass(frozen=True)
+class RegisteredMechanism:
+    """One mechanism name shared by the CLI and the property harness.
+
+    A `layered` mechanism takes mu and admits the LDM-only properties; the
+    others ignore mu. `run` applies the mechanism to a computed market with
+    (mu, reserve); `checked` builds the black box that the checkers rerun.
+    """
+
+    layered: bool
+    run: Callable[[Market, int, ReservePrice | None], Outcome]
+    checked: Callable[[int], MechanismUnderTest]
+
+    def pinned_mu(self, instance: ReportProfile, mu: int | None = None) -> int:
+        """mu for the checkers: `mu`, else the instance's, else `robust_mu`.
+
+        Deviation re-runs need a mu that stays valid on every shrunken
+        profile; the reattachment-robust bound provides that default.
+        Unlayered mechanisms get 0.
+        """
+        if not self.layered:
+            return 0
+        if mu is not None:
+            return mu
+        if instance.mu is not None:
+            return instance.mu
+        return robust_mu(instance)
+
+
+# The lambdas look the mechanisms up by name when called, so wrappers
+# installed on this module (such as tracing spans) see every run.
+_LDM = RegisteredMechanism(True, lambda market, mu, reserve: run_ldm(market, mu, reserve),
+                           ldm_mechanism)
+MECHANISMS: dict[str, RegisteredMechanism] = {
+    "vcg-l1": RegisteredMechanism(
+        False, lambda market, mu, reserve: run_vcg_first_layer(market, reserve),
+        lambda mu: vcg_mechanism()),
+    "dna-mu": RegisteredMechanism(False, _run_dna_mu_on, lambda mu: dna_mu_mechanism()),
+    # An alias of "ldm": run_ldm already runs LDM-Tree on the BFS tree, and a
+    # tree is its own BFS tree.
+    "ldm-tree": _LDM,
+    "ldm": _LDM,
+}
 
 
 @dataclass(frozen=True)
@@ -444,33 +495,23 @@ def search_counterexample(
     generator: Iterable[ReportProfile],
     budget: int,
     include_value_ic: bool = False,
-) -> DeviationReport | None:
-    """Scan generated instances for an invitation-IC violation.
+) -> tuple[int, DeviationReport] | None:
+    """Scan generated instances for an invitation-IC violation, then, with
+    `include_value_ic`, for a value-IC one.
 
     `mechanism` is either fixed or a factory called per instance (so LDM runs
-    can pin mu from each truthful network). Returns the first violation found
-    within `budget` instances, or None; absence is a legal result.
+    can pin mu from each truthful network). Returns the stream index and the
+    first violation found within `budget` instances, or None; absence is a
+    legal result.
     """
-    for instance in itertools.islice(generator, budget):
+    for index, instance in enumerate(itertools.islice(generator, budget)):
         mech = mechanism if isinstance(mechanism, MechanismUnderTest) else mechanism(instance)
         found = check_invitation_ic(mech, instance)
         if not found and include_value_ic:
             found = check_value_ic(mech, instance)
         if found:
-            return found[0]
+            return index, found[0]
     return None
-
-
-PROPERTY_NAMES = (
-    "ir",
-    "invite-ic",
-    "value-ic",
-    "non-wasteful",
-    "dominance",
-    "decomposition",
-    "child-monotonicity",
-    "order-independence",
-)
 
 
 @dataclass(frozen=True)
@@ -481,91 +522,77 @@ class PropertyResult:
     reports: tuple[DeviationReport, ...] = ()
 
 
-def _mechanism_by_name(name: str, mu: int, reserve: ReservePrice | None) -> MechanismUnderTest:
-    if name in ("ldm", "ldm-tree"):
-        return ldm_mechanism(mu, reserve)
-    if name == "dna-mu":
-        return dna_mu_mechanism()
-    if name == "vcg-l1":
-        return vcg_mechanism(reserve)
-    raise ContractError(f"unknown mechanism {name!r}")
+def _deviations(reports: list[DeviationReport]) -> tuple:
+    return (not reports, "", tuple(reports))
+
+
+def _non_wasteful(mech: MechanismUnderTest, instance: ReportProfile, mu: int) -> tuple:
+    ok = check_non_wasteful(mech.run(instance), instance)
+    return (ok, "" if ok else "units unsold", ())
+
+
+def _dominance(mech: MechanismUnderTest, instance: ReportProfile, mu: int) -> tuple:
+    cmp = compare_vs_vcg(compute_market(instance), mu)
+    return (cmp.welfare_dominates and cmp.revenue_dominates,
+            f"welfare {cmp.ldm_welfare} vs {cmp.vcg_welfare}, "
+            f"revenue {cmp.ldm_revenue} vs {cmp.vcg_revenue}", ())
+
+
+def _decomposition(mech: MechanismUnderTest, instance: ReportProfile, mu: int) -> tuple:
+    market = compute_market(instance)
+    tree = build_bfs_tree(market)
+    out = run_ldm_tree(tree, mu)
+    try:
+        rows = payment_decomposition(out, tree, mu)
+    except ContractError as exc:
+        return (False, str(exc), ())
+    first, second = check_decomposition_inequalities(rows, run_vcg_first_layer(market))
+    ok = first and second
+    return (ok, "" if ok else f"layer-1 charge bound: {first}, cross-layer bound: {second}", ())
+
+
+def _order_independence(mech: MechanismUnderTest, instance: ReportProfile, mu: int) -> tuple:
+    ok = check_order_independence(instance, mu)
+    return (ok, "" if ok else "order changed outcome", ())
+
+
+# Property name -> (check, ldm_only). A check maps (mechanism, instance, pinned
+# mu) to PropertyResult's (ok, detail, reports). Checkers are looked up by name
+# when called, so wrappers installed on this module see every call.
+PROPERTIES: dict[str, tuple[Callable[[MechanismUnderTest, ReportProfile, int], tuple], bool]] = {
+    "ir": (lambda mech, inst, mu: _deviations(check_ir(mech, inst)), False),
+    "invite-ic": (lambda mech, inst, mu: _deviations(check_invitation_ic(mech, inst)), False),
+    "value-ic": (lambda mech, inst, mu: _deviations(check_value_ic(mech, inst)), False),
+    "non-wasteful": (_non_wasteful, False),
+    "dominance": (_dominance, True),
+    "decomposition": (_decomposition, True),
+    "child-monotonicity": (
+        lambda mech, inst, mu: _deviations(check_child_monotonicity(mech, inst)), False),
+    "order-independence": (_order_independence, True),
+}
+PROPERTY_NAMES = tuple(PROPERTIES)
 
 
 def run_properties(instance: ReportProfile, mechanism_name: str,
                    properties: Sequence[str], *, mu: int | None = None,
-                   reserve: ReservePrice | None = None,
-                   grid: Callable[[ReportProfile, BuyerId], Iterable[ValuationVector]] | None = None,
                    ) -> list[PropertyResult]:
     """Run the named property checks for one instance, in the given order.
 
-    `dominance`, `decomposition` and `order-independence` are specific to the
-    layer-based mechanism and refuse other mechanism names.
+    Properties marked `ldm_only` in `PROPERTIES` refuse unlayered mechanisms.
     """
-    ldm_only = {"dominance", "decomposition", "order-independence"}
-    pinned = 0
-    if mechanism_name in ("ldm", "ldm-tree"):
-        # Deviation re-runs need a mu that stays valid on every shrunken
-        # profile; the reattachment-robust bound provides that default.
-        if mu is not None:
-            pinned = mu
-        elif instance.mu is not None:
-            pinned = instance.mu
-        else:
-            pinned = robust_mu(instance)
-    mech = _mechanism_by_name(mechanism_name, pinned, reserve)
+    entry = MECHANISMS.get(mechanism_name)
+    if entry is None:
+        raise ContractError(f"unknown mechanism {mechanism_name!r}")
+    pinned = entry.pinned_mu(instance, mu)
+    mech = entry.checked(pinned)
     results: list[PropertyResult] = []
     for prop in properties:
-        if prop not in PROPERTY_NAMES:
+        if prop not in PROPERTIES:
             raise ContractError(f"unknown property {prop!r}")
-        if prop in ldm_only and mechanism_name not in ("ldm", "ldm-tree"):
+        check, ldm_only = PROPERTIES[prop]
+        if ldm_only and not entry.layered:
             raise ContractError(f"property {prop!r} requires the ldm mechanism")
-        if prop == "ir":
-            reports = check_ir(mech, instance)
-            results.append(PropertyResult(prop, not reports, reports=tuple(reports)))
-        elif prop == "invite-ic":
-            reports = check_invitation_ic(mech, instance)
-            results.append(PropertyResult(prop, not reports, reports=tuple(reports)))
-        elif prop == "value-ic":
-            reports = check_value_ic(mech, instance, grid)
-            results.append(PropertyResult(prop, not reports, reports=tuple(reports)))
-        elif prop == "non-wasteful":
-            if reserve is not None:
-                results.append(PropertyResult(prop, True, detail="skipped: reserve set"))
-                continue
-            ok = check_non_wasteful(mech.run(instance), instance)
-            results.append(PropertyResult(prop, ok, detail="" if ok else "units unsold"))
-        elif prop == "dominance":
-            cmp = compare_vs_vcg(compute_market(instance), pinned, reserve)
-            ok = cmp.welfare_dominates and cmp.revenue_dominates
-            results.append(PropertyResult(
-                prop, ok,
-                detail=(f"welfare {cmp.ldm_welfare} vs {cmp.vcg_welfare}, "
-                        f"revenue {cmp.ldm_revenue} vs {cmp.vcg_revenue}"),
-            ))
-        elif prop == "decomposition":
-            market = compute_market(instance)
-            if reserve is not None:
-                out = run_ldm(market, pinned, reserve)
-                tree = out.trace.tree
-            else:
-                tree = build_bfs_tree(market)
-                out = run_ldm_tree(tree, pinned)
-            try:
-                rows = payment_decomposition(out, tree, pinned)
-            except ContractError as exc:
-                results.append(PropertyResult(prop, False, detail=str(exc)))
-                continue
-            vcg = run_vcg_first_layer(market, reserve)
-            first, second = check_decomposition_inequalities(rows, vcg)
-            ok = first and second
-            detail = "" if ok else f"layer-1 charge bound: {first}, cross-layer bound: {second}"
-            results.append(PropertyResult(prop, ok, detail=detail))
-        elif prop == "child-monotonicity":
-            reports = check_child_monotonicity(mech, instance)
-            results.append(PropertyResult(prop, not reports, reports=tuple(reports)))
-        elif prop == "order-independence":
-            ok = check_order_independence(instance, pinned)
-            results.append(PropertyResult(prop, ok, detail="" if ok else "order changed outcome"))
+        results.append(PropertyResult(prop, *check(mech, instance, pinned)))
     return results
 
 

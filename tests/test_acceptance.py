@@ -207,11 +207,12 @@ def test_criterion_4_dna_mu_falsification(capsys):
     started = time.perf_counter()
     config = GeneratorConfig(seed=113, buyers=(5, 7), k=(4, 4), v_max=10,
                              topology="tree", max_depth=3, seller_bias=0.45)
-    report = search_counterexample(dna_mu_mechanism(),
+    result = search_counterexample(dna_mu_mechanism(),
                                    instance_stream(config, 100_000), 100_000)
-    found = report is not None
+    found = result is not None
     shape_ok = replay_ok = frozen_ok = False
     if found:
+        _, report = result
         # the failure mode: she cannot win by inviting, wins by hiding
         shape_ok = (report.kind == "invitation-ic"
                     and report.deviating_utility > report.truthful_utility

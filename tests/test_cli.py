@@ -1,13 +1,15 @@
 """CLI surface: subcommands, exit codes, deterministic output."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from netauction.cli import main
+from netauction.cli import build_parser, main
 from netauction.instance_io import serialize_instance
+from netauction.verify import MECHANISMS
 
 from conftest import DATA, chain_profile
 
@@ -59,6 +61,45 @@ def test_run_graph_instance_matches_tree(capsys):
                                       "--format", "json"], capsys)
     assert code_graph == code_tree == 0
     assert json.loads(out_graph)["payments"] == json.loads(out_tree)["payments"]
+
+
+@pytest.mark.parametrize("reserve", [[], ["--reserve", "5"]])
+def test_ldm_tree_is_an_alias_of_ldm(reserve, capsys):
+    docs = {}
+    for name in ("ldm-tree", "ldm"):
+        code, out, _ = run_cli(["run", FIG4, "--mechanism", name, "--trace",
+                                "--format", "json"] + reserve, capsys)
+        assert code == 0
+        docs[name] = json.loads(out)
+        assert docs[name].pop("mechanism") == name
+    assert docs["ldm-tree"] == docs["ldm"]
+
+
+def test_mechanism_choices_are_the_registry():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("run", "verify", "search"):
+        option = next(a for a in commands.choices[command]._actions if a.dest == "mechanism")
+        assert list(option.choices) == list(MECHANISMS)
+
+
+def test_run_dna_mu_refuses_reserve(capsys):
+    code, out, err = run_cli(["run", FIG4, "--mechanism", "dna-mu", "--reserve", "5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "reserve" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--gen", "seed=1,n=3", "--count", "-4", "--mechanism", "ldm"],
+    ["compare", "--gen", "seed=3,n=2..5", "--count", "-2"],
+    ["search", "--mechanism", "dna-mu", "--gen", "seed=1,n=1,k=1", "--budget", "-1"],
+], ids=["verify-count", "compare-count", "search-budget"])
+def test_negative_count_or_budget_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
 
 
 def test_run_invalid_instance_exits_2(tmp_path, capsys):
@@ -142,6 +183,16 @@ def test_search_finds_dna_mu_counterexample(tmp_path, capsys):
         ["verify", str(out_path), "--mechanism", "dna-mu", "--property", "invite-ic"],
         capsys)
     assert replay_code == 1
+
+
+def test_search_vcg_l1_finds_no_invitation_counterexample(capsys):
+    # The DNA-MU counterexample of this stream is instance 5086; first-layer
+    # VCG ignores invitations, so hiding one never helps.
+    code, out, _ = run_cli(["search", "--mechanism", "vcg-l1",
+                            "--gen", "seed=113,n=5..7,k=4,depth=3,bias=0.45",
+                            "--budget", "5100"], capsys)
+    assert code == 1
+    assert out == "no counterexample within 5100 instances\n"
 
 
 def test_search_exhausted_exits_1(capsys):

@@ -1,9 +1,11 @@
 """The property harness itself: checkers catch planted violations and stay
 silent on the layer-based mechanism."""
 
+import itertools
+
 import pytest
 
-from netauction.errors import SearchBudgetExceeded, TraceMissing
+from netauction.errors import ContractError, SearchBudgetExceeded, TraceMissing
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance
 from netauction.market import build_bfs_tree, compute_market, cumulative_value
 from netauction.mechanisms import Outcome, run_ldm_tree, run_vcg_first_layer
@@ -250,8 +252,11 @@ def test_child_monotonicity_catches_dna_mu(counterexample_profile):
 def test_search_counterexample_finds_dna_mu_violation():
     cfg = GeneratorConfig(seed=113, buyers=(5, 7), k=(4, 4), v_max=10,
                           topology="tree", max_depth=3, seller_bias=0.45)
-    report = search_counterexample(dna_mu_mechanism(), instance_stream(cfg, 6000), 6000)
-    assert report is not None
+    found = search_counterexample(dna_mu_mechanism(), instance_stream(cfg, 6000), 6000)
+    assert found is not None
+    index, report = found
+    assert index == 5086
+    assert report.instance == next(itertools.islice(instance_stream(cfg, 6000), index, None))
     assert report.kind == "invitation-ic"
     assert report.deviating_utility > report.truthful_utility
 
@@ -303,6 +308,15 @@ def test_run_properties_flags_dna_mu(counterexample_profile):
     results = run_properties(counterexample_profile, "dna-mu", ("invite-ic",))
     assert not results[0].ok
     assert results[0].reports
+
+
+def test_run_properties_refuses_unknown_and_unlayered_mechanisms(t4_profile):
+    with pytest.raises(ContractError, match="unknown mechanism"):
+        run_properties(t4_profile, "vcg", ("ir",))
+    for name in ("dna-mu", "vcg-l1"):
+        for prop in ("dominance", "decomposition", "order-independence"):
+            with pytest.raises(ContractError, match="requires the ldm mechanism"):
+                run_properties(t4_profile, name, (prop,))
 
 
 def test_mu_overestimation_keeps_properties():
