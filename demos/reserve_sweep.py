@@ -10,7 +10,7 @@ Run:  python demos/reserve_sweep.py
 
 from netauction.instance_io import GeneratorConfig, instance_stream
 from netauction.market import compute_market
-from netauction.mechanisms import ReservePrice
+from netauction.mechanisms import inject_dummies
 from netauction.removed_sets import robust_mu
 from netauction.verify import compare_vs_vcg
 
@@ -22,10 +22,9 @@ def main():
     print("market  reserve  ldm_revenue  vcg_revenue  margin")
     worst_margin = None
     for index, profile in enumerate(instance_stream(CONFIG, 30)):
-        market = compute_market(profile)
         mu = robust_mu(profile)
         for r in range(0, 6):
-            cmp = compare_vs_vcg(market, mu, ReservePrice(r))
+            cmp = compare_vs_vcg(compute_market(inject_dummies(profile, r)), mu)
             margin = cmp.ldm_revenue - cmp.vcg_revenue
             if worst_margin is None or margin < worst_margin:
                 worst_margin = margin

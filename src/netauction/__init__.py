@@ -37,7 +37,6 @@ from .market import (
 )
 from .mechanisms import (
     Outcome,
-    ReservePrice,
     inject_dummies,
     outcome_welfare,
     run_dna_mu,

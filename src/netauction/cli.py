@@ -29,7 +29,7 @@ from .instance_io import (
     serialize_instance,
 )
 from .market import Market, ReportProfile, build_bfs_tree, compute_market
-from .mechanisms import LdmTrace, Outcome, ReservePrice, outcome_welfare
+from .mechanisms import LdmTrace, Outcome, inject_dummies, outcome_welfare
 from .removed_sets import min_valid_mu
 from .verify import (
     MECHANISMS,
@@ -53,6 +53,17 @@ def _non_negative(raw: str) -> int:
 def _load_instance(path: str) -> ReportProfile:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_instance(handle.read())
+
+
+def _instances(args) -> list[ReportProfile]:
+    """The positional instance file, or `--count` instances drawn from `--gen`."""
+    if args.instance is not None and args.gen is not None:
+        raise ParseError("give an instance file or --gen, not both")
+    if args.instance is not None:
+        return [_load_instance(args.instance)]
+    if args.gen is None:
+        raise ParseError("give an instance file or --gen")
+    return list(instance_stream(_parse_gen_spec(args.gen), args.count))
 
 
 def _resolve_run_mu(market: Market, override: int | None,
@@ -176,22 +187,20 @@ def _describe_violation(report: DeviationReport, profile: ReportProfile) -> str:
 
 
 def cmd_run(args) -> int:
-    market = compute_market(_load_instance(args.instance))
+    profile = _load_instance(args.instance)
+    if args.reserve is not None:
+        profile = inject_dummies(profile, args.reserve)
+    market = compute_market(profile)
     entry = MECHANISMS[args.mechanism]
     mu = _resolve_run_mu(market, args.mu, args.require_mu) if entry.layered else 0
-    reserve = ReservePrice(args.reserve) if args.reserve is not None else None
-    outcome = entry.run(market, mu, reserve)
+    outcome = entry.run(market, mu)
     _print_outcome(_outcome_doc(market, args.mechanism, mu, outcome, args.trace),
                    args.format)
     return 0
 
 
 def cmd_verify(args) -> int:
-    if args.instance:
-        instances = [_load_instance(args.instance)]
-    else:
-        config = _parse_gen_spec(args.gen)
-        instances = list(instance_stream(config, args.count))
+    instances = _instances(args)
     properties = CLI_PROPERTIES if args.all else tuple(args.property.split(","))
     # Every instance is checked before anything is printed, so an error exits
     # with empty stdout.
@@ -268,17 +277,15 @@ def _parse_reserve_range(raw: str | None) -> list[int | None]:
     if raw is None:
         return [None]
     if ".." in raw:
-        lo, hi = raw.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(bound) for bound in raw.split("..", 1))
+        if lo > hi:
+            raise ParseError(f"reserve sweep {raw!r} runs downward")
+        return list(range(lo, hi + 1))
     return [int(raw)]
 
 
 def cmd_compare(args) -> int:
-    if args.instance:
-        instances = [_load_instance(args.instance)]
-    else:
-        config = _parse_gen_spec(args.gen)
-        instances = list(instance_stream(config, args.count))
+    instances = _instances(args)
     reserves = _parse_reserve_range(args.reserve)
 
     rows = []
@@ -288,8 +295,8 @@ def cmd_compare(args) -> int:
             profile.mu if profile.mu is not None
             else min_valid_mu(build_bfs_tree(market)))
         for r in reserves:
-            reserve = ReservePrice(r) if r is not None else None
-            rows.append((index, r, compare_vs_vcg(market, mu, reserve)))
+            priced = market if r is None else compute_market(inject_dummies(profile, r))
+            rows.append((index, r, compare_vs_vcg(priced, mu)))
 
     print("instance reserve ldm_welfare vcg_welfare ldm_revenue vcg_revenue welfare>= revenue>=")
     all_dominant = True
@@ -356,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--topology", choices=("tree", "graph"), default="tree")
     p_gen.add_argument("--density", type=float, default=0.1)
     p_gen.add_argument("--depth", type=int, default=None)
-    p_gen.add_argument("--count", type=int, default=1)
+    p_gen.add_argument("--count", type=_non_negative, default=1)
     p_gen.add_argument("-o", "--output", required=True)
     p_gen.set_defaults(func=cmd_gen)
 

@@ -4,10 +4,10 @@ BFS trees, and cumulative-value arithmetic.
 All money amounts are exact non-negative integers ("value units"); nothing in
 this package ever compares floats. Buyer ids are non-negative integers below
 ``DUMMY_BASE`` whose ascending order is the universal tie-break order. The
-seller is the sentinel ``SELLER`` (-1); reserve-price dummies, when a
-mechanism injects them, live at ``DUMMY_BASE`` and above, a range
-``validate_profile`` refuses to real buyers, so every real buyer wins id
-ties against them.
+seller is the sentinel ``SELLER`` (-1); reserve-price dummies, which
+``mechanisms.inject_dummies`` adds to a profile to set a reserve price, live at
+``DUMMY_BASE`` and above, a range ``validate_profile`` refuses to real buyers,
+so every real buyer wins id ties against them.
 """
 
 from __future__ import annotations
@@ -74,15 +74,13 @@ class Market:
     """A validated profile resolved into the valid-buyer set and its layers.
 
     ``layers[d-1]`` is the set of valid buyers at shortest invitation-chain
-    length d. ``invites`` is the directed adjacency actually used for chain
-    construction (j in invites[i] iff i invited j and both are relevant).
+    length d.
     """
 
     profile: ReportProfile
     valid: frozenset[BuyerId]
     layer_of: Mapping[BuyerId, int]
     layers: tuple[frozenset[BuyerId], ...]
-    invites: Mapping[BuyerId, frozenset[BuyerId]]
 
     @property
     def k(self) -> int:
@@ -197,17 +195,11 @@ def compute_market(profile: ReportProfile) -> Market:
                     layer_of[j] = len(layers) + 1
                     nxt.add(j)
         frontier = sorted(nxt)
-    valid = frozenset(layer_of)
-
-    invites = {
-        i: frozenset(j for j in reports[i].invited if j in valid) for i in valid
-    }
     return Market(
         profile=profile,
-        valid=valid,
+        valid=frozenset(layer_of),
         layer_of=layer_of,
         layers=tuple(layers),
-        invites=invites,
     )
 
 
@@ -220,6 +212,7 @@ def build_bfs_tree(market: Market) -> TreeMarket:
     coincide with market layers because BFS preserves shortest distances.
     Descendant sets are built bottom-up, deepest layer first.
     """
+    reports = market.profile.reports
     parent: dict[BuyerId, BuyerId] = {}
     children: dict[BuyerId, set[BuyerId]] = {i: set() for i in market.valid}
     for d, layer in enumerate(market.layers):
@@ -228,7 +221,7 @@ def build_bfs_tree(market: Market) -> TreeMarket:
                 parent[j] = SELLER
             continue
         for i in sorted(market.layers[d - 1]):
-            for j in market.invites[i]:
+            for j in reports[i].invited:
                 if j in layer and j not in parent:
                     parent[j] = i
                     children[i].add(j)

@@ -3,18 +3,20 @@
 Every mechanism returns an Outcome mapping each valid buyer to her unit count
 and signed payment (negative = reward). Invalid buyers never appear; their
 units and payments are 0 by definition and nothing they report can move the
-result. Reserve prices are realized as synthetic unit-demand dummy buyers in
-layer 1: they compete in every welfare problem, their ids sit above all real
-ids so real buyers win ties, and any units they capture are withheld from
-sale rather than reassigned.
+result. A reserve price is a change to the market, not a mechanism argument:
+`inject_dummies(profile, r)` adds K synthetic unit-demand dummy buyers to
+layer 1. They compete in every welfare problem of LDM and first-layer VCG,
+their ids sit above all real ids so real buyers win ties, and any units they
+capture are withheld from sale rather than reassigned; no outcome lists them.
+DNA-MU takes no reserve and refuses a market with dummies.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
+from .errors import ContractError, ValidationError
 from .market import (
     DUMMY_BASE,
     BuyerId,
@@ -23,20 +25,13 @@ from .market import (
     ReportProfile,
     ReportedType,
     TreeMarket,
+    _as_int,
     build_bfs_tree,
-    compute_market,
     cumulative_value,
     is_dummy,
 )
 from .removed_sets import layer_removed_sets
 from .welfare import WelfarePool, kth_highest_first_unit
-
-
-@dataclass(frozen=True)
-class ReservePrice:
-    """Reserve level r, realized as K unit-demand layer-1 dummies."""
-
-    r: Money
 
 
 @dataclass(frozen=True)
@@ -58,7 +53,6 @@ class LdmTrace:
     mu: int
     k: int
     layers: tuple[LayerRecord, ...]
-    dummies: frozenset[BuyerId]
     tree: TreeMarket
 
 
@@ -67,7 +61,6 @@ class VcgTrace:
     sw: Money
     allocation: Mapping[BuyerId, int]
     sw_without: Mapping[BuyerId, Money]
-    dummies: frozenset[BuyerId]
 
 
 @dataclass(frozen=True)
@@ -110,9 +103,15 @@ def outcome_welfare(market: Market, outcome: Outcome) -> Money:
     )
 
 
-def inject_dummies(profile: ReportProfile, reserve: ReservePrice) -> ReportProfile:
-    """Profile with reserve dummies added to the seller's neighbor set."""
-    vector = (reserve.r,) + (0,) * (profile.k - 1)
+def inject_dummies(profile: ReportProfile, r: int) -> ReportProfile:
+    """Profile with a reserve price r: K dummies bidding (r, 0, ..., 0) in layer 1.
+
+    r must be a non-negative integer, like every reported marginal value: a
+    negative dummy bid would turn the winners' Clarke payments into rewards.
+    """
+    if not _as_int(r) or r < 0:
+        raise ValidationError(None, f"reserve must be a non-negative integer, got {r!r}")
+    vector = (r,) + (0,) * (profile.k - 1)
     reports = dict(profile.reports)
     neighbors = set(profile.seller_neighbors)
     for j in range(profile.k):
@@ -122,73 +121,52 @@ def inject_dummies(profile: ReportProfile, reserve: ReservePrice) -> ReportProfi
     return replace(profile, reports=reports, seller_neighbors=frozenset(neighbors))
 
 
-def _zero_outcome(market: Market, trace=None) -> Outcome:
-    zeros = {i: 0 for i in market.valid if not is_dummy(i)}
-    return Outcome(units=dict(zeros), payments=dict(zeros), trace=trace)
-
-
-def run_vcg_first_layer(market: Market, reserve: ReservePrice | None = None) -> Outcome:
+def run_vcg_first_layer(market: Market) -> Outcome:
     """Clarke-pivot auction of K units among the seller's direct neighbors only.
 
-    Every other valid buyer gets 0 units and pays 0. With a reserve, dummies
-    join the first layer for every welfare computation; units they win are
-    withheld.
+    Every other valid buyer gets 0 units and pays 0. Reserve dummies bid in
+    layer 1 like any neighbor; units they win are withheld.
     """
-    if reserve is not None:
-        aug = compute_market(inject_dummies(market.profile, reserve))
-    else:
-        aug = market
-    k = market.profile.k
-    if not aug.layers:
-        return _zero_outcome(market, trace=VcgTrace(0, {}, {}, frozenset()))
-    layer1 = aug.layers[0]
-    pool = WelfarePool(aug, layer1, {}, k)
+    layer1 = market.layers[0] if market.layers else frozenset()
+    pool = WelfarePool(market, layer1, {}, market.k)
     full = pool.best()
-    units = {i: 0 for i in market.valid}
-    payments = {i: 0 for i in market.valid}
+    units = {i: 0 for i in market.valid if not is_dummy(i)}
+    payments = dict(units)
     sw_without: dict[BuyerId, Money] = {}
     for i in sorted(layer1):
         if is_dummy(i):
-            continue
-        if i not in market.valid:
             continue
         pi = full.units_of(i)
         without = pool.welfare({i})
         sw_without[i] = without
         units[i] = pi
-        payments[i] = without - (full.welfare - cumulative_value(aug.values_of(i), pi))
-    dummies = frozenset(i for i in layer1 if is_dummy(i))
-    trace = VcgTrace(sw=full.welfare, allocation=full.allocation,
-                     sw_without=sw_without, dummies=dummies)
+        payments[i] = without - (full.welfare - cumulative_value(market.values_of(i), pi))
+    trace = VcgTrace(sw=full.welfare, allocation=full.allocation, sw_without=sw_without)
     return Outcome(units=units, payments=payments, trace=trace)
 
 
-def run_dna_mu(tree: TreeMarket, order: str = "id", seed: int | None = None) -> Outcome:
+def run_dna_mu(tree: TreeMarket) -> Outcome:
     """DNA-MU: sequential unit-demand allocation, nearer layers first.
 
     Each buyer is priced at the K'-th highest first-unit value of the market
     with her descendants, the winners so far, and herself removed; she wins
     one unit at that price iff her own first-unit value meets it. Only
     first-unit values are read. Once supply hits zero nothing more is sold.
-
-    `order` is "id" (ascending, the default) or "random" with `seed`, standing
-    in for the underspecified within-layer ordering.
+    Buyers within a layer go in ascending id order.
     """
     market = tree.market
+    if tree.layers and any(is_dummy(i) for i in tree.layers[0]):
+        raise ContractError("dna-mu takes no reserve price")
     k_remaining = market.profile.k
     winners: set[BuyerId] = set()
     units = {i: 0 for i in market.valid}
     payments = {i: 0 for i in market.valid}
     rows: list[DnaRow] = []
-    rng = random.Random(seed) if order == "random" else None
     done = False
     for d, layer in enumerate(tree.layers, start=1):
         if done:
             break
-        members = sorted(layer)
-        if rng is not None:
-            rng.shuffle(members)
-        for i in members:
+        for i in sorted(layer):
             if k_remaining == 0:
                 done = True
                 break
@@ -227,7 +205,6 @@ def run_ldm_tree(tree: TreeMarket, mu: int, order: Sequence[BuyerId] | None = No
     committed: dict[BuyerId, int] = {}
     k_remain = k
     records: list[LayerRecord] = []
-    dummies = frozenset(i for i in valid if is_dummy(i))
     for l, r_l in enumerate(layer_removed_sets(tree, mu), start=1):
         members = sorted(tree.layers[l - 1])
         if order is not None:
@@ -270,20 +247,10 @@ def run_ldm_tree(tree: TreeMarket, mu: int, order: Sequence[BuyerId] | None = No
             ))
         if k_remain == 0:
             break
-    trace = LdmTrace(mu, k, tuple(records), dummies, tree) if want_trace else None
+    trace = LdmTrace(mu, k, tuple(records), tree) if want_trace else None
     return Outcome(units=units, payments=payments, trace=trace)
 
 
-def run_ldm(market: Market, mu: int, reserve: ReservePrice | None = None) -> Outcome:
-    """LDM on general graphs: BFS-tree the market, then run LDM-Tree.
-
-    Reserve dummies are injected before tree construction so they take part
-    in every welfare problem; their units are withheld from the final outcome.
-    """
-    if reserve is None:
-        return run_ldm_tree(build_bfs_tree(market), mu)
-    aug = compute_market(inject_dummies(market.profile, reserve))
-    out = run_ldm_tree(build_bfs_tree(aug), mu)
-    units = {i: m for i, m in out.units.items() if not is_dummy(i)}
-    payments = {i: p for i, p in out.payments.items() if not is_dummy(i)}
-    return Outcome(units=units, payments=payments, trace=out.trace)
+def run_ldm(market: Market, mu: int) -> Outcome:
+    """LDM on general graphs: BFS-tree the market, then run LDM-Tree."""
+    return run_ldm_tree(build_bfs_tree(market), mu)

@@ -34,7 +34,6 @@ from .market import (
 from .mechanisms import (
     LdmTrace,
     Outcome,
-    ReservePrice,
     outcome_welfare,
     run_dna_mu,
     run_ldm,
@@ -62,14 +61,12 @@ class MechanismUnderTest:
     tree_run: Callable[[TreeMarket], Outcome] | None = None
 
 
-def ldm_mechanism(mu: int, reserve: ReservePrice | None = None) -> MechanismUnderTest:
+def ldm_mechanism(mu: int) -> MechanismUnderTest:
     def run(profile: ReportProfile) -> Outcome:
-        return run_ldm(compute_market(profile), mu, reserve)
+        return run_ldm(compute_market(profile), mu)
 
-    tree_run = None
-    if reserve is None:
-        def tree_run(tree: TreeMarket) -> Outcome:
-            return run_ldm_tree(tree, mu, want_trace=False)
+    def tree_run(tree: TreeMarket) -> Outcome:
+        return run_ldm_tree(tree, mu, want_trace=False)
 
     return MechanismUnderTest("ldm", run, tree_run)
 
@@ -84,20 +81,14 @@ def dna_mu_mechanism() -> MechanismUnderTest:
     return MechanismUnderTest("dna-mu", run, tree_run)
 
 
-def vcg_mechanism(reserve: ReservePrice | None = None) -> MechanismUnderTest:
+def vcg_mechanism() -> MechanismUnderTest:
     def run(profile: ReportProfile) -> Outcome:
-        return run_vcg_first_layer(compute_market(profile), reserve)
+        return run_vcg_first_layer(compute_market(profile))
 
     def tree_run(tree: TreeMarket) -> Outcome:
-        return run_vcg_first_layer(tree.market, reserve)
+        return run_vcg_first_layer(tree.market)
 
     return MechanismUnderTest("vcg-l1", run, tree_run)
-
-
-def _run_dna_mu_on(market: Market, mu: int, reserve: ReservePrice | None) -> Outcome:
-    if reserve is not None:
-        raise ContractError("dna-mu takes no reserve price")
-    return run_dna_mu(build_bfs_tree(market))
 
 
 @dataclass(frozen=True)
@@ -106,11 +97,12 @@ class RegisteredMechanism:
 
     A `layered` mechanism takes mu and admits the LDM-only properties; the
     others ignore mu. `run` applies the mechanism to a computed market with
-    (mu, reserve); `checked` builds the black box that the checkers rerun.
+    mu (a reserve price is already in the market, see `inject_dummies`);
+    `checked` builds the black box that the checkers rerun.
     """
 
     layered: bool
-    run: Callable[[Market, int, ReservePrice | None], Outcome]
+    run: Callable[[Market, int], Outcome]
     checked: Callable[[int], MechanismUnderTest]
 
     def pinned_mu(self, instance: ReportProfile, mu: int | None = None) -> int:
@@ -131,13 +123,12 @@ class RegisteredMechanism:
 
 # The lambdas look the mechanisms up by name when called, so wrappers
 # installed on this module (such as tracing spans) see every run.
-_LDM = RegisteredMechanism(True, lambda market, mu, reserve: run_ldm(market, mu, reserve),
-                           ldm_mechanism)
+_LDM = RegisteredMechanism(True, lambda market, mu: run_ldm(market, mu), ldm_mechanism)
 MECHANISMS: dict[str, RegisteredMechanism] = {
-    "vcg-l1": RegisteredMechanism(
-        False, lambda market, mu, reserve: run_vcg_first_layer(market, reserve),
-        lambda mu: vcg_mechanism()),
-    "dna-mu": RegisteredMechanism(False, _run_dna_mu_on, lambda mu: dna_mu_mechanism()),
+    "vcg-l1": RegisteredMechanism(False, lambda market, mu: run_vcg_first_layer(market),
+                                  lambda mu: vcg_mechanism()),
+    "dna-mu": RegisteredMechanism(False, lambda market, mu: run_dna_mu(build_bfs_tree(market)),
+                                  lambda mu: dna_mu_mechanism()),
     # An alias of "ldm": run_ldm already runs LDM-Tree on the BFS tree, and a
     # tree is its own BFS tree.
     "ldm-tree": _LDM,
@@ -356,11 +347,10 @@ class VcgComparison:
         return self.ldm_revenue >= self.vcg_revenue
 
 
-def compare_vs_vcg(market: Market, mu: int,
-                   reserve: ReservePrice | None = None) -> VcgComparison:
-    """LDM and first-layer VCG on the same market, same reserve on both."""
-    ldm = run_ldm(market, mu, reserve)
-    vcg = run_vcg_first_layer(market, reserve)
+def compare_vs_vcg(market: Market, mu: int) -> VcgComparison:
+    """LDM and first-layer VCG on the same market (and so the same reserve)."""
+    ldm = run_ldm(market, mu)
+    vcg = run_vcg_first_layer(market)
     return VcgComparison(
         ldm_welfare=outcome_welfare(market, ldm),
         vcg_welfare=outcome_welfare(market, vcg),

@@ -24,7 +24,6 @@ from netauction.mechanisms import (
     LayerRecord,
     LdmTrace,
     Outcome,
-    ReservePrice,
     VcgTrace,
     inject_dummies,
 )
@@ -34,6 +33,7 @@ from netauction.welfare import constrained_welfare
 
 def build_bfs_tree(market: Market) -> TreeMarket:
     """Parent = the smallest-id inviter in the previous layer, found by scanning it."""
+    reports = market.profile.reports
     parent: dict[BuyerId, BuyerId] = {}
     children: dict[BuyerId, set[BuyerId]] = {i: set() for i in market.valid}
     prev: list[BuyerId] = []
@@ -42,7 +42,7 @@ def build_bfs_tree(market: Market) -> TreeMarket:
             if d == 0:
                 parent[j] = SELLER
             else:
-                p = min(i for i in prev if j in market.invites[i])
+                p = min(i for i in prev if j in reports[i].invited)
                 parent[j] = p
                 children[p].add(j)
         prev = sorted(layer)
@@ -69,7 +69,7 @@ def build_bfs_tree(market: Market) -> TreeMarket:
     )
 
 
-def run_vcg_first_layer(market: Market, reserve: ReservePrice | None = None) -> Outcome:
+def run_vcg_first_layer(market: Market, reserve: int | None = None) -> Outcome:
     """Clarke pivot over layer 1, re-solving the welfare problem once per buyer."""
     if reserve is not None:
         aug = compute_market(inject_dummies(market.profile, reserve))
@@ -79,7 +79,7 @@ def run_vcg_first_layer(market: Market, reserve: ReservePrice | None = None) -> 
     if not aug.layers:
         zeros = {i: 0 for i in market.valid if not is_dummy(i)}
         return Outcome(units=dict(zeros), payments=dict(zeros),
-                       trace=VcgTrace(0, {}, {}, frozenset()))
+                       trace=VcgTrace(0, {}, {}))
     layer1 = aug.layers[0]
     full = constrained_welfare(aug, layer1, {}, k)
     units = {i: 0 for i in market.valid}
@@ -93,9 +93,8 @@ def run_vcg_first_layer(market: Market, reserve: ReservePrice | None = None) -> 
         sw_without[i] = without
         units[i] = pi
         payments[i] = without - (full.welfare - cumulative_value(aug.values_of(i), pi))
-    dummies = frozenset(i for i in layer1 if is_dummy(i))
     trace = VcgTrace(sw=full.welfare, allocation=full.allocation,
-                     sw_without=sw_without, dummies=dummies)
+                     sw_without=sw_without)
     return Outcome(units=units, payments=payments, trace=trace)
 
 
@@ -110,7 +109,7 @@ def run_ldm_tree(tree: TreeMarket, mu: int) -> Outcome:
     per_buyer_removed = removed_sets_for(tree, mu)
     if not tree.layers:
         return Outcome(units=units, payments=payments,
-                       trace=LdmTrace(mu, k, (), frozenset(), tree))
+                       trace=LdmTrace(mu, k, (), tree))
 
     suffix: list[frozenset[BuyerId]] = [frozenset()] * (tree.depth + 1)
     acc: set[BuyerId] = set()
@@ -121,7 +120,6 @@ def run_ldm_tree(tree: TreeMarket, mu: int) -> Outcome:
     committed: dict[BuyerId, int] = {}
     k_remain = k
     records: list[LayerRecord] = []
-    dummies = frozenset(i for i in valid if is_dummy(i))
     for l in range(1, tree.depth + 1):
         members = sorted(tree.layers[l - 1])
         r_l: set[BuyerId] = set(suffix[l + 1]) if l + 1 <= tree.depth else set()
@@ -162,10 +160,10 @@ def run_ldm_tree(tree: TreeMarket, mu: int) -> Outcome:
         if k_remain == 0:
             break
     return Outcome(units=units, payments=payments,
-                   trace=LdmTrace(mu, k, tuple(records), dummies, tree))
+                   trace=LdmTrace(mu, k, tuple(records), tree))
 
 
-def run_ldm(market: Market, mu: int, reserve: ReservePrice | None = None) -> Outcome:
+def run_ldm(market: Market, mu: int, reserve: int | None = None) -> Outcome:
     """LDM on graphs through the reference tree and the reference LDM-Tree."""
     if reserve is None:
         return run_ldm_tree(build_bfs_tree(market), mu)

@@ -18,7 +18,7 @@ from netauction.instance_io import (
     random_instance,
 )
 from netauction.market import build_bfs_tree, compute_market
-from netauction.mechanisms import ReservePrice, run_ldm, run_ldm_tree, run_vcg_first_layer
+from netauction.mechanisms import inject_dummies, run_ldm, run_ldm_tree, run_vcg_first_layer
 from netauction.removed_sets import robust_mu
 from netauction.verify import (
     _tree_profile,
@@ -235,12 +235,11 @@ def test_criterion_5_reserve_price_dominance(capsys):
     ok = True
     rows = 0
     for profile in instance_stream(config, 200):
-        market = compute_market(profile)
         mu = robust_mu(profile)
         for r in range(6):
-            reserve = ReservePrice(r)
-            ldm = run_ldm(market, mu, reserve)
-            vcg = run_vcg_first_layer(market, reserve)
+            priced = compute_market(inject_dummies(profile, r))
+            ldm = run_ldm(priced, mu)
+            vcg = run_vcg_first_layer(priced)
             rows += 1
             if ldm.revenue < vcg.revenue:
                 ok = False

@@ -94,12 +94,46 @@ def test_run_dna_mu_refuses_reserve(capsys):
     ["verify", "--gen", "seed=1,n=3", "--count", "-4", "--mechanism", "ldm"],
     ["compare", "--gen", "seed=3,n=2..5", "--count", "-2"],
     ["search", "--mechanism", "dna-mu", "--gen", "seed=1,n=1,k=1", "--budget", "-1"],
-], ids=["verify-count", "compare-count", "search-budget"])
+    ["gen", "--seed", "1", "--count", "-1", "-o", "unused.json"],
+], ids=["verify-count", "compare-count", "search-budget", "gen-count"])
 def test_negative_count_or_budget_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mechanism", ["ldm", "vcg-l1"])
+def test_run_negative_reserve_exits_2(mechanism, tmp_path, capsys):
+    # a -3 dummy bid used to pay the lone buyer 3 (revenue -3)
+    lone = tmp_path / "lone.json"
+    lone.write_text('{"k": 1, "seller_neighbors": ["a"], '
+                    '"buyers": {"a": {"values": [5], "neighbors": []}}}')
+    code, out, err = run_cli(["run", str(lone), "--mechanism", mechanism,
+                              "--reserve", "-3", "--mu", "0"], capsys)
+    assert (code, out) == (2, "")
+    assert "reserve must be a non-negative integer, got -3" in err
+
+
+@pytest.mark.parametrize("sweep,message", [
+    ("--reserve=-1..2", "reserve must be a non-negative integer, got -1"),
+    ("--reserve=5..3", "reserve sweep '5..3' runs downward"),
+], ids=["negative", "descending"])
+def test_compare_bad_reserve_sweep_exits_2(sweep, message, capsys):
+    code, out, err = run_cli(["compare", FIG3, sweep], capsys)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("command", [["verify", "--mechanism", "ldm"], ["compare"]])
+@pytest.mark.parametrize("source,message", [
+    ([], "give an instance file or --gen"),
+    ([T4, "--gen", "seed=1"], "give an instance file or --gen, not both"),
+], ids=["neither", "both"])
+def test_instance_or_gen_exactly_one(command, source, message, capsys):
+    code, out, err = run_cli(command + source, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_run_invalid_instance_exits_2(tmp_path, capsys):

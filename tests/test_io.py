@@ -102,7 +102,7 @@ def test_zero_density_graph_is_a_tree():
         # each valid non-seller-neighbor buyer has exactly one inviter
         inviter_count = {i: 0 for i in market.valid}
         for i in market.valid:
-            for j in market.invites[i]:
+            for j in profile.reports[i].invited:
                 inviter_count[j] += 1
         for i in market.valid:
             expected = 0 if i in profile.seller_neighbors else 1

@@ -138,7 +138,7 @@ def test_bfs_layers_equal_market_layers_on_random_graphs():
                 node = tree.parent[node]
                 depth += 1
             assert depth == market.layer_of[i]
-            assert tree.parent[i] == SELLER or i in market.invites[tree.parent[i]]
+            assert tree.parent[i] == SELLER or i in profile.reports[tree.parent[i]].invited
 
 
 def test_layer_soundness_against_shortest_path_oracle():

@@ -1,11 +1,12 @@
 """Mechanism-level behavior: frozen hand traces, reserve handling, axioms."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from netauction.errors import MuTooSmall
-from netauction.instance_io import GeneratorConfig, instance_stream
+from netauction.errors import ContractError, MuTooSmall, ValidationError
+from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance
 from netauction.market import (
     DUMMY_BASE,
     ReportProfile,
@@ -13,17 +14,20 @@ from netauction.market import (
     build_bfs_tree,
     compute_market,
     cumulative_value,
+    validate_profile,
 )
 from netauction.mechanisms import (
-    ReservePrice,
+    inject_dummies,
     outcome_welfare,
     run_dna_mu,
     run_ldm,
     run_ldm_tree,
     run_vcg_first_layer,
 )
+from netauction.removed_sets import robust_mu
+from netauction.verify import MECHANISMS
 
-from conftest import FIG3_LABELS, chain_profile, make_profile
+from conftest import DATA, FIG3_LABELS, chain_profile, make_profile
 
 
 def lid(c):
@@ -62,20 +66,28 @@ def test_vcg_empty_market():
 
 
 def test_vcg_reserve_blocks_below_reserve_sale(t4_profile):
-    out = run_vcg_first_layer(compute_market(t4_profile), ReservePrice(6))
+    out = run_vcg_first_layer(compute_market(inject_dummies(t4_profile, 6)))
     assert sum(out.units.values()) == 0
     assert out.revenue == 0
     assert all(i < DUMMY_BASE for i in out.units)
 
 
 def test_reserve_tie_sells_to_real_buyer():
-    market = compute_market(make_profile(1, {1}, {1: ((5,), ())}))
-    out = run_vcg_first_layer(market, ReservePrice(5))
+    market = compute_market(inject_dummies(make_profile(1, {1}, {1: ((5,), ())}), 5))
+    out = run_vcg_first_layer(market)
     assert out.units == {1: 1}
     assert out.payments == {1: 5}
-    ldm = run_ldm(market, 0, ReservePrice(5))
+    ldm = run_ldm(market, 0)
     assert ldm.units == {1: 1}
     assert ldm.payments == {1: 5}
+
+
+@pytest.mark.parametrize("reserve", [-3, -1, 2.5, True, "3", None])
+def test_inject_dummies_rejects_a_reserve_that_is_not_a_non_negative_integer(reserve):
+    # a -3 dummy bid used to pay the lone buyer 3 under both LDM and VCG
+    profile = make_profile(1, {0}, {0: ((5,), ())})
+    with pytest.raises(ValidationError, match="reserve must be a non-negative integer"):
+        inject_dummies(profile, reserve)
 
 
 # ---------------------------------------------------------------- DNA-MU
@@ -121,11 +133,9 @@ def test_dna_mu_flat_first_layer_matches_vcg_allocation():
         assert dna_winners == vcg_winners
 
 
-def test_dna_mu_seeded_shuffle_is_reproducible(fig3_profile):
-    tree = build_bfs_tree(compute_market(fig3_profile))
-    a = run_dna_mu(tree, order="random", seed=9)
-    b = run_dna_mu(tree, order="random", seed=9)
-    assert a.units == b.units and a.payments == b.payments
+def test_dna_mu_refuses_a_priced_market(fig3_profile):
+    with pytest.raises(ContractError, match="dna-mu takes no reserve price"):
+        run_dna_mu(build_bfs_tree(compute_market(inject_dummies(fig3_profile, 0))))
 
 
 # ---------------------------------------------------------------- LDM-Tree
@@ -190,9 +200,6 @@ def test_ldm_within_layer_order_is_immaterial(fig3_profile):
 
 
 def test_ldm_graph_equals_tree_on_fig4(fig3_profile):
-    from netauction.instance_io import parse_instance
-    from conftest import DATA
-
     graph_profile = parse_instance((DATA / "fig4.json").read_text())
     tree_out = run_ldm_tree(build_bfs_tree(compute_market(fig3_profile)), 2)
     graph_out = run_ldm(compute_market(graph_profile), 2)
@@ -211,8 +218,8 @@ def test_ldm_on_tree_input_equals_ldm_tree(t4_profile):
 
 
 def test_ldm_t4_reserve_six_frozen_trace(t4_profile):
-    market = compute_market(t4_profile)
-    out = run_ldm(market, 1, ReservePrice(6))
+    market = compute_market(inject_dummies(t4_profile, 6))
+    out = run_ldm(market, 1)
     assert out.units == {1: 0, 2: 0, 3: 1, 4: 0, 5: 0}
     assert out.payments == {1: -1, 2: 0, 3: 8, 4: 0, 5: 0}
     assert out.revenue == 7
@@ -284,3 +291,47 @@ def test_welfare_and_revenue_dominance_fig3_and_t4(fig3_profile, t4_profile):
         vcg = run_vcg_first_layer(market)
         assert outcome_welfare(market, ldm) >= outcome_welfare(market, vcg)
         assert ldm.revenue >= vcg.revenue
+
+
+# ---------------------------------------------------------------- unreachable buyers
+
+
+def _with_unreachable_buyers(profile, rng):
+    """The profile plus three buyers nobody invites, with arbitrary reports.
+
+    They bid high, invite real buyers and each other, and are never named
+    by the seller, so they stay outside the valid set.
+    """
+    start = max(profile.reports) + 1
+    extra = range(start, start + 3)
+    reports = dict(profile.reports)
+    for i in extra:
+        values = sorted((rng.randint(0, 50) for _ in range(profile.k)), reverse=True)
+        pool = [j for j in list(profile.reports) + list(extra) if j != i]
+        reports[i] = ReportedType(tuple(values), frozenset(rng.sample(pool, min(3, len(pool)))))
+    return validate_profile(replace(profile, reports=reports))
+
+
+def _registry_outcome(entry, profile, mu):
+    try:
+        out = entry.run(compute_market(profile), mu)
+    except ContractError as exc:
+        return str(exc)
+    return out.units, out.payments
+
+
+def test_unreachable_buyers_move_nothing(fig3_profile, t4_profile):
+    fig4 = parse_instance((DATA / "fig4.json").read_text())
+    config = GeneratorConfig(seed=302, buyers=(2, 8), k=(1, 3), v_max=10,
+                             topology="graph", edge_density=0.15)
+    profiles = [fig3_profile, fig4, t4_profile] + list(instance_stream(config, 100))
+    rng = random.Random(5)
+    for profile in profiles:
+        padded = _with_unreachable_buyers(profile, rng)
+        mu = robust_mu(profile)
+        for reserve in (None, 3):
+            base, more = profile, padded
+            if reserve is not None:
+                base, more = inject_dummies(base, reserve), inject_dummies(more, reserve)
+            for entry in MECHANISMS.values():
+                assert _registry_outcome(entry, more, mu) == _registry_outcome(entry, base, mu)

@@ -1,13 +1,15 @@
 """The linear BFS tree and the pooled LDM/VCG against the slow oracle in
 `reference_ldm.py`, and LDM's traced quantities against the public R_l/D_i
-definitions. Every comparison is exact: units, payments and the whole trace."""
+definitions. Every comparison is exact: units, payments and the whole trace.
+A reserve reaches the fast path as a priced market (`inject_dummies`) and the
+oracle as its own reserve argument."""
 
 import pytest
 
 from netauction.cli import _parse_gen_spec
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance, random_instance
 from netauction.market import build_bfs_tree, compute_market
-from netauction.mechanisms import ReservePrice, run_ldm, run_vcg_first_layer
+from netauction.mechanisms import inject_dummies, run_ldm, run_vcg_first_layer
 from netauction.removed_sets import exclusion_set, layer_removed_set, robust_mu
 from netauction.welfare import constrained_welfare
 
@@ -40,8 +42,9 @@ def assert_matches_reference(profile, mu, reserve):
     assert tree.children == slow_tree.children
     assert tree.descendants == slow_tree.descendants
     assert tree.depth == slow_tree.depth
-    assert_same(run_ldm(market, mu, reserve), ref.run_ldm(market, mu, reserve))
-    assert_same(run_vcg_first_layer(market, reserve), ref.run_vcg_first_layer(market, reserve))
+    priced = market if reserve is None else compute_market(inject_dummies(profile, reserve))
+    assert_same(run_ldm(priced, mu), ref.run_ldm(market, mu, reserve))
+    assert_same(run_vcg_first_layer(priced), ref.run_vcg_first_layer(market, reserve))
 
 
 @pytest.mark.parametrize("config,count", SMALL_STREAMS,
@@ -50,7 +53,7 @@ def test_matches_reference_on_generator_streams(config, count):
     for index, profile in enumerate(instance_stream(config, count)):
         mu = robust_mu(profile)
         assert_matches_reference(profile, mu, None)
-        assert_matches_reference(profile, mu, ReservePrice(index % 6))
+        assert_matches_reference(profile, mu, index % 6)
 
 
 @pytest.mark.parametrize("spec", [WIDE.format(11), WIDE.format(12),
@@ -59,7 +62,7 @@ def test_matches_reference_on_auction_workload_shapes(spec):
     profile = random_instance(_parse_gen_spec(spec), 0)
     mu = robust_mu(profile)
     assert_matches_reference(profile, mu, None)
-    assert_matches_reference(profile, mu + 2, ReservePrice(5))
+    assert_matches_reference(profile, mu + 2, 5)
 
 
 def _fixtures_and_stream():
