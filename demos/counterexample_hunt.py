@@ -1,7 +1,7 @@
 """Hunting incentive counterexamples: DNA-MU falls, LDM survives.
 
 DNA-MU allocates unit-demand buyers layer by layer, pricing each buyer
-against the market with her descendants removed. The harness searches seeded
+against the market with her subtree removed. The harness searches seeded
 random trees for a buyer who gains by hiding an invite; it finds one quickly.
 The same search budget applied to the layer-based mechanism comes back empty.
 

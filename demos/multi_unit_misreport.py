@@ -31,7 +31,7 @@ def naive_multi_unit_dna(profile):
         for i in sorted(layer):
             if k_remaining == 0:
                 break
-            pool = market.valid - tree.descendants[i] - winners - {i}
+            pool = market.valid - tree.subtree(i) - winners - {i}
             marginals = sorted(
                 (v for j in pool for v in market.values_of(j)), reverse=True)
             values = market.values_of(i)

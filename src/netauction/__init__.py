@@ -50,7 +50,6 @@ from .removed_sets import (
     min_valid_mu,
     potential_inviters,
     potential_winners,
-    removed_set,
     removed_sets_for,
 )
 from .welfare import (

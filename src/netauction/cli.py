@@ -99,24 +99,24 @@ def _parse_gen_spec(spec: str) -> GeneratorConfig:
 
     if "seed" not in fields:
         raise ParseError("generator spec needs seed=<int>")
-    kwargs: dict = {"seed": int(fields.pop("seed"))}
-    if "n" in fields:
-        kwargs["buyers"] = int_range(fields.pop("n"))
-    if "k" in fields:
-        kwargs["k"] = int_range(fields.pop("k"))
-    if "vmax" in fields:
-        kwargs["v_max"] = int(fields.pop("vmax"))
-    if "topology" in fields:
-        kwargs["topology"] = fields.pop("topology")
-    if "density" in fields:
-        kwargs["edge_density"] = float(fields.pop("density"))
-    if "depth" in fields:
-        kwargs["max_depth"] = int(fields.pop("depth"))
-    if "bias" in fields:
-        kwargs["seller_bias"] = float(fields.pop("bias"))
-    if fields:
-        raise ParseError(f"unknown generator keys: {', '.join(sorted(fields))}")
     try:
+        kwargs: dict = {"seed": int(fields.pop("seed"))}
+        if "n" in fields:
+            kwargs["buyers"] = int_range(fields.pop("n"))
+        if "k" in fields:
+            kwargs["k"] = int_range(fields.pop("k"))
+        if "vmax" in fields:
+            kwargs["v_max"] = int(fields.pop("vmax"))
+        if "topology" in fields:
+            kwargs["topology"] = fields.pop("topology")
+        if "density" in fields:
+            kwargs["edge_density"] = float(fields.pop("density"))
+        if "depth" in fields:
+            kwargs["max_depth"] = int(fields.pop("depth"))
+        if "bias" in fields:
+            kwargs["seller_bias"] = float(fields.pop("bias"))
+        if fields:
+            raise ParseError(f"unknown generator keys: {', '.join(sorted(fields))}")
         return GeneratorConfig(**kwargs)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
@@ -276,12 +276,14 @@ def cmd_gen(args) -> int:
 def _parse_reserve_range(raw: str | None) -> list[int | None]:
     if raw is None:
         return [None]
-    if ".." in raw:
-        lo, hi = (int(bound) for bound in raw.split("..", 1))
-        if lo > hi:
-            raise ParseError(f"reserve sweep {raw!r} runs downward")
-        return list(range(lo, hi + 1))
-    return [int(raw)]
+    bounds = raw.split("..", 1) if ".." in raw else (raw, raw)
+    try:
+        lo, hi = (int(bound) for bound in bounds)
+    except ValueError:
+        raise ParseError(f"reserve {raw!r} is not an integer or a lo..hi sweep") from None
+    if lo > hi:
+        raise ParseError(f"reserve sweep {raw!r} runs downward")
+    return list(range(lo, hi + 1))
 
 
 def cmd_compare(args) -> int:

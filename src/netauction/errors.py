@@ -10,14 +10,15 @@ class NetAuctionError(Exception):
 class ValidationError(NetAuctionError):
     """A report profile violates a type invariant.
 
-    `buyer` is the offending buyer id (None for profile-level problems);
-    `reason` names the first violated invariant in canonical id order.
+    `buyer` is the offending buyer id, or her label when `parse_instance`
+    raises it (None for profile-level problems); `reason` names the first
+    violated invariant in canonical id order.
     """
 
     def __init__(self, buyer, reason: str):
         self.buyer = buyer
         self.reason = reason
-        super().__init__(f"buyer {buyer}: {reason}" if buyer is not None else reason)
+        super().__init__(f"buyer {buyer!r}: {reason}" if buyer is not None else reason)
 
 
 class ContractError(NetAuctionError):

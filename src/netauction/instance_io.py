@@ -24,8 +24,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ParseError
-from .market import BuyerId, ReportProfile, ReportedType, _as_int, validate_profile
+from .errors import ParseError, ValidationError
+from .market import BuyerId, ReportProfile, ReportedType, validate_profile
 
 
 def _reject_float(value: str):
@@ -45,8 +45,10 @@ def parse_instance(text: str) -> ReportProfile:
     """Parse and validate instance text into a ReportProfile.
 
     Buyer labels become ids by sorted-label order; the original labels are
-    kept on the profile for display and round-tripping. Structural problems
-    raise ParseError; violated model invariants raise ValidationError.
+    kept on the profile for display and round-tripping. The parser checks
+    only the JSON shape and the labels, and raises ParseError for those;
+    types and ranges (k, mu, each value) are `validate_profile`'s, whose
+    ValidationError names the buyer by her label in the file.
     """
     try:
         doc = json.loads(text, parse_float=_reject_float,
@@ -61,12 +63,6 @@ def parse_instance(text: str) -> ReportProfile:
     for key in doc:
         if key not in ("k", "mu", "seller_neighbors", "buyers", "meta"):
             raise ParseError(f"unknown key {key!r}")
-    k = doc["k"]
-    if not _as_int(k):
-        raise ParseError("k must be an integer")
-    mu = doc.get("mu")
-    if mu is not None and not _as_int(mu):
-        raise ParseError("mu must be an integer when present")
     buyers = doc["buyers"]
     if not isinstance(buyers, dict):
         raise ParseError("buyers must be an object")
@@ -90,7 +86,7 @@ def parse_instance(text: str) -> ReportProfile:
         if not isinstance(entry, dict) or set(entry) - {"values", "neighbors"}:
             raise ParseError(f"buyer {label!r}: expected values/neighbors object")
         values = entry.get("values")
-        if not isinstance(values, list) or not all(_as_int(v) for v in values):
+        if not isinstance(values, list):
             raise ParseError(f"buyer {label!r}: values must be an array of integers")
         invited = entry.get("neighbors", [])
         if not isinstance(invited, list):
@@ -100,13 +96,18 @@ def parse_instance(text: str) -> ReportProfile:
             frozenset(resolve(x, f"buyer {label!r} neighbors") for x in invited),
         )
     profile = ReportProfile(
-        k=k,
+        k=doc["k"],
         seller_neighbors=seller,
         reports=reports,
-        mu=mu,
+        mu=doc.get("mu"),
         labels={i: label for label, i in ids.items()},
     )
-    return validate_profile(profile)
+    try:
+        return validate_profile(profile)
+    except ValidationError as exc:
+        if exc.buyer is None:
+            raise
+        raise ValidationError(profile.label_of(exc.buyer), exc.reason) from None
 
 
 def serialize_instance(profile: ReportProfile) -> str:

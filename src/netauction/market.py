@@ -55,9 +55,6 @@ class ReportProfile:
     mu: int | None = None
     labels: Mapping[BuyerId, str] | None = None
 
-    def values_of(self, i: BuyerId) -> ValuationVector:
-        return self.reports[i].values
-
     def label_of(self, i: BuyerId) -> str:
         if self.labels is not None and i in self.labels:
             return self.labels[i]
@@ -96,13 +93,14 @@ class Market:
 
 @dataclass(frozen=True)
 class TreeMarket:
-    """Rooted BFS-tree view of a market, used by the tree mechanisms."""
+    """Rooted BFS-tree view of a market, used by the tree mechanisms.
+
+    The tree is its child sets: ``children[i]`` for every valid buyer i.
+    Nothing else is stored, so the tree is linear in the buyers.
+    """
 
     market: Market
-    parent: Mapping[BuyerId, BuyerId]
     children: Mapping[BuyerId, frozenset[BuyerId]]
-    descendants: Mapping[BuyerId, frozenset[BuyerId]]
-    depth: int
 
     @property
     def k(self) -> int:
@@ -113,14 +111,25 @@ class TreeMarket:
         return self.market.layers
 
     @property
+    def depth(self) -> int:
+        return len(self.market.layers)
+
+    @property
     def valid(self) -> frozenset[BuyerId]:
         return self.market.valid
 
-    def values_of(self, i: BuyerId) -> ValuationVector:
-        return self.market.profile.reports[i].values
-
     def first_unit(self, i: BuyerId) -> Money:
         return self.market.first_unit(i)
+
+    def subtree(self, i: BuyerId) -> set[BuyerId]:
+        """Every buyer below i, i excluded; an explicit stack, so any depth works."""
+        below: set[BuyerId] = set()
+        stack = list(self.children[i])
+        while stack:
+            j = stack.pop()
+            below.add(j)
+            stack.extend(self.children[j])
+        return below
 
     def with_values(self, i: BuyerId, values: ValuationVector) -> "TreeMarket":
         """Same tree with buyer i's value vector swapped.
@@ -140,11 +149,15 @@ def _as_int(x) -> bool:
 def validate_profile(raw: ReportProfile) -> ReportProfile:
     """Check every type invariant, returning the profile unchanged on success.
 
-    Raises ValidationError naming the first violated invariant in canonical
-    id order (profile-level checks first, then buyers ascending).
+    The model's only invariant check: profiles from code and from
+    `parse_instance` meet the same rules. Raises ValidationError naming the
+    first violated invariant in canonical id order (profile-level checks
+    first, then buyers ascending).
     """
     if not _as_int(raw.k) or raw.k < 1:
         raise ValidationError(None, f"k must be a positive integer, got {raw.k!r}")
+    if raw.mu is not None and not _as_int(raw.mu):
+        raise ValidationError(None, "mu must be an integer when present")
     known = set(raw.reports)
     for s in sorted(raw.seller_neighbors):
         if s not in known:
@@ -204,42 +217,24 @@ def compute_market(profile: ReportProfile) -> Market:
 
 
 def build_bfs_tree(market: Market) -> TreeMarket:
-    """Deterministic BFS tree rooted at the seller.
+    """Deterministic BFS tree rooted at the seller, as each buyer's child set.
 
     Each buyer's parent is her smallest-id inviter in the previous layer:
     that layer is walked in ascending id order and every invitee goes to the
-    first inviter that reaches her, so the tree costs O(edges). Tree layers
-    coincide with market layers because BFS preserves shortest distances.
-    Descendant sets are built bottom-up, deepest layer first.
+    first inviter that reaches her, so the tree costs O(edges) time and
+    O(buyers) memory. Tree layers coincide with market layers because BFS
+    preserves shortest distances.
     """
     reports = market.profile.reports
-    parent: dict[BuyerId, BuyerId] = {}
     children: dict[BuyerId, set[BuyerId]] = {i: set() for i in market.valid}
-    for d, layer in enumerate(market.layers):
-        if d == 0:
-            for j in layer:
-                parent[j] = SELLER
-            continue
-        for i in sorted(market.layers[d - 1]):
+    for prev, layer in zip(market.layers, market.layers[1:]):
+        placed: set[BuyerId] = set()
+        for i in sorted(prev):
             for j in reports[i].invited:
-                if j in layer and j not in parent:
-                    parent[j] = i
+                if j in layer and j not in placed:
+                    placed.add(j)
                     children[i].add(j)
-
-    descendants: dict[BuyerId, frozenset[BuyerId]] = {}
-    for layer in reversed(market.layers):
-        for i in layer:
-            acc: set[BuyerId] = set(children[i])
-            for c in children[i]:
-                acc |= descendants[c]
-            descendants[i] = frozenset(acc)
-    return TreeMarket(
-        market=market,
-        parent=parent,
-        children={i: frozenset(c) for i, c in children.items()},
-        descendants=descendants,
-        depth=len(market.layers),
-    )
+    return TreeMarket(market, {i: frozenset(c) for i, c in children.items()})
 
 
 def cumulative_value(values: ValuationVector, m: int) -> Money:

@@ -149,10 +149,11 @@ def run_dna_mu(tree: TreeMarket) -> Outcome:
     """DNA-MU: sequential unit-demand allocation, nearer layers first.
 
     Each buyer is priced at the K'-th highest first-unit value of the market
-    with her descendants, the winners so far, and herself removed; she wins
-    one unit at that price iff her own first-unit value meets it. Only
-    first-unit values are read. Once supply hits zero nothing more is sold.
-    Buyers within a layer go in ascending id order.
+    with her subtree (`TreeMarket.subtree`), the winners so far, and herself
+    removed; she wins one unit at that price iff her own first-unit value
+    meets it. Only first-unit values are read. Once supply hits zero nothing
+    more is sold, and no later buyer's subtree is walked. Buyers within a
+    layer go in ascending id order.
     """
     market = tree.market
     if tree.layers and any(is_dummy(i) for i in tree.layers[0]):
@@ -170,7 +171,7 @@ def run_dna_mu(tree: TreeMarket) -> Outcome:
             if k_remaining == 0:
                 done = True
                 break
-            pool = market.valid - tree.descendants[i] - winners - {i}
+            pool = market.valid - tree.subtree(i) - winners - {i}
             price = kth_highest_first_unit(market, pool, k_remaining)
             won = tree.first_unit(i) >= price
             rows.append(DnaRow(i, d, price, won, k_remaining))

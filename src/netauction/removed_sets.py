@@ -78,13 +78,8 @@ def potential_winners(tree: TreeMarket, i: BuyerId, mu: int) -> frozenset[BuyerI
     return _winners_unchecked(tree, i, mu, potential_inviters(tree, i))
 
 
-def removed_set(tree: TreeMarket, i: BuyerId, mu: int) -> frozenset[BuyerId]:
-    """C_i^R = C_i^P plus C_i^W: every potential competitor rooted under i."""
-    return potential_inviters(tree, i) | potential_winners(tree, i, mu)
-
-
 def removed_sets_for(tree: TreeMarket, mu: int) -> dict[BuyerId, frozenset[BuyerId]]:
-    """All per-buyer removed sets at once, validating mu a single time."""
+    """Every buyer's C_i^R = C_i^P plus C_i^W, validating mu a single time."""
     _require_mu(tree, mu)
     out: dict[BuyerId, frozenset[BuyerId]] = {}
     for i in tree.valid:

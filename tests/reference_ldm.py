@@ -1,14 +1,17 @@
-"""Slow, obvious versions of the BFS tree, LDM-Tree and first-layer VCG.
+"""Slow, obvious versions of the BFS tree, DNA-MU, LDM-Tree and first-layer VCG.
 
 The oracle for the fast paths in `netauction.market` and
 `netauction.mechanisms`, in the pattern of `brute_force_welfare`: every
 `SW_{-D_i}` and every VCG `SW_{-i}` is a fresh `constrained_welfare` solve on
-the explicit buyer set, and each BFS parent comes from a scan of the whole
-previous layer. Testing use only; it must never share code with the sorted
+the explicit buyer set, each BFS parent comes from a scan of the whole
+previous layer, and DNA-MU reads every buyer's descendant set built up front
+by recursion. Testing use only; it must never share code with the sorted
 welfare pool or the linear tree construction.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from netauction.market import (
     SELLER,
@@ -21,6 +24,8 @@ from netauction.market import (
     is_dummy,
 )
 from netauction.mechanisms import (
+    DnaRow,
+    DnaTrace,
     LayerRecord,
     LdmTrace,
     Outcome,
@@ -28,10 +33,19 @@ from netauction.mechanisms import (
     inject_dummies,
 )
 from netauction.removed_sets import removed_sets_for
-from netauction.welfare import constrained_welfare
+from netauction.welfare import constrained_welfare, kth_highest_first_unit
 
 
-def build_bfs_tree(market: Market) -> TreeMarket:
+@dataclass(frozen=True)
+class ReferenceTree:
+    """The tree, beside the scanned parents and recursive descendant sets."""
+
+    tree: TreeMarket
+    parent: dict[BuyerId, BuyerId]
+    descendants: dict[BuyerId, frozenset[BuyerId]]
+
+
+def build_bfs_tree(market: Market) -> ReferenceTree:
     """Parent = the smallest-id inviter in the previous layer, found by scanning it."""
     reports = market.profile.reports
     parent: dict[BuyerId, BuyerId] = {}
@@ -60,13 +74,38 @@ def build_bfs_tree(market: Market) -> TreeMarket:
 
     for i in market.valid:
         collect(i)
-    return TreeMarket(
-        market=market,
-        parent=parent,
-        children={i: frozenset(c) for i, c in children.items()},
-        descendants=descendants,
-        depth=len(market.layers),
-    )
+    tree = TreeMarket(market=market,
+                      children={i: frozenset(c) for i, c in children.items()})
+    return ReferenceTree(tree, parent, descendants)
+
+
+def run_dna_mu(ref: ReferenceTree) -> Outcome:
+    """DNA-MU pricing each buyer with her precomputed descendant set removed."""
+    tree = ref.tree
+    market = tree.market
+    k_remaining = market.profile.k
+    winners: set[BuyerId] = set()
+    units = {i: 0 for i in market.valid}
+    payments = {i: 0 for i in market.valid}
+    rows: list[DnaRow] = []
+    done = False
+    for d, layer in enumerate(tree.layers, start=1):
+        if done:
+            break
+        for i in sorted(layer):
+            if k_remaining == 0:
+                done = True
+                break
+            pool = market.valid - ref.descendants[i] - winners - {i}
+            price = kth_highest_first_unit(market, pool, k_remaining)
+            won = tree.first_unit(i) >= price
+            rows.append(DnaRow(i, d, price, won, k_remaining))
+            if won:
+                units[i] = 1
+                payments[i] = price
+                winners.add(i)
+                k_remaining -= 1
+    return Outcome(units=units, payments=payments, trace=DnaTrace(tuple(rows)))
 
 
 def run_vcg_first_layer(market: Market, reserve: int | None = None) -> Outcome:
@@ -166,9 +205,9 @@ def run_ldm_tree(tree: TreeMarket, mu: int) -> Outcome:
 def run_ldm(market: Market, mu: int, reserve: int | None = None) -> Outcome:
     """LDM on graphs through the reference tree and the reference LDM-Tree."""
     if reserve is None:
-        return run_ldm_tree(build_bfs_tree(market), mu)
+        return run_ldm_tree(build_bfs_tree(market).tree, mu)
     aug = compute_market(inject_dummies(market.profile, reserve))
-    out = run_ldm_tree(build_bfs_tree(aug), mu)
+    out = run_ldm_tree(build_bfs_tree(aug).tree, mu)
     units = {i: m for i, m in out.units.items() if not is_dummy(i)}
     payments = {i: p for i, p in out.payments.items() if not is_dummy(i)}
     return Outcome(units=units, payments=payments, trace=out.trace)

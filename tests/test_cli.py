@@ -118,11 +118,25 @@ def test_run_negative_reserve_exits_2(mechanism, tmp_path, capsys):
 @pytest.mark.parametrize("sweep,message", [
     ("--reserve=-1..2", "reserve must be a non-negative integer, got -1"),
     ("--reserve=5..3", "reserve sweep '5..3' runs downward"),
-], ids=["negative", "descending"])
+    ("--reserve=a", "reserve 'a' is not an integer or a lo..hi sweep"),
+    ("--reserve=1..x", "reserve '1..x' is not an integer or a lo..hi sweep"),
+], ids=["negative", "descending", "not-a-number", "not-a-number-bound"])
 def test_compare_bad_reserve_sweep_exits_2(sweep, message, capsys):
     code, out, err = run_cli(["compare", FIG3, sweep], capsys)
     assert (code, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--gen", "seed=x", "--mechanism", "ldm"], "'x'"),
+    (["verify", "--gen", "seed=1,n=3,density=zz", "--mechanism", "ldm"], "'zz'"),
+    (["search", "--mechanism", "ldm", "--gen", "seed=1,k=a..3"], "'a'"),
+    (["gen", "--gen", "seed=1,vmax=q", "-o", "unwritten.json"], "'q'"),
+], ids=["seed", "density", "k-range", "vmax"])
+def test_non_numeric_gen_spec_exits_2(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 @pytest.mark.parametrize("command", [["verify", "--mechanism", "ldm"], ["compare"]])

@@ -57,12 +57,36 @@ def test_parse_errors():
         parse_instance('{"k": 1, "seller_neighbors": [], "buyers": {"a": {"values": [1.0], "neighbors": []}}}')
     with pytest.raises(ParseError):
         parse_instance('{"k": 1, "seller_neighbors": [], "buyers": {}, "extra": 1}')
+    with pytest.raises(ParseError, match="buyer 'a': values must be an array"):
+        parse_instance('{"k": 1, "seller_neighbors": [], "buyers": {"a": {"values": 5, "neighbors": []}}}')
 
 
 def test_parse_forwards_validation_errors():
     text = '{"k": 2, "seller_neighbors": ["a"], "buyers": {"a": {"values": [1, 2], "neighbors": []}}}'
     with pytest.raises(ValidationError):
         parse_instance(text)
+
+
+def test_validation_errors_name_the_file_label():
+    text = ('{"k": 2, "seller_neighbors": ["alice"], '
+            '"buyers": {"alice": {"values": [1, 2], "neighbors": []}}}')
+    with pytest.raises(ValidationError) as err:
+        parse_instance(text)
+    assert (err.value.buyer, err.value.reason) == ("alice", "non-increasing violated")
+    assert str(err.value) == "buyer 'alice': non-increasing violated"
+
+
+@pytest.mark.parametrize("field,message", [
+    ('"k": "x", "buyers": {}', "k must be a positive integer, got 'x'"),
+    ('"k": 1, "buyers": {"a": {"values": ["x"], "neighbors": []}}',
+     "buyer 'a': marginal value 'x' is not a non-negative integer"),
+    ('"k": 1, "mu": "x", "buyers": {}', "mu must be an integer when present"),
+], ids=["k", "value", "mu"])
+def test_types_and_ranges_are_validation_errors(field, message):
+    # the parser checks only JSON shape and labels; validate_profile the rest
+    with pytest.raises(ValidationError) as err:
+        parse_instance('{"seller_neighbors": [], ' + field + "}")
+    assert str(err.value) == message
 
 
 def test_generator_determinism():

@@ -7,7 +7,6 @@ import pytest
 from netauction.errors import ContractError, ValidationError
 from netauction.market import (
     DUMMY_BASE,
-    SELLER,
     ReportProfile,
     ReportedType,
     build_bfs_tree,
@@ -51,6 +50,13 @@ def test_validate_rejects_unknown_seller_neighbor_and_bad_k():
     with pytest.raises(ValidationError):
         validate_profile(ReportProfile(k=0, seller_neighbors=frozenset(),
                                        reports={}))
+
+
+@pytest.mark.parametrize("mu", ["2", 2.0, True])
+def test_validate_rejects_a_mu_that_is_not_an_integer(mu):
+    profile = ReportProfile(k=1, seller_neighbors=frozenset(), reports={}, mu=mu)
+    with pytest.raises(ValidationError, match="mu must be an integer when present"):
+        validate_profile(profile)
 
 
 def test_validate_reports_first_violation_in_id_order():
@@ -101,13 +107,14 @@ def test_compute_market_empty_seller_neighbors():
 def test_bfs_tree_of_tree_is_identity(fig3_profile):
     market = compute_market(fig3_profile)
     tree = build_bfs_tree(market)
-    b, f, g = (list(fig3_ids(c))[0] for c in "bfg")
+    b, f, g, q = (list(fig3_ids(c))[0] for c in "bfgq")
     assert tree.children[b] == frozenset(fig3_ids("defghi"))
     assert tree.children[f] == frozenset(fig3_ids("j"))
     assert tree.children[g] == frozenset(fig3_ids("klmnop"))
-    assert tree.parent[b] == SELLER
+    assert all(b not in c for c in tree.children.values())  # a child of the seller
     assert tree.depth == 4
-    assert tree.descendants[b] == frozenset(fig3_ids("defghijklmnopqr"))
+    assert tree.subtree(b) == fig3_ids("defghijklmnopqr")
+    assert tree.subtree(q) == set()
 
 
 def test_bfs_diamond_parent_is_smallest_id():
@@ -115,7 +122,7 @@ def test_bfs_diamond_parent_is_smallest_id():
         1: ((5,), {3}), 2: ((4,), {3}), 3: ((2,), ()),
     })
     tree = build_bfs_tree(compute_market(profile))
-    assert tree.parent[3] == 1
+    assert [i for i, c in tree.children.items() if 3 in c] == [1]
     assert tree.children[1] == {3}
     assert tree.children[2] == frozenset()
 
@@ -132,13 +139,15 @@ def test_bfs_layers_equal_market_layers_on_random_graphs():
         profile = make_profile(1, seller, buyers)
         market = compute_market(profile)
         tree = build_bfs_tree(market)
+        owners = {i: [p for p, c in tree.children.items() if i in c] for i in market.valid}
         for i in market.valid:
-            depth, node = 1, i
-            while tree.parent[node] != SELLER:
-                node = tree.parent[node]
-                depth += 1
-            assert depth == market.layer_of[i]
-            assert tree.parent[i] == SELLER or i in profile.reports[tree.parent[i]].invited
+            d = market.layer_of[i]
+            if d == 1:
+                assert owners[i] == []
+                continue
+            # exactly one owner: the smallest-id inviter in the previous layer
+            inviters = [p for p in market.layers[d - 2] if i in profile.reports[p].invited]
+            assert owners[i] == [min(inviters)]
 
 
 def test_layer_soundness_against_shortest_path_oracle():
@@ -188,9 +197,7 @@ def test_definition2_invalid_buyer_reports_are_inert(fig3_profile):
 def test_bfs_determinism(fig3_profile):
     market = compute_market(fig3_profile)
     t1, t2 = build_bfs_tree(market), build_bfs_tree(market)
-    assert t1.parent == t2.parent
     assert t1.children == t2.children
-    assert t1.descendants == t2.descendants
 
 
 def test_cumulative_value():

@@ -1,6 +1,7 @@
 """Mechanism-level behavior: frozen hand traces, reserve handling, axioms."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -235,8 +236,15 @@ def test_ldm_empty_market_all_zero():
 def test_long_invitation_chain_runs():
     # deeper than the interpreter's default recursion limit
     market = compute_market(chain_profile(1500, 2))
-    tree = build_bfs_tree(market)
-    assert tree.depth == 1500 and len(tree.descendants[0]) == 1499
+    tracemalloc.start()
+    try:
+        tree = build_bfs_tree(market)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the tree must stay linear in the buyers: about 1 MB here
+    assert peak < 8 * 2**20
+    assert tree.depth == 1500 and len(tree.subtree(0)) == 1499
     ldm = run_ldm(market, 1)
     assert ldm.units == {i: 2 if i == 0 else 0 for i in range(1500)}
     assert ldm.revenue == 0

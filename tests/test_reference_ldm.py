@@ -1,6 +1,7 @@
-"""The linear BFS tree and the pooled LDM/VCG against the slow oracle in
-`reference_ldm.py`, and LDM's traced quantities against the public R_l/D_i
-definitions. Every comparison is exact: units, payments and the whole trace.
+"""The linear BFS tree, DNA-MU's on-demand subtrees and the pooled LDM/VCG
+against the slow oracle in `reference_ldm.py`, and LDM's traced quantities
+against the public R_l/D_i definitions. Every comparison is exact: units,
+payments and the whole trace.
 A reserve reaches the fast path as a priced market (`inject_dummies`) and the
 oracle as its own reserve argument."""
 
@@ -8,8 +9,8 @@ import pytest
 
 from netauction.cli import _parse_gen_spec
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance, random_instance
-from netauction.market import build_bfs_tree, compute_market
-from netauction.mechanisms import inject_dummies, run_ldm, run_vcg_first_layer
+from netauction.market import SELLER, build_bfs_tree, compute_market
+from netauction.mechanisms import inject_dummies, run_dna_mu, run_ldm, run_vcg_first_layer
 from netauction.removed_sets import exclusion_set, layer_removed_set, robust_mu
 from netauction.welfare import constrained_welfare
 
@@ -37,11 +38,14 @@ def assert_same(fast, slow):
 def assert_matches_reference(profile, mu, reserve):
     market = compute_market(profile)
     tree = build_bfs_tree(market)
-    slow_tree = ref.build_bfs_tree(market)
-    assert tree.parent == slow_tree.parent
-    assert tree.children == slow_tree.children
-    assert tree.descendants == slow_tree.descendants
-    assert tree.depth == slow_tree.depth
+    slow = ref.build_bfs_tree(market)
+    assert tree == slow.tree
+    for i in market.valid:
+        assert tree.subtree(i) == slow.descendants[i]
+        if slow.parent[i] != SELLER:
+            assert i in tree.children[slow.parent[i]]
+    if reserve is None:
+        assert_same(run_dna_mu(tree), ref.run_dna_mu(slow))
     priced = market if reserve is None else compute_market(inject_dummies(profile, reserve))
     assert_same(run_ldm(priced, mu), ref.run_ldm(market, mu, reserve))
     assert_same(run_vcg_first_layer(priced), ref.run_vcg_first_layer(market, reserve))

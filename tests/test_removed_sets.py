@@ -13,7 +13,7 @@ from netauction.removed_sets import (
     min_valid_mu,
     potential_inviters,
     potential_winners,
-    removed_set,
+    removed_sets_for,
     robust_mu,
 )
 
@@ -50,9 +50,10 @@ def test_potential_winners_fig3(fig3_tree):
     assert potential_winners(fig3_tree, lid("b"), 2) == fig3_ids("deh")
     assert potential_winners(fig3_tree, lid("g"), 2) == fig3_ids("klm")
     assert potential_winners(fig3_tree, lid("a"), 2) == frozenset()
-    assert removed_set(fig3_tree, lid("b"), 2) == fig3_ids("defgh")
-    assert removed_set(fig3_tree, lid("g"), 2) == fig3_ids("klmno")
-    assert removed_set(fig3_tree, lid("f"), 2) == fig3_ids("j")
+    removed = removed_sets_for(fig3_tree, 2)
+    assert removed[lid("b")] == fig3_ids("defgh")
+    assert removed[lid("g")] == fig3_ids("klmno")
+    assert removed[lid("f")] == fig3_ids("j")
 
 
 def test_potential_winners_t4(t4_tree):
@@ -127,11 +128,12 @@ def test_partition_and_capacity_invariants():
         profile = make_profile(k, {0}, buyers)
         tree = build_bfs_tree(compute_market(profile))
         mu = min_valid_mu(tree)
+        removed = removed_sets_for(tree, mu)
         for i in tree.valid:
             p = potential_inviters(tree, i)
             w = potential_winners(tree, i, mu)
             assert not (p & w)
-            r = removed_set(tree, i, mu)
+            r = removed[i]
             assert r == p | w
             assert r <= tree.children[i]
             assert len(r) <= k + mu
@@ -157,12 +159,12 @@ def test_observation1_value_stability():
     tree = build_bfs_tree(compute_market(base))
     mu = min_valid_mu(tree)
     for deviator in (2, 3, 4):
-        truthful = removed_set(tree, 1, mu)
+        truthful = removed_sets_for(tree, mu)[1]
         for value in range(0, 8):
             dev = base.with_report(
                 deviator, ReportedType((value,), base.reports[deviator].invited))
             dev_tree = build_bfs_tree(compute_market(dev))
-            dev_set = removed_set(dev_tree, 1, mu)
+            dev_set = removed_sets_for(dev_tree, mu)[1]
             if deviator in truthful and deviator in dev_set:
                 assert dev_set == truthful
 
@@ -174,12 +176,12 @@ def test_observation2_invitation_stability():
     })
     tree = build_bfs_tree(compute_market(base))
     mu = min_valid_mu(tree)
-    truthful = removed_set(tree, 1, mu)
+    truthful = removed_sets_for(tree, mu)[1]
     full = base.reports[2].invited
     for r in range(len(full) + 1):
         for subset in itertools.combinations(sorted(full), r):
             dev = base.with_report(2, ReportedType((4,), frozenset(subset)))
             dev_tree = build_bfs_tree(compute_market(dev))
-            dev_set = removed_set(dev_tree, 1, mu)
+            dev_set = removed_sets_for(dev_tree, mu)[1]
             if 2 in truthful and 2 in dev_set:
                 assert dev_set == truthful
