@@ -117,6 +117,14 @@ def _parse_gen_spec(spec: str) -> GeneratorConfig:
             kwargs["seller_bias"] = float(fields.pop("bias"))
         if fields:
             raise ParseError(f"unknown generator keys: {', '.join(sorted(fields))}")
+        return _generator_config(**kwargs)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _generator_config(**kwargs) -> GeneratorConfig:
+    """A `GeneratorConfig` from command-line input; a bad field is a ParseError."""
+    try:
         return GeneratorConfig(**kwargs)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
@@ -250,7 +258,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    config = _parse_gen_spec(args.gen) if args.gen else GeneratorConfig(
+    config = _parse_gen_spec(args.gen) if args.gen else _generator_config(
         seed=args.seed,
         buyers=(args.n, args.n) if args.n else (2, 8),
         k=(args.k, args.k) if args.k else (1, 3),

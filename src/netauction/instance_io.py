@@ -156,6 +156,8 @@ class GeneratorConfig:
             raise ValueError(f"unknown topology {self.topology!r}")
         if not 0.0 <= self.seller_bias <= 1.0:
             raise ValueError("seller_bias must be in [0, 1]")
+        if not 0.0 <= self.edge_density <= 1.0:
+            raise ValueError("edge_density must be in [0, 1]")
 
 
 def random_instance(config: GeneratorConfig, index: int = 0) -> ReportProfile:

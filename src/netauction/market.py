@@ -13,7 +13,7 @@ so every real buyer wins id ties against them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import ContractError, ValidationError
 
@@ -35,10 +35,6 @@ class ReportedType:
 
     values: ValuationVector
     invited: frozenset[BuyerId]
-
-    @staticmethod
-    def of(values: Iterable[int], invited: Iterable[BuyerId] = ()) -> "ReportedType":
-        return ReportedType(tuple(values), frozenset(invited))
 
 
 @dataclass(frozen=True)

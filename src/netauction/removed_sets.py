@@ -23,14 +23,15 @@ def potential_inviters(tree: TreeMarket, i: BuyerId) -> frozenset[BuyerId]:
     return frozenset(j for j in tree.children[i] if tree.children[j])
 
 
+def _inviter_sets(tree: TreeMarket) -> tuple[dict[BuyerId, frozenset[BuyerId]], int]:
+    """Every valid buyer's C_i^P, and the largest |C_i^P|: the smallest valid mu."""
+    inviters = {i: potential_inviters(tree, i) for i in tree.valid}
+    return inviters, max(map(len, inviters.values()), default=0)
+
+
 def min_valid_mu(tree: TreeMarket) -> int:
     """Smallest mu the mechanism accepts: the largest |C_i^P| in the tree."""
-    best = 0
-    for i in tree.valid:
-        n = sum(1 for j in tree.children[i] if tree.children[j])
-        if n > best:
-            best = n
-    return best
+    return _inviter_sets(tree)[1]
 
 
 def robust_mu(profile: ReportProfile) -> int:
@@ -52,39 +53,32 @@ def robust_mu(profile: ReportProfile) -> int:
     return best
 
 
-def _require_mu(tree: TreeMarket, mu: int) -> None:
-    required = min_valid_mu(tree)
-    if mu < required:
-        raise MuTooSmall(required, mu)
-
-
-def _winners_unchecked(tree: TreeMarket, i: BuyerId, mu: int,
-                       inviters: frozenset[BuyerId]) -> frozenset[BuyerId]:
-    candidates = sorted(
-        (j for j in tree.children[i] if j not in inviters),
-        key=lambda j: (-tree.first_unit(j), j),
-    )
-    quota = tree.k + mu - len(inviters)
-    return frozenset(candidates[:quota])
-
-
 def potential_winners(tree: TreeMarket, i: BuyerId, mu: int) -> frozenset[BuyerId]:
     """Top K + mu - |C_i^P| children of i (excluding C_i^P) by first-unit value.
 
     Ties resolve toward the smaller buyer id. With fewer candidates than the
     quota, all of them qualify.
     """
-    _require_mu(tree, mu)
-    return _winners_unchecked(tree, i, mu, potential_inviters(tree, i))
+    removed = removed_sets_for(tree, mu)
+    inviters = potential_inviters(tree, i)  # ContractError for a buyer outside the tree
+    return removed[i] - inviters
 
 
 def removed_sets_for(tree: TreeMarket, mu: int) -> dict[BuyerId, frozenset[BuyerId]]:
-    """Every buyer's C_i^R = C_i^P plus C_i^W, validating mu a single time."""
-    _require_mu(tree, mu)
+    """Every buyer's C_i^R = C_i^P plus C_i^W (see `potential_winners`).
+
+    Each C_i^P is built once, and mu is checked against the largest of them.
+    """
+    inviter_sets, required = _inviter_sets(tree)
+    if mu < required:
+        raise MuTooSmall(required, mu)
     out: dict[BuyerId, frozenset[BuyerId]] = {}
-    for i in tree.valid:
-        inviters = potential_inviters(tree, i)
-        out[i] = inviters | _winners_unchecked(tree, i, mu, inviters)
+    for i, inviters in inviter_sets.items():
+        candidates = sorted(
+            (j for j in tree.children[i] if j not in inviters),
+            key=lambda j: (-tree.first_unit(j), j),
+        )
+        out[i] = inviters | frozenset(candidates[:tree.k + mu - len(inviters)])
     return out
 
 

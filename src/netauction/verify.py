@@ -182,88 +182,72 @@ def _subsets(invited: frozenset[BuyerId], proper_only: bool = False):
             yield frozenset(combo)
 
 
+def _shrunk_invitations(mechanism: MechanismUnderTest, profile: ReportProfile, j: BuyerId):
+    """(report, outcome) for every proper subset of j's invitations, her values kept."""
+    rep = profile.reports[j]
+    for sub in _subsets(rep.invited, proper_only=True):
+        reduced = ReportedType(rep.values, sub)
+        yield reduced, mechanism.run(profile.with_report(j, reduced))
+
+
+def _own_deviations(mechanism: MechanismUnderTest, instance: ReportProfile, kind: str,
+                    violates: Callable[[Money, Money], bool]) -> list[DeviationReport]:
+    """Every valid buyer's invitation reports, the full one included, whose
+    utility u has `violates(u, u_full)`; the full one reuses the truthful run."""
+    violations: list[DeviationReport] = []
+    full = mechanism.run(instance)
+    for i in sorted(compute_market(instance).valid):
+        truthful = instance.reports[i]
+        u_full = utility_of(instance, i, full)
+        scanned = [(truthful, u_full)]
+        if truthful.invited:  # no invitations: the full report is the only one
+            scanned += ((report, utility_of(instance, i, outcome))
+                        for report, outcome in _shrunk_invitations(mechanism, instance, i))
+        for report, u in scanned:
+            if violates(u, u_full):
+                violations.append(DeviationReport(
+                    buyer=i,
+                    truthful_report=truthful,
+                    deviating_report=report,
+                    truthful_utility=u_full,
+                    deviating_utility=u,
+                    mechanism=mechanism.name,
+                    instance=instance,
+                    kind=kind,
+                ))
+    return sorted(violations, key=DeviationReport.sort_key)
+
+
 def check_ir(mechanism: MechanismUnderTest, instance: ReportProfile) -> list[DeviationReport]:
     """Truthful values, every invitation subset: utility must be >= 0.
 
     Returned reports have deviating_utility < 0; truthful_utility is the
     full-invitation utility for context.
     """
-    violations: list[DeviationReport] = []
-    valid = compute_market(instance).valid
-    full = mechanism.run(instance)
-    for i in sorted(instance.reports):
-        if i not in valid:
-            continue
-        rep = instance.reports[i]
-        u_full = utility_of(instance, i, full)
-        for sub in _subsets(rep.invited):
-            if sub == rep.invited:
-                u = u_full
-            else:
-                u = utility_of(
-                    instance, i,
-                    mechanism.run(instance.with_report(i, ReportedType(rep.values, sub))),
-                )
-            if u < 0:
-                violations.append(DeviationReport(
-                    buyer=i,
-                    truthful_report=rep,
-                    deviating_report=ReportedType(rep.values, sub),
-                    truthful_utility=u_full,
-                    deviating_utility=u,
-                    mechanism=mechanism.name,
-                    instance=instance,
-                    kind="ir",
-                ))
-    return sorted(violations, key=DeviationReport.sort_key)
+    return _own_deviations(mechanism, instance, "ir", lambda u, u_full: u < 0)
 
 
 def check_invitation_ic(mechanism: MechanismUnderTest,
                         instance: ReportProfile) -> list[DeviationReport]:
     """Truthful values: full invitation must dominate every proper subset."""
-    violations: list[DeviationReport] = []
-    valid = compute_market(instance).valid
-    full = mechanism.run(instance)
-    for i in sorted(instance.reports):
-        if i not in valid:
-            continue
-        rep = instance.reports[i]
-        if not rep.invited:
-            continue
-        u_full = utility_of(instance, i, full)
-        for sub in _subsets(rep.invited, proper_only=True):
-            deviating = ReportedType(rep.values, sub)
-            u = utility_of(instance, i, mechanism.run(instance.with_report(i, deviating)))
-            if u > u_full:
-                violations.append(DeviationReport(
-                    buyer=i,
-                    truthful_report=rep,
-                    deviating_report=deviating,
-                    truthful_utility=u_full,
-                    deviating_utility=u,
-                    mechanism=mechanism.name,
-                    instance=instance,
-                    kind="invitation-ic",
-                ))
-    return sorted(violations, key=DeviationReport.sort_key)
+    return _own_deviations(mechanism, instance, "invitation-ic",
+                           lambda u, u_full: u > u_full)
 
 
 def integer_value_grid(instance: ReportProfile, buyer: BuyerId,
-                       v_cap: int | None = None,
                        cap: int = DEFAULT_GRID_CAP) -> list[ValuationVector]:
-    """Non-increasing integer vectors over {0..v_cap} (default: instance max + 2).
+    """Non-increasing integer vectors over {0..v_cap}, v_cap = instance max + 2.
 
     When the full grid exceeds `cap`, a deterministic even stride keeps about
     `cap` vectors, always including the all-zero vector. The stride is an
     under-approximation: it can falsify IC but never certify it.
     """
     k = instance.k
-    if v_cap is None:
-        top = 0
-        for rep in instance.reports.values():
-            if rep.values and rep.values[0] > top:
-                top = rep.values[0]
-        v_cap = top + 2
+    top = 0
+    for rep in instance.reports.values():
+        if rep.values and rep.values[0] > top:
+            top = rep.values[0]
+    v_cap = top + 2
     full = list(itertools.combinations_with_replacement(range(v_cap, -1, -1), k))
     if len(full) <= cap:
         return full
@@ -452,17 +436,14 @@ def check_child_monotonicity(mechanism: MechanismUnderTest,
     full = mechanism.run(base_profile)
     violations: list[DeviationReport] = []
     for j in sorted(tree.valid):
-        children = tree.children[j]
-        if not children:
+        if not tree.children[j]:
             continue
         layer = tree.market.layer_of[j]
         observers = [i for i in sorted(tree.layers[layer - 1]) if i != j]
         if not observers:
             continue
         full_rep = base_profile.reports[j]
-        for sub in _subsets(children, proper_only=True):
-            reduced = ReportedType(full_rep.values, sub)
-            out = mechanism.run(base_profile.with_report(j, reduced))
+        for reduced, out in _shrunk_invitations(mechanism, base_profile, j):
             for i in observers:
                 u_reduced = utility_of(base_profile, i, out)
                 u_full = utility_of(base_profile, i, full)
@@ -586,14 +567,13 @@ def run_properties(instance: ReportProfile, mechanism_name: str,
     return results
 
 
-def check_order_independence(instance: ReportProfile, mu: int,
-                             permutations: int = 3) -> bool:
-    """Permuting the within-layer buyer loop must not change the LDM outcome."""
+def check_order_independence(instance: ReportProfile, mu: int) -> bool:
+    """Three permutations of the within-layer buyer loop must not change the LDM outcome."""
     tree = build_bfs_tree(compute_market(instance))
     base = run_ldm_tree(tree, mu, want_trace=False)
     ids = sorted(tree.valid)
     rng = random.Random(f"order:{len(ids)}:{instance.k}")
-    for _ in range(permutations):
+    for _ in range(3):
         perm = ids[:]
         rng.shuffle(perm)
         out = run_ldm_tree(tree, mu, order=perm, want_trace=False)

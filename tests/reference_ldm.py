@@ -1,18 +1,22 @@
-"""Slow, obvious versions of the BFS tree, DNA-MU, LDM-Tree and first-layer VCG.
+"""Slow, obvious versions of the BFS tree, the removed sets, DNA-MU, LDM-Tree
+and first-layer VCG.
 
-The oracle for the fast paths in `netauction.market` and
-`netauction.mechanisms`, in the pattern of `brute_force_welfare`: every
-`SW_{-D_i}` and every VCG `SW_{-i}` is a fresh `constrained_welfare` solve on
-the explicit buyer set, each BFS parent comes from a scan of the whole
-previous layer, and DNA-MU reads every buyer's descendant set built up front
-by recursion. Testing use only; it must never share code with the sorted
-welfare pool or the linear tree construction.
+The oracle for the fast paths in `netauction.market`,
+`netauction.removed_sets` and `netauction.mechanisms`, in the pattern of
+`brute_force_welfare`: every `SW_{-D_i}` and every VCG `SW_{-i}` is a fresh
+`constrained_welfare` solve on the explicit buyer set, each BFS parent comes
+from a scan of the whole previous layer, DNA-MU reads every buyer's
+descendant set built up front by recursion, and each buyer's C^P and C^W are
+built one buyer at a time. Testing use only; it must never share code with
+the sorted welfare pool, the linear tree construction or
+`netauction.removed_sets`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from netauction.errors import MuTooSmall
 from netauction.market import (
     SELLER,
     BuyerId,
@@ -32,7 +36,6 @@ from netauction.mechanisms import (
     VcgTrace,
     inject_dummies,
 )
-from netauction.removed_sets import removed_sets_for
 from netauction.welfare import constrained_welfare, kth_highest_first_unit
 
 
@@ -135,6 +138,30 @@ def run_vcg_first_layer(market: Market, reserve: int | None = None) -> Outcome:
     trace = VcgTrace(sw=full.welfare, allocation=full.allocation,
                      sw_without=sw_without)
     return Outcome(units=units, payments=payments, trace=trace)
+
+
+def potential_inviters(tree: TreeMarket, i: BuyerId) -> frozenset[BuyerId]:
+    """C_i^P: children of i who themselves have children."""
+    return frozenset(j for j in tree.children[i] if tree.children[j])
+
+
+def potential_winners(tree: TreeMarket, i: BuyerId, mu: int) -> frozenset[BuyerId]:
+    """C_i^W: the top K + mu - |C_i^P| other children by first unit, ties to the smaller id."""
+    inviters = potential_inviters(tree, i)
+    candidates = sorted(
+        (j for j in tree.children[i] if j not in inviters),
+        key=lambda j: (-tree.first_unit(j), j),
+    )
+    return frozenset(candidates[:tree.k + mu - len(inviters)])
+
+
+def removed_sets_for(tree: TreeMarket, mu: int) -> dict[BuyerId, frozenset[BuyerId]]:
+    """C_i^R = C_i^P | C_i^W per buyer, after checking mu against every |C_i^P|."""
+    required = max((len(potential_inviters(tree, i)) for i in tree.valid), default=0)
+    if mu < required:
+        raise MuTooSmall(required, mu)
+    return {i: potential_inviters(tree, i) | potential_winners(tree, i, mu)
+            for i in tree.valid}
 
 
 def run_ldm_tree(tree: TreeMarket, mu: int) -> Outcome:

@@ -132,7 +132,14 @@ def test_compare_bad_reserve_sweep_exits_2(sweep, message, capsys):
     (["verify", "--gen", "seed=1,n=3,density=zz", "--mechanism", "ldm"], "'zz'"),
     (["search", "--mechanism", "ldm", "--gen", "seed=1,k=a..3"], "'a'"),
     (["gen", "--gen", "seed=1,vmax=q", "-o", "unwritten.json"], "'q'"),
-], ids=["seed", "density", "k-range", "vmax"])
+    (["gen", "--seed", "1", "--k", "-1", "-o", "unwritten.json"], "bad k range (-1, -1)"),
+    (["gen", "--seed", "1", "--vmax", "0", "-o", "unwritten.json"], "v_max must be >= 1"),
+    (["gen", "--gen", "seed=1,topology=graph,density=-3", "-o", "unwritten.json"],
+     "edge_density must be in [0, 1]"),
+    (["gen", "--gen", "seed=1,topology=graph,density=nan", "-o", "unwritten.json"],
+     "edge_density must be in [0, 1]"),
+], ids=["seed", "density", "k-range", "vmax", "gen-k-flag", "gen-vmax-flag",
+        "gen-negative-density", "gen-nan-density"])
 def test_non_numeric_gen_spec_exits_2(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")

@@ -144,6 +144,9 @@ def test_bad_configs_rejected():
         GeneratorConfig(seed=1, topology="ring")
     with pytest.raises(ValueError):
         GeneratorConfig(seed=1, seller_bias=1.5)
+    for density in (-3.0, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            GeneratorConfig(seed=1, topology="graph", edge_density=density)
 
 
 def test_serialized_form_is_byte_stable():

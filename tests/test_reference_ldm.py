@@ -11,7 +11,7 @@ from netauction.cli import _parse_gen_spec
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance, random_instance
 from netauction.market import SELLER, build_bfs_tree, compute_market
 from netauction.mechanisms import inject_dummies, run_dna_mu, run_ldm, run_vcg_first_layer
-from netauction.removed_sets import exclusion_set, layer_removed_set, robust_mu
+from netauction.removed_sets import exclusion_set, layer_removed_set, removed_sets_for, robust_mu
 from netauction.welfare import constrained_welfare
 
 import reference_ldm as ref
@@ -45,6 +45,7 @@ def assert_matches_reference(profile, mu, reserve):
         if slow.parent[i] != SELLER:
             assert i in tree.children[slow.parent[i]]
     if reserve is None:
+        assert removed_sets_for(tree, mu) == ref.removed_sets_for(slow.tree, mu)
         assert_same(run_dna_mu(tree), ref.run_dna_mu(slow))
     priced = market if reserve is None else compute_market(inject_dummies(profile, reserve))
     assert_same(run_ldm(priced, mu), ref.run_ldm(market, mu, reserve))

@@ -60,6 +60,8 @@ def test_check_ir_flags_broken_mechanism(t4_profile):
     assert reports
     assert all(r.deviating_utility < 0 for r in reports)
     assert all(r.kind == "ir" for r in reports)
+    # the full invitation set is checked too, including each childless loser's
+    assert [r.buyer for r in reports if r.deviating_report == r.truthful_report] == [1, 3, 4, 5]
 
 
 def test_check_ir_budget_guard():
