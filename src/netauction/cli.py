@@ -260,8 +260,8 @@ def cmd_search(args) -> int:
 def cmd_gen(args) -> int:
     config = _parse_gen_spec(args.gen) if args.gen else _generator_config(
         seed=args.seed,
-        buyers=(args.n, args.n) if args.n else (2, 8),
-        k=(args.k, args.k) if args.k else (1, 3),
+        buyers=(2, 8) if args.n is None else (args.n, args.n),
+        k=(1, 3) if args.k is None else (args.k, args.k),
         v_max=args.vmax,
         topology=args.topology,
         edge_density=args.density,

@@ -158,6 +158,8 @@ class GeneratorConfig:
             raise ValueError("seller_bias must be in [0, 1]")
         if not 0.0 <= self.edge_density <= 1.0:
             raise ValueError("edge_density must be in [0, 1]")
+        if self.max_depth is not None and self.max_depth < 1:
+            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
 
 
 def random_instance(config: GeneratorConfig, index: int = 0) -> ReportProfile:

@@ -14,7 +14,7 @@ DNA-MU takes no reserve and refuses a market with dummies.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ContractError, ValidationError
 from .market import (
@@ -25,13 +25,14 @@ from .market import (
     ReportProfile,
     ReportedType,
     TreeMarket,
+    ValuationVector,
     _as_int,
     build_bfs_tree,
     cumulative_value,
     is_dummy,
 )
-from .removed_sets import layer_removed_sets
-from .welfare import WelfarePool, kth_highest_first_unit
+from .removed_sets import layer_removed_sets, potential_inviters, removed_set_of
+from .welfare import WelfarePool, WelfareResult, kth_highest_first_unit
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,33 @@ def run_dna_mu(tree: TreeMarket) -> Outcome:
     return Outcome(units=units, payments=payments, trace=DnaTrace(tuple(rows)))
 
 
+def _ldm_layer(market: Market, members: Iterable[BuyerId], included: frozenset[BuyerId],
+               committed: dict[BuyerId, int]) -> tuple[WelfarePool, WelfareResult, int]:
+    """One LDM layer: the welfare optimum over `included` = valid - R_l with
+    the earlier layers frozen at `committed`, whose pool then answers every
+    SW_{-D_i} of the layer. Commits each member's tentative units into
+    `committed`; returns the pool, the optimum and the units the layer took.
+    """
+    pool = WelfarePool(market, included, committed, market.k)
+    layer_opt = pool.best()
+    taken = 0
+    for j in members:
+        committed[j] = won = layer_opt.units_of(j)
+        taken += won
+    return pool, layer_opt, taken
+
+
+def _ldm_payment(tree: TreeMarket, pool: WelfarePool, layer_opt: WelfareResult,
+                 i: BuyerId) -> tuple[Money, Money]:
+    """(SW_{-D_i}, p_i) for a member i of the layer: p_i = SW_{-D_i} - (SW_l - v_i(x_i))."""
+    # valid - D_i = included - (C_i + {i}); committed buyers sit in earlier
+    # layers, so none of them is ever left out
+    sw_d = pool.welfare(tree.children[i] | {i})
+    won = layer_opt.units_of(i)
+    value = cumulative_value(tree.market.values_of(i), won) if won else 0
+    return sw_d, sw_d - (layer_opt.welfare - value)
+
+
 def run_ldm_tree(tree: TreeMarket, mu: int, order: Sequence[BuyerId] | None = None,
                  want_trace: bool = True) -> Outcome:
     """Layer-based diffusion mechanism on a rooted tree.
@@ -198,13 +226,11 @@ def run_ldm_tree(tree: TreeMarket, mu: int, order: Sequence[BuyerId] | None = No
     the outcome provably does not depend on it).
     """
     market = tree.market
-    k = market.profile.k
     valid = market.valid
-    reports = market.profile.reports
     units = {i: 0 for i in valid if not is_dummy(i)}
     payments = {i: 0 for i in valid if not is_dummy(i)}
     committed: dict[BuyerId, int] = {}
-    k_remain = k
+    k_remain = market.k
     records: list[LayerRecord] = []
     for l, r_l in enumerate(layer_removed_sets(tree, mu), start=1):
         members = sorted(tree.layers[l - 1])
@@ -212,35 +238,23 @@ def run_ldm_tree(tree: TreeMarket, mu: int, order: Sequence[BuyerId] | None = No
             position = {b: p for p, b in enumerate(order)}
             members.sort(key=lambda b: position[b])
         included = valid - r_l
-        pool = WelfarePool(market, included, committed, k)
-        layer_opt = pool.best()
-        sw_l = layer_opt.welfare
+        pool, layer_opt, taken = _ldm_layer(market, members, included, committed)
+        k_remain -= taken
         sw_d: dict[BuyerId, Money] = {}
         for i in members:
-            # valid - D_i = included - (C_i + {i}); committed buyers sit in
-            # earlier layers, so none of them is ever left out
-            sw_d[i] = pool.welfare(tree.children[i] | {i})
-            pi = layer_opt.units_of(i)
+            sw_d[i], payment = _ldm_payment(tree, pool, layer_opt, i)
             if not is_dummy(i):
-                units[i] = pi
-            if pi:
-                k_remain -= pi
-                payment = sw_d[i] - (sw_l - cumulative_value(reports[i].values, pi))
-            else:
-                payment = sw_d[i] - sw_l
-            if not is_dummy(i):
+                units[i] = layer_opt.units_of(i)
                 payments[i] = payment
-        for i in members:
-            committed[i] = layer_opt.units_of(i)
         if want_trace:
             records.append(LayerRecord(
                 layer=l,
                 removed=r_l,
                 included=included,
-                sw=sw_l,
+                sw=layer_opt.welfare,
                 tentative_units=dict(layer_opt.allocation),
                 tentative_value={
-                    j: cumulative_value(reports[j].values, m)
+                    j: cumulative_value(market.values_of(j), m)
                     for j, m in layer_opt.allocation.items()
                 },
                 sw_minus_d=sw_d,
@@ -248,8 +262,62 @@ def run_ldm_tree(tree: TreeMarket, mu: int, order: Sequence[BuyerId] | None = No
             ))
         if k_remain == 0:
             break
-    trace = LdmTrace(mu, k, tuple(records), tree) if want_trace else None
+    trace = LdmTrace(mu, market.k, tuple(records), tree) if want_trace else None
     return Outcome(units=units, payments=payments, trace=trace)
+
+
+# A buyer's (units, payment) as a function of her value report, all else fixed.
+ValueRerun = Callable[[ValuationVector], tuple[int, Money]]
+
+
+def ldm_value_rerun(tree: TreeMarket, mu: int, i: BuyerId) -> ValueRerun:
+    """i's (units, payment) under `run_ldm_tree(tree.with_values(i, v), mu)`,
+    as a function of her value report v.
+
+    With i in layer L, each call replays only layers L-1 and L. Layers up to
+    L-2 never see i, since R_l holds every layer >= l+2; the only removed set
+    that reads her value is her parent's C^W ranking, inside R_{L-1}; and her
+    units and payment are final once layer L is processed (the argument is in
+    notes/decisions.md). So mu is checked, the layers up to L-2 committed, and
+    R_L built once. If those layers sell every unit, i gets (0, 0) whatever
+    she reports.
+    """
+    market = tree.market
+    layer = market.layer_of[i]
+    removed = layer_removed_sets(tree, mu)
+    committed: dict[BuyerId, int] = {}
+    k_remain = market.k
+    for members, r_l in zip(tree.layers[:max(layer - 2, 0)], removed):
+        k_remain -= _ldm_layer(market, members, market.valid - r_l, committed)[2]
+        if k_remain == 0:
+            return lambda v: (0, 0)
+    if layer > 1:
+        parent = next(j for j in tree.layers[layer - 2] if i in tree.children[j])
+        inviters = potential_inviters(tree, parent)
+        # R_{L-1} without the parent's C^R, a subset of her children
+        r_prev_rest = next(removed) - tree.children[parent]
+    included_own = market.valid - next(removed)
+    # i's reports are swapped in place in a private copy of the profile
+    reports = dict(market.profile.reports)
+    own = TreeMarket(replace(market, profile=replace(market.profile, reports=reports)),
+                     tree.children)
+    invited = reports[i].invited
+
+    def rerun(v: ValuationVector) -> tuple[int, Money]:
+        reports[i] = ReportedType(v, invited)
+        fixed = dict(committed)
+        left = k_remain
+        if layer > 1:
+            r_prev = r_prev_rest | removed_set_of(own, parent, inviters, mu)
+            left -= _ldm_layer(own.market, own.layers[layer - 2], own.valid - r_prev, fixed)[2]
+            if left == 0:
+                return 0, 0
+        pool, layer_opt, _ = _ldm_layer(own.market, (), included_own, fixed)
+        if is_dummy(i):
+            return 0, 0
+        return layer_opt.units_of(i), _ldm_payment(own, pool, layer_opt, i)[1]
+
+    return rerun
 
 
 def run_ldm(market: Market, mu: int) -> Outcome:

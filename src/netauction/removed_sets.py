@@ -72,14 +72,24 @@ def removed_sets_for(tree: TreeMarket, mu: int) -> dict[BuyerId, frozenset[Buyer
     inviter_sets, required = _inviter_sets(tree)
     if mu < required:
         raise MuTooSmall(required, mu)
-    out: dict[BuyerId, frozenset[BuyerId]] = {}
-    for i, inviters in inviter_sets.items():
-        candidates = sorted(
-            (j for j in tree.children[i] if j not in inviters),
-            key=lambda j: (-tree.first_unit(j), j),
-        )
-        out[i] = inviters | frozenset(candidates[:tree.k + mu - len(inviters)])
-    return out
+    return {i: removed_set_of(tree, i, inviters, mu) for i, inviters in inviter_sets.items()}
+
+
+def removed_set_of(tree: TreeMarket, i: BuyerId, inviters: frozenset[BuyerId],
+                   mu: int) -> frozenset[BuyerId]:
+    """C_i^R from i's C_i^P: the inviters plus C_i^W, the top K + mu - |C_i^P|
+    other children by first-unit value, ties to the smaller id. The only
+    place LDM ranks buyers by value; mu is not checked here.
+    """
+    children = tree.children[i]
+    quota = tree.k + mu - len(inviters)
+    if len(children) - len(inviters) <= quota:
+        return children  # every other child fits the quota: no ranking needed
+    candidates = sorted(
+        (j for j in children if j not in inviters),
+        key=lambda j: (-tree.first_unit(j), j),
+    )
+    return inviters | frozenset(candidates[:quota])
 
 
 def layer_removed_sets(tree: TreeMarket, mu: int) -> Iterator[frozenset[BuyerId]]:

@@ -2,10 +2,11 @@
 dominance comparisons, the payment decomposition, child monotonicity, and
 randomized counterexample search.
 
-Checkers treat a mechanism as a black box over report profiles. Utilities are
-always evaluated against the buyer's TRUE values from the untouched instance;
-the market is recomputed for every deviation, so buyers disconnected by a
-deviation correctly earn zero. Enumeration is falsification only: an empty
+Checkers treat a mechanism as a black box over report profiles; value
+misreports go through its `value_rerun` hook, which must agree with `run`
+exactly. Utilities are always evaluated against the buyer's TRUE values from
+the untouched instance; the market is recomputed for every invitation
+deviation, so buyers disconnected by a deviation correctly earn zero. Enumeration is falsification only: an empty
 report list means no violation was found at the enumerated granularity, not a
 proof.
 """
@@ -15,6 +16,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache, partial
+from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .errors import ContractError, SearchBudgetExceeded, TraceMissing
@@ -34,6 +37,8 @@ from .market import (
 from .mechanisms import (
     LdmTrace,
     Outcome,
+    ValueRerun,
+    ldm_value_rerun,
     outcome_welfare,
     run_dna_mu,
     run_ldm,
@@ -46,49 +51,55 @@ MAX_INVITES_EXHAUSTIVE = 6
 DEFAULT_GRID_CAP = 128
 
 
+def _rerun_profile(run: Callable[[ReportProfile], Outcome], profile: ReportProfile,
+                   i: BuyerId) -> ValueRerun:
+    """The generic value rerun: the whole of `run` on each patched profile."""
+    invited = profile.reports[i].invited
+
+    def rerun(v: ValuationVector) -> tuple[int, Money]:
+        outcome = run(profile.with_report(i, ReportedType(v, invited)))
+        return outcome.units_of(i), outcome.payment_of(i)
+
+    return rerun
+
+
 @dataclass(frozen=True)
 class MechanismUnderTest:
-    """A named mechanism plus an optional fast path for value-only deviations.
+    """A named mechanism and its value-rerun hook.
 
-    `run` is the full pipeline from a report profile. `tree_run`, when set,
-    must be the same mechanism applied to a prebuilt BFS tree; checkers use it
-    to rerun value misreports without rebuilding the tree (sound because the
-    tree depends only on invitations).
+    `run` is the full pipeline from a report profile. `value_rerun(profile,
+    i)` returns a function from a value vector v to i's (units, payment) when
+    she reports v with her invitations in `profile`; it must agree with
+    `run` exactly. Left out, it reruns `run` on each patched profile.
     """
 
     name: str
     run: Callable[[ReportProfile], Outcome]
-    tree_run: Callable[[TreeMarket], Outcome] | None = None
+    value_rerun: Callable[[ReportProfile, BuyerId], ValueRerun] | None = None
+
+    def __post_init__(self):
+        if self.value_rerun is None:
+            object.__setattr__(self, "value_rerun", partial(_rerun_profile, self.run))
 
 
 def ldm_mechanism(mu: int) -> MechanismUnderTest:
     def run(profile: ReportProfile) -> Outcome:
         return run_ldm(compute_market(profile), mu)
 
-    def tree_run(tree: TreeMarket) -> Outcome:
-        return run_ldm_tree(tree, mu, want_trace=False)
+    def value_rerun(profile: ReportProfile, i: BuyerId) -> ValueRerun:
+        return ldm_value_rerun(build_bfs_tree(compute_market(profile)), mu, i)
 
-    return MechanismUnderTest("ldm", run, tree_run)
+    return MechanismUnderTest("ldm", run, value_rerun)
 
 
 def dna_mu_mechanism() -> MechanismUnderTest:
-    def run(profile: ReportProfile) -> Outcome:
-        return run_dna_mu(build_bfs_tree(compute_market(profile)))
-
-    def tree_run(tree: TreeMarket) -> Outcome:
-        return run_dna_mu(tree)
-
-    return MechanismUnderTest("dna-mu", run, tree_run)
+    return MechanismUnderTest(
+        "dna-mu", lambda profile: run_dna_mu(build_bfs_tree(compute_market(profile))))
 
 
 def vcg_mechanism() -> MechanismUnderTest:
-    def run(profile: ReportProfile) -> Outcome:
-        return run_vcg_first_layer(compute_market(profile))
-
-    def tree_run(tree: TreeMarket) -> Outcome:
-        return run_vcg_first_layer(tree.market)
-
-    return MechanismUnderTest("vcg-l1", run, tree_run)
+    return MechanismUnderTest(
+        "vcg-l1", lambda profile: run_vcg_first_layer(compute_market(profile)))
 
 
 @dataclass(frozen=True)
@@ -234,36 +245,67 @@ def check_invitation_ic(mechanism: MechanismUnderTest,
                            lambda u, u_full: u > u_full)
 
 
+def _grid_vector(r: int, v_cap: int, k: int) -> ValuationVector:
+    """Vector r (from 0) of `combinations_with_replacement(range(v_cap, -1, -1), k)`.
+
+    Entries are fixed left to right. Of the C(top + s, s) vectors of s
+    entries at most `top`, the C(w + s, s) whose first entry is at most w
+    come last, so vector r starts with the smallest w for which that tail
+    still reaches back to r.
+    """
+    vector = []
+    top = v_cap
+    for s in range(k, 0, -1):
+        remaining = comb(top + s, s) - r
+        lo, hi = 0, top
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if comb(mid + s, s) >= remaining:
+                hi = mid
+            else:
+                lo = mid + 1
+        r -= comb(top + s, s) - comb(lo + s, s)
+        vector.append(lo)
+        top = lo
+    return tuple(vector)
+
+
 def integer_value_grid(instance: ReportProfile, buyer: BuyerId,
                        cap: int = DEFAULT_GRID_CAP) -> list[ValuationVector]:
-    """Non-increasing integer vectors over {0..v_cap}, v_cap = instance max + 2.
+    """Non-increasing integer vectors over {0..v_cap}, v_cap = instance max + 2,
+    in descending lexicographic order.
 
-    When the full grid exceeds `cap`, a deterministic even stride keeps about
-    `cap` vectors, always including the all-zero vector. The stride is an
+    When the full grid's C(v_cap + k, k) vectors exceed `cap`, a
+    deterministic even stride keeps about `cap` of them, always including the
+    all-zero vector; only the kept vectors are built. The stride is an
     under-approximation: it can falsify IC but never certify it.
     """
-    k = instance.k
     top = 0
     for rep in instance.reports.values():
         if rep.values and rep.values[0] > top:
             top = rep.values[0]
-    v_cap = top + 2
-    full = list(itertools.combinations_with_replacement(range(v_cap, -1, -1), k))
-    if len(full) <= cap:
-        return full
-    stride = -(-len(full) // cap)
-    picked = full[::stride]
+    return list(_strided_grid(top + 2, instance.k, cap))
+
+
+@lru_cache(maxsize=256)
+def _strided_grid(v_cap: int, k: int, cap: int) -> tuple[ValuationVector, ...]:
+    """`integer_value_grid`'s vectors; the grid does not depend on the buyer,
+    so every buyer of an instance shares one."""
+    size = comb(v_cap + k, k)
+    stride = -(-size // cap)
+    picked = [_grid_vector(r, v_cap, k) for r in range(0, size, stride)]
     zero = (0,) * k
     if picked[-1] != zero:
         picked.append(zero)
-    return picked
+    return tuple(picked)
 
 
 def check_value_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
                    grid: Callable[[ReportProfile, BuyerId], Iterable[ValuationVector]] | None = None,
                    ) -> list[DeviationReport]:
     """For every buyer, invitation subset, and grid misreport: reporting true
-    values must dominate the misreport at that same invitation set.
+    values must dominate the misreport at that same invitation set. Each
+    (buyer, subset) gets one `mechanism.value_rerun`, asked for every vector.
 
     Combined with check_invitation_ic this covers joint (value, invitation)
     deviations through the dominance chain full-truth >= (v, r-hat) >= (v-hat, r-hat).
@@ -278,21 +320,12 @@ def check_value_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
         rep = instance.reports[i]
         vectors = [v for v in grid(instance, i) if v != rep.values]
         for sub in _subsets(rep.invited):
-            base = instance.with_report(i, ReportedType(rep.values, sub))
-            if mechanism.tree_run is not None:
-                tree = build_bfs_tree(compute_market(base))
-                u_base = utility_of(instance, i, mechanism.tree_run(tree))
-
-                def outcome_for(v: ValuationVector) -> Outcome:
-                    return mechanism.tree_run(tree.with_values(i, v))
-            else:
-                u_base = utility_of(instance, i, mechanism.run(base))
-
-                def outcome_for(v: ValuationVector) -> Outcome:
-                    return mechanism.run(base.with_report(i, ReportedType(v, sub)))
-
+            rerun = mechanism.value_rerun(instance.with_report(i, ReportedType(rep.values, sub)), i)
+            units, payment = rerun(rep.values)
+            u_base = cumulative_value(rep.values, units) - payment
             for v in vectors:
-                u_dev = utility_of(instance, i, outcome_for(v))
+                units, payment = rerun(v)
+                u_dev = cumulative_value(rep.values, units) - payment
                 if u_dev > u_base:
                     violations.append(DeviationReport(
                         buyer=i,

@@ -138,8 +138,15 @@ def test_compare_bad_reserve_sweep_exits_2(sweep, message, capsys):
      "edge_density must be in [0, 1]"),
     (["gen", "--gen", "seed=1,topology=graph,density=nan", "-o", "unwritten.json"],
      "edge_density must be in [0, 1]"),
+    (["gen", "--seed", "1", "--k", "0", "--n", "0", "-o", "unwritten.json"],
+     "bad buyer range (0, 0)"),
+    (["gen", "--seed", "1", "--k", "0", "-o", "unwritten.json"], "bad k range (0, 0)"),
+    (["gen", "--gen", "seed=1,n=6,depth=0", "-o", "unwritten.json"], "max_depth must be >= 1, got 0"),
+    (["gen", "--seed", "1", "--depth", "-1", "-o", "unwritten.json"],
+     "max_depth must be >= 1, got -1"),
 ], ids=["seed", "density", "k-range", "vmax", "gen-k-flag", "gen-vmax-flag",
-        "gen-negative-density", "gen-nan-density"])
+        "gen-negative-density", "gen-nan-density", "gen-zero-n-and-k", "gen-zero-k",
+        "gen-zero-depth", "gen-negative-depth-flag"])
 def test_non_numeric_gen_spec_exits_2(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")

@@ -147,6 +147,9 @@ def test_bad_configs_rejected():
     for density in (-3.0, 1.5, float("nan")):
         with pytest.raises(ValueError):
             GeneratorConfig(seed=1, topology="graph", edge_density=density)
+    for depth in (0, -1):
+        with pytest.raises(ValueError):
+            GeneratorConfig(seed=1, max_depth=depth)
 
 
 def test_serialized_form_is_byte_stable():

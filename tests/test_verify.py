@@ -2,6 +2,7 @@
 silent on the layer-based mechanism."""
 
 import itertools
+import time
 
 import pytest
 
@@ -103,6 +104,39 @@ def test_invitation_ic_no_neighbors_is_vacuous():
     assert check_invitation_ic(ldm_mechanism(0), profile) == []
 
 
+def materialised_value_grid(instance, buyer, cap=128):
+    """The grid as first written: build every vector, then stride."""
+    top = max((rep.values[0] for rep in instance.reports.values() if rep.values), default=0)
+    full = list(itertools.combinations_with_replacement(range(top + 2, -1, -1), instance.k))
+    if len(full) <= cap:
+        return full
+    picked = full[::-(-len(full) // cap)]
+    zero = (0,) * instance.k
+    if picked[-1] != zero:
+        picked.append(zero)
+    return picked
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_value_grid_matches_materialised_grid(k):
+    for top in range(29):  # v_cap = top + 2 up to 30
+        profile = make_profile(k, {1, 2}, {1: ((top,) + (0,) * (k - 1), ()),
+                                           2: ((0,) * k, ())})
+        for cap in (1, 5, 40, 128, 1000):
+            assert integer_value_grid(profile, 2, cap) == materialised_value_grid(profile, 2, cap)
+
+
+def test_value_grid_for_large_values_builds_only_the_kept_vectors():
+    # the full grid would hold C(1002 + 3, 3), about 1.7e8 vectors
+    profile = make_profile(3, {1}, {1: ((1000, 999, 998), ())})
+    started = time.perf_counter()
+    grid = integer_value_grid(profile, 1)
+    assert time.perf_counter() - started < 1.0
+    assert len(grid) <= 129
+    assert grid[0] == (1002, 1002, 1002) and grid[-1] == (0, 0, 0)
+    assert all(a >= b >= c for a, b, c in grid) and grid == sorted(set(grid), reverse=True)
+
+
 def test_value_ic_ldm_t4_full_grid(t4_profile):
     grid = lambda inst, buyer: integer_value_grid(inst, buyer, cap=10_000)
     assert check_value_ic(ldm_mechanism(1), t4_profile, grid) == []
@@ -115,7 +149,7 @@ def test_value_ic_fast_path_matches_slow_path(fig3_profile):
         from netauction.removed_sets import robust_mu
         mu = robust_mu(profile)
         fast = ldm_mechanism(mu)
-        slow = MechanismUnderTest("ldm", fast.run, tree_run=None)
+        slow = MechanismUnderTest("ldm", fast.run)
         grid = lambda inst, buyer: integer_value_grid(inst, buyer, cap=40)
         assert check_value_ic(fast, profile, grid) == check_value_ic(slow, profile, grid)
 
