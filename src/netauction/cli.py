@@ -16,6 +16,7 @@ seeds; timings go to stderr and only with --timing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -322,7 +323,9 @@ def cmd_compare(args) -> int:
     return 0 if all_dominant else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="netauction",
         description="Multi-unit diffusion auctions and their property harness.",

@@ -33,12 +33,36 @@ def _reject_float(value: str):
 
 
 def _no_duplicate_keys(pairs):
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise ParseError(f"duplicate key {key!r}")
-        seen.add(key)
-    return dict(pairs)
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"duplicate key {key!r}")
+            seen.add(key)
+    return doc
+
+
+_ENTRY_KEYS = frozenset({"values", "neighbors"})
+
+
+def _resolve(ids: dict[str, BuyerId], labels: list, owner: str | None) -> frozenset[BuyerId]:
+    """The ids of `labels`, which neighbour `owner` (None for the seller).
+
+    The common case is one C-level map; the per-label walk that names the
+    first bad label runs only when that map fails.
+    """
+    try:
+        return frozenset(map(ids.__getitem__, labels))
+    except (KeyError, TypeError):
+        pass
+    context = "seller_neighbors" if owner is None else f"buyer {owner!r} neighbors"
+    for label in labels:
+        if not isinstance(label, str):
+            raise ParseError(f"{context}: label {label!r} must be a string")
+        if label not in ids:
+            raise ParseError(f"{context}: unknown buyer label {label!r}")
+    raise AssertionError("a label failed to map but passed the walk")
 
 
 def parse_instance(text: str) -> ReportProfile:
@@ -46,7 +70,8 @@ def parse_instance(text: str) -> ReportProfile:
 
     Buyer labels become ids by sorted-label order; the original labels are
     kept on the profile for display and round-tripping. The parser checks
-    only the JSON shape and the labels, and raises ParseError for those;
+    only the JSON shape and the labels, and raises ParseError for those, and
+    for integer literals too long to convert or nesting too deep to decode;
     types and ranges (k, mu, each value) are `validate_profile`'s, whose
     ValidationError names the buyer by her label in the file.
     """
@@ -55,6 +80,11 @@ def parse_instance(text: str) -> ReportProfile:
                          object_pairs_hook=_no_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:
+        # int() refuses literals longer than sys.get_int_max_str_digits()
+        raise ParseError("integer literal has too many digits") from exc
+    except RecursionError as exc:
+        raise ParseError("arrays or objects nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     for key in ("k", "seller_neighbors", "buyers"):
@@ -68,22 +98,15 @@ def parse_instance(text: str) -> ReportProfile:
         raise ParseError("buyers must be an object")
     ids = {label: i for i, label in enumerate(sorted(buyers))}
 
-    def resolve(label, context: str) -> BuyerId:
-        if not isinstance(label, str):
-            raise ParseError(f"{context}: label {label!r} must be a string")
-        if label not in ids:
-            raise ParseError(f"{context}: unknown buyer label {label!r}")
-        return ids[label]
-
     neighbors = doc["seller_neighbors"]
     if not isinstance(neighbors, list):
         raise ParseError("seller_neighbors must be an array")
-    seller = frozenset(resolve(x, "seller_neighbors") for x in neighbors)
+    seller = _resolve(ids, neighbors, None)
 
     reports: dict[BuyerId, ReportedType] = {}
-    for label in sorted(buyers):
+    for label, i in ids.items():
         entry = buyers[label]
-        if not isinstance(entry, dict) or set(entry) - {"values", "neighbors"}:
+        if not isinstance(entry, dict) or not entry.keys() <= _ENTRY_KEYS:
             raise ParseError(f"buyer {label!r}: expected values/neighbors object")
         values = entry.get("values")
         if not isinstance(values, list):
@@ -91,10 +114,7 @@ def parse_instance(text: str) -> ReportProfile:
         invited = entry.get("neighbors", [])
         if not isinstance(invited, list):
             raise ParseError(f"buyer {label!r}: neighbors must be an array")
-        reports[ids[label]] = ReportedType(
-            tuple(values),
-            frozenset(resolve(x, f"buyer {label!r} neighbors") for x in invited),
-        )
+        reports[i] = ReportedType(tuple(values), _resolve(ids, invited, label))
     profile = ReportProfile(
         k=doc["k"],
         seller_neighbors=seller,

@@ -13,6 +13,7 @@ so every real buyer wins id ties against them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import ge
 from typing import Mapping
 
 from .errors import ContractError, ValidationError
@@ -148,8 +149,40 @@ def validate_profile(raw: ReportProfile) -> ReportProfile:
     The model's only invariant check: profiles from code and from
     `parse_instance` meet the same rules. Raises ValidationError naming the
     first violated invariant in canonical id order (profile-level checks
-    first, then buyers ascending).
+    first, then buyers ascending). A valid profile costs a few C-level
+    checks per buyer; the per-item walk that names the first violation runs
+    only once one of them fails.
     """
+    if not _plainly_valid(raw):
+        _raise_first_violation(raw)
+    return raw
+
+
+_INT_ONLY = frozenset({int})
+
+
+def _plainly_valid(raw: ReportProfile) -> bool:
+    """True only if `_raise_first_violation` finds nothing; plain ints only,
+    so an int subclass takes the per-item walk."""
+    k = raw.k
+    if type(k) is not int or k < 1 or not (raw.mu is None or type(raw.mu) is int):
+        return False
+    reports = raw.reports
+    known = set(reports)
+    if not known.issuperset(raw.seller_neighbors):
+        return False
+    for i, rep in reports.items():
+        vals = rep.values
+        if (type(i) is not int or not 0 <= i < DUMMY_BASE or len(vals) != k
+                or not _INT_ONLY.issuperset(map(type, vals)) or vals[-1] < 0
+                or not all(map(ge, vals, vals[1:]))
+                or i in rep.invited or not known.issuperset(rep.invited)):
+            return False
+    return True
+
+
+def _raise_first_violation(raw: ReportProfile) -> None:
+    """Raise ValidationError for the first violated invariant, if any."""
     if not _as_int(raw.k) or raw.k < 1:
         raise ValidationError(None, f"k must be a positive integer, got {raw.k!r}")
     if raw.mu is not None and not _as_int(raw.mu):
@@ -179,7 +212,6 @@ def validate_profile(raw: ReportProfile) -> ReportProfile:
         for j in sorted(rep.invited):
             if j not in known:
                 raise ValidationError(i, f"invited unknown buyer {j}")
-    return raw
 
 
 def compute_market(profile: ReportProfile) -> Market:

@@ -32,7 +32,7 @@ from .market import (
     is_dummy,
 )
 from .removed_sets import layer_removed_sets, potential_inviters, removed_set_of
-from .welfare import WelfarePool, WelfareResult, kth_highest_first_unit
+from .welfare import WelfarePool, WelfareResult
 
 
 @dataclass(frozen=True)
@@ -151,18 +151,21 @@ def run_dna_mu(tree: TreeMarket) -> Outcome:
 
     Each buyer is priced at the K'-th highest first-unit value of the market
     with her subtree (`TreeMarket.subtree`), the winners so far, and herself
-    removed; she wins one unit at that price iff her own first-unit value
-    meets it. Only first-unit values are read. Once supply hits zero nothing
+    removed, or 0 when fewer than K' buyers are left; she wins one unit at
+    that price iff her own first-unit value meets it. Only first-unit values
+    are read. They are sorted once per run, and each price is a walk down
+    that list that skips the removed buyers. Once supply hits zero nothing
     more is sold, and no later buyer's subtree is walked. Buyers within a
     layer go in ascending id order.
     """
     market = tree.market
     if tree.layers and any(is_dummy(i) for i in tree.layers[0]):
         raise ContractError("dna-mu takes no reserve price")
+    ranked = sorted(((market.first_unit(j), j) for j in market.valid), reverse=True)
     k_remaining = market.profile.k
     winners: set[BuyerId] = set()
-    units = {i: 0 for i in market.valid}
-    payments = {i: 0 for i in market.valid}
+    units = dict.fromkeys(market.valid, 0)
+    payments = dict(units)
     rows: list[DnaRow] = []
     done = False
     for d, layer in enumerate(tree.layers, start=1):
@@ -172,8 +175,9 @@ def run_dna_mu(tree: TreeMarket) -> Outcome:
             if k_remaining == 0:
                 done = True
                 break
-            pool = market.valid - tree.subtree(i) - winners - {i}
-            price = kth_highest_first_unit(market, pool, k_remaining)
+            skipped = tree.subtree(i) | winners
+            skipped.add(i)
+            price = _kth_outside(ranked, skipped, k_remaining)
             won = tree.first_unit(i) >= price
             rows.append(DnaRow(i, d, price, won, k_remaining))
             if won:
@@ -182,6 +186,17 @@ def run_dna_mu(tree: TreeMarket) -> Outcome:
                 winners.add(i)
                 k_remaining -= 1
     return Outcome(units=units, payments=payments, trace=DnaTrace(tuple(rows)))
+
+
+def _kth_outside(ranked: list[tuple[Money, BuyerId]], skipped: set[BuyerId], k: int) -> Money:
+    """k-th value of `ranked`, descending (value, id) pairs, among the ids not
+    skipped; 0 when fewer than k are left."""
+    for value, j in ranked:
+        if j not in skipped:
+            k -= 1
+            if not k:
+                return value
+    return 0
 
 
 def _ldm_layer(market: Market, members: Iterable[BuyerId], included: frozenset[BuyerId],
@@ -228,7 +243,7 @@ def run_ldm_tree(tree: TreeMarket, mu: int, order: Sequence[BuyerId] | None = No
     market = tree.market
     valid = market.valid
     units = {i: 0 for i in valid if not is_dummy(i)}
-    payments = {i: 0 for i in valid if not is_dummy(i)}
+    payments = dict(units)
     committed: dict[BuyerId, int] = {}
     k_remain = market.k
     records: list[LayerRecord] = []

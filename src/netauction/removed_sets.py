@@ -24,8 +24,11 @@ def potential_inviters(tree: TreeMarket, i: BuyerId) -> frozenset[BuyerId]:
 
 
 def _inviter_sets(tree: TreeMarket) -> tuple[dict[BuyerId, frozenset[BuyerId]], int]:
-    """Every valid buyer's C_i^P, and the largest |C_i^P|: the smallest valid mu."""
-    inviters = {i: potential_inviters(tree, i) for i in tree.valid}
+    """Every valid buyer's C_i^P (see `potential_inviters`), and the largest
+    |C_i^P|: the smallest valid mu. `children` has one key per valid buyer."""
+    children = tree.children
+    inviting = {j for j, below in children.items() if below}
+    inviters = {i: below & inviting for i, below in children.items()}
     return inviters, max(map(len, inviters.values()), default=0)
 
 
@@ -69,10 +72,16 @@ def removed_sets_for(tree: TreeMarket, mu: int) -> dict[BuyerId, frozenset[Buyer
 
     Each C_i^P is built once, and mu is checked against the largest of them.
     """
+    return {i: removed_set_of(tree, i, inviters, mu)
+            for i, inviters in _checked_inviter_sets(tree, mu).items()}
+
+
+def _checked_inviter_sets(tree: TreeMarket, mu: int) -> dict[BuyerId, frozenset[BuyerId]]:
+    """Every valid buyer's C_i^P, once mu is checked against the largest."""
     inviter_sets, required = _inviter_sets(tree)
     if mu < required:
         raise MuTooSmall(required, mu)
-    return {i: removed_set_of(tree, i, inviters, mu) for i, inviters in inviter_sets.items()}
+    return inviter_sets
 
 
 def removed_set_of(tree: TreeMarket, i: BuyerId, inviters: frozenset[BuyerId],
@@ -96,12 +105,14 @@ def layer_removed_sets(tree: TreeMarket, mu: int) -> Iterator[frozenset[BuyerId]
     """R_1, R_2, ... in layer order, each built only when it is asked for.
 
     R_l is the union of C_i^R over layer l plus every buyer in layers >= l+2.
-    mu is validated once, before R_1.
+    mu is checked once, against every buyer's C^P, before R_1; C^W is ranked
+    only for the members of the layers asked for.
     """
-    per_buyer = removed_sets_for(tree, mu)
+    inviter_sets = _checked_inviter_sets(tree, mu)
     deeper = set().union(*tree.layers[2:])
     for d, layer in enumerate(tree.layers):
-        yield frozenset().union(deeper, *(per_buyer[i] for i in layer))
+        yield frozenset().union(
+            deeper, *(removed_set_of(tree, i, inviter_sets[i], mu) for i in layer))
         if d + 2 < tree.depth:
             deeper -= tree.layers[d + 2]
 

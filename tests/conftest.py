@@ -16,6 +16,12 @@ except ImportError:  # running from a checkout without the editable install
 
 DATA = Path(__file__).parent / "data"
 
+# An integer literal past int()'s digit limit, and nesting past the
+# decoder's recursion limit: both are malformed input, not crashes.
+HUGE_K = '{"k": 1' + "0" * 5000 + ', "seller_neighbors": [], "buyers": {}}'
+DEEP_META = ('{"k": 1, "seller_neighbors": [], "buyers": {}, "meta": '
+             + "[" * 100_000 + "]" * 100_000 + "}")
+
 FIG3_LABELS = "abcdefghijklmnopqr"
 FIG3_VALUES = {
     "a": (1, 1, 1), "b": (2, 1, 1), "c": (4, 3, 1),
@@ -45,6 +51,14 @@ def chain_profile(n: int, k: int) -> ReportProfile:
         i: ((n - i,) + (0,) * (k - 1), [i + 1] if i + 1 < n else [])
         for i in range(n)
     })
+
+
+def sold_out_in_layer_one() -> ReportProfile:
+    """seller -> 0 -> 1 -> {2, 3}, 2 -> 4, 3 -> 5, K = 1: |C_1^P| = 2 asks
+    for mu >= 2, but buyer 0 outbids everyone and takes the only unit in
+    layer 1, so LDM never builds R_2."""
+    return make_profile(1, {0}, {0: ((9,), {1}), 1: ((1,), {2, 3}), 2: ((1,), {4}),
+                                 3: ((1,), {5}), 4: ((1,), ()), 5: ((1,), ())})
 
 
 def fig3_ids(chars: str) -> set[int]:

@@ -11,7 +11,7 @@ from netauction.cli import build_parser, main
 from netauction.instance_io import serialize_instance
 from netauction.verify import MECHANISMS
 
-from conftest import DATA, chain_profile
+from conftest import DATA, DEEP_META, HUGE_K, chain_profile, sold_out_in_layer_one
 
 FIG3 = str(DATA / "fig3.json")
 FIG4 = str(DATA / "fig4.json")
@@ -173,6 +173,17 @@ def test_run_invalid_instance_exits_2(tmp_path, capsys):
     assert "non-increasing" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    (HUGE_K, "integer literal has too many digits"),
+    (DEEP_META, "arrays or objects nested too deeply"),
+], ids=["huge-integer", "deep-nesting"])
+def test_run_huge_integer_or_deep_nesting_exits_2(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(["run", str(path), "--mechanism", "ldm"], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_run_long_invitation_chain(tmp_path, capsys):
     chain = tmp_path / "chain.json"
     chain.write_text(serialize_instance(chain_profile(1500, 2)))
@@ -190,6 +201,14 @@ def test_run_mu_too_small_exits_3(capsys):
     code, _, err = run_cli(["run", FIG3, "--mechanism", "ldm", "--mu", "1"], capsys)
     assert code == 3
     assert "below the required bound" in err
+
+
+def test_run_mu_too_small_in_a_layer_ldm_never_processes_exits_3(tmp_path, capsys):
+    path = tmp_path / "deep_cp.json"
+    path.write_text(serialize_instance(sold_out_in_layer_one()))
+    code, out, err = run_cli(["run", str(path), "--mechanism", "ldm", "--mu", "1"], capsys)
+    assert (code, out, err) == (3, "", "error: mu=1 is below the required bound 2\n")
+    assert run_cli(["run", str(path), "--mechanism", "ldm", "--mu", "2"], capsys)[0] == 0
 
 
 def test_run_require_mu(tmp_path, capsys):
@@ -334,3 +353,32 @@ def test_byte_identical_reruns():
         ]
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].returncode == runs[1].returncode
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    code, traced, _ = run_cli(["run", FIG3, "--mechanism", "ldm", "--trace"], capsys)
+    assert code == 0 and "layer 1: SW=12" in traced
+    code, plain, _ = run_cli(["run", FIG3, "--mechanism", "ldm"], capsys)
+    assert code == 0 and "layer " not in plain
+    assert traced.startswith(plain)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", FIG3])  # no --mechanism: an argparse usage error
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(["run", FIG3, "--mechanism", "ldm"], capsys) == (0, plain, "")
+
+
+def help_text(parse_args, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv + ["--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [[], ["run"], ["verify"], ["search"], ["gen"], ["compare"]],
+                         ids=["top", "run", "verify", "search", "gen", "compare"])
+def test_help_matches_a_freshly_built_parser(command, capsys):
+    fresh = help_text(build_parser.__wrapped__().parse_args, command, capsys)
+    assert fresh.startswith("usage: netauction")
+    assert help_text(main, command, capsys) == fresh
+    assert help_text(main, command, capsys) == fresh

@@ -14,7 +14,7 @@ from netauction.instance_io import (
 )
 from netauction.market import build_bfs_tree, compute_market, validate_profile
 
-from conftest import DATA
+from conftest import DATA, DEEP_META, HUGE_K
 
 
 def test_parse_fig3_file():
@@ -59,6 +59,16 @@ def test_parse_errors():
         parse_instance('{"k": 1, "seller_neighbors": [], "buyers": {}, "extra": 1}')
     with pytest.raises(ParseError, match="buyer 'a': values must be an array"):
         parse_instance('{"k": 1, "seller_neighbors": [], "buyers": {"a": {"values": 5, "neighbors": []}}}')
+
+
+@pytest.mark.parametrize("text,message", [
+    (HUGE_K, "integer literal has too many digits"),
+    (DEEP_META, "arrays or objects nested too deeply"),
+], ids=["huge-integer", "deep-nesting"])
+def test_parse_refuses_huge_integers_and_deep_nesting(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert str(err.value) == message
 
 
 def test_parse_forwards_validation_errors():

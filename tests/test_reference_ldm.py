@@ -8,6 +8,7 @@ oracle as its own reserve argument."""
 import pytest
 
 from netauction.cli import _parse_gen_spec
+from netauction.errors import MuTooSmall
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance, random_instance
 from netauction.market import SELLER, build_bfs_tree, compute_market
 from netauction.mechanisms import inject_dummies, run_dna_mu, run_ldm, run_vcg_first_layer
@@ -15,7 +16,7 @@ from netauction.removed_sets import exclusion_set, layer_removed_set, removed_se
 from netauction.welfare import constrained_welfare
 
 import reference_ldm as ref
-from conftest import DATA
+from conftest import DATA, make_profile, sold_out_in_layer_one
 
 # The criterion-2 and criterion-3 generator streams.
 SMALL_STREAMS = (
@@ -92,3 +93,47 @@ def test_trace_matches_public_removed_and_exclusion_sets():
                 assert sw == constrained_welfare(market, kept, committed, market.k).welfare
             for i in tree.layers[rec.layer - 1]:
                 committed[i] = rec.tentative_units.get(i, 0)
+
+
+def dna_mu_rows(profile):
+    """DNA-MU's (buyer, price, won) rows, equal on the fast and the oracle path."""
+    market = compute_market(profile)
+    fast = run_dna_mu(build_bfs_tree(market))
+    assert_same(fast, ref.run_dna_mu(ref.build_bfs_tree(market)))
+    return [(row.buyer, row.price, row.won) for row in fast.trace.rows]
+
+
+def test_dna_mu_walk_counts_tied_first_units():
+    profile = make_profile(2, {0, 1, 2}, {i: ((5, 0), ()) for i in range(3)})
+    assert dna_mu_rows(profile) == [(0, 5, True), (1, 5, True)]
+
+
+def test_dna_mu_price_is_zero_when_fewer_buyers_remain_than_units():
+    # 0's subtree holds the only other buyer with a value, so no one is left
+    # to set her price; the same holds for every buyer down the chain
+    chain = make_profile(3, {0}, {0: ((4, 0, 0), {1}), 1: ((9, 0, 0), {2}),
+                                  2: ((7, 0, 0), ())})
+    assert dna_mu_rows(chain) == [(0, 0, True), (1, 0, True), (2, 0, True)]
+    wide = make_profile(3, {0, 1}, {0: ((4, 0, 0), {2}), 1: ((2, 0, 0), ()),
+                                    2: ((9, 0, 0), ())})
+    assert dna_mu_rows(wide) == [(0, 0, True), (1, 0, True), (2, 0, True)]
+
+
+def test_dna_mu_walk_skips_earlier_winners():
+    # 0 wins first, priced without her child 3; were 0 not skipped after
+    # that, 3 would face her 10 and lose instead of winning at 6
+    profile = make_profile(2, {0, 1, 2}, {0: ((10, 0), {3}), 1: ((3, 0), ()),
+                                          2: ((6, 0), ()), 3: ((8, 0), ())})
+    assert dna_mu_rows(profile) == [(0, 3, True), (1, 8, False), (2, 8, False),
+                                    (3, 6, True)]
+
+
+def test_mu_is_checked_against_a_layer_ldm_never_processes():
+    market = compute_market(sold_out_in_layer_one())
+    for run in (run_ldm, ref.run_ldm):
+        with pytest.raises(MuTooSmall) as err:
+            run(market, 1)
+        assert (err.value.required, err.value.given) == (2, 1)
+    out = run_ldm(market, 2)
+    assert_same(out, ref.run_ldm(market, 2))
+    assert [rec.layer for rec in out.trace.layers] == [1]

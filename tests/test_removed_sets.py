@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from netauction import removed_sets
 from netauction.errors import ContractError, MuTooSmall
 from netauction.market import ReportedType, build_bfs_tree, compute_market
 from netauction.removed_sets import (
@@ -13,11 +14,12 @@ from netauction.removed_sets import (
     min_valid_mu,
     potential_inviters,
     potential_winners,
+    removed_set_of,
     removed_sets_for,
     robust_mu,
 )
 
-from conftest import FIG3_LABELS, fig3_ids, make_profile
+from conftest import FIG3_LABELS, fig3_ids, make_profile, sold_out_in_layer_one
 
 
 def lid(c):
@@ -185,3 +187,23 @@ def test_observation2_invitation_stability():
             dev_set = removed_sets_for(dev_tree, mu)[1]
             if 2 in truthful and 2 in dev_set:
                 assert dev_set == truthful
+
+
+def test_winners_are_ranked_only_for_the_layers_asked_for(monkeypatch):
+    # mu is checked against |C_1^P| = 2 up front, but only layer 1's C^R is
+    # built while R_1 is the only set read
+    tree = build_bfs_tree(compute_market(sold_out_in_layer_one()))
+    ranked = []
+
+    def counting(tree, i, inviters, mu):
+        ranked.append(i)
+        return removed_set_of(tree, i, inviters, mu)
+
+    monkeypatch.setattr(removed_sets, "removed_set_of", counting)
+    with pytest.raises(MuTooSmall):
+        next(removed_sets.layer_removed_sets(tree, 1))
+    assert ranked == []
+    layers = removed_sets.layer_removed_sets(tree, 2)
+    assert next(layers) == {1, 2, 3, 4, 5}
+    assert ranked == [0]
+    assert next(layers) == {2, 3, 4, 5} and ranked == [0, 1]
