@@ -29,9 +29,8 @@ from .instance_io import (
     random_instance,
     serialize_instance,
 )
-from .market import Market, ReportProfile, build_bfs_tree, compute_market
+from .market import Market, ReportProfile, compute_market
 from .mechanisms import LdmTrace, Outcome, inject_dummies, outcome_welfare
-from .removed_sets import min_valid_mu
 from .verify import (
     MECHANISMS,
     PROPERTY_NAMES,
@@ -67,18 +66,17 @@ def _instances(args) -> list[ReportProfile]:
     return list(instance_stream(_parse_gen_spec(args.gen), args.count))
 
 
-def _resolve_run_mu(market: Market, override: int | None,
-                    require_mu: bool) -> int:
+def _resolve_run_mu(profile: ReportProfile, override: int | None,
+                    require_mu: bool) -> int | None:
+    """--mu, else the instance's mu; None lets LDM run at its BFS tree's
+    minimum valid bound, so the tree is built once."""
     if override is not None:
         return override
-    if market.profile.mu is not None:
-        return market.profile.mu
+    if profile.mu is not None:
+        return profile.mu
     if require_mu:
         raise ValidationError(None, "instance has no mu and --require-mu is set")
-    fallback = min_valid_mu(build_bfs_tree(market))
-    print(f"warning: mu missing, defaulting to min valid bound {fallback} "
-          "(post-hoc, not a prior)", file=sys.stderr)
-    return fallback
+    return None
 
 
 def _parse_gen_spec(spec: str) -> GeneratorConfig:
@@ -201,8 +199,12 @@ def cmd_run(args) -> int:
         profile = inject_dummies(profile, args.reserve)
     market = compute_market(profile)
     entry = MECHANISMS[args.mechanism]
-    mu = _resolve_run_mu(market, args.mu, args.require_mu) if entry.layered else 0
+    mu = _resolve_run_mu(profile, args.mu, args.require_mu) if entry.layered else 0
     outcome = entry.run(market, mu)
+    if mu is None:
+        mu = outcome.trace.mu
+        print(f"warning: mu missing, defaulting to min valid bound {mu} "
+              "(post-hoc, not a prior)", file=sys.stderr)
     _print_outcome(_outcome_doc(market, args.mechanism, mu, outcome, args.trace),
                    args.format)
     return 0
@@ -302,9 +304,9 @@ def cmd_compare(args) -> int:
     rows = []
     for index, profile in enumerate(instances):
         market = compute_market(profile)
-        mu = args.mu if args.mu is not None else (
-            profile.mu if profile.mu is not None
-            else min_valid_mu(build_bfs_tree(market)))
+        # with neither, LDM runs at each market's minimum valid mu; reserve
+        # dummies invite no one, so a reserve leaves that bound unchanged
+        mu = args.mu if args.mu is not None else profile.mu
         for r in reserves:
             priced = market if r is None else compute_market(inject_dummies(profile, r))
             rows.append((index, r, compare_vs_vcg(priced, mu)))

@@ -31,8 +31,9 @@ from .market import (
     cumulative_value,
     is_dummy,
 )
-from .removed_sets import layer_removed_sets, potential_inviters, removed_set_of
-from .welfare import WelfarePool, WelfareResult
+from .removed_sets import (layer_removed_sets, min_valid_mu, potential_inviters,
+                           removed_set_holding)
+from .welfare import RankedMarginals, WelfarePool, WelfareResult, _check_problem
 
 
 @dataclass(frozen=True)
@@ -226,7 +227,7 @@ def _ldm_payment(tree: TreeMarket, pool: WelfarePool, layer_opt: WelfareResult,
     return sw_d, sw_d - (layer_opt.welfare - value)
 
 
-def run_ldm_tree(tree: TreeMarket, mu: int, order: Sequence[BuyerId] | None = None,
+def run_ldm_tree(tree: TreeMarket, mu: int | None, order: Sequence[BuyerId] | None = None,
                  want_trace: bool = True) -> Outcome:
     """Layer-based diffusion mechanism on a rooted tree.
 
@@ -237,9 +238,12 @@ def run_ldm_tree(tree: TreeMarket, mu: int, order: Sequence[BuyerId] | None = No
     zeroing the deeper layers. Each layer sorts one welfare pool; every
     SW_{-D_i} of the layer is a walk over it.
 
-    `order` optionally reorders the within-layer buyer loop (a testing hook;
-    the outcome provably does not depend on it).
+    mu None runs at the smallest valid mu, `min_valid_mu(tree)`. `order`
+    optionally reorders the within-layer buyer loop (a testing hook; the
+    outcome provably does not depend on it).
     """
+    if mu is None:
+        mu = min_valid_mu(tree)
     market = tree.market
     valid = market.valid
     units = {i: 0 for i in valid if not is_dummy(i)}
@@ -289,52 +293,49 @@ def ldm_value_rerun(tree: TreeMarket, mu: int, i: BuyerId) -> ValueRerun:
     """i's (units, payment) under `run_ldm_tree(tree.with_values(i, v), mu)`,
     as a function of her value report v.
 
-    With i in layer L, each call replays only layers L-1 and L. Layers up to
-    L-2 never see i, since R_l holds every layer >= l+2; the only removed set
-    that reads her value is her parent's C^W ranking, inside R_{L-1}; and her
-    units and payment are final once layer L is processed (the argument is in
-    notes/decisions.md). So mu is checked, the layers up to L-2 committed, and
-    R_L built once. If those layers sell every unit, i gets (0, 0) whatever
-    she reports.
+    With i in layer L and parent p, the only removed set that reads v is
+    C^R_p, inside R_{L-1}, and i's units and payment are final once layer L
+    is processed. Every v that puts i in C^R_p leaves the layers before L as
+    they are; for any other v, at least K of her siblings outrank her in
+    layer L, and the answer below is (0, 0) whatever those layers did (the
+    argument is in notes/decisions.md). So mu is checked, the layers before
+    L committed with i in C^R_p, and layer L's free pool sorted once, here.
+    Per vector, i's units are her merged rank in that pool and her payment
+    two prefix sums: O(k log n), with no pool built and nothing sorted. If
+    the layers before L sell every unit, i gets (0, 0) whatever she reports.
     """
     market = tree.market
     layer = market.layer_of[i]
     removed = layer_removed_sets(tree, mu)
     committed: dict[BuyerId, int] = {}
     k_remain = market.k
-    for members, r_l in zip(tree.layers[:max(layer - 2, 0)], removed):
+    for l, (members, r_l) in enumerate(zip(tree.layers[:layer - 1], removed), start=1):
+        if l == layer - 1:
+            parent = next(j for j in members if i in tree.children[j])
+            # the parent's children are in R_{L-1} only through her C^R
+            r_l = (r_l - tree.children[parent]) | removed_set_holding(
+                tree, parent, potential_inviters(tree, parent), mu, i)
         k_remain -= _ldm_layer(market, members, market.valid - r_l, committed)[2]
         if k_remain == 0:
             return lambda v: (0, 0)
-    if layer > 1:
-        parent = next(j for j in tree.layers[layer - 2] if i in tree.children[j])
-        inviters = potential_inviters(tree, parent)
-        # R_{L-1} without the parent's C^R, a subset of her children
-        r_prev_rest = next(removed) - tree.children[parent]
-    included_own = market.valid - next(removed)
-    # i's reports are swapped in place in a private copy of the profile
-    reports = dict(market.profile.reports)
-    own = TreeMarket(replace(market, profile=replace(market.profile, reports=reports)),
-                     tree.children)
-    invited = reports[i].invited
+    included = market.valid - next(removed)
+    _check_problem(market, included, committed, market.k)
+    if is_dummy(i):
+        return lambda v: (0, 0)
+    reports = market.profile.reports
+    others = RankedMarginals(reports, included.difference(committed, (i,)))
+    sw_d = RankedMarginals(
+        reports, included.difference(committed, tree.children[i], (i,))).top(k_remain)
 
     def rerun(v: ValuationVector) -> tuple[int, Money]:
-        reports[i] = ReportedType(v, invited)
-        fixed = dict(committed)
-        left = k_remain
-        if layer > 1:
-            r_prev = r_prev_rest | removed_set_of(own, parent, inviters, mu)
-            left -= _ldm_layer(own.market, own.layers[layer - 2], own.valid - r_prev, fixed)[2]
-            if left == 0:
-                return 0, 0
-        pool, layer_opt, _ = _ldm_layer(own.market, (), included_own, fixed)
-        if is_dummy(i):
-            return 0, 0
-        return layer_opt.units_of(i), _ldm_payment(own, pool, layer_opt, i)[1]
+        units = others.units_of(i, v, k_remain)
+        # p_i = SW_{-D_i} - (SW_L - v_i(units)); the committed buyers' welfare cancels
+        return units, sw_d - others.top(k_remain - units)
 
     return rerun
 
 
-def run_ldm(market: Market, mu: int) -> Outcome:
-    """LDM on general graphs: BFS-tree the market, then run LDM-Tree."""
+def run_ldm(market: Market, mu: int | None) -> Outcome:
+    """LDM on general graphs: BFS-tree the market, then run LDM-Tree (mu None:
+    at the tree's smallest valid mu)."""
     return run_ldm_tree(build_bfs_tree(market), mu)

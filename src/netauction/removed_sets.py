@@ -87,18 +87,39 @@ def _checked_inviter_sets(tree: TreeMarket, mu: int) -> dict[BuyerId, frozenset[
 def removed_set_of(tree: TreeMarket, i: BuyerId, inviters: frozenset[BuyerId],
                    mu: int) -> frozenset[BuyerId]:
     """C_i^R from i's C_i^P: the inviters plus C_i^W, the top K + mu - |C_i^P|
-    other children by first-unit value, ties to the smaller id. The only
-    place LDM ranks buyers by value; mu is not checked here.
+    other children by first-unit value, ties to the smaller id. mu is not
+    checked here.
     """
     children = tree.children[i]
     quota = tree.k + mu - len(inviters)
     if len(children) - len(inviters) <= quota:
         return children  # every other child fits the quota: no ranking needed
-    candidates = sorted(
-        (j for j in children if j not in inviters),
-        key=lambda j: (-tree.first_unit(j), j),
-    )
-    return inviters | frozenset(candidates[:quota])
+    return inviters | frozenset(_ranked_candidates(tree, i, inviters)[:quota])
+
+
+def _ranked_candidates(tree: TreeMarket, i: BuyerId,
+                       inviters: frozenset[BuyerId]) -> list[BuyerId]:
+    """i's children outside C_i^P, larger first-unit value first, ties to the
+    smaller id: the only place LDM ranks buyers by value."""
+    return sorted((j for j in tree.children[i] if j not in inviters),
+                  key=lambda j: (-tree.first_unit(j), j))
+
+
+def removed_set_holding(tree: TreeMarket, i: BuyerId, inviters: frozenset[BuyerId], mu: int,
+                        j: BuyerId) -> frozenset[BuyerId]:
+    """C_i^R for every first-unit value of i's child j that puts j in it.
+
+    That is `removed_set_of` when j is in C_i^P or every child outside C_i^P
+    fits the quota, for then C_i^R holds j whatever she reports. Otherwise j
+    is in C_i^W iff she ranks ahead of the quota-th other candidate, and C_i^R
+    is C_i^P, j and the candidates ahead of that one.
+    """
+    children = tree.children[i]
+    quota = tree.k + mu - len(inviters)
+    if j in inviters or len(children) - len(inviters) <= quota:
+        return removed_set_of(tree, i, inviters, mu)
+    others = [c for c in _ranked_candidates(tree, i, inviters) if c != j]
+    return inviters.union(others[:quota - 1], (j,))
 
 
 def layer_removed_sets(tree: TreeMarket, mu: int) -> Iterator[frozenset[BuyerId]]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from math import comb
 from typing import Callable, Iterable, Sequence
 
@@ -108,12 +108,13 @@ class RegisteredMechanism:
 
     A `layered` mechanism takes mu and admits the LDM-only properties; the
     others ignore mu. `run` applies the mechanism to a computed market with
-    mu (a reserve price is already in the market, see `inject_dummies`);
+    mu, None running a layered one at its smallest valid mu (a reserve price
+    is already in the market, see `inject_dummies`);
     `checked` builds the black box that the checkers rerun.
     """
 
     layered: bool
-    run: Callable[[Market, int], Outcome]
+    run: Callable[[Market, int | None], Outcome]
     checked: Callable[[int], MechanismUnderTest]
 
     def pinned_mu(self, instance: ReportProfile, mu: int | None = None) -> int:
@@ -201,19 +202,40 @@ def _shrunk_invitations(mechanism: MechanismUnderTest, profile: ReportProfile, j
         yield reduced, mechanism.run(profile.with_report(j, reduced))
 
 
-def _own_deviations(mechanism: MechanismUnderTest, instance: ReportProfile, kind: str,
-                    violates: Callable[[Money, Money], bool]) -> list[DeviationReport]:
-    """Every valid buyer's invitation reports, the full one included, whose
-    utility u has `violates(u, u_full)`; the full one reuses the truthful run."""
-    violations: list[DeviationReport] = []
+# Each valid buyer with her true-value utility under every report of her
+# invitations, the full report first.
+InvitationUtilities = list[tuple[BuyerId, list[tuple[ReportedType, Money]]]]
+
+
+def _invitation_utilities(mechanism: MechanismUnderTest,
+                         instance: ReportProfile) -> InvitationUtilities:
+    """What `check_ir` and `check_invitation_ic` scan: one run of the full
+    report, reused for every buyer, and one per proper invitation subset."""
+    table: InvitationUtilities = []
     full = mechanism.run(instance)
     for i in sorted(compute_market(instance).valid):
         truthful = instance.reports[i]
-        u_full = utility_of(instance, i, full)
-        scanned = [(truthful, u_full)]
+        scanned = [(truthful, utility_of(instance, i, full))]
         if truthful.invited:  # no invitations: the full report is the only one
             scanned += ((report, utility_of(instance, i, outcome))
                         for report, outcome in _shrunk_invitations(mechanism, instance, i))
+        table.append((i, scanned))
+    return table
+
+
+def _own_deviations(mechanism: MechanismUnderTest, instance: ReportProfile, kind: str,
+                    violates: Callable[[Money, Money], bool],
+                    utilities: Callable[[], InvitationUtilities] | None,
+                    ) -> list[DeviationReport]:
+    """Every invitation report whose utility u has `violates(u, u_full)`.
+
+    `utilities` returns `_invitation_utilities(mechanism, instance)`;
+    `run_properties` passes one that computes it once for both checks.
+    """
+    table = utilities() if utilities else _invitation_utilities(mechanism, instance)
+    violations: list[DeviationReport] = []
+    for i, scanned in table:
+        truthful, u_full = scanned[0]
         for report, u in scanned:
             if violates(u, u_full):
                 violations.append(DeviationReport(
@@ -229,20 +251,23 @@ def _own_deviations(mechanism: MechanismUnderTest, instance: ReportProfile, kind
     return sorted(violations, key=DeviationReport.sort_key)
 
 
-def check_ir(mechanism: MechanismUnderTest, instance: ReportProfile) -> list[DeviationReport]:
+def check_ir(mechanism: MechanismUnderTest, instance: ReportProfile,
+             utilities: Callable[[], InvitationUtilities] | None = None,
+             ) -> list[DeviationReport]:
     """Truthful values, every invitation subset: utility must be >= 0.
 
     Returned reports have deviating_utility < 0; truthful_utility is the
     full-invitation utility for context.
     """
-    return _own_deviations(mechanism, instance, "ir", lambda u, u_full: u < 0)
+    return _own_deviations(mechanism, instance, "ir", lambda u, u_full: u < 0, utilities)
 
 
-def check_invitation_ic(mechanism: MechanismUnderTest,
-                        instance: ReportProfile) -> list[DeviationReport]:
+def check_invitation_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
+                        utilities: Callable[[], InvitationUtilities] | None = None,
+                        ) -> list[DeviationReport]:
     """Truthful values: full invitation must dominate every proper subset."""
     return _own_deviations(mechanism, instance, "invitation-ic",
-                           lambda u, u_full: u > u_full)
+                           lambda u, u_full: u > u_full, utilities)
 
 
 def _grid_vector(r: int, v_cap: int, k: int) -> ValuationVector:
@@ -364,8 +389,9 @@ class VcgComparison:
         return self.ldm_revenue >= self.vcg_revenue
 
 
-def compare_vs_vcg(market: Market, mu: int) -> VcgComparison:
-    """LDM and first-layer VCG on the same market (and so the same reserve)."""
+def compare_vs_vcg(market: Market, mu: int | None) -> VcgComparison:
+    """LDM (mu None: at its smallest valid mu) and first-layer VCG on the same
+    market, and so the same reserve."""
     ldm = run_ldm(market, mu)
     vcg = run_vcg_first_layer(market)
     return VcgComparison(
@@ -530,19 +556,20 @@ def _deviations(reports: list[DeviationReport]) -> tuple:
     return (not reports, "", tuple(reports))
 
 
-def _non_wasteful(mech: MechanismUnderTest, instance: ReportProfile, mu: int) -> tuple:
+def _non_wasteful(mech: MechanismUnderTest, instance: ReportProfile, mu: int, utilities) -> tuple:
     ok = check_non_wasteful(mech.run(instance), instance)
     return (ok, "" if ok else "units unsold", ())
 
 
-def _dominance(mech: MechanismUnderTest, instance: ReportProfile, mu: int) -> tuple:
+def _dominance(mech: MechanismUnderTest, instance: ReportProfile, mu: int, utilities) -> tuple:
     cmp = compare_vs_vcg(compute_market(instance), mu)
     return (cmp.welfare_dominates and cmp.revenue_dominates,
             f"welfare {cmp.ldm_welfare} vs {cmp.vcg_welfare}, "
             f"revenue {cmp.ldm_revenue} vs {cmp.vcg_revenue}", ())
 
 
-def _decomposition(mech: MechanismUnderTest, instance: ReportProfile, mu: int) -> tuple:
+def _decomposition(mech: MechanismUnderTest, instance: ReportProfile, mu: int,
+                   utilities) -> tuple:
     market = compute_market(instance)
     tree = build_bfs_tree(market)
     out = run_ldm_tree(tree, mu)
@@ -555,23 +582,30 @@ def _decomposition(mech: MechanismUnderTest, instance: ReportProfile, mu: int) -
     return (ok, "" if ok else f"layer-1 charge bound: {first}, cross-layer bound: {second}", ())
 
 
-def _order_independence(mech: MechanismUnderTest, instance: ReportProfile, mu: int) -> tuple:
+def _order_independence(mech: MechanismUnderTest, instance: ReportProfile, mu: int,
+                        utilities) -> tuple:
     ok = check_order_independence(instance, mu)
     return (ok, "" if ok else "order changed outcome", ())
 
 
 # Property name -> (check, ldm_only). A check maps (mechanism, instance, pinned
-# mu) to PropertyResult's (ok, detail, reports). Checkers are looked up by name
-# when called, so wrappers installed on this module see every call.
-PROPERTIES: dict[str, tuple[Callable[[MechanismUnderTest, ReportProfile, int], tuple], bool]] = {
-    "ir": (lambda mech, inst, mu: _deviations(check_ir(mech, inst)), False),
-    "invite-ic": (lambda mech, inst, mu: _deviations(check_invitation_ic(mech, inst)), False),
-    "value-ic": (lambda mech, inst, mu: _deviations(check_value_ic(mech, inst)), False),
+# mu, invitation utilities) to PropertyResult's (ok, detail, reports); the last
+# is `run_properties`'s shared `_invitation_utilities`. Checkers are looked up by
+# name when called, so wrappers installed on this module see every call.
+PropertyCheck = Callable[
+    [MechanismUnderTest, ReportProfile, int, Callable[[], InvitationUtilities]], tuple]
+PROPERTIES: dict[str, tuple[PropertyCheck, bool]] = {
+    "ir": (lambda mech, inst, mu, utilities: _deviations(check_ir(mech, inst, utilities)),
+           False),
+    "invite-ic": (lambda mech, inst, mu, utilities:
+                  _deviations(check_invitation_ic(mech, inst, utilities)), False),
+    "value-ic": (lambda mech, inst, mu, utilities: _deviations(check_value_ic(mech, inst)),
+                 False),
     "non-wasteful": (_non_wasteful, False),
     "dominance": (_dominance, True),
     "decomposition": (_decomposition, True),
-    "child-monotonicity": (
-        lambda mech, inst, mu: _deviations(check_child_monotonicity(mech, inst)), False),
+    "child-monotonicity": (lambda mech, inst, mu, utilities:
+                           _deviations(check_child_monotonicity(mech, inst)), False),
     "order-independence": (_order_independence, True),
 }
 PROPERTY_NAMES = tuple(PROPERTIES)
@@ -583,12 +617,15 @@ def run_properties(instance: ReportProfile, mechanism_name: str,
     """Run the named property checks for one instance, in the given order.
 
     Properties marked `ldm_only` in `PROPERTIES` refuse unlayered mechanisms.
+    "ir" and "invite-ic" scan one `_invitation_utilities` table, computed by
+    whichever of them runs first.
     """
     entry = MECHANISMS.get(mechanism_name)
     if entry is None:
         raise ContractError(f"unknown mechanism {mechanism_name!r}")
     pinned = entry.pinned_mu(instance, mu)
     mech = entry.checked(pinned)
+    utilities = cache(partial(_invitation_utilities, mech, instance))
     results: list[PropertyResult] = []
     for prop in properties:
         if prop not in PROPERTIES:
@@ -596,7 +633,7 @@ def run_properties(instance: ReportProfile, mechanism_name: str,
         check, ldm_only = PROPERTIES[prop]
         if ldm_only and not entry.layered:
             raise ContractError(f"property {prop!r} requires the ldm mechanism")
-        results.append(PropertyResult(prop, *check(mech, instance, pinned)))
+        results.append(PropertyResult(prop, *check(mech, instance, pinned, utilities)))
     return results
 
 

@@ -1,5 +1,5 @@
-"""Slow, obvious versions of the BFS tree, the removed sets, DNA-MU, LDM-Tree
-and first-layer VCG.
+"""Slow, obvious versions of the BFS tree, the removed sets, DNA-MU, LDM-Tree,
+first-layer VCG and LDM's value rerun.
 
 The oracle for the fast paths in `netauction.market`,
 `netauction.removed_sets` and `netauction.mechanisms`, in the pattern of
@@ -9,12 +9,15 @@ from a scan of the whole previous layer, DNA-MU reads every buyer's
 descendant set built up front by recursion, and each buyer's C^P and C^W are
 built one buyer at a time. Testing use only; it must never share code with
 the sorted welfare pool, the linear tree construction or
-`netauction.removed_sets`.
+`netauction.removed_sets`. The one exception is `ldm_value_rerun`, the
+rerun that replays layers L-1 and L with fresh pools for every vector: it is
+built from the library's own per-layer step, so it is compared with the
+black box as well as with the merged-rank rerun that replaced it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from netauction.errors import MuTooSmall
 from netauction.market import (
@@ -22,7 +25,9 @@ from netauction.market import (
     BuyerId,
     Market,
     Money,
+    ReportedType,
     TreeMarket,
+    ValuationVector,
     compute_market,
     cumulative_value,
     is_dummy,
@@ -33,9 +38,13 @@ from netauction.mechanisms import (
     LayerRecord,
     LdmTrace,
     Outcome,
+    ValueRerun,
     VcgTrace,
+    _ldm_layer,
+    _ldm_payment,
     inject_dummies,
 )
+from netauction.removed_sets import layer_removed_sets, removed_set_of
 from netauction.welfare import constrained_welfare, kth_highest_first_unit
 
 
@@ -238,3 +247,49 @@ def run_ldm(market: Market, mu: int, reserve: int | None = None) -> Outcome:
     units = {i: m for i, m in out.units.items() if not is_dummy(i)}
     payments = {i: p for i, p in out.payments.items() if not is_dummy(i)}
     return Outcome(units=units, payments=payments, trace=out.trace)
+
+
+def ldm_value_rerun(tree: TreeMarket, mu: int, i: BuyerId) -> ValueRerun:
+    """i's (units, payment) under `run_ldm_tree(tree.with_values(i, v), mu)`,
+    replaying layers L-1 and L for every vector v, with i in layer L.
+
+    Layers up to L-2 are committed once; if they sell every unit, i gets
+    (0, 0). Per vector, i's report is swapped in a private copy of the
+    profile, her parent's C^R re-ranked, and both layers solved with fresh
+    welfare pools.
+    """
+    market = tree.market
+    layer = market.layer_of[i]
+    removed = layer_removed_sets(tree, mu)
+    committed: dict[BuyerId, int] = {}
+    k_remain = market.k
+    for members, r_l in zip(tree.layers[:max(layer - 2, 0)], removed):
+        k_remain -= _ldm_layer(market, members, market.valid - r_l, committed)[2]
+        if k_remain == 0:
+            return lambda v: (0, 0)
+    if layer > 1:
+        parent = next(j for j in tree.layers[layer - 2] if i in tree.children[j])
+        inviters = potential_inviters(tree, parent)
+        # R_{L-1} without the parent's C^R, a subset of her children
+        r_prev_rest = next(removed) - tree.children[parent]
+    included_own = market.valid - next(removed)
+    reports = dict(market.profile.reports)
+    own = TreeMarket(replace(market, profile=replace(market.profile, reports=reports)),
+                     tree.children)
+    invited = reports[i].invited
+
+    def rerun(v: ValuationVector) -> tuple[int, Money]:
+        reports[i] = ReportedType(v, invited)
+        fixed = dict(committed)
+        left = k_remain
+        if layer > 1:
+            r_prev = r_prev_rest | removed_set_of(own, parent, inviters, mu)
+            left -= _ldm_layer(own.market, own.layers[layer - 2], own.valid - r_prev, fixed)[2]
+            if left == 0:
+                return 0, 0
+        pool, layer_opt, _ = _ldm_layer(own.market, (), included_own, fixed)
+        if is_dummy(i):
+            return 0, 0
+        return layer_opt.units_of(i), _ldm_payment(own, pool, layer_opt, i)[1]
+
+    return rerun

@@ -223,6 +223,44 @@ def test_run_require_mu(tmp_path, capsys):
     assert "warning" in err
 
 
+def counting_tree_builds(monkeypatch):
+    """Count `build_bfs_tree` calls through every module that imported it."""
+    import netauction
+    from netauction import market
+
+    calls = []
+    original = market.build_bfs_tree
+
+    def counted(m):
+        calls.append(1)
+        return original(m)
+
+    for module in (market, *(getattr(netauction, name) for name in
+                             ("mechanisms", "verify", "cli", "removed_sets"))):
+        if getattr(module, "build_bfs_tree", None) is original:
+            monkeypatch.setattr(module, "build_bfs_tree", counted)
+    return calls
+
+
+def test_defaulted_mu_builds_the_tree_once(tmp_path, monkeypatch, capsys):
+    doc = json.loads((DATA / "fig3.json").read_text())
+    del doc["mu"]
+    path = tmp_path / "nomu.json"
+    path.write_text(json.dumps(doc))
+    # fig3's largest C^P has 2 members, so the defaulted run is the --mu 2 run
+    _, pinned, _ = run_cli(["run", str(path), "--mechanism", "ldm", "--mu", "2", "--trace"],
+                           capsys)
+    calls = counting_tree_builds(monkeypatch)
+    assert run_cli(["run", str(path), "--mechanism", "ldm", "--trace"], capsys) == (
+        0, pinned,
+        "warning: mu missing, defaulting to min valid bound 2 (post-hoc, not a prior)\n")
+    assert len(calls) == 1
+    _, pinned, _ = run_cli(["compare", str(path), "--mu", "2"], capsys)
+    calls.clear()
+    assert run_cli(["compare", str(path)], capsys) == (0, pinned, "")
+    assert len(calls) == 1
+
+
 def test_verify_t4_all_green(capsys):
     code, out, _ = run_cli(["verify", T4, "--mechanism", "ldm", "--all"], capsys)
     assert code == 0

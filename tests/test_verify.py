@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from netauction import verify
 from netauction.errors import ContractError, SearchBudgetExceeded, TraceMissing
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance
 from netauction.market import build_bfs_tree, compute_market, cumulative_value
@@ -374,3 +375,26 @@ def test_vcg_mechanism_is_ir_and_value_ic_first_layer():
     })
     assert check_ir(vcg_mechanism(), profile) == []
     assert check_value_ic(vcg_mechanism(), profile) == []
+
+
+@pytest.mark.parametrize("name, runner", [("ldm", "run_ldm"), ("dna-mu", "run_dna_mu")])
+def test_ir_and_invite_ic_share_one_invitation_enumeration(monkeypatch, counterexample_profile,
+                                                           name, runner):
+    calls = []
+    original = getattr(verify, runner)
+    monkeypatch.setattr(verify, runner, lambda *args: calls.append(1) or original(*args))
+    config = GeneratorConfig(seed=302, buyers=(2, 8), k=(1, 3), topology="graph",
+                             edge_density=0.15)
+    violated = []
+    for profile in [counterexample_profile, *instance_stream(config, 8)]:
+        runs, results = {}, {}
+        for props in (("ir",), ("invite-ic",), ("ir", "invite-ic"), ("invite-ic", "ir")):
+            calls.clear()
+            results[props] = {r.prop: r for r in run_properties(profile, name, props)}
+            runs[props] = len(calls)
+        assert len(set(runs.values())) == 1
+        for props in (("ir", "invite-ic"), ("invite-ic", "ir")):
+            assert results[props] == {**results[("ir",)], **results[("invite-ic",)]}
+        violated.append(not results[("invite-ic",)]["invite-ic"].ok)
+    # the DNA-MU counterexample's reports come through the shared table too
+    assert violated[0] == (name == "dna-mu")
