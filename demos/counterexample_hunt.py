@@ -9,7 +9,7 @@ Run:  python demos/counterexample_hunt.py
 """
 
 from netauction.instance_io import GeneratorConfig, instance_stream, serialize_instance
-from netauction.market import build_bfs_tree, compute_market
+from netauction.market import compute_market
 from netauction.mechanisms import run_dna_mu
 from netauction.removed_sets import robust_mu
 from netauction.verify import dna_mu_mechanism, ldm_mechanism, search_counterexample
@@ -30,9 +30,9 @@ def main():
     print(f"  utility when inviting everyone: {report.truthful_utility}")
     print(f"  utility after hiding:           {report.deviating_utility}")
 
-    truthful = run_dna_mu(build_bfs_tree(compute_market(report.instance)))
-    deviated = run_dna_mu(build_bfs_tree(compute_market(
-        report.instance.with_report(report.buyer, report.deviating_report))))
+    truthful = run_dna_mu(compute_market(report.instance))
+    deviated = run_dna_mu(compute_market(
+        report.instance.with_report(report.buyer, report.deviating_report)))
     print(f"  truthful outcome: units {truthful.units_of(report.buyer)}, "
           f"pays {truthful.payment_of(report.buyer)}")
     print(f"  deviated outcome: units {deviated.units_of(report.buyer)}, "

@@ -11,7 +11,7 @@ Run:  python demos/multi_unit_misreport.py
 """
 
 from netauction.instance_io import GeneratorConfig, instance_stream
-from netauction.market import build_bfs_tree, compute_market
+from netauction.market import compute_market
 from netauction.mechanisms import Outcome
 from netauction.removed_sets import robust_mu
 from netauction.verify import MechanismUnderTest, check_value_ic, ldm_mechanism
@@ -20,18 +20,17 @@ from netauction.verify import MechanismUnderTest, check_value_ic, ldm_mechanism
 def naive_multi_unit_dna(profile):
     """Sequential pricing over full marginal vectors; demonstration only."""
     market = compute_market(profile)
-    tree = build_bfs_tree(market)
     k_remaining = profile.k
     winners: set = set()
     units = {i: 0 for i in market.valid}
     payments = {i: 0 for i in market.valid}
-    for layer in tree.layers:
+    for layer in market.layers:
         if k_remaining == 0:
             break
         for i in sorted(layer):
             if k_remaining == 0:
                 break
-            pool = market.valid - tree.subtree(i) - winners - {i}
+            pool = market.valid - market.subtree(i) - winners - {i}
             marginals = sorted(
                 (v for j in pool for v in market.values_of(j)), reverse=True)
             values = market.values_of(i)

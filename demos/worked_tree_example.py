@@ -9,7 +9,7 @@ diffusing) come from, then compare against plain first-layer VCG.
 Run:  python demos/worked_tree_example.py
 """
 
-from netauction.market import ReportProfile, ReportedType, build_bfs_tree, compute_market, validate_profile
+from netauction.market import ReportProfile, ReportedType, compute_market, validate_profile
 from netauction.mechanisms import outcome_welfare, run_ldm_tree, run_vcg_first_layer
 from netauction.removed_sets import min_valid_mu, potential_inviters, potential_winners
 
@@ -44,17 +44,16 @@ def names(ids, group):
 
 def main():
     ids, market = build_market()
-    tree = build_bfs_tree(market)
-    print("layers:", " | ".join(names(ids, layer) for layer in tree.layers))
+    print("layers:", " | ".join(names(ids, layer) for layer in market.layers))
 
-    mu = min_valid_mu(tree)
+    mu = min_valid_mu(market)
     print(f"\nsmallest valid mu: {mu} (largest count of children-with-children)")
     for c in ("b", "g"):
         i = ids[c]
-        print(f"  buyer {c}: diffusers C^P = {names(ids, potential_inviters(tree, i))}, "
-              f"potential winners C^W = {names(ids, potential_winners(tree, i, mu))}")
+        print(f"  buyer {c}: diffusers C^P = {names(ids, potential_inviters(market, i))}, "
+              f"potential winners C^W = {names(ids, potential_winners(market, i, mu))}")
 
-    outcome = run_ldm_tree(tree, mu)
+    outcome = run_ldm_tree(market, mu)
     print("\nper-layer run:")
     for rec in outcome.trace.layers:
         print(f"  layer {rec.layer}: economy {names(ids, rec.included)}")

@@ -15,7 +15,6 @@ from .errors import (
     OverCommitted,
     ParseError,
     SearchBudgetExceeded,
-    TooLarge,
     TraceMissing,
     ValidationError,
 )
@@ -56,7 +55,6 @@ from .welfare import (
     Allocation,
     WelfarePool,
     WelfareResult,
-    brute_force_welfare,
     constrained_welfare,
     kth_highest_first_unit,
 )

@@ -212,7 +212,10 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     instances = _instances(args)
-    properties = CLI_PROPERTIES if args.all else tuple(args.property.split(","))
+    if args.all:
+        properties = tuple(filter(MECHANISMS[args.mechanism].admits, CLI_PROPERTIES))
+    else:
+        properties = tuple(args.property.split(","))
     # Every instance is checked before anything is printed, so an error exits
     # with empty stdout.
     all_results = [run_properties(profile, args.mechanism, properties, mu=args.mu)
@@ -355,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mechanism", choices=MECHANISMS, required=True)
     p_verify.add_argument("--property", default="ir",
                           help=f"comma list from: {', '.join(CLI_PROPERTIES)}")
-    p_verify.add_argument("--all", action="store_true", help="run every property")
+    p_verify.add_argument("--all", action="store_true",
+                          help="run every property the mechanism admits")
     p_verify.add_argument("--mu", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -42,10 +42,6 @@ class FixedOutsideIncluded(NetAuctionError):
     """A fixed buyer is not part of the included buyer set."""
 
 
-class TooLarge(NetAuctionError):
-    """Instance exceeds the brute-force oracle guard."""
-
-
 class SearchBudgetExceeded(NetAuctionError):
     """An exhaustive check was asked to enumerate more than its budget allows."""
 

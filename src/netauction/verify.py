@@ -27,9 +27,7 @@ from .market import (
     Money,
     ReportProfile,
     ReportedType,
-    TreeMarket,
     ValuationVector,
-    build_bfs_tree,
     compute_market,
     cumulative_value,
     is_dummy,
@@ -87,14 +85,14 @@ def ldm_mechanism(mu: int) -> MechanismUnderTest:
         return run_ldm(compute_market(profile), mu)
 
     def value_rerun(profile: ReportProfile, i: BuyerId) -> ValueRerun:
-        return ldm_value_rerun(build_bfs_tree(compute_market(profile)), mu, i)
+        return ldm_value_rerun(compute_market(profile), mu, i)
 
     return MechanismUnderTest("ldm", run, value_rerun)
 
 
 def dna_mu_mechanism() -> MechanismUnderTest:
     return MechanismUnderTest(
-        "dna-mu", lambda profile: run_dna_mu(build_bfs_tree(compute_market(profile))))
+        "dna-mu", lambda profile: run_dna_mu(compute_market(profile)))
 
 
 def vcg_mechanism() -> MechanismUnderTest:
@@ -132,6 +130,11 @@ class RegisteredMechanism:
             return instance.mu
         return robust_mu(instance)
 
+    def admits(self, prop: str) -> bool:
+        """Whether the named property applies: the LDM-only ones (see
+        `PROPERTIES`) need a layered mechanism."""
+        return self.layered or not PROPERTIES[prop][1]
+
 
 # The lambdas look the mechanisms up by name when called, so wrappers
 # installed on this module (such as tracing spans) see every run.
@@ -139,7 +142,7 @@ _LDM = RegisteredMechanism(True, lambda market, mu: run_ldm(market, mu), ldm_mec
 MECHANISMS: dict[str, RegisteredMechanism] = {
     "vcg-l1": RegisteredMechanism(False, lambda market, mu: run_vcg_first_layer(market),
                                   lambda mu: vcg_mechanism()),
-    "dna-mu": RegisteredMechanism(False, lambda market, mu: run_dna_mu(build_bfs_tree(market)),
+    "dna-mu": RegisteredMechanism(False, lambda market, mu: run_dna_mu(market),
                                   lambda mu: dna_mu_mechanism()),
     # An alias of "ldm": run_ldm already runs LDM-Tree on the BFS tree, and a
     # tree is its own BFS tree.
@@ -418,21 +421,20 @@ class DecompositionRow:
     p: Money
 
 
-def payment_decomposition(outcome: Outcome, tree: TreeMarket, mu: int) -> list[DecompositionRow]:
+def payment_decomposition(outcome: Outcome, market: Market, mu: int) -> list[DecompositionRow]:
     """Decompose every processed real buyer's payment and assert p = q - t."""
     trace = outcome.trace
     if not isinstance(trace, LdmTrace):
         raise TraceMissing("outcome carries no LDM trace")
     if mu != trace.mu:
         raise ContractError(f"mu={mu} does not match the traced run (mu={trace.mu})")
-    run_tree = trace.tree
     rows: list[DecompositionRow] = []
     for rec in trace.layers:
         total = sum(rec.tentative_value.values())
         for i in sorted(rec.sw_minus_d):
             if is_dummy(i):
                 continue
-            children = run_tree.children[i]
+            children = trace.market.children[i]
             own_units = rec.tentative_units.get(i, 0)
             own_value = rec.tentative_value.get(i, 0)
             m = own_units + sum(rec.tentative_units.get(j, 0) for j in children)
@@ -467,9 +469,9 @@ def check_decomposition_inequalities(rows: Sequence[DecompositionRow],
     return (first, second)
 
 
-def _tree_profile(instance: ReportProfile) -> tuple[ReportProfile, TreeMarket]:
+def _tree_profile(instance: ReportProfile) -> tuple[ReportProfile, Market]:
     """The instance with invitations replaced by its BFS-tree child sets."""
-    tree = build_bfs_tree(compute_market(instance))
+    tree = compute_market(instance)
     reports = dict(instance.reports)
     for i in tree.valid:
         reports[i] = ReportedType(instance.reports[i].values, tree.children[i])
@@ -497,7 +499,7 @@ def check_child_monotonicity(mechanism: MechanismUnderTest,
     for j in sorted(tree.valid):
         if not tree.children[j]:
             continue
-        layer = tree.market.layer_of[j]
+        layer = tree.layer_of[j]
         observers = [i for i in sorted(tree.layers[layer - 1]) if i != j]
         if not observers:
             continue
@@ -571,10 +573,9 @@ def _dominance(mech: MechanismUnderTest, instance: ReportProfile, mu: int, utili
 def _decomposition(mech: MechanismUnderTest, instance: ReportProfile, mu: int,
                    utilities) -> tuple:
     market = compute_market(instance)
-    tree = build_bfs_tree(market)
-    out = run_ldm_tree(tree, mu)
+    out = run_ldm_tree(market, mu)
     try:
-        rows = payment_decomposition(out, tree, mu)
+        rows = payment_decomposition(out, market, mu)
     except ContractError as exc:
         return (False, str(exc), ())
     first, second = check_decomposition_inequalities(rows, run_vcg_first_layer(market))
@@ -630,23 +631,23 @@ def run_properties(instance: ReportProfile, mechanism_name: str,
     for prop in properties:
         if prop not in PROPERTIES:
             raise ContractError(f"unknown property {prop!r}")
-        check, ldm_only = PROPERTIES[prop]
-        if ldm_only and not entry.layered:
+        if not entry.admits(prop):
             raise ContractError(f"property {prop!r} requires the ldm mechanism")
+        check = PROPERTIES[prop][0]
         results.append(PropertyResult(prop, *check(mech, instance, pinned, utilities)))
     return results
 
 
 def check_order_independence(instance: ReportProfile, mu: int) -> bool:
     """Three permutations of the within-layer buyer loop must not change the LDM outcome."""
-    tree = build_bfs_tree(compute_market(instance))
-    base = run_ldm_tree(tree, mu, want_trace=False)
-    ids = sorted(tree.valid)
+    market = compute_market(instance)
+    base = run_ldm_tree(market, mu, want_trace=False)
+    ids = sorted(market.valid)
     rng = random.Random(f"order:{len(ids)}:{instance.k}")
     for _ in range(3):
         perm = ids[:]
         rng.shuffle(perm)
-        out = run_ldm_tree(tree, mu, order=perm, want_trace=False)
+        out = run_ldm_tree(market, mu, order=perm, want_trace=False)
         if out.units != base.units or out.payments != base.payments:
             return False
     return True

@@ -12,8 +12,6 @@ one per buyer. ``RankedMarginals`` serves problems that differ only in one
 outside buyer's marginals and the budget: that buyer's marginals are merged
 in by binary search and the others' value read from prefix sums.
 ``constrained_welfare`` is the single-problem entry point over the same pool.
-``brute_force_welfare`` is the independent enumeration oracle used by the
-tests; it must never share code with the greedy path.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Mapping
 
-from .errors import ContractError, FixedOutsideIncluded, OverCommitted, TooLarge
+from .errors import ContractError, FixedOutsideIncluded, OverCommitted
 from .market import BuyerId, Market, Money, ReportedType, ValuationVector, cumulative_value
 
 Allocation = dict[BuyerId, int]
@@ -155,45 +153,6 @@ def constrained_welfare(market: Market, included: frozenset[BuyerId] | set[Buyer
     tie-break and its treatment of fixed buyers.
     """
     return WelfarePool(market, included, fixed, k).best()
-
-
-def brute_force_welfare(market: Market, included: frozenset[BuyerId] | set[BuyerId],
-                        fixed: Mapping[BuyerId, int], k: int) -> WelfareResult:
-    """Exhaustive oracle: enumerate every split of the free units.
-
-    Guarded to ≤ 8 free buyers and k ≤ 4; testing use only.
-    """
-    committed = _check_problem(market, included, fixed, k)
-    free = sorted(i for i in included if i not in fixed)
-    if len(free) > 8 or k > 4:
-        raise TooLarge(f"{len(free)} free buyers, k={k}: beyond the oracle guard")
-    reports = market.profile.reports
-    budget = k - committed
-    base = sum(cumulative_value(reports[i].values, m) for i, m in fixed.items())
-
-    best_welfare = base
-    best_units: tuple[int, ...] = (0,) * len(free)
-
-    def enumerate_from(idx: int, remaining: int, units: list[int], value: int) -> None:
-        nonlocal best_welfare, best_units
-        if idx == len(free):
-            if value > best_welfare:
-                best_welfare = value
-                best_units = tuple(units)
-            return
-        cap = min(remaining, len(reports[free[idx]].values))
-        for m in range(cap + 1):
-            units.append(m)
-            enumerate_from(idx + 1, remaining - m,
-                           units, value + cumulative_value(reports[free[idx]].values, m))
-            units.pop()
-
-    enumerate_from(0, budget, [], base)
-    allocation: Allocation = {i: m for i, m in fixed.items() if m}
-    for i, m in zip(free, best_units):
-        if m:
-            allocation[i] = m
-    return WelfareResult(welfare=best_welfare, allocation=allocation)
 
 
 def kth_highest_first_unit(market: Market, buyers: Iterable[BuyerId], k: int) -> Money:

@@ -26,7 +26,6 @@ from netauction.market import (
     Market,
     Money,
     ReportedType,
-    TreeMarket,
     ValuationVector,
     compute_market,
     cumulative_value,
@@ -52,7 +51,7 @@ from netauction.welfare import constrained_welfare, kth_highest_first_unit
 class ReferenceTree:
     """The tree, beside the scanned parents and recursive descendant sets."""
 
-    tree: TreeMarket
+    tree: Market
     parent: dict[BuyerId, BuyerId]
     descendants: dict[BuyerId, frozenset[BuyerId]]
 
@@ -86,22 +85,20 @@ def build_bfs_tree(market: Market) -> ReferenceTree:
 
     for i in market.valid:
         collect(i)
-    tree = TreeMarket(market=market,
-                      children={i: frozenset(c) for i, c in children.items()})
+    tree = replace(market, children={i: frozenset(c) for i, c in children.items()})
     return ReferenceTree(tree, parent, descendants)
 
 
 def run_dna_mu(ref: ReferenceTree) -> Outcome:
     """DNA-MU pricing each buyer with her precomputed descendant set removed."""
-    tree = ref.tree
-    market = tree.market
+    market = ref.tree
     k_remaining = market.profile.k
     winners: set[BuyerId] = set()
     units = {i: 0 for i in market.valid}
     payments = {i: 0 for i in market.valid}
     rows: list[DnaRow] = []
     done = False
-    for d, layer in enumerate(tree.layers, start=1):
+    for d, layer in enumerate(market.layers, start=1):
         if done:
             break
         for i in sorted(layer):
@@ -110,7 +107,7 @@ def run_dna_mu(ref: ReferenceTree) -> Outcome:
                 break
             pool = market.valid - ref.descendants[i] - winners - {i}
             price = kth_highest_first_unit(market, pool, k_remaining)
-            won = tree.first_unit(i) >= price
+            won = market.first_unit(i) >= price
             rows.append(DnaRow(i, d, price, won, k_remaining))
             if won:
                 units[i] = 1
@@ -149,12 +146,12 @@ def run_vcg_first_layer(market: Market, reserve: int | None = None) -> Outcome:
     return Outcome(units=units, payments=payments, trace=trace)
 
 
-def potential_inviters(tree: TreeMarket, i: BuyerId) -> frozenset[BuyerId]:
+def potential_inviters(tree: Market, i: BuyerId) -> frozenset[BuyerId]:
     """C_i^P: children of i who themselves have children."""
     return frozenset(j for j in tree.children[i] if tree.children[j])
 
 
-def potential_winners(tree: TreeMarket, i: BuyerId, mu: int) -> frozenset[BuyerId]:
+def potential_winners(tree: Market, i: BuyerId, mu: int) -> frozenset[BuyerId]:
     """C_i^W: the top K + mu - |C_i^P| other children by first unit, ties to the smaller id."""
     inviters = potential_inviters(tree, i)
     candidates = sorted(
@@ -164,7 +161,7 @@ def potential_winners(tree: TreeMarket, i: BuyerId, mu: int) -> frozenset[BuyerI
     return frozenset(candidates[:tree.k + mu - len(inviters)])
 
 
-def removed_sets_for(tree: TreeMarket, mu: int) -> dict[BuyerId, frozenset[BuyerId]]:
+def removed_sets_for(tree: Market, mu: int) -> dict[BuyerId, frozenset[BuyerId]]:
     """C_i^R = C_i^P | C_i^W per buyer, after checking mu against every |C_i^P|."""
     required = max((len(potential_inviters(tree, i)) for i in tree.valid), default=0)
     if mu < required:
@@ -173,31 +170,30 @@ def removed_sets_for(tree: TreeMarket, mu: int) -> dict[BuyerId, frozenset[Buyer
             for i in tree.valid}
 
 
-def run_ldm_tree(tree: TreeMarket, mu: int) -> Outcome:
+def run_ldm_tree(market: Market, mu: int) -> Outcome:
     """LDM-Tree with every SW_{-D_i} solved on the explicit set valid - D_i."""
-    market = tree.market
     k = market.profile.k
     valid = market.valid
     reports = market.profile.reports
     units = {i: 0 for i in valid if not is_dummy(i)}
     payments = {i: 0 for i in valid if not is_dummy(i)}
-    per_buyer_removed = removed_sets_for(tree, mu)
-    if not tree.layers:
+    per_buyer_removed = removed_sets_for(market, mu)
+    if not market.layers:
         return Outcome(units=units, payments=payments,
-                       trace=LdmTrace(mu, k, (), tree))
+                       trace=LdmTrace(mu, k, (), market))
 
-    suffix: list[frozenset[BuyerId]] = [frozenset()] * (tree.depth + 1)
+    suffix: list[frozenset[BuyerId]] = [frozenset()] * (market.depth + 1)
     acc: set[BuyerId] = set()
-    for d in range(tree.depth - 1, -1, -1):
-        acc |= tree.layers[d]
+    for d in range(market.depth - 1, -1, -1):
+        acc |= market.layers[d]
         suffix[d] = frozenset(acc)
 
     committed: dict[BuyerId, int] = {}
     k_remain = k
     records: list[LayerRecord] = []
-    for l in range(1, tree.depth + 1):
-        members = sorted(tree.layers[l - 1])
-        r_l: set[BuyerId] = set(suffix[l + 1]) if l + 1 <= tree.depth else set()
+    for l in range(1, market.depth + 1):
+        members = sorted(market.layers[l - 1])
+        r_l: set[BuyerId] = set(suffix[l + 1]) if l + 1 <= market.depth else set()
         for i in members:
             r_l |= per_buyer_removed[i]
         included = valid - r_l
@@ -205,7 +201,7 @@ def run_ldm_tree(tree: TreeMarket, mu: int) -> Outcome:
         sw_l = layer_opt.welfare
         sw_d: dict[BuyerId, Money] = {}
         for i in members:
-            d_i = r_l | tree.children[i] | {i}
+            d_i = r_l | market.children[i] | {i}
             sw_d[i] = constrained_welfare(market, valid - d_i, committed, k).welfare
             pi = layer_opt.units_of(i)
             if not is_dummy(i):
@@ -235,7 +231,7 @@ def run_ldm_tree(tree: TreeMarket, mu: int) -> Outcome:
         if k_remain == 0:
             break
     return Outcome(units=units, payments=payments,
-                   trace=LdmTrace(mu, k, tuple(records), tree))
+                   trace=LdmTrace(mu, k, tuple(records), market))
 
 
 def run_ldm(market: Market, mu: int, reserve: int | None = None) -> Outcome:
@@ -249,8 +245,8 @@ def run_ldm(market: Market, mu: int, reserve: int | None = None) -> Outcome:
     return Outcome(units=units, payments=payments, trace=out.trace)
 
 
-def ldm_value_rerun(tree: TreeMarket, mu: int, i: BuyerId) -> ValueRerun:
-    """i's (units, payment) under `run_ldm_tree(tree.with_values(i, v), mu)`,
+def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
+    """i's (units, payment) under `run_ldm_tree(market.with_values(i, v), mu)`,
     replaying layers L-1 and L for every vector v, with i in layer L.
 
     Layers up to L-2 are committed once; if they sell every unit, i gets
@@ -258,24 +254,22 @@ def ldm_value_rerun(tree: TreeMarket, mu: int, i: BuyerId) -> ValueRerun:
     profile, her parent's C^R re-ranked, and both layers solved with fresh
     welfare pools.
     """
-    market = tree.market
     layer = market.layer_of[i]
-    removed = layer_removed_sets(tree, mu)
+    removed = layer_removed_sets(market, mu)
     committed: dict[BuyerId, int] = {}
     k_remain = market.k
-    for members, r_l in zip(tree.layers[:max(layer - 2, 0)], removed):
+    for members, r_l in zip(market.layers[:max(layer - 2, 0)], removed):
         k_remain -= _ldm_layer(market, members, market.valid - r_l, committed)[2]
         if k_remain == 0:
             return lambda v: (0, 0)
     if layer > 1:
-        parent = next(j for j in tree.layers[layer - 2] if i in tree.children[j])
-        inviters = potential_inviters(tree, parent)
+        parent = next(j for j in market.layers[layer - 2] if i in market.children[j])
+        inviters = potential_inviters(market, parent)
         # R_{L-1} without the parent's C^R, a subset of her children
-        r_prev_rest = next(removed) - tree.children[parent]
+        r_prev_rest = next(removed) - market.children[parent]
     included_own = market.valid - next(removed)
     reports = dict(market.profile.reports)
-    own = TreeMarket(replace(market, profile=replace(market.profile, reports=reports)),
-                     tree.children)
+    own = replace(market, profile=replace(market.profile, reports=reports))
     invited = reports[i].invited
 
     def rerun(v: ValuationVector) -> tuple[int, Money]:
@@ -284,10 +278,10 @@ def ldm_value_rerun(tree: TreeMarket, mu: int, i: BuyerId) -> ValueRerun:
         left = k_remain
         if layer > 1:
             r_prev = r_prev_rest | removed_set_of(own, parent, inviters, mu)
-            left -= _ldm_layer(own.market, own.layers[layer - 2], own.valid - r_prev, fixed)[2]
+            left -= _ldm_layer(own, own.layers[layer - 2], own.valid - r_prev, fixed)[2]
             if left == 0:
                 return 0, 0
-        pool, layer_opt, _ = _ldm_layer(own.market, (), included_own, fixed)
+        pool, layer_opt, _ = _ldm_layer(own, (), included_own, fixed)
         if is_dummy(i):
             return 0, 0
         return layer_opt.units_of(i), _ldm_payment(own, pool, layer_opt, i)[1]

@@ -17,7 +17,7 @@ from netauction.instance_io import (
     parse_instance,
     random_instance,
 )
-from netauction.market import build_bfs_tree, compute_market
+from netauction.market import compute_market
 from netauction.mechanisms import inject_dummies, run_ldm, run_ldm_tree, run_vcg_first_layer
 from netauction.removed_sets import robust_mu
 from netauction.verify import (
@@ -29,9 +29,10 @@ from netauction.verify import (
     search_counterexample,
     utility_of,
 )
-from netauction.welfare import brute_force_welfare, constrained_welfare
+from netauction.welfare import constrained_welfare
 
 from conftest import DATA
+from reference_welfare import brute_force_welfare
 
 
 def _finish(number: int, name: str, ok: bool, elapsed: float, limit: float) -> None:
@@ -45,7 +46,7 @@ def test_criterion_1_figure3_reproduction(capsys):
     started = time.perf_counter()
     profile = parse_instance((DATA / "fig3.json").read_text())
     ids = {profile.label_of(i): i for i in profile.reports}
-    tree = build_bfs_tree(compute_market(profile))
+    tree = compute_market(profile)
 
     ldm = run_ldm_tree(tree, 2)
     layer1, layer2 = ldm.trace.layers

@@ -224,21 +224,22 @@ def test_run_require_mu(tmp_path, capsys):
 
 
 def counting_tree_builds(monkeypatch):
-    """Count `build_bfs_tree` calls through every module that imported it."""
+    """Count `compute_market` calls, each of which builds one BFS tree,
+    through every module that imported it."""
     import netauction
     from netauction import market
 
     calls = []
-    original = market.build_bfs_tree
+    original = market.compute_market
 
-    def counted(m):
+    def counted(profile):
         calls.append(1)
-        return original(m)
+        return original(profile)
 
     for module in (market, *(getattr(netauction, name) for name in
                              ("mechanisms", "verify", "cli", "removed_sets"))):
-        if getattr(module, "build_bfs_tree", None) is original:
-            monkeypatch.setattr(module, "build_bfs_tree", counted)
+        if getattr(module, "compute_market", None) is original:
+            monkeypatch.setattr(module, "compute_market", counted)
     return calls
 
 
@@ -265,6 +266,20 @@ def test_verify_t4_all_green(capsys):
     code, out, _ = run_cli(["verify", T4, "--mechanism", "ldm", "--all"], capsys)
     assert code == 0
     assert "failing: 0" in out
+
+
+@pytest.mark.parametrize("instance", [FIG3, T4], ids=["fig3", "t4"])
+@pytest.mark.parametrize("mechanism", ["dna-mu", "vcg-l1"])
+def test_verify_all_runs_the_properties_the_mechanism_admits(mechanism, instance, capsys):
+    admitted = "ir,invite-ic,value-ic,non-wasteful,child-monotonicity"
+    listed = run_cli(["verify", instance, "--mechanism", mechanism, "--property", admitted],
+                     capsys)
+    assert listed == (0, "instances: 1  failing: 0\n", "")
+    assert run_cli(["verify", instance, "--mechanism", mechanism, "--all"], capsys) == listed
+    code, out, err = run_cli(["verify", instance, "--mechanism", mechanism,
+                              "--property", "dominance"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: property 'dominance' requires the ldm mechanism\n"
 
 
 def test_verify_dna_mu_counterexample_exits_1(capsys):

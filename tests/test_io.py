@@ -12,7 +12,7 @@ from netauction.instance_io import (
     random_instance,
     serialize_instance,
 )
-from netauction.market import build_bfs_tree, compute_market, validate_profile
+from netauction.market import compute_market, validate_profile
 
 from conftest import DATA, DEEP_META, HUGE_K
 
@@ -114,9 +114,7 @@ def test_generator_instances_validate_and_respect_bounds():
         validate_profile(profile)
         assert 3 <= len(profile.reports) <= 6
         assert profile.k == 2
-        market = compute_market(profile)
-        tree = build_bfs_tree(market)
-        assert tree.depth <= 4  # extra graph edges only shorten chains
+        assert compute_market(profile).depth <= 4  # extra graph edges only shorten chains
         for rep in profile.reports.values():
             assert all(0 <= v <= 5 for v in rep.values)
 
@@ -124,7 +122,7 @@ def test_generator_instances_validate_and_respect_bounds():
 def test_tree_topology_depth_cap_is_exact():
     cfg = GeneratorConfig(seed=4, buyers=(7, 7), k=(1, 1), v_max=9, max_depth=3)
     for profile in instance_stream(cfg, 100):
-        tree = build_bfs_tree(compute_market(profile))
+        tree = compute_market(profile)
         assert tree.depth <= 3
 
 

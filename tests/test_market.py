@@ -9,7 +9,6 @@ from netauction.market import (
     DUMMY_BASE,
     ReportProfile,
     ReportedType,
-    build_bfs_tree,
     compute_market,
     cumulative_value,
     validate_profile,
@@ -105,8 +104,7 @@ def test_compute_market_empty_seller_neighbors():
 
 
 def test_bfs_tree_of_tree_is_identity(fig3_profile):
-    market = compute_market(fig3_profile)
-    tree = build_bfs_tree(market)
+    tree = compute_market(fig3_profile)
     b, f, g, q = (list(fig3_ids(c))[0] for c in "bfgq")
     assert tree.children[b] == frozenset(fig3_ids("defghi"))
     assert tree.children[f] == frozenset(fig3_ids("j"))
@@ -121,7 +119,7 @@ def test_bfs_diamond_parent_is_smallest_id():
     profile = make_profile(1, {1, 2}, {
         1: ((5,), {3}), 2: ((4,), {3}), 3: ((2,), ()),
     })
-    tree = build_bfs_tree(compute_market(profile))
+    tree = compute_market(profile)
     assert [i for i, c in tree.children.items() if 3 in c] == [1]
     assert tree.children[1] == {3}
     assert tree.children[2] == frozenset()
@@ -138,8 +136,7 @@ def test_bfs_layers_equal_market_layers_on_random_graphs():
         seller = {i for i in range(n) if rng.random() < 0.4}
         profile = make_profile(1, seller, buyers)
         market = compute_market(profile)
-        tree = build_bfs_tree(market)
-        owners = {i: [p for p, c in tree.children.items() if i in c] for i in market.valid}
+        owners = {i: [p for p, c in market.children.items() if i in c] for i in market.valid}
         for i in market.valid:
             d = market.layer_of[i]
             if d == 1:
@@ -188,15 +185,14 @@ def test_definition2_invalid_buyer_reports_are_inert(fig3_profile):
     for run in (
         lambda m: run_ldm(m, 2),
         run_vcg_first_layer,
-        lambda m: run_dna_mu(build_bfs_tree(m)),
+        run_dna_mu,
     ):
         a, b = run(base), run(ghost)
         assert a.units == b.units and a.payments == b.payments
 
 
 def test_bfs_determinism(fig3_profile):
-    market = compute_market(fig3_profile)
-    t1, t2 = build_bfs_tree(market), build_bfs_tree(market)
+    t1, t2 = compute_market(fig3_profile), compute_market(fig3_profile)
     assert t1.children == t2.children
 
 

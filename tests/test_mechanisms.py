@@ -12,7 +12,6 @@ from netauction.market import (
     DUMMY_BASE,
     ReportProfile,
     ReportedType,
-    build_bfs_tree,
     compute_market,
     cumulative_value,
     validate_profile,
@@ -96,14 +95,14 @@ def test_inject_dummies_rejects_a_reserve_that_is_not_a_non_negative_integer(res
 
 def test_dna_mu_chain_ancestor_priced_without_descendants():
     profile = make_profile(1, {0}, {0: ((5,), {1}), 1: ((7,), ())})
-    out = run_dna_mu(build_bfs_tree(compute_market(profile)))
+    out = run_dna_mu(compute_market(profile))
     assert out.units == {0: 1, 1: 0}
     assert out.payments == {0: 0, 1: 0}
 
 
 def test_dna_mu_single_buyer_wins_free():
     profile = make_profile(1, {3}, {3: ((0,), ())})
-    out = run_dna_mu(build_bfs_tree(compute_market(profile)))
+    out = run_dna_mu(compute_market(profile))
     assert out.units == {3: 1} and out.payments == {3: 0}
 
 
@@ -113,7 +112,7 @@ def test_dna_mu_two_layer_hand_trace():
         1: ((6, 0), ()), 2: ((3, 0), {4}), 3: ((8, 0), {5, 6}),
         4: ((9, 0), ()), 5: ((10, 0), ()), 6: ((10, 0), ()),
     })
-    out = run_dna_mu(build_bfs_tree(compute_market(profile)))
+    out = run_dna_mu(compute_market(profile))
     assert out.units == {1: 0, 2: 0, 3: 1, 4: 0, 5: 1, 6: 0}
     assert out.payments == {1: 0, 2: 0, 3: 6, 4: 0, 5: 10, 6: 0}
 
@@ -127,7 +126,7 @@ def test_dna_mu_flat_first_layer_matches_vcg_allocation():
             i: ((rng.randint(0, 9),) + (0,) * (k - 1), ()) for i in range(n)
         }
         market = compute_market(make_profile(k, set(range(n)), buyers))
-        dna = run_dna_mu(build_bfs_tree(market))
+        dna = run_dna_mu(market)
         vcg = run_vcg_first_layer(market)
         vcg_winners = {i for i, u in vcg.units.items() if u}
         dna_winners = {i for i, u in dna.units.items() if u}
@@ -136,14 +135,14 @@ def test_dna_mu_flat_first_layer_matches_vcg_allocation():
 
 def test_dna_mu_refuses_a_priced_market(fig3_profile):
     with pytest.raises(ContractError, match="dna-mu takes no reserve price"):
-        run_dna_mu(build_bfs_tree(compute_market(inject_dummies(fig3_profile, 0))))
+        run_dna_mu(compute_market(inject_dummies(fig3_profile, 0)))
 
 
 # ---------------------------------------------------------------- LDM-Tree
 
 
 def test_ldm_tree_fig3_full_outcome(fig3_profile):
-    tree = build_bfs_tree(compute_market(fig3_profile))
+    tree = compute_market(fig3_profile)
     out = run_ldm_tree(tree, 2)
     expected_nonzero = {"b": -4, "c": 4, "d": 9}
     for c in FIG3_LABELS:
@@ -165,7 +164,7 @@ def test_ldm_tree_fig3_full_outcome(fig3_profile):
 
 
 def test_ldm_tree_t4_full_outcome(t4_profile):
-    tree = build_bfs_tree(compute_market(t4_profile))
+    tree = compute_market(t4_profile)
     out = run_ldm_tree(tree, 1)
     assert out.units == {1: 0, 2: 0, 3: 1, 4: 0, 5: 0}
     assert out.payments == {1: -3, 2: 0, 3: 8, 4: 0, 5: 0}
@@ -183,13 +182,13 @@ def test_ldm_single_first_layer_buyer_pays_nothing():
 
 
 def test_ldm_rejects_undersized_mu(fig3_profile):
-    tree = build_bfs_tree(compute_market(fig3_profile))
+    tree = compute_market(fig3_profile)
     with pytest.raises(MuTooSmall):
         run_ldm_tree(tree, 1)
 
 
 def test_ldm_within_layer_order_is_immaterial(fig3_profile):
-    tree = build_bfs_tree(compute_market(fig3_profile))
+    tree = compute_market(fig3_profile)
     base = run_ldm_tree(tree, 2)
     rng = random.Random(1)
     ids = sorted(tree.valid)
@@ -202,7 +201,7 @@ def test_ldm_within_layer_order_is_immaterial(fig3_profile):
 
 def test_ldm_graph_equals_tree_on_fig4(fig3_profile):
     graph_profile = parse_instance((DATA / "fig4.json").read_text())
-    tree_out = run_ldm_tree(build_bfs_tree(compute_market(fig3_profile)), 2)
+    tree_out = run_ldm_tree(compute_market(fig3_profile), 2)
     graph_out = run_ldm(compute_market(graph_profile), 2)
     relabel = {i: graph_profile.label_of(i) for i in graph_profile.reports}
     by_label_units = {relabel[i]: u for i, u in graph_out.units.items()}
@@ -214,7 +213,7 @@ def test_ldm_graph_equals_tree_on_fig4(fig3_profile):
 def test_ldm_on_tree_input_equals_ldm_tree(t4_profile):
     market = compute_market(t4_profile)
     a = run_ldm(market, 1)
-    b = run_ldm_tree(build_bfs_tree(market), 1)
+    b = run_ldm_tree(market, 1)
     assert a.units == b.units and a.payments == b.payments
 
 
@@ -235,28 +234,26 @@ def test_ldm_empty_market_all_zero():
 
 def test_long_invitation_chain_runs():
     # deeper than the interpreter's default recursion limit
-    market = compute_market(chain_profile(1500, 2))
+    profile = chain_profile(1500, 2)
     tracemalloc.start()
     try:
-        tree = build_bfs_tree(market)
+        market = compute_market(profile)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the tree must stay linear in the buyers: about 1 MB here
+    # layers and tree must stay linear in the buyers: about 1 MB here
     assert peak < 8 * 2**20
-    assert tree.depth == 1500 and len(tree.subtree(0)) == 1499
+    assert market.depth == 1500 and len(market.subtree(0)) == 1499
     ldm = run_ldm(market, 1)
     assert ldm.units == {i: 2 if i == 0 else 0 for i in range(1500)}
     assert ldm.revenue == 0
-    dna = run_dna_mu(tree)
+    dna = run_dna_mu(market)
     assert dna.units == {i: 1 if i < 2 else 0 for i in range(1500)}
 
 
 def test_ldm_utility_identity_from_trace(fig3_profile, t4_profile):
     for profile, mu in ((fig3_profile, 2), (t4_profile, 1)):
-        market = compute_market(profile)
-        tree = build_bfs_tree(market)
-        out = run_ldm_tree(tree, mu)
+        out = run_ldm_tree(compute_market(profile), mu)
         for rec in out.trace.layers:
             for i in rec.sw_minus_d:
                 gained = cumulative_value(profile.reports[i].values, out.units_of(i))
@@ -269,9 +266,8 @@ def test_ldm_non_wasteful_on_random_instances():
                               topology=topology, edge_density=0.2)
         for profile in instance_stream(cfg, 60):
             market = compute_market(profile)
-            tree = build_bfs_tree(market)
             from netauction.removed_sets import min_valid_mu
-            out = run_ldm_tree(tree, min_valid_mu(tree))
+            out = run_ldm_tree(market, min_valid_mu(market))
             if market.valid:
                 assert sum(out.units.values()) == profile.k
 

@@ -1,4 +1,4 @@
-"""The linear BFS tree, DNA-MU's on-demand subtrees and the pooled LDM/VCG
+"""The BFS tree built by `compute_market`, DNA-MU's on-demand subtrees and the pooled LDM/VCG
 against the slow oracle in `reference_ldm.py`, and LDM's traced quantities
 against the public R_l/D_i definitions. Every comparison is exact: units,
 payments and the whole trace.
@@ -6,11 +6,13 @@ A reserve reaches the fast path as a priced market (`inject_dummies`) and the
 oracle as its own reserve argument."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netauction.cli import _parse_gen_spec
 from netauction.errors import MuTooSmall
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance, random_instance
-from netauction.market import SELLER, build_bfs_tree, compute_market
+from netauction.market import SELLER, compute_market
 from netauction.mechanisms import inject_dummies, run_dna_mu, run_ldm, run_vcg_first_layer
 from netauction.removed_sets import exclusion_set, layer_removed_set, removed_sets_for, robust_mu
 from netauction.welfare import constrained_welfare
@@ -30,6 +32,43 @@ WIDE = "seed={},n=800,k=8,depth=6,bias=0.3"
 DEEP = "seed={},n=3200,k=8,depth=6,topology=graph,density=0.000625"
 
 
+@st.composite
+def invitation_digraphs(draw):
+    """Invitation digraphs the generator never draws (its graphs are tree
+    edges plus mutual edges): every reached buyer has one to three inviters
+    among the buyers drawn before her, often the last two, so chains form;
+    ids come in no order; one-way edges go anywhere (within a layer, back up
+    to earlier layers); a cycle the seller does not reach; and sometimes
+    reserve dummies in layer 1."""
+    ids = draw(st.lists(st.integers(0, 60), min_size=2, max_size=14, unique=True))
+    split = draw(st.integers(1, len(ids)))
+    reached, unreached = ids[:split], ids[split:]
+    invited = {i: set() for i in ids}
+    for pos in range(1, len(reached)):
+        for _ in range(draw(st.integers(1, 3))):
+            parent = draw(st.integers(max(pos - 2, 0), pos - 1) | st.integers(0, pos - 1))
+            invited[reached[parent]].add(reached[pos])
+    for i, j in draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                              max_size=20)):
+        if i != j:
+            invited[i].add(j)
+    for i, j in zip(unreached, unreached[1:] + unreached[:1]):
+        if i != j:
+            invited[i].add(j)
+    seller = {reached[0]} | draw(st.sets(st.sampled_from(reached), max_size=2))
+    profile = make_profile(1, seller, {i: ((draw(st.integers(0, 9)),), invited[i])
+                                       for i in ids})
+    reserve = draw(st.none() | st.integers(0, 9))
+    return profile if reserve is None else inject_dummies(profile, reserve)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(profile=invitation_digraphs())
+def test_bfs_children_match_smallest_inviter_scan_on_any_digraph(profile):
+    market = compute_market(profile)
+    assert market.children == ref.build_bfs_tree(market).tree.children
+
+
 def assert_same(fast, slow):
     assert fast.units == slow.units
     assert fast.payments == slow.payments
@@ -38,7 +77,7 @@ def assert_same(fast, slow):
 
 def assert_matches_reference(profile, mu, reserve):
     market = compute_market(profile)
-    tree = build_bfs_tree(market)
+    tree = market
     slow = ref.build_bfs_tree(market)
     assert tree == slow.tree
     for i in market.valid:
@@ -83,22 +122,21 @@ def _fixtures_and_stream():
 def test_trace_matches_public_removed_and_exclusion_sets():
     for profile, mu in _fixtures_and_stream():
         market = compute_market(profile)
-        tree = build_bfs_tree(market)
         trace = run_ldm(market, mu).trace
         committed = {}
         for rec in trace.layers:
-            assert rec.removed == layer_removed_set(tree, rec.layer, mu)
+            assert rec.removed == layer_removed_set(market, rec.layer, mu)
             for i, sw in rec.sw_minus_d.items():
-                kept = market.valid - exclusion_set(tree, i, mu)
+                kept = market.valid - exclusion_set(market, i, mu)
                 assert sw == constrained_welfare(market, kept, committed, market.k).welfare
-            for i in tree.layers[rec.layer - 1]:
+            for i in market.layers[rec.layer - 1]:
                 committed[i] = rec.tentative_units.get(i, 0)
 
 
 def dna_mu_rows(profile):
     """DNA-MU's (buyer, price, won) rows, equal on the fast and the oracle path."""
     market = compute_market(profile)
-    fast = run_dna_mu(build_bfs_tree(market))
+    fast = run_dna_mu(market)
     assert_same(fast, ref.run_dna_mu(ref.build_bfs_tree(market)))
     return [(row.buyer, row.price, row.won) for row in fast.trace.rows]
 

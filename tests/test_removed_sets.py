@@ -7,7 +7,7 @@ import pytest
 
 from netauction import removed_sets
 from netauction.errors import ContractError, MuTooSmall
-from netauction.market import ReportedType, build_bfs_tree, compute_market
+from netauction.market import ReportedType, compute_market
 from netauction.removed_sets import (
     exclusion_set,
     layer_removed_set,
@@ -28,12 +28,12 @@ def lid(c):
 
 @pytest.fixture(scope="module")
 def fig3_tree(fig3_profile):
-    return build_bfs_tree(compute_market(fig3_profile))
+    return compute_market(fig3_profile)
 
 
 @pytest.fixture(scope="module")
 def t4_tree(t4_profile):
-    return build_bfs_tree(compute_market(t4_profile))
+    return compute_market(t4_profile)
 
 
 def test_potential_inviters_fig3(fig3_tree):
@@ -92,14 +92,14 @@ def test_min_valid_mu(fig3_tree, t4_tree):
     assert min_valid_mu(fig3_tree) == 2
     assert min_valid_mu(t4_tree) == 0
     chain = make_profile(1, {1}, {1: ((5,), {2}), 2: ((4,), {3}), 3: ((3,), ())})
-    assert min_valid_mu(build_bfs_tree(compute_market(chain))) == 1
+    assert min_valid_mu(compute_market(chain)) == 1
     star = make_profile(1, {1, 2, 3}, {i: ((i,), ()) for i in (1, 2, 3)})
-    assert min_valid_mu(build_bfs_tree(compute_market(star))) == 0
+    assert min_valid_mu(compute_market(star)) == 0
 
 
 def test_robust_mu_equals_min_on_out_trees(fig3_profile, t4_profile):
     for profile in (fig3_profile, t4_profile):
-        tree = build_bfs_tree(compute_market(profile))
+        tree = compute_market(profile)
         assert robust_mu(profile) == min_valid_mu(tree)
 
 
@@ -110,10 +110,10 @@ def test_robust_mu_covers_reattachment_on_graphs():
         1: ((5,), {3}), 2: ((4,), {3, 5}), 3: ((3,), {4}),
         4: ((2,), ()), 5: ((1,), {6}), 6: ((1,), ()),
     })
-    assert min_valid_mu(build_bfs_tree(compute_market(profile))) == 1
+    assert min_valid_mu(compute_market(profile)) == 1
     assert robust_mu(profile) == 2
     hidden = profile.with_report(1, ReportedType((5,), frozenset()))
-    tree = build_bfs_tree(compute_market(hidden))
+    tree = compute_market(hidden)
     assert min_valid_mu(tree) == 2  # within the robust bound
 
 
@@ -128,7 +128,7 @@ def test_partition_and_capacity_invariants():
             values = tuple(sorted((rng.randint(0, 9) for _ in range(k)), reverse=True))
             buyers[i] = (values, invites)
         profile = make_profile(k, {0}, buyers)
-        tree = build_bfs_tree(compute_market(profile))
+        tree = compute_market(profile)
         mu = min_valid_mu(tree)
         removed = removed_sets_for(tree, mu)
         for i in tree.valid:
@@ -158,14 +158,14 @@ def test_observation1_value_stability():
         1: ((5,), {2, 3, 4}), 2: ((4,), {5}), 3: ((3,), ()),
         4: ((2,), ()), 5: ((1,), ()),
     })
-    tree = build_bfs_tree(compute_market(base))
+    tree = compute_market(base)
     mu = min_valid_mu(tree)
     for deviator in (2, 3, 4):
         truthful = removed_sets_for(tree, mu)[1]
         for value in range(0, 8):
             dev = base.with_report(
                 deviator, ReportedType((value,), base.reports[deviator].invited))
-            dev_tree = build_bfs_tree(compute_market(dev))
+            dev_tree = compute_market(dev)
             dev_set = removed_sets_for(dev_tree, mu)[1]
             if deviator in truthful and deviator in dev_set:
                 assert dev_set == truthful
@@ -176,14 +176,14 @@ def test_observation2_invitation_stability():
         1: ((5,), {2, 3}), 2: ((4,), {4, 5}), 3: ((3,), ()),
         4: ((2,), ()), 5: ((1,), ()),
     })
-    tree = build_bfs_tree(compute_market(base))
+    tree = compute_market(base)
     mu = min_valid_mu(tree)
     truthful = removed_sets_for(tree, mu)[1]
     full = base.reports[2].invited
     for r in range(len(full) + 1):
         for subset in itertools.combinations(sorted(full), r):
             dev = base.with_report(2, ReportedType((4,), frozenset(subset)))
-            dev_tree = build_bfs_tree(compute_market(dev))
+            dev_tree = compute_market(dev)
             dev_set = removed_sets_for(dev_tree, mu)[1]
             if 2 in truthful and 2 in dev_set:
                 assert dev_set == truthful
@@ -192,7 +192,7 @@ def test_observation2_invitation_stability():
 def test_winners_are_ranked_only_for_the_layers_asked_for(monkeypatch):
     # mu is checked against |C_1^P| = 2 up front, but only layer 1's C^R is
     # built while R_1 is the only set read
-    tree = build_bfs_tree(compute_market(sold_out_in_layer_one()))
+    tree = compute_market(sold_out_in_layer_one())
     ranked = []
 
     def counting(tree, i, inviters, mu):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from netauction import mechanisms
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance
-from netauction.market import ReportedType, build_bfs_tree, compute_market
+from netauction.market import ReportedType, compute_market
 from netauction.mechanisms import inject_dummies, ldm_value_rerun, run_ldm_tree
 from netauction.removed_sets import (potential_inviters, removed_set_holding, removed_set_of,
                                      robust_mu)
@@ -51,7 +51,7 @@ def subset_trees(profile, i):
         subsets = [c for r in range(len(elems) + 1) for c in itertools.combinations(elems, r)]
     for sub in subsets:
         base = profile.with_report(i, ReportedType(rep.values, frozenset(sub)))
-        yield build_bfs_tree(compute_market(base))
+        yield compute_market(base)
 
 
 def assert_reruns_match(profile, mus=None, vectors_of=None):
@@ -124,7 +124,7 @@ def work_of_rerun(monkeypatch, tree, mu, i, vectors):
 
 
 def tree_of(profile):
-    return build_bfs_tree(compute_market(profile))
+    return compute_market(profile)
 
 
 def test_supply_gone_by_layer_l_minus_2_skips_every_vector(monkeypatch):
@@ -184,7 +184,7 @@ def test_rerun_solves_at_most_layers_l_minus_1_and_l(monkeypatch):
         for i in sorted(tree.valid):
             vectors = integer_value_grid(profile, i, cap=8)
             (layers, pools), per_vector = work_of_rerun(monkeypatch, tree, mu, i, vectors)
-            assert layers <= tree.market.layer_of[i] - 1 and pools in (0, 2)
+            assert layers <= tree.layer_of[i] - 1 and pools in (0, 2)
             assert set(per_vector) == {(0, 0)}
 
 

@@ -9,7 +9,7 @@ import pytest
 from netauction import verify
 from netauction.errors import ContractError, SearchBudgetExceeded, TraceMissing
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance
-from netauction.market import build_bfs_tree, compute_market, cumulative_value
+from netauction.market import compute_market, cumulative_value
 from netauction.mechanisms import Outcome, run_ldm_tree, run_vcg_first_layer
 from netauction.verify import (
     MechanismUnderTest,
@@ -176,9 +176,9 @@ def test_value_ic_catches_overreporting_exposure():
 
 
 def test_non_wasteful(t4_profile, fig3_profile):
-    assert check_non_wasteful(run_ldm_tree(build_bfs_tree(compute_market(t4_profile)), 1),
+    assert check_non_wasteful(run_ldm_tree(compute_market(t4_profile), 1),
                               t4_profile)
-    assert check_non_wasteful(run_ldm_tree(build_bfs_tree(compute_market(fig3_profile)), 2),
+    assert check_non_wasteful(run_ldm_tree(compute_market(fig3_profile), 2),
                               fig3_profile)
     empty = make_profile(2, set(), {1: ((5, 1), ())})
     from netauction.mechanisms import run_ldm
@@ -203,7 +203,7 @@ def test_compare_degenerates_without_diffusion():
 
 
 def test_payment_decomposition_t4(t4_profile):
-    tree = build_bfs_tree(compute_market(t4_profile))
+    tree = compute_market(t4_profile)
     out = run_ldm_tree(tree, 1)
     rows = payment_decomposition(out, tree, 1)
     by_buyer = {r.buyer: r for r in rows}
@@ -218,7 +218,7 @@ def test_payment_decomposition_t4(t4_profile):
 
 
 def test_payment_decomposition_requires_trace(t4_profile):
-    tree = build_bfs_tree(compute_market(t4_profile))
+    tree = compute_market(t4_profile)
     out = run_ldm_tree(tree, 1, want_trace=False)
     with pytest.raises(TraceMissing):
         payment_decomposition(out, tree, 1)
@@ -226,7 +226,7 @@ def test_payment_decomposition_requires_trace(t4_profile):
 
 def test_decomposition_single_layer_second_family_vacuous():
     profile = make_profile(1, {1, 2}, {1: ((5,), ()), 2: ((3,), ())})
-    tree = build_bfs_tree(compute_market(profile))
+    tree = compute_market(profile)
     out = run_ldm_tree(tree, 0)
     rows = payment_decomposition(out, tree, 0)
     vcg = run_vcg_first_layer(compute_market(profile))

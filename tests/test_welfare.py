@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from netauction.errors import ContractError, FixedOutsideIncluded, OverCommitted, TooLarge
-from netauction.market import build_bfs_tree, compute_market
+from netauction.errors import ContractError, FixedOutsideIncluded, OverCommitted
+from netauction.market import compute_market
 from netauction.removed_sets import layer_removed_set
-from netauction.welfare import (WelfarePool, brute_force_welfare, constrained_welfare,
-                                kth_highest_first_unit)
+from netauction.welfare import WelfarePool, constrained_welfare, kth_highest_first_unit
 
 from conftest import fig3_ids, make_profile
+from reference_welfare import TooLarge, brute_force_welfare
 
 
 def test_fig3_layer1_problem(fig3_profile):
@@ -117,8 +117,7 @@ def test_pool_walk_matches_fresh_solves(fig3_profile):
 
 def test_monotone_in_included_set(fig3_profile):
     market = compute_market(fig3_profile)
-    tree = build_bfs_tree(market)
-    r1 = layer_removed_set(tree, 1, 2)
+    r1 = layer_removed_set(market, 1, 2)
     small = market.valid - r1 - fig3_ids("i")
     big = market.valid - r1
     assert constrained_welfare(market, big, {}, 3).welfare >= \
