@@ -282,7 +282,15 @@ def run_ldm_tree(market: Market, mu: int | None, order: Sequence[BuyerId] | None
 
 
 # A buyer's (units, payment) as a function of her value report, all else fixed.
+# LDM's also carries `menu`, every pair it can return (see `ldm_value_rerun`).
 ValueRerun = Callable[[ValuationVector], tuple[int, Money]]
+
+
+def _nothing_for_any_report() -> ValueRerun:
+    """The rerun of a buyer who gets (0, 0) whatever she reports."""
+    rerun = lambda v: (0, 0)
+    rerun.menu = ((0, 0),)
+    return rerun
 
 
 def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
@@ -299,6 +307,12 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
     Per vector, i's units are her merged rank in that pool and her payment
     two prefix sums: O(k log n), with no pool built and nothing sorted. If
     the layers before L sell every unit, i gets (0, 0) whatever she reports.
+
+    The returned function's `menu` lists every (units, payment) it can
+    return. Her units x never exceed the supply S left for layer L, and her
+    payment reads v only through x: the menu is (x, SW_{-D_i} minus the
+    others' first S - x marginals) for x in 0..S, or ((0, 0),) when a layer
+    before L sells out or i is a dummy.
     """
     layer = market.layer_of[i]
     removed = layer_removed_sets(market, mu)
@@ -312,11 +326,11 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
                 market, parent, potential_inviters(market, parent), mu, i)
         k_remain -= _ldm_layer(market, members, market.valid - r_l, committed)[2]
         if k_remain == 0:
-            return lambda v: (0, 0)
+            return _nothing_for_any_report()
     included = market.valid - next(removed)
     _check_problem(market, included, committed, market.k)
     if is_dummy(i):
-        return lambda v: (0, 0)
+        return _nothing_for_any_report()
     reports = market.profile.reports
     others = RankedMarginals(reports, included.difference(committed, (i,)))
     sw_d = RankedMarginals(
@@ -327,6 +341,7 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
         # p_i = SW_{-D_i} - (SW_L - v_i(units)); the committed buyers' welfare cancels
         return units, sw_d - others.top(k_remain - units)
 
+    rerun.menu = tuple((x, sw_d - others.top(k_remain - x)) for x in range(k_remain + 1))
     return rerun
 
 

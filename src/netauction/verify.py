@@ -6,9 +6,15 @@ Checkers treat a mechanism as a black box over report profiles; value
 misreports go through its `value_rerun` hook, which must agree with `run`
 exactly. Utilities are always evaluated against the buyer's TRUE values from
 the untouched instance; the market is recomputed for every invitation
-deviation, so buyers disconnected by a deviation correctly earn zero. Enumeration is falsification only: an empty
-report list means no violation was found at the enumerated granularity, not a
-proof.
+deviation, so buyers disconnected by a deviation correctly earn zero.
+
+LDM's value-IC is certified per (buyer, invitation subset): its value rerun
+lists the outcome menu, every (units, payment) any report can get, and a
+pair where no menu entry beats the truthful report has no profitable
+misreport at any granularity. Every other check, and value-IC of a pair the
+menu does not certify or of a mechanism without a menu, is falsification
+only: an empty report list means no violation was found at the enumerated
+granularity, not a proof.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cached_property, lru_cache, partial
+from itertools import accumulate
 from math import comb
 from typing import Callable, Iterable, Sequence
 
@@ -68,7 +75,9 @@ class MechanismUnderTest:
     `run` is the full pipeline from a report profile. `value_rerun(profile,
     i)` returns a function from a value vector v to i's (units, payment) when
     she reports v with her invitations in `profile`; it must agree with
-    `run` exactly. Left out, it reruns `run` on each patched profile.
+    `run` exactly. A `menu` attribute on that function, listing every pair
+    it can return, lets `check_value_ic` certify instead of enumerate. Left
+    out, it reruns `run` on each patched profile.
     """
 
     name: str
@@ -210,13 +219,13 @@ def _shrunk_invitations(mechanism: MechanismUnderTest, profile: ReportProfile, j
 InvitationUtilities = list[tuple[BuyerId, list[tuple[ReportedType, Money]]]]
 
 
-def _invitation_utilities(mechanism: MechanismUnderTest,
-                         instance: ReportProfile) -> InvitationUtilities:
-    """What `check_ir` and `check_invitation_ic` scan: one run of the full
-    report, reused for every buyer, and one per proper invitation subset."""
+def _invitation_utilities(mechanism: MechanismUnderTest, instance: ReportProfile,
+                          market: Market, full: Outcome) -> InvitationUtilities:
+    """What `check_ir` and `check_invitation_ic` scan: `full`, the outcome of
+    the full report, reused for every buyer, and one run per proper
+    invitation subset."""
     table: InvitationUtilities = []
-    full = mechanism.run(instance)
-    for i in sorted(compute_market(instance).valid):
+    for i in sorted(market.valid):
         truthful = instance.reports[i]
         scanned = [(truthful, utility_of(instance, i, full))]
         if truthful.invited:  # no invitations: the full report is the only one
@@ -226,16 +235,46 @@ def _invitation_utilities(mechanism: MechanismUnderTest,
     return table
 
 
+class _Truthful:
+    """An instance as the checks of one `run_properties` call share it: its
+    market, the mechanism's truthful outcome (`outcome_of` the market),
+    first-layer VCG's and the invitation table, each computed once, on first
+    use."""
+
+    def __init__(self, mechanism: MechanismUnderTest, instance: ReportProfile,
+                 outcome_of: Callable[[Market], Outcome]):
+        self.mechanism = mechanism
+        self.instance = instance
+        self._outcome_of = outcome_of
+
+    @cached_property
+    def market(self) -> Market:
+        return compute_market(self.instance)
+
+    @cached_property
+    def outcome(self) -> Outcome:
+        return self._outcome_of(self.market)
+
+    @cached_property
+    def vcg(self) -> Outcome:
+        return run_vcg_first_layer(self.market)
+
+    @cached_property
+    def invitation_utilities(self) -> InvitationUtilities:
+        return _invitation_utilities(self.mechanism, self.instance, self.market, self.outcome)
+
+
 def _own_deviations(mechanism: MechanismUnderTest, instance: ReportProfile, kind: str,
                     violates: Callable[[Money, Money], bool],
                     utilities: Callable[[], InvitationUtilities] | None,
                     ) -> list[DeviationReport]:
     """Every invitation report whose utility u has `violates(u, u_full)`.
 
-    `utilities` returns `_invitation_utilities(mechanism, instance)`;
+    `utilities` returns `_invitation_utilities` of the instance;
     `run_properties` passes one that computes it once for both checks.
     """
-    table = utilities() if utilities else _invitation_utilities(mechanism, instance)
+    table = utilities() if utilities else _invitation_utilities(
+        mechanism, instance, compute_market(instance), mechanism.run(instance))
     violations: list[DeviationReport] = []
     for i, scanned in table:
         truthful, u_full = scanned[0]
@@ -306,7 +345,9 @@ def integer_value_grid(instance: ReportProfile, buyer: BuyerId,
     When the full grid's C(v_cap + k, k) vectors exceed `cap`, a
     deterministic even stride keeps about `cap` of them, always including the
     all-zero vector; only the kept vectors are built. The stride is an
-    under-approximation: it can falsify IC but never certify it.
+    under-approximation: it can falsify IC but never certify it. For LDM the
+    grid is the fallback of `check_value_ic` where the outcome menu does not
+    certify a (buyer, subset) pair, and the tests' oracle for that menu.
     """
     top = 0
     for rep in instance.reports.values():
@@ -330,10 +371,16 @@ def _strided_grid(v_cap: int, k: int, cap: int) -> tuple[ValuationVector, ...]:
 
 def check_value_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
                    grid: Callable[[ReportProfile, BuyerId], Iterable[ValuationVector]] | None = None,
-                   ) -> list[DeviationReport]:
+                   *, market: Market | None = None) -> list[DeviationReport]:
     """For every buyer, invitation subset, and grid misreport: reporting true
     values must dominate the misreport at that same invitation set. Each
-    (buyer, subset) gets one `mechanism.value_rerun`, asked for every vector.
+    (buyer, subset) gets one `mechanism.value_rerun`.
+
+    A rerun with a `menu`, every (units, payment) it can return, certifies
+    the pair when no menu entry gives more true-value utility than the
+    truthful report: then no report of any size does. Otherwise the rerun is
+    asked for every grid vector, and the buyer's grid is built on first need.
+    `market` is the instance's computed market, when the caller has it.
 
     Combined with check_invitation_ic this covers joint (value, invitation)
     deviations through the dominance chain full-truth >= (v, r-hat) >= (v-hat, r-hat).
@@ -341,16 +388,22 @@ def check_value_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
     if grid is None:
         grid = integer_value_grid
     violations: list[DeviationReport] = []
-    valid = compute_market(instance).valid
+    valid = (compute_market(instance) if market is None else market).valid
     for i in sorted(instance.reports):
         if i not in valid:
             continue
         rep = instance.reports[i]
-        vectors = [v for v in grid(instance, i) if v != rep.values]
+        gained = [0, *accumulate(rep.values)]
+        vectors = None
         for sub in _subsets(rep.invited):
             rerun = mechanism.value_rerun(instance.with_report(i, ReportedType(rep.values, sub)), i)
             units, payment = rerun(rep.values)
             u_base = cumulative_value(rep.values, units) - payment
+            menu = getattr(rerun, "menu", None)
+            if menu is not None and all(gained[x] - p <= u_base for x, p in menu):
+                continue
+            if vectors is None:
+                vectors = [v for v in grid(instance, i) if v != rep.values]
             for v in vectors:
                 units, payment = rerun(v)
                 u_dev = cumulative_value(rep.values, units) - payment
@@ -370,10 +423,11 @@ def check_value_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
 
 def check_non_wasteful(outcome: Outcome, instance: ReportProfile) -> bool:
     """All K units placed whenever any valid buyer exists (no-reserve runs only)."""
-    market = compute_market(instance)
-    if not market.valid:
-        return sum(outcome.units.values()) == 0
-    return sum(outcome.units.values()) == instance.k
+    return _places_every_unit(outcome, compute_market(instance))
+
+
+def _places_every_unit(outcome: Outcome, market: Market) -> bool:
+    return sum(outcome.units.values()) == (market.k if market.valid else 0)
 
 
 @dataclass(frozen=True)
@@ -395,8 +449,10 @@ class VcgComparison:
 def compare_vs_vcg(market: Market, mu: int | None) -> VcgComparison:
     """LDM (mu None: at its smallest valid mu) and first-layer VCG on the same
     market, and so the same reserve."""
-    ldm = run_ldm(market, mu)
-    vcg = run_vcg_first_layer(market)
+    return _comparison(market, run_ldm(market, mu), run_vcg_first_layer(market))
+
+
+def _comparison(market: Market, ldm: Outcome, vcg: Outcome) -> VcgComparison:
     return VcgComparison(
         ldm_welfare=outcome_welfare(market, ldm),
         vcg_welfare=outcome_welfare(market, vcg),
@@ -421,8 +477,10 @@ class DecompositionRow:
     p: Money
 
 
-def payment_decomposition(outcome: Outcome, market: Market, mu: int) -> list[DecompositionRow]:
-    """Decompose every processed real buyer's payment and assert p = q - t."""
+def payment_decomposition(outcome: Outcome, mu: int) -> list[DecompositionRow]:
+    """Decompose every processed real buyer's payment and assert p = q - t.
+
+    The child sets are those of the traced run's market."""
     trace = outcome.trace
     if not isinstance(trace, LdmTrace):
         raise TraceMissing("outcome carries no LDM trace")
@@ -469,31 +527,32 @@ def check_decomposition_inequalities(rows: Sequence[DecompositionRow],
     return (first, second)
 
 
-def _tree_profile(instance: ReportProfile) -> tuple[ReportProfile, Market]:
-    """The instance with invitations replaced by its BFS-tree child sets."""
-    tree = compute_market(instance)
+def _tree_profile(instance: ReportProfile, tree: Market) -> ReportProfile:
+    """The instance with invitations replaced by the child sets of its
+    market `tree`."""
     reports = dict(instance.reports)
     for i in tree.valid:
         reports[i] = ReportedType(instance.reports[i].values, tree.children[i])
-    profile = ReportProfile(
+    return ReportProfile(
         k=instance.k,
         seller_neighbors=instance.seller_neighbors,
         reports=reports,
         mu=instance.mu,
         labels=instance.labels,
     )
-    return profile, tree
 
 
-def check_child_monotonicity(mechanism: MechanismUnderTest,
-                             instance: ReportProfile) -> list[DeviationReport]:
+def check_child_monotonicity(mechanism: MechanismUnderTest, instance: ReportProfile,
+                             *, market: Market | None = None) -> list[DeviationReport]:
     """No same-layer buyer may gain utility from another buyer's extra children.
 
     Works on the instance's BFS tree: for each buyer j with children and each
     proper child subset, deleting the other subtrees must leave every
     same-layer observer's utility at least as high as under the full set.
+    `market` is the instance's computed market, when the caller has it.
     """
-    base_profile, tree = _tree_profile(instance)
+    tree = compute_market(instance) if market is None else market
+    base_profile = _tree_profile(instance, tree)
     full = mechanism.run(base_profile)
     violations: list[DeviationReport] = []
     for j in sorted(tree.valid):
@@ -558,55 +617,51 @@ def _deviations(reports: list[DeviationReport]) -> tuple:
     return (not reports, "", tuple(reports))
 
 
-def _non_wasteful(mech: MechanismUnderTest, instance: ReportProfile, mu: int, utilities) -> tuple:
-    ok = check_non_wasteful(mech.run(instance), instance)
+def _non_wasteful(truth: _Truthful, mu: int) -> tuple:
+    ok = _places_every_unit(truth.outcome, truth.market)
     return (ok, "" if ok else "units unsold", ())
 
 
-def _dominance(mech: MechanismUnderTest, instance: ReportProfile, mu: int, utilities) -> tuple:
-    cmp = compare_vs_vcg(compute_market(instance), mu)
+def _dominance(truth: _Truthful, mu: int) -> tuple:
+    cmp = _comparison(truth.market, truth.outcome, truth.vcg)
     return (cmp.welfare_dominates and cmp.revenue_dominates,
             f"welfare {cmp.ldm_welfare} vs {cmp.vcg_welfare}, "
             f"revenue {cmp.ldm_revenue} vs {cmp.vcg_revenue}", ())
 
 
-def _decomposition(mech: MechanismUnderTest, instance: ReportProfile, mu: int,
-                   utilities) -> tuple:
-    market = compute_market(instance)
-    out = run_ldm_tree(market, mu)
+def _decomposition(truth: _Truthful, mu: int) -> tuple:
     try:
-        rows = payment_decomposition(out, market, mu)
+        rows = payment_decomposition(truth.outcome, mu)
     except ContractError as exc:
         return (False, str(exc), ())
-    first, second = check_decomposition_inequalities(rows, run_vcg_first_layer(market))
+    first, second = check_decomposition_inequalities(rows, truth.vcg)
     ok = first and second
     return (ok, "" if ok else f"layer-1 charge bound: {first}, cross-layer bound: {second}", ())
 
 
-def _order_independence(mech: MechanismUnderTest, instance: ReportProfile, mu: int,
-                        utilities) -> tuple:
-    ok = check_order_independence(instance, mu)
+def _order_independence(truth: _Truthful, mu: int) -> tuple:
+    ok = _order_independent(truth.market, truth.outcome, mu)
     return (ok, "" if ok else "order changed outcome", ())
 
 
-# Property name -> (check, ldm_only). A check maps (mechanism, instance, pinned
-# mu, invitation utilities) to PropertyResult's (ok, detail, reports); the last
-# is `run_properties`'s shared `_invitation_utilities`. Checkers are looked up by
+# Property name -> (check, ldm_only). A check maps the shared truthful
+# instance and the pinned mu to PropertyResult's (ok, detail, reports); the
+# LDM-only ones read the truthful outcome as LDM's. Checkers are looked up by
 # name when called, so wrappers installed on this module see every call.
-PropertyCheck = Callable[
-    [MechanismUnderTest, ReportProfile, int, Callable[[], InvitationUtilities]], tuple]
+PropertyCheck = Callable[[_Truthful, int], tuple]
 PROPERTIES: dict[str, tuple[PropertyCheck, bool]] = {
-    "ir": (lambda mech, inst, mu, utilities: _deviations(check_ir(mech, inst, utilities)),
-           False),
-    "invite-ic": (lambda mech, inst, mu, utilities:
-                  _deviations(check_invitation_ic(mech, inst, utilities)), False),
-    "value-ic": (lambda mech, inst, mu, utilities: _deviations(check_value_ic(mech, inst)),
-                 False),
+    "ir": (lambda truth, mu: _deviations(check_ir(
+        truth.mechanism, truth.instance, lambda: truth.invitation_utilities)), False),
+    "invite-ic": (lambda truth, mu: _deviations(check_invitation_ic(
+        truth.mechanism, truth.instance, lambda: truth.invitation_utilities)), False),
+    "value-ic": (lambda truth, mu: _deviations(
+        check_value_ic(truth.mechanism, truth.instance, market=truth.market)), False),
     "non-wasteful": (_non_wasteful, False),
     "dominance": (_dominance, True),
     "decomposition": (_decomposition, True),
-    "child-monotonicity": (lambda mech, inst, mu, utilities:
-                           _deviations(check_child_monotonicity(mech, inst)), False),
+    "child-monotonicity": (lambda truth, mu: _deviations(
+        check_child_monotonicity(truth.mechanism, truth.instance, market=truth.market)),
+        False),
     "order-independence": (_order_independence, True),
 }
 PROPERTY_NAMES = tuple(PROPERTIES)
@@ -618,15 +673,15 @@ def run_properties(instance: ReportProfile, mechanism_name: str,
     """Run the named property checks for one instance, in the given order.
 
     Properties marked `ldm_only` in `PROPERTIES` refuse unlayered mechanisms.
-    "ir" and "invite-ic" scan one `_invitation_utilities` table, computed by
-    whichever of them runs first.
+    The checks share one `_Truthful`: the instance's market is built once,
+    and the truthful outcome and the invitation table that "ir" and
+    "invite-ic" scan are computed by whichever check needs them first.
     """
     entry = MECHANISMS.get(mechanism_name)
     if entry is None:
         raise ContractError(f"unknown mechanism {mechanism_name!r}")
     pinned = entry.pinned_mu(instance, mu)
-    mech = entry.checked(pinned)
-    utilities = cache(partial(_invitation_utilities, mech, instance))
+    truth = _Truthful(entry.checked(pinned), instance, partial(entry.run, mu=pinned))
     results: list[PropertyResult] = []
     for prop in properties:
         if prop not in PROPERTIES:
@@ -634,16 +689,20 @@ def run_properties(instance: ReportProfile, mechanism_name: str,
         if not entry.admits(prop):
             raise ContractError(f"property {prop!r} requires the ldm mechanism")
         check = PROPERTIES[prop][0]
-        results.append(PropertyResult(prop, *check(mech, instance, pinned, utilities)))
+        results.append(PropertyResult(prop, *check(truth, pinned)))
     return results
 
 
 def check_order_independence(instance: ReportProfile, mu: int) -> bool:
     """Three permutations of the within-layer buyer loop must not change the LDM outcome."""
     market = compute_market(instance)
-    base = run_ldm_tree(market, mu, want_trace=False)
+    return _order_independent(market, run_ldm_tree(market, mu, want_trace=False), mu)
+
+
+def _order_independent(market: Market, base: Outcome, mu: int) -> bool:
+    """`check_order_independence` against `base`, LDM's outcome on `market`."""
     ids = sorted(market.valid)
-    rng = random.Random(f"order:{len(ids)}:{instance.k}")
+    rng = random.Random(f"order:{len(ids)}:{market.k}")
     for _ in range(3):
         perm = ids[:]
         rng.shuffle(perm)

@@ -131,7 +131,8 @@ def _split_child_monotonicity(profile, reports):
     while j herself gains nothing from the deletion. Returns two lists of
     printable entries: gaps, then failures.
     """
-    base, tree = _tree_profile(profile)
+    tree = compute_market(profile)
+    base = _tree_profile(profile, tree)
     mech = ldm_mechanism(robust_mu(profile))
     full = mech.run(base)
     gaps, failures = [], []

@@ -379,6 +379,13 @@ def test_cli_entrypoint_via_subprocess():
     assert json.loads(proc.stdout)["revenue"] == 1
 
 
+def test_package_runs_as_a_module():
+    proc = subprocess.run([sys.executable, "-m", "netauction", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: netauction")
+
+
 def test_worker_env_does_not_change_output():
     import os
 

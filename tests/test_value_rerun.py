@@ -3,10 +3,13 @@
 `ldm_value_rerun(tree, mu, i)(v)` must equal i's (units, payment) in
 `run_ldm_tree(tree.with_values(i, v), mu)` exactly, for every buyer, every
 invitation subset the harness enumerates and every grid vector; so must
-`reference_ldm.ldm_value_rerun`, the layer-replaying rerun it replaced.
+`reference_ldm.ldm_value_rerun`, the layer-replaying rerun it replaced. Its
+`menu` must hold every outcome of the full grid, which `check_value_ic`
+falls back to where the menu does not certify.
 """
 
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +17,9 @@ from hypothesis import strategies as st
 
 from netauction import mechanisms
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance
-from netauction.market import ReportedType, compute_market
-from netauction.mechanisms import inject_dummies, ldm_value_rerun, run_ldm_tree
+from netauction.market import ReportedType, compute_market, cumulative_value
+from netauction.mechanisms import (Outcome, inject_dummies, ldm_value_rerun, run_ldm_tree,
+                                   run_vcg_first_layer)
 from netauction.removed_sets import (potential_inviters, removed_set_holding, removed_set_of,
                                      robust_mu)
 from netauction.verify import (MAX_INVITES_EXHAUSTIVE, MechanismUnderTest, check_value_ic,
@@ -300,6 +304,96 @@ def test_check_value_ic_reports_match_black_box_path():
         fast = ldm_mechanism(robust_mu(profile))
         slow = MechanismUnderTest("ldm", fast.run)
         assert check_value_ic(fast, profile, grid) == check_value_ic(slow, profile, grid)
+
+
+def full_grid(profile, i):
+    """Every vector of `integer_value_grid`, unstrided."""
+    top = max(rep.values[0] for rep in profile.reports.values())
+    return integer_value_grid(profile, i, cap=comb(top + 2 + profile.k, profile.k))
+
+
+def assert_menu_holds_every_outcome(profile, mu):
+    """For every (buyer, subset): the menu has at most k + 1 entries and holds
+    the truthful outcome and every full-grid vector's; returns the reruns."""
+    compared = 0
+    for i in sorted(compute_market(profile).valid):
+        grid = full_grid(profile, i)
+        for tree in subset_trees(profile, i):
+            rerun = ldm_value_rerun(tree, mu, i)
+            menu = set(rerun.menu)
+            assert len(rerun.menu) <= profile.k + 1
+            assert rerun(profile.reports[i].values) in menu, i
+            outcomes = {rerun(v) for v in grid}
+            assert outcomes <= menu, (i, outcomes - menu)
+            compared += len(grid)
+    return compared
+
+
+@pytest.mark.parametrize("config", STREAMS, ids=["seed301-tree", "seed302-graph"])
+def test_menu_holds_every_outcome_on_criterion_streams(config):
+    compared = sum(assert_menu_holds_every_outcome(p, robust_mu(p))
+                   for p in instance_stream(config, 25))
+    assert compared > 10_000
+
+
+@pytest.mark.parametrize("name", FIGURES)
+def test_menu_holds_every_outcome_on_figures(name):
+    profile = figure(name)
+    assert assert_menu_holds_every_outcome(profile, robust_mu(profile))
+
+
+def test_menu_holds_every_outcome_with_reserve_dummies():
+    profile = inject_dummies(figure("fig3"), 4)
+    assert assert_menu_holds_every_outcome(profile, robust_mu(profile))
+
+
+def first_price(profile):
+    """Deliberately not IC: first-layer VCG's allocation, winners paying
+    their own reported value."""
+    market = compute_market(profile)
+    vcg = run_vcg_first_layer(market)
+    return Outcome(units=vcg.units, payments={
+        i: cumulative_value(market.values_of(i), u) for i, u in vcg.units.items()})
+
+
+def test_menu_that_fails_to_certify_falls_back_to_the_grid():
+    black_box = MechanismUnderTest("first-price", first_price)
+
+    def value_rerun(profile, i):
+        # the black box, with its outcomes over the full grid as the menu
+        rerun = black_box.value_rerun(profile, i)
+        rerun.menu = tuple({rerun(v) for v in full_grid(profile, i)})
+        return rerun
+
+    with_menu = MechanismUnderTest("first-price", first_price, value_rerun)
+    fell_back = []
+
+    def grid(instance, i):
+        fell_back.append(i)
+        return integer_value_grid(instance, i, cap=40)
+
+    profiles = [make_profile(1, {1, 2}, {1: ((6,), ()), 2: ((4,), ())}),
+                make_profile(2, {1, 2, 3}, {1: ((5, 2), [4]), 2: ((4, 1), ()),
+                                            3: ((3, 3), ()), 4: ((7, 0), ())})]
+    for profile in profiles:
+        fell_back.clear()
+        reports = check_value_ic(with_menu, profile, grid)
+        assert reports and fell_back
+        assert reports == check_value_ic(black_box, profile, grid)
+
+
+@pytest.mark.parametrize("config", STREAMS, ids=["seed301-tree", "seed302-graph"])
+def test_menu_certifies_every_pair_on_criterion_streams(config):
+    # the grid is built for a buyer only once some subset of hers is not
+    # certified, so no grid call means every (buyer, subset) was certified
+    pairs, fell_back = [], []
+    grid = lambda instance, i: fell_back.append(i) or integer_value_grid(instance, i)
+    for profile in instance_stream(config, 150):
+        mech = ldm_mechanism(robust_mu(profile))
+        counted = MechanismUnderTest(
+            mech.name, mech.run, lambda p, i: pairs.append(i) or mech.value_rerun(p, i))
+        assert check_value_ic(counted, profile, grid) == []
+    assert len(pairs) > 1_000 and fell_back == []
 
 
 @st.composite

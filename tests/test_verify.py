@@ -12,6 +12,7 @@ from netauction.instance_io import GeneratorConfig, instance_stream, parse_insta
 from netauction.market import compute_market, cumulative_value
 from netauction.mechanisms import Outcome, run_ldm_tree, run_vcg_first_layer
 from netauction.verify import (
+    PROPERTY_NAMES,
     MechanismUnderTest,
     check_child_monotonicity,
     check_decomposition_inequalities,
@@ -205,7 +206,7 @@ def test_compare_degenerates_without_diffusion():
 def test_payment_decomposition_t4(t4_profile):
     tree = compute_market(t4_profile)
     out = run_ldm_tree(tree, 1)
-    rows = payment_decomposition(out, tree, 1)
+    rows = payment_decomposition(out, 1)
     by_buyer = {r.buyer: r for r in rows}
     row1 = by_buyer[1]
     assert (row1.m, row1.t, row1.q, row1.p) == (1, 7, 4, -3)
@@ -221,14 +222,14 @@ def test_payment_decomposition_requires_trace(t4_profile):
     tree = compute_market(t4_profile)
     out = run_ldm_tree(tree, 1, want_trace=False)
     with pytest.raises(TraceMissing):
-        payment_decomposition(out, tree, 1)
+        payment_decomposition(out, 1)
 
 
 def test_decomposition_single_layer_second_family_vacuous():
     profile = make_profile(1, {1, 2}, {1: ((5,), ()), 2: ((3,), ())})
     tree = compute_market(profile)
     out = run_ldm_tree(tree, 0)
-    rows = payment_decomposition(out, tree, 0)
+    rows = payment_decomposition(out, 0)
     vcg = run_vcg_first_layer(compute_market(profile))
     first, second = check_decomposition_inequalities(rows, vcg)
     assert first and second
@@ -339,6 +340,30 @@ def test_run_properties_all_green_on_t4(t4_profile):
     ))
     assert all(r.ok for r in results)
     assert len(results) == 8
+
+
+def test_run_properties_resolves_the_truthful_instance_once(monkeypatch, t4_profile):
+    markets, ldm_runs = [], []
+    build, run = verify.compute_market, verify.run_ldm
+    monkeypatch.setattr(verify, "compute_market",
+                        lambda profile: markets.append(profile) or build(profile))
+    monkeypatch.setattr(verify, "run_ldm",
+                        lambda market, mu: ldm_runs.append(market.profile) or run(market, mu))
+    results = run_properties(t4_profile, "ldm", PROPERTY_NAMES)
+    assert len(results) == 8 and all(r.ok for r in results)
+    assert sum(profile is t4_profile for profile in markets) == 1
+    assert sum(profile is t4_profile for profile in ldm_runs) == 1
+
+
+@pytest.mark.parametrize("config", [
+    GeneratorConfig(seed=301, buyers=(2, 8), k=(1, 3), v_max=10, topology="tree"),
+    GeneratorConfig(seed=302, buyers=(2, 8), k=(1, 3), v_max=10, topology="graph",
+                    edge_density=0.15),
+], ids=["seed301-tree", "seed302-graph"])
+def test_run_properties_together_match_one_at_a_time(config):
+    for profile in instance_stream(config, 25):
+        assert run_properties(profile, "ldm", PROPERTY_NAMES) == [
+            run_properties(profile, "ldm", (prop,))[0] for prop in PROPERTY_NAMES]
 
 
 def test_run_properties_flags_dna_mu(counterexample_profile):
