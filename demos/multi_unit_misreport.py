@@ -11,16 +11,14 @@ Run:  python demos/multi_unit_misreport.py
 """
 
 from netauction.instance_io import GeneratorConfig, instance_stream
-from netauction.market import compute_market
 from netauction.mechanisms import Outcome
 from netauction.removed_sets import robust_mu
 from netauction.verify import MechanismUnderTest, check_value_ic, ldm_mechanism
 
 
-def naive_multi_unit_dna(profile):
+def naive_multi_unit_dna(market):
     """Sequential pricing over full marginal vectors; demonstration only."""
-    market = compute_market(profile)
-    k_remaining = profile.k
+    k_remaining = market.k
     winners: set = set()
     units = {i: 0 for i in market.valid}
     payments = {i: 0 for i in market.valid}

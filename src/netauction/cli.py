@@ -200,7 +200,7 @@ def cmd_run(args) -> int:
     market = compute_market(profile)
     entry = MECHANISMS[args.mechanism]
     mu = _resolve_run_mu(profile, args.mu, args.require_mu) if entry.layered else 0
-    outcome = entry.run(market, mu)
+    outcome = entry.checked(mu).run(market)
     if mu is None:
         mu = outcome.trace.mu
         print(f"warning: mu missing, defaulting to min valid bound {mu} "

@@ -224,8 +224,8 @@ def _ldm_payment(market: Market, pool: WelfarePool, layer_opt: WelfareResult,
     return sw_d, sw_d - (layer_opt.welfare - value)
 
 
-def run_ldm_tree(market: Market, mu: int | None, order: Sequence[BuyerId] | None = None,
-                 want_trace: bool = True) -> Outcome:
+def run_ldm_tree(market: Market, mu: int | None,
+                 order: Sequence[BuyerId] | None = None) -> Outcome:
     """Layer-based diffusion mechanism on the market's BFS tree.
 
     Per layer l: remove R_l, solve the constrained welfare optimum with all
@@ -261,24 +261,23 @@ def run_ldm_tree(market: Market, mu: int | None, order: Sequence[BuyerId] | None
             if not is_dummy(i):
                 units[i] = layer_opt.units_of(i)
                 payments[i] = payment
-        if want_trace:
-            records.append(LayerRecord(
-                layer=l,
-                removed=r_l,
-                included=included,
-                sw=layer_opt.welfare,
-                tentative_units=dict(layer_opt.allocation),
-                tentative_value={
-                    j: cumulative_value(market.values_of(j), m)
-                    for j, m in layer_opt.allocation.items()
-                },
-                sw_minus_d=sw_d,
-                k_remain_after=k_remain,
-            ))
+        records.append(LayerRecord(
+            layer=l,
+            removed=r_l,
+            included=included,
+            sw=layer_opt.welfare,
+            tentative_units=dict(layer_opt.allocation),
+            tentative_value={
+                j: cumulative_value(market.values_of(j), m)
+                for j, m in layer_opt.allocation.items()
+            },
+            sw_minus_d=sw_d,
+            k_remain_after=k_remain,
+        ))
         if k_remain == 0:
             break
-    trace = LdmTrace(mu, market.k, tuple(records), market) if want_trace else None
-    return Outcome(units=units, payments=payments, trace=trace)
+    return Outcome(units=units, payments=payments,
+                   trace=LdmTrace(mu, market.k, tuple(records), market))
 
 
 # A buyer's (units, payment) as a function of her value report, all else fixed.
@@ -293,9 +292,10 @@ def _nothing_for_any_report() -> ValueRerun:
     return rerun
 
 
-def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
+def ldm_value_rerun(market: Market, mu: int | None, i: BuyerId) -> ValueRerun:
     """i's (units, payment) under `run_ldm_tree(market.with_values(i, v), mu)`,
-    as a function of her value report v.
+    as a function of her value report v (mu None: the market's smallest valid
+    mu, which no value report moves).
 
     With i in layer L and parent p, the only removed set that reads v is
     C^R_p, inside R_{L-1}, and i's units and payment are final once layer L
@@ -314,6 +314,8 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
     others' first S - x marginals) for x in 0..S, or ((0, 0),) when a layer
     before L sells out or i is a dummy.
     """
+    if mu is None:
+        mu = min_valid_mu(market)
     layer = market.layer_of[i]
     removed = layer_removed_sets(market, mu)
     committed: dict[BuyerId, int] = {}

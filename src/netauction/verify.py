@@ -2,11 +2,14 @@
 dominance comparisons, the payment decomposition, child monotonicity, and
 randomized counterexample search.
 
-Checkers treat a mechanism as a black box over report profiles; value
-misreports go through its `value_rerun` hook, which must agree with `run`
-exactly. Utilities are always evaluated against the buyer's TRUE values from
-the untouched instance; the market is recomputed for every invitation
-deviation, so buyers disconnected by a deviation correctly earn zero.
+Checkers treat a mechanism as a black box over computed markets
+(`MechanismUnderTest`). An invitation deviation builds its own market, so
+buyers it disconnects correctly earn zero; a value misreport goes through
+the mechanism's `value_rerun` hook, by default `run` on
+`Market.with_values`, which must agree with `run` exactly. Utilities are
+always evaluated against the buyer's TRUE values from the untouched
+instance. The checks of one `run_properties` call share one truthful
+instance (`_Truthful`): its market, truthful outcome and invitation table.
 
 LDM's value-IC is certified per (buyer, invitation subset): its value rerun
 lists the outcome menu, every (units, payment) any report can get, and a
@@ -56,57 +59,53 @@ MAX_INVITES_EXHAUSTIVE = 6
 DEFAULT_GRID_CAP = 128
 
 
-def _rerun_profile(run: Callable[[ReportProfile], Outcome], profile: ReportProfile,
-                   i: BuyerId) -> ValueRerun:
-    """The generic value rerun: the whole of `run` on each patched profile."""
-    invited = profile.reports[i].invited
+@dataclass(frozen=True)
+class MechanismUnderTest:
+    """A named mechanism as the CLI runs it and the checkers rerun it.
+
+    `run` maps a computed market to the outcome; `market.profile` keeps the
+    raw reports for a mechanism that needs them. `value_rerun(market, i)`
+    returns a function from a value vector v to i's (units, payment) under
+    `run(market.with_values(i, v))`, which is also what it does when left
+    out. A `menu` attribute on that function, listing every pair it can
+    return, lets `check_value_ic` certify instead of enumerate.
+    """
+
+    name: str
+    run: Callable[[Market], Outcome]
+    value_rerun: Callable[[Market, BuyerId], ValueRerun] | None = None
+
+    def __post_init__(self):
+        if self.value_rerun is None:
+            object.__setattr__(self, "value_rerun", partial(_with_values_rerun, self.run))
+
+
+def _with_values_rerun(run: Callable[[Market], Outcome], market: Market,
+                       i: BuyerId) -> ValueRerun:
+    """The generic value rerun: the whole of `run` on each patched market."""
 
     def rerun(v: ValuationVector) -> tuple[int, Money]:
-        outcome = run(profile.with_report(i, ReportedType(v, invited)))
+        outcome = run(market.with_values(i, v))
         return outcome.units_of(i), outcome.payment_of(i)
 
     return rerun
 
 
-@dataclass(frozen=True)
-class MechanismUnderTest:
-    """A named mechanism and its value-rerun hook.
-
-    `run` is the full pipeline from a report profile. `value_rerun(profile,
-    i)` returns a function from a value vector v to i's (units, payment) when
-    she reports v with her invitations in `profile`; it must agree with
-    `run` exactly. A `menu` attribute on that function, listing every pair
-    it can return, lets `check_value_ic` certify instead of enumerate. Left
-    out, it reruns `run` on each patched profile.
-    """
-
-    name: str
-    run: Callable[[ReportProfile], Outcome]
-    value_rerun: Callable[[ReportProfile, BuyerId], ValueRerun] | None = None
-
-    def __post_init__(self):
-        if self.value_rerun is None:
-            object.__setattr__(self, "value_rerun", partial(_rerun_profile, self.run))
-
-
-def ldm_mechanism(mu: int) -> MechanismUnderTest:
-    def run(profile: ReportProfile) -> Outcome:
-        return run_ldm(compute_market(profile), mu)
-
-    def value_rerun(profile: ReportProfile, i: BuyerId) -> ValueRerun:
-        return ldm_value_rerun(compute_market(profile), mu, i)
-
-    return MechanismUnderTest("ldm", run, value_rerun)
+# The only definition of each mechanism. The lambdas look the run functions
+# up by name when called, so wrappers installed on this module (such as
+# tracing spans) see every run.
+def ldm_mechanism(mu: int | None = None) -> MechanismUnderTest:
+    """LDM at `mu`; None runs it at each market's smallest valid mu."""
+    return MechanismUnderTest("ldm", lambda market: run_ldm(market, mu),
+                              lambda market, i: ldm_value_rerun(market, mu, i))
 
 
 def dna_mu_mechanism() -> MechanismUnderTest:
-    return MechanismUnderTest(
-        "dna-mu", lambda profile: run_dna_mu(compute_market(profile)))
+    return MechanismUnderTest("dna-mu", lambda market: run_dna_mu(market))
 
 
 def vcg_mechanism() -> MechanismUnderTest:
-    return MechanismUnderTest(
-        "vcg-l1", lambda profile: run_vcg_first_layer(compute_market(profile)))
+    return MechanismUnderTest("vcg-l1", lambda market: run_vcg_first_layer(market))
 
 
 @dataclass(frozen=True)
@@ -114,15 +113,13 @@ class RegisteredMechanism:
     """One mechanism name shared by the CLI and the property harness.
 
     A `layered` mechanism takes mu and admits the LDM-only properties; the
-    others ignore mu. `run` applies the mechanism to a computed market with
-    mu, None running a layered one at its smallest valid mu (a reserve price
-    is already in the market, see `inject_dummies`);
-    `checked` builds the black box that the checkers rerun.
+    others ignore mu. `checked(mu)` is the mechanism, a layered one at mu,
+    None meaning its smallest valid mu on each market (a reserve price is
+    already in the market, see `inject_dummies`).
     """
 
     layered: bool
-    run: Callable[[Market, int | None], Outcome]
-    checked: Callable[[int], MechanismUnderTest]
+    checked: Callable[[int | None], MechanismUnderTest]
 
     def pinned_mu(self, instance: ReportProfile, mu: int | None = None) -> int:
         """mu for the checkers: `mu`, else the instance's, else `robust_mu`.
@@ -145,14 +142,10 @@ class RegisteredMechanism:
         return self.layered or not PROPERTIES[prop][1]
 
 
-# The lambdas look the mechanisms up by name when called, so wrappers
-# installed on this module (such as tracing spans) see every run.
-_LDM = RegisteredMechanism(True, lambda market, mu: run_ldm(market, mu), ldm_mechanism)
+_LDM = RegisteredMechanism(True, ldm_mechanism)
 MECHANISMS: dict[str, RegisteredMechanism] = {
-    "vcg-l1": RegisteredMechanism(False, lambda market, mu: run_vcg_first_layer(market),
-                                  lambda mu: vcg_mechanism()),
-    "dna-mu": RegisteredMechanism(False, lambda market, mu: run_dna_mu(market),
-                                  lambda mu: dna_mu_mechanism()),
+    "vcg-l1": RegisteredMechanism(False, lambda mu: vcg_mechanism()),
+    "dna-mu": RegisteredMechanism(False, lambda mu: dna_mu_mechanism()),
     # An alias of "ldm": run_ldm already runs LDM-Tree on the BFS tree, and a
     # tree is its own BFS tree.
     "ldm-tree": _LDM,
@@ -211,7 +204,7 @@ def _shrunk_invitations(mechanism: MechanismUnderTest, profile: ReportProfile, j
     rep = profile.reports[j]
     for sub in _subsets(rep.invited, proper_only=True):
         reduced = ReportedType(rep.values, sub)
-        yield reduced, mechanism.run(profile.with_report(j, reduced))
+        yield reduced, mechanism.run(compute_market(profile.with_report(j, reduced)))
 
 
 # Each valid buyer with her true-value utility under every report of her
@@ -219,33 +212,15 @@ def _shrunk_invitations(mechanism: MechanismUnderTest, profile: ReportProfile, j
 InvitationUtilities = list[tuple[BuyerId, list[tuple[ReportedType, Money]]]]
 
 
-def _invitation_utilities(mechanism: MechanismUnderTest, instance: ReportProfile,
-                          market: Market, full: Outcome) -> InvitationUtilities:
-    """What `check_ir` and `check_invitation_ic` scan: `full`, the outcome of
-    the full report, reused for every buyer, and one run per proper
-    invitation subset."""
-    table: InvitationUtilities = []
-    for i in sorted(market.valid):
-        truthful = instance.reports[i]
-        scanned = [(truthful, utility_of(instance, i, full))]
-        if truthful.invited:  # no invitations: the full report is the only one
-            scanned += ((report, utility_of(instance, i, outcome))
-                        for report, outcome in _shrunk_invitations(mechanism, instance, i))
-        table.append((i, scanned))
-    return table
-
-
 class _Truthful:
-    """An instance as the checks of one `run_properties` call share it: its
-    market, the mechanism's truthful outcome (`outcome_of` the market),
-    first-layer VCG's and the invitation table, each computed once, on first
-    use."""
+    """An instance as its checks share it: its market, the mechanism's
+    truthful outcome, first-layer VCG's and the invitation table, each
+    computed once, on first use. `run_properties` passes one to every check;
+    a checker called on its own builds its own."""
 
-    def __init__(self, mechanism: MechanismUnderTest, instance: ReportProfile,
-                 outcome_of: Callable[[Market], Outcome]):
+    def __init__(self, mechanism: MechanismUnderTest, instance: ReportProfile):
         self.mechanism = mechanism
         self.instance = instance
-        self._outcome_of = outcome_of
 
     @cached_property
     def market(self) -> Market:
@@ -253,7 +228,7 @@ class _Truthful:
 
     @cached_property
     def outcome(self) -> Outcome:
-        return self._outcome_of(self.market)
+        return self.mechanism.run(self.market)
 
     @cached_property
     def vcg(self) -> Outcome:
@@ -261,22 +236,26 @@ class _Truthful:
 
     @cached_property
     def invitation_utilities(self) -> InvitationUtilities:
-        return _invitation_utilities(self.mechanism, self.instance, self.market, self.outcome)
+        """What `check_ir` and `check_invitation_ic` scan: the truthful
+        outcome, reused for every buyer, and one run per proper invitation
+        subset."""
+        instance, full = self.instance, self.outcome
+        table: InvitationUtilities = []
+        for i in sorted(self.market.valid):
+            truthful = instance.reports[i]
+            scanned = [(truthful, utility_of(instance, i, full))]
+            if truthful.invited:  # no invitations: the full report is the only one
+                scanned += ((report, utility_of(instance, i, outcome)) for report, outcome
+                            in _shrunk_invitations(self.mechanism, instance, i))
+            table.append((i, scanned))
+        return table
 
 
-def _own_deviations(mechanism: MechanismUnderTest, instance: ReportProfile, kind: str,
-                    violates: Callable[[Money, Money], bool],
-                    utilities: Callable[[], InvitationUtilities] | None,
-                    ) -> list[DeviationReport]:
-    """Every invitation report whose utility u has `violates(u, u_full)`.
-
-    `utilities` returns `_invitation_utilities` of the instance;
-    `run_properties` passes one that computes it once for both checks.
-    """
-    table = utilities() if utilities else _invitation_utilities(
-        mechanism, instance, compute_market(instance), mechanism.run(instance))
+def _own_deviations(truth: _Truthful, kind: str,
+                    violates: Callable[[Money, Money], bool]) -> list[DeviationReport]:
+    """Every invitation report whose utility u has `violates(u, u_full)`."""
     violations: list[DeviationReport] = []
-    for i, scanned in table:
+    for i, scanned in truth.invitation_utilities:
         truthful, u_full = scanned[0]
         for report, u in scanned:
             if violates(u, u_full):
@@ -286,30 +265,31 @@ def _own_deviations(mechanism: MechanismUnderTest, instance: ReportProfile, kind
                     deviating_report=report,
                     truthful_utility=u_full,
                     deviating_utility=u,
-                    mechanism=mechanism.name,
-                    instance=instance,
+                    mechanism=truth.mechanism.name,
+                    instance=truth.instance,
                     kind=kind,
                 ))
     return sorted(violations, key=DeviationReport.sort_key)
 
 
-def check_ir(mechanism: MechanismUnderTest, instance: ReportProfile,
-             utilities: Callable[[], InvitationUtilities] | None = None,
-             ) -> list[DeviationReport]:
+def check_ir(mechanism: MechanismUnderTest, instance: ReportProfile, *,
+             truth: _Truthful | None = None) -> list[DeviationReport]:
     """Truthful values, every invitation subset: utility must be >= 0.
 
     Returned reports have deviating_utility < 0; truthful_utility is the
-    full-invitation utility for context.
+    full-invitation utility for context. `truth`, here and in the other
+    deviation checkers, is the shared `_Truthful` of `mechanism` on
+    `instance`; left out, the checker builds its own.
     """
-    return _own_deviations(mechanism, instance, "ir", lambda u, u_full: u < 0, utilities)
+    return _own_deviations(truth or _Truthful(mechanism, instance), "ir",
+                           lambda u, u_full: u < 0)
 
 
-def check_invitation_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
-                        utilities: Callable[[], InvitationUtilities] | None = None,
-                        ) -> list[DeviationReport]:
+def check_invitation_ic(mechanism: MechanismUnderTest, instance: ReportProfile, *,
+                        truth: _Truthful | None = None) -> list[DeviationReport]:
     """Truthful values: full invitation must dominate every proper subset."""
-    return _own_deviations(mechanism, instance, "invitation-ic",
-                           lambda u, u_full: u > u_full, utilities)
+    return _own_deviations(truth or _Truthful(mechanism, instance), "invitation-ic",
+                           lambda u, u_full: u > u_full)
 
 
 def _grid_vector(r: int, v_cap: int, k: int) -> ValuationVector:
@@ -371,7 +351,7 @@ def _strided_grid(v_cap: int, k: int, cap: int) -> tuple[ValuationVector, ...]:
 
 def check_value_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
                    grid: Callable[[ReportProfile, BuyerId], Iterable[ValuationVector]] | None = None,
-                   *, market: Market | None = None) -> list[DeviationReport]:
+                   *, truth: _Truthful | None = None) -> list[DeviationReport]:
     """For every buyer, invitation subset, and grid misreport: reporting true
     values must dominate the misreport at that same invitation set. Each
     (buyer, subset) gets one `mechanism.value_rerun`.
@@ -380,7 +360,8 @@ def check_value_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
     the pair when no menu entry gives more true-value utility than the
     truthful report: then no report of any size does. Otherwise the rerun is
     asked for every grid vector, and the buyer's grid is built on first need.
-    `market` is the instance's computed market, when the caller has it.
+    The full invitation set reruns on the truthful market; every proper
+    subset builds its own.
 
     Combined with check_invitation_ic this covers joint (value, invitation)
     deviations through the dominance chain full-truth >= (v, r-hat) >= (v-hat, r-hat).
@@ -388,15 +369,17 @@ def check_value_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
     if grid is None:
         grid = integer_value_grid
     violations: list[DeviationReport] = []
-    valid = (compute_market(instance) if market is None else market).valid
+    market = (truth or _Truthful(mechanism, instance)).market
     for i in sorted(instance.reports):
-        if i not in valid:
+        if i not in market.valid:
             continue
         rep = instance.reports[i]
         gained = [0, *accumulate(rep.values)]
         vectors = None
         for sub in _subsets(rep.invited):
-            rerun = mechanism.value_rerun(instance.with_report(i, ReportedType(rep.values, sub)), i)
+            deviated = market if sub == rep.invited else compute_market(
+                instance.with_report(i, ReportedType(rep.values, sub)))
+            rerun = mechanism.value_rerun(deviated, i)
             units, payment = rerun(rep.values)
             u_base = cumulative_value(rep.values, units) - payment
             menu = getattr(rerun, "menu", None)
@@ -421,12 +404,9 @@ def check_value_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
     return sorted(violations, key=DeviationReport.sort_key)
 
 
-def check_non_wasteful(outcome: Outcome, instance: ReportProfile) -> bool:
-    """All K units placed whenever any valid buyer exists (no-reserve runs only)."""
-    return _places_every_unit(outcome, compute_market(instance))
-
-
-def _places_every_unit(outcome: Outcome, market: Market) -> bool:
+def check_non_wasteful(outcome: Outcome, market: Market) -> bool:
+    """All K units placed whenever `market` has a valid buyer (no-reserve
+    runs only)."""
     return sum(outcome.units.values()) == (market.k if market.valid else 0)
 
 
@@ -543,17 +523,16 @@ def _tree_profile(instance: ReportProfile, tree: Market) -> ReportProfile:
 
 
 def check_child_monotonicity(mechanism: MechanismUnderTest, instance: ReportProfile,
-                             *, market: Market | None = None) -> list[DeviationReport]:
+                             *, truth: _Truthful | None = None) -> list[DeviationReport]:
     """No same-layer buyer may gain utility from another buyer's extra children.
 
     Works on the instance's BFS tree: for each buyer j with children and each
     proper child subset, deleting the other subtrees must leave every
     same-layer observer's utility at least as high as under the full set.
-    `market` is the instance's computed market, when the caller has it.
     """
-    tree = compute_market(instance) if market is None else market
+    tree = (truth or _Truthful(mechanism, instance)).market
     base_profile = _tree_profile(instance, tree)
-    full = mechanism.run(base_profile)
+    full = mechanism.run(compute_market(base_profile))
     violations: list[DeviationReport] = []
     for j in sorted(tree.valid):
         if not tree.children[j]:
@@ -597,9 +576,10 @@ def search_counterexample(
     """
     for index, instance in enumerate(itertools.islice(generator, budget)):
         mech = mechanism if isinstance(mechanism, MechanismUnderTest) else mechanism(instance)
-        found = check_invitation_ic(mech, instance)
+        truth = _Truthful(mech, instance)
+        found = check_invitation_ic(mech, instance, truth=truth)
         if not found and include_value_ic:
-            found = check_value_ic(mech, instance)
+            found = check_value_ic(mech, instance, truth=truth)
         if found:
             return index, found[0]
     return None
@@ -613,12 +593,14 @@ class PropertyResult:
     reports: tuple[DeviationReport, ...] = ()
 
 
-def _deviations(reports: list[DeviationReport]) -> tuple:
+def _deviations(check: Callable[..., list[DeviationReport]], truth: _Truthful) -> tuple:
+    """A deviation checker's (ok, detail, reports) on the shared instance."""
+    reports = check(truth.mechanism, truth.instance, truth=truth)
     return (not reports, "", tuple(reports))
 
 
 def _non_wasteful(truth: _Truthful, mu: int) -> tuple:
-    ok = _places_every_unit(truth.outcome, truth.market)
+    ok = check_non_wasteful(truth.outcome, truth.market)
     return (ok, "" if ok else "units unsold", ())
 
 
@@ -640,8 +622,17 @@ def _decomposition(truth: _Truthful, mu: int) -> tuple:
 
 
 def _order_independence(truth: _Truthful, mu: int) -> tuple:
-    ok = _order_independent(truth.market, truth.outcome, mu)
-    return (ok, "" if ok else "order changed outcome", ())
+    """Three permutations of the within-layer buyer loop must leave LDM's
+    truthful outcome as it is."""
+    ids = sorted(truth.market.valid)
+    rng = random.Random(f"order:{len(ids)}:{truth.market.k}")
+    for _ in range(3):
+        perm = ids[:]
+        rng.shuffle(perm)
+        out = run_ldm_tree(truth.market, mu, order=perm)
+        if out.units != truth.outcome.units or out.payments != truth.outcome.payments:
+            return (False, "order changed outcome", ())
+    return (True, "", ())
 
 
 # Property name -> (check, ldm_only). A check maps the shared truthful
@@ -650,18 +641,14 @@ def _order_independence(truth: _Truthful, mu: int) -> tuple:
 # name when called, so wrappers installed on this module see every call.
 PropertyCheck = Callable[[_Truthful, int], tuple]
 PROPERTIES: dict[str, tuple[PropertyCheck, bool]] = {
-    "ir": (lambda truth, mu: _deviations(check_ir(
-        truth.mechanism, truth.instance, lambda: truth.invitation_utilities)), False),
-    "invite-ic": (lambda truth, mu: _deviations(check_invitation_ic(
-        truth.mechanism, truth.instance, lambda: truth.invitation_utilities)), False),
-    "value-ic": (lambda truth, mu: _deviations(
-        check_value_ic(truth.mechanism, truth.instance, market=truth.market)), False),
+    "ir": (lambda truth, mu: _deviations(check_ir, truth), False),
+    "invite-ic": (lambda truth, mu: _deviations(check_invitation_ic, truth), False),
+    "value-ic": (lambda truth, mu: _deviations(check_value_ic, truth), False),
     "non-wasteful": (_non_wasteful, False),
     "dominance": (_dominance, True),
     "decomposition": (_decomposition, True),
-    "child-monotonicity": (lambda truth, mu: _deviations(
-        check_child_monotonicity(truth.mechanism, truth.instance, market=truth.market)),
-        False),
+    "child-monotonicity": (lambda truth, mu: _deviations(check_child_monotonicity, truth),
+                           False),
     "order-independence": (_order_independence, True),
 }
 PROPERTY_NAMES = tuple(PROPERTIES)
@@ -681,7 +668,7 @@ def run_properties(instance: ReportProfile, mechanism_name: str,
     if entry is None:
         raise ContractError(f"unknown mechanism {mechanism_name!r}")
     pinned = entry.pinned_mu(instance, mu)
-    truth = _Truthful(entry.checked(pinned), instance, partial(entry.run, mu=pinned))
+    truth = _Truthful(entry.checked(pinned), instance)
     results: list[PropertyResult] = []
     for prop in properties:
         if prop not in PROPERTIES:
@@ -692,21 +679,3 @@ def run_properties(instance: ReportProfile, mechanism_name: str,
         results.append(PropertyResult(prop, *check(truth, pinned)))
     return results
 
-
-def check_order_independence(instance: ReportProfile, mu: int) -> bool:
-    """Three permutations of the within-layer buyer loop must not change the LDM outcome."""
-    market = compute_market(instance)
-    return _order_independent(market, run_ldm_tree(market, mu, want_trace=False), mu)
-
-
-def _order_independent(market: Market, base: Outcome, mu: int) -> bool:
-    """`check_order_independence` against `base`, LDM's outcome on `market`."""
-    ids = sorted(market.valid)
-    rng = random.Random(f"order:{len(ids)}:{market.k}")
-    for _ in range(3):
-        perm = ids[:]
-        rng.shuffle(perm)
-        out = run_ldm_tree(market, mu, order=perm, want_trace=False)
-        if out.units != base.units or out.payments != base.payments:
-            return False
-    return True

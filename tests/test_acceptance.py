@@ -134,7 +134,7 @@ def _split_child_monotonicity(profile, reports):
     tree = compute_market(profile)
     base = _tree_profile(profile, tree)
     mech = ldm_mechanism(robust_mu(profile))
-    full = mech.run(base)
+    full = mech.run(compute_market(base))
     gaps, failures = [], []
     for report in reports:
         # j's child set is non-empty and disjoint from every other buyer's,
@@ -148,7 +148,8 @@ def _split_child_monotonicity(profile, reports):
             failures.append(entry + ")")
             continue
         u_full = utility_of(base, j, full)
-        u_none = utility_of(base, j, mech.run(base.with_report(j, report.truthful_report)))
+        u_none = utility_of(
+            base, j, mech.run(compute_market(base.with_report(j, report.truthful_report))))
         entry += f"; j utility {u_full} -> {u_none})"
         (failures if u_none > u_full else gaps).append(entry)
     return gaps, failures

@@ -318,7 +318,7 @@ def _with_unreachable_buyers(profile, rng):
 
 def _registry_outcome(entry, profile, mu):
     try:
-        out = entry.run(compute_market(profile), mu)
+        out = entry.checked(mu).run(compute_market(profile))
     except ContractError as exc:
         return str(exc)
     return out.units, out.payments

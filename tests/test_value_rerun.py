@@ -9,6 +9,7 @@ falls back to where the menu does not certify.
 """
 
 import itertools
+from functools import partial
 from math import comb
 
 import pytest
@@ -20,10 +21,11 @@ from netauction.instance_io import GeneratorConfig, instance_stream, parse_insta
 from netauction.market import ReportedType, compute_market, cumulative_value
 from netauction.mechanisms import (Outcome, inject_dummies, ldm_value_rerun, run_ldm_tree,
                                    run_vcg_first_layer)
-from netauction.removed_sets import (potential_inviters, removed_set_holding, removed_set_of,
-                                     robust_mu)
+from netauction.removed_sets import (min_valid_mu, potential_inviters, removed_set_holding,
+                                     removed_set_of, robust_mu)
 from netauction.verify import (MAX_INVITES_EXHAUSTIVE, MechanismUnderTest, check_value_ic,
-                               integer_value_grid, ldm_mechanism)
+                               dna_mu_mechanism, integer_value_grid, ldm_mechanism,
+                               vcg_mechanism)
 
 import reference_ldm as ref
 from conftest import DATA, make_profile
@@ -41,7 +43,7 @@ FIGURES = ("fig3", "fig4", "t4")
 
 
 def black_box(tree, mu, i, v):
-    out = run_ldm_tree(tree.with_values(i, v), mu, want_trace=False)
+    out = run_ldm_tree(tree.with_values(i, v), mu)
     return out.units_of(i), out.payment_of(i)
 
 
@@ -306,6 +308,15 @@ def test_check_value_ic_reports_match_black_box_path():
         assert check_value_ic(fast, profile, grid) == check_value_ic(slow, profile, grid)
 
 
+def test_ldm_mechanism_without_mu_runs_at_the_smallest_valid_mu():
+    for name in ("fig3", "t4"):
+        market = compute_market(figure(name))
+        pinned, default = ldm_mechanism(min_valid_mu(market)), ldm_mechanism()
+        assert default.run(market) == pinned.run(market)
+        for i in sorted(market.valid):
+            assert default.value_rerun(market, i).menu == pinned.value_rerun(market, i).menu
+
+
 def full_grid(profile, i):
     """Every vector of `integer_value_grid`, unstrided."""
     top = max(rep.values[0] for rep in profile.reports.values())
@@ -347,22 +358,56 @@ def test_menu_holds_every_outcome_with_reserve_dummies():
     assert assert_menu_holds_every_outcome(profile, robust_mu(profile))
 
 
-def first_price(profile):
+def first_price(market):
     """Deliberately not IC: first-layer VCG's allocation, winners paying
     their own reported value."""
-    market = compute_market(profile)
     vcg = run_vcg_first_layer(market)
     return Outcome(units=vcg.units, payments={
         i: cumulative_value(market.values_of(i), u) for i, u in vcg.units.items()})
 
 
+def rerun_profile(run, market, i):
+    """The value rerun as first written: `run` on a fresh `compute_market` of
+    the profile with i's report patched."""
+    profile = market.profile
+    invited = profile.reports[i].invited
+
+    def rerun(v):
+        outcome = run(compute_market(profile.with_report(i, ReportedType(v, invited))))
+        return outcome.units_of(i), outcome.payment_of(i)
+
+    return rerun
+
+
+@pytest.mark.parametrize("mechanism", [
+    dna_mu_mechanism(), vcg_mechanism(), MechanismUnderTest("first-price", first_price),
+], ids=lambda mechanism: mechanism.name)
+def test_generic_value_rerun_matches_a_fresh_market(mechanism):
+    """The default rerun patches values on the market; the report lists must
+    equal those of a rerun that builds each patched market anew."""
+    grid = lambda inst, buyer: integer_value_grid(inst, buyer, cap=24)
+    oracle = MechanismUnderTest(mechanism.name, mechanism.run,
+                                partial(rerun_profile, mechanism.run))
+    profiles = [p for config in STREAMS for p in instance_stream(config, 12)]
+    profiles += [figure("fig3"), figure("t4")]
+    if mechanism.name != "dna-mu":  # DNA-MU takes no reserve price
+        profiles.append(inject_dummies(figure("fig3"), 4))
+    found = 0
+    for profile in profiles:
+        reports = check_value_ic(mechanism, profile, grid)
+        assert reports == check_value_ic(oracle, profile, grid)
+        found += len(reports)
+    # first-price is not IC, so its lists are not all empty
+    assert (found > 0) == (mechanism.name == "first-price")
+
+
 def test_menu_that_fails_to_certify_falls_back_to_the_grid():
     black_box = MechanismUnderTest("first-price", first_price)
 
-    def value_rerun(profile, i):
+    def value_rerun(market, i):
         # the black box, with its outcomes over the full grid as the menu
-        rerun = black_box.value_rerun(profile, i)
-        rerun.menu = tuple({rerun(v) for v in full_grid(profile, i)})
+        rerun = black_box.value_rerun(market, i)
+        rerun.menu = tuple({rerun(v) for v in full_grid(market.profile, i)})
         return rerun
 
     with_menu = MechanismUnderTest("first-price", first_price, value_rerun)

@@ -11,6 +11,7 @@ from netauction.errors import ContractError, SearchBudgetExceeded, TraceMissing
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance
 from netauction.market import compute_market, cumulative_value
 from netauction.mechanisms import Outcome, run_ldm_tree, run_vcg_first_layer
+from netauction.removed_sets import robust_mu
 from netauction.verify import (
     PROPERTY_NAMES,
     MechanismUnderTest,
@@ -41,8 +42,7 @@ def counterexample_profile():
 def pay_your_bid_on_losers() -> MechanismUnderTest:
     """Deliberately broken: losers owe their first-unit report."""
 
-    def run(profile):
-        market = compute_market(profile)
+    def run(market):
         vcg = run_vcg_first_layer(market)
         payments = dict(vcg.payments)
         for i in market.valid:
@@ -83,10 +83,11 @@ def test_invitation_ic_ldm_t4_clean_with_known_margin(t4_profile):
     from netauction.verify import utility_of
 
     mech = ldm_mechanism(1)
-    full = utility_of(t4_profile, 1, mech.run(t4_profile))
+    full = utility_of(t4_profile, 1, mech.run(compute_market(t4_profile)))
     hidden = utility_of(
         t4_profile, 1,
-        mech.run(t4_profile.with_report(1, ReportedType((1,), frozenset({3, 4})))),
+        mech.run(compute_market(
+            t4_profile.with_report(1, ReportedType((1,), frozenset({3, 4}))))),
     )
     assert (full, hidden) == (3, 0)
 
@@ -147,10 +148,7 @@ def test_value_ic_ldm_t4_full_grid(t4_profile):
 def test_value_ic_fast_path_matches_slow_path(fig3_profile):
     cfg = GeneratorConfig(seed=77, buyers=(3, 6), k=(1, 2), v_max=5)
     for profile in instance_stream(cfg, 5):
-        mu = 0
-        from netauction.removed_sets import robust_mu
-        mu = robust_mu(profile)
-        fast = ldm_mechanism(mu)
+        fast = ldm_mechanism(robust_mu(profile))
         slow = MechanismUnderTest("ldm", fast.run)
         grid = lambda inst, buyer: integer_value_grid(inst, buyer, cap=40)
         assert check_value_ic(fast, profile, grid) == check_value_ic(slow, profile, grid)
@@ -160,8 +158,7 @@ def test_value_ic_catches_overreporting_exposure():
     """First-price-style rule: winners pay their own bid; overstating values
     to grab more units must surface as a value-IC violation."""
 
-    def run(profile):
-        market = compute_market(profile)
+    def run(market):
         vcg = run_vcg_first_layer(market)
         payments = {
             i: cumulative_value(market.values_of(i), u) if u else 0
@@ -177,13 +174,12 @@ def test_value_ic_catches_overreporting_exposure():
 
 
 def test_non_wasteful(t4_profile, fig3_profile):
-    assert check_non_wasteful(run_ldm_tree(compute_market(t4_profile), 1),
-                              t4_profile)
-    assert check_non_wasteful(run_ldm_tree(compute_market(fig3_profile), 2),
-                              fig3_profile)
-    empty = make_profile(2, set(), {1: ((5, 1), ())})
+    t4, fig3 = compute_market(t4_profile), compute_market(fig3_profile)
+    assert check_non_wasteful(run_ldm_tree(t4, 1), t4)
+    assert check_non_wasteful(run_ldm_tree(fig3, 2), fig3)
+    empty = compute_market(make_profile(2, set(), {1: ((5, 1), ())}))
     from netauction.mechanisms import run_ldm
-    assert check_non_wasteful(run_ldm(compute_market(empty), 0), empty)
+    assert check_non_wasteful(run_ldm(empty, 0), empty)
 
 
 def test_compare_vs_vcg(fig3_profile, t4_profile):
@@ -219,8 +215,8 @@ def test_payment_decomposition_t4(t4_profile):
 
 
 def test_payment_decomposition_requires_trace(t4_profile):
-    tree = compute_market(t4_profile)
-    out = run_ldm_tree(tree, 1, want_trace=False)
+    # first-layer VCG's outcome carries a trace, but not an LDM one
+    out = run_vcg_first_layer(compute_market(t4_profile))
     with pytest.raises(TraceMissing):
         payment_decomposition(out, 1)
 
@@ -304,7 +300,6 @@ def test_search_counterexample_ldm_clean_same_family():
                           topology="tree", max_depth=3, seller_bias=0.45)
 
     def per_instance(profile):
-        from netauction.removed_sets import robust_mu
         return ldm_mechanism(robust_mu(profile))
 
     assert search_counterexample(per_instance, instance_stream(cfg, 400), 400) is None
@@ -321,15 +316,15 @@ def test_ic_composition_chain_on_samples(t4_profile):
     from netauction.verify import utility_of
 
     mech = ldm_mechanism(1)
-    full = utility_of(t4_profile, 1, mech.run(t4_profile))
+    full = utility_of(t4_profile, 1, mech.run(compute_market(t4_profile)))
     for sub in (frozenset(), frozenset({3}), frozenset({3, 4})):
         mid_profile = t4_profile.with_report(1, ReportedType((1,), sub))
-        mid = utility_of(t4_profile, 1, mech.run(mid_profile))
+        mid = utility_of(t4_profile, 1, mech.run(compute_market(mid_profile)))
         assert full >= mid
         for values in ((0,), (5,), (9,), (10,)):
             low = utility_of(
                 t4_profile, 1,
-                mech.run(mid_profile.with_report(1, ReportedType(values, sub))))
+                mech.run(compute_market(mid_profile.with_report(1, ReportedType(values, sub)))))
             assert mid >= low
 
 
@@ -353,6 +348,25 @@ def test_run_properties_resolves_the_truthful_instance_once(monkeypatch, t4_prof
     assert len(results) == 8 and all(r.ok for r in results)
     assert sum(profile is t4_profile for profile in markets) == 1
     assert sum(profile is t4_profile for profile in ldm_runs) == 1
+
+
+def test_value_ic_builds_one_market_per_proper_invitation_subset(monkeypatch, fig3_profile,
+                                                                t4_profile):
+    """The truthful market once, then one per proper invitation subset of each
+    valid buyer: the full set reruns on the truthful market."""
+    built, build = [], verify.compute_market
+    monkeypatch.setattr(verify, "compute_market",
+                        lambda profile: built.append(profile) or build(profile))
+    config = GeneratorConfig(seed=302, buyers=(2, 8), k=(1, 3), v_max=10, topology="graph",
+                             edge_density=0.15)
+    total = 0
+    for profile in [fig3_profile, t4_profile, *instance_stream(config, 30)]:
+        built.clear()
+        assert run_properties(profile, "ldm", ("value-ic",))[0].ok
+        proper = sum(2 ** len(profile.reports[i].invited) - 1 for i in build(profile).valid)
+        assert len(built) == 1 + proper
+        total += len(built)
+    assert total == 367
 
 
 @pytest.mark.parametrize("config", [
@@ -384,7 +398,6 @@ def test_run_properties_refuses_unknown_and_unlayered_mechanisms(t4_profile):
 def test_mu_overestimation_keeps_properties():
     """Running with mu above the structural bound must not break anything."""
     cfg = GeneratorConfig(seed=55, buyers=(2, 7), k=(1, 2), v_max=8)
-    from netauction.removed_sets import robust_mu
 
     for inst in instance_stream(cfg, 20):
         base = robust_mu(inst)
