@@ -157,9 +157,29 @@ def _outcome_doc(market: Market, name: str, mu: int,
     return doc
 
 
+def _json_text(doc: dict) -> str:
+    """`json.dumps(doc, indent=2, sort_keys=True)`, byte for byte.
+
+    `indent` selects the pure-Python encoder, so the flat top-level maps
+    (allocation, payments: one entry per buyer) go through the C encoder
+    instead, its item separator carrying their indentation. The other
+    values are small or optional and keep the indenting encoder.
+    """
+    fields = []
+    for key in sorted(doc):
+        value = doc[key]
+        if isinstance(value, dict) and value:
+            body = json.dumps(value, sort_keys=True, separators=(",\n    ", ": "))
+            text = "{\n    " + body[1:-1] + "\n  }"
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}"
+
+
 def _print_outcome(doc: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_json_text(doc))
         return
     print(f"mechanism: {doc['mechanism']}")
     print(f"k: {doc['k']}")

@@ -305,8 +305,9 @@ def ldm_value_rerun(market: Market, mu: int | None, i: BuyerId) -> ValueRerun:
     argument is in notes/decisions.md). So mu is checked, the layers before
     L committed with i in C^R_p, and layer L's free pool sorted once, here.
     Per vector, i's units are her merged rank in that pool and her payment
-    two prefix sums: O(k log n), with no pool built and nothing sorted. If
-    the layers before L sell every unit, i gets (0, 0) whatever she reports.
+    SW_{-D_i}, read off that pool once, minus a prefix sum: O(k log n), with
+    no pool built and nothing sorted. If the layers before L sell every
+    unit, i gets (0, 0) whatever she reports.
 
     The returned function's `menu` lists every (units, payment) it can
     return. Her units x never exceed the supply S left for layer L, and her
@@ -333,18 +334,27 @@ def ldm_value_rerun(market: Market, mu: int | None, i: BuyerId) -> ValueRerun:
     _check_problem(market, included, committed, market.k)
     if is_dummy(i):
         return _nothing_for_any_report()
-    reports = market.profile.reports
-    others = RankedMarginals(reports, included.difference(committed, (i,)))
-    sw_d = RankedMarginals(
-        reports, included.difference(committed, market.children[i], (i,))).top(k_remain)
+    others = RankedMarginals(market.profile.reports, included.difference(committed, (i,)))
+    return _LayerRerun(i, others, others.top_without(market.children[i], k_remain), k_remain)
 
-    def rerun(v: ValuationVector) -> tuple[int, Money]:
-        units = others.units_of(i, v, k_remain)
+
+class _LayerRerun:
+    """`ldm_value_rerun` once the layers before i's are committed: layer L's
+    pool without i (`others`), SW_{-D_i} and the supply S left for layer L.
+    The menu is built only when read: the invitation checks never read it."""
+
+    def __init__(self, i: BuyerId, others: RankedMarginals, sw_d: Money, supply: int):
+        self._i, self._others, self._sw_d, self._supply = i, others, sw_d, supply
+
+    def __call__(self, v: ValuationVector) -> tuple[int, Money]:
+        units = self._others.units_of(self._i, v, self._supply)
         # p_i = SW_{-D_i} - (SW_L - v_i(units)); the committed buyers' welfare cancels
-        return units, sw_d - others.top(k_remain - units)
+        return units, self._sw_d - self._others.top(self._supply - units)
 
-    rerun.menu = tuple((x, sw_d - others.top(k_remain - x)) for x in range(k_remain + 1))
-    return rerun
+    @property
+    def menu(self) -> tuple[tuple[int, Money], ...]:
+        top, sw_d, supply = self._others.top, self._sw_d, self._supply
+        return tuple((x, sw_d - top(supply - x)) for x in range(supply + 1))
 
 
 def run_ldm(market: Market, mu: int | None) -> Outcome:

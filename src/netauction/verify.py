@@ -9,7 +9,11 @@ the mechanism's `value_rerun` hook, by default `run` on
 `Market.with_values`, which must agree with `run` exactly. Utilities are
 always evaluated against the buyer's TRUE values from the untouched
 instance. The checks of one `run_properties` call share one truthful
-instance (`_Truthful`): its market, truthful outcome and invitation table.
+instance (`_Truthful`): its market, truthful outcome and invitation table,
+and one deviation per (valid buyer, invitation subset). For a mechanism
+with its own value rerun (LDM) that is the rerun on the deviated market,
+whose answer at the true values is both the invitation table's entry and
+value-IC's baseline; a black box's one run on that market serves both.
 
 LDM's value-IC is certified per (buyer, invitation subset): its value rerun
 lists the outcome menu, every (units, payment) any report can get, and a
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ContractError, SearchBudgetExceeded, TraceMissing
 from .market import (
@@ -68,7 +72,9 @@ class MechanismUnderTest:
     returns a function from a value vector v to i's (units, payment) under
     `run(market.with_values(i, v))`, which is also what it does when left
     out. A `menu` attribute on that function, listing every pair it can
-    return, lets `check_value_ic` certify instead of enumerate.
+    return, lets `check_value_ic` certify instead of enumerate. A mechanism
+    with its own `value_rerun` has every invitation deviation read from it
+    at the buyer's true values (`own_rerun`).
     """
 
     name: str
@@ -78,6 +84,13 @@ class MechanismUnderTest:
     def __post_init__(self):
         if self.value_rerun is None:
             object.__setattr__(self, "value_rerun", partial(_with_values_rerun, self.run))
+
+    @property
+    def own_rerun(self) -> bool:
+        """Whether `value_rerun` is the mechanism's own. The generic one runs
+        `run` whole for each report, so at the true values it is no cheaper
+        than `run` on the deviated market, which the harness calls instead."""
+        return getattr(self.value_rerun, "func", None) is not _with_values_rerun
 
 
 def _with_values_rerun(run: Callable[[Market], Outcome], market: Market,
@@ -207,6 +220,17 @@ def _shrunk_invitations(mechanism: MechanismUnderTest, profile: ReportProfile, j
         yield reduced, mechanism.run(compute_market(profile.with_report(j, reduced)))
 
 
+class _Deviation(NamedTuple):
+    """One (valid buyer, invitation subset) of a `_Truthful`: the
+    mechanism's own value rerun on the deviated market (None for a black
+    box, see `MechanismUnderTest.own_rerun`) and her (units, payment) there
+    at her true values."""
+
+    rerun: ValueRerun | None
+    units: int
+    payment: Money
+
+
 # Each valid buyer with her true-value utility under every report of her
 # invitations, the full report first.
 InvitationUtilities = list[tuple[BuyerId, list[tuple[ReportedType, Money]]]]
@@ -214,13 +238,17 @@ InvitationUtilities = list[tuple[BuyerId, list[tuple[ReportedType, Money]]]]
 
 class _Truthful:
     """An instance as its checks share it: its market, the mechanism's
-    truthful outcome, first-layer VCG's and the invitation table, each
-    computed once, on first use. `run_properties` passes one to every check;
-    a checker called on its own builds its own."""
+    truthful outcome, first-layer VCG's, the invitation table and one
+    `_Deviation` per (valid buyer, invitation subset), each computed once,
+    on first use. The invitation table and value-IC read the same
+    deviations, so each (buyer, subset) is run, or rerun, once.
+    `run_properties` passes one to every check; a checker called on its own
+    builds its own."""
 
     def __init__(self, mechanism: MechanismUnderTest, instance: ReportProfile):
         self.mechanism = mechanism
         self.instance = instance
+        self._deviations: dict[tuple[BuyerId, frozenset[BuyerId]], _Deviation] = {}
 
     @cached_property
     def market(self) -> Market:
@@ -234,19 +262,48 @@ class _Truthful:
     def vcg(self) -> Outcome:
         return run_vcg_first_layer(self.market)
 
+    def deviated_market(self, i: BuyerId, invited: frozenset[BuyerId]) -> Market:
+        """The market with valid buyer i inviting `invited`, her values kept:
+        the truthful market for her full set."""
+        truthful = self.instance.reports[i]
+        if invited == truthful.invited:
+            return self.market
+        return compute_market(self.instance.with_report(i, ReportedType(truthful.values, invited)))
+
+    def deviation(self, i: BuyerId, invited: frozenset[BuyerId]) -> _Deviation:
+        """i's `_Deviation` for `invited`. A mechanism with its own rerun
+        answers through it: `value_rerun(market, i)(v)` is her result under
+        `run(market.with_values(i, v))`, which at her true values is
+        `run(market)`. A black box runs on the market, or for the full set
+        reuses the truthful outcome; its market is not kept."""
+        key = (i, invited)
+        found = self._deviations.get(key)
+        if found is not None:
+            return found
+        market = self.deviated_market(i, invited)
+        if self.mechanism.own_rerun:
+            rerun = self.mechanism.value_rerun(market, i)
+            found = _Deviation(rerun, *rerun(self.instance.reports[i].values))
+        else:
+            outcome = self.outcome if market is self.market else self.mechanism.run(market)
+            found = _Deviation(None, outcome.units_of(i), outcome.payment_of(i))
+        self._deviations[key] = found
+        return found
+
     @cached_property
     def invitation_utilities(self) -> InvitationUtilities:
         """What `check_ir` and `check_invitation_ic` scan: the truthful
-        outcome, reused for every buyer, and one run per proper invitation
-        subset."""
+        outcome, reused for every buyer, and one deviation per proper
+        invitation subset."""
         instance, full = self.instance, self.outcome
         table: InvitationUtilities = []
         for i in sorted(self.market.valid):
             truthful = instance.reports[i]
             scanned = [(truthful, utility_of(instance, i, full))]
-            if truthful.invited:  # no invitations: the full report is the only one
-                scanned += ((report, utility_of(instance, i, outcome)) for report, outcome
-                            in _shrunk_invitations(self.mechanism, instance, i))
+            for sub in _subsets(truthful.invited, proper_only=True):
+                dev = self.deviation(i, sub)
+                scanned.append((ReportedType(truthful.values, sub),
+                                cumulative_value(truthful.values, dev.units) - dev.payment))
             table.append((i, scanned))
         return table
 
@@ -354,14 +411,14 @@ def check_value_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
                    *, truth: _Truthful | None = None) -> list[DeviationReport]:
     """For every buyer, invitation subset, and grid misreport: reporting true
     values must dominate the misreport at that same invitation set. Each
-    (buyer, subset) gets one `mechanism.value_rerun`.
+    (buyer, subset) gets one `mechanism.value_rerun`; the truthful report's
+    utility there, and for LDM the rerun itself, come from the deviation the
+    invitation checks share (`_Truthful.deviation`).
 
     A rerun with a `menu`, every (units, payment) it can return, certifies
     the pair when no menu entry gives more true-value utility than the
     truthful report: then no report of any size does. Otherwise the rerun is
     asked for every grid vector, and the buyer's grid is built on first need.
-    The full invitation set reruns on the truthful market; every proper
-    subset builds its own.
 
     Combined with check_invitation_ic this covers joint (value, invitation)
     deviations through the dominance chain full-truth >= (v, r-hat) >= (v-hat, r-hat).
@@ -369,19 +426,15 @@ def check_value_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
     if grid is None:
         grid = integer_value_grid
     violations: list[DeviationReport] = []
-    market = (truth or _Truthful(mechanism, instance)).market
-    for i in sorted(instance.reports):
-        if i not in market.valid:
-            continue
+    truth = truth or _Truthful(mechanism, instance)
+    for i in sorted(truth.market.valid):
         rep = instance.reports[i]
         gained = [0, *accumulate(rep.values)]
         vectors = None
         for sub in _subsets(rep.invited):
-            deviated = market if sub == rep.invited else compute_market(
-                instance.with_report(i, ReportedType(rep.values, sub)))
-            rerun = mechanism.value_rerun(deviated, i)
-            units, payment = rerun(rep.values)
-            u_base = cumulative_value(rep.values, units) - payment
+            dev = truth.deviation(i, sub)
+            rerun = dev.rerun or mechanism.value_rerun(truth.deviated_market(i, sub), i)
+            u_base = cumulative_value(rep.values, dev.units) - dev.payment
             menu = getattr(rerun, "menu", None)
             if menu is not None and all(gained[x] - p <= u_base for x, p in menu):
                 continue

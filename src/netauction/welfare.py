@@ -131,6 +131,18 @@ class RankedMarginals:
         """Total value of the first `budget` marginals, or of all when fewer."""
         return self._prefix[min(budget, len(self._marginals))]
 
+    def top_without(self, excluded: frozenset[BuyerId] | set[BuyerId], budget: int) -> Money:
+        """`top(budget)` of the set minus `excluded`: a walk over the sorted
+        marginals, skipping the excluded buyers', until `budget` are summed."""
+        total = 0
+        for neg_v, i, _unit in self._marginals:
+            if not budget:
+                break
+            if i not in excluded:
+                total -= neg_v
+                budget -= 1
+        return total
+
     def units_of(self, i: BuyerId, values: ValuationVector, budget: int) -> int:
         """How many of buyer i's marginals `values` fall in the first `budget`
         places once merged into the greedy order; i must be outside the set.

@@ -7,11 +7,13 @@ import sys
 
 import pytest
 
-from netauction.cli import build_parser, main
-from netauction.instance_io import serialize_instance
+from netauction import cli
+from netauction.cli import _parse_gen_spec, build_parser, main
+from netauction.instance_io import random_instance, serialize_instance
 from netauction.verify import MECHANISMS
 
 from conftest import DATA, DEEP_META, HUGE_K, chain_profile, sold_out_in_layer_one
+from test_parse_oracle import DEEP, WIDE
 
 FIG3 = str(DATA / "fig3.json")
 FIG4 = str(DATA / "fig4.json")
@@ -195,6 +197,37 @@ def test_run_long_invitation_chain(tmp_path, capsys):
                            capsys)
     assert code == 0
     assert json.loads(out)["allocation"] == {"0": 1, "1": 1}
+
+
+@pytest.fixture(scope="module")
+def benchmark_shapes(tmp_path_factory):
+    """The auction benchmarks' wide tree and deep graph, as instance files."""
+    paths = []
+    for name, text in (("wide", WIDE), ("deep", DEEP)):
+        path = tmp_path_factory.mktemp("shapes") / f"{name}.json"
+        path.write_text(serialize_instance(random_instance(_parse_gen_spec(text), 0)))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("mechanism", list(MECHANISMS))
+def test_run_json_is_the_indenting_encoders_output(mechanism, benchmark_shapes, monkeypatch,
+                                                   capsys):
+    """`run --format json` prints `json.dumps(doc, indent=2, sort_keys=True)`
+    of the document it built, byte for byte, with and without the trace and
+    a reserve price."""
+    docs = []
+    build = cli._outcome_doc
+    monkeypatch.setattr(cli, "_outcome_doc", lambda *args: docs.append(build(*args)) or docs[-1])
+    reserves = [[]] if mechanism == "dna-mu" else [[], ["--reserve", "4"]]
+    for path in [FIG3, FIG4, T4, *benchmark_shapes]:
+        for extra in ([], ["--trace"]):
+            for reserve in reserves:
+                code, out, _ = run_cli(["run", path, "--mechanism", mechanism,
+                                        "--format", "json", *extra, *reserve], capsys)
+                assert code == 0
+                assert out == json.dumps(docs[-1], indent=2, sort_keys=True) + "\n"
+    assert any("trace" in doc for doc in docs) == mechanism.startswith("ldm")
 
 
 def test_run_mu_too_small_exits_3(capsys):

@@ -175,7 +175,7 @@ def test_value_decides_whether_layer_l_minus_1_sells_out(monkeypatch):
     })
     tree = tree_of(profile)
     setup, per_vector = work_of_rerun(monkeypatch, tree, 1, 4, [(9,), (0,)])
-    assert setup == (2, 2) and per_vector == [(0, 0)] * 2
+    assert setup == (2, 1) and per_vector == [(0, 0)] * 2
     rerun = ldm_value_rerun(tree, 1, 4)
     assert rerun((9,))[0] == 1 and rerun((0,)) == (0, 0)
     assert run_ldm_tree(tree.with_values(4, (0,)), 1).trace.layers[1].k_remain_after == 0
@@ -183,14 +183,14 @@ def test_value_decides_whether_layer_l_minus_1_sells_out(monkeypatch):
 
 def test_rerun_solves_at_most_layers_l_minus_1_and_l(monkeypatch):
     # no vector solves a layer or sorts a pool: set-up solves the layers
-    # before L and sorts layer L's two pools
+    # before L and sorts layer L's pool once
     for profile in instance_stream(STREAMS[0], 40):
         tree = tree_of(profile)
         mu = robust_mu(profile)
         for i in sorted(tree.valid):
             vectors = integer_value_grid(profile, i, cap=8)
             (layers, pools), per_vector = work_of_rerun(monkeypatch, tree, mu, i, vectors)
-            assert layers <= tree.layer_of[i] - 1 and pools in (0, 2)
+            assert layers <= tree.layer_of[i] - 1 and pools in (0, 1)
             assert set(per_vector) == {(0, 0)}
 
 
@@ -280,7 +280,7 @@ def test_layer_one_buyer(monkeypatch):
         vectors = integer_value_grid(profile, i, cap=10_000)
         assert_matches_on(profile, 1, i, vectors)
         setup, per_vector = work_of_rerun(monkeypatch, tree, 1, i, vectors)
-        assert setup == (0, 2) and set(per_vector) == {(0, 0)}
+        assert setup == (0, 1) and set(per_vector) == {(0, 0)}
 
 
 def test_her_units_decide_a_layer_l_minus_1_sell_out():

@@ -7,7 +7,8 @@ import pytest
 from netauction.errors import ContractError, FixedOutsideIncluded, OverCommitted
 from netauction.market import compute_market
 from netauction.removed_sets import layer_removed_set
-from netauction.welfare import WelfarePool, constrained_welfare, kth_highest_first_unit
+from netauction.welfare import (RankedMarginals, WelfarePool, constrained_welfare,
+                               kth_highest_first_unit)
 
 from conftest import fig3_ids, make_profile
 from reference_welfare import TooLarge, brute_force_welfare
@@ -113,6 +114,18 @@ def test_pool_walk_matches_fresh_solves(fig3_profile):
         if fixed:
             with pytest.raises(FixedOutsideIncluded):
                 pool.welfare(excluded | {min(fixed)})
+
+
+def test_ranked_walk_matches_a_sort_without_the_excluded(fig3_profile):
+    rng = random.Random(29)
+    reports = fig3_profile.reports
+    ids = sorted(reports)
+    for _ in range(300):
+        buyers = frozenset(rng.sample(ids, rng.randint(0, 10)))
+        excluded = frozenset(rng.sample(ids, rng.randint(0, 6)))
+        budget = rng.randint(0, 12)
+        expected = RankedMarginals(reports, buyers - excluded).top(budget)
+        assert RankedMarginals(reports, buyers).top_without(excluded, budget) == expected
 
 
 def test_monotone_in_included_set(fig3_profile):
