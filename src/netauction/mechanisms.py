@@ -29,9 +29,8 @@ from .market import (
     cumulative_value,
     is_dummy,
 )
-from .removed_sets import (layer_removed_sets, min_valid_mu, potential_inviters,
-                           removed_set_holding)
-from .welfare import RankedMarginals, WelfarePool, WelfareResult, _check_problem
+from .removed_sets import layer_removed_sets, min_valid_mu
+from .welfare import WelfarePool, WelfareResult
 
 
 @dataclass(frozen=True)
@@ -299,15 +298,16 @@ def ldm_value_rerun(market: Market, mu: int | None, i: BuyerId) -> ValueRerun:
 
     With i in layer L and parent p, the only removed set that reads v is
     C^R_p, inside R_{L-1}, and i's units and payment are final once layer L
-    is processed. Every v that puts i in C^R_p leaves the layers before L as
-    they are; for any other v, at least K of her siblings outrank her in
-    layer L, and the answer below is (0, 0) whatever those layers did (the
-    argument is in notes/decisions.md). So mu is checked, the layers before
-    L committed with i in C^R_p, and layer L's free pool sorted once, here.
-    Per vector, i's units are her merged rank in that pool and her payment
-    SW_{-D_i}, read off that pool once, minus a prefix sum: O(k log n), with
-    no pool built and nothing sorted. If the layers before L sell every
-    unit, i gets (0, 0) whatever she reports.
+    is processed. Every v that puts i in C^R_p gives the same C^R_p, so the
+    same layers before L; for any other v, at least K of her siblings
+    outrank her in layer L, and the answer below is (0, 0) whatever those
+    layers did (the argument is in notes/decisions.md). So mu is checked,
+    the layers before L committed at one such v, a bid above every first
+    unit, and layer L's free pool sorted once, here. Per vector, i's units
+    are her merged rank in that pool and her payment SW_{-D_i}, read off
+    that pool once, minus a prefix sum: O(k log n), with no pool built and
+    nothing sorted. If the layers before L sell every unit, i gets (0, 0)
+    whatever she reports.
 
     The returned function's `menu` lists every (units, payment) it can
     return. Her units x never exceed the supply S left for layer L, and her
@@ -318,42 +318,41 @@ def ldm_value_rerun(market: Market, mu: int | None, i: BuyerId) -> ValueRerun:
     if mu is None:
         mu = min_valid_mu(market)
     layer = market.layer_of[i]
-    removed = layer_removed_sets(market, mu)
+    committing = market
+    if layer > 1:  # a layer-1 buyer has no layer before hers
+        top = 1 + max(map(market.first_unit, market.valid))
+        committing = market.with_values(i, (top,) * market.k)
+    removed = layer_removed_sets(committing, mu)
     committed: dict[BuyerId, int] = {}
     k_remain = market.k
-    for l, (members, r_l) in enumerate(zip(market.layers[:layer - 1], removed), start=1):
-        if l == layer - 1:
-            parent = next(j for j in members if i in market.children[j])
-            # the parent's children are in R_{L-1} only through her C^R
-            r_l = (r_l - market.children[parent]) | removed_set_holding(
-                market, parent, potential_inviters(market, parent), mu, i)
-        k_remain -= _ldm_layer(market, members, market.valid - r_l, committed)[2]
+    for members, r_l in zip(market.layers[:layer - 1], removed):
+        k_remain -= _ldm_layer(committing, members, market.valid - r_l, committed)[2]
         if k_remain == 0:
             return _nothing_for_any_report()
     included = market.valid - next(removed)
-    _check_problem(market, included, committed, market.k)
     if is_dummy(i):
         return _nothing_for_any_report()
-    others = RankedMarginals(market.profile.reports, included.difference(committed, (i,)))
-    return _LayerRerun(i, others, others.top_without(market.children[i], k_remain), k_remain)
+    pool = WelfarePool(market, included.difference((i,)), committed, market.k)
+    return _LayerRerun(i, pool, pool.top_without(market.children[i], pool.budget))
 
 
 class _LayerRerun:
     """`ldm_value_rerun` once the layers before i's are committed: layer L's
-    pool without i (`others`), SW_{-D_i} and the supply S left for layer L.
+    pool without i, whose budget is the supply S left for it, and SW_{-D_i}.
     The menu is built only when read: the invitation checks never read it."""
 
-    def __init__(self, i: BuyerId, others: RankedMarginals, sw_d: Money, supply: int):
-        self._i, self._others, self._sw_d, self._supply = i, others, sw_d, supply
+    def __init__(self, i: BuyerId, pool: WelfarePool, sw_d: Money):
+        self._i, self._pool, self._sw_d = i, pool, sw_d
 
     def __call__(self, v: ValuationVector) -> tuple[int, Money]:
-        units = self._others.units_of(self._i, v, self._supply)
+        pool = self._pool
+        units = pool.units_of(self._i, v, pool.budget)
         # p_i = SW_{-D_i} - (SW_L - v_i(units)); the committed buyers' welfare cancels
-        return units, self._sw_d - self._others.top(self._supply - units)
+        return units, self._sw_d - pool.top(pool.budget - units)
 
     @property
     def menu(self) -> tuple[tuple[int, Money], ...]:
-        top, sw_d, supply = self._others.top, self._sw_d, self._supply
+        top, sw_d, supply = self._pool.top, self._sw_d, self._pool.budget
         return tuple((x, sw_d - top(supply - x)) for x in range(supply + 1))
 
 

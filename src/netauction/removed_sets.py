@@ -94,32 +94,10 @@ def removed_set_of(market: Market, i: BuyerId, inviters: frozenset[BuyerId],
     quota = market.k + mu - len(inviters)
     if len(children) - len(inviters) <= quota:
         return children  # every other child fits the quota: no ranking needed
-    return inviters | frozenset(_ranked_candidates(market, i, inviters)[:quota])
-
-
-def _ranked_candidates(market: Market, i: BuyerId,
-                       inviters: frozenset[BuyerId]) -> list[BuyerId]:
-    """i's children outside C_i^P, larger first-unit value first, ties to the
-    smaller id: the only place LDM ranks buyers by value."""
-    return sorted((j for j in market.children[i] if j not in inviters),
-                  key=lambda j: (-market.first_unit(j), j))
-
-
-def removed_set_holding(market: Market, i: BuyerId, inviters: frozenset[BuyerId], mu: int,
-                        j: BuyerId) -> frozenset[BuyerId]:
-    """C_i^R for every first-unit value of i's child j that puts j in it.
-
-    That is `removed_set_of` when j is in C_i^P or every child outside C_i^P
-    fits the quota, for then C_i^R holds j whatever she reports. Otherwise j
-    is in C_i^W iff she ranks ahead of the quota-th other candidate, and C_i^R
-    is C_i^P, j and the candidates ahead of that one.
-    """
-    children = market.children[i]
-    quota = market.k + mu - len(inviters)
-    if j in inviters or len(children) - len(inviters) <= quota:
-        return removed_set_of(market, i, inviters, mu)
-    others = [c for c in _ranked_candidates(market, i, inviters) if c != j]
-    return inviters.union(others[:quota - 1], (j,))
+    # the only place LDM ranks buyers by value
+    ranked = sorted((j for j in children if j not in inviters),
+                    key=lambda j: (-market.first_unit(j), j))
+    return inviters | frozenset(ranked[:quota])
 
 
 def layer_removed_sets(market: Market, mu: int) -> Iterator[frozenset[BuyerId]]:
@@ -147,5 +125,7 @@ def layer_removed_set(market: Market, layer: int, mu: int) -> frozenset[BuyerId]
 
 def exclusion_set(market: Market, i: BuyerId, mu: int) -> frozenset[BuyerId]:
     """D_i = R_l ∪ C_i ∪ {i} for i in layer l: hides i and all her influence."""
+    if i not in market.valid:
+        raise ContractError(f"buyer {i} is not a valid buyer")
     layer = market.layer_of[i]
     return layer_removed_set(market, layer, mu) | market.children[i] | {i}

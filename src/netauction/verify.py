@@ -10,10 +10,11 @@ the mechanism's `value_rerun` hook, by default `run` on
 always evaluated against the buyer's TRUE values from the untouched
 instance. The checks of one `run_properties` call share one truthful
 instance (`_Truthful`): its market, truthful outcome and invitation table,
-and one deviation per (valid buyer, invitation subset). For a mechanism
-with its own value rerun (LDM) that is the rerun on the deviated market,
-whose answer at the true values is both the invitation table's entry and
-value-IC's baseline; a black box's one run on that market serves both.
+each deviated market, and one deviation per (valid buyer, invitation
+subset): `value_rerun` on the deviated market and its answer at the true
+values, which is both the invitation table's entry and value-IC's
+baseline. Child monotonicity reruns the same deviated markets when the
+instance is its own BFS tree.
 
 LDM's value-IC is certified per (buyer, invitation subset): its value rerun
 lists the outcome menu, every (units, payment) any report can get, and a
@@ -71,10 +72,9 @@ class MechanismUnderTest:
     raw reports for a mechanism that needs them. `value_rerun(market, i)`
     returns a function from a value vector v to i's (units, payment) under
     `run(market.with_values(i, v))`, which is also what it does when left
-    out. A `menu` attribute on that function, listing every pair it can
-    return, lets `check_value_ic` certify instead of enumerate. A mechanism
-    with its own `value_rerun` has every invitation deviation read from it
-    at the buyer's true values (`own_rerun`).
+    out. Every invitation deviation is read from it at the buyer's true
+    values. A `menu` attribute on that function, listing every pair it can
+    return, lets `check_value_ic` certify instead of enumerate.
     """
 
     name: str
@@ -85,20 +85,16 @@ class MechanismUnderTest:
         if self.value_rerun is None:
             object.__setattr__(self, "value_rerun", partial(_with_values_rerun, self.run))
 
-    @property
-    def own_rerun(self) -> bool:
-        """Whether `value_rerun` is the mechanism's own. The generic one runs
-        `run` whole for each report, so at the true values it is no cheaper
-        than `run` on the deviated market, which the harness calls instead."""
-        return getattr(self.value_rerun, "func", None) is not _with_values_rerun
-
 
 def _with_values_rerun(run: Callable[[Market], Outcome], market: Market,
                        i: BuyerId) -> ValueRerun:
-    """The generic value rerun: the whole of `run` on each patched market."""
+    """The generic value rerun: the whole of `run` on each patched market,
+    and on `market` itself at the values it already holds, so a black box
+    costs one run per deviated market at the true values."""
+    held = market.values_of(i)
 
     def rerun(v: ValuationVector) -> tuple[int, Money]:
-        outcome = run(market.with_values(i, v))
+        outcome = run(market if v == held else market.with_values(i, v))
         return outcome.units_of(i), outcome.payment_of(i)
 
     return rerun
@@ -212,21 +208,12 @@ def _subsets(invited: frozenset[BuyerId], proper_only: bool = False):
             yield frozenset(combo)
 
 
-def _shrunk_invitations(mechanism: MechanismUnderTest, profile: ReportProfile, j: BuyerId):
-    """(report, outcome) for every proper subset of j's invitations, her values kept."""
-    rep = profile.reports[j]
-    for sub in _subsets(rep.invited, proper_only=True):
-        reduced = ReportedType(rep.values, sub)
-        yield reduced, mechanism.run(compute_market(profile.with_report(j, reduced)))
-
-
 class _Deviation(NamedTuple):
     """One (valid buyer, invitation subset) of a `_Truthful`: the
-    mechanism's own value rerun on the deviated market (None for a black
-    box, see `MechanismUnderTest.own_rerun`) and her (units, payment) there
-    at her true values."""
+    mechanism's value rerun on the deviated market and her (units, payment)
+    there at her true values."""
 
-    rerun: ValueRerun | None
+    rerun: ValueRerun
     units: int
     payment: Money
 
@@ -238,16 +225,17 @@ InvitationUtilities = list[tuple[BuyerId, list[tuple[ReportedType, Money]]]]
 
 class _Truthful:
     """An instance as its checks share it: its market, the mechanism's
-    truthful outcome, first-layer VCG's, the invitation table and one
-    `_Deviation` per (valid buyer, invitation subset), each computed once,
-    on first use. The invitation table and value-IC read the same
-    deviations, so each (buyer, subset) is run, or rerun, once.
-    `run_properties` passes one to every check; a checker called on its own
-    builds its own."""
+    truthful outcome, first-layer VCG's, the invitation table, one deviated
+    market and one `_Deviation` per (valid buyer, invitation subset), each
+    computed once, on first use. The invitation table and value-IC read the
+    same deviations, and child monotonicity the same markets, so each
+    (buyer, subset) market is built once and rerun once. `run_properties`
+    passes one to every check; a checker called on its own builds its own."""
 
     def __init__(self, mechanism: MechanismUnderTest, instance: ReportProfile):
         self.mechanism = mechanism
         self.instance = instance
+        self._markets: dict[tuple[BuyerId, frozenset[BuyerId]], Market] = {}
         self._deviations: dict[tuple[BuyerId, frozenset[BuyerId]], _Deviation] = {}
 
     @cached_property
@@ -263,30 +251,33 @@ class _Truthful:
         return run_vcg_first_layer(self.market)
 
     def deviated_market(self, i: BuyerId, invited: frozenset[BuyerId]) -> Market:
-        """The market with valid buyer i inviting `invited`, her values kept:
-        the truthful market for her full set."""
+        """The market with valid buyer i inviting `invited`, her values kept,
+        built once: the truthful market for her full set."""
         truthful = self.instance.reports[i]
         if invited == truthful.invited:
             return self.market
-        return compute_market(self.instance.with_report(i, ReportedType(truthful.values, invited)))
+        key = (i, invited)
+        market = self._markets.get(key)
+        if market is None:
+            market = self._markets[key] = compute_market(
+                self.instance.with_report(i, ReportedType(truthful.values, invited)))
+        return market
 
     def deviation(self, i: BuyerId, invited: frozenset[BuyerId]) -> _Deviation:
-        """i's `_Deviation` for `invited`. A mechanism with its own rerun
-        answers through it: `value_rerun(market, i)(v)` is her result under
-        `run(market.with_values(i, v))`, which at her true values is
-        `run(market)`. A black box runs on the market, or for the full set
-        reuses the truthful outcome; its market is not kept."""
+        """i's `_Deviation` for `invited`: `value_rerun(market, i)` on the
+        deviated market, and its answer at her true values, which that
+        market already holds, so the answer is her result under
+        `run(market)`. For the full set that is the truthful outcome."""
         key = (i, invited)
         found = self._deviations.get(key)
         if found is not None:
             return found
         market = self.deviated_market(i, invited)
-        if self.mechanism.own_rerun:
-            rerun = self.mechanism.value_rerun(market, i)
-            found = _Deviation(rerun, *rerun(self.instance.reports[i].values))
+        rerun = self.mechanism.value_rerun(market, i)
+        if market is self.market:
+            found = _Deviation(rerun, self.outcome.units_of(i), self.outcome.payment_of(i))
         else:
-            outcome = self.outcome if market is self.market else self.mechanism.run(market)
-            found = _Deviation(None, outcome.units_of(i), outcome.payment_of(i))
+            found = _Deviation(rerun, *rerun(self.instance.reports[i].values))
         self._deviations[key] = found
         return found
 
@@ -386,6 +377,8 @@ def integer_value_grid(instance: ReportProfile, buyer: BuyerId,
     grid is the fallback of `check_value_ic` where the outcome menu does not
     certify a (buyer, subset) pair, and the tests' oracle for that menu.
     """
+    if cap < 1:
+        raise ContractError(f"grid cap must be >= 1, got {cap}")
     top = 0
     for rep in instance.reports.values():
         if rep.values and rep.values[0] > top:
@@ -411,9 +404,9 @@ def check_value_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
                    *, truth: _Truthful | None = None) -> list[DeviationReport]:
     """For every buyer, invitation subset, and grid misreport: reporting true
     values must dominate the misreport at that same invitation set. Each
-    (buyer, subset) gets one `mechanism.value_rerun`; the truthful report's
-    utility there, and for LDM the rerun itself, come from the deviation the
-    invitation checks share (`_Truthful.deviation`).
+    (buyer, subset) gets one `mechanism.value_rerun`, and the truthful
+    report's utility there, from the deviation the invitation checks share
+    (`_Truthful.deviation`).
 
     A rerun with a `menu`, every (units, payment) it can return, certifies
     the pair when no menu entry gives more true-value utility than the
@@ -432,9 +425,8 @@ def check_value_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
         gained = [0, *accumulate(rep.values)]
         vectors = None
         for sub in _subsets(rep.invited):
-            dev = truth.deviation(i, sub)
-            rerun = dev.rerun or mechanism.value_rerun(truth.deviated_market(i, sub), i)
-            u_base = cumulative_value(rep.values, dev.units) - dev.payment
+            rerun, units, payment = truth.deviation(i, sub)
+            u_base = cumulative_value(rep.values, units) - payment
             menu = getattr(rerun, "menu", None)
             if menu is not None and all(gained[x] - p <= u_base for x, p in menu):
                 continue
@@ -582,10 +574,15 @@ def check_child_monotonicity(mechanism: MechanismUnderTest, instance: ReportProf
     Works on the instance's BFS tree: for each buyer j with children and each
     proper child subset, deleting the other subtrees must leave every
     same-layer observer's utility at least as high as under the full set.
+    The outcomes are `truth`'s when the instance is its own BFS tree, else
+    those of a `_Truthful` of the tree profile.
     """
-    tree = (truth or _Truthful(mechanism, instance)).market
+    truth = truth or _Truthful(mechanism, instance)
+    tree = truth.market
     base_profile = _tree_profile(instance, tree)
-    full = mechanism.run(compute_market(base_profile))
+    if base_profile.reports != instance.reports:
+        truth = _Truthful(mechanism, base_profile)
+    full = truth.outcome
     violations: list[DeviationReport] = []
     for j in sorted(tree.valid):
         if not tree.children[j]:
@@ -595,7 +592,9 @@ def check_child_monotonicity(mechanism: MechanismUnderTest, instance: ReportProf
         if not observers:
             continue
         full_rep = base_profile.reports[j]
-        for reduced, out in _shrunk_invitations(mechanism, base_profile, j):
+        for sub in _subsets(full_rep.invited, proper_only=True):
+            reduced = ReportedType(full_rep.values, sub)
+            out = mechanism.run(truth.deviated_market(j, sub))
             for i in observers:
                 u_reduced = utility_of(base_profile, i, out)
                 u_full = utility_of(base_profile, i, full)
@@ -627,6 +626,8 @@ def search_counterexample(
     first violation found within `budget` instances, or None; absence is a
     legal result.
     """
+    if budget < 0:
+        raise ContractError(f"budget must be >= 0, got {budget}")
     for index, instance in enumerate(itertools.islice(generator, budget)):
         mech = mechanism if isinstance(mechanism, MechanismUnderTest) else mechanism(instance)
         truth = _Truthful(mech, instance)

@@ -3,15 +3,15 @@
 Because every buyer's marginals are non-increasing, the welfare objective is a
 sum of independent concave unit sequences and the greedy that pops the largest
 remaining marginal is exactly optimal. That greedy order, ties included, is
-defined in this module only: ``sorted_marginals`` sorts by it, and
-``RankedMarginals`` merges one more buyer into it. ``WelfarePool`` sorts a
-problem's free marginals once; it then answers the problem itself and every
-variant with a few free buyers left out by walking that sorted list, so a
-mechanism that needs one optimum per buyer of a layer pays for one sort, not
-one per buyer. ``RankedMarginals`` serves problems that differ only in one
-outside buyer's marginals and the budget: that buyer's marginals are merged
-in by binary search and the others' value read from prefix sums.
-``constrained_welfare`` is the single-problem entry point over the same pool.
+defined in this module only: ``sorted_marginals`` sorts by it. ``WelfarePool``
+sorts a problem's free marginals once; it then answers the problem itself and
+every variant with a few free buyers left out by walking that sorted list, so
+a mechanism that needs one optimum per buyer of a layer pays for one sort, not
+one per buyer. The same pool serves problems that differ only in the budget
+and in one outside buyer's marginals: that buyer's marginals are merged in by
+binary search (``units_of``) and the free buyers' value read from prefix sums
+(``top``), built on first use. ``constrained_welfare`` is the single-problem
+entry point over the same pool.
 """
 
 from __future__ import annotations
@@ -65,26 +65,28 @@ class WelfarePool:
 
     The problem is: maximize total reported value over ``included`` with at
     most k units, buyers in ``fixed`` holding exactly their stated unit count
-    (zero included) and the remaining supply going to the free buyers' largest
-    marginals, taken in the order of `sorted_marginals`. Welfare counts the
-    fixed buyers' cumulative values.
+    (zero included) and the remaining supply, ``budget``, going to the free
+    buyers' largest marginals, taken in the order of `sorted_marginals`.
+    Welfare counts the fixed buyers' cumulative values.
     """
 
     def __init__(self, market: Market, included: frozenset[BuyerId] | set[BuyerId],
                  fixed: Mapping[BuyerId, int], k: int):
         committed = _check_problem(market, included, fixed, k)
-        self._budget = k - committed
+        self.budget = k - committed
         reports = market.profile.reports
         self._pool = sorted_marginals(reports, included.difference(fixed))
         self._fixed = dict(fixed)
         self._fixed_welfare = sum(
             cumulative_value(reports[i].values, m) for i, m in fixed.items())
+        # built by `top`; not a cached_property, which takes a lock per pool
+        self._prefix: list[Money] | None = None
 
     def best(self) -> WelfareResult:
         """The optimum of the whole problem, allocation included."""
         allocation: Allocation = {}
         welfare = self._fixed_welfare
-        for neg_v, i, _unit in self._pool[:self._budget]:
+        for neg_v, i, _unit in self._pool[:self.budget]:
             allocation[i] = allocation.get(i, 0) + 1
             welfare -= neg_v
         for i, m in self._fixed.items():
@@ -93,49 +95,18 @@ class WelfarePool:
         return WelfareResult(welfare=welfare, allocation=allocation)
 
     def welfare(self, excluded: frozenset[BuyerId] | set[BuyerId]) -> Money:
-        """Optimal welfare of the same problem over ``included - excluded``.
-
-        Walks the sorted marginals, skipping excluded buyers, until the budget
-        is spent: O(budget + k * |excluded|) rather than a fresh sort.
-        """
+        """Optimal welfare of the same problem over ``included - excluded``:
+        the fixed welfare plus `top_without(excluded, budget)`."""
         for i in excluded:
             if i in self._fixed:
                 raise FixedOutsideIncluded(f"fixed buyer {i} is not in the included set")
-        welfare = self._fixed_welfare
-        remaining = self._budget
-        for neg_v, i, _unit in self._pool:
-            if not remaining:
-                break
-            if i not in excluded:
-                welfare -= neg_v
-                remaining -= 1
-        return welfare
-
-
-class RankedMarginals:
-    """The marginals of a fixed set of free buyers, sorted once, with prefix
-    sums: for problems that differ only in the budget and in the marginals
-    of one buyer outside the set.
-
-    Merged with that buyer's marginals, the first `budget` places of the
-    greedy order hold x = `units_of(i, values, budget)` of hers and this
-    list's first `budget - x`, worth `top(budget - x)`. Each query is
-    O(k log n); nothing is re-sorted.
-    """
-
-    def __init__(self, reports: Mapping[BuyerId, ReportedType], buyers: Iterable[BuyerId]):
-        self._marginals = sorted_marginals(reports, buyers)
-        self._prefix = [0, *accumulate(-neg_v for neg_v, _i, _unit in self._marginals)]
-
-    def top(self, budget: int) -> Money:
-        """Total value of the first `budget` marginals, or of all when fewer."""
-        return self._prefix[min(budget, len(self._marginals))]
+        return self._fixed_welfare + self.top_without(excluded, self.budget)
 
     def top_without(self, excluded: frozenset[BuyerId] | set[BuyerId], budget: int) -> Money:
-        """`top(budget)` of the set minus `excluded`: a walk over the sorted
+        """`top(budget)` of the pool without `excluded`: a walk over the sorted
         marginals, skipping the excluded buyers', until `budget` are summed."""
         total = 0
-        for neg_v, i, _unit in self._marginals:
+        for neg_v, i, _unit in self._pool:
             if not budget:
                 break
             if i not in excluded:
@@ -143,14 +114,21 @@ class RankedMarginals:
                 budget -= 1
         return total
 
+    def top(self, budget: int) -> Money:
+        """Total value of the first `budget` free marginals, or of all when
+        fewer; the prefix sums are built on the first call."""
+        if self._prefix is None:
+            self._prefix = [0, *accumulate(-neg_v for neg_v, _i, _unit in self._pool)]
+        return self._prefix[min(budget, len(self._pool))]
+
     def units_of(self, i: BuyerId, values: ValuationVector, budget: int) -> int:
         """How many of buyer i's marginals `values` fall in the first `budget`
-        places once merged into the greedy order; i must be outside the set.
+        places once merged into the greedy order; i must not be a free buyer.
 
         i's unit u follows her u earlier units and the marginals that precede
         it here; values are non-increasing, so her units that fit are a prefix.
         """
-        marginals = self._marginals
+        marginals = self._pool
         for unit, v in enumerate(values):
             if unit + bisect_left(marginals, (-v, i, unit)) >= budget:
                 return unit

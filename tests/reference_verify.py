@@ -1,17 +1,21 @@
-"""The invitation and value deviation checks as first written: every proper
-invitation subset gets its own market and a full mechanism run for IR and
-invitation-IC, and value-IC builds each subset's market again for its rerun.
+"""The deviation checks as first written: every proper invitation subset
+gets its own market and a full mechanism run for IR and invitation-IC,
+value-IC builds each subset's market again for its rerun, and child
+monotonicity builds the BFS-tree profile's market, runs the mechanism on
+it, and builds a fresh market and runs in full for every proper child
+subset.
 
-The oracle for `verify._Truthful.deviation`, which builds each (buyer,
-subset) market once and, for a mechanism with its own value rerun (LDM),
-reads the invitation checks' utility from that rerun at the true values.
-Testing use only.
+The oracle for `verify._Truthful`, which builds each (buyer, subset)
+market once, reads the invitation checks' utility from the value rerun on
+it at the true values, and lets child monotonicity rerun those markets when
+the instance is its own BFS tree. Testing use only.
 """
 
 from __future__ import annotations
 
 from netauction.market import ReportedType, compute_market, cumulative_value
-from netauction.verify import DeviationReport, _subsets, integer_value_grid, utility_of
+from netauction.verify import (DeviationReport, _subsets, _tree_profile, integer_value_grid,
+                               utility_of)
 
 
 def invitation_utilities(mechanism, instance):
@@ -77,4 +81,32 @@ def check_value_ic(mechanism, instance, grid=integer_value_grid):
                     violations.append(DeviationReport(
                         i, ReportedType(rep.values, sub), ReportedType(v, sub), u_base, u_dev,
                         mechanism.name, instance, "value-ic"))
+    return sorted(violations, key=DeviationReport.sort_key)
+
+
+def check_child_monotonicity(mechanism, instance):
+    """A fresh market of the BFS-tree profile and a full run on it, then a
+    fresh market and a full run per proper child subset of each buyer j
+    with children and same-layer observers."""
+    tree = compute_market(instance)
+    base_profile = _tree_profile(instance, tree)
+    full = mechanism.run(compute_market(base_profile))
+    violations = []
+    for j in sorted(tree.valid):
+        if not tree.children[j]:
+            continue
+        observers = [i for i in sorted(tree.layers[tree.layer_of[j] - 1]) if i != j]
+        if not observers:
+            continue
+        full_rep = base_profile.reports[j]
+        for sub in _subsets(full_rep.invited, proper_only=True):
+            reduced = ReportedType(full_rep.values, sub)
+            out = mechanism.run(compute_market(base_profile.with_report(j, reduced)))
+            for i in observers:
+                u_reduced = utility_of(base_profile, i, out)
+                u_full = utility_of(base_profile, i, full)
+                if u_reduced < u_full:
+                    violations.append(DeviationReport(i, reduced, full_rep, u_reduced, u_full,
+                                                      mechanism.name, instance,
+                                                      "child-monotonicity"))
     return sorted(violations, key=DeviationReport.sort_key)

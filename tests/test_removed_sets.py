@@ -86,6 +86,8 @@ def test_exclusion_set(t4_tree, fig3_tree):
     assert exclusion_set(t4_tree, 3, 1) == {3}
     d_d = exclusion_set(fig3_tree, lid("d"), 2)
     assert fig3_tree.valid - d_d == fig3_ids("abcefghip")
+    with pytest.raises(ContractError, match="buyer 99 is not a valid buyer"):
+        exclusion_set(t4_tree, 99, 1)
 
 
 def test_min_valid_mu(fig3_tree, t4_tree):

@@ -1,20 +1,26 @@
 """IR, invitation-IC and value-IC read one deviation per (buyer, invitation
-subset): the deviated market is built once, and for LDM the value rerun on
-it answers the invitation checks at the buyer's true values.
+subset): the deviated market is built once, and the value rerun on it
+answers the invitation checks at the buyer's true values. Child
+monotonicity reruns the same markets when the instance is its own BFS tree.
 
 `reference_verify` is the oracle: a fresh market and a full run per proper
-subset for the invitation table, and a second fresh market per subset for
-value-IC. Report lists and errors must be identical.
+subset for the invitation table and for child monotonicity, and a second
+fresh market per subset for value-IC. Report lists and errors must be
+identical.
 """
+
+from collections import Counter
 
 import pytest
 
 from netauction import mechanisms, verify
 from netauction.errors import MuTooSmall
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance
-from netauction.mechanisms import inject_dummies
+from netauction.market import compute_market
+from netauction.mechanisms import Outcome, inject_dummies, run_vcg_first_layer
 from netauction.removed_sets import robust_mu
-from netauction.verify import (MechanismUnderTest, check_invitation_ic, check_ir,
+from netauction.verify import (MAX_INVITES_EXHAUSTIVE, MechanismUnderTest, _tree_profile,
+                               check_child_monotonicity, check_invitation_ic, check_ir,
                                check_value_ic, dna_mu_mechanism, integer_value_grid,
                                ldm_mechanism, run_properties, vcg_mechanism)
 
@@ -41,8 +47,8 @@ def profiles():
 
 
 def first_price_with_own_rerun():
-    """The same black box with a value rerun of its own, so the invitation
-    checks read it at the true values."""
+    """The same black box with a value rerun of its own, which patches the
+    market even at the values it already holds."""
 
     def value_rerun(market, i):
         def rerun(v):
@@ -127,6 +133,24 @@ def test_each_deviated_market_is_built_once_and_ldm_runs_once(monkeypatch):
     assert checked > 200
 
 
+def test_a_black_box_runs_once_per_market(monkeypatch):
+    """DNA-MU has no value rerun of its own. The generic one runs `run` on a
+    deviated market itself at the true values, and value-IC's full-set
+    baseline is the truthful outcome, so every market the harness builds is
+    run exactly once, as is each patched copy the grid runs on."""
+    built, runs = [], []
+    build, run = verify.compute_market, verify.run_dna_mu
+    monkeypatch.setattr(verify, "compute_market",
+                        lambda profile: built.append(build(profile)) or built[-1])
+    monkeypatch.setattr(verify, "run_dna_mu", lambda market: runs.append(market) or run(market))
+    for profile in profiles():
+        built.clear()
+        runs.clear()
+        shared_reports(dna_mu_mechanism(), profile, CHECKS)
+        counts = Counter(map(id, runs))
+        assert max(counts.values()) == 1 and all(counts[id(market)] == 1 for market in built)
+
+
 @pytest.mark.parametrize("prop", CHECKS)
 def test_fig4_raises_mu_too_small_where_the_reference_does(monkeypatch, prop):
     """fig4 pins mu = 2, and a shrunk invitation set grows a C^P to 3. Each
@@ -151,3 +175,93 @@ def test_fig4_raises_mu_too_small_where_the_reference_does(monkeypatch, prop):
         reference(mechanism, profile)
     assert str(raised.value) == str(expected.value) == "mu=2 is below the required bound 3"
     assert last[verify] == last[ref] != profile.reports
+
+
+def invitation_reader(market):
+    """Deliberately reads the raw reports: every valid buyer wins nothing and
+    is paid one per valid buyer of the market and one per invitation her
+    report lists, reachable or not, so her utility falls whenever a
+    same-layer buyer deletes a child, and the BFS-tree profile moves it."""
+    reports = market.profile.reports
+    return Outcome(units=dict.fromkeys(market.valid, 0),
+                   payments={i: -len(market.valid) - len(reports[i].invited)
+                             for i in market.valid})
+
+
+def child_monotonicity_profiles():
+    """The slices and fixtures above, fig4 (at robust mu, below) and the
+    seed-370 instance whose LDM child-monotonicity report the CLI prints."""
+    seed_370 = GeneratorConfig(seed=370, buyers=(8, 8), k=(3, 3))
+    return [*profiles(), fixture("fig4"), *instance_stream(seed_370, 1)]
+
+
+@pytest.mark.parametrize("name", ["ldm", "dna-mu", "vcg-l1", "first-price",
+                                  "invitation-reader"])
+def test_child_monotonicity_matches_the_reference(name):
+    found = 0
+    for profile in child_monotonicity_profiles():
+        mechanism = {"ldm": lambda: ldm_mechanism(robust_mu(profile)),
+                     "dna-mu": dna_mu_mechanism, "vcg-l1": vcg_mechanism,
+                     "first-price": lambda: MechanismUnderTest("first-price", first_price),
+                     "invitation-reader": lambda: MechanismUnderTest("invitation-reader",
+                                                                     invitation_reader),
+                     }[name]()
+        expected = ref.check_child_monotonicity(mechanism, profile)
+        assert check_child_monotonicity(mechanism, profile) == expected
+        # after the invitation table has built and answered every deviation
+        # (fig4's g invites 7 buyers, past the exhaustive bound)
+        truth = verify._Truthful(mechanism, profile)
+        if all(len(rep.invited) <= MAX_INVITES_EXHAUSTIVE for rep in profile.reports.values()):
+            check_invitation_ic(mechanism, profile, truth=truth)
+        assert check_child_monotonicity(mechanism, profile, truth=truth) == expected
+        found += len(expected)
+    # LDM's literal premise gap (seed 370) and every deletion under the
+    # invitation reader are reported
+    assert (found > 0) == (name in ("ldm", "invitation-reader"))
+
+
+def own_tree(profile):
+    return _tree_profile(profile, compute_market(profile)).reports == profile.reports
+
+
+def test_child_monotonicity_reruns_the_shared_markets(monkeypatch):
+    """With child monotonicity added to the three checks, an instance that is
+    its own BFS tree still builds `1 + Σ_valid (2^|invited| - 1)` markets, and
+    runs LDM once on the truthful market and once per proper child subset of
+    each buyer j with children and same-layer observers. Any other instance
+    builds its tree profile's market and those subsets' markets besides."""
+    built, runs = [], []
+    build, run = verify.compute_market, mechanisms.run_ldm_tree
+    monkeypatch.setattr(verify, "compute_market",
+                        lambda profile: built.append(profile) or build(profile))
+    monkeypatch.setattr(mechanisms, "run_ldm_tree",
+                        lambda market, *args, **kw: runs.append(market) or run(market, *args, **kw))
+    counted = {True: 0, False: 0}
+    for profile in profiles():
+        built.clear()
+        runs.clear()
+        run_properties(profile, "ldm", (*CHECKS, "child-monotonicity"))
+        tree = build(profile)
+        proper = sum(2 ** len(profile.reports[i].invited) - 1 for i in tree.valid)
+        shrunk = sum(2 ** len(tree.children[j]) - 1 for j in tree.valid
+                     if tree.children[j] and len(tree.layers[tree.layer_of[j] - 1]) > 1)
+        shared = own_tree(profile)
+        assert len(built) == 1 + proper + (0 if shared else 1 + shrunk)
+        assert len(runs) == 1 + shrunk + (0 if shared else 1)
+        counted[shared] += 1
+    assert counted[True] >= 15 and counted[False] >= 5
+
+
+def test_generic_rerun_at_the_held_values_runs_on_the_market_itself():
+    seen = []
+    mechanism = MechanismUnderTest(
+        "vcg-l1", lambda market: seen.append(market) or run_vcg_first_layer(market))
+    market = compute_market(fixture("t4"))
+    for i in sorted(market.valid):
+        seen.clear()
+        rerun = mechanism.value_rerun(market, i)
+        held = market.values_of(i)
+        assert rerun(held) == rerun(tuple(held))
+        rerun((0,) * market.k)
+        assert seen[0] is seen[1] is market and seen[2] is not market
+        assert seen[2].profile.reports[i].values == (0,) * market.k

@@ -17,12 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netauction import mechanisms
+from netauction.errors import MuTooSmall
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance
 from netauction.market import ReportedType, compute_market, cumulative_value
 from netauction.mechanisms import (Outcome, inject_dummies, ldm_value_rerun, run_ldm_tree,
                                    run_vcg_first_layer)
-from netauction.removed_sets import (min_valid_mu, potential_inviters, removed_set_holding,
-                                     removed_set_of, robust_mu)
+from netauction.removed_sets import min_valid_mu, potential_inviters, removed_set_of, robust_mu
 from netauction.verify import (MAX_INVITES_EXHAUSTIVE, MechanismUnderTest, check_value_ic,
                                dna_mu_mechanism, integer_value_grid, ldm_mechanism,
                                vcg_mechanism)
@@ -109,7 +109,8 @@ def test_rerun_matches_black_box_with_reserve_dummies():
 
 def work_of_rerun(monkeypatch, tree, mu, i, vectors):
     """Check each vector against the black box. Returns the layers solved and
-    the pools sorted at set-up, and the same pair for each vector."""
+    the pools sorted at set-up besides those layers' own (layer L's), and the
+    same pair for each vector."""
     expected = [black_box(tree, mu, i, v) for v in vectors]
     work = [[0, 0]]
 
@@ -120,13 +121,15 @@ def work_of_rerun(monkeypatch, tree, mu, i, vectors):
         return counted
 
     with monkeypatch.context() as patch:
+        # a solved layer sorts its own pool through the patched name too
         patch.setattr(mechanisms, "_ldm_layer", counting(mechanisms._ldm_layer, 0))
-        patch.setattr(mechanisms, "RankedMarginals", counting(mechanisms.RankedMarginals, 1))
+        patch.setattr(mechanisms, "WelfarePool", counting(mechanisms.WelfarePool, 1))
         rerun = ldm_value_rerun(tree, mu, i)
         for v, want in zip(vectors, expected):
             work.append([0, 0])
             assert rerun(v) == want, (i, v)
-    return tuple(work[0]), [tuple(w) for w in work[1:]]
+    work = [(layers, pools - layers) for layers, pools in work]
+    return work[0], work[1:]
 
 
 def tree_of(profile):
@@ -208,6 +211,18 @@ def parent_sets(tree, p, i, mu, vectors):
     return {removed_set_of(tree.with_values(i, v), p, inviters, mu) for v in vectors}
 
 
+def holding_sets(tree, p, i, mu, vectors):
+    """Every C^R_p that holds i, of those the vectors give."""
+    return {c_r for c_r in parent_sets(tree, p, i, mu, vectors) if i in c_r}
+
+
+def top_bid_set(tree, p, i, mu):
+    """C^R_p when i bids one more than any first unit for every unit: the
+    report `ldm_value_rerun` commits the layers before hers at."""
+    top = 1 + max(map(tree.first_unit, tree.valid))
+    return parent_sets(tree, p, i, mu, [(top,) * tree.k]).pop()
+
+
 def test_buyer_in_parent_c_p_matches_black_box():
     # fig3: n invites q, so n is in C^P of her parent g, and g in C^P of b
     profile = figure("fig3")
@@ -217,8 +232,7 @@ def test_buyer_in_parent_c_p_matches_black_box():
     assert n in potential_inviters(tree, g)
     for mu in (2, 4):
         vectors = integer_value_grid(profile, n, cap=10_000)
-        assert parent_sets(tree, g, n, mu, vectors) == {removed_set_holding(
-            tree, g, potential_inviters(tree, g), mu, n)}
+        assert parent_sets(tree, g, n, mu, vectors) == {top_bid_set(tree, g, n, mu)}
         rerun = ldm_value_rerun(tree, mu, n)
         for v in vectors:
             assert rerun(v) == black_box(tree, mu, n, v)
@@ -234,7 +248,7 @@ def test_buyer_in_parent_c_p_with_parent_ranking_others():
     vectors = [(v,) for v in range(10)]
     tree, _ = assert_matches_on(profile, 1, 1, vectors)
     assert parent_sets(tree, 0, 1, 1, vectors) == {
-        removed_set_holding(tree, 0, frozenset({1}), 1, 1)} == {frozenset({1, 2})}
+        top_bid_set(tree, 0, 1, 1)} == {frozenset({1, 2})}
 
 
 def test_every_child_within_the_quota():
@@ -246,7 +260,7 @@ def test_every_child_within_the_quota():
     vectors = [(a, b) for a in range(8) for b in range(a + 1)]
     tree, _ = assert_matches_on(profile, 0, 2, vectors)
     assert parent_sets(tree, 0, 2, 0, vectors) == {
-        removed_set_holding(tree, 0, frozenset(), 0, 2)} == {frozenset({1, 2})}
+        top_bid_set(tree, 0, 2, 0)} == {frozenset({1, 2})}
 
 
 @pytest.mark.parametrize("i, bar, joins_at_tie", [(1, 3, True), (4, 2, False)],
@@ -261,15 +275,50 @@ def test_quota_boundary_tie_broken_by_id(i, bar, joins_at_tie):
     profile = make_profile(2, {0}, {0: ((5, 1), [1, 2, 3, 4]),
                                     **{j: (values[j], []) for j in (1, 2, 3, 4)}})
     assert values[bar] == (4, 4)
-    tree, rerun = assert_matches_on(profile, 0, i,
-                                    [(a, b) for a in range(9) for b in range(a + 1)])
+    vectors = [(a, b) for a in range(9) for b in range(a + 1)]
+    tree, rerun = assert_matches_on(profile, 0, i, vectors)
     c_r = lambda v: removed_set_of(tree.with_values(i, v), 0, frozenset(), 0)
     with_tie = c_r((4, 0))
     assert (i in with_tie) is joins_at_tie and (bar in with_tie) is not joins_at_tie
     assert i in c_r((5, 0)) and i not in c_r((3, 0))
-    assert removed_set_holding(tree, 0, frozenset(), 0, i) == c_r((5, 0))
+    assert holding_sets(tree, 0, i, 0, vectors) == {top_bid_set(tree, 0, i, 0)} == {c_r((5, 0))}
     if not joins_at_tie:
         assert rerun((4, 3)) == (0, 0)
+
+
+@pytest.mark.parametrize("values", [{1: (8, 8), 2: (7, 0), 3: (9, 1)},
+                                    {1: (9, 9), 2: (9, 0), 3: (9, 0)}],
+                         ids=["own-first-unit-is-the-maximum", "sibling-ties-the-maximum"])
+def test_first_unit_at_the_global_maximum(values):
+    # k=2, mu=0: 0's quota is 2 among her four childless children. Buyer 3's
+    # true first unit 9 is the largest of the market, alone or tied with
+    # siblings of smaller id who win the tie, so the layers before hers are
+    # committed at the top bid (10, 10). Tied, a bid of 9 would leave her
+    # out of C^R_0 and buyer 2 (9, 0) in, and layer 1 would sell 0 a unit.
+    profile = make_profile(2, {0}, {0: ((5, 4), [1, 2, 3, 4]), 4: ((1, 0), []),
+                                    **{j: (v, []) for j, v in values.items()}})
+    vectors = [(a, b) for a in range(13) for b in range(a + 1)]
+    tree, rerun = assert_matches_on(profile, 0, 3, vectors)
+    assert max(map(tree.first_unit, tree.valid)) == 9
+    assert holding_sets(tree, 0, 3, 0, vectors) == {top_bid_set(tree, 0, 3, 0)}
+    assert 3 in top_bid_set(tree, 0, 3, 0)
+
+
+def test_undersized_mu_raises_for_a_deeper_buyer():
+    # C^P_0 = {1, 2}, so mu must be at least 2; the rerun of a layer-2 or
+    # layer-3 buyer checks it before it commits a layer, with the run's text
+    tree = tree_of(make_profile(1, {0}, {
+        0: ((5,), [1, 2]), 1: ((4,), [3]), 2: ((3,), [4]), 3: ((2,), []), 4: ((1,), []),
+    }))
+    with pytest.raises(MuTooSmall) as run_error:
+        run_ldm_tree(tree, 1)
+    for i in (1, 2, 3, 4):
+        assert tree.layer_of[i] >= 2
+        for rerun in (ldm_value_rerun, ref.ldm_value_rerun):
+            with pytest.raises(MuTooSmall) as raised:
+                rerun(tree, 1, i)
+            assert str(raised.value) == str(run_error.value)
+    assert str(run_error.value) == "mu=1 is below the required bound 2"
 
 
 def test_layer_one_buyer(monkeypatch):

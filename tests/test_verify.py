@@ -129,6 +129,13 @@ def test_value_grid_matches_materialised_grid(k):
             assert integer_value_grid(profile, 2, cap) == materialised_value_grid(profile, 2, cap)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_value_grid_refuses_a_cap_below_one(cap):
+    profile = make_profile(1, {1}, {1: ((3,), ())})
+    with pytest.raises(ContractError, match=f"grid cap must be >= 1, got {cap}"):
+        integer_value_grid(profile, 1, cap)
+
+
 def test_value_grid_for_large_values_builds_only_the_kept_vectors():
     # the full grid would hold C(1002 + 3, 3), about 1.7e8 vectors
     profile = make_profile(3, {1}, {1: ((1000, 999, 998), ())})
@@ -303,6 +310,12 @@ def test_search_counterexample_ldm_clean_same_family():
         return ldm_mechanism(robust_mu(profile))
 
     assert search_counterexample(per_instance, instance_stream(cfg, 400), 400) is None
+
+
+def test_search_refuses_a_negative_budget():
+    cfg = GeneratorConfig(seed=5, buyers=(1, 1), k=(1, 2), v_max=9)
+    with pytest.raises(ContractError, match="budget must be >= 0, got -1"):
+        search_counterexample(dna_mu_mechanism(), instance_stream(cfg, 5), -1)
 
 
 def test_search_single_buyer_markets_trivially_clean():

@@ -7,8 +7,7 @@ import pytest
 from netauction.errors import ContractError, FixedOutsideIncluded, OverCommitted
 from netauction.market import compute_market
 from netauction.removed_sets import layer_removed_set
-from netauction.welfare import (RankedMarginals, WelfarePool, constrained_welfare,
-                               kth_highest_first_unit)
+from netauction.welfare import WelfarePool, constrained_welfare, kth_highest_first_unit
 
 from conftest import fig3_ids, make_profile
 from reference_welfare import TooLarge, brute_force_welfare
@@ -118,14 +117,14 @@ def test_pool_walk_matches_fresh_solves(fig3_profile):
 
 def test_ranked_walk_matches_a_sort_without_the_excluded(fig3_profile):
     rng = random.Random(29)
-    reports = fig3_profile.reports
-    ids = sorted(reports)
+    market = compute_market(fig3_profile)
+    ids = sorted(fig3_profile.reports)
     for _ in range(300):
         buyers = frozenset(rng.sample(ids, rng.randint(0, 10)))
         excluded = frozenset(rng.sample(ids, rng.randint(0, 6)))
         budget = rng.randint(0, 12)
-        expected = RankedMarginals(reports, buyers - excluded).top(budget)
-        assert RankedMarginals(reports, buyers).top_without(excluded, budget) == expected
+        expected = WelfarePool(market, buyers - excluded, {}, market.k).top(budget)
+        assert WelfarePool(market, buyers, {}, market.k).top_without(excluded, budget) == expected
 
 
 def test_monotone_in_included_set(fig3_profile):
