@@ -87,8 +87,10 @@ def _parse_gen_spec(spec: str) -> GeneratorConfig:
             continue
         if "=" not in part:
             raise ParseError(f"generator spec entry {part!r} is not key=value")
-        key, value = part.split("=", 1)
-        fields[key.strip()] = value.strip()
+        key, value = (x.strip() for x in part.split("=", 1))
+        if key in fields:
+            raise ParseError(f"generator spec repeats key {key!r}")
+        fields[key] = value
 
     def int_range(raw: str) -> tuple[int, int]:
         if ".." in raw:
@@ -284,15 +286,22 @@ def cmd_search(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    config = _parse_gen_spec(args.gen) if args.gen else _generator_config(
-        seed=args.seed,
-        buyers=(2, 8) if args.n is None else (args.n, args.n),
-        k=(1, 3) if args.k is None else (args.k, args.k),
-        v_max=args.vmax,
-        topology=args.topology,
-        edge_density=args.density,
-        max_depth=args.depth,
-    )
+    if args.gen is not None:
+        given = [f"--{flag}" for flag in ("seed", "n", "k", "vmax", "topology", "density", "depth")
+                 if getattr(args, flag) is not None]
+        if given:
+            raise ParseError(f"give --gen or {', '.join(given)}, not both")
+        config = _parse_gen_spec(args.gen)
+    else:
+        config = _generator_config(
+            seed=0 if args.seed is None else args.seed,
+            buyers=(2, 8) if args.n is None else (args.n, args.n),
+            k=(1, 3) if args.k is None else (args.k, args.k),
+            v_max=10 if args.vmax is None else args.vmax,
+            topology=args.topology or "tree",
+            edge_density=0.1 if args.density is None else args.density,
+            max_depth=args.depth,
+        )
     for index in range(args.count):
         profile = random_instance(config, index)
         text = serialize_instance(profile)
@@ -394,14 +403,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.set_defaults(func=cmd_search)
 
     p_gen = sub.add_parser("gen", help="write deterministic instance files")
-    p_gen.add_argument("--gen", help="generator spec (overrides the flags below)")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--n", type=int, default=None)
-    p_gen.add_argument("--k", type=int, default=None)
-    p_gen.add_argument("--vmax", type=int, default=10)
-    p_gen.add_argument("--topology", choices=("tree", "graph"), default="tree")
-    p_gen.add_argument("--density", type=float, default=0.1)
-    p_gen.add_argument("--depth", type=int, default=None)
+    p_gen.add_argument("--gen", help="generator spec, instead of the flags below")
+    # None marks a flag not given: --gen refuses any given flag
+    p_gen.add_argument("--seed", type=int)
+    p_gen.add_argument("--n", type=int)
+    p_gen.add_argument("--k", type=int)
+    p_gen.add_argument("--vmax", type=int)
+    p_gen.add_argument("--topology", choices=("tree", "graph"))
+    p_gen.add_argument("--density", type=float)
+    p_gen.add_argument("--depth", type=int)
     p_gen.add_argument("--count", type=_non_negative, default=1)
     p_gen.add_argument("-o", "--output", required=True)
     p_gen.set_defaults(func=cmd_gen)

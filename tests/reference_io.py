@@ -1,17 +1,21 @@
-"""Slow, obvious versions of `parse_instance` and `validate_profile`.
+"""Slow, obvious versions of `parse_instance`, `validate_profile` and
+`random_instance`.
 
 The oracle for the bulk checks in `netauction.instance_io` and
 `netauction.market`, in the pattern of `brute_force_welfare`: every key,
 label, id and value is checked one at a time, in canonical order, by code
 that shares nothing with the fast path but the error types and the profile
-dataclasses. Testing use only.
+dataclasses. The generator walks every buyer pair and asks whether a tree
+edge already joins it before it draws. Testing use only.
 """
 
 from __future__ import annotations
 
 import json
+import random
 
 from netauction.errors import ParseError, ValidationError
+from netauction.instance_io import GeneratorConfig
 from netauction.market import DUMMY_BASE, ReportProfile, ReportedType
 
 
@@ -126,3 +130,54 @@ def parse_instance(text: str) -> ReportProfile:
         if exc.buyer is None:
             raise
         raise ValidationError(profile.label_of(exc.buyer), exc.reason) from None
+
+
+def random_instance(config: GeneratorConfig, index: int = 0) -> ReportProfile:
+    """Instance `index` of the config's stream, one `random()` per unjoined pair."""
+    rng = random.Random(f"{config.seed}:{index}")
+    n = rng.randint(*config.buyers)
+    k = rng.randint(*config.k)
+    width = max(2, len(str(max(n - 1, 0))))
+    labels = {i: f"b{i:0{width}d}" for i in range(n)}
+
+    layer = {}
+    seller_neighbors: set[int] = set()
+    invited: dict[int, set[int]] = {i: set() for i in range(n)}
+    pool: list[int] = [-1]
+    for i in range(n):
+        if config.seller_bias and rng.random() < config.seller_bias:
+            parent = -1
+        else:
+            parent = rng.choice(pool)
+        if parent < 0:
+            seller_neighbors.add(i)
+            layer[i] = 1
+        else:
+            invited[parent].add(i)
+            layer[i] = layer[parent] + 1
+        if config.max_depth is None or layer[i] < config.max_depth:
+            pool.append(i)
+
+    if config.topology == "graph" and config.edge_density > 0:
+        for u in range(n):
+            for v in range(u + 1, n):
+                if v in invited[u] or u in invited[v]:
+                    continue
+                if rng.random() < config.edge_density:
+                    invited[u].add(v)
+                    invited[v].add(u)
+
+    reports = {
+        i: ReportedType(
+            tuple(sorted((rng.randint(0, config.v_max) for _ in range(k)), reverse=True)),
+            frozenset(invited[i]),
+        )
+        for i in range(n)
+    }
+    profile = ReportProfile(
+        k=k,
+        seller_neighbors=frozenset(seller_neighbors),
+        reports=reports,
+        labels=labels,
+    )
+    return validate_profile(profile)

@@ -146,9 +146,15 @@ def test_compare_bad_reserve_sweep_exits_2(sweep, message, capsys):
     (["gen", "--gen", "seed=1,n=6,depth=0", "-o", "unwritten.json"], "max_depth must be >= 1, got 0"),
     (["gen", "--seed", "1", "--depth", "-1", "-o", "unwritten.json"],
      "max_depth must be >= 1, got -1"),
+    (["gen", "--gen", "seed=1,seed=2,n=3", "-o", "unwritten.json"],
+     "generator spec repeats key 'seed'"),
+    (["verify", "--gen", "seed=1,n=3, n = 4", "--mechanism", "ldm"],
+     "generator spec repeats key 'n'"),
+    (["gen", "--gen", "", "-o", "unwritten.json"], "generator spec needs seed=<int>"),
 ], ids=["seed", "density", "k-range", "vmax", "gen-k-flag", "gen-vmax-flag",
         "gen-negative-density", "gen-nan-density", "gen-zero-n-and-k", "gen-zero-k",
-        "gen-zero-depth", "gen-negative-depth-flag"])
+        "gen-zero-depth", "gen-negative-depth-flag", "gen-repeated-key", "verify-repeated-key",
+        "gen-empty-spec"])
 def test_non_numeric_gen_spec_exits_2(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
@@ -164,6 +170,32 @@ def test_instance_or_gen_exactly_one(command, source, message, capsys):
     code, out, err = run_cli(command + source, capsys)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--n", "9", "--topology", "graph"], "--n, --topology"),
+    (["--seed", "0"], "--seed"),
+    (["--vmax", "10", "--density", "0.1", "--depth", "2", "--k", "1"], "--k, --vmax, --density, --depth"),
+], ids=["n-topology", "default-seed", "four-flags"])
+def test_gen_spec_and_generator_flags_exits_2(flags, named, tmp_path, capsys):
+    # the flags used to be dropped in silence: this wrote seed 2's 3-buyer tree
+    target = tmp_path / "unwritten.json"
+    code, out, err = run_cli(["gen", "--gen", "seed=2,n=3", *flags, "-o", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: give --gen or {named}, not both\n"
+    assert not target.exists()
+
+
+def test_gen_flags_keep_their_defaults(tmp_path, capsys):
+    flagged, spec = tmp_path / "flags.json", tmp_path / "spec.json"
+    assert run_cli(["gen", "-o", str(flagged)], capsys)[0] == 0
+    assert run_cli(["gen", "--gen", "seed=0,n=2..8,k=1..3,vmax=10", "-o", str(spec)], capsys)[0] == 0
+    assert flagged.read_text() == spec.read_text()
+    graph = tmp_path / "graph.json"
+    assert run_cli(["gen", "--n", "30", "--topology", "graph", "-o", str(graph)], capsys)[0] == 0
+    assert run_cli(["gen", "--gen", "seed=0,n=30,topology=graph,density=0.1",
+                    "-o", str(spec)], capsys)[0] == 0
+    assert graph.read_text() == spec.read_text()
 
 
 def test_run_invalid_instance_exits_2(tmp_path, capsys):
