@@ -8,7 +8,8 @@ arguments and prints.
 
 Exit codes: 0 success (for `verify`, no violations; for `search`, a
 counterexample was found), 1 violations found / nothing found, 2 validation
-or parse errors (argparse usage errors included), 3 undersized mu, 4
+or parse errors (argparse usage errors, unreadable and non-UTF-8 instance
+files included), 3 undersized mu, 4
 enumeration budget exceeded. Output is deterministic for fixed inputs and
 seeds; timings go to stderr and only with --timing.
 """
@@ -52,7 +53,12 @@ def _non_negative(raw: str) -> int:
 
 def _load_instance(path: str) -> ReportProfile:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_instance(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_instance(text)
 
 
 def _instances(args) -> list[ReportProfile]:
@@ -308,8 +314,11 @@ def cmd_gen(args) -> int:
         if args.count == 1:
             path = args.output
         else:
-            stem, dot, ext = args.output.rpartition(".")
-            path = f"{stem}-{index:03d}{dot}{ext}" if dot else f"{args.output}-{index:03d}"
+            # number the file name, not a directory with a dot in its name
+            head, slash, name = args.output.rpartition("/")
+            stem, dot, ext = name.rpartition(".")
+            name = f"{stem}-{index:03d}{dot}{ext}" if dot else f"{name}-{index:03d}"
+            path = head + slash + name
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         print(f"written: {path}")
@@ -432,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code = args.func(args)
-    except (ParseError, ValidationError, FileNotFoundError) as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MuTooSmall as exc:

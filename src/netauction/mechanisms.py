@@ -124,22 +124,20 @@ def run_vcg_first_layer(market: Market) -> Outcome:
     """Clarke-pivot auction of K units among the seller's direct neighbors only.
 
     Every other valid buyer gets 0 units and pays 0. Reserve dummies bid in
-    layer 1 like any neighbor; units they win are withheld.
+    layer 1 like any neighbor; units they win are withheld. The auction is
+    LDM's first layer with that layer alone as the pool: a buyer's children
+    lie outside it, so SW_{-D_i} there is SW_{-i} and LDM's payment is the
+    Clarke payment.
     """
     layer1 = market.layers[0] if market.layers else frozenset()
-    pool = WelfarePool(market, layer1, {}, market.k)
-    full = pool.best()
+    pool, full, _ = _ldm_layer(market, (), layer1, {})
     units = {i: 0 for i in market.valid if not is_dummy(i)}
     payments = dict(units)
     sw_without: dict[BuyerId, Money] = {}
     for i in sorted(layer1):
-        if is_dummy(i):
-            continue
-        pi = full.units_of(i)
-        without = pool.welfare({i})
-        sw_without[i] = without
-        units[i] = pi
-        payments[i] = without - (full.welfare - cumulative_value(market.values_of(i), pi))
+        if not is_dummy(i):
+            units[i] = full.units_of(i)
+            sw_without[i], payments[i] = _ldm_payment(market, pool, full, i)
     trace = VcgTrace(sw=full.welfare, allocation=full.allocation, sw_without=sw_without)
     return Outcome(units=units, payments=payments, trace=trace)
 

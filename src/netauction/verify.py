@@ -9,12 +9,14 @@ the mechanism's `value_rerun` hook, by default `run` on
 `Market.with_values`, which must agree with `run` exactly. Utilities are
 always evaluated against the buyer's TRUE values from the untouched
 instance. The checks of one `run_properties` call share one truthful
-instance (`_Truthful`): its market, truthful outcome and invitation table,
-each deviated market, and one deviation per (valid buyer, invitation
-subset): `value_rerun` on the deviated market and its answer at the true
-values, which is both the invitation table's entry and value-IC's
-baseline. Child monotonicity reruns the same deviated markets when the
-instance is its own BFS tree.
+instance (`_Truthful`), which holds the one enumeration of invitation
+deviations: `subsets(i)` lists buyer i's invitation reports, her full set
+last, and `utility(i, subset)` is her true-value utility under one of
+them. The truthful outcome answers her full set; any other subset is one
+deviation, `value_rerun` on its deviated market, built once, and that
+rerun's answer at her true values. IR, invitation-IC and value-IC walk the
+same lists and read the same deviations, and child monotonicity reruns the
+same deviated markets when the instance is its own BFS tree.
 
 LDM's value-IC is certified per (buyer, invitation subset): its value rerun
 lists the outcome menu, every (units, payment) any report can get, and a
@@ -196,47 +198,32 @@ def utility_of(truthful: ReportProfile, buyer: BuyerId, outcome: Outcome) -> Mon
     return gained - outcome.payment_of(buyer)
 
 
-def _subsets(invited: frozenset[BuyerId], proper_only: bool = False):
-    if len(invited) > MAX_INVITES_EXHAUSTIVE:
-        raise SearchBudgetExceeded(
-            f"{len(invited)} invites exceed the exhaustive bound {MAX_INVITES_EXHAUSTIVE}"
-        )
-    elems = sorted(invited)
-    top = len(elems) if proper_only else len(elems) + 1
-    for r in range(top):
-        for combo in itertools.combinations(elems, r):
-            yield frozenset(combo)
-
-
 class _Deviation(NamedTuple):
     """One (valid buyer, invitation subset) of a `_Truthful`: the
-    mechanism's value rerun on the deviated market and her (units, payment)
-    there at her true values."""
+    mechanism's value rerun on the deviated market and her true-value
+    utility there."""
 
     rerun: ValueRerun
-    units: int
-    payment: Money
-
-
-# Each valid buyer with her true-value utility under every report of her
-# invitations, the full report first.
-InvitationUtilities = list[tuple[BuyerId, list[tuple[ReportedType, Money]]]]
+    utility: Money
 
 
 class _Truthful:
     """An instance as its checks share it: its market, the mechanism's
-    truthful outcome, first-layer VCG's, the invitation table, one deviated
-    market and one `_Deviation` per (valid buyer, invitation subset), each
-    computed once, on first use. The invitation table and value-IC read the
-    same deviations, and child monotonicity the same markets, so each
-    (buyer, subset) market is built once and rerun once. `run_properties`
-    passes one to every check; a checker called on its own builds its own."""
+    truthful outcome and each buyer's utility under it, first-layer VCG's
+    outcome, each buyer's invitation reports, one deviated market and one
+    `_Deviation` per (valid buyer, invitation subset), each computed once,
+    on first use. `subsets` and `utility` are the one enumeration of
+    invitation deviations and the one conversion of a deviation into a
+    utility; every deviation check reads them, so each (buyer, subset)
+    market is built once and rerun once. `run_properties` passes one to
+    every check; a checker called on its own builds its own."""
 
     def __init__(self, mechanism: MechanismUnderTest, instance: ReportProfile):
         self.mechanism = mechanism
         self.instance = instance
         self._markets: dict[tuple[BuyerId, frozenset[BuyerId]], Market] = {}
         self._deviations: dict[tuple[BuyerId, frozenset[BuyerId]], _Deviation] = {}
+        self._subset_lists: dict[BuyerId, list[frozenset[BuyerId]]] = {}
 
     @cached_property
     def market(self) -> Market:
@@ -249,6 +236,39 @@ class _Truthful:
     @cached_property
     def vcg(self) -> Outcome:
         return run_vcg_first_layer(self.market)
+
+    @cached_property
+    def _full_utilities(self) -> dict[BuyerId, Money]:
+        """Each valid buyer's true-value utility under the truthful outcome."""
+        return {i: utility_of(self.instance, i, self.outcome) for i in self.market.valid}
+
+    def subsets(self, i: BuyerId) -> list[frozenset[BuyerId]]:
+        """Buyer i's invitation reports, smallest first: every subset of her
+        invitations by size, so her full set last, listed once. More than
+        `MAX_INVITES_EXHAUSTIVE` invitations raise `SearchBudgetExceeded`.
+
+        The order decides which deviation raises first: at an undersized mu
+        each deviated market may name a different required bound."""
+        found = self._subset_lists.get(i)
+        if found is None:
+            invited = self.instance.reports[i].invited
+            if len(invited) > MAX_INVITES_EXHAUSTIVE:
+                raise SearchBudgetExceeded(
+                    f"{len(invited)} invites exceed the exhaustive bound {MAX_INVITES_EXHAUSTIVE}"
+                )
+            elems = sorted(invited)
+            found = self._subset_lists[i] = [frozenset(combo) for r in range(len(elems))
+                                             for combo in itertools.combinations(elems, r)]
+            found.append(invited)
+        return found
+
+    def utility(self, i: BuyerId, invited: frozenset[BuyerId]) -> Money:
+        """i's true-value utility when she invites `invited`: the truthful
+        outcome's for her full set, which builds no rerun, else her
+        deviation's."""
+        if invited == self.instance.reports[i].invited:
+            return self._full_utilities[i]
+        return self.deviation(i, invited).utility
 
     def deviated_market(self, i: BuyerId, invited: frozenset[BuyerId]) -> Market:
         """The market with valid buyer i inviting `invited`, her values kept,
@@ -265,58 +285,43 @@ class _Truthful:
 
     def deviation(self, i: BuyerId, invited: frozenset[BuyerId]) -> _Deviation:
         """i's `_Deviation` for `invited`: `value_rerun(market, i)` on the
-        deviated market, and its answer at her true values, which that
-        market already holds, so the answer is her result under
+        deviated market, and her utility at its answer for her true values,
+        which that market already holds, so the answer is her result under
         `run(market)`. For the full set that is the truthful outcome."""
         key = (i, invited)
         found = self._deviations.get(key)
-        if found is not None:
-            return found
-        market = self.deviated_market(i, invited)
-        rerun = self.mechanism.value_rerun(market, i)
-        if market is self.market:
-            found = _Deviation(rerun, self.outcome.units_of(i), self.outcome.payment_of(i))
-        else:
-            found = _Deviation(rerun, *rerun(self.instance.reports[i].values))
-        self._deviations[key] = found
+        if found is None:
+            market = self.deviated_market(i, invited)
+            rerun = self.mechanism.value_rerun(market, i)
+            if market is self.market:
+                u = self.utility(i, invited)
+            else:
+                values = self.instance.reports[i].values
+                units, payment = rerun(values)
+                u = cumulative_value(values, units) - payment
+            found = self._deviations[key] = _Deviation(rerun, u)
         return found
 
-    @cached_property
-    def invitation_utilities(self) -> InvitationUtilities:
-        """What `check_ir` and `check_invitation_ic` scan: the truthful
-        outcome, reused for every buyer, and one deviation per proper
-        invitation subset."""
-        instance, full = self.instance, self.outcome
-        table: InvitationUtilities = []
-        for i in sorted(self.market.valid):
-            truthful = instance.reports[i]
-            scanned = [(truthful, utility_of(instance, i, full))]
-            for sub in _subsets(truthful.invited, proper_only=True):
-                dev = self.deviation(i, sub)
-                scanned.append((ReportedType(truthful.values, sub),
-                                cumulative_value(truthful.values, dev.units) - dev.payment))
-            table.append((i, scanned))
-        return table
+    def report(self, kind: str, i: BuyerId, truthful: ReportedType, deviating: ReportedType,
+               u_truthful: Money, u_deviating: Money) -> DeviationReport:
+        """A `kind` violation found for buyer i on this instance."""
+        return DeviationReport(i, truthful, deviating, u_truthful, u_deviating,
+                               self.mechanism.name, self.instance, kind)
 
 
 def _own_deviations(truth: _Truthful, kind: str,
                     violates: Callable[[Money, Money], bool]) -> list[DeviationReport]:
-    """Every invitation report whose utility u has `violates(u, u_full)`."""
+    """Every invitation report of a valid buyer whose utility u has
+    `violates(u, u_full)`, u_full her full report's."""
     violations: list[DeviationReport] = []
-    for i, scanned in truth.invitation_utilities:
-        truthful, u_full = scanned[0]
-        for report, u in scanned:
+    for i in sorted(truth.market.valid):
+        truthful = truth.instance.reports[i]
+        u_full = truth.utility(i, truthful.invited)
+        for sub in truth.subsets(i):
+            u = truth.utility(i, sub)
             if violates(u, u_full):
-                violations.append(DeviationReport(
-                    buyer=i,
-                    truthful_report=truthful,
-                    deviating_report=report,
-                    truthful_utility=u_full,
-                    deviating_utility=u,
-                    mechanism=truth.mechanism.name,
-                    instance=truth.instance,
-                    kind=kind,
-                ))
+                violations.append(truth.report(kind, i, truthful,
+                                               ReportedType(truthful.values, sub), u_full, u))
     return sorted(violations, key=DeviationReport.sort_key)
 
 
@@ -404,9 +409,9 @@ def check_value_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
                    *, truth: _Truthful | None = None) -> list[DeviationReport]:
     """For every buyer, invitation subset, and grid misreport: reporting true
     values must dominate the misreport at that same invitation set. Each
-    (buyer, subset) gets one `mechanism.value_rerun`, and the truthful
-    report's utility there, from the deviation the invitation checks share
-    (`_Truthful.deviation`).
+    (buyer, subset) of `_Truthful.subsets` gets one `mechanism.value_rerun`,
+    and the truthful report's utility there, from the deviation the
+    invitation checks share (`_Truthful.deviation`).
 
     A rerun with a `menu`, every (units, payment) it can return, certifies
     the pair when no menu entry gives more true-value utility than the
@@ -424,9 +429,8 @@ def check_value_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
         rep = instance.reports[i]
         gained = [0, *accumulate(rep.values)]
         vectors = None
-        for sub in _subsets(rep.invited):
-            rerun, units, payment = truth.deviation(i, sub)
-            u_base = cumulative_value(rep.values, units) - payment
+        for sub in truth.subsets(i):
+            rerun, u_base = truth.deviation(i, sub)
             menu = getattr(rerun, "menu", None)
             if menu is not None and all(gained[x] - p <= u_base for x, p in menu):
                 continue
@@ -436,16 +440,8 @@ def check_value_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
                 units, payment = rerun(v)
                 u_dev = cumulative_value(rep.values, units) - payment
                 if u_dev > u_base:
-                    violations.append(DeviationReport(
-                        buyer=i,
-                        truthful_report=ReportedType(rep.values, sub),
-                        deviating_report=ReportedType(v, sub),
-                        truthful_utility=u_base,
-                        deviating_utility=u_dev,
-                        mechanism=mechanism.name,
-                        instance=instance,
-                        kind="value-ic",
-                    ))
+                    violations.append(truth.report("value-ic", i, ReportedType(rep.values, sub),
+                                                   ReportedType(v, sub), u_base, u_dev))
     return sorted(violations, key=DeviationReport.sort_key)
 
 
@@ -577,11 +573,10 @@ def check_child_monotonicity(mechanism: MechanismUnderTest, instance: ReportProf
     The outcomes are `truth`'s when the instance is its own BFS tree, else
     those of a `_Truthful` of the tree profile.
     """
-    truth = truth or _Truthful(mechanism, instance)
-    tree = truth.market
+    own = truth or _Truthful(mechanism, instance)
+    tree = own.market
     base_profile = _tree_profile(instance, tree)
-    if base_profile.reports != instance.reports:
-        truth = _Truthful(mechanism, base_profile)
+    truth = own if base_profile.reports == instance.reports else _Truthful(mechanism, base_profile)
     full = truth.outcome
     violations: list[DeviationReport] = []
     for j in sorted(tree.valid):
@@ -592,23 +587,16 @@ def check_child_monotonicity(mechanism: MechanismUnderTest, instance: ReportProf
         if not observers:
             continue
         full_rep = base_profile.reports[j]
-        for sub in _subsets(full_rep.invited, proper_only=True):
+        for sub in truth.subsets(j)[:-1]:
             reduced = ReportedType(full_rep.values, sub)
             out = mechanism.run(truth.deviated_market(j, sub))
             for i in observers:
                 u_reduced = utility_of(base_profile, i, out)
                 u_full = utility_of(base_profile, i, full)
                 if u_reduced < u_full:
-                    violations.append(DeviationReport(
-                        buyer=i,
-                        truthful_report=reduced,
-                        deviating_report=full_rep,
-                        truthful_utility=u_reduced,
-                        deviating_utility=u_full,
-                        mechanism=mechanism.name,
-                        instance=instance,
-                        kind="child-monotonicity",
-                    ))
+                    # the reports name the original instance, not the tree profile
+                    violations.append(own.report("child-monotonicity", i, reduced, full_rep,
+                                                 u_reduced, u_full))
     return sorted(violations, key=DeviationReport.sort_key)
 
 
@@ -715,8 +703,9 @@ def run_properties(instance: ReportProfile, mechanism_name: str,
 
     Properties marked `ldm_only` in `PROPERTIES` refuse unlayered mechanisms.
     The checks share one `_Truthful`: the instance's market is built once,
-    and the truthful outcome and the invitation table that "ir" and
-    "invite-ic" scan are computed by whichever check needs them first.
+    and the truthful outcome and each invitation deviation that "ir",
+    "invite-ic", "value-ic" and "child-monotonicity" read are computed by
+    whichever check needs them first.
     """
     entry = MECHANISMS.get(mechanism_name)
     if entry is None:

@@ -5,17 +5,36 @@ monotonicity builds the BFS-tree profile's market, runs the mechanism on
 it, and builds a fresh market and runs in full for every proper child
 subset.
 
-The oracle for `verify._Truthful`, which builds each (buyer, subset)
-market once, reads the invitation checks' utility from the value rerun on
-it at the true values, and lets child monotonicity rerun those markets when
-the instance is its own BFS tree. Testing use only.
+The oracle for `verify._Truthful`, which lists each buyer's invitation
+reports once (`subsets`), builds each (buyer, subset) market once, reads
+the invitation checks' utility from the value rerun on it at the true
+values, and lets child monotonicity rerun those markets when the instance
+is its own BFS tree. The subsets are enumerated here too, by this module's
+own `_subsets`, so the oracle shares no enumeration with what it checks.
+Testing use only.
 """
 
 from __future__ import annotations
 
+import itertools
+
+from netauction.errors import SearchBudgetExceeded
 from netauction.market import ReportedType, compute_market, cumulative_value
-from netauction.verify import (DeviationReport, _subsets, _tree_profile, integer_value_grid,
-                               utility_of)
+from netauction.verify import (MAX_INVITES_EXHAUSTIVE, DeviationReport, _tree_profile,
+                               integer_value_grid, utility_of)
+
+
+def _subsets(invited, proper_only=False):
+    """Every subset of `invited`, smallest first, the full set last unless
+    `proper_only`; past the exhaustive bound, `SearchBudgetExceeded`."""
+    if len(invited) > MAX_INVITES_EXHAUSTIVE:
+        raise SearchBudgetExceeded(
+            f"{len(invited)} invites exceed the exhaustive bound {MAX_INVITES_EXHAUSTIVE}")
+    elems = sorted(invited)
+    top = len(elems) if proper_only else len(elems) + 1
+    for r in range(top):
+        for combo in itertools.combinations(elems, r):
+            yield frozenset(combo)
 
 
 def invitation_utilities(mechanism, instance):

@@ -218,6 +218,35 @@ def test_run_huge_integer_or_deep_nesting_exits_2(text, message, tmp_path, capsy
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", [["run", "--mechanism", "ldm"],
+                                     ["verify", "--mechanism", "ldm", "--all"]],
+                         ids=["run", "verify"])
+@pytest.mark.parametrize("kind,message", [
+    ("directory", "Is a directory"),
+    ("utf-16", "not UTF-8 text (invalid start byte at byte 0)"),
+    ("latin-1", "not UTF-8 text (invalid continuation byte at byte 24)"),
+], ids=["directory", "utf-16", "latin-1"])
+def test_unreadable_instance_path_exits_2(command, kind, message, tmp_path, capsys):
+    # both used to print a traceback and exit 1, the "violations found" code
+    path = tmp_path / "instance.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        text = '{"k": 1, "labels": ["café"], "seller_neighbors": [], "buyers": {}}'
+        path.write_bytes(b"\xff\xfe" + text.encode("utf-16-le") if kind == "utf-16"
+                         else text.encode("latin-1"))
+    code, out, err = run_cli([command[0], str(path), *command[1:]], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_missing_instance_file_message_is_unchanged(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli(["run", str(missing), "--mechanism", "ldm"], capsys)
+    assert (code, out, err) == (2, "", f"error: [Errno 2] No such file or directory: "
+                                       f"'{missing}'\n")
+
+
 def test_run_long_invitation_chain(tmp_path, capsys):
     chain = tmp_path / "chain.json"
     chain.write_text(serialize_instance(chain_profile(1500, 2)))
@@ -417,6 +446,24 @@ def test_gen_count_writes_numbered_files(tmp_path, capsys):
     assert code == 0
     for i in range(3):
         assert (tmp_path / f"batch-{i:03d}.json").exists()
+
+
+@pytest.mark.parametrize("output,written", [
+    ("runs.v2/inst", ["runs.v2/inst-000", "runs.v2/inst-001"]),
+    ("runs.v2/inst.json", ["runs.v2/inst-000.json", "runs.v2/inst-001.json"]),
+    ("out", ["out-000", "out-001"]),
+])
+def test_gen_count_numbers_the_file_name_only(output, written, tmp_path, monkeypatch, capsys):
+    # a dot in a directory name used to take the number: runs-000.v2/inst
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs.v2").mkdir()
+    (tmp_path / "runs-000.v2").mkdir()
+    code, out, err = run_cli(["gen", "--seed", "1", "--n", "4", "--count", "2", "-o", output],
+                             capsys)
+    assert (code, err) == (0, "")
+    assert out == "".join(f"written: {path}\n" for path in written)
+    assert all((tmp_path / path).is_file() for path in written)
+    assert not any((tmp_path / "runs-000.v2").iterdir())
 
 
 def test_compare_fig3(capsys):

@@ -177,6 +177,33 @@ def test_fig4_raises_mu_too_small_where_the_reference_does(monkeypatch, prop):
     assert last[verify] == last[ref] != profile.reports
 
 
+@pytest.mark.parametrize("prop", [*CHECKS, "child-monotonicity"])
+def test_undersized_mu_raises_where_the_reference_does(prop):
+    """At an undersized mu each deviated market can name its own required
+    bound, so the order of the deviation walk decides the message. Each
+    check must raise the reference's error, or return its reports, alone
+    in `run_properties`. Walking the full set before the proper subsets
+    changes value-IC's message on four of these instances at mu = 0."""
+    reference = {"ir": ref.check_ir, "invite-ic": ref.check_invitation_ic,
+                 "value-ic": ref.check_value_ic,
+                 "child-monotonicity": ref.check_child_monotonicity}[prop]
+
+    def answer(check):
+        try:
+            return tuple(check())
+        except MuTooSmall as exc:
+            return str(exc)
+
+    raised = 0
+    for profile in instance_stream(STREAMS[0], 80):
+        for mu in (0, 1):
+            expected = answer(lambda: reference(ldm_mechanism(mu), profile))
+            assert answer(lambda: run_properties(profile, "ldm", (prop,), mu=mu)[0].reports
+                          ) == expected
+            raised += isinstance(expected, str)
+    assert raised >= 40
+
+
 def invitation_reader(market):
     """Deliberately reads the raw reports: every valid buyer wins nothing and
     is paid one per valid buyer of the market and one per invitation her
