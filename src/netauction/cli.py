@@ -2,16 +2,19 @@
 instances, search for counterexamples, and compare against first-layer VCG.
 
 Mechanism names, the properties they admit and how each one runs come from
-`verify.MECHANISMS`; `verify` and `search` use the harness's
+`verify.MECHANISMS`, mu from `verify.given_mu`, and `verify` and `search` use
 `run_properties` and `search_counterexample`, so this module only parses
-arguments and prints.
+arguments and prints. `GEN_KEYS` maps each `--gen` spec key to its
+`GeneratorConfig` field; `gen`'s flags go through it too, a flag not given
+taking the field's default (seed 0).
 
 Exit codes: 0 success (for `verify`, no violations; for `search`, a
 counterexample was found), 1 violations found / nothing found, 2 validation
 or parse errors (argparse usage errors, unreadable and non-UTF-8 instance
-files included), 3 undersized mu, 4
-enumeration budget exceeded. Output is deterministic for fixed inputs and
-seeds; timings go to stderr and only with --timing.
+files included), 3 undersized mu, 4 enumeration budget exceeded; `main`
+prints each library or OS error as `error: ...`, its code from `EXIT_CODES`.
+Output is deterministic for fixed inputs and seeds; timings go to stderr and
+only with --timing.
 """
 
 from __future__ import annotations
@@ -37,11 +40,13 @@ from .verify import (
     PROPERTY_NAMES,
     DeviationReport,
     compare_vs_vcg,
+    given_mu,
     run_properties,
     search_counterexample,
 )
 
 CLI_PROPERTIES = tuple(p for p in PROPERTY_NAMES if p != "order-independence")
+EXIT_CODES = {MuTooSmall: 3, SearchBudgetExceeded: 4}
 
 
 def _non_negative(raw: str) -> int:
@@ -72,17 +77,35 @@ def _instances(args) -> list[ReportProfile]:
     return list(instance_stream(_parse_gen_spec(args.gen), args.count))
 
 
-def _resolve_run_mu(profile: ReportProfile, override: int | None,
-                    require_mu: bool) -> int | None:
-    """--mu, else the instance's mu; None lets LDM run at its BFS tree's
-    minimum valid bound, so the tree is built once."""
-    if override is not None:
-        return override
-    if profile.mu is not None:
-        return profile.mu
-    if require_mu:
-        raise ValidationError(None, "instance has no mu and --require-mu is set")
-    return None
+def _int_range(raw: str) -> tuple[int, int]:
+    lo, dots, hi = raw.partition("..")
+    return (int(lo), int(hi if dots else lo))
+
+
+# Each generator spec key, in the order its value is parsed: its `GeneratorConfig`
+# field and the parser of its text. `gen`'s flags are these keys, bias aside.
+GEN_KEYS = {
+    "seed": ("seed", int),
+    "n": ("buyers", _int_range),
+    "k": ("k", _int_range),
+    "vmax": ("v_max", int),
+    "topology": ("topology", str),
+    "density": ("edge_density", float),
+    "depth": ("max_depth", int),
+    "bias": ("seller_bias", float),
+}
+
+
+def _generator_config(fields: dict[str, str]) -> GeneratorConfig:
+    """A `GeneratorConfig` from spec-key texts, a key left out at its default."""
+    try:
+        kwargs = {field: parse(fields.pop(key))
+                  for key, (field, parse) in GEN_KEYS.items() if key in fields}
+        if fields:
+            raise ParseError(f"unknown generator keys: {', '.join(sorted(fields))}")
+        return GeneratorConfig(**kwargs)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _parse_gen_spec(spec: str) -> GeneratorConfig:
@@ -97,44 +120,9 @@ def _parse_gen_spec(spec: str) -> GeneratorConfig:
         if key in fields:
             raise ParseError(f"generator spec repeats key {key!r}")
         fields[key] = value
-
-    def int_range(raw: str) -> tuple[int, int]:
-        if ".." in raw:
-            lo, hi = raw.split("..", 1)
-            return (int(lo), int(hi))
-        return (int(raw), int(raw))
-
     if "seed" not in fields:
         raise ParseError("generator spec needs seed=<int>")
-    try:
-        kwargs: dict = {"seed": int(fields.pop("seed"))}
-        if "n" in fields:
-            kwargs["buyers"] = int_range(fields.pop("n"))
-        if "k" in fields:
-            kwargs["k"] = int_range(fields.pop("k"))
-        if "vmax" in fields:
-            kwargs["v_max"] = int(fields.pop("vmax"))
-        if "topology" in fields:
-            kwargs["topology"] = fields.pop("topology")
-        if "density" in fields:
-            kwargs["edge_density"] = float(fields.pop("density"))
-        if "depth" in fields:
-            kwargs["max_depth"] = int(fields.pop("depth"))
-        if "bias" in fields:
-            kwargs["seller_bias"] = float(fields.pop("bias"))
-        if fields:
-            raise ParseError(f"unknown generator keys: {', '.join(sorted(fields))}")
-        return _generator_config(**kwargs)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-
-
-def _generator_config(**kwargs) -> GeneratorConfig:
-    """A `GeneratorConfig` from command-line input; a bad field is a ParseError."""
-    try:
-        return GeneratorConfig(**kwargs)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return _generator_config(fields)
 
 
 def _outcome_doc(market: Market, name: str, mu: int,
@@ -227,7 +215,9 @@ def cmd_run(args) -> int:
         profile = inject_dummies(profile, args.reserve)
     market = compute_market(profile)
     entry = MECHANISMS[args.mechanism]
-    mu = _resolve_run_mu(profile, args.mu, args.require_mu) if entry.layered else 0
+    mu = given_mu(profile, args.mu) if entry.layered else 0
+    if mu is None and args.require_mu:
+        raise ValidationError(None, "instance has no mu and --require-mu is set")
     outcome = entry.checked(mu).run(market)
     if mu is None:
         mu = outcome.trace.mu
@@ -292,22 +282,14 @@ def cmd_search(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    # each given flag goes through the key table as the text of its value
+    given = {flag: str(v) for flag in GEN_KEYS if (v := getattr(args, flag, None)) is not None}
     if args.gen is not None:
-        given = [f"--{flag}" for flag in ("seed", "n", "k", "vmax", "topology", "density", "depth")
-                 if getattr(args, flag) is not None]
         if given:
-            raise ParseError(f"give --gen or {', '.join(given)}, not both")
+            raise ParseError(f"give --gen or {', '.join('--' + f for f in given)}, not both")
         config = _parse_gen_spec(args.gen)
     else:
-        config = _generator_config(
-            seed=0 if args.seed is None else args.seed,
-            buyers=(2, 8) if args.n is None else (args.n, args.n),
-            k=(1, 3) if args.k is None else (args.k, args.k),
-            v_max=10 if args.vmax is None else args.vmax,
-            topology=args.topology or "tree",
-            edge_density=0.1 if args.density is None else args.density,
-            max_depth=args.depth,
-        )
+        config = _generator_config({"seed": "0", **given})
     for index in range(args.count):
         profile = random_instance(config, index)
         text = serialize_instance(profile)
@@ -328,9 +310,8 @@ def cmd_gen(args) -> int:
 def _parse_reserve_range(raw: str | None) -> list[int | None]:
     if raw is None:
         return [None]
-    bounds = raw.split("..", 1) if ".." in raw else (raw, raw)
     try:
-        lo, hi = (int(bound) for bound in bounds)
+        lo, hi = _int_range(raw)
     except ValueError:
         raise ParseError(f"reserve {raw!r} is not an integer or a lo..hi sweep") from None
     if lo > hi:
@@ -347,7 +328,7 @@ def cmd_compare(args) -> int:
         market = compute_market(profile)
         # with neither, LDM runs at each market's minimum valid mu; reserve
         # dummies invite no one, so a reserve leaves that bound unchanged
-        mu = args.mu if args.mu is not None else profile.mu
+        mu = given_mu(profile, args.mu)
         for r in reserves:
             priced = market if r is None else compute_market(inject_dummies(profile, r))
             rows.append((index, r, compare_vs_vcg(priced, mu)))
@@ -441,18 +422,9 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code = args.func(args)
-    except (ParseError, ValidationError, OSError) as exc:
+    except (NetAuctionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MuTooSmall as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SearchBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NetAuctionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_CODES.get(type(exc), 2)
     if args.timing:
         print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return code

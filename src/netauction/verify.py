@@ -102,6 +102,11 @@ def _with_values_rerun(run: Callable[[Market], Outcome], market: Market,
     return rerun
 
 
+def given_mu(instance: ReportProfile, mu: int | None) -> int | None:
+    """`mu`, else the instance's own, else None: each caller has its own fallback."""
+    return mu if mu is not None else instance.mu
+
+
 # The only definition of each mechanism. The lambdas look the run functions
 # up by name when called, so wrappers installed on this module (such as
 # tracing spans) see every run.
@@ -141,11 +146,8 @@ class RegisteredMechanism:
         """
         if not self.layered:
             return 0
-        if mu is not None:
-            return mu
-        if instance.mu is not None:
-            return instance.mu
-        return robust_mu(instance)
+        mu = given_mu(instance, mu)
+        return robust_mu(instance) if mu is None else mu
 
     def admits(self, prop: str) -> bool:
         """Whether the named property applies: the LDM-only ones (see

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from netauction.instance_io import random_instance, serialize_instance
 from netauction.verify import MECHANISMS
 
 from conftest import DATA, DEEP_META, HUGE_K, chain_profile, sold_out_in_layer_one
+from test_io import SHAPE_ERRORS
 from test_parse_oracle import DEEP, WIDE
 
 FIG3 = str(DATA / "fig3.json")
@@ -151,10 +153,20 @@ def test_compare_bad_reserve_sweep_exits_2(sweep, message, capsys):
     (["verify", "--gen", "seed=1,n=3, n = 4", "--mechanism", "ldm"],
      "generator spec repeats key 'n'"),
     (["gen", "--gen", "", "-o", "unwritten.json"], "generator spec needs seed=<int>"),
+    (["gen", "--gen", "seed=1,n", "-o", "unwritten.json"],
+     "generator spec entry 'n' is not key=value"),
+    (["gen", "--gen", "seed=1,foo=2,bar=3", "-o", "unwritten.json"],
+     "unknown generator keys: bar, foo"),
+    # values parse in key-table order, n before k ...
+    (["gen", "--gen", "seed=1,k=a,n=b", "-o", "unwritten.json"], "'b'"),
+    # ... and unknown keys are named only once every known value parses
+    (["gen", "--gen", "seed=1,foo=2,n=x", "-o", "unwritten.json"], "'x'"),
+    (["gen", "--gen", "seed=1,n=5..", "-o", "unwritten.json"], "''"),
 ], ids=["seed", "density", "k-range", "vmax", "gen-k-flag", "gen-vmax-flag",
         "gen-negative-density", "gen-nan-density", "gen-zero-n-and-k", "gen-zero-k",
         "gen-zero-depth", "gen-negative-depth-flag", "gen-repeated-key", "verify-repeated-key",
-        "gen-empty-spec"])
+        "gen-empty-spec", "gen-not-key-value", "gen-unknown-keys", "gen-key-table-order",
+        "gen-unknown-keys-last", "gen-open-range"])
 def test_non_numeric_gen_spec_exits_2(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
@@ -187,15 +199,19 @@ def test_gen_spec_and_generator_flags_exits_2(flags, named, tmp_path, capsys):
 
 
 def test_gen_flags_keep_their_defaults(tmp_path, capsys):
-    flagged, spec = tmp_path / "flags.json", tmp_path / "spec.json"
-    assert run_cli(["gen", "-o", str(flagged)], capsys)[0] == 0
-    assert run_cli(["gen", "--gen", "seed=0,n=2..8,k=1..3,vmax=10", "-o", str(spec)], capsys)[0] == 0
-    assert flagged.read_text() == spec.read_text()
-    graph = tmp_path / "graph.json"
-    assert run_cli(["gen", "--n", "30", "--topology", "graph", "-o", str(graph)], capsys)[0] == 0
-    assert run_cli(["gen", "--gen", "seed=0,n=30,topology=graph,density=0.1",
-                    "-o", str(spec)], capsys)[0] == 0
-    assert graph.read_text() == spec.read_text()
+    # gen's flags are spec keys: a flag not given takes GeneratorConfig's
+    # default, the seed 0
+    flagged, specified = tmp_path / "flags.json", tmp_path / "spec.json"
+    for flags, spec in [
+        ([], "seed=0"),
+        ([], "seed=0,n=2..8,k=1..3,vmax=10"),
+        (["--n", "30", "--topology", "graph"], "seed=0,n=30,topology=graph,density=0.1"),
+        (["--seed", "3", "--n", "6", "--k", "2", "--topology", "graph", "--density", "0.3",
+          "--depth", "2"], "seed=3,n=6,k=2,topology=graph,density=0.3,depth=2"),
+    ]:
+        assert run_cli(["gen", *flags, "-o", str(flagged)], capsys)[0] == 0
+        assert run_cli(["gen", "--gen", spec, "-o", str(specified)], capsys)[0] == 0
+        assert flagged.read_bytes() == specified.read_bytes(), spec
 
 
 def test_run_invalid_instance_exits_2(tmp_path, capsys):
@@ -212,6 +228,15 @@ def test_run_invalid_instance_exits_2(tmp_path, capsys):
     (DEEP_META, "arrays or objects nested too deeply"),
 ], ids=["huge-integer", "deep-nesting"])
 def test_run_huge_integer_or_deep_nesting_exits_2(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(["run", str(path), "--mechanism", "ldm"], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text,message", SHAPE_ERRORS,
+                         ids=["top-level", "buyers", "seller-neighbors"])
+def test_run_wrong_instance_shape_exits_2(text, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text)
     code, out, err = run_cli(["run", str(path), "--mechanism", "ldm"], capsys)
@@ -428,6 +453,32 @@ def test_search_exhausted_exits_1(capsys):
                             "--gen", "seed=1,n=1,k=1", "--budget", "30"], capsys)
     assert code == 1
     assert "no counterexample" in out
+
+
+def test_exhaustive_budget_exceeded_exits_4(capsys):
+    # a buyer of instance 18 invites 7 others; DNA-MU's checks enumerate
+    # every invitation subset, so IR alone refuses to run past the bound
+    code, out, err = run_cli(["verify", "--gen", "seed=9,n=30..30,k=1..3", "--count", "20",
+                              "--mechanism", "dna-mu", "--property", "ir"], capsys)
+    assert (code, out, err) == (4, "", "error: 7 invites exceed the exhaustive bound 6\n")
+
+
+@pytest.mark.parametrize("argv", [["run", FIG3, "--mechanism", "ldm"],
+                                  ["verify", T4, "--mechanism", "ldm", "--property", "ir"]],
+                         ids=["run", "verify"])
+def test_timing_goes_to_stderr_only(argv, capsys):
+    code, plain, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    code, timed, err = run_cli(["--timing", *argv], capsys)
+    assert (code, timed) == (0, plain)
+    assert re.fullmatch(r"elapsed: \d+\.\d{3}s\n", err)
+
+
+def test_timing_is_not_printed_on_an_error_exit(capsys):
+    code, out, err = run_cli(["--timing", "run", FIG3, "--mechanism", "ldm", "--mu", "1"],
+                             capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: mu=1 is below the required bound 2\n"
 
 
 def test_gen_is_deterministic(tmp_path, capsys):

@@ -61,6 +61,23 @@ def test_parse_errors():
         parse_instance('{"k": 1, "seller_neighbors": [], "buyers": {"a": {"values": 5, "neighbors": []}}}')
 
 
+# JSON that parses but has the wrong shape at the top, in buyers or in
+# seller_neighbors
+SHAPE_ERRORS = [
+    ("[]", "top level must be an object"),
+    ('{"k": 1, "seller_neighbors": [], "buyers": []}', "buyers must be an object"),
+    ('{"k": 1, "seller_neighbors": "a", "buyers": {}}', "seller_neighbors must be an array"),
+]
+
+
+@pytest.mark.parametrize("text,message", SHAPE_ERRORS,
+                         ids=["top-level", "buyers", "seller-neighbors"])
+def test_parse_refuses_wrong_shapes(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("text,message", [
     (HUGE_K, "integer literal has too many digits"),
     (DEEP_META, "arrays or objects nested too deeply"),

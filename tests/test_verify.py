@@ -302,6 +302,23 @@ def test_search_counterexample_finds_dna_mu_violation():
     assert report.deviating_utility > report.truthful_utility
 
 
+def test_search_counterexample_value_ic():
+    # README's pay-your-bid black box: first-layer VCG's allocation, each
+    # winner paying her bid; hiding an invitation never helps, shading a bid does
+    def pay_your_bid(market):
+        won = run_vcg_first_layer(market).units
+        return Outcome(won, {i: cumulative_value(market.values_of(i), u)
+                             for i, u in won.items()})
+
+    mechanism = MechanismUnderTest("pay-your-bid", pay_your_bid)
+    cfg = GeneratorConfig(seed=301, buyers=(2, 8), k=(1, 3))
+    assert search_counterexample(mechanism, instance_stream(cfg, 50), 50) is None
+    index, report = search_counterexample(mechanism, instance_stream(cfg, 50), 50,
+                                          include_value_ic=True)
+    assert (index, report.kind, report.buyer) == (1, "value-ic", 1)
+    assert (report.truthful_utility, report.deviating_utility) == (0, 4)
+
+
 def test_search_counterexample_ldm_clean_same_family():
     cfg = GeneratorConfig(seed=113, buyers=(5, 7), k=(4, 4), v_max=10,
                           topology="tree", max_depth=3, seller_bias=0.45)
