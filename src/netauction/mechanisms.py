@@ -130,7 +130,7 @@ def run_vcg_first_layer(market: Market) -> Outcome:
     Clarke payment.
     """
     layer1 = market.layers[0] if market.layers else frozenset()
-    pool, full, _ = _ldm_layer(market, (), layer1, {})
+    pool, full, _ = _ldm_layer(market, (), layer1, market.k)
     units = {i: 0 for i in market.valid if not is_dummy(i)}
     payments = dict(units)
     sw_without: dict[BuyerId, Money] = {}
@@ -194,28 +194,36 @@ def _kth_outside(ranked: list[tuple[Money, BuyerId]], skipped: set[BuyerId], k: 
     return 0
 
 
-def _ldm_layer(market: Market, members: Iterable[BuyerId], included: frozenset[BuyerId],
-               committed: dict[BuyerId, int]) -> tuple[WelfarePool, WelfareResult, int]:
-    """One LDM layer: the welfare optimum over `included` = valid - R_l with
-    the earlier layers frozen at `committed`, whose pool then answers every
-    SW_{-D_i} of the layer. Commits each member's tentative units into
-    `committed`; returns the pool, the optimum and the units the layer took.
-    """
-    pool = WelfarePool(market, included, committed, market.k)
+def _free_buyers(market: Market, l: int, r_l: frozenset[BuyerId]) -> frozenset[BuyerId]:
+    """Layer l's free buyers: layers l and l+1 less R_l. The rest of
+    valid - R_l is the processed layers, since R_l holds every deeper layer
+    and no buyer of layer l or before."""
+    return market.layers[l - 1].union(*market.layers[l:l + 1]) - r_l
+
+
+def _ldm_layer(market: Market, members: Iterable[BuyerId], free: Iterable[BuyerId],
+               supply: int) -> tuple[WelfarePool, WelfareResult, int]:
+    """One LDM layer: the welfare optimum of its `free` buyers sharing the
+    `supply` the frozen earlier layers left, whose pool then answers every
+    SW_{-D_i} of the layer; returns the pool, the optimum and the units the
+    layer's `members` took. The frozen layers stay out of the pool: every
+    payment is a difference of two welfares over them, where they cancel."""
+    pool = WelfarePool(market, free, supply)
     layer_opt = pool.best()
-    taken = 0
-    for j in members:
-        committed[j] = won = layer_opt.units_of(j)
-        taken += won
-    return pool, layer_opt, taken
+    return pool, layer_opt, sum(map(layer_opt.units_of, members))
+
+
+def _sw_minus_d(market: Market, pool: WelfarePool, i: BuyerId) -> Money:
+    """SW_{-D_i} over the free buyers of i's layer, in a pool with or without
+    i: valid - D_i = (valid - R_l) - (C_i + {i}), C_i + {i} holds no frozen buyer."""
+    return pool.top_without(market.children[i] | {i}, pool.budget)
 
 
 def _ldm_payment(market: Market, pool: WelfarePool, layer_opt: WelfareResult,
                  i: BuyerId) -> tuple[Money, Money]:
-    """(SW_{-D_i}, p_i) for a member i of the layer: p_i = SW_{-D_i} - (SW_l - v_i(x_i))."""
-    # valid - D_i = included - (C_i + {i}); committed buyers sit in earlier
-    # layers, so none of them is ever left out
-    sw_d = pool.welfare(market.children[i] | {i})
+    """(SW_{-D_i}, p_i) for a member i of the layer, both welfares over its
+    free buyers: p_i = SW_{-D_i} - (SW_l - v_i(x_i))."""
+    sw_d = _sw_minus_d(market, pool, i)
     won = layer_opt.units_of(i)
     value = cumulative_value(market.values_of(i), won) if won else 0
     return sw_d, sw_d - (layer_opt.welfare - value)
@@ -241,38 +249,40 @@ def run_ldm_tree(market: Market, mu: int | None,
     valid = market.valid
     units = {i: 0 for i in valid if not is_dummy(i)}
     payments = dict(units)
-    committed: dict[BuyerId, int] = {}
-    k_remain = market.k
+    supply = market.k
+    frozen: dict[BuyerId, int] = {}  # processed buyers holding units: at most K
     records: list[LayerRecord] = []
     for l, r_l in enumerate(layer_removed_sets(market, mu), start=1):
         members = sorted(market.layers[l - 1])
         if order is not None:
             position = {b: p for p, b in enumerate(order)}
             members.sort(key=lambda b: position[b])
-        included = valid - r_l
-        pool, layer_opt, taken = _ldm_layer(market, members, included, committed)
-        k_remain -= taken
+        pool, layer_opt, taken = _ldm_layer(market, members, _free_buyers(market, l, r_l), supply)
+        supply -= taken
+        # the trace alone adds back the frozen layers' units and welfare
+        tentative = frozen | layer_opt.allocation
+        value = {j: cumulative_value(market.values_of(j), m) for j, m in tentative.items()}
+        frozen_welfare = sum(value[j] for j in frozen)
         sw_d: dict[BuyerId, Money] = {}
         for i in members:
             sw_d[i], payment = _ldm_payment(market, pool, layer_opt, i)
+            sw_d[i] += frozen_welfare
             if not is_dummy(i):
                 units[i] = layer_opt.units_of(i)
                 payments[i] = payment
         records.append(LayerRecord(
             layer=l,
             removed=r_l,
-            included=included,
-            sw=layer_opt.welfare,
-            tentative_units=dict(layer_opt.allocation),
-            tentative_value={
-                j: cumulative_value(market.values_of(j), m)
-                for j, m in layer_opt.allocation.items()
-            },
+            included=valid - r_l,
+            sw=frozen_welfare + layer_opt.welfare,
+            tentative_units=tentative,
+            tentative_value=value,
             sw_minus_d=sw_d,
-            k_remain_after=k_remain,
+            k_remain_after=supply,
         ))
-        if k_remain == 0:
+        if supply == 0:
             break
+        frozen = {j: m for j, m in tentative.items() if market.layer_of[j] <= l}
     return Outcome(units=units, payments=payments,
                    trace=LdmTrace(mu, market.k, tuple(records), market))
 
@@ -321,17 +331,17 @@ def ldm_value_rerun(market: Market, mu: int | None, i: BuyerId) -> ValueRerun:
         top = 1 + max(map(market.first_unit, market.valid))
         committing = market.with_values(i, (top,) * market.k)
     removed = layer_removed_sets(committing, mu)
-    committed: dict[BuyerId, int] = {}
-    k_remain = market.k
-    for members, r_l in zip(market.layers[:layer - 1], removed):
-        k_remain -= _ldm_layer(committing, members, market.valid - r_l, committed)[2]
-        if k_remain == 0:
+    supply = market.k
+    for l, r_l in zip(range(1, layer), removed):
+        free = _free_buyers(market, l, r_l)
+        supply -= _ldm_layer(committing, market.layers[l - 1], free, supply)[2]
+        if supply == 0:
             return _nothing_for_any_report()
-    included = market.valid - next(removed)
+    free = _free_buyers(market, layer, next(removed))
     if is_dummy(i):
         return _nothing_for_any_report()
-    pool = WelfarePool(market, included.difference((i,)), committed, market.k)
-    return _LayerRerun(i, pool, pool.top_without(market.children[i], pool.budget))
+    pool = WelfarePool(market, free.difference((i,)), supply)
+    return _LayerRerun(i, pool, _sw_minus_d(market, pool, i))
 
 
 class _LayerRerun:
@@ -345,7 +355,7 @@ class _LayerRerun:
     def __call__(self, v: ValuationVector) -> tuple[int, Money]:
         pool = self._pool
         units = pool.units_of(self._i, v, pool.budget)
-        # p_i = SW_{-D_i} - (SW_L - v_i(units)); the committed buyers' welfare cancels
+        # p_i = SW_{-D_i} - (SW_L - v_i(units)), over layer L's free buyers
         return units, self._sw_d - pool.top(pool.budget - units)
 
     @property

@@ -4,14 +4,15 @@ Because every buyer's marginals are non-increasing, the welfare objective is a
 sum of independent concave unit sequences and the greedy that pops the largest
 remaining marginal is exactly optimal. That greedy order, ties included, is
 defined in this module only: ``sorted_marginals`` sorts by it. ``WelfarePool``
-sorts a problem's free marginals once; it then answers the problem itself and
-every variant with a few free buyers left out by walking that sorted list, so
+sorts a set of free buyers' marginals once; it then answers the problem itself
+and every variant with a few of them left out by walking that sorted list, so
 a mechanism that needs one optimum per buyer of a layer pays for one sort, not
 one per buyer. The same pool serves problems that differ only in the budget
 and in one outside buyer's marginals: that buyer's marginals are merged in by
 binary search (``units_of``) and the free buyers' value read from prefix sums
-(``top``), built on first use. ``constrained_welfare`` is the single-problem
-entry point over the same pool.
+(``top``), built on first use. A pool holds no fixed buyers; the caller that
+freezes some keeps their units and welfare. ``constrained_welfare``, the
+single-problem entry point, is the one that checks, sums and merges them.
 """
 
 from __future__ import annotations
@@ -61,46 +62,24 @@ def sorted_marginals(reports: Mapping[BuyerId, ReportedType],
 
 
 class WelfarePool:
-    """The free marginals of one welfare problem, sorted once.
+    """The marginals of a set of free buyers, sorted once: the problem of
+    giving at most ``budget`` units to ``buyers`` for the most total reported
+    value, solved by taking marginals in the order of `sorted_marginals`."""
 
-    The problem is: maximize total reported value over ``included`` with at
-    most k units, buyers in ``fixed`` holding exactly their stated unit count
-    (zero included) and the remaining supply, ``budget``, going to the free
-    buyers' largest marginals, taken in the order of `sorted_marginals`.
-    Welfare counts the fixed buyers' cumulative values.
-    """
-
-    def __init__(self, market: Market, included: frozenset[BuyerId] | set[BuyerId],
-                 fixed: Mapping[BuyerId, int], k: int):
-        committed = _check_problem(market, included, fixed, k)
-        self.budget = k - committed
-        reports = market.profile.reports
-        self._pool = sorted_marginals(reports, included.difference(fixed))
-        self._fixed = dict(fixed)
-        self._fixed_welfare = sum(
-            cumulative_value(reports[i].values, m) for i, m in fixed.items())
+    def __init__(self, market: Market, buyers: Iterable[BuyerId], budget: int):
+        self.budget = budget
+        self._pool = sorted_marginals(market.profile.reports, buyers)
         # built by `top`; not a cached_property, which takes a lock per pool
         self._prefix: list[Money] | None = None
 
     def best(self) -> WelfareResult:
         """The optimum of the whole problem, allocation included."""
         allocation: Allocation = {}
-        welfare = self._fixed_welfare
+        welfare = 0
         for neg_v, i, _unit in self._pool[:self.budget]:
             allocation[i] = allocation.get(i, 0) + 1
             welfare -= neg_v
-        for i, m in self._fixed.items():
-            if m:
-                allocation[i] = m
         return WelfareResult(welfare=welfare, allocation=allocation)
-
-    def welfare(self, excluded: frozenset[BuyerId] | set[BuyerId]) -> Money:
-        """Optimal welfare of the same problem over ``included - excluded``:
-        the fixed welfare plus `top_without(excluded, budget)`."""
-        for i in excluded:
-            if i in self._fixed:
-                raise FixedOutsideIncluded(f"fixed buyer {i} is not in the included set")
-        return self._fixed_welfare + self.top_without(excluded, self.budget)
 
     def top_without(self, excluded: frozenset[BuyerId] | set[BuyerId], budget: int) -> Money:
         """`top(budget)` of the pool without `excluded`: a walk over the sorted
@@ -137,12 +116,17 @@ class WelfarePool:
 
 def constrained_welfare(market: Market, included: frozenset[BuyerId] | set[BuyerId],
                         fixed: Mapping[BuyerId, int], k: int) -> WelfareResult:
-    """Maximize total reported value over ``included`` with at most k units.
-
-    The optimum of ``WelfarePool(market, included, fixed, k)``, with its
-    tie-break and its treatment of fixed buyers.
-    """
-    return WelfarePool(market, included, fixed, k).best()
+    """Maximize total reported value over ``included`` with at most k units,
+    the buyers in ``fixed`` holding exactly their stated unit count (zero
+    included) and counting their cumulative values; the others share the
+    remaining supply as a `WelfarePool`, with its tie-break."""
+    committed = _check_problem(market, included, fixed, k)
+    free = WelfarePool(market, included.difference(fixed), k - committed).best()
+    reports = market.profile.reports
+    welfare = free.welfare + sum(
+        cumulative_value(reports[i].values, m) for i, m in fixed.items())
+    return WelfareResult(welfare=welfare,
+                         allocation=free.allocation | {i: m for i, m in fixed.items() if m})
 
 
 def kth_highest_first_unit(market: Market, buyers: Iterable[BuyerId], k: int) -> Money:

@@ -2,13 +2,15 @@
 first-layer VCG and LDM's value rerun.
 
 The oracle for the fast paths in `netauction.market`,
-`netauction.removed_sets` and `netauction.mechanisms`, in the pattern of
-`brute_force_welfare`: every `SW_{-D_i}` and every VCG `SW_{-i}` is a fresh
-`constrained_welfare` solve on the explicit buyer set, each BFS parent comes
-from a scan of the whole previous layer, DNA-MU reads every buyer's
-descendant set built up front by recursion, and each buyer's C^P and C^W are
-built one buyer at a time. Testing use only; it must never share code with
-the sorted welfare pool, the linear tree construction or
+`netauction.removed_sets`, `netauction.welfare` and `netauction.mechanisms`,
+in the pattern of `brute_force_welfare`: every layer optimum, `SW_{-D_i}` and
+VCG `SW_{-i}` is a fresh `greedy_welfare` solve on the explicit buyer set,
+with the earlier layers fixed at their units, handing out one unit at a time;
+each BFS parent comes from a scan of the whole previous layer, DNA-MU reads
+every buyer's descendant set built up front by recursion and prices from a
+full sort, and each buyer's C^P and C^W are built one buyer at a time.
+Testing use only; it must never share code with the sorted welfare pool
+(`netauction.welfare`), the linear tree construction or
 `netauction.removed_sets`. The one exception is `ldm_value_rerun`, the
 rerun that replays layers L-1 and L with fresh pools for every vector: it is
 built from the library's own per-layer step, so it is compared with the
@@ -18,6 +20,7 @@ black box as well as with the merged-rank rerun that replaced it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterable, Mapping
 
 from netauction.errors import MuTooSmall
 from netauction.market import (
@@ -44,7 +47,50 @@ from netauction.mechanisms import (
     inject_dummies,
 )
 from netauction.removed_sets import layer_removed_sets, removed_set_of
-from netauction.welfare import constrained_welfare, kth_highest_first_unit
+
+
+@dataclass(frozen=True)
+class Solved:
+    """A welfare optimum: total reported value and units per buyer holding any."""
+
+    welfare: Money
+    allocation: dict[BuyerId, int]
+
+    def units_of(self, i: BuyerId) -> int:
+        return self.allocation.get(i, 0)
+
+
+def greedy_welfare(market: Market, included: Iterable[BuyerId],
+                   fixed: Mapping[BuyerId, int], k: int) -> Solved:
+    """Maximize total reported value over `included` with at most k units,
+    the buyers in `fixed` (all included) holding exactly their units.
+
+    The free units go out one at a time, each to the largest next marginal
+    among the free buyers, ties to the smaller id; a buyer's next marginal is
+    always her earliest unit not yet taken. Zero marginals are handed out
+    too, until the units or the marginals run out.
+    """
+    reports = market.profile.reports
+    held = {i: 0 for i in included if i not in fixed}
+    welfare = sum(cumulative_value(reports[i].values, m) for i, m in fixed.items())
+    for _ in range(k - sum(fixed.values())):
+        offers = [(reports[i].values[m], -i) for i, m in held.items()
+                  if m < len(reports[i].values)]
+        if not offers:
+            break
+        value, neg_id = max(offers)
+        held[-neg_id] += 1
+        welfare += value
+    allocation = {i: m for i, m in fixed.items() if m}
+    allocation.update((i, m) for i, m in held.items() if m)
+    return Solved(welfare, allocation)
+
+
+def kth_first_unit(market: Market, buyers: Iterable[BuyerId], k: int) -> Money:
+    """The k-th largest first-unit report among `buyers`, from a full sort;
+    0 when fewer than k."""
+    firsts = sorted((market.first_unit(i) for i in buyers), reverse=True)
+    return firsts[k - 1] if len(firsts) >= k else 0
 
 
 @dataclass(frozen=True)
@@ -106,7 +152,7 @@ def run_dna_mu(ref: ReferenceTree) -> Outcome:
                 done = True
                 break
             pool = market.valid - ref.descendants[i] - winners - {i}
-            price = kth_highest_first_unit(market, pool, k_remaining)
+            price = kth_first_unit(market, pool, k_remaining)
             won = market.first_unit(i) >= price
             rows.append(DnaRow(i, d, price, won, k_remaining))
             if won:
@@ -129,7 +175,7 @@ def run_vcg_first_layer(market: Market, reserve: int | None = None) -> Outcome:
         return Outcome(units=dict(zeros), payments=dict(zeros),
                        trace=VcgTrace(0, {}, {}))
     layer1 = aug.layers[0]
-    full = constrained_welfare(aug, layer1, {}, k)
+    full = greedy_welfare(aug, layer1, {}, k)
     units = {i: 0 for i in market.valid}
     payments = {i: 0 for i in market.valid}
     sw_without: dict[BuyerId, Money] = {}
@@ -137,7 +183,7 @@ def run_vcg_first_layer(market: Market, reserve: int | None = None) -> Outcome:
         if is_dummy(i) or i not in market.valid:
             continue
         pi = full.units_of(i)
-        without = constrained_welfare(aug, layer1 - {i}, {}, k).welfare
+        without = greedy_welfare(aug, layer1 - {i}, {}, k).welfare
         sw_without[i] = without
         units[i] = pi
         payments[i] = without - (full.welfare - cumulative_value(aug.values_of(i), pi))
@@ -197,12 +243,12 @@ def run_ldm_tree(market: Market, mu: int) -> Outcome:
         for i in members:
             r_l |= per_buyer_removed[i]
         included = valid - r_l
-        layer_opt = constrained_welfare(market, included, committed, k)
+        layer_opt = greedy_welfare(market, included, committed, k)
         sw_l = layer_opt.welfare
         sw_d: dict[BuyerId, Money] = {}
         for i in members:
             d_i = r_l | market.children[i] | {i}
-            sw_d[i] = constrained_welfare(market, valid - d_i, committed, k).welfare
+            sw_d[i] = greedy_welfare(market, valid - d_i, committed, k).welfare
             pi = layer_opt.units_of(i)
             if not is_dummy(i):
                 units[i] = pi
@@ -252,14 +298,15 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
     Layers up to L-2 are committed once; if they sell every unit, i gets
     (0, 0). Per vector, i's report is swapped in a private copy of the
     profile, her parent's C^R re-ranked, and both layers solved with fresh
-    welfare pools.
+    welfare pools over their free buyers, each built here as valid - R_l
+    less the processed layers.
     """
     layer = market.layer_of[i]
     removed = layer_removed_sets(market, mu)
-    committed: dict[BuyerId, int] = {}
     k_remain = market.k
-    for members, r_l in zip(market.layers[:max(layer - 2, 0)], removed):
-        k_remain -= _ldm_layer(market, members, market.valid - r_l, committed)[2]
+    for l, r_l in zip(range(1, layer - 1), removed):
+        members = market.layers[l - 1]
+        k_remain -= _ldm_layer(market, members, layer_free_buyers(market, l, r_l), k_remain)[2]
         if k_remain == 0:
             return lambda v: (0, 0)
     if layer > 1:
@@ -267,23 +314,28 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
         inviters = potential_inviters(market, parent)
         # R_{L-1} without the parent's C^R, a subset of her children
         r_prev_rest = next(removed) - market.children[parent]
-    included_own = market.valid - next(removed)
+    free_own = layer_free_buyers(market, layer, next(removed))
     reports = dict(market.profile.reports)
     own = replace(market, profile=replace(market.profile, reports=reports))
     invited = reports[i].invited
 
     def rerun(v: ValuationVector) -> tuple[int, Money]:
         reports[i] = ReportedType(v, invited)
-        fixed = dict(committed)
         left = k_remain
         if layer > 1:
             r_prev = r_prev_rest | removed_set_of(own, parent, inviters, mu)
-            left -= _ldm_layer(own, own.layers[layer - 2], own.valid - r_prev, fixed)[2]
+            free_prev = layer_free_buyers(own, layer - 1, r_prev)
+            left -= _ldm_layer(own, own.layers[layer - 2], free_prev, left)[2]
             if left == 0:
                 return 0, 0
-        pool, layer_opt, _ = _ldm_layer(own, (), included_own, fixed)
+        pool, layer_opt, _ = _ldm_layer(own, (), free_own, left)
         if is_dummy(i):
             return 0, 0
         return layer_opt.units_of(i), _ldm_payment(own, pool, layer_opt, i)[1]
 
     return rerun
+
+
+def layer_free_buyers(market: Market, l: int, r_l: frozenset[BuyerId]) -> frozenset[BuyerId]:
+    """Layer l's free buyers: valid - R_l less every buyer of layers 1..l-1."""
+    return market.valid - r_l - frozenset().union(*market.layers[:l - 1])

@@ -436,6 +436,14 @@ def test_search_finds_dna_mu_counterexample(tmp_path, capsys):
         ["verify", str(out_path), "--mechanism", "dna-mu", "--property", "invite-ic"],
         capsys)
     assert replay_code == 1
+    # without -o the instance follows the same counterexample lines on stdout
+    printed_code, printed, _ = run_cli([
+        "search", "--mechanism", "dna-mu",
+        "--gen", "seed=113,n=5..7,k=4,depth=3,bias=0.45",
+        "--budget", "6000"], capsys)
+    lines = out.removesuffix(f"written: {out_path}\n")
+    assert lines != out and lines.startswith("counterexample at instance 5086:\n")
+    assert (printed_code, printed) == (0, lines + out_path.read_text(encoding="utf-8"))
 
 
 def test_search_vcg_l1_finds_no_invitation_counterexample(capsys):

@@ -19,6 +19,7 @@ from netauction.welfare import constrained_welfare
 
 import reference_ldm as ref
 from conftest import DATA, make_profile, sold_out_in_layer_one
+from test_deep_layers import comb, combs
 
 # The criterion-2 and criterion-3 generator streams.
 SMALL_STREAMS = (
@@ -27,6 +28,12 @@ SMALL_STREAMS = (
     (GeneratorConfig(seed=302, buyers=(2, 8), k=(1, 3), v_max=10,
                      topology="graph", edge_density=0.15), 500),
 )
+# The deep-layer combs (depth 3-5, k = 1-2), where LDM sells past layer 1,
+# and a k = 2 comb that processes 120 layers: its spine root keeps a unit,
+# so every record after the first has frozen buyers holding units.
+LONG_COMB = comb(120, 2, 2, 3)
+COMBS = combs(1) + combs(2) + [LONG_COMB]
+COMB_RESERVE = 2
 # The auction benchmark workloads' instance shapes.
 WIDE = "seed={},n=800,k=8,depth=6,bias=0.3"
 DEEP = "seed={},n=3200,k=8,depth=6,topology=graph,density=0.000625"
@@ -110,6 +117,18 @@ def test_matches_reference_on_auction_workload_shapes(spec):
     assert_matches_reference(profile, mu + 2, 5)
 
 
+def test_matches_reference_on_combs():
+    for profile in COMBS:
+        mu = robust_mu(profile)
+        assert_matches_reference(profile, mu, None)
+        assert_matches_reference(profile, mu, COMB_RESERVE)
+    market = compute_market(LONG_COMB)
+    layers = run_ldm(market, robust_mu(LONG_COMB)).trace.layers
+    frozen_hold_units = [rec for rec in layers
+                         if any(market.layer_of[j] < rec.layer for j in rec.tentative_units)]
+    assert len(layers) >= 100 and len(frozen_hold_units) >= 100
+
+
 def _fixtures_and_stream():
     for name in ("fig3.json", "fig4.json", "t4.json"):
         profile = parse_instance((DATA / name).read_text())
@@ -117,6 +136,9 @@ def _fixtures_and_stream():
     config = GeneratorConfig(seed=301, buyers=(2, 8), k=(1, 3), v_max=10, topology="tree")
     for profile in instance_stream(config, 500):
         yield profile, robust_mu(profile)
+    for profile in COMBS:
+        yield profile, robust_mu(profile)
+        yield inject_dummies(profile, COMB_RESERVE), robust_mu(profile)
 
 
 def test_trace_matches_public_removed_and_exclusion_sets():

@@ -10,10 +10,12 @@ from netauction import verify
 from netauction.errors import ContractError, SearchBudgetExceeded, TraceMissing
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance
 from netauction.market import compute_market, cumulative_value
-from netauction.mechanisms import Outcome, run_ldm_tree, run_vcg_first_layer
+from netauction.mechanisms import (Outcome, inject_dummies, is_dummy, run_ldm, run_ldm_tree,
+                                   run_vcg_first_layer)
 from netauction.removed_sets import robust_mu
 from netauction.verify import (
     PROPERTY_NAMES,
+    DecompositionRow,
     MechanismUnderTest,
     check_child_monotonicity,
     check_decomposition_inequalities,
@@ -31,7 +33,9 @@ from netauction.verify import (
     vcg_mechanism,
 )
 
+import reference_ldm
 from conftest import DATA, make_profile
+from test_deep_layers import comb
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +240,37 @@ def test_decomposition_single_layer_second_family_vacuous():
     vcg = run_vcg_first_layer(compute_market(profile))
     first, second = check_decomposition_inequalities(rows, vcg)
     assert first and second
+
+
+def test_payment_decomposition_on_a_reserve_run_selling_past_layer_one():
+    # K = 2 dummies bid 2 in layer 1. Spine root 0 keeps a unit from layer 1
+    # on, so every later record has a frozen buyer holding units, while the
+    # other unit goes down the spine
+    profile = comb(5, 2, 2, 3)
+    market = compute_market(inject_dummies(profile, 2))
+    out = run_ldm(market, 1)
+    assert len(out.trace.layers) == 5
+    rows = payment_decomposition(out, 1)
+    processed = [i for rec in out.trace.layers for i in rec.sw_minus_d]
+    assert any(is_dummy(i) for i in processed)
+    assert sorted(r.buyer for r in rows) == sorted(i for i in processed if not is_dummy(i))
+    oracle = reference_ldm.run_ldm(compute_market(profile), 1, 2)
+    assert {r.buyer: r.p for r in rows} == {r.buyer: oracle.payment_of(r.buyer) for r in rows}
+    assert {r.layer for r in rows} == {1, 2, 3, 4, 5}
+    with pytest.raises(ContractError):
+        payment_decomposition(out, 2)
+
+
+def test_decomposition_inequalities_without_rows_and_with_a_failing_layer_bound():
+    paid = Outcome(units={1: 1}, payments={1: 3})
+    assert check_decomposition_inequalities([], paid) == (False, True)
+    assert check_decomposition_inequalities([], Outcome(units={}, payments={})) == (True, True)
+    # layer 2's charges (4) fall short of the resale credits layer 1 gave (5)
+    rows = [DecompositionRow(buyer=1, layer=1, m=1, q=3, t=5, p=-2),
+            DecompositionRow(buyer=2, layer=2, m=1, q=4, t=0, p=4),
+            DecompositionRow(buyer=3, layer=3, m=0, q=0, t=0, p=0)]
+    assert check_decomposition_inequalities(rows, paid) == (True, False)
+    assert check_decomposition_inequalities(rows[1:], paid) == (False, True)
 
 
 def test_child_monotonicity_clean_on_ldm(t4_profile, fig3_profile):

@@ -5,10 +5,12 @@ import random
 import pytest
 
 from netauction.errors import ContractError, FixedOutsideIncluded, OverCommitted
-from netauction.market import compute_market
+from netauction.market import compute_market, cumulative_value
 from netauction.removed_sets import layer_removed_set
-from netauction.welfare import WelfarePool, constrained_welfare, kth_highest_first_unit
+from netauction.welfare import (WelfarePool, WelfareResult, constrained_welfare,
+                                kth_highest_first_unit)
 
+import reference_ldm
 from conftest import fig3_ids, make_profile
 from reference_welfare import TooLarge, brute_force_welfare
 
@@ -88,6 +90,9 @@ def test_greedy_matches_oracle_randomized(fig3_profile):
         assert greedy.welfare == oracle.welfare
         for i, m in fixed.items():
             assert greedy.allocation.get(i, 0) == m
+        # the LDM oracle's own unit-at-a-time solve, which shares no code with the pool
+        by_unit = reference_ldm.greedy_welfare(market, included, fixed, k)
+        assert (by_unit.welfare, by_unit.allocation) == (greedy.welfare, greedy.allocation)
 
 
 def test_pool_walk_matches_fresh_solves(fig3_profile):
@@ -104,15 +109,16 @@ def test_pool_walk_matches_fresh_solves(fig3_profile):
                 m = rng.randint(0, min(remaining, 3))
                 fixed[i] = m
                 remaining -= m
-        pool = WelfarePool(market, included, fixed, k)
-        assert pool.best() == constrained_welfare(market, included, fixed, k)
         free = sorted(included - set(fixed))
+        pool = WelfarePool(market, free, k - sum(fixed.values()))
+        fixed_welfare = sum(cumulative_value(market.values_of(i), m) for i, m in fixed.items())
+        best = pool.best()
+        assert constrained_welfare(market, included, fixed, k) == WelfareResult(
+            fixed_welfare + best.welfare,
+            best.allocation | {i: m for i, m in fixed.items() if m})
         excluded = frozenset(rng.sample(free, rng.randint(0, len(free))))
         oracle = brute_force_welfare(market, included - excluded, fixed, k)
-        assert pool.welfare(excluded) == oracle.welfare
-        if fixed:
-            with pytest.raises(FixedOutsideIncluded):
-                pool.welfare(excluded | {min(fixed)})
+        assert fixed_welfare + pool.top_without(excluded, pool.budget) == oracle.welfare
 
 
 def test_ranked_walk_matches_a_sort_without_the_excluded(fig3_profile):
@@ -123,8 +129,8 @@ def test_ranked_walk_matches_a_sort_without_the_excluded(fig3_profile):
         buyers = frozenset(rng.sample(ids, rng.randint(0, 10)))
         excluded = frozenset(rng.sample(ids, rng.randint(0, 6)))
         budget = rng.randint(0, 12)
-        expected = WelfarePool(market, buyers - excluded, {}, market.k).top(budget)
-        assert WelfarePool(market, buyers, {}, market.k).top_without(excluded, budget) == expected
+        expected = WelfarePool(market, buyers - excluded, market.k).top(budget)
+        assert WelfarePool(market, buyers, market.k).top_without(excluded, budget) == expected
 
 
 def test_monotone_in_included_set(fig3_profile):
@@ -149,6 +155,12 @@ def test_tie_break_prefers_smaller_buyer_then_earlier_unit():
     }))
     res = constrained_welfare(market, {1, 2}, {}, 2)
     assert res.allocation == {1: 2}
+    assert reference_ldm.greedy_welfare(market, {1, 2}, {}, 2).allocation == {1: 2}
+    # zero marginals too go to the smaller id first
+    zeros = compute_market(make_profile(3, {4, 2}, {4: ((5, 5, 0), ()), 2: ((5, 0, 0), ())}))
+    for solve in (constrained_welfare, reference_ldm.greedy_welfare):
+        assert solve(zeros, {2, 4}, {}, 3).allocation == {2: 1, 4: 2}
+        assert solve(zeros, {2, 4}, {}, 5).allocation == {2: 3, 4: 2}
 
 
 def test_kth_highest_first_unit(t4_profile):
@@ -158,3 +170,10 @@ def test_kth_highest_first_unit(t4_profile):
     assert kth_highest_first_unit(market, set(), 1) == 0
     with pytest.raises(ContractError):
         kth_highest_first_unit(market, {3}, 0)
+    # the LDM oracle's own full sort
+    rng = random.Random(31)
+    for _ in range(100):
+        buyers = rng.sample(sorted(market.valid), rng.randint(0, len(market.valid)))
+        k = rng.randint(1, 6)
+        assert reference_ldm.kth_first_unit(market, buyers, k) == \
+            kth_highest_first_unit(market, buyers, k)
