@@ -156,7 +156,7 @@ def run_dna_mu(market: Market) -> Outcome:
     """
     if market.layers and any(is_dummy(i) for i in market.layers[0]):
         raise ContractError("dna-mu takes no reserve price")
-    ranked = sorted(((market.first_unit(j), j) for j in market.valid), reverse=True)
+    ranked = _ranked_first_units(market)
     k_remaining = market.profile.k
     winners: set[BuyerId] = set()
     units = dict.fromkeys(market.valid, 0)
@@ -181,6 +181,34 @@ def run_dna_mu(market: Market) -> Outcome:
                 winners.add(i)
                 k_remaining -= 1
     return Outcome(units=units, payments=payments, trace=DnaTrace(tuple(rows)))
+
+
+def dna_mu_invitation_cap(market: Market) -> Callable[[BuyerId], Money]:
+    """For a market that is its own BFS tree: i -> cap_i, an upper bound on
+    valid buyer i's true-value DNA-MU utility under every invitation report
+    of hers, her values as `market` holds them.
+
+    cap_i = max(0, v_i(1) - x_K), x_K the K-th highest first unit of
+    X_i = valid - subtree(i) - {i} (0 when |X_i| < K). On such a market,
+    hiding invitations removes buyers of subtree(i) only, so X_i and the
+    order of the buyers before i stay as they are, and her price is the
+    (K - |W|)-th highest first unit of X_i - W, W the winners before her:
+    never below x_K. The argument is in notes/decisions.md. First units are
+    sorted once per market; each cap walks i's subtree and that list.
+    """
+    ranked = _ranked_first_units(market)
+
+    def cap(i: BuyerId) -> Money:
+        skipped = market.subtree(i)
+        skipped.add(i)
+        return max(0, market.first_unit(i) - _kth_outside(ranked, skipped, market.k))
+
+    return cap
+
+
+def _ranked_first_units(market: Market) -> list[tuple[Money, BuyerId]]:
+    """Every valid buyer's (first unit, id), descending."""
+    return sorted(((market.first_unit(j), j) for j in market.valid), reverse=True)
 
 
 def _kth_outside(ranked: list[tuple[Money, BuyerId]], skipped: set[BuyerId], k: int) -> Money:

@@ -21,10 +21,14 @@ same deviated markets when the instance is its own BFS tree.
 LDM's value-IC is certified per (buyer, invitation subset): its value rerun
 lists the outcome menu, every (units, payment) any report can get, and a
 pair where no menu entry beats the truthful report has no profitable
-misreport at any granularity. Every other check, and value-IC of a pair the
-menu does not certify or of a mechanism without a menu, is falsification
-only: an empty report list means no violation was found at the enumerated
-granularity, not a proof.
+misreport at any granularity. DNA-MU's invitation-IC is certified per
+buyer on an instance that is its own BFS tree (`_Truthful.own_tree`): its
+`invitation_cap` bounds her utility under every invitation report, and a
+buyer whose full report reaches it has no subset to run. Graphs and black
+boxes enumerate every subset. Every other check, and value-IC of a pair
+the menu does not certify or of a mechanism without a menu, is
+falsification only: an empty report list means no violation was found at
+the enumerated granularity, not a proof.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .mechanisms import (
     LdmTrace,
     Outcome,
     ValueRerun,
+    dna_mu_invitation_cap,
     ldm_value_rerun,
     outcome_welfare,
     run_dna_mu,
@@ -77,11 +82,18 @@ class MechanismUnderTest:
     out. Every invitation deviation is read from it at the buyer's true
     values. A `menu` attribute on that function, listing every pair it can
     return, lets `check_value_ic` certify instead of enumerate.
+
+    `invitation_cap(market)`, given a truthful market that is its own BFS
+    tree, returns a function from a valid buyer to an upper bound on her
+    true-value utility under every invitation report of hers;
+    `check_invitation_ic` skips the subsets of a buyer whose full report
+    reaches it. Left out, every subset is enumerated.
     """
 
     name: str
     run: Callable[[Market], Outcome]
     value_rerun: Callable[[Market, BuyerId], ValueRerun] | None = None
+    invitation_cap: Callable[[Market], Callable[[BuyerId], Money]] | None = None
 
     def __post_init__(self):
         if self.value_rerun is None:
@@ -117,7 +129,8 @@ def ldm_mechanism(mu: int | None = None) -> MechanismUnderTest:
 
 
 def dna_mu_mechanism() -> MechanismUnderTest:
-    return MechanismUnderTest("dna-mu", lambda market: run_dna_mu(market))
+    return MechanismUnderTest("dna-mu", lambda market: run_dna_mu(market),
+                              invitation_cap=lambda market: dna_mu_invitation_cap(market))
 
 
 def vcg_mechanism() -> MechanismUnderTest:
@@ -244,6 +257,25 @@ class _Truthful:
         """Each valid buyer's true-value utility under the truthful outcome."""
         return {i: utility_of(self.instance, i, self.outcome) for i in self.market.valid}
 
+    @cached_property
+    def own_tree(self) -> bool:
+        """Whether the instance is its own BFS tree: every valid buyer
+        invites exactly her children in the market."""
+        market, reports = self.market, self.instance.reports
+        return all(reports[i].invited == market.children[i] for i in market.valid)
+
+    @cached_property
+    def _invitation_cap(self) -> Callable[[BuyerId], Money] | None:
+        hook = self.mechanism.invitation_cap
+        return hook(self.market) if hook is not None and self.own_tree else None
+
+    def invitation_certified(self, i: BuyerId, u_full: Money) -> bool:
+        """Whether the mechanism's `invitation_cap` proves that no invitation
+        report of i beats `u_full`, her full report's utility: only on an
+        instance that is its own BFS tree."""
+        cap = self._invitation_cap
+        return cap is not None and u_full >= cap(i)
+
     def subsets(self, i: BuyerId) -> list[frozenset[BuyerId]]:
         """Buyer i's invitation reports, smallest first: every subset of her
         invitations by size, so her full set last, listed once. More than
@@ -311,15 +343,21 @@ class _Truthful:
                                self.mechanism.name, self.instance, kind)
 
 
-def _own_deviations(truth: _Truthful, kind: str,
-                    violates: Callable[[Money, Money], bool]) -> list[DeviationReport]:
+def _own_deviations(truth: _Truthful, kind: str, violates: Callable[[Money, Money], bool],
+                    certify: bool = False) -> list[DeviationReport]:
     """Every invitation report of a valid buyer whose utility u has
-    `violates(u, u_full)`, u_full her full report's."""
+    `violates(u, u_full)`, u_full her full report's. With `certify`, a buyer
+    with invitations whom `truth.invitation_certified` covers is skipped
+    once her reports are listed, so the exhaustive bound raises where it
+    would without it."""
     violations: list[DeviationReport] = []
     for i in sorted(truth.market.valid):
         truthful = truth.instance.reports[i]
         u_full = truth.utility(i, truthful.invited)
-        for sub in truth.subsets(i):
+        subsets = truth.subsets(i)
+        if certify and len(subsets) > 1 and truth.invitation_certified(i, u_full):
+            continue
+        for sub in subsets:
             u = truth.utility(i, sub)
             if violates(u, u_full):
                 violations.append(truth.report(kind, i, truthful,
@@ -342,9 +380,12 @@ def check_ir(mechanism: MechanismUnderTest, instance: ReportProfile, *,
 
 def check_invitation_ic(mechanism: MechanismUnderTest, instance: ReportProfile, *,
                         truth: _Truthful | None = None) -> list[DeviationReport]:
-    """Truthful values: full invitation must dominate every proper subset."""
+    """Truthful values: full invitation must dominate every proper subset.
+
+    On an instance that is its own BFS tree, a buyer whose full report
+    reaches the mechanism's `invitation_cap` has no subset to check."""
     return _own_deviations(truth or _Truthful(mechanism, instance), "invitation-ic",
-                           lambda u, u_full: u > u_full)
+                           lambda u, u_full: u > u_full, certify=True)
 
 
 def _grid_vector(r: int, v_cap: int, k: int) -> ValuationVector:
@@ -577,8 +618,11 @@ def check_child_monotonicity(mechanism: MechanismUnderTest, instance: ReportProf
     """
     own = truth or _Truthful(mechanism, instance)
     tree = own.market
-    base_profile = _tree_profile(instance, tree)
-    truth = own if base_profile.reports == instance.reports else _Truthful(mechanism, base_profile)
+    if own.own_tree:
+        truth, base_profile = own, instance
+    else:
+        base_profile = _tree_profile(instance, tree)
+        truth = _Truthful(mechanism, base_profile)
     full = truth.outcome
     violations: list[DeviationReport] = []
     for j in sorted(tree.valid):

@@ -483,21 +483,39 @@ def test_vcg_mechanism_is_ir_and_value_ic_first_layer():
 @pytest.mark.parametrize("name, runner", [("ldm", "run_ldm"), ("dna-mu", "run_dna_mu")])
 def test_ir_and_invite_ic_share_one_invitation_enumeration(monkeypatch, counterexample_profile,
                                                            name, runner):
-    calls = []
-    original = getattr(verify, runner)
+    """IR builds and runs every invitation report once, and invite-ic next to
+    it, in either order, adds no run and no market. Alone, invite-ic does
+    the same work as IR for LDM, and for DNA-MU on an instance that is not
+    its own BFS tree; on one that is, DNA-MU's invitation cap skips the
+    subsets of the buyers it certifies, and the counterexample needs
+    strictly fewer runs."""
+    calls, built = [], []
+    original, build = getattr(verify, runner), verify.compute_market
     monkeypatch.setattr(verify, runner, lambda *args: calls.append(1) or original(*args))
+    monkeypatch.setattr(verify, "compute_market", lambda p: built.append(1) or build(p))
     config = GeneratorConfig(seed=302, buyers=(2, 8), k=(1, 3), topology="graph",
                              edge_density=0.15)
-    violated = []
+    violated, graphs = [], 0
     for profile in [counterexample_profile, *instance_stream(config, 8)]:
-        runs, results = {}, {}
+        work, results = {}, {}
         for props in (("ir",), ("invite-ic",), ("ir", "invite-ic"), ("invite-ic", "ir")):
             calls.clear()
+            built.clear()
             results[props] = {r.prop: r for r in run_properties(profile, name, props)}
-            runs[props] = len(calls)
-        assert len(set(runs.values())) == 1
+            work[props] = (len(calls), len(built))
+        assert work[("ir", "invite-ic")] == work[("invite-ic", "ir")] == work[("ir",)]
         for props in (("ir", "invite-ic"), ("invite-ic", "ir")):
             assert results[props] == {**results[("ir",)], **results[("invite-ic",)]}
         violated.append(not results[("invite-ic",)]["invite-ic"].ok)
+        own_tree = verify._Truthful(dna_mu_mechanism(), profile).own_tree
+        graphs += not own_tree and work[("ir",)][1] > 1
+        if name == "ldm" or not own_tree:
+            assert work[("invite-ic",)] == work[("ir",)]
+        elif profile is counterexample_profile:
+            assert all(map(int.__lt__, work[("invite-ic",)], work[("ir",)]))
+        else:
+            assert all(map(int.__le__, work[("invite-ic",)], work[("ir",)]))
     # the DNA-MU counterexample's reports come through the shared table too
     assert violated[0] == (name == "dna-mu")
+    # four of the stream's graphs are not their own BFS tree and have deviations
+    assert graphs == 4
