@@ -56,7 +56,7 @@ def main():
     outcome = run_ldm_tree(market, mu)
     print("\nper-layer run:")
     for rec in outcome.trace.layers:
-        print(f"  layer {rec.layer}: economy {names(ids, rec.included)}")
+        print(f"  layer {rec.layer}: economy {names(ids, market.valid - rec.removed)}")
         print(f"    optimum welfare {rec.sw}, tentative units "
               + ", ".join(f"{LABELS[i]}:{u}" for i, u in sorted(rec.tentative_units.items())))
         print("    welfare without each member's influence: "

@@ -39,7 +39,6 @@ class LayerRecord:
 
     layer: int
     removed: frozenset[BuyerId]
-    included: frozenset[BuyerId]
     sw: Money
     tentative_units: Mapping[BuyerId, int]
     tentative_value: Mapping[BuyerId, Money]
@@ -184,17 +183,18 @@ def run_dna_mu(market: Market) -> Outcome:
 
 
 def dna_mu_invitation_cap(market: Market) -> Callable[[BuyerId], Money]:
-    """For a market that is its own BFS tree: i -> cap_i, an upper bound on
-    valid buyer i's true-value DNA-MU utility under every invitation report
-    of hers, her values as `market` holds them.
+    """i -> cap_i, an upper bound on valid buyer i's true-value DNA-MU
+    utility under every invitation report of hers, on any market, her values
+    as `market` holds them.
 
     cap_i = max(0, v_i(1) - x_K), x_K the K-th highest first unit of
-    X_i = valid - subtree(i) - {i} (0 when |X_i| < K). On such a market,
-    hiding invitations removes buyers of subtree(i) only, so X_i and the
-    order of the buyers before i stay as they are, and her price is the
-    (K - |W|)-th highest first unit of X_i - W, W the winners before her:
-    never below x_K. The argument is in notes/decisions.md. First units are
-    sorted once per market; each cap walks i's subtree and that list.
+    X_i = valid - subtree(i) - {i} (0 when |X_i| < K). Hiding invitations
+    deletes edges out of i only, so every buyer outside subtree(i) keeps her
+    layer and parent: the buyers before i stay as they are, X_i stays
+    outside her new subtree, and her price is the (K - |W|)-th highest first
+    unit of a superset of X_i - W, W the winners before her: never below
+    x_K. The argument is in notes/decisions.md. First units are sorted once
+    per market; each cap walks i's subtree and that list.
     """
     ranked = _ranked_first_units(market)
 
@@ -274,8 +274,7 @@ def run_ldm_tree(market: Market, mu: int | None,
     """
     if mu is None:
         mu = min_valid_mu(market)
-    valid = market.valid
-    units = {i: 0 for i in valid if not is_dummy(i)}
+    units = {i: 0 for i in market.valid if not is_dummy(i)}
     payments = dict(units)
     supply = market.k
     frozen: dict[BuyerId, int] = {}  # processed buyers holding units: at most K
@@ -301,7 +300,6 @@ def run_ldm_tree(market: Market, mu: int | None,
         records.append(LayerRecord(
             layer=l,
             removed=r_l,
-            included=valid - r_l,
             sw=frozen_welfare + layer_opt.welfare,
             tentative_units=tentative,
             tentative_value=value,

@@ -22,13 +22,12 @@ LDM's value-IC is certified per (buyer, invitation subset): its value rerun
 lists the outcome menu, every (units, payment) any report can get, and a
 pair where no menu entry beats the truthful report has no profitable
 misreport at any granularity. DNA-MU's invitation-IC is certified per
-buyer on an instance that is its own BFS tree (`_Truthful.own_tree`): its
-`invitation_cap` bounds her utility under every invitation report, and a
-buyer whose full report reaches it has no subset to run. Graphs and black
-boxes enumerate every subset. Every other check, and value-IC of a pair
-the menu does not certify or of a mechanism without a menu, is
-falsification only: an empty report list means no violation was found at
-the enumerated granularity, not a proof.
+buyer on any market: its `invitation_cap` bounds her utility under every
+invitation report, and a buyer whose full report reaches it has no subset
+to run. Black boxes enumerate every subset. Every other check, and
+value-IC of a pair the menu does not certify or of a mechanism without a
+menu, is falsification only: an empty report list means no violation was
+found at the enumerated granularity, not a proof.
 """
 
 from __future__ import annotations
@@ -83,11 +82,11 @@ class MechanismUnderTest:
     values. A `menu` attribute on that function, listing every pair it can
     return, lets `check_value_ic` certify instead of enumerate.
 
-    `invitation_cap(market)`, given a truthful market that is its own BFS
-    tree, returns a function from a valid buyer to an upper bound on her
-    true-value utility under every invitation report of hers;
-    `check_invitation_ic` skips the subsets of a buyer whose full report
-    reaches it. Left out, every subset is enumerated.
+    `invitation_cap(market)`, given any truthful market, returns a function
+    from a valid buyer to an upper bound on her true-value utility under
+    every invitation report of hers; `check_invitation_ic` skips the subsets
+    of a buyer whose full report reaches it. Left out, every subset is
+    enumerated.
     """
 
     name: str
@@ -264,18 +263,6 @@ class _Truthful:
         market, reports = self.market, self.instance.reports
         return all(reports[i].invited == market.children[i] for i in market.valid)
 
-    @cached_property
-    def _invitation_cap(self) -> Callable[[BuyerId], Money] | None:
-        hook = self.mechanism.invitation_cap
-        return hook(self.market) if hook is not None and self.own_tree else None
-
-    def invitation_certified(self, i: BuyerId, u_full: Money) -> bool:
-        """Whether the mechanism's `invitation_cap` proves that no invitation
-        report of i beats `u_full`, her full report's utility: only on an
-        instance that is its own BFS tree."""
-        cap = self._invitation_cap
-        return cap is not None and u_full >= cap(i)
-
     def subsets(self, i: BuyerId) -> list[frozenset[BuyerId]]:
         """Buyer i's invitation reports, smallest first: every subset of her
         invitations by size, so her full set last, listed once. More than
@@ -285,11 +272,7 @@ class _Truthful:
         each deviated market may name a different required bound."""
         found = self._subset_lists.get(i)
         if found is None:
-            invited = self.instance.reports[i].invited
-            if len(invited) > MAX_INVITES_EXHAUSTIVE:
-                raise SearchBudgetExceeded(
-                    f"{len(invited)} invites exceed the exhaustive bound {MAX_INVITES_EXHAUSTIVE}"
-                )
+            invited = _bounded(self.instance.reports[i].invited)
             elems = sorted(invited)
             found = self._subset_lists[i] = [frozenset(combo) for r in range(len(elems))
                                              for combo in itertools.combinations(elems, r)]
@@ -343,21 +326,29 @@ class _Truthful:
                                self.mechanism.name, self.instance, kind)
 
 
+def _bounded(invited: frozenset[BuyerId]) -> frozenset[BuyerId]:
+    """`invited`, whose subsets a check may enumerate: more than
+    `MAX_INVITES_EXHAUSTIVE` invitations raise `SearchBudgetExceeded`."""
+    if len(invited) > MAX_INVITES_EXHAUSTIVE:
+        raise SearchBudgetExceeded(
+            f"{len(invited)} invites exceed the exhaustive bound {MAX_INVITES_EXHAUSTIVE}"
+        )
+    return invited
+
+
 def _own_deviations(truth: _Truthful, kind: str, violates: Callable[[Money, Money], bool],
-                    certify: bool = False) -> list[DeviationReport]:
+                    cap: Callable[[BuyerId], Money] | None = None) -> list[DeviationReport]:
     """Every invitation report of a valid buyer whose utility u has
-    `violates(u, u_full)`, u_full her full report's. With `certify`, a buyer
-    with invitations whom `truth.invitation_certified` covers is skipped
-    once her reports are listed, so the exhaustive bound raises where it
-    would without it."""
+    `violates(u, u_full)`, u_full her full report's. A buyer with
+    invitations whose u_full reaches `cap` is skipped once they pass
+    `_bounded`, so the exhaustive bound raises where it would without it."""
     violations: list[DeviationReport] = []
     for i in sorted(truth.market.valid):
         truthful = truth.instance.reports[i]
         u_full = truth.utility(i, truthful.invited)
-        subsets = truth.subsets(i)
-        if certify and len(subsets) > 1 and truth.invitation_certified(i, u_full):
+        if cap is not None and _bounded(truthful.invited) and u_full >= cap(i):
             continue
-        for sub in subsets:
+        for sub in truth.subsets(i):
             u = truth.utility(i, sub)
             if violates(u, u_full):
                 violations.append(truth.report(kind, i, truthful,
@@ -382,10 +373,12 @@ def check_invitation_ic(mechanism: MechanismUnderTest, instance: ReportProfile, 
                         truth: _Truthful | None = None) -> list[DeviationReport]:
     """Truthful values: full invitation must dominate every proper subset.
 
-    On an instance that is its own BFS tree, a buyer whose full report
-    reaches the mechanism's `invitation_cap` has no subset to check."""
-    return _own_deviations(truth or _Truthful(mechanism, instance), "invitation-ic",
-                           lambda u, u_full: u > u_full, certify=True)
+    A buyer whose full report reaches the mechanism's `invitation_cap` on
+    the truthful market has no subset to check."""
+    truth = truth or _Truthful(mechanism, instance)
+    hook = mechanism.invitation_cap
+    return _own_deviations(truth, "invitation-ic", lambda u, u_full: u > u_full,
+                           hook(truth.market) if hook is not None else None)
 
 
 def _grid_vector(r: int, v_cap: int, k: int) -> ValuationVector:

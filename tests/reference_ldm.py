@@ -264,7 +264,6 @@ def run_ldm_tree(market: Market, mu: int) -> Outcome:
         records.append(LayerRecord(
             layer=l,
             removed=frozenset(r_l),
-            included=frozenset(included),
             sw=sw_l,
             tentative_units=dict(layer_opt.allocation),
             tentative_value={

@@ -1,12 +1,12 @@
 """DNA-MU's invitation cap (`mechanisms.dna_mu_invitation_cap`).
 
-On an instance that is its own BFS tree, no invitation report gives buyer i
-more true-value utility than cap_i = max(0, v_i(1) - x_K), x_K the K-th
-highest first unit outside her subtree and herself (notes/decisions.md).
-The cap is checked against its definition and against every (buyer,
-subset) utility of the full enumeration, and `check_invitation_ic` with it
-must return exactly the report lists, and raise exactly the errors, of the
-same mechanism without it.
+On any instance, tree or graph, no invitation report gives buyer i more
+true-value utility than cap_i = max(0, v_i(1) - x_K), x_K the K-th highest
+first unit outside her BFS subtree and herself (notes/decisions.md). The
+cap is checked against its definition and against every (buyer, subset)
+utility of the full enumeration, and `check_invitation_ic` with it must
+return exactly the report lists, and raise exactly the errors, of the same
+mechanism without it, listing no subset of a buyer it certifies.
 """
 
 import dataclasses
@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netauction.errors import SearchBudgetExceeded
-from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance
+from netauction.instance_io import (GeneratorConfig, instance_stream, parse_instance,
+                                    random_instance, serialize_instance)
 from netauction.mechanisms import dna_mu_invitation_cap
 from netauction.verify import _Truthful, check_invitation_ic, dna_mu_mechanism
 
@@ -31,7 +32,11 @@ TREES = tuple(GeneratorConfig(seed=400 + 10 * k + v_max, buyers=(2, 9), k=(1, k)
               for k in range(1, 7) for v_max in (2, 5, 10))
 GRAPHS = GeneratorConfig(seed=302, buyers=(2, 8), k=(1, 3), topology="graph",
                          edge_density=0.15)
-FIXTURES = ("fig3", "fig4", "t4", "dna_mu_counterexample")
+# the hunt's family as graphs: its counterexample is instance 1426
+GRAPH_HUNT = dataclasses.replace(HUNT, topology="graph", edge_density=0.15)
+# graphs with buyers past the exhaustive bound: some checks refuse
+CROWDED = GeneratorConfig(seed=5, buyers=(5, 9), k=(1, 2), topology="graph", edge_density=0.2)
+FIXTURES = ("fig3", "fig4", "t4", "dna_mu_counterexample", "dna_mu_graph_counterexample")
 
 
 def fixture(name):
@@ -55,7 +60,6 @@ def reached_caps(profile):
     her utility under every invitation report of the full enumeration;
     return how many buyers have a report that reaches a positive cap."""
     truth = _Truthful(ENUMERATED, profile)
-    assert truth.own_tree
     cap = dna_mu_invitation_cap(truth.market)
     reached = 0
     for i in truth.market.valid:
@@ -67,8 +71,9 @@ def reached_caps(profile):
     return reached
 
 
-@pytest.mark.parametrize("streams, count", [((HUNT,), 600), (TREES, 40)],
-                         ids=["seed113", "trees-k1..6"])
+@pytest.mark.parametrize("streams, count", [((HUNT,), 600), (TREES, 40), ((GRAPHS,), 300),
+                                             ((GRAPH_HUNT,), 1500)],
+                         ids=["seed113", "trees-k1..6", "graphs-seed302", "graphs-seed113"])
 def test_cap_bounds_every_invitation_report(streams, count):
     reached = sum(reached_caps(p) for config in streams for p in instance_stream(config, count))
     # the bound is met, not only respected
@@ -76,22 +81,29 @@ def test_cap_bounds_every_invitation_report(streams, count):
 
 
 @st.composite
-def own_trees(draw):
-    """Up to 7 buyers on a random tree, each inviting exactly her children,
+def drawn_markets(draw):
+    """Up to 7 buyers on a random tree, each inviting her children, plus
+    drawn mutual invitations between pairs of buyers (none: an own tree),
     k 1..6, values 0..v_max with v_max from 1."""
     n = draw(st.integers(1, 7))
     k = draw(st.integers(1, 6))
     v_max = draw(st.integers(1, 10))
     parents = [draw(st.integers(-1, i - 1)) for i in range(n)]
+    invited = {i: {j for j, p in enumerate(parents) if p == i} for i in range(n)}
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for a, b in draw(st.lists(pair, max_size=n)):
+        if a != b:
+            invited[a].add(b)
+            invited[b].add(a)
     values = [sorted(draw(st.lists(st.integers(0, v_max), min_size=k, max_size=k)),
                      reverse=True) for _ in range(n)]
-    return make_profile(k, {i for i, p in enumerate(parents) if p == -1}, {
-        i: (values[i], [j for j, p in enumerate(parents) if p == i]) for i in range(n)})
+    return make_profile(k, {i for i, p in enumerate(parents) if p == -1},
+                        {i: (values[i], invited[i]) for i in range(n)})
 
 
 @settings(max_examples=300, deadline=None)
-@given(profile=own_trees())
-def test_cap_bounds_every_invitation_report_on_drawn_trees(profile):
+@given(profile=drawn_markets())
+def test_cap_bounds_every_invitation_report_on_drawn_markets(profile):
     reached_caps(profile)
 
 
@@ -103,17 +115,19 @@ def invitation_ic(mechanism, profile, check=check_invitation_ic):
         return str(exc)
 
 
-def certified_buyers(profile):
-    """Valid buyers with invitations whose full report reaches the cap."""
+def certified(profile):
+    """The valid buyers with invitations whose full report reaches the cap."""
     truth = _Truthful(CERTIFIED, profile)
-    return sum(truth.invitation_certified(i, truth.utility(i, truth.instance.reports[i].invited))
-               for i in truth.market.valid if truth.instance.reports[i].invited)
+    cap = dna_mu_invitation_cap(truth.market)
+    return {i for i in truth.market.valid if truth.instance.reports[i].invited
+            and truth.utility(i, truth.instance.reports[i].invited) >= cap(i)}
 
 
 def test_certified_reports_match_the_enumeration():
     checked = {"violations": 0, "refusals": 0, "certified": 0}
     profiles = [*(p for config in TREES for p in instance_stream(config, 40)),
                 *instance_stream(GRAPHS, 300), *instance_stream(HUNT, 5087),
+                *instance_stream(GRAPH_HUNT, 1427), *instance_stream(CROWDED, 2000),
                 *instance_stream(GeneratorConfig(seed=9, buyers=(30, 30), k=(1, 3)), 20),
                 *map(fixture, FIXTURES)]
     for profile in profiles:
@@ -121,9 +135,10 @@ def test_certified_reports_match_the_enumeration():
         assert found == invitation_ic(ENUMERATED, profile)
         checked["violations"] += isinstance(found, list) and len(found)
         checked["refusals"] += isinstance(found, str)
-        checked["certified"] += isinstance(found, list) and certified_buyers(profile)
-    assert checked["violations"] >= 2 and checked["refusals"] >= 1
-    assert checked["certified"] > 9_000
+        checked["certified"] += isinstance(found, list) and len(certified(profile))
+    # the graph streams add violations, refusals and certified buyers
+    assert checked["violations"] >= 15 and checked["refusals"] >= 8
+    assert checked["certified"] > 26_000
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -138,14 +153,48 @@ def test_a_certified_buyer_past_the_exhaustive_bound_still_raises():
     reaches her cap; her seven invitations still exceed the bound."""
     profile = make_profile(1, {0}, {0: ((10,), range(1, 8)),
                                     **{j: ((1,), ()) for j in range(1, 8)}})
-    truth = _Truthful(CERTIFIED, profile)
-    assert truth.invitation_certified(0, 10)
+    assert certified(profile) == {0}
     with pytest.raises(SearchBudgetExceeded, match="7 invites exceed the exhaustive bound 6"):
         check_invitation_ic(CERTIFIED, profile)
 
 
-def test_graphs_enumerate():
-    """On an instance that is not its own BFS tree nothing is certified."""
+def test_graphs_certify():
+    """On each instance of the stream that is not its own BFS tree the cap
+    certifies a buyer."""
     graphs = [p for p in instance_stream(GRAPHS, 40) if not _Truthful(CERTIFIED, p).own_tree]
     assert len(graphs) >= 20
-    assert not any(map(certified_buyers, graphs))
+    assert all(map(certified, graphs))
+
+
+def test_graph_counterexample_goes_through_the_cap():
+    """The graph hunt stops at instance 1426, which is not its own BFS tree:
+    b00, b03 and b04 are certified there, and b01 gains 0 -> 1 by hiding
+    b03."""
+    profile = fixture("dna_mu_graph_counterexample")
+    assert serialize_instance(random_instance(GRAPH_HUNT, 1426)) == \
+        (DATA / "dna_mu_graph_counterexample.json").read_text()
+    assert not _Truthful(CERTIFIED, profile).own_tree
+    found = check_invitation_ic(CERTIFIED, profile)
+    assert found == check_invitation_ic(ENUMERATED, profile)
+    assert found == ref.check_invitation_ic(ENUMERATED, profile)
+    label = profile.label_of
+    assert set(map(label, certified(profile))) == {"b00", "b03", "b04"}
+    first = found[0]
+    assert (label(first.buyer), first.truthful_utility, first.deviating_utility) == ("b01", 0, 1)
+    hidden = first.truthful_report.invited - first.deviating_report.invited
+    assert set(map(label, hidden)) == {"b03"}
+
+
+def test_a_certified_buyer_lists_no_subsets(monkeypatch):
+    """`check_invitation_ic` lists the reports of exactly the buyers the cap
+    does not certify."""
+    listed, subsets = [], _Truthful.subsets
+    monkeypatch.setattr(_Truthful, "subsets", lambda self, i: listed.append(i) or subsets(self, i))
+    skipped = 0
+    for profile in [*instance_stream(HUNT, 100), *instance_stream(GRAPHS, 100)]:
+        listed.clear()
+        check_invitation_ic(CERTIFIED, profile)
+        market = _Truthful(CERTIFIED, profile).market
+        assert sorted(listed) == sorted(market.valid - certified(profile))
+        skipped += len(certified(profile))
+    assert skipped > 100
