@@ -20,7 +20,9 @@ only with --timing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import gc
 import json
 import sys
 import time
@@ -156,10 +158,11 @@ def _outcome_doc(market: Market, name: str, mu: int,
 def _json_text(doc: dict) -> str:
     """`json.dumps(doc, indent=2, sort_keys=True)`, byte for byte.
 
-    `indent` selects the pure-Python encoder, so the flat top-level maps
-    (allocation, payments: one entry per buyer) go through the C encoder
-    instead, its item separator carrying their indentation. The other
-    values are small or optional and keep the indenting encoder.
+    `indent` selects the pure-Python encoder, whose closures form reference
+    cycles, so only the nested `--trace` list keeps it. The flat top-level
+    maps (allocation, payments: one entry per buyer) go through the C
+    encoder, its item separator carrying their indentation; scalars and
+    empty maps print the same with or without `indent`.
     """
     fields = []
     for key in sorted(doc):
@@ -167,8 +170,10 @@ def _json_text(doc: dict) -> str:
         if isinstance(value, dict) and value:
             body = json.dumps(value, sort_keys=True, separators=(",\n    ", ": "))
             text = "{\n    " + body[1:-1] + "\n  }"
-        else:
+        elif isinstance(value, list):
             text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        else:
+            text = json.dumps(value)
         fields.append(f"  {json.dumps(key)}: {text}")
     return "{\n" + ",\n".join(fields) + "\n}"
 
@@ -209,6 +214,23 @@ def _describe_violation(report: DeviationReport, profile: ReportProfile) -> str:
     return "\n".join(lines)
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Disable the cyclic garbage collector, and enable it again on exit
+    only if it was enabled on entry."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# Nothing `run` builds is cyclic, so reference counting frees it all; the
+# collector would only rescan the parsed instance, again and again while it
+# is built (`notes/decisions.md`).
+@_collector_paused()
 def cmd_run(args) -> int:
     profile = _load_instance(args.instance)
     if args.reserve is not None:

@@ -1,6 +1,8 @@
 """CLI surface: subcommands, exit codes, deterministic output."""
 
 import argparse
+import gc
+import hashlib
 import json
 import re
 import subprocess
@@ -14,6 +16,7 @@ from netauction.instance_io import random_instance, serialize_instance
 from netauction.verify import MECHANISMS
 
 from conftest import DATA, DEEP_META, HUGE_K, chain_profile, sold_out_in_layer_one
+from test_generator_oracle import AUCTION_DEEP
 from test_io import SHAPE_ERRORS
 from test_parse_oracle import DEEP, WIDE
 
@@ -314,6 +317,64 @@ def test_run_json_is_the_indenting_encoders_output(mechanism, benchmark_shapes, 
                 assert code == 0
                 assert out == json.dumps(docs[-1], indent=2, sort_keys=True) + "\n"
     assert any("trace" in doc for doc in docs) == mechanism.startswith("ldm")
+
+
+# Each output file in tests/data/deep_run.sha256, which CI's `sha256sum -c`
+# reads too, and the flags that print it after `run deep.json`.
+DEEP_RUNS = {
+    "deep-ldm.json": ["--mechanism", "ldm"],
+    "deep-ldm-reserve5.json": ["--mechanism", "ldm", "--reserve", "5"],
+    "deep-vcg-l1.json": ["--mechanism", "vcg-l1"],
+    "deep-vcg-l1-reserve5.json": ["--mechanism", "vcg-l1", "--reserve", "5"],
+    "deep-dna-mu.json": ["--mechanism", "dna-mu"],
+}
+
+
+def test_run_bytes_on_the_auction_deep_graph_are_pinned(tmp_path, capsys):
+    """`run --mu 16 --format json` on the n=3200 graph prints the bytes
+    recorded before the collector pause."""
+    path = tmp_path / "deep.json"
+    path.write_text(serialize_instance(random_instance(_parse_gen_spec(AUCTION_DEEP), 0)))
+    pinned = {}
+    for line in (DATA / "deep_run.sha256").read_text().splitlines():
+        digest, name = line.split("  ")
+        pinned[name] = digest
+    assert pinned.keys() == DEEP_RUNS.keys()
+    for name, flags in DEEP_RUNS.items():
+        code, out, _ = run_cli(["run", str(path), *flags, "--mu", "16", "--format", "json"],
+                               capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned[name], name
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("instance,flags,code", [
+    (FIG3, [], 0),
+    (None, [], 2),
+    (FIG3, ["--mu", "1"], 3),
+], ids=["exit-0", "malformed-exit-2", "mu-too-small-exit-3"])
+def test_run_pauses_the_collector_and_restores_it(instance, flags, code, enabled, tmp_path,
+                                                  monkeypatch, capsys):
+    if instance is None:
+        instance = tmp_path / "bad.json"
+        instance.write_text('{"k": 2,')
+    during = []
+    load = cli._load_instance
+    monkeypatch.setattr(cli, "_load_instance",
+                        lambda path: during.append(gc.isenabled()) or load(path))
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run_cli(["run", str(instance), "--mechanism", "ldm", *flags], capsys)[0] == code
+        assert (during, gc.isenabled()) == ([False], enabled)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("mechanism", list(MECHANISMS))
+def test_run_leaves_no_cyclic_garbage(mechanism, capsys):
+    gc.collect()
+    assert run_cli(["run", FIG3, "--mechanism", mechanism, "--format", "json"], capsys)[0] == 0
+    assert gc.collect() == 0
 
 
 def test_run_mu_too_small_exits_3(capsys):

@@ -23,6 +23,8 @@ import reference_io as ref
 N_RANGES = ((1, 1), (2, 2), (1, 8), (20, 40))
 DEPTHS = (None, 1, 2, 3)
 BIASES = (0.0, 0.45, 1.0)
+# perfbench's auction-deep graph at its default seed
+AUCTION_DEEP = "seed=880894,n=3200,k=8,depth=6,topology=graph,density=0.000625"
 
 
 def assert_same(config: GeneratorConfig, count: int) -> None:
@@ -75,7 +77,7 @@ def test_generator_config_property(seed, buyers, k, v_max, topology, edge_densit
 
 
 def test_auction_deep_instance_bytes_are_pinned():
-    config = _parse_gen_spec("seed=880894,n=3200,k=8,depth=6,topology=graph,density=0.000625")
+    config = _parse_gen_spec(AUCTION_DEEP)
     text = serialize_instance(random_instance(config, 0))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "bad4142a3c2f65ff0c8667a165ce72992c4abf88b47659abf0bf7dd113f27aba")
