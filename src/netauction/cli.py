@@ -37,6 +37,7 @@ from .instance_io import (
 )
 from .market import Market, ReportProfile, compute_market
 from .mechanisms import LdmTrace, Outcome, inject_dummies, outcome_welfare
+from .removed_sets import layer_removed_sets
 from .verify import (
     MECHANISMS,
     PROPERTY_NAMES,
@@ -140,17 +141,17 @@ def _outcome_doc(market: Market, name: str, mu: int,
         "revenue": outcome.revenue,
         "welfare": outcome_welfare(market, outcome),
     }
-    if with_trace and isinstance(outcome.trace, LdmTrace):
+    if with_trace and isinstance(trace := outcome.trace, LdmTrace):
         doc["trace"] = [
             {
                 "layer": rec.layer,
-                "removed": sorted(label(i) for i in rec.removed),
+                "removed": sorted(label(i) for i in r_l),
                 "sw": rec.sw,
                 "tentative": {label(i): u for i, u in sorted(rec.tentative_units.items())},
                 "sw_minus_d": {label(i): v for i, v in sorted(rec.sw_minus_d.items())},
                 "k_remain": rec.k_remain_after,
             }
-            for rec in outcome.trace.layers
+            for rec, r_l in zip(trace.layers, layer_removed_sets(trace.market, trace.mu))
         ]
     return doc
 

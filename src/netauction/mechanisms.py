@@ -29,7 +29,7 @@ from .market import (
     cumulative_value,
     is_dummy,
 )
-from .removed_sets import layer_removed_sets, min_valid_mu
+from .removed_sets import layer_free_sets, min_valid_mu
 from .welfare import WelfarePool, WelfareResult
 
 
@@ -38,7 +38,6 @@ class LayerRecord:
     """Diagnostic record of one processed LDM layer."""
 
     layer: int
-    removed: frozenset[BuyerId]
     sw: Money
     tentative_units: Mapping[BuyerId, int]
     tentative_value: Mapping[BuyerId, Money]
@@ -222,13 +221,6 @@ def _kth_outside(ranked: list[tuple[Money, BuyerId]], skipped: set[BuyerId], k: 
     return 0
 
 
-def _free_buyers(market: Market, l: int, r_l: frozenset[BuyerId]) -> frozenset[BuyerId]:
-    """Layer l's free buyers: layers l and l+1 less R_l. The rest of
-    valid - R_l is the processed layers, since R_l holds every deeper layer
-    and no buyer of layer l or before."""
-    return market.layers[l - 1].union(*market.layers[l:l + 1]) - r_l
-
-
 def _ldm_layer(market: Market, members: Iterable[BuyerId], free: Iterable[BuyerId],
                supply: int) -> tuple[WelfarePool, WelfareResult, int]:
     """One LDM layer: the welfare optimum of its `free` buyers sharing the
@@ -242,8 +234,8 @@ def _ldm_layer(market: Market, members: Iterable[BuyerId], free: Iterable[BuyerI
 
 
 def _sw_minus_d(market: Market, pool: WelfarePool, i: BuyerId) -> Money:
-    """SW_{-D_i} over the free buyers of i's layer, in a pool with or without
-    i: valid - D_i = (valid - R_l) - (C_i + {i}), C_i + {i} holds no frozen buyer."""
+    """SW_{-D_i} over the free set F_l of i's layer, in a pool with or without
+    i: valid - D_i is the frozen layers plus F_l - (C_i + {i})."""
     return pool.top_without(market.children[i] | {i}, pool.budget)
 
 
@@ -261,11 +253,12 @@ def run_ldm_tree(market: Market, mu: int | None,
                  order: Sequence[BuyerId] | None = None) -> Outcome:
     """Layer-based diffusion mechanism on the market's BFS tree.
 
-    Per layer l: remove R_l, solve the constrained welfare optimum with all
-    lower layers frozen at their committed units, commit each layer-l buyer's
-    tentative units, and charge her the welfare difference against the economy
-    without her subtree influence (D_i). Stops once all K units are committed,
-    zeroing the deeper layers. Each layer sorts one welfare pool; every
+    Per layer l: solve the welfare optimum of its free set F_l (valid - R_l
+    less the lower layers, frozen at their committed units) with the supply
+    they left, commit each layer-l buyer's tentative units, and charge her
+    the welfare difference against the economy without her subtree
+    influence (D_i). Stops once all K units are committed, zeroing the
+    deeper layers. Each layer sorts one welfare pool; every
     SW_{-D_i} of the layer is a walk over it.
 
     mu None runs at the smallest valid mu, `min_valid_mu(market)`. `order`
@@ -279,12 +272,12 @@ def run_ldm_tree(market: Market, mu: int | None,
     supply = market.k
     frozen: dict[BuyerId, int] = {}  # processed buyers holding units: at most K
     records: list[LayerRecord] = []
-    for l, r_l in enumerate(layer_removed_sets(market, mu), start=1):
+    for l, free in enumerate(layer_free_sets(market, mu), start=1):
         members = sorted(market.layers[l - 1])
         if order is not None:
             position = {b: p for p, b in enumerate(order)}
             members.sort(key=lambda b: position[b])
-        pool, layer_opt, taken = _ldm_layer(market, members, _free_buyers(market, l, r_l), supply)
+        pool, layer_opt, taken = _ldm_layer(market, members, free, supply)
         supply -= taken
         # the trace alone adds back the frozen layers' units and welfare
         tentative = frozen | layer_opt.allocation
@@ -299,7 +292,6 @@ def run_ldm_tree(market: Market, mu: int | None,
                 payments[i] = payment
         records.append(LayerRecord(
             layer=l,
-            removed=r_l,
             sw=frozen_welfare + layer_opt.welfare,
             tentative_units=tentative,
             tentative_value=value,
@@ -331,17 +323,17 @@ def ldm_value_rerun(market: Market, mu: int | None, i: BuyerId) -> ValueRerun:
     mu, which no value report moves).
 
     With i in layer L and parent p, the only removed set that reads v is
-    C^R_p, inside R_{L-1}, and i's units and payment are final once layer L
-    is processed. Every v that puts i in C^R_p gives the same C^R_p, so the
-    same layers before L; for any other v, at least K of her siblings
-    outrank her in layer L, and the answer below is (0, 0) whatever those
-    layers did (the argument is in notes/decisions.md). So mu is checked,
-    the layers before L committed at one such v, a bid above every first
-    unit, and layer L's free pool sorted once, here. Per vector, i's units
-    are her merged rank in that pool and her payment SW_{-D_i}, read off
-    that pool once, minus a prefix sum: O(k log n), with no pool built and
-    nothing sorted. If the layers before L sell every unit, i gets (0, 0)
-    whatever she reports.
+    C^R_p, inside W_{L-1}, so F_{L-1} is the only free set v moves; i's
+    units and payment are final once layer L is processed. Every v that
+    puts i in C^R_p gives the same C^R_p, so the same layers before L; for
+    any other v, at least K of her siblings outrank her in layer L, and the
+    answer below is (0, 0) whatever those layers did (the argument is in
+    notes/decisions.md). So mu is checked, the layers before L committed at
+    one such v, a bid above every first unit, and layer L's free pool
+    sorted once, here. Per vector, i's units are her merged rank in that
+    pool and her payment SW_{-D_i}, read off that pool once, minus a prefix
+    sum: O(k log n), with no pool built and nothing sorted. If the layers
+    before L sell every unit, i gets (0, 0) whatever she reports.
 
     The returned function's `menu` lists every (units, payment) it can
     return. Her units x never exceed the supply S left for layer L, and her
@@ -356,14 +348,13 @@ def ldm_value_rerun(market: Market, mu: int | None, i: BuyerId) -> ValueRerun:
     if layer > 1:  # a layer-1 buyer has no layer before hers
         top = 1 + max(map(market.first_unit, market.valid))
         committing = market.with_values(i, (top,) * market.k)
-    removed = layer_removed_sets(committing, mu)
+    free_sets = layer_free_sets(committing, mu)
     supply = market.k
-    for l, r_l in zip(range(1, layer), removed):
-        free = _free_buyers(market, l, r_l)
-        supply -= _ldm_layer(committing, market.layers[l - 1], free, supply)[2]
+    for members, free in zip(market.layers[:layer - 1], free_sets):
+        supply -= _ldm_layer(committing, members, free, supply)[2]
         if supply == 0:
             return _nothing_for_any_report()
-    free = _free_buyers(market, layer, next(removed))
+    free = next(free_sets)
     if is_dummy(i):
         return _nothing_for_any_report()
     pool = WelfarePool(market, free.difference((i,)), supply)

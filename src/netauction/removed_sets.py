@@ -2,9 +2,9 @@
 
 For a buyer i with children C_i, the removed set C_i^R joins two groups: her
 children who can diffuse further (C_i^P) and her top-ranked childless children
-by first-unit value (C_i^W, quota K + mu - |C_i^P|). Removing every layer
-member's C^R plus all layers >= l+2 yields the layer removed set R_l; adding
-i's own children and i itself yields her payment exclusion set D_i.
+by first-unit value (C_i^W, quota K + mu - |C_i^P|). W_l, the union of C^R over
+layer l, lies in layer l+1; LDM reads only F_l = layers l and l+1 less W_l.
+R_l = W_l + layers >= l+2 and D_i = R_l + C_i + {i} serve only traces and tests.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ def potential_winners(market: Market, i: BuyerId, mu: int) -> frozenset[BuyerId]
     Ties resolve toward the smaller buyer id. With fewer candidates than the
     quota, all of them qualify.
     """
-    removed = removed_sets_for(market, mu)
+    _checked_inviter_sets(market, mu)  # MuTooSmall, checked against every C^P
     inviters = potential_inviters(market, i)  # ContractError for a buyer outside the tree
-    return removed[i] - inviters
+    return removed_set_of(market, i, inviters, mu) - inviters
 
 
 def removed_sets_for(market: Market, mu: int) -> dict[BuyerId, frozenset[BuyerId]]:
@@ -100,20 +100,27 @@ def removed_set_of(market: Market, i: BuyerId, inviters: frozenset[BuyerId],
     return inviters | frozenset(ranked[:quota])
 
 
-def layer_removed_sets(market: Market, mu: int) -> Iterator[frozenset[BuyerId]]:
-    """R_1, R_2, ... in layer order, each built only when it is asked for.
+def layer_free_sets(market: Market, mu: int) -> Iterator[frozenset[BuyerId]]:
+    """F_1, F_2, ... in layer order, each built only when it is asked for.
 
-    R_l is the union of C_i^R over layer l plus every buyer in layers >= l+2.
-    mu is checked once, against every buyer's C^P, before R_1; C^W is ranked
-    only for the members of the layers asked for.
+    F_l, the buyers layer l's welfare problem leaves free, is layers l and
+    l+1 less W_l, the union of C_i^R over layer l, which lies in layer l+1.
+    mu is checked once, against every buyer's C^P, before F_1; C^W is ranked
+    only for the members of the layers asked for. No set holds a layer >= l+2.
     """
     inviter_sets = _checked_inviter_sets(market, mu)
-    deeper = set().union(*market.layers[2:])
-    for d, layer in enumerate(market.layers):
-        yield frozenset().union(
-            deeper, *(removed_set_of(market, i, inviter_sets[i], mu) for i in layer))
-        if d + 2 < market.depth:
-            deeper -= market.layers[d + 2]
+    for l, layer in enumerate(market.layers, start=1):
+        winners = (removed_set_of(market, i, inviter_sets[i], mu) for i in layer)
+        yield layer.union(*market.layers[l:l + 1]).difference(*winners)
+
+
+def layer_removed_sets(market: Market, mu: int) -> Iterator[frozenset[BuyerId]]:
+    """R_1, R_2, ... in layer order, read from `layer_free_sets`: the one
+    place R_l is built. R_l = W_l + layers >= l+2 = layers >= l+1 - F_l."""
+    deeper = frozenset().union(*market.layers)
+    for layer, free in zip(market.layers, layer_free_sets(market, mu)):
+        deeper -= layer
+        yield deeper - free
 
 
 def layer_removed_set(market: Market, layer: int, mu: int) -> frozenset[BuyerId]:

@@ -11,10 +11,12 @@ every buyer's descendant set built up front by recursion and prices from a
 full sort, and each buyer's C^P and C^W are built one buyer at a time.
 Testing use only; it must never share code with the sorted welfare pool
 (`netauction.welfare`), the linear tree construction or
-`netauction.removed_sets`. The one exception is `ldm_value_rerun`, the
-rerun that replays layers L-1 and L with fresh pools for every vector: it is
-built from the library's own per-layer step, so it is compared with the
-black box as well as with the merged-rank rerun that replaced it.
+`netauction.removed_sets`: every R_l is the union of the per-buyer C^R sets
+and a suffix union of the deeper layers (`layer_removed_sets`). The one
+exception is `ldm_value_rerun`, the rerun that replays layers L-1 and L
+with fresh pools for every vector: it solves each layer with the library's
+own per-layer step, `_ldm_layer`, so it is compared with the black box as
+well as with the merged-rank rerun that replaced it.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from netauction.mechanisms import (
     _ldm_payment,
     inject_dummies,
 )
-from netauction.removed_sets import layer_removed_sets, removed_set_of
 
 
 @dataclass(frozen=True)
@@ -216,6 +217,17 @@ def removed_sets_for(tree: Market, mu: int) -> dict[BuyerId, frozenset[BuyerId]]
             for i in tree.valid}
 
 
+def layer_removed_sets(tree: Market, mu: int) -> list[frozenset[BuyerId]]:
+    """R_1, R_2, ..., each the union of layer l's C^R sets and a suffix union
+    of the layers >= l+2, all built up front, after the mu check."""
+    per_buyer = removed_sets_for(tree, mu)
+    suffix = [frozenset()] * (tree.depth + 2)
+    for d in range(tree.depth - 1, -1, -1):
+        suffix[d] = tree.layers[d] | suffix[d + 1]
+    return [frozenset().union(suffix[d + 2], *(per_buyer[i] for i in layer))
+            for d, layer in enumerate(tree.layers)]
+
+
 def run_ldm_tree(market: Market, mu: int) -> Outcome:
     """LDM-Tree with every SW_{-D_i} solved on the explicit set valid - D_i."""
     k = market.profile.k
@@ -223,25 +235,11 @@ def run_ldm_tree(market: Market, mu: int) -> Outcome:
     reports = market.profile.reports
     units = {i: 0 for i in valid if not is_dummy(i)}
     payments = {i: 0 for i in valid if not is_dummy(i)}
-    per_buyer_removed = removed_sets_for(market, mu)
-    if not market.layers:
-        return Outcome(units=units, payments=payments,
-                       trace=LdmTrace(mu, k, (), market))
-
-    suffix: list[frozenset[BuyerId]] = [frozenset()] * (market.depth + 1)
-    acc: set[BuyerId] = set()
-    for d in range(market.depth - 1, -1, -1):
-        acc |= market.layers[d]
-        suffix[d] = frozenset(acc)
-
     committed: dict[BuyerId, int] = {}
     k_remain = k
     records: list[LayerRecord] = []
-    for l in range(1, market.depth + 1):
+    for l, r_l in enumerate(layer_removed_sets(market, mu), start=1):
         members = sorted(market.layers[l - 1])
-        r_l: set[BuyerId] = set(suffix[l + 1]) if l + 1 <= market.depth else set()
-        for i in members:
-            r_l |= per_buyer_removed[i]
         included = valid - r_l
         layer_opt = greedy_welfare(market, included, committed, k)
         sw_l = layer_opt.welfare
@@ -263,7 +261,6 @@ def run_ldm_tree(market: Market, mu: int) -> Outcome:
             committed[i] = layer_opt.units_of(i)
         records.append(LayerRecord(
             layer=l,
-            removed=frozenset(r_l),
             sw=sw_l,
             tentative_units=dict(layer_opt.allocation),
             tentative_value={
@@ -301,7 +298,7 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
     less the processed layers.
     """
     layer = market.layer_of[i]
-    removed = layer_removed_sets(market, mu)
+    removed = iter(layer_removed_sets(market, mu))
     k_remain = market.k
     for l, r_l in zip(range(1, layer - 1), removed):
         members = market.layers[l - 1]
@@ -322,7 +319,7 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
         reports[i] = ReportedType(v, invited)
         left = k_remain
         if layer > 1:
-            r_prev = r_prev_rest | removed_set_of(own, parent, inviters, mu)
+            r_prev = r_prev_rest | inviters | potential_winners(own, parent, mu)
             free_prev = layer_free_buyers(own, layer - 1, r_prev)
             left -= _ldm_layer(own, own.layers[layer - 2], free_prev, left)[2]
             if left == 0:

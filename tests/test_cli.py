@@ -23,6 +23,7 @@ from test_parse_oracle import DEEP, WIDE
 FIG3 = str(DATA / "fig3.json")
 FIG4 = str(DATA / "fig4.json")
 T4 = str(DATA / "t4.json")
+COMB_K1 = str(DATA / "comb_k1.json")
 COUNTEREXAMPLE = str(DATA / "dna_mu_counterexample.json")
 
 
@@ -345,6 +346,35 @@ def test_run_bytes_on_the_auction_deep_graph_are_pinned(tmp_path, capsys):
                                capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == pinned[name], name
+
+
+# Each output in tests/data/trace_run.sha256: the instance and the flags
+# that print it after `run <instance> --mechanism ldm --trace`.
+TRACE_RUNS = {
+    "fig3-trace.txt": (FIG3, []),
+    "fig3-trace.json": (FIG3, ["--format", "json"]),
+    "fig4-trace.txt": (FIG4, []),
+    "fig4-trace.json": (FIG4, ["--format", "json"]),
+    "t4-reserve3-trace.txt": (T4, ["--reserve", "3"]),
+    "t4-reserve3-trace.json": (T4, ["--reserve", "3", "--format", "json"]),
+    "comb_k1-trace.txt": (COMB_K1, []),
+    "comb_k1-trace.json": (COMB_K1, ["--format", "json"]),
+}
+
+
+def test_run_trace_bytes_are_pinned(capsys):
+    """`run --trace` prints the recorded bytes, every layer's removed set
+    included, on the figures, on t4 with a reserve, and on a k = 1 comb
+    whose 101 layers are all processed."""
+    pinned = dict(reversed(line.split("  "))
+                  for line in (DATA / "trace_run.sha256").read_text().splitlines())
+    assert pinned.keys() == TRACE_RUNS.keys()
+    for name, (path, flags) in TRACE_RUNS.items():
+        code, out, _ = run_cli(["run", path, "--mechanism", "ldm", "--trace", *flags], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned[name], name
+    # the last output is the comb's JSON trace
+    assert out.count('"layer":') == 101
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

@@ -24,10 +24,11 @@ from netauction.mechanisms import (
     run_ldm_tree,
     run_vcg_first_layer,
 )
-from netauction.removed_sets import robust_mu
+from netauction.removed_sets import layer_removed_sets, robust_mu
 from netauction.verify import MECHANISMS
 
 from conftest import DATA, FIG3_LABELS, chain_profile, make_profile
+from test_deep_layers import comb
 
 
 def lid(c):
@@ -223,7 +224,8 @@ def test_ldm_t4_reserve_six_frozen_trace(t4_profile):
     assert out.units == {1: 0, 2: 0, 3: 1, 4: 0, 5: 0}
     assert out.payments == {1: -1, 2: 0, 3: 8, 4: 0, 5: 0}
     assert out.revenue == 7
-    assert all(i < DUMMY_BASE for rec in out.trace.layers for i in rec.removed)
+    removed = layer_removed_sets(market, 1)
+    assert all(i < DUMMY_BASE for _, r_l in zip(out.trace.layers, removed) for i in r_l)
 
 
 def test_ldm_empty_market_all_zero():
@@ -249,6 +251,22 @@ def test_long_invitation_chain_runs():
     assert ldm.revenue == 0
     dna = run_dna_mu(market)
     assert dna.units == {i: 1 if i < 2 else 0 for i in range(1500)}
+
+
+def test_ldm_outcome_memory_is_linear_on_a_deep_comb():
+    """One run over every layer of the k = 1 comb with n = 4,000 buyers
+    keeps about 1.3 MiB: a trace holding each layer's R_l, every deeper layer
+    included, kept 84 MiB."""
+    profile = comb(1000, 1, 2, 3)
+    market = compute_market(profile)
+    tracemalloc.start()
+    try:
+        out = run_ldm_tree(market, robust_mu(profile))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out.trace.layers) == market.depth == 1001
+    assert held < 4 * 2**20
 
 
 def test_ldm_utility_identity_from_trace(fig3_profile, t4_profile):

@@ -1,5 +1,5 @@
-"""The BFS tree built by `compute_market`, DNA-MU's on-demand subtrees and the pooled LDM/VCG
-against the slow oracle in `reference_ldm.py`, and LDM's traced quantities
+"""The BFS tree built by `compute_market`, DNA-MU's on-demand subtrees, LDM's free sets and
+the pooled LDM/VCG against the slow oracle in `reference_ldm.py`, and LDM's traced quantities
 against the public R_l/D_i definitions. Every comparison is exact: units,
 payments and the whole trace.
 A reserve reaches the fast path as a priced market (`inject_dummies`) and the
@@ -14,7 +14,9 @@ from netauction.errors import MuTooSmall
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance, random_instance
 from netauction.market import SELLER, compute_market
 from netauction.mechanisms import inject_dummies, run_dna_mu, run_ldm, run_vcg_first_layer
-from netauction.removed_sets import exclusion_set, layer_removed_set, removed_sets_for, robust_mu
+from netauction.removed_sets import (exclusion_set, layer_free_sets, layer_removed_set,
+                                     layer_removed_sets, potential_winners, removed_sets_for,
+                                     robust_mu)
 from netauction.welfare import constrained_welfare
 
 import reference_ldm as ref
@@ -145,14 +147,64 @@ def test_trace_matches_public_removed_and_exclusion_sets():
     for profile, mu in _fixtures_and_stream():
         market = compute_market(profile)
         trace = run_ldm(market, mu).trace
+        slow = ref.layer_removed_sets(ref.build_bfs_tree(market).tree, mu)
         committed = {}
-        for rec in trace.layers:
-            assert rec.removed == layer_removed_set(market, rec.layer, mu)
+        for rec, r_l in zip(trace.layers, layer_removed_sets(market, mu)):
+            assert r_l == slow[rec.layer - 1] == layer_removed_set(market, rec.layer, mu)
             for i, sw in rec.sw_minus_d.items():
                 kept = market.valid - exclusion_set(market, i, mu)
                 assert sw == constrained_welfare(market, kept, committed, market.k).welfare
             for i in market.layers[rec.layer - 1]:
                 committed[i] = rec.tentative_units.get(i, 0)
+
+
+def free_set_mismatches(free_sets, profile, mu):
+    """The layers l where `free_sets(market, mu)` does not yield
+    valid - R_l - layers 1..l-1, R_l from the oracle's per-buyer C^R sets and
+    suffix unions; a walk of the wrong length mismatches at layer 0."""
+    market = compute_market(profile)
+    slow = ref.layer_removed_sets(ref.build_bfs_tree(market).tree, mu)
+    fast = list(free_sets(market, mu))
+    if len(fast) != len(slow):
+        return [0]
+    processed = frozenset()
+    bad = []
+    for l, (free, r_l) in enumerate(zip(fast, slow), start=1):
+        if free != market.valid - r_l - processed:
+            bad.append(l)
+        processed |= market.layers[l - 1]
+    return bad
+
+
+def _free_set_instances():
+    for config, count in SMALL_STREAMS:
+        for index, profile in enumerate(instance_stream(config, count)):
+            mu = robust_mu(profile)
+            yield profile, mu
+            yield inject_dummies(profile, index % 6), mu
+    for profile in COMBS:
+        yield profile, robust_mu(profile)
+        yield inject_dummies(profile, COMB_RESERVE), robust_mu(profile)
+    for spec in (WIDE.format(11), DEEP.format(13)):
+        profile = random_instance(_parse_gen_spec(spec), 0)
+        yield profile, robust_mu(profile)
+
+
+def keeps_a_winner(market, mu):
+    """`layer_free_sets` with each layer's smallest C^W child left free."""
+    for layer, free in zip(market.layers, layer_free_sets(market, mu)):
+        winners = [j for i in layer for j in potential_winners(market, i, mu)]
+        yield free | {min(winners)} if winners else free
+
+
+def test_free_sets_are_valid_less_removed_and_processed_layers():
+    for profile, mu in _free_set_instances():
+        assert free_set_mismatches(layer_free_sets, profile, mu) == []
+    # every comb layer but the last has a C^W, and the mutant keeps it free
+    for profile in COMBS:
+        market = compute_market(profile)
+        assert (free_set_mismatches(keeps_a_winner, profile, robust_mu(profile))
+                == list(range(1, market.depth)))
 
 
 def dna_mu_rows(profile):
