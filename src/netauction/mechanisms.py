@@ -14,6 +14,7 @@ DNA-MU takes no reserve and refuses a market with dummies.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ContractError, ValidationError
@@ -236,7 +237,7 @@ def _ldm_layer(market: Market, members: Iterable[BuyerId], free: Iterable[BuyerI
 def _sw_minus_d(market: Market, pool: WelfarePool, i: BuyerId) -> Money:
     """SW_{-D_i} over the free set F_l of i's layer, in a pool with or without
     i: valid - D_i is the frozen layers plus F_l - (C_i + {i})."""
-    return pool.top_without(market.children[i] | {i}, pool.budget)
+    return pool.top_without(market.children[i] | {i})
 
 
 def _ldm_payment(market: Market, pool: WelfarePool, layer_opt: WelfareResult,
@@ -272,11 +273,11 @@ def run_ldm_tree(market: Market, mu: int | None,
     supply = market.k
     frozen: dict[BuyerId, int] = {}  # processed buyers holding units: at most K
     records: list[LayerRecord] = []
+    position = None if order is None else {b: p for p, b in enumerate(order)}
     for l, free in enumerate(layer_free_sets(market, mu), start=1):
         members = sorted(market.layers[l - 1])
-        if order is not None:
-            position = {b: p for p, b in enumerate(order)}
-            members.sort(key=lambda b: position[b])
+        if position is not None:
+            members.sort(key=position.__getitem__)
         pool, layer_opt, taken = _ldm_layer(market, members, free, supply)
         supply -= taken
         # the trace alone adds back the frozen layers' units and welfare
@@ -310,17 +311,25 @@ def run_ldm_tree(market: Market, mu: int | None,
 ValueRerun = Callable[[ValuationVector], tuple[int, Money]]
 
 
-def _nothing_for_any_report() -> ValueRerun:
-    """The rerun of a buyer who gets (0, 0) whatever she reports."""
-    rerun = lambda v: (0, 0)
-    rerun.menu = ((0, 0),)
+def _menu_rerun(menu: tuple[tuple[int, Money], ...],
+                units_of: Callable[[ValuationVector], int]) -> ValueRerun:
+    """The rerun answering v with `menu[units_of(v)]`, a menu indexed by
+    units, which it carries as `menu`."""
+    def rerun(v: ValuationVector) -> tuple[int, Money]:
+        return menu[units_of(v)]
+
+    rerun.menu = menu
     return rerun
+
+
+# the rerun of a buyer who gets (0, 0) whatever she reports
+_NOTHING = _menu_rerun(((0, 0),), lambda v: 0)
 
 
 def ldm_value_rerun(market: Market, mu: int | None, i: BuyerId) -> ValueRerun:
     """i's (units, payment) under `run_ldm_tree(market.with_values(i, v), mu)`,
     as a function of her value report v (mu None: the market's smallest valid
-    mu, which no value report moves).
+    mu, which no value report moves), with `menu`, every pair it can return.
 
     With i in layer L and parent p, the only removed set that reads v is
     C^R_p, inside W_{L-1}, so F_{L-1} is the only free set v moves; i's
@@ -330,16 +339,13 @@ def ldm_value_rerun(market: Market, mu: int | None, i: BuyerId) -> ValueRerun:
     answer below is (0, 0) whatever those layers did (the argument is in
     notes/decisions.md). So mu is checked, the layers before L committed at
     one such v, a bid above every first unit, and layer L's free pool
-    sorted once, here. Per vector, i's units are her merged rank in that
-    pool and her payment SW_{-D_i}, read off that pool once, minus a prefix
-    sum: O(k log n), with no pool built and nothing sorted. If the layers
-    before L sell every unit, i gets (0, 0) whatever she reports.
-
-    The returned function's `menu` lists every (units, payment) it can
-    return. Her units x never exceed the supply S left for layer L, and her
-    payment reads v only through x: the menu is (x, SW_{-D_i} minus the
-    others' first S - x marginals) for x in 0..S, or ((0, 0),) when a layer
-    before L sells out or i is a dummy.
+    sorted once, here. i's units x never exceed the supply S left for
+    layer L, and her payment reads v only through x: the menu is
+    (x, SW_{-D_i} minus the others' first S - x marginals) for x in 0..S,
+    built here, and a vector's answer is its entry at the x found by binary
+    search in that pool: O(k log n), with no pool built and nothing sorted.
+    If a layer before L sells every unit, or i is a dummy, the menu is
+    ((0, 0),) and every report gets it.
     """
     if mu is None:
         mu = min_valid_mu(market)
@@ -353,32 +359,15 @@ def ldm_value_rerun(market: Market, mu: int | None, i: BuyerId) -> ValueRerun:
     for members, free in zip(market.layers[:layer - 1], free_sets):
         supply -= _ldm_layer(committing, members, free, supply)[2]
         if supply == 0:
-            return _nothing_for_any_report()
+            return _NOTHING
     free = next(free_sets)
     if is_dummy(i):
-        return _nothing_for_any_report()
+        return _NOTHING
     pool = WelfarePool(market, free.difference((i,)), supply)
-    return _LayerRerun(i, pool, _sw_minus_d(market, pool, i))
-
-
-class _LayerRerun:
-    """`ldm_value_rerun` once the layers before i's are committed: layer L's
-    pool without i, whose budget is the supply S left for it, and SW_{-D_i}.
-    The menu is built only when read: the invitation checks never read it."""
-
-    def __init__(self, i: BuyerId, pool: WelfarePool, sw_d: Money):
-        self._i, self._pool, self._sw_d = i, pool, sw_d
-
-    def __call__(self, v: ValuationVector) -> tuple[int, Money]:
-        pool = self._pool
-        units = pool.units_of(self._i, v, pool.budget)
-        # p_i = SW_{-D_i} - (SW_L - v_i(units)), over layer L's free buyers
-        return units, self._sw_d - pool.top(pool.budget - units)
-
-    @property
-    def menu(self) -> tuple[tuple[int, Money], ...]:
-        top, sw_d, supply = self._pool.top, self._sw_d, self._pool.budget
-        return tuple((x, sw_d - top(supply - x)) for x in range(supply + 1))
+    sw_d = _sw_minus_d(market, pool, i)
+    # p_i = SW_{-D_i} - (SW_L - v_i(x)), over layer L's free buyers
+    menu = tuple((x, sw_d - pool.top(supply - x)) for x in range(supply + 1))
+    return _menu_rerun(menu, partial(pool.units_of, i))
 
 
 def run_ldm(market: Market, mu: int | None) -> Outcome:

@@ -115,8 +115,9 @@ def layer_free_sets(market: Market, mu: int) -> Iterator[frozenset[BuyerId]]:
 
 
 def layer_removed_sets(market: Market, mu: int) -> Iterator[frozenset[BuyerId]]:
-    """R_1, R_2, ... in layer order, read from `layer_free_sets`: the one
-    place R_l is built. R_l = W_l + layers >= l+2 = layers >= l+1 - F_l."""
+    """R_1, R_2, ... in layer order, read from `layer_free_sets`:
+    R_l = W_l + layers >= l+2 = layers >= l+1 - F_l, the layers kept as a
+    running difference."""
     deeper = frozenset().union(*market.layers)
     for layer, free in zip(market.layers, layer_free_sets(market, mu)):
         deeper -= layer
@@ -124,10 +125,11 @@ def layer_removed_sets(market: Market, mu: int) -> Iterator[frozenset[BuyerId]]:
 
 
 def layer_removed_set(market: Market, layer: int, mu: int) -> frozenset[BuyerId]:
-    """R_l for one layer l, read from `layer_removed_sets`."""
+    """R_l for one layer l: layers >= l+1 less F_l, building no other R set."""
     if not 1 <= layer <= market.depth:
         raise ContractError(f"layer {layer} outside 1..{market.depth}")
-    return next(islice(layer_removed_sets(market, mu), layer - 1, None))
+    free = next(islice(layer_free_sets(market, mu), layer - 1, None))
+    return frozenset().union(*market.layers[layer:]) - free
 
 
 def exclusion_set(market: Market, i: BuyerId, mu: int) -> frozenset[BuyerId]:

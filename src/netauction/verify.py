@@ -223,14 +223,14 @@ class _Deviation(NamedTuple):
 
 class _Truthful:
     """An instance as its checks share it: its market, the mechanism's
-    truthful outcome and each buyer's utility under it, first-layer VCG's
-    outcome, each buyer's invitation reports, one deviated market and one
-    `_Deviation` per (valid buyer, invitation subset), each computed once,
-    on first use. `subsets` and `utility` are the one enumeration of
-    invitation deviations and the one conversion of a deviation into a
-    utility; every deviation check reads them, so each (buyer, subset)
-    market is built once and rerun once. `run_properties` passes one to
-    every check; a checker called on its own builds its own."""
+    truthful outcome, first-layer VCG's outcome, each buyer's invitation
+    reports, one deviated market and one `_Deviation` per (valid buyer,
+    invitation subset), each computed once, on first use. `subsets` and
+    `utility` are the one enumeration of invitation deviations and the one
+    conversion of a deviation into a utility; every deviation check reads
+    them, so each (buyer, subset) market is built once and rerun once.
+    `run_properties` passes one to every check; a checker called on its own
+    builds its own."""
 
     def __init__(self, mechanism: MechanismUnderTest, instance: ReportProfile):
         self.mechanism = mechanism
@@ -250,11 +250,6 @@ class _Truthful:
     @cached_property
     def vcg(self) -> Outcome:
         return run_vcg_first_layer(self.market)
-
-    @cached_property
-    def _full_utilities(self) -> dict[BuyerId, Money]:
-        """Each valid buyer's true-value utility under the truthful outcome."""
-        return {i: utility_of(self.instance, i, self.outcome) for i in self.market.valid}
 
     @cached_property
     def own_tree(self) -> bool:
@@ -284,7 +279,7 @@ class _Truthful:
         outcome's for her full set, which builds no rerun, else her
         deviation's."""
         if invited == self.instance.reports[i].invited:
-            return self._full_utilities[i]
+            return utility_of(self.instance, i, self.outcome)
         return self.deviation(i, invited).utility
 
     def deviated_market(self, i: BuyerId, invited: frozenset[BuyerId]) -> Market:

@@ -7,12 +7,12 @@ defined in this module only: ``sorted_marginals`` sorts by it. ``WelfarePool``
 sorts a set of free buyers' marginals once; it then answers the problem itself
 and every variant with a few of them left out by walking that sorted list, so
 a mechanism that needs one optimum per buyer of a layer pays for one sort, not
-one per buyer. The same pool serves problems that differ only in the budget
-and in one outside buyer's marginals: that buyer's marginals are merged in by
-binary search (``units_of``) and the free buyers' value read from prefix sums
-(``top``), built on first use. A pool holds no fixed buyers; the caller that
-freezes some keeps their units and welfare. ``constrained_welfare``, the
-single-problem entry point, is the one that checks, sums and merges them.
+one per buyer. The same pool serves problems that differ in one outside
+buyer's marginals, merged in by binary search (``units_of``); only ``top``,
+the free buyers' value read from prefix sums built on first use, varies the
+budget. A pool holds no fixed buyers; the caller that freezes some keeps
+their units and welfare. ``constrained_welfare``, the single-problem entry
+point, is the one that checks, sums and merges them.
 """
 
 from __future__ import annotations
@@ -81,10 +81,10 @@ class WelfarePool:
             welfare -= neg_v
         return WelfareResult(welfare=welfare, allocation=allocation)
 
-    def top_without(self, excluded: frozenset[BuyerId] | set[BuyerId], budget: int) -> Money:
+    def top_without(self, excluded: frozenset[BuyerId] | set[BuyerId]) -> Money:
         """`top(budget)` of the pool without `excluded`: a walk over the sorted
         marginals, skipping the excluded buyers', until `budget` are summed."""
-        total = 0
+        total, budget = 0, self.budget
         for neg_v, i, _unit in self._pool:
             if not budget:
                 break
@@ -100,14 +100,14 @@ class WelfarePool:
             self._prefix = [0, *accumulate(-neg_v for neg_v, _i, _unit in self._pool)]
         return self._prefix[min(budget, len(self._pool))]
 
-    def units_of(self, i: BuyerId, values: ValuationVector, budget: int) -> int:
+    def units_of(self, i: BuyerId, values: ValuationVector) -> int:
         """How many of buyer i's marginals `values` fall in the first `budget`
         places once merged into the greedy order; i must not be a free buyer.
 
         i's unit u follows her u earlier units and the marginals that precede
         it here; values are non-increasing, so her units that fit are a prefix.
         """
-        marginals = self._pool
+        marginals, budget = self._pool, self.budget
         for unit, v in enumerate(values):
             if unit + bisect_left(marginals, (-v, i, unit)) >= budget:
                 return unit

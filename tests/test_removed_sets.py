@@ -20,6 +20,7 @@ from netauction.removed_sets import (
 )
 
 from conftest import FIG3_LABELS, fig3_ids, make_profile, sold_out_in_layer_one
+from test_deep_layers import comb
 
 
 def lid(c):
@@ -88,6 +89,34 @@ def test_exclusion_set(t4_tree, fig3_tree):
     assert fig3_tree.valid - d_d == fig3_ids("abcefghip")
     with pytest.raises(ContractError, match="buyer 99 is not a valid buyer"):
         exclusion_set(t4_tree, 99, 1)
+
+
+def test_one_removed_set_is_built_from_one_walk_of_the_free_sets(monkeypatch):
+    # on a 120-spine comb, R_l of the deepest spine buyer's layer and her D_i
+    # each pull F_1 ... F_l, which hold two layers each, and build no other
+    # R set: O(n) set elements per call, not O(n) per layer above hers
+    market = compute_market(comb(120, 2, 2, 3))
+    mu, deepest = min_valid_mu(market), 119
+    layer = market.layer_of[deepest]
+    expected = list(removed_sets.layer_removed_sets(market, mu))[layer - 1]
+    built = {"layer_free_sets": [], "layer_removed_sets": []}
+
+    def counting(name):
+        walk = getattr(removed_sets, name)
+
+        def counted(market, mu):
+            for found in walk(market, mu):
+                built[name].append(len(found))
+                yield found
+        return counted
+
+    for name in built:
+        monkeypatch.setattr(removed_sets, name, counting(name))
+    assert layer_removed_set(market, layer, mu) == expected
+    assert exclusion_set(market, deepest, mu) == expected | market.children[deepest] | {deepest}
+    assert sum(map(sum, built.values())) <= 4 * len(market.valid)
+    assert built["layer_removed_sets"] == []
+    assert len(built["layer_free_sets"]) == 2 * layer
 
 
 def test_min_valid_mu(fig3_tree, t4_tree):

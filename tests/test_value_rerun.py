@@ -373,18 +373,20 @@ def full_grid(profile, i):
 
 
 def assert_menu_holds_every_outcome(profile, mu):
-    """For every (buyer, subset): the menu has at most k + 1 entries and holds
-    the truthful outcome and every full-grid vector's; returns the reruns."""
+    """For every (buyer, subset): the menu has at most k + 1 entries, is
+    indexed by units, and answers the truthful report and every full-grid
+    vector with its entry at the answer's units; returns the vectors compared."""
     compared = 0
     for i in sorted(compute_market(profile).valid):
         grid = full_grid(profile, i)
         for tree in subset_trees(profile, i):
             rerun = ldm_value_rerun(tree, mu, i)
-            menu = set(rerun.menu)
-            assert len(rerun.menu) <= profile.k + 1
-            assert rerun(profile.reports[i].values) in menu, i
-            outcomes = {rerun(v) for v in grid}
-            assert outcomes <= menu, (i, outcomes - menu)
+            menu = rerun.menu
+            assert len(menu) <= profile.k + 1
+            assert all(menu[x][0] == x for x in range(len(menu))), (i, menu)
+            for v in (profile.reports[i].values, *grid):
+                answer = rerun(v)
+                assert answer == menu[answer[0]], (i, v, answer, menu)
             compared += len(grid)
     return compared
 

@@ -118,7 +118,7 @@ def test_pool_walk_matches_fresh_solves(fig3_profile):
             best.allocation | {i: m for i, m in fixed.items() if m})
         excluded = frozenset(rng.sample(free, rng.randint(0, len(free))))
         oracle = brute_force_welfare(market, included - excluded, fixed, k)
-        assert fixed_welfare + pool.top_without(excluded, pool.budget) == oracle.welfare
+        assert fixed_welfare + pool.top_without(excluded) == oracle.welfare
 
 
 def test_ranked_walk_matches_a_sort_without_the_excluded(fig3_profile):
@@ -130,7 +130,7 @@ def test_ranked_walk_matches_a_sort_without_the_excluded(fig3_profile):
         excluded = frozenset(rng.sample(ids, rng.randint(0, 6)))
         budget = rng.randint(0, 12)
         expected = WelfarePool(market, buyers - excluded, market.k).top(budget)
-        assert WelfarePool(market, buyers, market.k).top_without(excluded, budget) == expected
+        assert WelfarePool(market, buyers, budget).top_without(excluded) == expected
 
 
 def test_monotone_in_included_set(fig3_profile):
