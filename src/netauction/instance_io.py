@@ -19,9 +19,14 @@ Labels map to buyer ids in sorted-label order; serialization is canonical
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 from .errors import ParseError, ValidationError
@@ -130,21 +135,42 @@ def parse_instance(text: str) -> ReportProfile:
         raise ValidationError(profile.label_of(exc.buyer), exc.reason) from None
 
 
+def _array(items: list[str], indent: str) -> str:
+    """`items`, each already encoded, as a JSON array whose closing bracket
+    sits at `indent` and whose items sit two spaces further in."""
+    if not items:
+        return "[]"
+    return "[\n  " + indent + (",\n  " + indent).join(items) + "\n" + indent + "]"
+
+
 def serialize_instance(profile: ReportProfile) -> str:
-    """Canonical instance text: sorted labels, fixed layout, trailing newline."""
+    """Canonical instance text: sorted labels, fixed layout, trailing newline.
+
+    The text is `json.dumps(doc, indent=2) + "\\n"` of the document
+    {k, mu when set, seller_neighbors, buyers}, built by joins over the two
+    C functions that encoder calls for integers and strings.
+    """
     label = profile.label_of
-    doc: dict = {"k": profile.k}
+    string = encode_basestring_ascii
+    number = int.__repr__
+    # as in a dict keyed by label: a label two buyers share keeps its
+    # first place and its last buyer's report
+    buyers = {label(i): profile.reports[i] for i in sorted(profile.reports, key=label)}
+    entries = ",\n    ".join(
+        string(name) + ': {\n      "values": '
+        + _array(list(map(number, report.values)), "      ")
+        + ',\n      "neighbors": '
+        + _array(list(map(string, sorted(map(label, report.invited)))), "      ")
+        + "\n    }"
+        for name, report in buyers.items()
+    )
+    head = '{\n  "k": ' + number(profile.k)
     if profile.mu is not None:
-        doc["mu"] = profile.mu
-    doc["seller_neighbors"] = sorted(label(i) for i in profile.seller_neighbors)
-    doc["buyers"] = {
-        label(i): {
-            "values": list(profile.reports[i].values),
-            "neighbors": sorted(label(j) for j in profile.reports[i].invited),
-        }
-        for i in sorted(profile.reports, key=label)
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        head += ',\n  "mu": ' + number(profile.mu)
+    body = "{\n    " + entries + "\n  }" if buyers else "{}"
+    return (head + ',\n  "seller_neighbors": '
+            + _array(list(map(string, sorted(map(label, profile.seller_neighbors)))), "  ")
+            + ',\n  "buyers": ' + body + "\n}\n")
 
 
 @dataclass(frozen=True)
@@ -182,6 +208,69 @@ class GeneratorConfig:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
 
 
+# pairs per block of edge draws: 16 Ki pairs of two 32-bit words, 128 KiB
+_EDGE_BLOCK = 1 << 14
+
+
+def _below(getrandbits, bound: int) -> int:
+    """`random.Random._randbelow(bound)`, which `randint` and `choice` call:
+    one `getrandbits(bound.bit_length())`, drawn again while at or above
+    `bound`."""
+    bits = bound.bit_length()
+    r = getrandbits(bits)
+    while r >= bound:
+        r = getrandbits(bits)
+    return r
+
+
+@functools.cache
+def _candidate_table(limit: int) -> bytes:
+    """A `bytes.translate` table that maps the bytes below `limit` to 0 and
+    the rest to 1."""
+    return bytes(t >= limit for t in range(256))
+
+
+def _draw_edges(rng: random.Random, invited: dict[BuyerId, set[BuyerId]],
+                density: float) -> None:
+    """Join each pair u < v that no tree edge joins when its `random()` is
+    below `density`, with the draws in (u, v) order (notes/decisions.md).
+
+    The draws are read as 32-bit words, a block of pairs at a time, and
+    only the pairs whose first word can put `random()` under the cut are
+    decoded.
+    """
+    # At u's turn the only pairs (u, v > u) already joined are u's tree
+    # children, so u draws once per larger id that is not her child.
+    n = len(invited)
+    children = [sorted(invited[u]) for u in range(n)]
+    starts = list(itertools.accumulate(
+        (n - 1 - u - len(children[u]) for u in range(n)), initial=0))
+    total = starts.pop()
+    # random() is x / 2**53 with x = (w0 >> 5) * 2**26 + (w1 >> 6), so it is
+    # below density when x is below cut; x's top byte is w0's top byte
+    cut = math.ceil(density * 2**53)
+    table = _candidate_table(((cut - 1) >> 45) + 1)
+    for first in range(0, total, _EDGE_BLOCK):
+        size = min(_EDGE_BLOCK, total - first)
+        # the next 2 * size words, the first word in the lowest bytes
+        block = rng.getrandbits(64 * size).to_bytes(8 * size, "little")
+        marks = block[3::8].translate(table)
+        p = marks.find(0)
+        while p >= 0:
+            words = int.from_bytes(block[8 * p:8 * p + 8], "little")
+            if ((words & 0xFFFFFFFF) >> 5 << 26 | words >> 38) < cut:
+                pair = first + p
+                u = bisect.bisect_right(starts, pair) - 1
+                v = u + 1 + pair - starts[u]
+                for child in children[u]:
+                    if child > v:
+                        break
+                    v += 1
+                invited[u].add(v)
+                invited[v].add(u)
+            p = marks.find(0, p + 1)
+
+
 def random_instance(config: GeneratorConfig, index: int = 0) -> ReportProfile:
     """Deterministic instance `index` of the stream seeded by `config.seed`.
 
@@ -193,20 +282,27 @@ def random_instance(config: GeneratorConfig, index: int = 0) -> ReportProfile:
     mutually.
 
     The stream is a contract: every instance of a (config, index) pair is
-    fixed. `rng` draws n and k; then, per buyer in id order, her parent: one
-    `random()` when `seller_bias` is set, and a `choice` from the pool unless
-    that draw sent her to the seller; then, for a graph with
-    `edge_density > 0`, one `random()` per pair u < v not joined by a tree
-    edge, in (u, v) order, joining the pair when the draw is below
-    `edge_density`; then k values per buyer in id order. A graph therefore
-    costs about n²/2 draws whatever its density: about 0.4 s at n = 3200 on
-    a 2-core x86-64 VM.
+    fixed, and so is every 32-bit word of the Mersenne Twister seeded with
+    the string "seed:index" that it reads. An integer below a bound takes
+    one `getrandbits` of the bound's bit length, a word's top bits, drawn
+    again while at or above the bound (`randint` and `choice` draw the
+    same). In order: n, then k; then, per buyer in id order, her parent:
+    one `random()` (two words) when `seller_bias` is set, and a draw below
+    the pool size unless that `random()` sent her to the seller; then, for
+    a graph with `edge_density > 0`, one `random()` per pair u < v not
+    joined by a tree edge, in (u, v) order, joining the pair when it is
+    below `edge_density`; then k values below v_max + 1 per buyer in id
+    order. A graph therefore reads about n² words whatever its density:
+    about 0.25 s at n = 3200 on a 2-core x86-64 VM.
     """
     rng = random.Random(f"{config.seed}:{index}")
-    n = rng.randint(*config.buyers)
-    k = rng.randint(*config.k)
+    getrandbits = rng.getrandbits
+    low, high = config.buyers
+    n = low + _below(getrandbits, high - low + 1)
+    low, high = config.k
+    k = low + _below(getrandbits, high - low + 1)
     width = max(2, len(str(max(n - 1, 0))))
-    labels = {i: f"b{i:0{width}d}" for i in range(n)}
+    labels = {i: "b" + str(i).zfill(width) for i in range(n)}
 
     layer = {}
     seller_neighbors: set[BuyerId] = set()
@@ -217,7 +313,7 @@ def random_instance(config: GeneratorConfig, index: int = 0) -> ReportProfile:
         if config.seller_bias and rng.random() < config.seller_bias:
             parent = -1
         else:
-            parent = rng.choice(pool)
+            parent = pool[_below(getrandbits, len(pool))]
         if parent < 0:
             seller_neighbors.add(i)
             layer[i] = 1
@@ -228,26 +324,12 @@ def random_instance(config: GeneratorConfig, index: int = 0) -> ReportProfile:
             pool.append(i)
 
     if config.topology == "graph" and config.edge_density > 0:
-        # At u's turn the only pairs (u, v > u) already joined are u's tree
-        # children (notes/decisions.md): u draws for the runs of ids between
-        # them, one comprehension per run. Each run ends at a child or at n.
-        ends = [sorted(invited[u]) + [n] for u in range(n)]
-        draw, density = rng.random, config.edge_density
-        for u in range(n):
-            start = u + 1
-            for stop in ends[u]:
-                if start < stop:
-                    hits = [v for v in range(start, stop) if draw() < density]
-                    invited[u].update(hits)
-                    for v in hits:
-                        invited[v].add(u)
-                start = stop + 1
-        # freed before the reports are built, where the memory peak falls
-        del ends
+        _draw_edges(rng, invited, config.edge_density)
 
+    bound = config.v_max + 1
     reports = {
         i: ReportedType(
-            tuple(sorted((rng.randint(0, config.v_max) for _ in range(k)), reverse=True)),
+            tuple(sorted((_below(getrandbits, bound) for _ in range(k)), reverse=True)),
             frozenset(invited[i]),
         )
         for i in range(n)

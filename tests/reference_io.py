@@ -1,12 +1,14 @@
-"""Slow, obvious versions of `parse_instance`, `validate_profile` and
-`random_instance`.
+"""Slow, obvious versions of `parse_instance`, `validate_profile`,
+`serialize_instance` and `random_instance`.
 
 The oracle for the bulk checks in `netauction.instance_io` and
 `netauction.market`, in the pattern of `brute_force_welfare`: every key,
 label, id and value is checked one at a time, in canonical order, by code
 that shares nothing with the fast path but the error types and the profile
-dataclasses. The generator walks every buyer pair and asks whether a tree
-edge already joins it before it draws. Testing use only.
+dataclasses. The serializer builds the document and hands it to json's
+indent encoder. The generator calls `randint`, `choice` and `random()`,
+walks every buyer pair and asks whether a tree edge already joins it
+before it draws. Testing use only.
 """
 
 from __future__ import annotations
@@ -130,6 +132,23 @@ def parse_instance(text: str) -> ReportProfile:
         if exc.buyer is None:
             raise
         raise ValidationError(profile.label_of(exc.buyer), exc.reason) from None
+
+
+def serialize_instance(profile: ReportProfile) -> str:
+    """Canonical instance text, through `json.dumps(doc, indent=2)`."""
+    label = profile.label_of
+    doc: dict = {"k": profile.k}
+    if profile.mu is not None:
+        doc["mu"] = profile.mu
+    doc["seller_neighbors"] = sorted(label(i) for i in profile.seller_neighbors)
+    doc["buyers"] = {
+        label(i): {
+            "values": list(profile.reports[i].values),
+            "neighbors": sorted(label(j) for j in profile.reports[i].invited),
+        }
+        for i in sorted(profile.reports, key=label)
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def random_instance(config: GeneratorConfig, index: int = 0) -> ReportProfile:
