@@ -132,12 +132,17 @@ def _outcome_doc(market: Market, name: str, mu: int,
                  outcome: Outcome, with_trace: bool) -> dict:
     profile = market.profile
     label = profile.label_of
+    # `label_of` inline over the label map, which holds no reserve dummy: a
+    # call per buyer took 15% of this function on an n = 3,200 graph
+    names = profile.labels or {}
     doc = {
         "mechanism": name,
         "k": profile.k,
         "mu": mu if MECHANISMS[name].layered else None,
-        "allocation": {label(i): u for i, u in sorted(outcome.units.items()) if u},
-        "payments": {label(i): p for i, p in sorted(outcome.payments.items())},
+        "allocation": {names[i] if i in names else str(i): u
+                       for i, u in sorted(outcome.units.items()) if u},
+        "payments": {names[i] if i in names else str(i): p
+                     for i, p in sorted(outcome.payments.items())},
         "revenue": outcome.revenue,
         "welfare": outcome_welfare(market, outcome),
     }

@@ -24,13 +24,14 @@ import functools
 import itertools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 from .errors import ParseError, ValidationError
-from .market import BuyerId, ReportProfile, ReportedType, validate_profile
+from .market import DUMMY_BASE, BuyerId, ReportProfile, ReportedType, validate_profile
 
 
 def _reject_float(value: str):
@@ -74,12 +75,97 @@ def parse_instance(text: str) -> ReportProfile:
     """Parse and validate instance text into a ReportProfile.
 
     Buyer labels become ids by sorted-label order; the original labels are
-    kept on the profile for display and round-tripping. The parser checks
-    only the JSON shape and the labels, and raises ParseError for those, and
-    for integer literals too long to convert or nesting too deep to decode;
-    types and ranges (k, mu, each value) are `validate_profile`'s, whose
-    ValidationError names the buyer by her label in the file.
+    kept on the profile for display and round-tripping. Malformed JSON, a
+    duplicate key, a float literal, an integer literal too long to convert,
+    nesting too deep to decode, a bad shape and a bad label raise
+    ParseError; a type or range fault (k, mu, each value, a self-invite)
+    raises `validate_profile`'s ValidationError, which names the buyer by
+    her label in the file. Either names the first fault in canonical order.
+
+    A well-formed file is checked a column at a time (`_parse_columns`),
+    each check one call over every buyer; on any failed check the file is
+    parsed again by `_parse_walk`, which finds and raises the error.
     """
+    profile = _parse_columns(text)
+    return _parse_walk(text) if profile is None else profile
+
+
+_TOP_KEYS = frozenset({"k", "mu", "seller_neighbors", "buyers", "meta"})
+_REQUIRED_KEYS = frozenset({"k", "seller_neighbors", "buyers"})
+_DICT_ONLY = frozenset({dict})
+_LIST_ONLY = frozenset({list})
+_INT_ONLY = frozenset({int})
+
+
+def _parse_columns(text: str) -> ReportProfile | None:
+    """The profile `_parse_walk` returns for `text`, or None if any check
+    fails; each check runs over a whole column of buyers at once.
+
+    The decode has no pairs hook: the colons of the text certify that no
+    key repeats (argument in `notes/decisions.md`). The invariants of
+    `validate_profile` are checked on the decoded lists.
+    """
+    try:
+        doc = json.loads(text, parse_float=_reject_float)
+    except (ValueError, RecursionError, ParseError):
+        return None
+    if type(doc) is not dict or not _TOP_KEYS >= doc.keys() >= _REQUIRED_KEYS:
+        return None
+    k, mu, buyers = doc["k"], doc.get("mu"), doc["buyers"]
+    if (type(k) is not int or k < 1 or not (mu is None or type(mu) is int)
+            or type(buyers) is not dict or len(buyers) > DUMMY_BASE
+            or type(doc["seller_neighbors"]) is not list):
+        return None
+    labels = sorted(buyers)
+    entries = list(map(buyers.__getitem__, labels))
+    # every `:` is one pair of these objects: no key repeats, no other
+    # object has a pair and no string holds a colon
+    if (not _DICT_ONLY.issuperset(map(type, entries))
+            or text.count(":") != len(doc) + len(buyers) + sum(map(len, entries))
+            or not all(map(_ENTRY_KEYS.issuperset, entries))):
+        return None
+    try:
+        values = list(map(operator.itemgetter("values"), entries))
+    except KeyError:
+        return None
+    invited = list(map(dict.get, entries, itertools.repeat("neighbors"),
+                       itertools.repeat([])))
+    del entries
+    if (not _LIST_ONLY.issuperset(map(type, values))
+            or not _LIST_ONLY.issuperset(map(type, invited))
+            or not all(map(k.__eq__, map(len, values)))):
+        return None
+    flat = list(itertools.chain.from_iterable(values))
+    # every vector has length k, so column c of the vectors is flat[c::k]
+    if (not _INT_ONLY.issuperset(map(type, flat)) or min(flat, default=0) < 0
+            or not all(all(map(operator.ge, flat[c::k], flat[c + 1::k]))
+                       for c in range(k - 1 if flat else 0))):
+        return None
+    del flat
+    # one int object per id, shared by every map and set that holds it
+    numbers = list(range(len(labels)))
+    ids = dict(zip(labels, numbers))
+    try:
+        seller = frozenset(map(ids.__getitem__, doc["seller_neighbors"]))
+        invited = list(map(frozenset, map(map, itertools.repeat(ids.__getitem__), invited)))
+    except (KeyError, TypeError):
+        return None
+    del ids
+    if any(map(operator.contains, invited, numbers)):
+        return None
+    return ReportProfile(
+        k=k,
+        seller_neighbors=seller,
+        reports=dict(zip(numbers, map(ReportedType, map(tuple, values), invited))),
+        mu=mu,
+        labels=dict(zip(numbers, labels)),
+    )
+
+
+def _parse_walk(text: str) -> ReportProfile:
+    """`parse_instance` item by item: the decode with `_no_duplicate_keys`,
+    one shape check and one `_resolve` per buyer, then `validate_profile`.
+    Every error `parse_instance` raises is raised here."""
     try:
         doc = json.loads(text, parse_float=_reject_float,
                          object_pairs_hook=_no_duplicate_keys)

@@ -124,12 +124,13 @@ def _as_int(x) -> bool:
 def validate_profile(raw: ReportProfile) -> ReportProfile:
     """Check every type invariant, returning the profile unchanged on success.
 
-    The model's only invariant check: profiles from code and from
-    `parse_instance` meet the same rules. Raises ValidationError naming the
-    first violated invariant in canonical id order (profile-level checks
-    first, then buyers ascending). A valid profile costs a few C-level
-    checks per buyer; the per-item walk that names the first violation runs
-    only once one of them fails.
+    Profiles from code and from `parse_instance` meet the same rules;
+    `parse_instance` checks them on a file's decoded lists and calls this
+    only when a check there fails. Raises ValidationError naming the first
+    violated invariant in canonical id order (profile-level checks first,
+    then buyers ascending). A valid profile costs a few C-level checks per
+    buyer; the per-item walk that names the first violation runs only once
+    one of them fails.
     """
     if not _plainly_valid(raw):
         _raise_first_violation(raw)

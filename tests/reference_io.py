@@ -79,6 +79,10 @@ def parse_instance(text: str) -> ReportProfile:
                          object_pairs_hook=_no_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:
+        raise ParseError("integer literal has too many digits") from exc
+    except RecursionError as exc:
+        raise ParseError("arrays or objects nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     for key in ("k", "seller_neighbors", "buyers"):

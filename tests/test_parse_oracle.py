@@ -6,7 +6,9 @@ the benchmark's instance shapes, and mutations of them, one per error class
 and, drawn by hypothesis, two faults in one file."""
 
 import enum
+import gc
 import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -14,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netauction.cli import _parse_gen_spec
+from netauction import instance_io
 from netauction.errors import NetAuctionError, ParseError, ValidationError
 from netauction.instance_io import parse_instance, random_instance, serialize_instance
 from netauction.market import DUMMY_BASE, ReportedType, validate_profile
 
 import reference_io as ref
-from conftest import DATA, make_profile
+from conftest import DATA, DEEP_META, HUGE_K, make_profile
 
 FIXTURES = ("fig3.json", "fig4.json", "t4.json", "dna_mu_counterexample.json")
 # The auction benchmark workloads' instance shapes.
@@ -188,6 +191,121 @@ def test_benchmark_shapes_parse_as_the_oracle_does(generated_texts):
             ValidationError, f"buyer {max(doc['buyers'])!r}: non-increasing violated")
         last["neighbors"].append("zz-unknown")
         assert assert_same_parse(json.dumps(doc))[0] is ParseError
+
+
+# Documents that the column parse must hand to the walk: each breaks the
+# colon certificate or the decode, or has a fault the columns must catch.
+
+def _colon_labels(doc):
+    """Every label with a colon in it; still a valid file."""
+    new = {label: label + ":" + label for label in doc["buyers"]}
+    doc["seller_neighbors"] = [new[x] for x in doc["seller_neighbors"]]
+    doc["buyers"] = {new[label]: {**entry, "neighbors": [new[x] for x in entry["neighbors"]]}
+                     for label, entry in doc["buyers"].items()}
+    return render(doc)
+
+
+def _with_meta(meta):
+    def edit(doc):
+        doc["meta"] = meta
+        return render(doc)
+    return edit
+
+
+def _in_list(key, item):
+    """`item` appended to the first buyer's `key` list."""
+    def edit(doc):
+        doc["buyers"][min(doc["buyers"])][key].append(item)
+        return render(doc)
+    return edit
+
+
+def _float_and_duplicate(float_first):
+    """A float literal in one buyer's values and a repeated key in another
+    buyer's entry: whichever comes first in the text is the error."""
+    def edit(doc):
+        first, last = min(doc["buyers"]), max(doc["buyers"])
+        floated, repeated = (first, last) if float_first else (last, first)
+        doc["buyers"][floated]["values"][-1] = 0.5
+        entry = doc["buyers"][repeated]
+        doc["buyers"][repeated] = Pairs([*entry.items(), ("values", entry["values"])])
+        return render(doc)
+    return edit
+
+
+def _huge_value(doc):
+    doc["buyers"][min(doc["buyers"])]["values"][-1] = "HUGE"
+    return render(doc).replace('"HUGE"', "9" * 5000)
+
+
+def _repeated_label(doc):
+    label = min(doc["buyers"])
+    doc["buyers"] = Pairs([*doc["buyers"].items(), (label, doc["buyers"][label])])
+    return render(doc)
+
+
+WALK_CASES = {
+    "colon-labels": _colon_labels,
+    "meta-nested": _with_meta({"source": {"seed": 1, "tags": ["a", {"b": 2}]}, "note": "a:b"}),
+    "meta-duplicate": _with_meta(Pairs([("a", 1), ("b", {"c": [1]}), ("a", 2)])),
+    "meta-nested-duplicate": _with_meta({"x": [Pairs([("c", 1), ("c", 2)])]}),
+    "values-nested-duplicate": _in_list("values", Pairs([("a", 1), ("a", 2)])),
+    "neighbors-nested-duplicate": _in_list("neighbors", Pairs([("a", 1), ("a", 2)])),
+    "neighbors-empty-object": _in_list("neighbors", {}),
+    "float-after-duplicate": _float_and_duplicate(float_first=False),
+    "float-before-duplicate": _float_and_duplicate(float_first=True),
+    "over-long-integer": _huge_value,
+    "repeated-label": _repeated_label,
+}
+VALID_CASES = ("colon-labels", "meta-nested")
+
+
+@pytest.mark.parametrize("name", sorted(WALK_CASES))
+def test_walk_cases_match_the_oracle(name):
+    fig3 = json.loads((DATA / "fig3.json").read_text())
+    got = assert_same_parse(WALK_CASES[name](fig3))
+    assert isinstance(got, tuple) == (name not in VALID_CASES), got
+
+
+def test_huge_integer_and_deep_nesting_match_the_oracle():
+    assert assert_same_parse(HUGE_K) == (ParseError, "integer literal has too many digits")
+    assert assert_same_parse(DEEP_META) == (ParseError, "arrays or objects nested too deeply")
+
+
+@pytest.fixture
+def walk_calls(monkeypatch):
+    """The names of `_no_duplicate_keys` and `_parse_walk`, once per call."""
+    calls = []
+    for name in ("_no_duplicate_keys", "_parse_walk"):
+        def counted(*args, _name=name, _original=getattr(instance_io, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(instance_io, name, counted)
+    return calls
+
+
+def test_benchmark_shapes_take_no_walk(generated_texts, walk_calls):
+    for text in generated_texts.values():
+        assert parse_instance(text) == ref.parse_instance(text)
+    assert walk_calls == []
+    # the counters see a walk when one runs
+    parse_instance(_colon_labels(json.loads((DATA / "fig3.json").read_text())))
+    assert walk_calls[0] == "_parse_walk" and "_no_duplicate_keys" in walk_calls
+
+
+def _peak(parse, text) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        parse(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_column_parse_peaks_no_higher_than_the_walk(generated_texts):
+    text = generated_texts[DEEP]
+    assert _peak(parse_instance, text) <= _peak(instance_io._parse_walk, text)
 
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
