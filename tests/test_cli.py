@@ -148,6 +148,8 @@ def test_compare_bad_reserve_sweep_exits_2(sweep, message, capsys):
      "edge_density must be in [0, 1]"),
     (["gen", "--seed", "1", "--k", "0", "--n", "0", "-o", "unwritten.json"],
      "bad buyer range (0, 0)"),
+    # ids must stay below DUMMY_BASE: refused before any buyer is drawn
+    (["gen", "--gen", "seed=1,n=1000000001", "-o", "unwritten.json"], "bad buyer range"),
     (["gen", "--seed", "1", "--k", "0", "-o", "unwritten.json"], "bad k range (0, 0)"),
     (["gen", "--gen", "seed=1,n=6,depth=0", "-o", "unwritten.json"], "max_depth must be >= 1, got 0"),
     (["gen", "--seed", "1", "--depth", "-1", "-o", "unwritten.json"],
@@ -167,10 +169,10 @@ def test_compare_bad_reserve_sweep_exits_2(sweep, message, capsys):
     (["gen", "--gen", "seed=1,foo=2,n=x", "-o", "unwritten.json"], "'x'"),
     (["gen", "--gen", "seed=1,n=5..", "-o", "unwritten.json"], "''"),
 ], ids=["seed", "density", "k-range", "vmax", "gen-k-flag", "gen-vmax-flag",
-        "gen-negative-density", "gen-nan-density", "gen-zero-n-and-k", "gen-zero-k",
-        "gen-zero-depth", "gen-negative-depth-flag", "gen-repeated-key", "verify-repeated-key",
-        "gen-empty-spec", "gen-not-key-value", "gen-unknown-keys", "gen-key-table-order",
-        "gen-unknown-keys-last", "gen-open-range"])
+        "gen-negative-density", "gen-nan-density", "gen-zero-n-and-k", "gen-n-past-dummy-base",
+        "gen-zero-k", "gen-zero-depth", "gen-negative-depth-flag", "gen-repeated-key",
+        "verify-repeated-key", "gen-empty-spec", "gen-not-key-value", "gen-unknown-keys",
+        "gen-key-table-order", "gen-unknown-keys-last", "gen-open-range"])
 def test_non_numeric_gen_spec_exits_2(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")

@@ -7,7 +7,9 @@ edge joins. Both must give equal profiles and identical bytes, at densities
 where the cut sits on a word or byte boundary too, and for any block size.
 The sha256 pins hold the bytes of two streams as recorded before either
 fast path existed, so a change that moved the fast path and the oracle
-together still fails here.
+together still fails here. `random_instance` runs no validator, so the
+reference validates every profile it draws and the pinned streams call
+`validate_profile` on theirs.
 """
 
 import dataclasses
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 from netauction.cli import _parse_gen_spec
 from netauction import instance_io
 from netauction.instance_io import GeneratorConfig, instance_stream, random_instance, serialize_instance
+from netauction.market import validate_profile
 
 import reference_io as ref
 
@@ -85,7 +88,9 @@ def test_generator_config_property(seed, buyers, k, v_max, topology, edge_densit
 
 def test_auction_deep_instance_bytes_are_pinned():
     config = _parse_gen_spec(AUCTION_DEEP)
-    text = serialize_instance(random_instance(config, 0))
+    profile = random_instance(config, 0)
+    validate_profile(profile)
+    text = serialize_instance(profile)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "bad4142a3c2f65ff0c8667a165ce72992c4abf88b47659abf0bf7dd113f27aba")
 
@@ -95,6 +100,7 @@ def test_criterion_3_graph_stream_bytes_are_pinned():
                              topology="graph", edge_density=0.15)
     digest = hashlib.sha256()
     for profile in instance_stream(config, 50):
+        validate_profile(profile)
         digest.update(serialize_instance(profile).encode())
     assert digest.hexdigest() == "fa5d6aba920e7c8366caf9e96944beb1e2fe21552052fd80fc36fbe1cc945ffb"
 

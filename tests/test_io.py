@@ -12,7 +12,7 @@ from netauction.instance_io import (
     random_instance,
     serialize_instance,
 )
-from netauction.market import compute_market, validate_profile
+from netauction.market import DUMMY_BASE, compute_market, validate_profile
 
 from conftest import DATA, DEEP_META, HUGE_K
 
@@ -161,6 +161,8 @@ def test_zero_density_graph_is_a_tree():
 def test_bad_configs_rejected():
     with pytest.raises(ValueError):
         GeneratorConfig(seed=1, buyers=(0, 3))
+    with pytest.raises(ValueError, match="bad buyer range"):
+        GeneratorConfig(seed=1, buyers=(1, DUMMY_BASE + 1))
     with pytest.raises(ValueError):
         GeneratorConfig(seed=1, k=(2, 1))
     with pytest.raises(ValueError):
