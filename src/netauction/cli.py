@@ -4,9 +4,10 @@ instances, search for counterexamples, and compare against first-layer VCG.
 Mechanism names, the properties they admit and how each one runs come from
 `verify.MECHANISMS`, mu from `verify.given_mu`, and `verify` and `search` use
 `run_properties` and `search_counterexample`, so this module only parses
-arguments and prints. `GEN_KEYS` maps each `--gen` spec key to its
-`GeneratorConfig` field; `gen`'s flags go through it too, a flag not given
-taking the field's default (seed 0).
+arguments and prints. `run` and `compare` default a missing mu to the
+market's `min_valid_mu`, the one place that default is chosen. `GEN_KEYS`
+maps each `--gen` spec key to its `GeneratorConfig` field; `gen`'s flags go
+through it too, a flag not given taking the field's default (seed 0).
 
 Exit codes: 0 success (for `verify`, no violations; for `search`, a
 counterexample was found), 1 violations found / nothing found, 2 validation
@@ -37,7 +38,7 @@ from .instance_io import (
 )
 from .market import Market, ReportProfile, compute_market
 from .mechanisms import LdmTrace, Outcome, inject_dummies, outcome_welfare
-from .removed_sets import layer_removed_sets
+from .removed_sets import layer_removed_sets, min_valid_mu
 from .verify import (
     MECHANISMS,
     PROPERTY_NAMES,
@@ -146,7 +147,7 @@ def _outcome_doc(market: Market, name: str, mu: int,
         "revenue": outcome.revenue,
         "welfare": outcome_welfare(market, outcome),
     }
-    if with_trace and isinstance(trace := outcome.trace, LdmTrace):
+    if with_trace and isinstance(outcome.trace, LdmTrace):
         doc["trace"] = [
             {
                 "layer": rec.layer,
@@ -156,7 +157,7 @@ def _outcome_doc(market: Market, name: str, mu: int,
                 "sw_minus_d": {label(i): v for i, v in sorted(rec.sw_minus_d.items())},
                 "k_remain": rec.k_remain_after,
             }
-            for rec, r_l in zip(trace.layers, layer_removed_sets(trace.market, trace.mu))
+            for rec, r_l in zip(outcome.trace.layers, layer_removed_sets(market, mu))
         ]
     return doc
 
@@ -244,13 +245,13 @@ def cmd_run(args) -> int:
     market = compute_market(profile)
     entry = MECHANISMS[args.mechanism]
     mu = given_mu(profile, args.mu) if entry.layered else 0
-    if mu is None and args.require_mu:
-        raise ValidationError(None, "instance has no mu and --require-mu is set")
-    outcome = entry.checked(mu).run(market)
     if mu is None:
-        mu = outcome.trace.mu
+        if args.require_mu:
+            raise ValidationError(None, "instance has no mu and --require-mu is set")
+        mu = min_valid_mu(market)
         print(f"warning: mu missing, defaulting to min valid bound {mu} "
               "(post-hoc, not a prior)", file=sys.stderr)
+    outcome = entry.checked(mu).run(market)
     _print_outcome(_outcome_doc(market, args.mechanism, mu, outcome, args.trace),
                    args.format)
     return 0
@@ -354,9 +355,11 @@ def cmd_compare(args) -> int:
     rows = []
     for index, profile in enumerate(instances):
         market = compute_market(profile)
-        # with neither, LDM runs at each market's minimum valid mu; reserve
-        # dummies invite no one, so a reserve leaves that bound unchanged
+        # with neither, LDM runs at the market's minimum valid mu; reserve
+        # dummies invite no one, so every priced market has the same bound
         mu = given_mu(profile, args.mu)
+        if mu is None:
+            mu = min_valid_mu(market)
         for r in reserves:
             priced = market if r is None else compute_market(inject_dummies(profile, r))
             rows.append((index, r, compare_vs_vcg(priced, mu)))

@@ -30,7 +30,7 @@ from .market import (
     cumulative_value,
     is_dummy,
 )
-from .removed_sets import layer_free_sets, min_valid_mu
+from .removed_sets import layer_free_sets
 from .welfare import WelfarePool, WelfareResult
 
 
@@ -49,7 +49,6 @@ class LayerRecord:
 @dataclass(frozen=True)
 class LdmTrace:
     mu: int
-    k: int
     layers: tuple[LayerRecord, ...]
     market: Market
 
@@ -161,24 +160,19 @@ def run_dna_mu(market: Market) -> Outcome:
     units = dict.fromkeys(market.valid, 0)
     payments = dict(units)
     rows: list[DnaRow] = []
-    done = False
-    for d, layer in enumerate(market.layers, start=1):
-        if done:
+    for i in (i for layer in market.layers for i in sorted(layer)):
+        if k_remaining == 0:
             break
-        for i in sorted(layer):
-            if k_remaining == 0:
-                done = True
-                break
-            skipped = market.subtree(i) | winners
-            skipped.add(i)
-            price = _kth_outside(ranked, skipped, k_remaining)
-            won = market.first_unit(i) >= price
-            rows.append(DnaRow(i, d, price, won, k_remaining))
-            if won:
-                units[i] = 1
-                payments[i] = price
-                winners.add(i)
-                k_remaining -= 1
+        skipped = market.subtree(i) | winners
+        skipped.add(i)
+        price = _kth_outside(ranked, skipped, k_remaining)
+        won = market.first_unit(i) >= price
+        rows.append(DnaRow(i, market.layer_of[i], price, won, k_remaining))
+        if won:
+            units[i] = 1
+            payments[i] = price
+            winners.add(i)
+            k_remaining -= 1
     return Outcome(units=units, payments=payments, trace=DnaTrace(tuple(rows)))
 
 
@@ -250,7 +244,7 @@ def _ldm_payment(market: Market, pool: WelfarePool, layer_opt: WelfareResult,
     return sw_d, sw_d - (layer_opt.welfare - value)
 
 
-def run_ldm_tree(market: Market, mu: int | None,
+def run_ldm_tree(market: Market, mu: int,
                  order: Sequence[BuyerId] | None = None) -> Outcome:
     """Layer-based diffusion mechanism on the market's BFS tree.
 
@@ -262,12 +256,9 @@ def run_ldm_tree(market: Market, mu: int | None,
     deeper layers. Each layer sorts one welfare pool; every
     SW_{-D_i} of the layer is a walk over it.
 
-    mu None runs at the smallest valid mu, `min_valid_mu(market)`. `order`
-    optionally reorders the within-layer buyer loop (a testing hook; the
-    outcome provably does not depend on it).
+    `order` optionally reorders the within-layer buyer loop (a testing hook;
+    the outcome provably does not depend on it).
     """
-    if mu is None:
-        mu = min_valid_mu(market)
     units = {i: 0 for i in market.valid if not is_dummy(i)}
     payments = dict(units)
     supply = market.k
@@ -303,7 +294,7 @@ def run_ldm_tree(market: Market, mu: int | None,
             break
         frozen = {j: m for j, m in tentative.items() if market.layer_of[j] <= l}
     return Outcome(units=units, payments=payments,
-                   trace=LdmTrace(mu, market.k, tuple(records), market))
+                   trace=LdmTrace(mu, tuple(records), market))
 
 
 # A buyer's (units, payment) as a function of her value report, all else fixed.
@@ -326,10 +317,9 @@ def _menu_rerun(menu: tuple[tuple[int, Money], ...],
 _NOTHING = _menu_rerun(((0, 0),), lambda v: 0)
 
 
-def ldm_value_rerun(market: Market, mu: int | None, i: BuyerId) -> ValueRerun:
+def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
     """i's (units, payment) under `run_ldm_tree(market.with_values(i, v), mu)`,
-    as a function of her value report v (mu None: the market's smallest valid
-    mu, which no value report moves), with `menu`, every pair it can return.
+    as a function of her value report v, with `menu`, every pair it can return.
 
     With i in layer L and parent p, the only removed set that reads v is
     C^R_p, inside W_{L-1}, so F_{L-1} is the only free set v moves; i's
@@ -347,8 +337,6 @@ def ldm_value_rerun(market: Market, mu: int | None, i: BuyerId) -> ValueRerun:
     If a layer before L sells every unit, or i is a dummy, the menu is
     ((0, 0),) and every report gets it.
     """
-    if mu is None:
-        mu = min_valid_mu(market)
     layer = market.layer_of[i]
     committing = market
     if layer > 1:  # a layer-1 buyer has no layer before hers
@@ -370,7 +358,6 @@ def ldm_value_rerun(market: Market, mu: int | None, i: BuyerId) -> ValueRerun:
     return _menu_rerun(menu, partial(pool.units_of, i))
 
 
-def run_ldm(market: Market, mu: int | None) -> Outcome:
-    """LDM on general graphs: LDM-Tree on the market's BFS tree (mu None: at
-    the tree's smallest valid mu)."""
+def run_ldm(market: Market, mu: int) -> Outcome:
+    """LDM on general graphs: LDM-Tree on the market's BFS tree."""
     return run_ldm_tree(market, mu)

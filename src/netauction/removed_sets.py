@@ -20,7 +20,7 @@ def potential_inviters(market: Market, i: BuyerId) -> frozenset[BuyerId]:
     """Children of i who themselves have children (symbolically C_i^P)."""
     if i not in market.valid:
         raise ContractError(f"buyer {i} is not a valid buyer")
-    return frozenset(j for j in market.children[i] if market.children[j])
+    return _inviter_sets(market)[0][i]
 
 
 def _inviter_sets(market: Market) -> tuple[dict[BuyerId, frozenset[BuyerId]], int]:
@@ -62,9 +62,10 @@ def potential_winners(market: Market, i: BuyerId, mu: int) -> frozenset[BuyerId]
     Ties resolve toward the smaller buyer id. With fewer candidates than the
     quota, all of them qualify.
     """
-    _checked_inviter_sets(market, mu)  # MuTooSmall, checked against every C^P
-    inviters = potential_inviters(market, i)  # ContractError for a buyer outside the tree
-    return removed_set_of(market, i, inviters, mu) - inviters
+    inviter_sets = _checked_inviter_sets(market, mu)  # MuTooSmall before a bad buyer
+    if i not in market.valid:
+        raise ContractError(f"buyer {i} is not a valid buyer")
+    return removed_set_of(market, i, inviter_sets[i], mu) - inviter_sets[i]
 
 
 def removed_sets_for(market: Market, mu: int) -> dict[BuyerId, frozenset[BuyerId]]:

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate
 from math import comb
@@ -121,8 +122,8 @@ def given_mu(instance: ReportProfile, mu: int | None) -> int | None:
 # The only definition of each mechanism. The lambdas look the run functions
 # up by name when called, so wrappers installed on this module (such as
 # tracing spans) see every run.
-def ldm_mechanism(mu: int | None = None) -> MechanismUnderTest:
-    """LDM at `mu`; None runs it at each market's smallest valid mu."""
+def ldm_mechanism(mu: int) -> MechanismUnderTest:
+    """LDM at `mu`."""
     return MechanismUnderTest("ldm", lambda market: run_ldm(market, mu),
                               lambda market, i: ldm_value_rerun(market, mu, i))
 
@@ -141,13 +142,12 @@ class RegisteredMechanism:
     """One mechanism name shared by the CLI and the property harness.
 
     A `layered` mechanism takes mu and admits the LDM-only properties; the
-    others ignore mu. `checked(mu)` is the mechanism, a layered one at mu,
-    None meaning its smallest valid mu on each market (a reserve price is
-    already in the market, see `inject_dummies`).
+    others ignore mu. `checked(mu)` is the mechanism, a layered one at mu
+    (a reserve price is already in the market, see `inject_dummies`).
     """
 
     layered: bool
-    checked: Callable[[int | None], MechanismUnderTest]
+    checked: Callable[[int], MechanismUnderTest]
 
     def pinned_mu(self, instance: ReportProfile, mu: int | None = None) -> int:
         """mu for the checkers: `mu`, else the instance's, else `robust_mu`.
@@ -498,9 +498,9 @@ class VcgComparison:
         return self.ldm_revenue >= self.vcg_revenue
 
 
-def compare_vs_vcg(market: Market, mu: int | None) -> VcgComparison:
-    """LDM (mu None: at its smallest valid mu) and first-layer VCG on the same
-    market, and so the same reserve."""
+def compare_vs_vcg(market: Market, mu: int) -> VcgComparison:
+    """LDM at mu and first-layer VCG on the same market, and so the same
+    reserve."""
     return _comparison(market, run_ldm(market, mu), run_vcg_first_layer(market))
 
 
@@ -529,15 +529,13 @@ class DecompositionRow:
     p: Money
 
 
-def payment_decomposition(outcome: Outcome, mu: int) -> list[DecompositionRow]:
+def payment_decomposition(outcome: Outcome) -> list[DecompositionRow]:
     """Decompose every processed real buyer's payment and assert p = q - t.
 
     The child sets are those of the traced run's market."""
     trace = outcome.trace
     if not isinstance(trace, LdmTrace):
         raise TraceMissing("outcome carries no LDM trace")
-    if mu != trace.mu:
-        raise ContractError(f"mu={mu} does not match the traced run (mu={trace.mu})")
     rows: list[DecompositionRow] = []
     for rec in trace.layers:
         total = sum(rec.tentative_value.values())
@@ -562,21 +560,12 @@ def payment_decomposition(outcome: Outcome, mu: int) -> list[DecompositionRow]:
 def check_decomposition_inequalities(rows: Sequence[DecompositionRow],
                                      vcg_outcome: Outcome) -> tuple[bool, bool]:
     """(sum of layer-1 q >= VCG revenue, per-layer sum q_l >= sum t_{l-1})."""
-    by_layer: dict[int, list[DecompositionRow]] = {}
+    q: Counter[int] = Counter()
+    t: Counter[int] = Counter()
     for row in rows:
-        by_layer.setdefault(row.layer, []).append(row)
-    if not by_layer:
-        return (vcg_outcome.revenue <= 0, True)
-    first = sum(r.q for r in by_layer.get(1, ())) >= vcg_outcome.revenue
-    second = True
-    for layer in sorted(by_layer):
-        if layer < 2:
-            continue
-        q_sum = sum(r.q for r in by_layer[layer])
-        t_prev = sum(r.t for r in by_layer.get(layer - 1, ()))
-        if q_sum < t_prev:
-            second = False
-    return (first, second)
+        q[row.layer] += row.q
+        t[row.layer] += row.t
+    return (q[1] >= vcg_outcome.revenue, all(q[l] >= t[l - 1] for l in q if l >= 2))
 
 
 def _tree_profile(instance: ReportProfile, tree: Market) -> ReportProfile:
@@ -585,13 +574,7 @@ def _tree_profile(instance: ReportProfile, tree: Market) -> ReportProfile:
     reports = dict(instance.reports)
     for i in tree.valid:
         reports[i] = ReportedType(instance.reports[i].values, tree.children[i])
-    return ReportProfile(
-        k=instance.k,
-        seller_neighbors=instance.seller_neighbors,
-        reports=reports,
-        mu=instance.mu,
-        labels=instance.labels,
-    )
+    return replace(instance, reports=reports)
 
 
 def check_child_monotonicity(mechanism: MechanismUnderTest, instance: ReportProfile,
@@ -675,21 +658,21 @@ def _deviations(check: Callable[..., list[DeviationReport]], truth: _Truthful) -
     return (not reports, "", tuple(reports))
 
 
-def _non_wasteful(truth: _Truthful, mu: int) -> tuple:
+def _non_wasteful(truth: _Truthful) -> tuple:
     ok = check_non_wasteful(truth.outcome, truth.market)
     return (ok, "" if ok else "units unsold", ())
 
 
-def _dominance(truth: _Truthful, mu: int) -> tuple:
+def _dominance(truth: _Truthful) -> tuple:
     cmp = _comparison(truth.market, truth.outcome, truth.vcg)
     return (cmp.welfare_dominates and cmp.revenue_dominates,
             f"welfare {cmp.ldm_welfare} vs {cmp.vcg_welfare}, "
             f"revenue {cmp.ldm_revenue} vs {cmp.vcg_revenue}", ())
 
 
-def _decomposition(truth: _Truthful, mu: int) -> tuple:
+def _decomposition(truth: _Truthful) -> tuple:
     try:
-        rows = payment_decomposition(truth.outcome, mu)
+        rows = payment_decomposition(truth.outcome)
     except ContractError as exc:
         return (False, str(exc), ())
     first, second = check_decomposition_inequalities(rows, truth.vcg)
@@ -697,34 +680,34 @@ def _decomposition(truth: _Truthful, mu: int) -> tuple:
     return (ok, "" if ok else f"layer-1 charge bound: {first}, cross-layer bound: {second}", ())
 
 
-def _order_independence(truth: _Truthful, mu: int) -> tuple:
+def _order_independence(truth: _Truthful) -> tuple:
     """Three permutations of the within-layer buyer loop must leave LDM's
-    truthful outcome as it is."""
+    truthful outcome, at the mu its trace records, as it is."""
     ids = sorted(truth.market.valid)
     rng = random.Random(f"order:{len(ids)}:{truth.market.k}")
     for _ in range(3):
         perm = ids[:]
         rng.shuffle(perm)
-        out = run_ldm_tree(truth.market, mu, order=perm)
+        out = run_ldm_tree(truth.market, truth.outcome.trace.mu, order=perm)
         if out.units != truth.outcome.units or out.payments != truth.outcome.payments:
             return (False, "order changed outcome", ())
     return (True, "", ())
 
 
 # Property name -> (check, ldm_only). A check maps the shared truthful
-# instance and the pinned mu to PropertyResult's (ok, detail, reports); the
-# LDM-only ones read the truthful outcome as LDM's. Checkers are looked up by
-# name when called, so wrappers installed on this module see every call.
-PropertyCheck = Callable[[_Truthful, int], tuple]
+# instance to PropertyResult's (ok, detail, reports); the LDM-only ones read
+# the truthful outcome as LDM's, and its trace for the mu it ran at. Checkers
+# are looked up by name when called, so wrappers installed on this module see
+# every call.
+PropertyCheck = Callable[[_Truthful], tuple]
 PROPERTIES: dict[str, tuple[PropertyCheck, bool]] = {
-    "ir": (lambda truth, mu: _deviations(check_ir, truth), False),
-    "invite-ic": (lambda truth, mu: _deviations(check_invitation_ic, truth), False),
-    "value-ic": (lambda truth, mu: _deviations(check_value_ic, truth), False),
+    "ir": (lambda truth: _deviations(check_ir, truth), False),
+    "invite-ic": (lambda truth: _deviations(check_invitation_ic, truth), False),
+    "value-ic": (lambda truth: _deviations(check_value_ic, truth), False),
     "non-wasteful": (_non_wasteful, False),
     "dominance": (_dominance, True),
     "decomposition": (_decomposition, True),
-    "child-monotonicity": (lambda truth, mu: _deviations(check_child_monotonicity, truth),
-                           False),
+    "child-monotonicity": (lambda truth: _deviations(check_child_monotonicity, truth), False),
     "order-independence": (_order_independence, True),
 }
 PROPERTY_NAMES = tuple(PROPERTIES)
@@ -744,8 +727,7 @@ def run_properties(instance: ReportProfile, mechanism_name: str,
     entry = MECHANISMS.get(mechanism_name)
     if entry is None:
         raise ContractError(f"unknown mechanism {mechanism_name!r}")
-    pinned = entry.pinned_mu(instance, mu)
-    truth = _Truthful(entry.checked(pinned), instance)
+    truth = _Truthful(entry.checked(entry.pinned_mu(instance, mu)), instance)
     results: list[PropertyResult] = []
     for prop in properties:
         if prop not in PROPERTIES:
@@ -753,6 +735,6 @@ def run_properties(instance: ReportProfile, mechanism_name: str,
         if not entry.admits(prop):
             raise ContractError(f"property {prop!r} requires the ldm mechanism")
         check = PROPERTIES[prop][0]
-        results.append(PropertyResult(prop, *check(truth, pinned)))
+        results.append(PropertyResult(prop, *check(truth)))
     return results
 

@@ -273,7 +273,7 @@ def run_ldm_tree(market: Market, mu: int) -> Outcome:
         if k_remain == 0:
             break
     return Outcome(units=units, payments=payments,
-                   trace=LdmTrace(mu, k, tuple(records), market))
+                   trace=LdmTrace(mu, tuple(records), market))
 
 
 def run_ldm(market: Market, mu: int, reserve: int | None = None) -> Outcome:

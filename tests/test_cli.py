@@ -12,7 +12,9 @@ import pytest
 
 from netauction import cli
 from netauction.cli import _parse_gen_spec, build_parser, main
-from netauction.instance_io import random_instance, serialize_instance
+from netauction.instance_io import parse_instance, random_instance, serialize_instance
+from netauction.market import compute_market
+from netauction.removed_sets import min_valid_mu
 from netauction.verify import MECHANISMS
 
 from conftest import DATA, DEEP_META, HUGE_K, chain_profile, sold_out_in_layer_one
@@ -456,22 +458,38 @@ def counting_tree_builds(monkeypatch):
 
 
 def test_defaulted_mu_builds_the_tree_once(tmp_path, monkeypatch, capsys):
-    doc = json.loads((DATA / "fig3.json").read_text())
-    del doc["mu"]
-    path = tmp_path / "nomu.json"
-    path.write_text(json.dumps(doc))
-    # fig3's largest C^P has 2 members, so the defaulted run is the --mu 2 run
-    _, pinned, _ = run_cli(["run", str(path), "--mechanism", "ldm", "--mu", "2", "--trace"],
-                           capsys)
+    """`run` and `compare` without a mu print what they print at `--mu` the
+    market's smallest valid mu, `run` adding its warning, and build no more
+    markets: `run` one, `compare` one plus one per reserve."""
+    names = ("fig3", "fig4", "dna_mu_counterexample", "dna_mu_graph_counterexample")
+    mus = {}
+    for name in names:
+        doc = json.loads((DATA / f"{name}.json").read_text())
+        doc.pop("mu", None)
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        mus[name] = min_valid_mu(compute_market(parse_instance(json.dumps(doc))))
+    # fig3's largest C^P has 2 members, and so has the BFS tree of fig4's graph
+    assert mus == {"fig3": 2, "fig4": 2, "dna_mu_counterexample": 1,
+                   "dna_mu_graph_counterexample": 1}
     calls = counting_tree_builds(monkeypatch)
-    assert run_cli(["run", str(path), "--mechanism", "ldm", "--trace"], capsys) == (
-        0, pinned,
-        "warning: mu missing, defaulting to min valid bound 2 (post-hoc, not a prior)\n")
-    assert len(calls) == 1
-    _, pinned, _ = run_cli(["compare", str(path), "--mu", "2"], capsys)
-    calls.clear()
-    assert run_cli(["compare", str(path)], capsys) == (0, pinned, "")
-    assert len(calls) == 1
+    for name, mu in mus.items():
+        path = str(tmp_path / f"{name}.json")
+        warning = (f"warning: mu missing, defaulting to min valid bound {mu} "
+                   "(post-hoc, not a prior)\n")
+        for mechanism in ("ldm", "ldm-tree"):
+            for options in (["--trace"], ["--trace", "--format", "json"]):
+                for reserve in ([], ["--reserve", "3"]):
+                    argv = ["run", path, "--mechanism", mechanism, *options, *reserve]
+                    code, pinned, err = run_cli(argv + ["--mu", str(mu)], capsys)
+                    assert (code, err) == (0, "")
+                    calls.clear()
+                    assert run_cli(argv, capsys) == (0, pinned, warning)
+                    assert len(calls) == 1
+        for reserve in ([], ["--reserve", "0..3"]):
+            _, pinned, _ = run_cli(["compare", path, "--mu", str(mu), *reserve], capsys)
+            calls.clear()
+            assert run_cli(["compare", path, *reserve], capsys) == (0, pinned, "")
+            assert len(calls) == (5 if reserve else 1)
 
 
 def test_verify_t4_all_green(capsys):

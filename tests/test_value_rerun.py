@@ -22,7 +22,7 @@ from netauction.instance_io import GeneratorConfig, instance_stream, parse_insta
 from netauction.market import ReportedType, compute_market, cumulative_value
 from netauction.mechanisms import (Outcome, inject_dummies, ldm_value_rerun, run_ldm_tree,
                                    run_vcg_first_layer)
-from netauction.removed_sets import min_valid_mu, potential_inviters, removed_set_of, robust_mu
+from netauction.removed_sets import potential_inviters, removed_set_of, robust_mu
 from netauction.verify import (MAX_INVITES_EXHAUSTIVE, MechanismUnderTest, check_value_ic,
                                dna_mu_mechanism, integer_value_grid, ldm_mechanism,
                                vcg_mechanism)
@@ -355,15 +355,6 @@ def test_check_value_ic_reports_match_black_box_path():
         fast = ldm_mechanism(robust_mu(profile))
         slow = MechanismUnderTest("ldm", fast.run)
         assert check_value_ic(fast, profile, grid) == check_value_ic(slow, profile, grid)
-
-
-def test_ldm_mechanism_without_mu_runs_at_the_smallest_valid_mu():
-    for name in ("fig3", "t4"):
-        market = compute_market(figure(name))
-        pinned, default = ldm_mechanism(min_valid_mu(market)), ldm_mechanism()
-        assert default.run(market) == pinned.run(market)
-        for i in sorted(market.valid):
-            assert default.value_rerun(market, i).menu == pinned.value_rerun(market, i).menu
 
 
 def full_grid(profile, i):

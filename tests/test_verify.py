@@ -213,7 +213,7 @@ def test_compare_degenerates_without_diffusion():
 def test_payment_decomposition_t4(t4_profile):
     tree = compute_market(t4_profile)
     out = run_ldm_tree(tree, 1)
-    rows = payment_decomposition(out, 1)
+    rows = payment_decomposition(out)
     by_buyer = {r.buyer: r for r in rows}
     row1 = by_buyer[1]
     assert (row1.m, row1.t, row1.q, row1.p) == (1, 7, 4, -3)
@@ -229,14 +229,14 @@ def test_payment_decomposition_requires_trace(t4_profile):
     # first-layer VCG's outcome carries a trace, but not an LDM one
     out = run_vcg_first_layer(compute_market(t4_profile))
     with pytest.raises(TraceMissing):
-        payment_decomposition(out, 1)
+        payment_decomposition(out)
 
 
 def test_decomposition_single_layer_second_family_vacuous():
     profile = make_profile(1, {1, 2}, {1: ((5,), ()), 2: ((3,), ())})
     tree = compute_market(profile)
     out = run_ldm_tree(tree, 0)
-    rows = payment_decomposition(out, 0)
+    rows = payment_decomposition(out)
     vcg = run_vcg_first_layer(compute_market(profile))
     first, second = check_decomposition_inequalities(rows, vcg)
     assert first and second
@@ -250,15 +250,13 @@ def test_payment_decomposition_on_a_reserve_run_selling_past_layer_one():
     market = compute_market(inject_dummies(profile, 2))
     out = run_ldm(market, 1)
     assert len(out.trace.layers) == 5
-    rows = payment_decomposition(out, 1)
+    rows = payment_decomposition(out)
     processed = [i for rec in out.trace.layers for i in rec.sw_minus_d]
     assert any(is_dummy(i) for i in processed)
     assert sorted(r.buyer for r in rows) == sorted(i for i in processed if not is_dummy(i))
     oracle = reference_ldm.run_ldm(compute_market(profile), 1, 2)
     assert {r.buyer: r.p for r in rows} == {r.buyer: oracle.payment_of(r.buyer) for r in rows}
     assert {r.layer for r in rows} == {1, 2, 3, 4, 5}
-    with pytest.raises(ContractError):
-        payment_decomposition(out, 2)
 
 
 def test_decomposition_inequalities_without_rows_and_with_a_failing_layer_bound():
