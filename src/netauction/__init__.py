@@ -44,8 +44,6 @@ from .mechanisms import (
     run_vcg_first_layer,
 )
 from .removed_sets import (
-    exclusion_set,
-    layer_removed_set,
     min_valid_mu,
     potential_inviters,
     potential_winners,

@@ -354,15 +354,14 @@ def cmd_compare(args) -> int:
 
     rows = []
     for index, profile in enumerate(instances):
-        market = compute_market(profile)
-        # with neither, LDM runs at the market's minimum valid mu; reserve
-        # dummies invite no one, so every priced market has the same bound
         mu = given_mu(profile, args.mu)
-        if mu is None:
-            mu = min_valid_mu(market)
         for r in reserves:
-            priced = market if r is None else compute_market(inject_dummies(profile, r))
-            rows.append((index, r, compare_vs_vcg(priced, mu)))
+            market = compute_market(profile if r is None else inject_dummies(profile, r))
+            # with neither, LDM runs at the first market's minimum valid mu;
+            # reserve dummies invite no one, so every row has the same bound
+            if mu is None:
+                mu = min_valid_mu(market)
+            rows.append((index, r, compare_vs_vcg(market, mu)))
 
     print("instance reserve ldm_welfare vcg_welfare ldm_revenue vcg_revenue welfare>= revenue>=")
     all_dominant = True

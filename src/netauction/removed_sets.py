@@ -4,12 +4,11 @@ For a buyer i with children C_i, the removed set C_i^R joins two groups: her
 children who can diffuse further (C_i^P) and her top-ranked childless children
 by first-unit value (C_i^W, quota K + mu - |C_i^P|). W_l, the union of C^R over
 layer l, lies in layer l+1; LDM reads only F_l = layers l and l+1 less W_l.
-R_l = W_l + layers >= l+2 and D_i = R_l + C_i + {i} serve only traces and tests.
+Only `layer_removed_sets` builds R_l = W_l + layers >= l+2; D_i = R_l + C_i + {i}.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterator
 
 from .errors import ContractError, MuTooSmall
@@ -124,18 +123,3 @@ def layer_removed_sets(market: Market, mu: int) -> Iterator[frozenset[BuyerId]]:
         deeper -= layer
         yield deeper - free
 
-
-def layer_removed_set(market: Market, layer: int, mu: int) -> frozenset[BuyerId]:
-    """R_l for one layer l: layers >= l+1 less F_l, building no other R set."""
-    if not 1 <= layer <= market.depth:
-        raise ContractError(f"layer {layer} outside 1..{market.depth}")
-    free = next(islice(layer_free_sets(market, mu), layer - 1, None))
-    return frozenset().union(*market.layers[layer:]) - free
-
-
-def exclusion_set(market: Market, i: BuyerId, mu: int) -> frozenset[BuyerId]:
-    """D_i = R_l ∪ C_i ∪ {i} for i in layer l: hides i and all her influence."""
-    if i not in market.valid:
-        raise ContractError(f"buyer {i} is not a valid buyer")
-    layer = market.layer_of[i]
-    return layer_removed_set(market, layer, mu) | market.children[i] | {i}

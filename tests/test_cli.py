@@ -15,7 +15,7 @@ from netauction.cli import _parse_gen_spec, build_parser, main
 from netauction.instance_io import parse_instance, random_instance, serialize_instance
 from netauction.market import compute_market
 from netauction.removed_sets import min_valid_mu
-from netauction.verify import MECHANISMS
+from netauction.verify import MECHANISMS, VcgComparison
 
 from conftest import DATA, DEEP_META, HUGE_K, chain_profile, sold_out_in_layer_one
 from test_generator_oracle import AUCTION_DEEP
@@ -460,7 +460,7 @@ def counting_tree_builds(monkeypatch):
 def test_defaulted_mu_builds_the_tree_once(tmp_path, monkeypatch, capsys):
     """`run` and `compare` without a mu print what they print at `--mu` the
     market's smallest valid mu, `run` adding its warning, and build no more
-    markets: `run` one, `compare` one plus one per reserve."""
+    markets: `run` one, `compare` one per row, with or without a mu."""
     names = ("fig3", "fig4", "dna_mu_counterexample", "dna_mu_graph_counterexample")
     mus = {}
     for name in names:
@@ -485,11 +485,13 @@ def test_defaulted_mu_builds_the_tree_once(tmp_path, monkeypatch, capsys):
                     calls.clear()
                     assert run_cli(argv, capsys) == (0, pinned, warning)
                     assert len(calls) == 1
-        for reserve in ([], ["--reserve", "0..3"]):
+        for reserve, rows in (([], 1), (["--reserve", "0..3"], 4)):
+            calls.clear()
             _, pinned, _ = run_cli(["compare", path, "--mu", str(mu), *reserve], capsys)
+            assert len(calls) == rows
             calls.clear()
             assert run_cli(["compare", path, *reserve], capsys) == (0, pinned, "")
-            assert len(calls) == (5 if reserve else 1)
+            assert len(calls) == rows
 
 
 def test_verify_t4_all_green(capsys):
@@ -650,6 +652,17 @@ def test_compare_reserve_sweep(capsys):
     assert code == 0
     assert "dominance: all rows hold" in out
     assert out.count("\n") >= 41  # header + 40 rows + footer
+
+
+def test_compare_reports_a_violated_row(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "compare_vs_vcg", lambda market, mu: VcgComparison(
+        ldm_welfare=1, vcg_welfare=2, ldm_revenue=3, vcg_revenue=4))
+    code, out, err = run_cli(["compare", T4], capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1:] == [
+        "       0       -           1           2           3           4        NO        NO",
+        "dominance: VIOLATED",
+    ]
 
 
 def test_cli_entrypoint_via_subprocess():

@@ -144,7 +144,8 @@ MUTATIONS = {
     "unknown-invitee": lambda doc, pick: _insert(
         _buyer(doc, pick).setdefault("neighbors", []), "zz-unknown", pick),
     "entry-shape": lambda doc, pick: doc["buyers"].__setitem__(
-        pick(sorted(doc["buyers"])), pick([[], 3, {"values": [1], "extra": 1}])),
+        pick(sorted(doc["buyers"])),
+        pick([[], 3, {"values": [1], "extra": 1}, {"neighbors": []}])),
     "values-not-array": lambda doc, pick: _buyer(doc, pick).__setitem__(
         "values", pick([5, "x", None, {}])),
     "neighbors-not-array": lambda doc, pick: _buyer(doc, pick).__setitem__(

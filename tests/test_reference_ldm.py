@@ -14,9 +14,8 @@ from netauction.errors import MuTooSmall
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance, random_instance
 from netauction.market import SELLER, compute_market
 from netauction.mechanisms import inject_dummies, run_dna_mu, run_ldm, run_vcg_first_layer
-from netauction.removed_sets import (exclusion_set, layer_free_sets, layer_removed_set,
-                                     layer_removed_sets, potential_winners, removed_sets_for,
-                                     robust_mu)
+from netauction.removed_sets import (layer_free_sets, layer_removed_sets, potential_winners,
+                                     removed_sets_for, robust_mu)
 from netauction.welfare import constrained_welfare
 
 import reference_ldm as ref
@@ -150,9 +149,9 @@ def test_trace_matches_public_removed_and_exclusion_sets():
         slow = ref.layer_removed_sets(ref.build_bfs_tree(market).tree, mu)
         committed = {}
         for rec, r_l in zip(trace.layers, layer_removed_sets(market, mu)):
-            assert r_l == slow[rec.layer - 1] == layer_removed_set(market, rec.layer, mu)
+            assert r_l == slow[rec.layer - 1]
             for i, sw in rec.sw_minus_d.items():
-                kept = market.valid - exclusion_set(market, i, mu)
+                kept = market.valid - (r_l | market.children[i] | {i})
                 assert sw == constrained_welfare(market, kept, committed, market.k).welfare
             for i in market.layers[rec.layer - 1]:
                 committed[i] = rec.tentative_units.get(i, 0)

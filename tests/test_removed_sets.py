@@ -9,8 +9,7 @@ from netauction import removed_sets
 from netauction.errors import ContractError, MuTooSmall
 from netauction.market import ReportedType, compute_market
 from netauction.removed_sets import (
-    exclusion_set,
-    layer_removed_set,
+    layer_removed_sets,
     min_valid_mu,
     potential_inviters,
     potential_winners,
@@ -20,7 +19,6 @@ from netauction.removed_sets import (
 )
 
 from conftest import FIG3_LABELS, fig3_ids, make_profile, sold_out_in_layer_one
-from test_deep_layers import comb
 
 
 def lid(c):
@@ -61,6 +59,8 @@ def test_potential_winners_fig3(fig3_tree):
 
 def test_potential_winners_t4(t4_tree):
     assert potential_winners(t4_tree, 1, 1) == {3, 4}
+    with pytest.raises(ContractError, match="buyer 99 is not a valid buyer"):
+        potential_winners(t4_tree, 99, 1)
 
 
 def test_potential_winners_mu_too_small(fig3_tree):
@@ -68,55 +68,35 @@ def test_potential_winners_mu_too_small(fig3_tree):
         potential_winners(fig3_tree, lid("b"), 1)
     assert err.value.required == 2
     assert err.value.given == 1
+    # mu is checked before the buyer
+    with pytest.raises(MuTooSmall):
+        potential_winners(fig3_tree, 99, 1)
+
+
+def exclusion(market, i, mu):
+    """D_i = R_l + C_i + {i} for i in layer l, R_l read from the layer walk."""
+    r_l = list(layer_removed_sets(market, mu))[market.layer_of[i] - 1]
+    return r_l | market.children[i] | {i}
 
 
 def test_layer_removed_set_fig3(fig3_tree):
     q = fig3_tree.valid
-    assert q - layer_removed_set(fig3_tree, 1, 2) == fig3_ids("abci")
-    assert q - layer_removed_set(fig3_tree, 2, 2) == fig3_ids("abcdefghip")
-    assert layer_removed_set(fig3_tree, 4, 2) == frozenset()
+    r = list(layer_removed_sets(fig3_tree, 2))
+    assert len(r) == 4
+    assert q - r[0] == fig3_ids("abci")
+    assert q - r[1] == fig3_ids("abcdefghip")
+    assert r[3] == frozenset()
 
 
 def test_layer_removed_set_t4(t4_tree):
-    assert layer_removed_set(t4_tree, 1, 1) == {3, 4}
-    assert layer_removed_set(t4_tree, 2, 1) == frozenset()
+    assert list(layer_removed_sets(t4_tree, 1)) == [{3, 4}, frozenset()]
 
 
 def test_exclusion_set(t4_tree, fig3_tree):
-    assert exclusion_set(t4_tree, 1, 1) == {1, 3, 4, 5}
-    assert exclusion_set(t4_tree, 3, 1) == {3}
-    d_d = exclusion_set(fig3_tree, lid("d"), 2)
+    assert exclusion(t4_tree, 1, 1) == {1, 3, 4, 5}
+    assert exclusion(t4_tree, 3, 1) == {3}
+    d_d = exclusion(fig3_tree, lid("d"), 2)
     assert fig3_tree.valid - d_d == fig3_ids("abcefghip")
-    with pytest.raises(ContractError, match="buyer 99 is not a valid buyer"):
-        exclusion_set(t4_tree, 99, 1)
-
-
-def test_one_removed_set_is_built_from_one_walk_of_the_free_sets(monkeypatch):
-    # on a 120-spine comb, R_l of the deepest spine buyer's layer and her D_i
-    # each pull F_1 ... F_l, which hold two layers each, and build no other
-    # R set: O(n) set elements per call, not O(n) per layer above hers
-    market = compute_market(comb(120, 2, 2, 3))
-    mu, deepest = min_valid_mu(market), 119
-    layer = market.layer_of[deepest]
-    expected = list(removed_sets.layer_removed_sets(market, mu))[layer - 1]
-    built = {"layer_free_sets": [], "layer_removed_sets": []}
-
-    def counting(name):
-        walk = getattr(removed_sets, name)
-
-        def counted(market, mu):
-            for found in walk(market, mu):
-                built[name].append(len(found))
-                yield found
-        return counted
-
-    for name in built:
-        monkeypatch.setattr(removed_sets, name, counting(name))
-    assert layer_removed_set(market, layer, mu) == expected
-    assert exclusion_set(market, deepest, mu) == expected | market.children[deepest] | {deepest}
-    assert sum(map(sum, built.values())) <= 4 * len(market.valid)
-    assert built["layer_removed_sets"] == []
-    assert len(built["layer_free_sets"]) == 2 * layer
 
 
 def test_min_valid_mu(fig3_tree, t4_tree):

@@ -1,6 +1,7 @@
 """The property harness itself: checkers catch planted violations and stay
 silent on the layer-based mechanism."""
 
+import dataclasses
 import itertools
 import time
 
@@ -398,6 +399,32 @@ def test_run_properties_all_green_on_t4(t4_profile):
     ))
     assert all(r.ok for r in results)
     assert len(results) == 8
+
+
+def test_run_properties_flags_a_broken_payment_and_an_order_dependent_run(monkeypatch,
+                                                                          t4_profile):
+    """The LDM-only checks fail when the run they read is at fault: one payment
+    off by one breaks p = q - t, and a run that reads its buyer order changes
+    the outcome under a permutation."""
+    run, run_tree = verify.run_ldm, verify.run_ldm_tree
+
+    def overcharged(market, mu):
+        out = run(market, mu)
+        return dataclasses.replace(out, payments={**out.payments, 3: out.payments[3] + 1})
+
+    def order_dependent(market, mu, order):
+        out = run_tree(market, mu, order=order)
+        first = order[0]
+        return dataclasses.replace(out, payments={**out.payments, first: out.payment_of(first) + 1})
+
+    monkeypatch.setattr(verify, "run_ldm", overcharged)
+    [result] = run_properties(t4_profile, "ldm", ("decomposition",))
+    assert not result.ok
+    assert result.detail == "decomposition identity failed for buyer 3: p=9, q-t=8"
+    monkeypatch.setattr(verify, "run_ldm", run)
+    monkeypatch.setattr(verify, "run_ldm_tree", order_dependent)
+    [result] = run_properties(t4_profile, "ldm", ("order-independence",))
+    assert (result.ok, result.detail) == (False, "order changed outcome")
 
 
 def test_run_properties_resolves_the_truthful_instance_once(monkeypatch, t4_profile):

@@ -6,7 +6,7 @@ import pytest
 
 from netauction.errors import ContractError, FixedOutsideIncluded, OverCommitted
 from netauction.market import compute_market, cumulative_value
-from netauction.removed_sets import layer_removed_set
+from netauction.removed_sets import layer_removed_sets
 from netauction.welfare import (WelfarePool, WelfareResult, constrained_welfare,
                                 kth_highest_first_unit)
 
@@ -135,7 +135,7 @@ def test_ranked_walk_matches_a_sort_without_the_excluded(fig3_profile):
 
 def test_monotone_in_included_set(fig3_profile):
     market = compute_market(fig3_profile)
-    r1 = layer_removed_set(market, 1, 2)
+    r1 = next(layer_removed_sets(market, 2))
     small = market.valid - r1 - fig3_ids("i")
     big = market.valid - r1
     assert constrained_welfare(market, big, {}, 3).welfare >= \
