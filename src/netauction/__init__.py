@@ -26,9 +26,7 @@ from .market import (
     Money,
     ReportProfile,
     ReportedType,
-    TreeMarket,
     ValuationVector,
-    build_bfs_tree,
     compute_market,
     cumulative_value,
     is_dummy,
@@ -53,8 +51,6 @@ from .welfare import (
     Allocation,
     WelfarePool,
     WelfareResult,
-    constrained_welfare,
-    kth_highest_first_unit,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

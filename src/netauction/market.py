@@ -84,10 +84,6 @@ class Market:
     def k(self) -> int:
         return self.profile.k
 
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
     def values_of(self, i: BuyerId) -> ValuationVector:
         return self.profile.reports[i].values
 
@@ -170,6 +166,7 @@ def compute_market(profile: ReportProfile) -> Market:
     walked in ascending id order, so the first inviter that reaches a buyer
     is her smallest-id inviter in the previous layer: her tree parent. The
     tree costs O(edges) time and O(buyers) memory; leaves share one empty set.
+    It does not validate: a profile built in code goes through `validate_profile`.
     """
     reports = profile.reports
     layer_of: dict[BuyerId, int] = {}

@@ -15,8 +15,8 @@ last, and `utility(i, subset)` is her true-value utility under one of
 them. The truthful outcome answers her full set; any other subset is one
 deviation, `value_rerun` on its deviated market, built once, and that
 rerun's answer at her true values. IR, invitation-IC and value-IC walk the
-same lists and read the same deviations, and child monotonicity reruns the
-same deviated markets when the instance is its own BFS tree.
+same lists and read the same deviations; child monotonicity walks `tree`, the
+same `_Truthful` when the instance is its own BFS tree.
 
 LDM's value-IC is certified per (buyer, invitation subset): its value rerun
 lists the outcome menu, every (units, payment) any report can get, and a
@@ -238,6 +238,7 @@ class _Truthful:
         self._markets: dict[tuple[BuyerId, frozenset[BuyerId]], Market] = {}
         self._deviations: dict[tuple[BuyerId, frozenset[BuyerId]], _Deviation] = {}
         self._subset_lists: dict[BuyerId, list[frozenset[BuyerId]]] = {}
+        self._tree: _Truthful | None = None
 
     @cached_property
     def market(self) -> Market:
@@ -251,12 +252,18 @@ class _Truthful:
     def vcg(self) -> Outcome:
         return run_vcg_first_layer(self.market)
 
-    @cached_property
-    def own_tree(self) -> bool:
-        """Whether the instance is its own BFS tree: every valid buyer
-        invites exactly her children in the market."""
-        market, reports = self.market, self.instance.reports
-        return all(reports[i].invited == market.children[i] for i in market.valid)
+    @property
+    def tree(self) -> _Truthful:
+        """The BFS tree child monotonicity reads: this instance when every
+        valid buyer invites exactly her market children, else a `_Truthful` of
+        its `_tree_profile`, built once. Only that one is kept: keeping `self`
+        would make a reference cycle, which only the garbage collector frees."""
+        if self._tree is None:
+            market, reports = self.market, self.instance.reports
+            if all(reports[i].invited == market.children[i] for i in market.valid):
+                return self
+            self._tree = _Truthful(self.mechanism, _tree_profile(self.instance, market))
+        return self._tree
 
     def subsets(self, i: BuyerId) -> list[frozenset[BuyerId]]:
         """Buyer i's invitation reports, smallest first: every subset of her
@@ -581,39 +588,31 @@ def check_child_monotonicity(mechanism: MechanismUnderTest, instance: ReportProf
                              *, truth: _Truthful | None = None) -> list[DeviationReport]:
     """No same-layer buyer may gain utility from another buyer's extra children.
 
-    Works on the instance's BFS tree: for each buyer j with children and each
-    proper child subset, deleting the other subtrees must leave every
-    same-layer observer's utility at least as high as under the full set.
-    The outcomes are `truth`'s when the instance is its own BFS tree, else
-    those of a `_Truthful` of the tree profile.
+    Works on `_Truthful.tree`: for each buyer j with children and each proper
+    child subset, deleting the other subtrees must leave every same-layer
+    observer's utility at least as high as under the full set.
     """
     own = truth or _Truthful(mechanism, instance)
-    tree = own.market
-    if own.own_tree:
-        truth, base_profile = own, instance
-    else:
-        base_profile = _tree_profile(instance, tree)
-        truth = _Truthful(mechanism, base_profile)
-    full = truth.outcome
+    tree = own.tree
+    market, profile, full = tree.market, tree.instance, tree.outcome
     violations: list[DeviationReport] = []
-    for j in sorted(tree.valid):
-        if not tree.children[j]:
+    for j in sorted(market.valid):
+        if not market.children[j]:
             continue
-        layer = tree.layer_of[j]
-        observers = [i for i in sorted(tree.layers[layer - 1]) if i != j]
+        observers = [i for i in sorted(market.layers[market.layer_of[j] - 1]) if i != j]
         if not observers:
             continue
-        full_rep = base_profile.reports[j]
-        for sub in truth.subsets(j)[:-1]:
+        full_rep = profile.reports[j]
+        u_full = {i: utility_of(profile, i, full) for i in observers}
+        for sub in tree.subsets(j)[:-1]:
             reduced = ReportedType(full_rep.values, sub)
-            out = mechanism.run(truth.deviated_market(j, sub))
-            for i in observers:
-                u_reduced = utility_of(base_profile, i, out)
-                u_full = utility_of(base_profile, i, full)
-                if u_reduced < u_full:
+            out = mechanism.run(tree.deviated_market(j, sub))
+            for i, u in u_full.items():
+                u_reduced = utility_of(profile, i, out)
+                if u_reduced < u:
                     # the reports name the original instance, not the tree profile
                     violations.append(own.report("child-monotonicity", i, reduced, full_rep,
-                                                 u_reduced, u_full))
+                                                 u_reduced, u))
     return sorted(violations, key=DeviationReport.sort_key)
 
 

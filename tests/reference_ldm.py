@@ -221,8 +221,8 @@ def layer_removed_sets(tree: Market, mu: int) -> list[frozenset[BuyerId]]:
     """R_1, R_2, ..., each the union of layer l's C^R sets and a suffix union
     of the layers >= l+2, all built up front, after the mu check."""
     per_buyer = removed_sets_for(tree, mu)
-    suffix = [frozenset()] * (tree.depth + 2)
-    for d in range(tree.depth - 1, -1, -1):
+    suffix = [frozenset()] * (len(tree.layers) + 2)
+    for d in range(len(tree.layers) - 1, -1, -1):
         suffix[d] = tree.layers[d] | suffix[d + 1]
     return [frozenset().union(suffix[d + 2], *(per_buyer[i] for i in layer))
             for d, layer in enumerate(tree.layers)]

@@ -161,7 +161,8 @@ def test_a_certified_buyer_past_the_exhaustive_bound_still_raises():
 def test_graphs_certify():
     """On each instance of the stream that is not its own BFS tree the cap
     certifies a buyer."""
-    graphs = [p for p in instance_stream(GRAPHS, 40) if not _Truthful(CERTIFIED, p).own_tree]
+    truths = [_Truthful(CERTIFIED, p) for p in instance_stream(GRAPHS, 40)]
+    graphs = [t.instance for t in truths if t.tree is not t]
     assert len(graphs) >= 20
     assert all(map(certified, graphs))
 
@@ -173,7 +174,8 @@ def test_graph_counterexample_goes_through_the_cap():
     profile = fixture("dna_mu_graph_counterexample")
     assert serialize_instance(random_instance(GRAPH_HUNT, 1426)) == \
         (DATA / "dna_mu_graph_counterexample.json").read_text()
-    assert not _Truthful(CERTIFIED, profile).own_tree
+    truth = _Truthful(CERTIFIED, profile)
+    assert truth.tree is not truth
     found = check_invitation_ic(CERTIFIED, profile)
     assert found == check_invitation_ic(ENUMERATED, profile)
     assert found == ref.check_invitation_ic(ENUMERATED, profile)

@@ -131,7 +131,7 @@ def test_generator_instances_validate_and_respect_bounds():
         validate_profile(profile)
         assert 3 <= len(profile.reports) <= 6
         assert profile.k == 2
-        assert compute_market(profile).depth <= 4  # extra graph edges only shorten chains
+        assert len(compute_market(profile).layers) <= 4  # extra graph edges only shorten chains
         for rep in profile.reports.values():
             assert all(0 <= v <= 5 for v in rep.values)
 
@@ -140,7 +140,7 @@ def test_tree_topology_depth_cap_is_exact():
     cfg = GeneratorConfig(seed=4, buyers=(7, 7), k=(1, 1), v_max=9, max_depth=3)
     for profile in instance_stream(cfg, 100):
         tree = compute_market(profile)
-        assert tree.depth <= 3
+        assert len(tree.layers) <= 3
 
 
 def test_zero_density_graph_is_a_tree():

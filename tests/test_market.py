@@ -110,7 +110,7 @@ def test_bfs_tree_of_tree_is_identity(fig3_profile):
     assert tree.children[f] == frozenset(fig3_ids("j"))
     assert tree.children[g] == frozenset(fig3_ids("klmnop"))
     assert all(b not in c for c in tree.children.values())  # a child of the seller
-    assert tree.depth == 4
+    assert len(tree.layers) == 4
     assert tree.subtree(b) == fig3_ids("defghijklmnopqr")
     assert tree.subtree(q) == set()
 

@@ -245,7 +245,7 @@ def test_long_invitation_chain_runs():
         tracemalloc.stop()
     # layers and tree must stay linear in the buyers: about 1 MB here
     assert peak < 8 * 2**20
-    assert market.depth == 1500 and len(market.subtree(0)) == 1499
+    assert len(market.layers) == 1500 and len(market.subtree(0)) == 1499
     ldm = run_ldm(market, 1)
     assert ldm.units == {i: 2 if i == 0 else 0 for i in range(1500)}
     assert ldm.revenue == 0
@@ -265,7 +265,7 @@ def test_ldm_outcome_memory_is_linear_on_a_deep_comb():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(out.trace.layers) == market.depth == 1001
+    assert len(out.trace.layers) == len(market.layers) == 1001
     assert held < 4 * 2**20
 
 

@@ -1,10 +1,21 @@
-"""Every function `perfbench/tracing.py` wraps still exists under the name it
-looks up, so a rename or deletion fails here rather than after a traced run."""
+"""perfbench still runs against the package: every function `perfbench/tracing.py`
+wraps and every name its scripts import exists, and the verify ops it
+recorded still print what it recorded, so a rename, a deletion or a changed
+output fails here rather than after a benchmark run."""
 
+import ast
+import contextlib
+import hashlib
+import importlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from netauction import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def test_every_tracer_target_is_found():
@@ -15,3 +26,36 @@ def test_every_tracer_target_is_found():
     patches = recorder.install()
     recorder.uninstall(patches)
     assert recorder.missing == []
+
+
+def test_every_name_perfbench_imports_exists():
+    imported = []
+    for script in ("run.py", "workloads.py"):
+        tree = ast.parse((PERFBENCH / script).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("netauction"):
+                imported += [(node.module, alias.name) for alias in node.names]
+    assert imported
+    missing = [(module, name) for module, name in imported
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+
+
+def test_verify_suite_ops_print_what_perfbench_recorded():
+    """Each recorded verify-suite op, run in-process as perfbench runs it,
+    exits with the recorded code and prints the recorded stdout bytes."""
+    expected = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
+    ops = expected["verify-suite"]["ops"]
+    assert ops
+    mismatched = []
+    for key, record in ops.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(key.split())
+            except SystemExit as exc:
+                code = exc.code
+        found = [code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()]
+        if found != record:
+            mismatched.append(key)
+    assert mismatched == []

@@ -203,7 +203,7 @@ def test_free_sets_are_valid_less_removed_and_processed_layers():
     for profile in COMBS:
         market = compute_market(profile)
         assert (free_set_mismatches(keeps_a_winner, profile, robust_mu(profile))
-                == list(range(1, market.depth)))
+                == list(range(1, len(market.layers))))
 
 
 def dna_mu_rows(profile):

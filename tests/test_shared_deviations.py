@@ -9,6 +9,8 @@ fresh market per subset for value-IC. Report lists and errors must be
 identical.
 """
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -277,6 +279,27 @@ def test_child_monotonicity_reruns_the_shared_markets(monkeypatch):
         assert len(runs) == 1 + shrunk + (0 if shared else 1)
         counted[shared] += 1
     assert counted[True] >= 15 and counted[False] >= 5
+
+
+def test_a_shared_truth_goes_with_its_last_reference():
+    """`_Truthful.tree` keeps no reference from a `_Truthful` to itself, so a
+    shared truth, own BFS tree or not, is freed with its last reference,
+    and the markets and reruns it holds do not wait for the garbage
+    collector."""
+    kinds = Counter()
+    gc.disable()
+    try:
+        for profile in profiles():
+            truth = verify._Truthful(ldm_mechanism(robust_mu(profile)), profile)
+            check_ir(truth.mechanism, profile, truth=truth)
+            check_child_monotonicity(truth.mechanism, profile, truth=truth)
+            kinds[truth.tree is truth] += 1
+            freed = weakref.ref(truth)
+            del truth
+            assert freed() is None
+    finally:
+        gc.enable()
+    assert kinds[True] >= 15 and kinds[False] >= 5
 
 
 def test_generic_rerun_at_the_held_values_runs_on_the_market_itself():

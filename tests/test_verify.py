@@ -531,8 +531,8 @@ def test_ir_and_invite_ic_share_one_invitation_enumeration(monkeypatch, countere
         for props in (("ir", "invite-ic"), ("invite-ic", "ir")):
             assert results[props] == {**results[("ir",)], **results[("invite-ic",)]}
         violated.append(not results[("invite-ic",)]["invite-ic"].ok)
-        graph = (not verify._Truthful(dna_mu_mechanism(), profile).own_tree
-                 and work[("ir",)][1] > 1)
+        truth = verify._Truthful(dna_mu_mechanism(), profile)
+        graph = truth.tree is not truth and work[("ir",)][1] > 1
         graphs += graph
         if name == "ldm":
             assert work[("invite-ic",)] == work[("ir",)]
