@@ -27,6 +27,7 @@ import gc
 import json
 import sys
 import time
+from typing import Iterable
 
 from .errors import MuTooSmall, NetAuctionError, ParseError, SearchBudgetExceeded, ValidationError
 from .instance_io import (
@@ -70,15 +71,16 @@ def _load_instance(path: str) -> ReportProfile:
     return parse_instance(text)
 
 
-def _instances(args) -> list[ReportProfile]:
-    """The positional instance file, or `--count` instances drawn from `--gen`."""
+def _instances(args) -> Iterable[ReportProfile]:
+    """The positional instance file, or `--count` instances drawn from `--gen`,
+    each drawn when the caller reaches it."""
     if args.instance is not None and args.gen is not None:
         raise ParseError("give an instance file or --gen, not both")
     if args.instance is not None:
         return [_load_instance(args.instance)]
     if args.gen is None:
         raise ParseError("give an instance file or --gen")
-    return list(instance_stream(_parse_gen_spec(args.gen), args.count))
+    return instance_stream(_parse_gen_spec(args.gen), args.count)
 
 
 def _int_range(raw: str) -> tuple[int, int]:
@@ -264,18 +266,15 @@ def cmd_verify(args) -> int:
     else:
         properties = tuple(args.property.split(","))
     # Every instance is checked before anything is printed, so an error exits
-    # with empty stdout.
-    all_results = [run_properties(profile, args.mechanism, properties, mu=args.mu)
-                   for profile in instances]
+    # with empty stdout; only the failing instances are kept until then.
+    count, failing = 0, []
+    for count, profile in enumerate(instances, start=1):
+        bad = [r for r in run_properties(profile, args.mechanism, properties, mu=args.mu)
+               if not r.ok]
+        if bad:
+            failing.append((count - 1, profile, bad))
 
-    exit_code = 0
-    failed = 0
-    for index, (profile, results) in enumerate(zip(instances, all_results)):
-        bad = [r for r in results if not r.ok]
-        if not bad:
-            continue
-        failed += 1
-        exit_code = 1
+    for index, profile, bad in failing:
         print(f"instance {index}: FAIL")
         for result in bad:
             detail = f" ({result.detail})" if result.detail else ""
@@ -284,8 +283,8 @@ def cmd_verify(args) -> int:
                 print("  " + _describe_violation(report, profile).replace("\n", "\n  "))
         print("  replay fixture:")
         print("    " + serialize_instance(profile).replace("\n", "\n    ").rstrip())
-    print(f"instances: {len(instances)}  failing: {failed}")
-    return exit_code
+    print(f"instances: {count}  failing: {len(failing)}")
+    return 1 if failing else 0
 
 
 def cmd_search(args) -> int:

@@ -14,8 +14,7 @@ DNA-MU takes no reserve and refuses a market with dummies.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ContractError, ValidationError
 from .market import (
@@ -32,6 +31,11 @@ from .market import (
 )
 from .removed_sets import layer_free_sets
 from .welfare import WelfarePool, WelfareResult
+
+# (units, payment) pairs. A menu bounds a family of one buyer's reports when
+# every outcome (x, p) they reach has an entry (x, p') with p' <= p: then no
+# report of the family beats a utility that no entry beats (`verify._certifies`).
+Menu = tuple[tuple[int, Money], ...]
 
 
 @dataclass(frozen=True)
@@ -176,28 +180,28 @@ def run_dna_mu(market: Market) -> Outcome:
     return Outcome(units=units, payments=payments, trace=DnaTrace(tuple(rows)))
 
 
-def dna_mu_invitation_cap(market: Market) -> Callable[[BuyerId], Money]:
-    """i -> cap_i, an upper bound on valid buyer i's true-value DNA-MU
-    utility under every invitation report of hers, on any market, her values
-    as `market` holds them.
+def dna_mu_invitation_menu(market: Market) -> Callable[[BuyerId], Menu]:
+    """i -> a menu bounding valid buyer i's true-value DNA-MU outcomes under
+    every invitation report of hers, on any market: ((0, 0), (1, x_K)).
 
-    cap_i = max(0, v_i(1) - x_K), x_K the K-th highest first unit of
-    X_i = valid - subtree(i) - {i} (0 when |X_i| < K). Hiding invitations
-    deletes edges out of i only, so every buyer outside subtree(i) keeps her
-    layer and parent: the buyers before i stay as they are, X_i stays
-    outside her new subtree, and her price is the (K - |W|)-th highest first
-    unit of a superset of X_i - W, W the winners before her: never below
-    x_K. The argument is in notes/decisions.md. First units are sorted once
-    per market; each cap walks i's subtree and that list.
+    x_K is the K-th highest first unit of X_i = valid - subtree(i) - {i}
+    (0 when |X_i| < K). Hiding invitations deletes edges out of i only, so
+    every buyer outside subtree(i) keeps her layer and parent: the buyers
+    before i stay as they are, X_i stays outside her new subtree, and her
+    price is the (K - |W|)-th highest first unit of a superset of X_i - W,
+    W the winners before her: never below x_K. She wins at most one unit,
+    so every report ends in (0, 0) or (1, p) with p >= x_K. The argument is
+    in notes/decisions.md. First units are sorted once per market; each
+    menu walks i's subtree and that list.
     """
     ranked = _ranked_first_units(market)
 
-    def cap(i: BuyerId) -> Money:
+    def menu(i: BuyerId) -> Menu:
         skipped = market.subtree(i)
         skipped.add(i)
-        return max(0, market.first_unit(i) - _kth_outside(ranked, skipped, market.k))
+        return ((0, 0), (1, _kth_outside(ranked, skipped, market.k)))
 
-    return cap
+    return menu
 
 
 def _ranked_first_units(market: Market) -> list[tuple[Money, BuyerId]]:
@@ -297,24 +301,17 @@ def run_ldm_tree(market: Market, mu: int,
                    trace=LdmTrace(mu, tuple(records), market))
 
 
-# A buyer's (units, payment) as a function of her value report, all else fixed.
-# LDM's also carries `menu`, every pair it can return (see `ldm_value_rerun`).
-ValueRerun = Callable[[ValuationVector], tuple[int, Money]]
+class ValueRerun(NamedTuple):
+    """A buyer's (units, payment) as a function of her value report, all else
+    fixed: `answer(v)`. `menu`, when known, holds every pair `answer` can
+    return (see `ldm_value_rerun`); a black box has None."""
 
-
-def _menu_rerun(menu: tuple[tuple[int, Money], ...],
-                units_of: Callable[[ValuationVector], int]) -> ValueRerun:
-    """The rerun answering v with `menu[units_of(v)]`, a menu indexed by
-    units, which it carries as `menu`."""
-    def rerun(v: ValuationVector) -> tuple[int, Money]:
-        return menu[units_of(v)]
-
-    rerun.menu = menu
-    return rerun
+    answer: Callable[[ValuationVector], tuple[int, Money]]
+    menu: Menu | None = None
 
 
 # the rerun of a buyer who gets (0, 0) whatever she reports
-_NOTHING = _menu_rerun(((0, 0),), lambda v: 0)
+_NOTHING = ValueRerun(lambda v: (0, 0), ((0, 0),))
 
 
 def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
@@ -355,7 +352,7 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
     sw_d = _sw_minus_d(market, pool, i)
     # p_i = SW_{-D_i} - (SW_L - v_i(x)), over layer L's free buyers
     menu = tuple((x, sw_d - pool.top(supply - x)) for x in range(supply + 1))
-    return _menu_rerun(menu, partial(pool.units_of, i))
+    return ValueRerun(lambda v: menu[pool.units_of(i, v)], menu)
 
 
 def run_ldm(market: Market, mu: int) -> Outcome:

@@ -18,16 +18,17 @@ rerun's answer at her true values. IR, invitation-IC and value-IC walk the
 same lists and read the same deviations; child monotonicity walks `tree`, the
 same `_Truthful` when the instance is its own BFS tree.
 
-LDM's value-IC is certified per (buyer, invitation subset): its value rerun
-lists the outcome menu, every (units, payment) any report can get, and a
-pair where no menu entry beats the truthful report has no profitable
-misreport at any granularity. DNA-MU's invitation-IC is certified per
-buyer on any market: its `invitation_cap` bounds her utility under every
-invitation report, and a buyer whose full report reaches it has no subset
-to run. Black boxes enumerate every subset. Every other check, and
-value-IC of a pair the menu does not certify or of a mechanism without a
-menu, is falsification only: an empty report list means no violation was
-found at the enumerated granularity, not a proof.
+A certificate is a menu of (units, payment) pairs that bounds a family of
+one buyer's reports (`mechanisms.Menu`), and `_certifies` is the one check
+of a menu against her utility: when no entry beats it, no report of the
+family does, at any granularity. LDM's value rerun carries its outcome
+menu, which certifies value-IC per (buyer, invitation subset); DNA-MU's
+`invitation_menu` bounds every invitation report of a buyer on any market,
+and a buyer it certifies has no subset to run. Black boxes have no menu and
+enumerate every subset. Every other check, and value-IC of a pair the menu
+does not certify or of a mechanism without a menu, is falsification only:
+an empty report list means no violation was found at the enumerated
+granularity, not a proof.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate
 from math import comb
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -55,9 +55,10 @@ from .market import (
 )
 from .mechanisms import (
     LdmTrace,
+    Menu,
     Outcome,
     ValueRerun,
-    dna_mu_invitation_cap,
+    dna_mu_invitation_menu,
     ldm_value_rerun,
     outcome_welfare,
     run_dna_mu,
@@ -77,23 +78,23 @@ class MechanismUnderTest:
 
     `run` maps a computed market to the outcome; `market.profile` keeps the
     raw reports for a mechanism that needs them. `value_rerun(market, i)`
-    returns a function from a value vector v to i's (units, payment) under
+    returns a `ValueRerun` whose `answer(v)` is i's (units, payment) under
     `run(market.with_values(i, v))`, which is also what it does when left
     out. Every invitation deviation is read from it at the buyer's true
-    values. A `menu` attribute on that function, listing every pair it can
-    return, lets `check_value_ic` certify instead of enumerate.
+    values. Its `menu`, bounding every answer, lets `check_value_ic`
+    certify instead of enumerate.
 
-    `invitation_cap(market)`, given any truthful market, returns a function
-    from a valid buyer to an upper bound on her true-value utility under
-    every invitation report of hers; `check_invitation_ic` skips the subsets
-    of a buyer whose full report reaches it. Left out, every subset is
+    `invitation_menu(truth)`, given the shared truthful instance, returns a
+    function from a valid buyer to a menu bounding every invitation report
+    of hers, or None; `check_invitation_ic` skips the subsets of a buyer
+    whose menu certifies her full report. Left out, every subset is
     enumerated.
     """
 
     name: str
     run: Callable[[Market], Outcome]
     value_rerun: Callable[[Market, BuyerId], ValueRerun] | None = None
-    invitation_cap: Callable[[Market], Callable[[BuyerId], Money]] | None = None
+    invitation_menu: Callable[[_Truthful], Callable[[BuyerId], Menu | None]] | None = None
 
     def __post_init__(self):
         if self.value_rerun is None:
@@ -111,7 +112,7 @@ def _with_values_rerun(run: Callable[[Market], Outcome], market: Market,
         outcome = run(market if v == held else market.with_values(i, v))
         return outcome.units_of(i), outcome.payment_of(i)
 
-    return rerun
+    return ValueRerun(rerun)
 
 
 def given_mu(instance: ReportProfile, mu: int | None) -> int | None:
@@ -130,7 +131,7 @@ def ldm_mechanism(mu: int) -> MechanismUnderTest:
 
 def dna_mu_mechanism() -> MechanismUnderTest:
     return MechanismUnderTest("dna-mu", lambda market: run_dna_mu(market),
-                              invitation_cap=lambda market: dna_mu_invitation_cap(market))
+                              invitation_menu=lambda truth: dna_mu_invitation_menu(truth.market))
 
 
 def vcg_mechanism() -> MechanismUnderTest:
@@ -316,7 +317,7 @@ class _Truthful:
                 u = self.utility(i, invited)
             else:
                 values = self.instance.reports[i].values
-                units, payment = rerun(values)
+                units, payment = rerun.answer(values)
                 u = cumulative_value(values, units) - payment
             found = self._deviations[key] = _Deviation(rerun, u)
         return found
@@ -339,16 +340,17 @@ def _bounded(invited: frozenset[BuyerId]) -> frozenset[BuyerId]:
 
 
 def _own_deviations(truth: _Truthful, kind: str, violates: Callable[[Money, Money], bool],
-                    cap: Callable[[BuyerId], Money] | None = None) -> list[DeviationReport]:
+                    menus: Callable[[BuyerId], Menu | None] | None = None,
+                    ) -> list[DeviationReport]:
     """Every invitation report of a valid buyer whose utility u has
     `violates(u, u_full)`, u_full her full report's. A buyer with
-    invitations whose u_full reaches `cap` is skipped once they pass
-    `_bounded`, so the exhaustive bound raises where it would without it."""
+    invitations whose menu in `menus` certifies u_full is skipped once they
+    pass `_bounded`, so the exhaustive bound raises where it would without it."""
     violations: list[DeviationReport] = []
     for i in sorted(truth.market.valid):
         truthful = truth.instance.reports[i]
         u_full = truth.utility(i, truthful.invited)
-        if cap is not None and _bounded(truthful.invited) and u_full >= cap(i):
+        if menus and _bounded(truthful.invited) and _certifies(menus(i), truthful.values, u_full):
             continue
         for sub in truth.subsets(i):
             u = truth.utility(i, sub)
@@ -375,12 +377,19 @@ def check_invitation_ic(mechanism: MechanismUnderTest, instance: ReportProfile, 
                         truth: _Truthful | None = None) -> list[DeviationReport]:
     """Truthful values: full invitation must dominate every proper subset.
 
-    A buyer whose full report reaches the mechanism's `invitation_cap` on
-    the truthful market has no subset to check."""
+    A buyer whose full report's utility is certified by her menu from the
+    mechanism's `invitation_menu` has no subset to check."""
     truth = truth or _Truthful(mechanism, instance)
-    hook = mechanism.invitation_cap
+    hook = mechanism.invitation_menu
     return _own_deviations(truth, "invitation-ic", lambda u, u_full: u > u_full,
-                           hook(truth.market) if hook is not None else None)
+                           hook(truth) if hook is not None else None)
+
+
+def _certifies(menu: Menu | None, values: ValuationVector, u: Money) -> bool:
+    """Whether `menu`, bounding a family of a buyer's reports, shows that
+    none of them gives her more true-value utility than u under `values`:
+    no entry does. None, a black box's, certifies nothing."""
+    return menu is not None and all(cumulative_value(values, x) - p <= u for x, p in menu)
 
 
 def _grid_vector(r: int, v_cap: int, k: int) -> ValuationVector:
@@ -451,10 +460,9 @@ def check_value_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
     and the truthful report's utility there, from the deviation the
     invitation checks share (`_Truthful.deviation`).
 
-    A rerun with a `menu`, every (units, payment) it can return, certifies
-    the pair when no menu entry gives more true-value utility than the
-    truthful report: then no report of any size does. Otherwise the rerun is
-    asked for every grid vector, and the buyer's grid is built on first need.
+    A rerun whose `menu` `_certifies` the truthful report's utility needs no
+    grid: no report of any size does better. Otherwise the rerun is asked
+    for every grid vector, and the buyer's grid is built on first need.
 
     Combined with check_invitation_ic this covers joint (value, invitation)
     deviations through the dominance chain full-truth >= (v, r-hat) >= (v-hat, r-hat).
@@ -465,17 +473,15 @@ def check_value_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
     truth = truth or _Truthful(mechanism, instance)
     for i in sorted(truth.market.valid):
         rep = instance.reports[i]
-        gained = [0, *accumulate(rep.values)]
         vectors = None
         for sub in truth.subsets(i):
             rerun, u_base = truth.deviation(i, sub)
-            menu = getattr(rerun, "menu", None)
-            if menu is not None and all(gained[x] - p <= u_base for x, p in menu):
+            if _certifies(rerun.menu, rep.values, u_base):
                 continue
             if vectors is None:
                 vectors = [v for v in grid(instance, i) if v != rep.values]
             for v in vectors:
-                units, payment = rerun(v)
+                units, payment = rerun.answer(v)
                 u_dev = cumulative_value(rep.values, units) - payment
                 if u_dev > u_base:
                     violations.append(truth.report("value-ic", i, ReportedType(rep.values, sub),

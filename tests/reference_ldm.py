@@ -304,7 +304,7 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
         members = market.layers[l - 1]
         k_remain -= _ldm_layer(market, members, layer_free_buyers(market, l, r_l), k_remain)[2]
         if k_remain == 0:
-            return lambda v: (0, 0)
+            return ValueRerun(lambda v: (0, 0))
     if layer > 1:
         parent = next(j for j in market.layers[layer - 2] if i in market.children[j])
         inviters = potential_inviters(market, parent)
@@ -329,7 +329,7 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
             return 0, 0
         return layer_opt.units_of(i), _ldm_payment(own, pool, layer_opt, i)[1]
 
-    return rerun
+    return ValueRerun(rerun)
 
 
 def layer_free_buyers(market: Market, l: int, r_l: frozenset[BuyerId]) -> frozenset[BuyerId]:

@@ -85,16 +85,15 @@ def check_value_ic(mechanism, instance, grid=integer_value_grid):
             deviated = market if sub == rep.invited else compute_market(
                 instance.with_report(i, ReportedType(rep.values, sub)))
             rerun = mechanism.value_rerun(deviated, i)
-            units, payment = rerun(rep.values)
+            units, payment = rerun.answer(rep.values)
             u_base = cumulative_value(rep.values, units) - payment
-            menu = getattr(rerun, "menu", None)
-            if menu is not None and all(
-                    cumulative_value(rep.values, x) - p <= u_base for x, p in menu):
+            if rerun.menu is not None and all(
+                    cumulative_value(rep.values, x) - p <= u_base for x, p in rerun.menu):
                 continue
             for v in grid(instance, i):
                 if v == rep.values:
                     continue
-                units, payment = rerun(v)
+                units, payment = rerun.answer(v)
                 u_dev = cumulative_value(rep.values, units) - payment
                 if u_dev > u_base:
                     violations.append(DeviationReport(

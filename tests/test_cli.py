@@ -7,15 +7,18 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from netauction import cli
 from netauction.cli import _parse_gen_spec, build_parser, main
-from netauction.instance_io import parse_instance, random_instance, serialize_instance
+from netauction.errors import SearchBudgetExceeded
+from netauction.instance_io import (instance_stream, parse_instance, random_instance,
+                                    serialize_instance)
 from netauction.market import compute_market
 from netauction.removed_sets import min_valid_mu
-from netauction.verify import MECHANISMS, VcgComparison
+from netauction.verify import MECHANISMS, VcgComparison, run_properties
 
 from conftest import DATA, DEEP_META, HUGE_K, chain_profile, sold_out_in_layer_one
 from test_generator_oracle import AUCTION_DEEP
@@ -528,6 +531,48 @@ def test_verify_generated_batch(capsys):
                            capsys)
     assert code == 0
     assert "instances: 25" in out
+
+
+@pytest.mark.parametrize("argv, last", [
+    (["verify", "--mechanism", "ldm", "--property", "non-wasteful"],
+     "instances: 2000  failing: 0\n"),
+    (["compare"], "dominance: all rows hold\n"),
+], ids=["verify", "compare"])
+def test_generated_batches_are_drawn_as_they_are_checked(argv, last, capsys):
+    """2,000 instances of `seed=1,n=8,k=3`, which held 9 MiB as a list, are
+    drawn one at a time: the batch peaks under 2 MiB of traced memory."""
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli([*argv, "--gen", "seed=1,n=8,k=3", "--count", "2000"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.endswith(last)
+    assert peak < 2 * 2**20
+
+
+def test_verify_error_after_a_failing_instance_prints_nothing(capsys):
+    """A failing instance is kept until the batch ends, and an error in a
+    later instance still exits with empty stdout."""
+    spec = "seed=5,n=5..9,k=1..2,topology=graph,density=0.2"
+    flags = ["--mechanism", "dna-mu", "--property", "invite-ic"]
+    failing = []
+    for index, profile in enumerate(instance_stream(_parse_gen_spec(spec), 200)):
+        try:
+            results = run_properties(profile, "dna-mu", ("invite-ic",))
+        except SearchBudgetExceeded:
+            break
+        if not results[0].ok:
+            failing.append(index)
+    else:
+        pytest.fail("no instance of the stream raises")
+    assert failing
+    code, out, err = run_cli(["verify", "--gen", spec, "--count", str(index + 1), *flags],
+                             capsys)
+    assert (code, out, err) == (4, "", "error: 7 invites exceed the exhaustive bound 6\n")
+    code, out, _ = run_cli(["verify", "--gen", spec, "--count", str(index), *flags], capsys)
+    assert code == 1 and out.startswith(f"instance {failing[0]}: FAIL\n")
+    assert out.endswith(f"instances: {index}  failing: {len(failing)}\n")
 
 
 def test_verify_unknown_property_exits_2(capsys):

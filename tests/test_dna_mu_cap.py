@@ -1,12 +1,15 @@
-"""DNA-MU's invitation cap (`mechanisms.dna_mu_invitation_cap`).
+"""DNA-MU's invitation menu (`mechanisms.dna_mu_invitation_menu`).
 
-On any instance, tree or graph, no invitation report gives buyer i more
-true-value utility than cap_i = max(0, v_i(1) - x_K), x_K the K-th highest
-first unit outside her BFS subtree and herself (notes/decisions.md). The
-cap is checked against its definition and against every (buyer, subset)
-utility of the full enumeration, and `check_invitation_ic` with it must
-return exactly the report lists, and raise exactly the errors, of the same
-mechanism without it, listing no subset of a buyer it certifies.
+On any instance, tree or graph, every invitation report of buyer i ends in
+(0, 0) or in one unit at a price of at least x_K, the K-th highest first
+unit outside her BFS subtree and herself, so the menu ((0, 0), (1, x_K))
+bounds them, and no report gives her more true-value utility than
+cap_i = max(0, v_i(1) - x_K) (notes/decisions.md). The menu's best entry is
+checked against cap_i's definition and against every (buyer, subset)
+utility of the full enumeration, it must certify exactly the full reports
+that reach cap_i, and `check_invitation_ic` with it must return exactly the
+report lists, and raise exactly the errors, of the same mechanism without
+it, listing no subset of a buyer it certifies.
 """
 
 import dataclasses
@@ -18,14 +21,15 @@ from hypothesis import strategies as st
 from netauction.errors import SearchBudgetExceeded
 from netauction.instance_io import (GeneratorConfig, instance_stream, parse_instance,
                                     random_instance, serialize_instance)
-from netauction.mechanisms import dna_mu_invitation_cap
-from netauction.verify import _Truthful, check_invitation_ic, dna_mu_mechanism
+from netauction.market import cumulative_value
+from netauction.mechanisms import dna_mu_invitation_menu
+from netauction.verify import _certifies, _Truthful, check_invitation_ic, dna_mu_mechanism
 
 import reference_verify as ref
 from conftest import DATA, make_profile
 
 CERTIFIED = dna_mu_mechanism()
-ENUMERATED = dataclasses.replace(CERTIFIED, invitation_cap=None)
+ENUMERATED = dataclasses.replace(CERTIFIED, invitation_menu=None)
 # criterion 4's hunt: its counterexample is instance 5086
 HUNT = GeneratorConfig(seed=113, buyers=(5, 7), k=(4, 4), max_depth=3, seller_bias=0.45)
 TREES = tuple(GeneratorConfig(seed=400 + 10 * k + v_max, buyers=(2, 9), k=(1, k), v_max=v_max)
@@ -37,6 +41,9 @@ GRAPH_HUNT = dataclasses.replace(HUNT, topology="graph", edge_density=0.15)
 # graphs with buyers past the exhaustive bound: some checks refuse
 CROWDED = GeneratorConfig(seed=5, buyers=(5, 9), k=(1, 2), topology="graph", edge_density=0.2)
 FIXTURES = ("fig3", "fig4", "t4", "dna_mu_counterexample", "dna_mu_graph_counterexample")
+ON_STREAMS = pytest.mark.parametrize(
+    "streams, count", [((HUNT,), 600), (TREES, 40), ((GRAPHS,), 300), ((GRAPH_HUNT,), 1500)],
+    ids=["seed113", "trees-k1..6", "graphs-seed302", "graphs-seed113"])
 
 
 def fixture(name):
@@ -56,14 +63,16 @@ def reference_cap(market, i):
 
 
 def reached_caps(profile):
-    """Assert that each valid buyer's cap equals its definition and bounds
-    her utility under every invitation report of the full enumeration;
-    return how many buyers have a report that reaches a positive cap."""
+    """Assert that each valid buyer's best menu entry at her true values is
+    her cap by its definition, and bounds her utility under every invitation
+    report of the full enumeration; return how many buyers have a report
+    that reaches a positive cap."""
     truth = _Truthful(ENUMERATED, profile)
-    cap = dna_mu_invitation_cap(truth.market)
+    menu = dna_mu_invitation_menu(truth.market)
     reached = 0
     for i in truth.market.valid:
-        bound = cap(i)
+        values = profile.reports[i].values
+        bound = max(cumulative_value(values, x) - p for x, p in menu(i))
         assert bound == reference_cap(truth.market, i)
         utilities = [truth.utility(i, sub) for sub in truth.subsets(i)]
         assert max(utilities) <= bound, (profile, i)
@@ -71,13 +80,26 @@ def reached_caps(profile):
     return reached
 
 
-@pytest.mark.parametrize("streams, count", [((HUNT,), 600), (TREES, 40), ((GRAPHS,), 300),
-                                             ((GRAPH_HUNT,), 1500)],
-                         ids=["seed113", "trees-k1..6", "graphs-seed302", "graphs-seed113"])
+@ON_STREAMS
 def test_cap_bounds_every_invitation_report(streams, count):
     reached = sum(reached_caps(p) for config in streams for p in instance_stream(config, count))
     # the bound is met, not only respected
     assert reached > 100
+
+
+@ON_STREAMS
+def test_menu_certifies_exactly_the_full_reports_that_reach_the_cap(streams, count):
+    checked = 0
+    for profile in (p for config in streams for p in instance_stream(config, count)):
+        truth = _Truthful(CERTIFIED, profile)
+        menu = dna_mu_invitation_menu(truth.market)
+        for i in truth.market.valid:
+            rep = profile.reports[i]
+            u_full = truth.utility(i, rep.invited)
+            assert (_certifies(menu(i), rep.values, u_full)
+                    == (u_full >= reference_cap(truth.market, i))), (profile, i)
+            checked += 1
+    assert checked > 1_000
 
 
 @st.composite
@@ -116,11 +138,12 @@ def invitation_ic(mechanism, profile, check=check_invitation_ic):
 
 
 def certified(profile):
-    """The valid buyers with invitations whose full report reaches the cap."""
+    """The valid buyers with invitations whose menu certifies their full report."""
     truth = _Truthful(CERTIFIED, profile)
-    cap = dna_mu_invitation_cap(truth.market)
-    return {i for i in truth.market.valid if truth.instance.reports[i].invited
-            and truth.utility(i, truth.instance.reports[i].invited) >= cap(i)}
+    menu = dna_mu_invitation_menu(truth.market)
+    reports = truth.instance.reports
+    return {i for i in truth.market.valid if reports[i].invited and _certifies(
+        menu(i), reports[i].values, truth.utility(i, reports[i].invited))}
 
 
 def test_certified_reports_match_the_enumeration():
@@ -149,8 +172,8 @@ def test_certified_reports_match_the_reference(name):
 
 
 def test_a_certified_buyer_past_the_exhaustive_bound_still_raises():
-    """Buyer 0 wins at price 0 under every report, so her full report
-    reaches her cap; her seven invitations still exceed the bound."""
+    """Buyer 0 wins at price 0 under every report, so her menu certifies her
+    full report; her seven invitations still exceed the bound."""
     profile = make_profile(1, {0}, {0: ((10,), range(1, 8)),
                                     **{j: ((1,), ()) for j in range(1, 8)}})
     assert certified(profile) == {0}
@@ -159,7 +182,7 @@ def test_a_certified_buyer_past_the_exhaustive_bound_still_raises():
 
 
 def test_graphs_certify():
-    """On each instance of the stream that is not its own BFS tree the cap
+    """On each instance of the stream that is not its own BFS tree the menu
     certifies a buyer."""
     truths = [_Truthful(CERTIFIED, p) for p in instance_stream(GRAPHS, 40)]
     graphs = [t.instance for t in truths if t.tree is not t]
@@ -188,7 +211,7 @@ def test_graph_counterexample_goes_through_the_cap():
 
 
 def test_a_certified_buyer_lists_no_subsets(monkeypatch):
-    """`check_invitation_ic` lists the reports of exactly the buyers the cap
+    """`check_invitation_ic` lists the reports of exactly the buyers the menu
     does not certify."""
     listed, subsets = [], _Truthful.subsets
     monkeypatch.setattr(_Truthful, "subsets", lambda self, i: listed.append(i) or subsets(self, i))

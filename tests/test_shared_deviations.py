@@ -19,7 +19,7 @@ from netauction import mechanisms, verify
 from netauction.errors import MuTooSmall
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance
 from netauction.market import compute_market
-from netauction.mechanisms import Outcome, inject_dummies, run_vcg_first_layer
+from netauction.mechanisms import Outcome, ValueRerun, inject_dummies, run_vcg_first_layer
 from netauction.removed_sets import robust_mu
 from netauction.verify import (MAX_INVITES_EXHAUSTIVE, MechanismUnderTest, _tree_profile,
                                check_child_monotonicity, check_invitation_ic, check_ir,
@@ -56,7 +56,7 @@ def first_price_with_own_rerun():
         def rerun(v):
             outcome = first_price(market.with_values(i, v))
             return outcome.units_of(i), outcome.payment_of(i)
-        return rerun
+        return ValueRerun(rerun)
 
     return MechanismUnderTest("first-price", first_price, value_rerun)
 
@@ -309,9 +309,30 @@ def test_generic_rerun_at_the_held_values_runs_on_the_market_itself():
     market = compute_market(fixture("t4"))
     for i in sorted(market.valid):
         seen.clear()
-        rerun = mechanism.value_rerun(market, i)
+        rerun = mechanism.value_rerun(market, i).answer
         held = market.values_of(i)
         assert rerun(held) == rerun(tuple(held))
         rerun((0,) * market.k)
         assert seen[0] is seen[1] is market and seen[2] is not market
         assert seen[2].profile.reports[i].values == (0,) * market.k
+
+
+def test_a_black_box_is_never_certified(monkeypatch):
+    """A mechanism with neither a value rerun nor an invitation menu of its
+    own has no certificate: every deviation's rerun has no menu, and
+    invitation-IC lists the reports of every valid buyer."""
+    black_box = MechanismUnderTest("first-price", first_price)
+    listed, subsets = [], verify._Truthful.subsets
+    monkeypatch.setattr(verify._Truthful, "subsets",
+                        lambda self, i: listed.append(i) or subsets(self, i))
+    deviations = 0
+    for profile in profiles():
+        listed.clear()
+        truth = verify._Truthful(black_box, profile)
+        check_invitation_ic(black_box, profile, truth=truth)
+        assert sorted(listed) == sorted(truth.market.valid)
+        for i in truth.market.valid:
+            for sub in subsets(truth, i):
+                assert truth.deviation(i, sub).rerun.menu is None
+                deviations += 1
+    assert deviations > 300

@@ -20,8 +20,8 @@ from netauction import mechanisms
 from netauction.errors import MuTooSmall
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance
 from netauction.market import ReportedType, compute_market, cumulative_value
-from netauction.mechanisms import (Outcome, inject_dummies, ldm_value_rerun, run_ldm_tree,
-                                   run_vcg_first_layer)
+from netauction.mechanisms import (Outcome, ValueRerun, inject_dummies, ldm_value_rerun,
+                                   run_ldm_tree, run_vcg_first_layer)
 from netauction.removed_sets import potential_inviters, removed_set_of, robust_mu
 from netauction.verify import (MAX_INVITES_EXHAUSTIVE, MechanismUnderTest, check_value_ic,
                                dna_mu_mechanism, integer_value_grid, ldm_mechanism,
@@ -72,8 +72,8 @@ def assert_reruns_match(profile, mus=None, vectors_of=None):
         for i in sorted(compute_market(profile).valid):
             vectors = [profile.reports[i].values] + list(vectors_of(i))
             for tree in subset_trees(profile, i):
-                rerun = ldm_value_rerun(tree, mu, i)
-                replayed = ref.ldm_value_rerun(tree, mu, i)
+                rerun = ldm_value_rerun(tree, mu, i).answer
+                replayed = ref.ldm_value_rerun(tree, mu, i).answer
                 for v in vectors:
                     expected = black_box(tree, mu, i, v)
                     assert rerun(v) == replayed(v) == expected, (i, mu, v)
@@ -124,7 +124,7 @@ def work_of_rerun(monkeypatch, tree, mu, i, vectors):
         # a solved layer sorts its own pool through the patched name too
         patch.setattr(mechanisms, "_ldm_layer", counting(mechanisms._ldm_layer, 0))
         patch.setattr(mechanisms, "WelfarePool", counting(mechanisms.WelfarePool, 1))
-        rerun = ldm_value_rerun(tree, mu, i)
+        rerun = ldm_value_rerun(tree, mu, i).answer
         for v, want in zip(vectors, expected):
             work.append([0, 0])
             assert rerun(v) == want, (i, v)
@@ -144,7 +144,7 @@ def test_supply_gone_by_layer_l_minus_2_skips_every_vector(monkeypatch):
     vectors = [(0,), (1,), (50,)]
     setup, per_vector = work_of_rerun(monkeypatch, tree, 1, 2, vectors)
     assert setup == (1, 0) and per_vector == [(0, 0)] * 3
-    assert [ldm_value_rerun(tree, 1, 2)(v) for v in vectors] == [(0, 0)] * 3
+    assert [ldm_value_rerun(tree, 1, 2).answer(v) for v in vectors] == [(0, 0)] * 3
 
 
 def test_supply_gone_at_layer_l_minus_1_replays_one_layer(monkeypatch):
@@ -161,7 +161,7 @@ def test_supply_gone_at_layer_l_minus_1_replays_one_layer(monkeypatch):
     vectors = [(0,), (2,), (9,)]
     setup, per_vector = work_of_rerun(monkeypatch, tree, 1, 4, vectors)
     assert setup == (2, 0) and per_vector == [(0, 0)] * 3
-    assert [ldm_value_rerun(tree, 1, 4)(v) for v in vectors] == [(0, 0)] * 3
+    assert [ldm_value_rerun(tree, 1, 4).answer(v) for v in vectors] == [(0, 0)] * 3
 
 
 def test_value_decides_whether_layer_l_minus_1_sells_out(monkeypatch):
@@ -179,7 +179,7 @@ def test_value_decides_whether_layer_l_minus_1_sells_out(monkeypatch):
     tree = tree_of(profile)
     setup, per_vector = work_of_rerun(monkeypatch, tree, 1, 4, [(9,), (0,)])
     assert setup == (2, 1) and per_vector == [(0, 0)] * 2
-    rerun = ldm_value_rerun(tree, 1, 4)
+    rerun = ldm_value_rerun(tree, 1, 4).answer
     assert rerun((9,))[0] == 1 and rerun((0,)) == (0, 0)
     assert run_ldm_tree(tree.with_values(4, (0,)), 1).trace.layers[1].k_remain_after == 0
 
@@ -199,7 +199,8 @@ def test_rerun_solves_at_most_layers_l_minus_1_and_l(monkeypatch):
 
 def assert_matches_on(profile, mu, i, vectors):
     tree = tree_of(profile)
-    rerun, replayed = ldm_value_rerun(tree, mu, i), ref.ldm_value_rerun(tree, mu, i)
+    rerun = ldm_value_rerun(tree, mu, i).answer
+    replayed = ref.ldm_value_rerun(tree, mu, i).answer
     for v in vectors:
         assert rerun(v) == replayed(v) == black_box(tree, mu, i, v), v
     return tree, rerun
@@ -233,7 +234,7 @@ def test_buyer_in_parent_c_p_matches_black_box():
     for mu in (2, 4):
         vectors = integer_value_grid(profile, n, cap=10_000)
         assert parent_sets(tree, g, n, mu, vectors) == {top_bid_set(tree, g, n, mu)}
-        rerun = ldm_value_rerun(tree, mu, n)
+        rerun = ldm_value_rerun(tree, mu, n).answer
         for v in vectors:
             assert rerun(v) == black_box(tree, mu, n, v)
 
@@ -376,7 +377,7 @@ def assert_menu_holds_every_outcome(profile, mu):
             assert len(menu) <= profile.k + 1
             assert all(menu[x][0] == x for x in range(len(menu))), (i, menu)
             for v in (profile.reports[i].values, *grid):
-                answer = rerun(v)
+                answer = rerun.answer(v)
                 assert answer == menu[answer[0]], (i, v, answer, menu)
             compared += len(grid)
     return compared
@@ -418,7 +419,7 @@ def rerun_profile(run, market, i):
         outcome = run(compute_market(profile.with_report(i, ReportedType(v, invited))))
         return outcome.units_of(i), outcome.payment_of(i)
 
-    return rerun
+    return ValueRerun(rerun)
 
 
 @pytest.mark.parametrize("mechanism", [
@@ -448,9 +449,8 @@ def test_menu_that_fails_to_certify_falls_back_to_the_grid():
 
     def value_rerun(market, i):
         # the black box, with its outcomes over the full grid as the menu
-        rerun = black_box.value_rerun(market, i)
-        rerun.menu = tuple({rerun(v) for v in full_grid(market.profile, i)})
-        return rerun
+        answer = black_box.value_rerun(market, i).answer
+        return ValueRerun(answer, tuple({answer(v) for v in full_grid(market.profile, i)}))
 
     with_menu = MechanismUnderTest("first-price", first_price, value_rerun)
     fell_back = []
