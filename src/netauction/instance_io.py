@@ -374,8 +374,9 @@ def random_instance(config: GeneratorConfig, index: int = 0) -> ReportProfile:
     a graph with `edge_density > 0`, one `random()` per pair u < v not
     joined by a tree edge, in (u, v) order, joining the pair when it is
     below `edge_density`; then k values below v_max + 1 per buyer in id
-    order. A graph therefore reads about n² words whatever its density:
-    about 0.25 s at n = 3200 on a 2-core x86-64 VM.
+    order, each a draw as above, inline (a bound above 2^32 takes two words
+    a draw), sorted descending. A graph therefore reads about n² words
+    whatever its density: about 0.25 s at n = 3200 on a 2-core x86-64 VM.
     """
     rng = random.Random(f"{config.seed}:{index}")
     getrandbits = rng.getrandbits
@@ -409,13 +410,17 @@ def random_instance(config: GeneratorConfig, index: int = 0) -> ReportProfile:
         _draw_edges(rng, invited, config.edge_density)
 
     bound = config.v_max + 1
-    reports = {
-        i: ReportedType(
-            tuple(sorted((_below(getrandbits, bound) for _ in range(k)), reverse=True)),
-            frozenset(invited[i]),
-        )
-        for i in range(n)
-    }
+    bits = bound.bit_length()
+    reports = {}
+    for i in range(n):
+        drawn = []
+        for _ in range(k):
+            r = getrandbits(bits)
+            while r >= bound:
+                r = getrandbits(bits)
+            drawn.append(r)
+        drawn.sort(reverse=True)
+        reports[i] = ReportedType(tuple(drawn), frozenset(invited[i]))
     return ReportProfile(
         k=k,
         seller_neighbors=frozenset(seller_neighbors),

@@ -22,13 +22,16 @@ A certificate is a menu of (units, payment) pairs that bounds a family of
 one buyer's reports (`mechanisms.Menu`), and `_certifies` is the one check
 of a menu against her utility: when no entry beats it, no report of the
 family does, at any granularity. LDM's value rerun carries its outcome
-menu, which certifies value-IC per (buyer, invitation subset); DNA-MU's
-`invitation_menu` bounds every invitation report of a buyer on any market,
-and a buyer it certifies has no subset to run. Black boxes have no menu and
-enumerate every subset. Every other check, and value-IC of a pair the menu
-does not certify or of a mechanism without a menu, is falsification only:
-an empty report list means no violation was found at the enumerated
-granularity, not a proof.
+menu, which certifies value-IC per (buyer, invitation subset). An
+`invitation_menu` bounds every invitation report of a buyer: DNA-MU's on
+any market, where a buyer it certifies has no subset to run in
+invitation-IC; LDM's on an instance that is its own BFS tree, where a buyer
+it certifies walks only her empty and full sets in every check, so the
+exhaustive bound holds only where subsets are enumerated. Black boxes have
+no menu and enumerate every subset. Every other check, and value-IC of a
+pair the menu does not certify or of a mechanism without a menu, is
+falsification only: an empty report list means no violation was found at
+the enumerated granularity, not a proof.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from .mechanisms import (
     run_ldm_tree,
     run_vcg_first_layer,
 )
-from .removed_sets import robust_mu
+from .removed_sets import min_valid_mu, robust_mu
 
 MAX_INVITES_EXHAUSTIVE = 6
 DEFAULT_GRID_CAP = 128
@@ -86,15 +89,17 @@ class MechanismUnderTest:
 
     `invitation_menu(truth)`, given the shared truthful instance, returns a
     function from a valid buyer to a menu bounding every invitation report
-    of hers, or None; `check_invitation_ic` skips the subsets of a buyer
-    whose menu certifies her full report. Left out, every subset is
-    enumerated.
+    of hers, or None, or is None itself; `check_invitation_ic` skips the
+    subsets of a buyer whose menu certifies her full report. With
+    `prunes_subsets`, every check walks only her empty and full sets. Left
+    out, every subset is enumerated.
     """
 
     name: str
     run: Callable[[Market], Outcome]
     value_rerun: Callable[[Market, BuyerId], ValueRerun] | None = None
-    invitation_menu: Callable[[_Truthful], Callable[[BuyerId], Menu | None]] | None = None
+    invitation_menu: Callable[[_Truthful], Callable[[BuyerId], Menu | None] | None] | None = None
+    prunes_subsets: bool = False
 
     def __post_init__(self):
         if self.value_rerun is None:
@@ -126,7 +131,26 @@ def given_mu(instance: ReportProfile, mu: int | None) -> int | None:
 def ldm_mechanism(mu: int) -> MechanismUnderTest:
     """LDM at `mu`."""
     return MechanismUnderTest("ldm", lambda market: run_ldm(market, mu),
-                              lambda market, i: ldm_value_rerun(market, mu, i))
+                              lambda market, i: ldm_value_rerun(market, mu, i),
+                              lambda truth: _ldm_invitation_menu(truth, mu), prunes_subsets=True)
+
+
+def _ldm_invitation_menu(truth: _Truthful, mu: int) -> Callable[[BuyerId], Menu | None] | None:
+    """On an instance that is its own BFS tree and whose market admits `mu`
+    (else None, and the walk order decides which `MuTooSmall` a check
+    raises), a buyer with two or more invitations gets her full and empty
+    sets' value menus joined (notes/decisions.md); any other buyer, None."""
+    if truth.tree is not truth or mu < min_valid_mu(truth.market):
+        return None
+    reports = truth.instance.reports
+
+    def menu(i: BuyerId) -> Menu | None:
+        invited = reports[i].invited
+        if len(invited) < 2:
+            return None
+        return truth.deviation(i, invited).rerun.menu + truth.deviation(i, frozenset()).rerun.menu
+
+    return menu
 
 
 def dna_mu_mechanism() -> MechanismUnderTest:
@@ -266,20 +290,40 @@ class _Truthful:
             self._tree = _Truthful(self.mechanism, _tree_profile(self.instance, market))
         return self._tree
 
+    @cached_property
+    def certified(self) -> frozenset[BuyerId]:
+        """The valid buyers with invitations whose menu from the mechanism's
+        `invitation_menu` certifies their full report."""
+        hook = self.mechanism.invitation_menu
+        menu = hook(self) if hook is not None else None
+        if menu is None:
+            return frozenset()
+        reports = self.instance.reports
+        return frozenset(i for i in self.market.valid if reports[i].invited and _certifies(
+            menu(i), reports[i].values, self.utility(i, reports[i].invited)))
+
     def subsets(self, i: BuyerId) -> list[frozenset[BuyerId]]:
-        """Buyer i's invitation reports, smallest first: every subset of her
-        invitations by size, so her full set last, listed once. More than
-        `MAX_INVITES_EXHAUSTIVE` invitations raise `SearchBudgetExceeded`.
+        """Buyer i's invitation reports, by size, her full set last, listed
+        once: her empty and full sets when the mechanism `prunes_subsets` and
+        she is `certified`, else every subset of her invitations, which raise
+        `SearchBudgetExceeded` past `MAX_INVITES_EXHAUSTIVE`.
 
         The order decides which deviation raises first: at an undersized mu
         each deviated market may name a different required bound."""
         found = self._subset_lists.get(i)
         if found is None:
-            invited = _bounded(self.instance.reports[i].invited)
-            elems = sorted(invited)
-            found = self._subset_lists[i] = [frozenset(combo) for r in range(len(elems))
-                                             for combo in itertools.combinations(elems, r)]
+            invited = self.instance.reports[i].invited
+            if self.mechanism.prunes_subsets and i in self.certified:
+                found = [frozenset()]
+            elif len(invited) > MAX_INVITES_EXHAUSTIVE:
+                raise SearchBudgetExceeded(f"{len(invited)} invites exceed the exhaustive "
+                                           f"bound {MAX_INVITES_EXHAUSTIVE}")
+            else:
+                elems = sorted(invited)
+                found = [frozenset(combo) for r in range(len(elems))
+                         for combo in itertools.combinations(elems, r)]
             found.append(invited)
+            self._subset_lists[i] = found
         return found
 
     def utility(self, i: BuyerId, invited: frozenset[BuyerId]) -> Money:
@@ -329,30 +373,21 @@ class _Truthful:
                                self.mechanism.name, self.instance, kind)
 
 
-def _bounded(invited: frozenset[BuyerId]) -> frozenset[BuyerId]:
-    """`invited`, whose subsets a check may enumerate: more than
-    `MAX_INVITES_EXHAUSTIVE` invitations raise `SearchBudgetExceeded`."""
-    if len(invited) > MAX_INVITES_EXHAUSTIVE:
-        raise SearchBudgetExceeded(
-            f"{len(invited)} invites exceed the exhaustive bound {MAX_INVITES_EXHAUSTIVE}"
-        )
-    return invited
-
-
 def _own_deviations(truth: _Truthful, kind: str, violates: Callable[[Money, Money], bool],
-                    menus: Callable[[BuyerId], Menu | None] | None = None,
-                    ) -> list[DeviationReport]:
+                    skip_certified: bool = False) -> list[DeviationReport]:
     """Every invitation report of a valid buyer whose utility u has
-    `violates(u, u_full)`, u_full her full report's. A buyer with
-    invitations whose menu in `menus` certifies u_full is skipped once they
-    pass `_bounded`, so the exhaustive bound raises where it would without it."""
+    `violates(u, u_full)`, u_full her full report's: that report is checked
+    once, then her proper subsets are walked, unless she has none or, with
+    `skip_certified`, she is `certified`."""
     violations: list[DeviationReport] = []
     for i in sorted(truth.market.valid):
         truthful = truth.instance.reports[i]
         u_full = truth.utility(i, truthful.invited)
-        if menus and _bounded(truthful.invited) and _certifies(menus(i), truthful.values, u_full):
+        if violates(u_full, u_full):
+            violations.append(truth.report(kind, i, truthful, truthful, u_full, u_full))
+        if not truthful.invited or skip_certified and i in truth.certified:
             continue
-        for sub in truth.subsets(i):
+        for sub in truth.subsets(i)[:-1]:
             u = truth.utility(i, sub)
             if violates(u, u_full):
                 violations.append(truth.report(kind, i, truthful,
@@ -362,7 +397,7 @@ def _own_deviations(truth: _Truthful, kind: str, violates: Callable[[Money, Mone
 
 def check_ir(mechanism: MechanismUnderTest, instance: ReportProfile, *,
              truth: _Truthful | None = None) -> list[DeviationReport]:
-    """Truthful values, every invitation subset: utility must be >= 0.
+    """Truthful values, every `_Truthful.subsets` report: utility must be >= 0.
 
     Returned reports have deviating_utility < 0; truthful_utility is the
     full-invitation utility for context. `truth`, here and in the other
@@ -379,10 +414,8 @@ def check_invitation_ic(mechanism: MechanismUnderTest, instance: ReportProfile, 
 
     A buyer whose full report's utility is certified by her menu from the
     mechanism's `invitation_menu` has no subset to check."""
-    truth = truth or _Truthful(mechanism, instance)
-    hook = mechanism.invitation_menu
-    return _own_deviations(truth, "invitation-ic", lambda u, u_full: u > u_full,
-                           hook(truth) if hook is not None else None)
+    return _own_deviations(truth or _Truthful(mechanism, instance), "invitation-ic",
+                           lambda u, u_full: u > u_full, skip_certified=True)
 
 
 def _certifies(menu: Menu | None, values: ValuationVector, u: Money) -> bool:
@@ -595,8 +628,8 @@ def check_child_monotonicity(mechanism: MechanismUnderTest, instance: ReportProf
     """No same-layer buyer may gain utility from another buyer's extra children.
 
     Works on `_Truthful.tree`: for each buyer j with children and each proper
-    child subset, deleting the other subtrees must leave every same-layer
-    observer's utility at least as high as under the full set.
+    child subset it lists, deleting the other subtrees must leave every
+    same-layer observer's utility at least as high as under the full set.
     """
     own = truth or _Truthful(mechanism, instance)
     tree = own.tree

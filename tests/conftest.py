@@ -45,6 +45,17 @@ def make_profile(k: int, seller, buyers: dict) -> ReportProfile:
     )
 
 
+def ldm_walked_subsets(profile: ReportProfile, market) -> int:
+    """The proper invitation subsets LDM's checks walk on `profile`, whose
+    market is `market`: on an instance that is its own BFS tree a buyer
+    with two or more invitations is certified and walks one, the empty
+    set; every other buyer walks all 2^|invited| - 1."""
+    reports = profile.reports
+    own = all(reports[i].invited == market.children[i] for i in market.valid)
+    return sum(1 if own and len(reports[i].invited) >= 2 else 2 ** len(reports[i].invited) - 1
+               for i in market.valid)
+
+
 def chain_profile(n: int, k: int) -> ReportProfile:
     """Buyers 0..n-1 in one invitation chain from the seller, values falling."""
     return make_profile(k, {0}, {

@@ -553,16 +553,18 @@ def test_generated_batches_are_drawn_as_they_are_checked(argv, last, capsys):
 
 def test_verify_error_after_a_failing_instance_prints_nothing(capsys):
     """A failing instance is kept until the batch ends, and an error in a
-    later instance still exits with empty stdout."""
+    later instance still exits with empty stdout. The error is IR's: it
+    enumerates every buyer's subsets, where invitation-IC skips a buyer
+    DNA-MU's menu certifies."""
     spec = "seed=5,n=5..9,k=1..2,topology=graph,density=0.2"
-    flags = ["--mechanism", "dna-mu", "--property", "invite-ic"]
+    flags = ["--mechanism", "dna-mu", "--property", "invite-ic,ir"]
     failing = []
     for index, profile in enumerate(instance_stream(_parse_gen_spec(spec), 200)):
         try:
-            results = run_properties(profile, "dna-mu", ("invite-ic",))
+            results = run_properties(profile, "dna-mu", ("invite-ic", "ir"))
         except SearchBudgetExceeded:
             break
-        if not results[0].ok:
+        if not all(r.ok for r in results):
             failing.append(index)
     else:
         pytest.fail("no instance of the stream raises")
@@ -627,6 +629,15 @@ def test_exhaustive_budget_exceeded_exits_4(capsys):
     code, out, err = run_cli(["verify", "--gen", "seed=9,n=30..30,k=1..3", "--count", "20",
                               "--mechanism", "dna-mu", "--property", "ir"], capsys)
     assert (code, out, err) == (4, "", "error: 7 invites exceed the exhaustive bound 6\n")
+
+
+def test_ldm_certifies_trees_past_the_exhaustive_bound(capsys):
+    """The same batch under LDM: all 20 instances are their own trees, so
+    instance 18's buyer with 7 invitations is certified and walks only her
+    empty and full sets, and every property verifies."""
+    code, out, _ = run_cli(["verify", "--gen", "seed=9,n=30..30,k=1..3", "--count", "20",
+                            "--mechanism", "ldm", "--all"], capsys)
+    assert (code, out.splitlines()[-1]) == (0, "instances: 20  failing: 0")
 
 
 @pytest.mark.parametrize("argv", [["run", FIG3, "--mechanism", "ldm"],

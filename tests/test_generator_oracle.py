@@ -69,8 +69,10 @@ def test_large_graph_matches_the_reference():
 @given(
     seed=st.integers(0, 2**32),
     buyers=st.tuples(st.integers(1, 60), st.integers(0, 20)).map(lambda t: (t[0], min(60, t[0] + t[1]))),
-    k=st.tuples(st.integers(1, 4), st.integers(0, 3)).map(lambda t: (t[0], t[0] + t[1])),
-    v_max=st.integers(1, 30),
+    k=st.tuples(st.integers(1, 9), st.integers(0, 3)).map(lambda t: (t[0], min(9, t[0] + t[1]))),
+    # around the word and byte boundaries of a value draw's bit length too
+    v_max=st.one_of(st.integers(1, 30),
+                    st.sampled_from((1, 254, 255, 256, 2**32 - 1, 2**32, 2**40))),
     topology=st.sampled_from(("tree", "graph")),
     edge_density=st.one_of(st.floats(0.0, 1.0), st.sampled_from((0, 1))),
     max_depth=st.one_of(st.none(), st.integers(1, 6)),

@@ -27,7 +27,7 @@ from netauction.verify import (MAX_INVITES_EXHAUSTIVE, MechanismUnderTest, _tree
                                ldm_mechanism, run_properties, vcg_mechanism)
 
 import reference_verify as ref
-from conftest import DATA
+from conftest import DATA, ldm_walked_subsets
 from test_value_rerun import first_price
 
 STREAMS = (
@@ -113,9 +113,10 @@ def test_run_properties_matches_the_reference_at_the_default_grid():
 
 
 def test_each_deviated_market_is_built_once_and_ldm_runs_once(monkeypatch):
-    """`1 + Σ_valid (2^|invited| - 1)` markets, where building the table and
-    value-IC's reruns apart takes `1 + 2Σ`, and one LDM run, on the truthful
-    market: every proper subset is answered by its value rerun."""
+    """`1 + Σ` markets, Σ the proper subsets the checks walk
+    (`ldm_walked_subsets`), where building the table and value-IC's reruns
+    apart takes `1 + 2Σ`, and one LDM run, on the truthful market: every
+    proper subset is answered by its value rerun."""
     built, runs = [], []
     build, run = verify.compute_market, mechanisms.run_ldm_tree
     monkeypatch.setattr(verify, "compute_market",
@@ -127,12 +128,13 @@ def test_each_deviated_market_is_built_once_and_ldm_runs_once(monkeypatch):
         built.clear()
         runs.clear()
         assert all(r.ok for r in run_properties(profile, "ldm", CHECKS))
-        truthful = build(profile)
-        proper = sum(2 ** len(profile.reports[i].invited) - 1 for i in truthful.valid)
+        proper = ldm_walked_subsets(profile, build(profile))
         assert len(built) == 1 + proper
         assert len(runs) == 1 and runs[0].profile is profile
         checked += proper
-    assert checked > 200
+    # the certificate walks one subset for each own-tree buyer with two or
+    # more invitations, so 113 where the enumeration walked 259
+    assert checked == 113
 
 
 def test_a_black_box_runs_once_per_market(monkeypatch):
@@ -255,10 +257,12 @@ def own_tree(profile):
 
 def test_child_monotonicity_reruns_the_shared_markets(monkeypatch):
     """With child monotonicity added to the three checks, an instance that is
-    its own BFS tree still builds `1 + Σ_valid (2^|invited| - 1)` markets, and
-    runs LDM once on the truthful market and once per proper child subset of
-    each buyer j with children and same-layer observers. Any other instance
-    builds its tree profile's market and those subsets' markets besides."""
+    its own BFS tree still builds `1 + Σ` markets, Σ the proper subsets the
+    checks walk (`ldm_walked_subsets`), and runs LDM once on the truthful
+    market and once per buyer j with children and same-layer observers, on
+    her one deletion: the empty set, as one child has no other proper
+    subset, and LDM certifies a buyer with more. Any other instance builds
+    its tree profile's market and those deletions' markets besides."""
     built, runs = [], []
     build, run = verify.compute_market, mechanisms.run_ldm_tree
     monkeypatch.setattr(verify, "compute_market",
@@ -271,8 +275,8 @@ def test_child_monotonicity_reruns_the_shared_markets(monkeypatch):
         runs.clear()
         run_properties(profile, "ldm", (*CHECKS, "child-monotonicity"))
         tree = build(profile)
-        proper = sum(2 ** len(profile.reports[i].invited) - 1 for i in tree.valid)
-        shrunk = sum(2 ** len(tree.children[j]) - 1 for j in tree.valid
+        proper = ldm_walked_subsets(profile, tree)
+        shrunk = sum(1 for j in tree.valid
                      if tree.children[j] and len(tree.layers[tree.layer_of[j] - 1]) > 1)
         shared = own_tree(profile)
         assert len(built) == 1 + proper + (0 if shared else 1 + shrunk)
@@ -320,7 +324,7 @@ def test_generic_rerun_at_the_held_values_runs_on_the_market_itself():
 def test_a_black_box_is_never_certified(monkeypatch):
     """A mechanism with neither a value rerun nor an invitation menu of its
     own has no certificate: every deviation's rerun has no menu, and
-    invitation-IC lists the reports of every valid buyer."""
+    invitation-IC lists the reports of every valid buyer with invitations."""
     black_box = MechanismUnderTest("first-price", first_price)
     listed, subsets = [], verify._Truthful.subsets
     monkeypatch.setattr(verify._Truthful, "subsets",
@@ -330,7 +334,8 @@ def test_a_black_box_is_never_certified(monkeypatch):
         listed.clear()
         truth = verify._Truthful(black_box, profile)
         check_invitation_ic(black_box, profile, truth=truth)
-        assert sorted(listed) == sorted(truth.market.valid)
+        assert sorted(listed) == sorted(i for i in truth.market.valid
+                                        if profile.reports[i].invited)
         for i in truth.market.valid:
             for sub in subsets(truth, i):
                 assert truth.deviation(i, sub).rerun.menu is None

@@ -35,7 +35,7 @@ from netauction.verify import (
 )
 
 import reference_ldm
-from conftest import DATA, make_profile
+from conftest import DATA, ldm_walked_subsets, make_profile
 from test_deep_layers import comb
 
 
@@ -73,9 +73,13 @@ def test_check_ir_flags_broken_mechanism(t4_profile):
 
 
 def test_check_ir_budget_guard():
+    """Seven invitations raise where the subsets are enumerated: here 1 and
+    2 invite each other, so the instance is not its own BFS tree and LDM
+    certifies no buyer."""
     profile = make_profile(1, {0}, {
         0: ((9,), set(range(1, 8))),
-        **{i: ((1,), ()) for i in range(1, 8)},
+        1: ((1,), {2}), 2: ((1,), {1}),
+        **{i: ((1,), ()) for i in range(3, 8)},
     })
     with pytest.raises(SearchBudgetExceeded):
         check_ir(ldm_mechanism(0), profile)
@@ -442,8 +446,9 @@ def test_run_properties_resolves_the_truthful_instance_once(monkeypatch, t4_prof
 
 def test_value_ic_builds_one_market_per_proper_invitation_subset(monkeypatch, fig3_profile,
                                                                 t4_profile):
-    """The truthful market once, then one per proper invitation subset of each
-    valid buyer: the full set reruns on the truthful market."""
+    """The truthful market once, then one per proper invitation subset each
+    valid buyer walks (`ldm_walked_subsets`): the full set reruns on the
+    truthful market."""
     built, build = [], verify.compute_market
     monkeypatch.setattr(verify, "compute_market",
                         lambda profile: built.append(profile) or build(profile))
@@ -453,10 +458,10 @@ def test_value_ic_builds_one_market_per_proper_invitation_subset(monkeypatch, fi
     for profile in [fig3_profile, t4_profile, *instance_stream(config, 30)]:
         built.clear()
         assert run_properties(profile, "ldm", ("value-ic",))[0].ok
-        proper = sum(2 ** len(profile.reports[i].invited) - 1 for i in build(profile).valid)
-        assert len(built) == 1 + proper
+        assert len(built) == 1 + ldm_walked_subsets(profile, build(profile))
         total += len(built)
-    assert total == 367
+    # 367 with every subset enumerated
+    assert total == 225
 
 
 @pytest.mark.parametrize("config", [
