@@ -24,14 +24,14 @@ of a menu against her utility: when no entry beats it, no report of the
 family does, at any granularity. LDM's value rerun carries its outcome
 menu, which certifies value-IC per (buyer, invitation subset). An
 `invitation_menu` bounds every invitation report of a buyer: DNA-MU's on
-any market, where a buyer it certifies has no subset to run in
-invitation-IC; LDM's on an instance that is its own BFS tree, where a buyer
-it certifies walks only her empty and full sets in every check, so the
-exhaustive bound holds only where subsets are enumerated. Black boxes have
-no menu and enumerate every subset. Every other check, and value-IC of a
-pair the menu does not certify or of a mechanism without a menu, is
-falsification only: an empty report list means no violation was found at
-the enumerated granularity, not a proof.
+any market, so a buyer it certifies has no subset to run in invitation-IC;
+LDM's on an instance that is its own BFS tree, so a buyer it certifies
+walks only her empty and full sets in every check, and the exhaustive
+bound holds only where subsets are enumerated. Black boxes have no menu
+and enumerate every subset. Every other check, and value-IC of a pair the
+menu does not certify or of a mechanism without a menu, is falsification
+only: an empty report list means no violation was found at the enumerated
+granularity, not a proof.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
 from math import comb
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, ClassVar, Iterable, NamedTuple, Sequence
 
 from .errors import ContractError, SearchBudgetExceeded, TraceMissing
 from .market import (
@@ -90,16 +90,17 @@ class MechanismUnderTest:
     `invitation_menu(truth)`, given the shared truthful instance, returns a
     function from a valid buyer to a menu bounding every invitation report
     of hers, or None, or is None itself; `check_invitation_ic` skips the
-    subsets of a buyer whose menu certifies her full report. With
-    `prunes_subsets`, every check walks only her empty and full sets. Left
-    out, every subset is enumerated.
+    subsets of a buyer whose menu certifies her full report. Left out, every
+    subset is enumerated. Only LDM's class sets `prunes_subsets`: its menu
+    also proves IR and value-IC (notes/decisions.md), so every check walks
+    only a certified buyer's empty and full sets.
     """
 
     name: str
     run: Callable[[Market], Outcome]
     value_rerun: Callable[[Market, BuyerId], ValueRerun] | None = None
     invitation_menu: Callable[[_Truthful], Callable[[BuyerId], Menu | None] | None] | None = None
-    prunes_subsets: bool = False
+    prunes_subsets: ClassVar[bool] = False
 
     def __post_init__(self):
         if self.value_rerun is None:
@@ -130,9 +131,13 @@ def given_mu(instance: ReportProfile, mu: int | None) -> int | None:
 # tracing spans) see every run.
 def ldm_mechanism(mu: int) -> MechanismUnderTest:
     """LDM at `mu`."""
-    return MechanismUnderTest("ldm", lambda market: run_ldm(market, mu),
-                              lambda market, i: ldm_value_rerun(market, mu, i),
-                              lambda truth: _ldm_invitation_menu(truth, mu), prunes_subsets=True)
+    return _Ldm("ldm", lambda market: run_ldm(market, mu),
+                lambda market, i: ldm_value_rerun(market, mu, i),
+                lambda truth: _ldm_invitation_menu(truth, mu))
+
+
+class _Ldm(MechanismUnderTest):
+    prunes_subsets = True
 
 
 def _ldm_invitation_menu(truth: _Truthful, mu: int) -> Callable[[BuyerId], Menu | None] | None:
@@ -146,9 +151,8 @@ def _ldm_invitation_menu(truth: _Truthful, mu: int) -> Callable[[BuyerId], Menu 
 
     def menu(i: BuyerId) -> Menu | None:
         invited = reports[i].invited
-        if len(invited) < 2:
-            return None
-        return truth.deviation(i, invited).rerun.menu + truth.deviation(i, frozenset()).rerun.menu
+        return (truth.deviation(i, invited).rerun.menu + truth.deviation(i, frozenset()).rerun.menu
+                if len(invited) >= 2 else None)
 
     return menu
 
@@ -295,11 +299,9 @@ class _Truthful:
         """The valid buyers with invitations whose menu from the mechanism's
         `invitation_menu` certifies their full report."""
         hook = self.mechanism.invitation_menu
-        menu = hook(self) if hook is not None else None
-        if menu is None:
-            return frozenset()
+        menu = hook and hook(self)
         reports = self.instance.reports
-        return frozenset(i for i in self.market.valid if reports[i].invited and _certifies(
+        return frozenset(i for i in self.market.valid if menu and reports[i].invited and _certifies(
             menu(i), reports[i].values, self.utility(i, reports[i].invited)))
 
     def subsets(self, i: BuyerId) -> list[frozenset[BuyerId]]:
