@@ -38,7 +38,7 @@ from .instance_io import (
     serialize_instance,
 )
 from .market import Market, ReportProfile, compute_market
-from .mechanisms import LdmTrace, Outcome, inject_dummies, outcome_welfare
+from .mechanisms import Outcome, inject_dummies, outcome_welfare
 from .removed_sets import layer_removed_sets, min_valid_mu
 from .verify import (
     MECHANISMS,
@@ -149,7 +149,7 @@ def _outcome_doc(market: Market, name: str, mu: int,
         "revenue": outcome.revenue,
         "welfare": outcome_welfare(market, outcome),
     }
-    if with_trace and isinstance(outcome.trace, LdmTrace):
+    if with_trace and MECHANISMS[name].layered:
         doc["trace"] = [
             {
                 "layer": rec.layer,

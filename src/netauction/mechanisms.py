@@ -58,13 +58,6 @@ class LdmTrace:
 
 
 @dataclass(frozen=True)
-class VcgTrace:
-    sw: Money
-    allocation: Mapping[BuyerId, int]
-    sw_without: Mapping[BuyerId, Money]
-
-
-@dataclass(frozen=True)
 class DnaRow:
     buyer: BuyerId
     layer: int
@@ -127,21 +120,11 @@ def run_vcg_first_layer(market: Market) -> Outcome:
 
     Every other valid buyer gets 0 units and pays 0. Reserve dummies bid in
     layer 1 like any neighbor; units they win are withheld. The auction is
-    LDM's first layer with that layer alone as the pool: a buyer's children
-    lie outside it, so SW_{-D_i} there is SW_{-i} and LDM's payment is the
-    Clarke payment.
+    LDM's layer loop over layer 1 alone, at mu 0: a buyer's children lie
+    outside that pool, so SW_{-D_i} there is SW_{-i} and LDM's payment is
+    the Clarke payment. The trace is that one layer's `LdmTrace`.
     """
-    layer1 = market.layers[0] if market.layers else frozenset()
-    pool, full, _ = _ldm_layer(market, (), layer1, market.k)
-    units = {i: 0 for i in market.valid if not is_dummy(i)}
-    payments = dict(units)
-    sw_without: dict[BuyerId, Money] = {}
-    for i in sorted(layer1):
-        if not is_dummy(i):
-            units[i] = full.units_of(i)
-            sw_without[i], payments[i] = _ldm_payment(market, pool, full, i)
-    trace = VcgTrace(sw=full.welfare, allocation=full.allocation, sw_without=sw_without)
-    return Outcome(units=units, payments=payments, trace=trace)
+    return _ldm_layers(market, 0, market.layers[:1])
 
 
 def run_dna_mu(market: Market) -> Outcome:
@@ -263,13 +246,20 @@ def run_ldm_tree(market: Market, mu: int,
     `order` optionally reorders the within-layer buyer loop (a testing hook;
     the outcome provably does not depend on it).
     """
+    return _ldm_layers(market, mu, layer_free_sets(market, mu), order)
+
+
+def _ldm_layers(market: Market, mu: int, free_sets: Iterable[frozenset[BuyerId]],
+                order: Sequence[BuyerId] | None = None) -> Outcome:
+    """LDM's layer loop over `free_sets`, F_1, F_2, ..., with mu the value
+    its trace records."""
     units = {i: 0 for i in market.valid if not is_dummy(i)}
     payments = dict(units)
     supply = market.k
     frozen: dict[BuyerId, int] = {}  # processed buyers holding units: at most K
     records: list[LayerRecord] = []
     position = None if order is None else {b: p for p, b in enumerate(order)}
-    for l, free in enumerate(layer_free_sets(market, mu), start=1):
+    for l, free in enumerate(free_sets, start=1):
         members = sorted(market.layers[l - 1])
         if position is not None:
             members.sort(key=position.__getitem__)

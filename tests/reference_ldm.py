@@ -43,7 +43,6 @@ from netauction.mechanisms import (
     LdmTrace,
     Outcome,
     ValueRerun,
-    VcgTrace,
     _ldm_layer,
     _ldm_payment,
     inject_dummies,
@@ -165,32 +164,38 @@ def run_dna_mu(ref: ReferenceTree) -> Outcome:
 
 
 def run_vcg_first_layer(market: Market, reserve: int | None = None) -> Outcome:
-    """Clarke pivot over layer 1, re-solving the welfare problem once per buyer."""
+    """Clarke pivot over layer 1, re-solving the welfare problem once per
+    layer-1 buyer, dummies included; traced as LDM's one layer at mu 0, where
+    each SW_{-D_i} is SW_{-i}."""
     if reserve is not None:
         aug = compute_market(inject_dummies(market.profile, reserve))
     else:
         aug = market
     k = market.profile.k
-    if not aug.layers:
-        zeros = {i: 0 for i in market.valid if not is_dummy(i)}
-        return Outcome(units=dict(zeros), payments=dict(zeros),
-                       trace=VcgTrace(0, {}, {}))
-    layer1 = aug.layers[0]
-    full = greedy_welfare(aug, layer1, {}, k)
     units = {i: 0 for i in market.valid}
     payments = {i: 0 for i in market.valid}
+    if not aug.layers:
+        return Outcome(units=units, payments=payments, trace=LdmTrace(0, (), aug))
+    layer1 = aug.layers[0]
+    full = greedy_welfare(aug, layer1, {}, k)
     sw_without: dict[BuyerId, Money] = {}
     for i in sorted(layer1):
+        sw_without[i] = greedy_welfare(aug, layer1 - {i}, {}, k).welfare
         if is_dummy(i) or i not in market.valid:
             continue
         pi = full.units_of(i)
-        without = greedy_welfare(aug, layer1 - {i}, {}, k).welfare
-        sw_without[i] = without
         units[i] = pi
-        payments[i] = without - (full.welfare - cumulative_value(aug.values_of(i), pi))
-    trace = VcgTrace(sw=full.welfare, allocation=full.allocation,
-                     sw_without=sw_without)
-    return Outcome(units=units, payments=payments, trace=trace)
+        payments[i] = sw_without[i] - (full.welfare - cumulative_value(aug.values_of(i), pi))
+    record = LayerRecord(
+        layer=1,
+        sw=full.welfare,
+        tentative_units=dict(full.allocation),
+        tentative_value={j: cumulative_value(aug.values_of(j), m)
+                         for j, m in full.allocation.items()},
+        sw_minus_d=sw_without,
+        k_remain_after=k - sum(full.allocation.values()),
+    )
+    return Outcome(units=units, payments=payments, trace=LdmTrace(0, (record,), aug))
 
 
 def potential_inviters(tree: Market, i: BuyerId) -> frozenset[BuyerId]:

@@ -355,33 +355,45 @@ def test_run_bytes_on_the_auction_deep_graph_are_pinned(tmp_path, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == pinned[name], name
 
 
-# Each output in tests/data/trace_run.sha256: the instance and the flags
-# that print it after `run <instance> --mechanism ldm --trace`.
+# Each output in tests/data/trace_run.sha256: the instance, the mechanism
+# and the flags that print it after `run <instance> --mechanism <m> --trace`.
 TRACE_RUNS = {
-    "fig3-trace.txt": (FIG3, []),
-    "fig3-trace.json": (FIG3, ["--format", "json"]),
-    "fig4-trace.txt": (FIG4, []),
-    "fig4-trace.json": (FIG4, ["--format", "json"]),
-    "t4-reserve3-trace.txt": (T4, ["--reserve", "3"]),
-    "t4-reserve3-trace.json": (T4, ["--reserve", "3", "--format", "json"]),
-    "comb_k1-trace.txt": (COMB_K1, []),
-    "comb_k1-trace.json": (COMB_K1, ["--format", "json"]),
+    "fig3-trace.txt": (FIG3, "ldm", []),
+    "fig3-trace.json": (FIG3, "ldm", ["--format", "json"]),
+    "fig4-trace.txt": (FIG4, "ldm", []),
+    "fig4-trace.json": (FIG4, "ldm", ["--format", "json"]),
+    "t4-reserve3-trace.txt": (T4, "ldm", ["--reserve", "3"]),
+    "t4-reserve3-trace.json": (T4, "ldm", ["--reserve", "3", "--format", "json"]),
+    "comb_k1-trace.txt": (COMB_K1, "ldm", []),
+    "comb_k1-trace.json": (COMB_K1, "ldm", ["--format", "json"]),
+    "fig3-vcg-l1-reserve3-trace.txt": (FIG3, "vcg-l1", ["--reserve", "3"]),
+    "fig3-vcg-l1-reserve3-trace.json": (FIG3, "vcg-l1", ["--reserve", "3", "--format", "json"]),
+    "t4-vcg-l1-reserve3-trace.txt": (T4, "vcg-l1", ["--reserve", "3"]),
+    "t4-vcg-l1-reserve3-trace.json": (T4, "vcg-l1", ["--reserve", "3", "--format", "json"]),
+    "fig3-dna-mu-trace.txt": (FIG3, "dna-mu", []),
+    "fig3-dna-mu-trace.json": (FIG3, "dna-mu", ["--format", "json"]),
+    "t4-dna-mu-trace.txt": (T4, "dna-mu", []),
+    "t4-dna-mu-trace.json": (T4, "dna-mu", ["--format", "json"]),
 }
 
 
 def test_run_trace_bytes_are_pinned(capsys):
-    """`run --trace` prints the recorded bytes, every layer's removed set
-    included, on the figures, on t4 with a reserve, and on a k = 1 comb
-    whose 101 layers are all processed."""
+    """`run --trace` prints the recorded bytes: for LDM every layer's
+    removed set included, on the figures, on t4 with a reserve, and on a
+    k = 1 comb whose 101 layers are all processed; for the mechanisms that
+    take no mu, no trace at all."""
     pinned = dict(reversed(line.split("  "))
                   for line in (DATA / "trace_run.sha256").read_text().splitlines())
     assert pinned.keys() == TRACE_RUNS.keys()
-    for name, (path, flags) in TRACE_RUNS.items():
-        code, out, _ = run_cli(["run", path, "--mechanism", "ldm", "--trace", *flags], capsys)
+    for name, (path, mechanism, flags) in TRACE_RUNS.items():
+        code, out, _ = run_cli(["run", path, "--mechanism", mechanism, "--trace", *flags],
+                               capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == pinned[name], name
-    # the last output is the comb's JSON trace
-    assert out.count('"layer":') == 101
+        if mechanism != "ldm":
+            assert "layer 1" not in out and '"trace"' not in out, name
+        elif name == "comb_k1-trace.json":
+            assert out.count('"layer":') == 101
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

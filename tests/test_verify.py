@@ -11,8 +11,8 @@ from netauction import verify
 from netauction.errors import ContractError, SearchBudgetExceeded, TraceMissing
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance
 from netauction.market import compute_market, cumulative_value
-from netauction.mechanisms import (Outcome, inject_dummies, is_dummy, run_ldm, run_ldm_tree,
-                                   run_vcg_first_layer)
+from netauction.mechanisms import (Outcome, inject_dummies, is_dummy, run_dna_mu, run_ldm,
+                                   run_ldm_tree, run_vcg_first_layer)
 from netauction.removed_sets import robust_mu
 from netauction.verify import (
     PROPERTY_NAMES,
@@ -37,6 +37,14 @@ from netauction.verify import (
 import reference_ldm
 from conftest import DATA, ldm_walked_subsets, make_profile
 from test_deep_layers import comb
+
+
+# The criterion-3 generator streams.
+CRITERION_STREAMS = pytest.mark.parametrize("config", [
+    GeneratorConfig(seed=301, buyers=(2, 8), k=(1, 3), v_max=10, topology="tree"),
+    GeneratorConfig(seed=302, buyers=(2, 8), k=(1, 3), v_max=10, topology="graph",
+                    edge_density=0.15),
+], ids=["seed301-tree", "seed302-graph"])
 
 
 @pytest.fixture(scope="module")
@@ -231,10 +239,31 @@ def test_payment_decomposition_t4(t4_profile):
 
 
 def test_payment_decomposition_requires_trace(t4_profile):
-    # first-layer VCG's outcome carries a trace, but not an LDM one
-    out = run_vcg_first_layer(compute_market(t4_profile))
+    # DNA-MU's outcome carries a trace, but not an LDM one
+    out = run_dna_mu(compute_market(t4_profile))
     with pytest.raises(TraceMissing):
         payment_decomposition(out)
+
+
+@CRITERION_STREAMS
+def test_payment_decomposition_of_first_layer_vcg(config):
+    """VCG-L1's trace is LDM's one layer at mu 0: every row is a real
+    layer-1 buyer with no resale credit, whose charge is her Clarke payment,
+    and the charges sum to the revenue."""
+    rows_seen = charged = 0
+    for index, profile in enumerate(instance_stream(config, 500)):
+        for priced in (profile, inject_dummies(profile, index % 6)):
+            market = compute_market(priced)
+            out = run_vcg_first_layer(market)
+            rows = payment_decomposition(out)
+            assert sorted(r.buyer for r in rows) == sorted(
+                i for i in market.layers[0] if not is_dummy(i))
+            assert all(r.layer == 1 and r.t == 0 and r.q == r.p for r in rows)
+            assert sum(r.q for r in rows) == out.revenue
+            rows_seen += len(rows)
+            charged += sum(1 for r in rows if r.p)
+    # 2,194 and 2,268 rows, 1,220 and 1,277 of them with a payment
+    assert rows_seen > 2_000 and charged > 1_000
 
 
 def test_decomposition_single_layer_second_family_vacuous():
@@ -464,11 +493,7 @@ def test_value_ic_builds_one_market_per_proper_invitation_subset(monkeypatch, fi
     assert total == 225
 
 
-@pytest.mark.parametrize("config", [
-    GeneratorConfig(seed=301, buyers=(2, 8), k=(1, 3), v_max=10, topology="tree"),
-    GeneratorConfig(seed=302, buyers=(2, 8), k=(1, 3), v_max=10, topology="graph",
-                    edge_density=0.15),
-], ids=["seed301-tree", "seed302-graph"])
+@CRITERION_STREAMS
 def test_run_properties_together_match_one_at_a_time(config):
     for profile in instance_stream(config, 25):
         assert run_properties(profile, "ldm", PROPERTY_NAMES) == [
