@@ -243,8 +243,8 @@ def run_ldm_tree(market: Market, mu: int,
     deeper layers. Each layer sorts one welfare pool; every
     SW_{-D_i} of the layer is a walk over it.
 
-    `order` optionally reorders the within-layer buyer loop (a testing hook;
-    the outcome provably does not depend on it).
+    `order` optionally reorders each layer's buyer loop and must list its
+    members (a testing hook; the outcome provably does not depend on it).
     """
     return _ldm_layers(market, mu, layer_free_sets(market, mu), order)
 
@@ -262,6 +262,8 @@ def _ldm_layers(market: Market, mu: int, free_sets: Iterable[frozenset[BuyerId]]
     for l, free in enumerate(free_sets, start=1):
         members = sorted(market.layers[l - 1])
         if position is not None:
+            if missing := [b for b in members if b not in position]:
+                raise ContractError(f"order leaves out layer member {missing[0]}")
             members.sort(key=position.__getitem__)
         pool, layer_opt, taken = _ldm_layer(market, members, free, supply)
         supply -= taken

@@ -13,10 +13,11 @@ instance (`_Truthful`), which holds the one enumeration of invitation
 deviations: `subsets(i)` lists buyer i's invitation reports, her full set
 last, and `utility(i, subset)` is her true-value utility under one of
 them. The truthful outcome answers her full set; any other subset is one
-deviation, `value_rerun` on its deviated market, built once, and that
-rerun's answer at her true values. IR, invitation-IC and value-IC walk the
-same lists and read the same deviations; child monotonicity walks `tree`, the
-same `_Truthful` when the instance is its own BFS tree.
+record, `deviation(i, subset)`: its deviated market, built once, `value_rerun`
+on it, and that rerun's answer at her true values. IR, invitation-IC and
+value-IC walk the same lists and read the same records; child monotonicity
+runs the mechanism on the markets of `tree`'s records, `tree` being the same
+`_Truthful` when the instance is its own BFS tree.
 
 A certificate is a menu of (units, payment) pairs that bounds a family of
 one buyer's reports (`mechanisms.Menu`), and `_certifies` is the one check
@@ -242,10 +243,11 @@ def utility_of(truthful: ReportProfile, buyer: BuyerId, outcome: Outcome) -> Mon
 
 
 class _Deviation(NamedTuple):
-    """One (valid buyer, invitation subset) of a `_Truthful`: the
-    mechanism's value rerun on the deviated market and her true-value
-    utility there."""
+    """One (valid buyer, invitation subset) of a `_Truthful`: the deviated
+    market, the mechanism's value rerun on it and her true-value utility
+    there."""
 
+    market: Market
     rerun: ValueRerun
     utility: Money
 
@@ -253,18 +255,17 @@ class _Deviation(NamedTuple):
 class _Truthful:
     """An instance as its checks share it: its market, the mechanism's
     truthful outcome, first-layer VCG's outcome, each buyer's invitation
-    reports, one deviated market and one `_Deviation` per (valid buyer,
-    invitation subset), each computed once, on first use. `subsets` and
-    `utility` are the one enumeration of invitation deviations and the one
-    conversion of a deviation into a utility; every deviation check reads
-    them, so each (buyer, subset) market is built once and rerun once.
+    reports and one `_Deviation` per (valid buyer, invitation subset), each
+    computed once, on first use. Every deviation check reads `subsets`, the
+    one enumeration of invitation deviations, `utility`, the one conversion
+    of one into a utility, and `deviation`, the one way to a deviated
+    market, so each (buyer, subset) market is built once and rerun once.
     `run_properties` passes one to every check; a checker called on its own
     builds its own."""
 
     def __init__(self, mechanism: MechanismUnderTest, instance: ReportProfile):
         self.mechanism = mechanism
         self.instance = instance
-        self._markets: dict[tuple[BuyerId, frozenset[BuyerId]], Market] = {}
         self._deviations: dict[tuple[BuyerId, frozenset[BuyerId]], _Deviation] = {}
         self._subset_lists: dict[BuyerId, list[frozenset[BuyerId]]] = {}
         self._tree: _Truthful | None = None
@@ -336,36 +337,25 @@ class _Truthful:
             return utility_of(self.instance, i, self.outcome)
         return self.deviation(i, invited).utility
 
-    def deviated_market(self, i: BuyerId, invited: frozenset[BuyerId]) -> Market:
-        """The market with valid buyer i inviting `invited`, her values kept,
-        built once: the truthful market for her full set."""
-        truthful = self.instance.reports[i]
-        if invited == truthful.invited:
-            return self.market
-        key = (i, invited)
-        market = self._markets.get(key)
-        if market is None:
-            market = self._markets[key] = compute_market(
-                self.instance.with_report(i, ReportedType(truthful.values, invited)))
-        return market
-
     def deviation(self, i: BuyerId, invited: frozenset[BuyerId]) -> _Deviation:
-        """i's `_Deviation` for `invited`: `value_rerun(market, i)` on the
-        deviated market, and her utility at its answer for her true values,
-        which that market already holds, so the answer is her result under
-        `run(market)`. For the full set that is the truthful outcome."""
+        """i's `_Deviation` for `invited`, built once: the market with her
+        inviting `invited`, her values kept (for her full set, the truthful
+        market), `value_rerun(market, i)` on it, and her utility at its
+        answer for her true values, which that market already holds: her
+        result under `run(market)`, for the full set the truthful outcome's."""
         key = (i, invited)
         found = self._deviations.get(key)
         if found is None:
-            market = self.deviated_market(i, invited)
+            truthful = self.instance.reports[i]
+            market = self.market if invited == truthful.invited else compute_market(
+                self.instance.with_report(i, ReportedType(truthful.values, invited)))
             rerun = self.mechanism.value_rerun(market, i)
             if market is self.market:
                 u = self.utility(i, invited)
             else:
-                values = self.instance.reports[i].values
-                units, payment = rerun.answer(values)
-                u = cumulative_value(values, units) - payment
-            found = self._deviations[key] = _Deviation(rerun, u)
+                units, payment = rerun.answer(truthful.values)
+                u = cumulative_value(truthful.values, units) - payment
+            found = self._deviations[key] = _Deviation(market, rerun, u)
         return found
 
     def report(self, kind: str, i: BuyerId, truthful: ReportedType, deviating: ReportedType,
@@ -510,7 +500,7 @@ def check_value_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
         rep = instance.reports[i]
         vectors = None
         for sub in truth.subsets(i):
-            rerun, u_base = truth.deviation(i, sub)
+            _, rerun, u_base = truth.deviation(i, sub)
             if _certifies(rerun.menu, rep.values, u_base):
                 continue
             if vectors is None:
@@ -630,8 +620,8 @@ def check_child_monotonicity(mechanism: MechanismUnderTest, instance: ReportProf
     """No same-layer buyer may gain utility from another buyer's extra children.
 
     Works on `_Truthful.tree`: for each buyer j with children and each proper
-    child subset it lists, deleting the other subtrees must leave every
-    same-layer observer's utility at least as high as under the full set.
+    child subset it lists, a run on her `deviation`'s market (the other
+    subtrees deleted) must leave every same-layer observer at least as well off.
     """
     own = truth or _Truthful(mechanism, instance)
     tree = own.tree
@@ -647,7 +637,7 @@ def check_child_monotonicity(mechanism: MechanismUnderTest, instance: ReportProf
         u_full = {i: utility_of(profile, i, full) for i in observers}
         for sub in tree.subsets(j)[:-1]:
             reduced = ReportedType(full_rep.values, sub)
-            out = mechanism.run(tree.deviated_market(j, sub))
+            out = mechanism.run(tree.deviation(j, sub).market)
             for i, u in u_full.items():
                 u_reduced = utility_of(profile, i, out)
                 if u_reduced < u:

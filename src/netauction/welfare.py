@@ -67,6 +67,8 @@ class WelfarePool:
     value, solved by taking marginals in the order of `sorted_marginals`."""
 
     def __init__(self, market: Market, buyers: Iterable[BuyerId], budget: int):
+        if budget < 0:
+            raise ContractError(f"budget must be >= 0, got {budget}")
         self.budget = budget
         self._pool = sorted_marginals(market.profile.reports, buyers)
         # built by `top`; not a cached_property, which takes a lock per pool

@@ -200,6 +200,20 @@ def test_ldm_within_layer_order_is_immaterial(fig3_profile):
         assert out.units == base.units and out.payments == base.payments
 
 
+def test_ldm_order_must_list_every_layer_member(fig3_profile):
+    """An order that leaves out a member of a layer the loop reaches names
+    the first one it misses; ids outside the market are ignored."""
+    tree = compute_market(fig3_profile)
+    ids = sorted(tree.valid)
+    with pytest.raises(ContractError, match="order leaves out layer member 2$"):
+        run_ldm_tree(tree, 2, order=[0, 1])
+    with pytest.raises(ContractError, match="order leaves out layer member 5$"):
+        run_ldm_tree(tree, 2, order=[i for i in ids if i not in (5, 12)])
+    base = run_ldm_tree(tree, 2)
+    out = run_ldm_tree(tree, 2, order=[100, *reversed(ids), -1])
+    assert out.units == base.units and out.payments == base.payments
+
+
 def test_ldm_graph_equals_tree_on_fig4(fig3_profile):
     graph_profile = parse_instance((DATA / "fig4.json").read_text())
     tree_out = run_ldm_tree(compute_market(fig3_profile), 2)

@@ -285,6 +285,35 @@ def test_child_monotonicity_reruns_the_shared_markets(monkeypatch):
     assert counted[True] >= 15 and counted[False] >= 5
 
 
+@pytest.mark.parametrize("name", ["ldm", "dna-mu"])
+def test_either_order_of_the_checks_shares_the_same_work(monkeypatch, name):
+    """Whichever of the four deviation checks comes first builds the
+    markets, records and runs the others read: the checks run in either
+    order build the same markets, make the same runs and value reruns,
+    and return the same reports."""
+    calls = Counter()
+
+    def counting(module, attr):
+        wrapped = getattr(module, attr)
+        monkeypatch.setattr(module, attr,
+                            lambda *args, **kw: calls.update((attr,)) or wrapped(*args, **kw))
+
+    counting(verify, "compute_market")
+    counting(verify, "run_dna_mu")
+    counting(verify, "ldm_value_rerun")
+    counting(mechanisms, "run_ldm_tree")
+    checks = (*CHECKS, "child-monotonicity")
+    for profile in profiles():
+        answers = []
+        for order in (checks, checks[::-1]):
+            calls.clear()
+            results = {r.prop: r.reports for r in run_properties(profile, name, order)}
+            answers.append((dict(calls), results))
+        assert answers[0] == answers[1]
+        assert answers[0][0]["compute_market"] >= 1
+        assert answers[0][0]["run_ldm_tree" if name == "ldm" else "run_dna_mu"] >= 1
+
+
 def test_a_shared_truth_goes_with_its_last_reference():
     """`_Truthful.tree` keeps no reference from a `_Truthful` to itself, so a
     shared truth, own BFS tree or not, is freed with its last reference,

@@ -64,6 +64,16 @@ def test_errors():
         brute_force_welfare(market, {1, 2}, {}, 5)
 
 
+def test_pool_refuses_a_negative_budget(fig3_profile):
+    """A slice with a negative stop drops marginals from the end, so a
+    budget of -1 would answer 134, the value of 53 of fig3's 54 marginals."""
+    market = compute_market(fig3_profile)
+    for budget in (-1, -len(market.valid) * market.k):
+        with pytest.raises(ContractError, match=f"budget must be >= 0, got {budget}"):
+            WelfarePool(market, market.valid, budget)
+    assert WelfarePool(market, market.valid, 0).best() == WelfareResult(0, {})
+
+
 def test_zero_marginals_fill_leftover_capacity():
     market = compute_market(make_profile(3, {1}, {1: ((5, 0, 0), ())}))
     res = constrained_welfare(market, {1}, {}, 3)
