@@ -290,8 +290,9 @@ def cmd_verify(args) -> int:
 def cmd_search(args) -> int:
     config = _parse_gen_spec(args.gen)
     entry = MECHANISMS[args.mechanism]
+    checked = functools.cache(entry.checked)  # one mechanism per mu, not per instance
     found = search_counterexample(
-        lambda instance: entry.checked(entry.pinned_mu(instance, args.mu)),
+        lambda instance: checked(entry.pinned_mu(instance, args.mu)),
         instance_stream(config, args.budget), args.budget, args.value_ic)
     if found is None:
         print(f"no counterexample within {args.budget} instances")

@@ -12,7 +12,7 @@ every real buyer wins id ties against them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import ContractError, ValidationError
@@ -71,7 +71,8 @@ class Market:
     ``layers[d-1]`` is the set of valid buyers at shortest invitation-chain
     length d. The tree is the child sets: ``children[i]`` for every valid
     buyer i, each buyer hung under her smallest-id inviter in the previous
-    layer. Nothing else is stored, so the tree is linear in the buyers.
+    layer. Nothing else is stored but the first units' ranking, once a
+    mechanism reads it, so the tree is linear in the buyers.
     """
 
     profile: ReportProfile
@@ -79,6 +80,8 @@ class Market:
     layer_of: Mapping[BuyerId, int]
     layers: tuple[frozenset[BuyerId], ...]
     children: Mapping[BuyerId, frozenset[BuyerId]]
+    _ranked: list[tuple[Money, BuyerId]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def k(self) -> int:
@@ -90,6 +93,19 @@ class Market:
     def first_unit(self, i: BuyerId) -> Money:
         v = self.profile.reports[i].values
         return v[0] if v else 0
+
+    def ranked_first_units(self) -> list[tuple[Money, BuyerId]]:
+        """Every valid buyer's (first unit, id), descending: sorted on the
+        first call and kept on the market, so that DNA-MU's run and its
+        invitation menu share one sort. A field keeps it, not a
+        `functools.cached_property`: Python 3.11's takes a lock and builds
+        the instance dictionary on first read, and the DNA-MU searches ran
+        slower with it."""
+        ranked = self._ranked
+        if ranked is None:
+            ranked = sorted(((self.first_unit(j), j) for j in self.valid), reverse=True)
+            object.__setattr__(self, "_ranked", ranked)
+        return ranked
 
     def subtree(self, i: BuyerId) -> set[BuyerId]:
         """Every buyer below i, i excluded; an explicit stack, so any depth works."""

@@ -57,13 +57,17 @@ class LdmTrace:
     market: Market
 
 
-@dataclass(frozen=True)
-class DnaRow:
+class DnaRow(NamedTuple):
+    """One buyer a DNA-MU run processed: her price, whether she won at it,
+    the supply before her, and x_K, the floor of her invitation menu (see
+    `dna_mu_invitation_menu`)."""
+
     buyer: BuyerId
     layer: int
     price: Money
     won: bool
     k_before: int
+    floor: Money
 
 
 @dataclass(frozen=True)
@@ -131,18 +135,19 @@ def run_dna_mu(market: Market) -> Outcome:
     """DNA-MU: sequential unit-demand allocation, nearer layers first.
 
     Each buyer is priced at the K'-th highest first-unit value of the market
-    with her subtree (`Market.subtree`), the winners so far, and herself
-    removed, or 0 when fewer than K' buyers are left; she wins one unit at
-    that price iff her own first-unit value meets it. Only first-unit values
-    are read. They are sorted once per run, and each price is a walk down
-    that list that skips the removed buyers. Once supply hits zero nothing
-    more is sold, and no later buyer's subtree is walked. Buyers within a
-    layer go in ascending id order.
+    with her closed subtree (`Market.subtree` and herself) and the winners
+    so far removed, or 0 when fewer than K' buyers are left; she wins one
+    unit at that price iff her own first-unit value meets it. Only
+    first-unit values are read, through `Market.ranked_first_units`, and the
+    walk down that ranking that finds her price also finds her menu floor x_K,
+    which her `DnaRow` records. Once supply hits zero nothing more is sold,
+    and no later buyer's subtree is walked. Buyers within a layer go in
+    ascending id order.
     """
     if market.layers and any(is_dummy(i) for i in market.layers[0]):
         raise ContractError("dna-mu takes no reserve price")
-    ranked = _ranked_first_units(market)
-    k_remaining = market.profile.k
+    ranked = market.ranked_first_units()
+    k = k_remaining = market.k
     winners: set[BuyerId] = set()
     units = dict.fromkeys(market.valid, 0)
     payments = dict(units)
@@ -150,11 +155,9 @@ def run_dna_mu(market: Market) -> Outcome:
     for i in (i for layer in market.layers for i in sorted(layer)):
         if k_remaining == 0:
             break
-        skipped = market.subtree(i) | winners
-        skipped.add(i)
-        price = _kth_outside(ranked, skipped, k_remaining)
+        price, floor = _kth_outside(ranked, _closed_subtree(market, i), k, winners)
         won = market.first_unit(i) >= price
-        rows.append(DnaRow(i, market.layer_of[i], price, won, k_remaining))
+        rows.append(DnaRow(i, market.layer_of[i], price, won, k_remaining, floor))
         if won:
             units[i] = 1
             payments[i] = price
@@ -163,9 +166,10 @@ def run_dna_mu(market: Market) -> Outcome:
     return Outcome(units=units, payments=payments, trace=DnaTrace(tuple(rows)))
 
 
-def dna_mu_invitation_menu(market: Market) -> Callable[[BuyerId], Menu]:
+def dna_mu_invitation_menu(market: Market, outcome: Outcome) -> Callable[[BuyerId], Menu]:
     """i -> a menu bounding valid buyer i's true-value DNA-MU outcomes under
     every invitation report of hers, on any market: ((0, 0), (1, x_K)).
+    `outcome` is `run_dna_mu(market)`.
 
     x_K is the K-th highest first unit of X_i = valid - subtree(i) - {i}
     (0 when |X_i| < K). Hiding invitations deletes edges out of i only, so
@@ -174,33 +178,49 @@ def dna_mu_invitation_menu(market: Market) -> Callable[[BuyerId], Menu]:
     price is the (K - |W|)-th highest first unit of a superset of X_i - W,
     W the winners before her: never below x_K. She wins at most one unit,
     so every report ends in (0, 0) or (1, p) with p >= x_K. The argument is
-    in notes/decisions.md. First units are sorted once per market; each
-    menu walks i's subtree and that list.
+    in notes/decisions.md. The run's own walk found x_K for every buyer it
+    processed (`DnaRow.floor`); a buyer it never reached has her closed
+    subtree walked here, once, and the run's ranking of the market.
     """
-    ranked = _ranked_first_units(market)
+    floors = {row.buyer: row.floor for row in outcome.trace.rows}
 
     def menu(i: BuyerId) -> Menu:
-        skipped = market.subtree(i)
-        skipped.add(i)
-        return ((0, 0), (1, _kth_outside(ranked, skipped, market.k)))
+        floor = floors.get(i)
+        if floor is None:
+            floor = _kth_outside(market.ranked_first_units(), _closed_subtree(market, i),
+                                 market.k)[1]
+        return ((0, 0), (1, floor))
 
     return menu
 
 
-def _ranked_first_units(market: Market) -> list[tuple[Money, BuyerId]]:
-    """Every valid buyer's (first unit, id), descending."""
-    return sorted(((market.first_unit(j), j) for j in market.valid), reverse=True)
+def _closed_subtree(market: Market, i: BuyerId) -> set[BuyerId]:
+    """i's subtree in the market's BFS tree, i included."""
+    closed = market.subtree(i)
+    closed.add(i)
+    return closed
 
 
-def _kth_outside(ranked: list[tuple[Money, BuyerId]], skipped: set[BuyerId], k: int) -> Money:
-    """k-th value of `ranked`, descending (value, id) pairs, among the ids not
-    skipped; 0 when fewer than k are left."""
+def _kth_outside(ranked: list[tuple[Money, BuyerId]], closed: set[BuyerId], k: int,
+                 winners: set[BuyerId] | frozenset[BuyerId] = frozenset()) -> tuple[Money, Money]:
+    """(price, floor) in one walk down `ranked`, descending (value, id)
+    pairs: the (k - |winners|)-th value among the ids in neither `closed`
+    nor `winners`, and the k-th among the ids not in `closed`; each 0 when
+    fewer are left. `winners` lie outside `closed`, so at the price at most
+    k ids outside `closed` have been passed, and the floor comes no sooner."""
+    left = k - len(winners)
+    price = 0
     for value, j in ranked:
-        if j not in skipped:
-            k -= 1
-            if not k:
-                return value
-    return 0
+        if j in closed:
+            continue
+        if j not in winners:
+            left -= 1
+            if not left:
+                price = value
+        k -= 1
+        if not k:
+            return price, value
+    return price, 0
 
 
 def _ldm_layer(market: Market, members: Iterable[BuyerId], free: Iterable[BuyerId],

@@ -13,11 +13,12 @@ instance (`_Truthful`), which holds the one enumeration of invitation
 deviations: `subsets(i)` lists buyer i's invitation reports, her full set
 last, and `utility(i, subset)` is her true-value utility under one of
 them. The truthful outcome answers her full set; any other subset is one
-record, `deviation(i, subset)`: its deviated market, built once, `value_rerun`
-on it, and that rerun's answer at her true values. IR, invitation-IC and
-value-IC walk the same lists and read the same records; child monotonicity
-runs the mechanism on the markets of `tree`'s records, `tree` being the same
-`_Truthful` when the instance is its own BFS tree.
+record: its deviated market, built once, and, as `deviation(i, subset)`
+reads them, `value_rerun` on it and that rerun's answer at her true values.
+IR, invitation-IC and value-IC walk the same lists and read the same
+records; child monotonicity reads the outcomes on the markets of `tree`'s
+records (`outcome_of`), `tree` being the same `_Truthful` when the
+instance is its own BFS tree.
 
 A certificate is a menu of (units, payment) pairs that bounds a family of
 one buyer's reports (`mechanisms.Menu`), and `_certifies` is the one check
@@ -43,7 +44,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
 from math import comb
-from typing import Callable, ClassVar, Iterable, NamedTuple, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 from .errors import ContractError, SearchBudgetExceeded, TraceMissing
 from .market import (
@@ -107,6 +108,13 @@ class MechanismUnderTest:
         if self.value_rerun is None:
             object.__setattr__(self, "value_rerun", partial(_with_values_rerun, self.run))
 
+    @property
+    def runs_for_values(self) -> bool:
+        """Whether `value_rerun` is the generic one, `run` on each patched
+        market: then a deviation's true-value utility is read off the one
+        run on its market (`_Truthful.deviation`)."""
+        return getattr(self.value_rerun, "func", None) is _with_values_rerun
+
 
 def _with_values_rerun(run: Callable[[Market], Outcome], market: Market,
                        i: BuyerId) -> ValueRerun:
@@ -159,8 +167,9 @@ def _ldm_invitation_menu(truth: _Truthful, mu: int) -> Callable[[BuyerId], Menu 
 
 
 def dna_mu_mechanism() -> MechanismUnderTest:
-    return MechanismUnderTest("dna-mu", lambda market: run_dna_mu(market),
-                              invitation_menu=lambda truth: dna_mu_invitation_menu(truth.market))
+    return MechanismUnderTest(
+        "dna-mu", lambda market: run_dna_mu(market),
+        invitation_menu=lambda truth: dna_mu_invitation_menu(truth.market, truth.outcome))
 
 
 def vcg_mechanism() -> MechanismUnderTest:
@@ -242,14 +251,20 @@ def utility_of(truthful: ReportProfile, buyer: BuyerId, outcome: Outcome) -> Mon
     return gained - outcome.payment_of(buyer)
 
 
-class _Deviation(NamedTuple):
+class _Deviation:
     """One (valid buyer, invitation subset) of a `_Truthful`: the deviated
-    market, the mechanism's value rerun on it and her true-value utility
-    there."""
+    market, and what the checks read of it, each set on first need: the
+    mechanism's value rerun on it, her true-value utility there and, when
+    that utility is read off a run on the market (`runs_for_values`), the
+    run's outcome, which child monotonicity reads too."""
 
-    market: Market
-    rerun: ValueRerun
-    utility: Money
+    __slots__ = ("market", "rerun", "utility", "outcome")
+
+    def __init__(self, market: Market):
+        self.market = market
+        self.rerun: ValueRerun | None = None
+        self.utility: Money | None = None
+        self.outcome: Outcome | None = None
 
 
 class _Truthful:
@@ -258,8 +273,9 @@ class _Truthful:
     reports and one `_Deviation` per (valid buyer, invitation subset), each
     computed once, on first use. Every deviation check reads `subsets`, the
     one enumeration of invitation deviations, `utility`, the one conversion
-    of one into a utility, and `deviation`, the one way to a deviated
-    market, so each (buyer, subset) market is built once and rerun once.
+    of one into a utility, and `deviation` or `outcome_of`, the ways to a
+    deviated market, so each (buyer, subset) market is built once, given one
+    value rerun when a check reads one, and run at most once.
     `run_properties` passes one to every check; a checker called on its own
     builds its own."""
 
@@ -267,6 +283,7 @@ class _Truthful:
         self.mechanism = mechanism
         self.instance = instance
         self._deviations: dict[tuple[BuyerId, frozenset[BuyerId]], _Deviation] = {}
+        self._utilities: dict[BuyerId, Money] = {}  # of full reports
         self._subset_lists: dict[BuyerId, list[frozenset[BuyerId]]] = {}
         self._tree: _Truthful | None = None
 
@@ -329,34 +346,63 @@ class _Truthful:
             self._subset_lists[i] = found
         return found
 
-    def utility(self, i: BuyerId, invited: frozenset[BuyerId]) -> Money:
-        """i's true-value utility when she invites `invited`: the truthful
-        outcome's for her full set, which builds no rerun, else her
-        deviation's."""
-        if invited == self.instance.reports[i].invited:
-            return utility_of(self.instance, i, self.outcome)
-        return self.deviation(i, invited).utility
-
-    def deviation(self, i: BuyerId, invited: frozenset[BuyerId]) -> _Deviation:
-        """i's `_Deviation` for `invited`, built once: the market with her
-        inviting `invited`, her values kept (for her full set, the truthful
-        market), `value_rerun(market, i)` on it, and her utility at its
-        answer for her true values, which that market already holds: her
-        result under `run(market)`, for the full set the truthful outcome's."""
+    def _record(self, i: BuyerId, invited: frozenset[BuyerId]) -> _Deviation:
+        """i's `_Deviation` for `invited`, made once with its market: the
+        truthful market for her full set, else `compute_market` of the
+        instance with her one report changed, her values kept."""
         key = (i, invited)
         found = self._deviations.get(key)
         if found is None:
             truthful = self.instance.reports[i]
-            market = self.market if invited == truthful.invited else compute_market(
-                self.instance.with_report(i, ReportedType(truthful.values, invited)))
-            rerun = self.mechanism.value_rerun(market, i)
-            if market is self.market:
-                u = self.utility(i, invited)
-            else:
-                units, payment = rerun.answer(truthful.values)
-                u = cumulative_value(truthful.values, units) - payment
-            found = self._deviations[key] = _Deviation(market, rerun, u)
+            found = self._deviations[key] = _Deviation(
+                self.market if invited == truthful.invited else compute_market(
+                    self.instance.with_report(i, ReportedType(truthful.values, invited))))
         return found
+
+    def utility(self, i: BuyerId, invited: frozenset[BuyerId]) -> Money:
+        """i's true-value utility when she invites `invited`: for her full
+        set the truthful outcome's, computed once and building no rerun,
+        else her deviation's."""
+        if invited != self.instance.reports[i].invited:
+            return self.deviation(i, invited).utility
+        u = self._utilities.get(i)
+        if u is None:
+            u = self._utilities[i] = utility_of(self.instance, i, self.outcome)
+        return u
+
+    def deviation(self, i: BuyerId, invited: frozenset[BuyerId]) -> _Deviation:
+        """i's `_Deviation` for `invited` with its rerun and utility set:
+        `value_rerun(market, i)` first, then her utility at its answer for
+        her true values, which that market already holds: for her full set
+        the truthful outcome's, and, when the rerun is the generic one, that
+        of the one run on the market (`outcome_of`)."""
+        found = self._record(i, invited)
+        if found.rerun is None:
+            found.rerun = self.mechanism.value_rerun(found.market, i)
+            if found.market is self.market:
+                found.utility = self.utility(i, invited)
+            else:
+                values = self.instance.reports[i].values
+                if self.mechanism.runs_for_values:
+                    out = self.outcome_of(i, invited)
+                    units, payment = out.units_of(i), out.payment_of(i)
+                else:
+                    units, payment = found.rerun.answer(values)
+                found.utility = cumulative_value(values, units) - payment
+        return found
+
+    def outcome_of(self, i: BuyerId, invited: frozenset[BuyerId]) -> Outcome:
+        """The mechanism's outcome when i invites `invited`, a proper subset
+        of her invitations: the run on her deviation's market, which builds
+        no value rerun. The record keeps it when her utility is read off it
+        (`runs_for_values`), so that market is run once."""
+        found = self._record(i, invited)
+        if found.outcome is None:
+            out = self.mechanism.run(found.market)
+            if not self.mechanism.runs_for_values:
+                return out
+            found.outcome = out
+        return found.outcome
 
     def report(self, kind: str, i: BuyerId, truthful: ReportedType, deviating: ReportedType,
                u_truthful: Money, u_deviating: Money) -> DeviationReport:
@@ -370,10 +416,18 @@ def _own_deviations(truth: _Truthful, kind: str, violates: Callable[[Money, Mone
     """Every invitation report of a valid buyer whose utility u has
     `violates(u, u_full)`, u_full her full report's: that report is checked
     once, then her proper subsets are walked, unless she has none or, with
-    `skip_certified`, she is `certified`."""
+    `skip_certified`, she is `certified`. `skip_certified` is invitation-IC,
+    which never flags a full report, so it reads no utility of a buyer
+    without invitations; the truthful outcome is still run first, so that
+    its error, at an undersized mu say, is the one raised."""
     violations: list[DeviationReport] = []
-    for i in sorted(truth.market.valid):
+    valid = sorted(truth.market.valid)
+    if valid:
+        truth.outcome  # run first, as said above
+    for i in valid:
         truthful = truth.instance.reports[i]
+        if skip_certified and not truthful.invited:
+            continue
         u_full = truth.utility(i, truthful.invited)
         if violates(u_full, u_full):
             violations.append(truth.report(kind, i, truthful, truthful, u_full, u_full))
@@ -500,7 +554,8 @@ def check_value_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
         rep = instance.reports[i]
         vectors = None
         for sub in truth.subsets(i):
-            _, rerun, u_base = truth.deviation(i, sub)
+            found = truth.deviation(i, sub)
+            rerun, u_base = found.rerun, found.utility
             if _certifies(rerun.menu, rep.values, u_base):
                 continue
             if vectors is None:
@@ -620,12 +675,14 @@ def check_child_monotonicity(mechanism: MechanismUnderTest, instance: ReportProf
     """No same-layer buyer may gain utility from another buyer's extra children.
 
     Works on `_Truthful.tree`: for each buyer j with children and each proper
-    child subset it lists, a run on her `deviation`'s market (the other
-    subtrees deleted) must leave every same-layer observer at least as well off.
+    child subset it lists, the run on her deviation's market (the other
+    subtrees deleted, `_Truthful.outcome_of`) must leave every same-layer
+    observer at least as well off.
     """
     own = truth or _Truthful(mechanism, instance)
     tree = own.tree
-    market, profile, full = tree.market, tree.instance, tree.outcome
+    market, profile = tree.market, tree.instance
+    tree.outcome  # the truthful run comes first, whatever a deletion raises
     violations: list[DeviationReport] = []
     for j in sorted(market.valid):
         if not market.children[j]:
@@ -634,10 +691,10 @@ def check_child_monotonicity(mechanism: MechanismUnderTest, instance: ReportProf
         if not observers:
             continue
         full_rep = profile.reports[j]
-        u_full = {i: utility_of(profile, i, full) for i in observers}
+        u_full = {i: tree.utility(i, profile.reports[i].invited) for i in observers}
         for sub in tree.subsets(j)[:-1]:
             reduced = ReportedType(full_rep.values, sub)
-            out = mechanism.run(tree.deviation(j, sub).market)
+            out = tree.outcome_of(j, sub)
             for i, u in u_full.items():
                 u_reduced = utility_of(profile, i, out)
                 if u_reduced < u:

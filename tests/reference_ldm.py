@@ -1,5 +1,5 @@
-"""Slow, obvious versions of the BFS tree, the removed sets, DNA-MU, LDM-Tree,
-first-layer VCG and LDM's value rerun.
+"""Slow, obvious versions of the BFS tree, the removed sets, DNA-MU and its
+invitation menu, LDM-Tree, first-layer VCG and LDM's value rerun.
 
 The oracle for the fast paths in `netauction.market`,
 `netauction.removed_sets`, `netauction.welfare` and `netauction.mechanisms`,
@@ -8,7 +8,8 @@ VCG `SW_{-i}` is a fresh `greedy_welfare` solve on the explicit buyer set,
 with the earlier layers fixed at their units, handing out one unit at a time;
 each BFS parent comes from a scan of the whole previous layer, DNA-MU reads
 every buyer's descendant set built up front by recursion and prices from a
-full sort, and each buyer's C^P and C^W are built one buyer at a time.
+full sort (its invitation menu sorts the first units apart from the run),
+and each buyer's C^P and C^W are built one buyer at a time.
 Testing use only; it must never share code with the sorted welfare pool
 (`netauction.welfare`), the linear tree construction or
 `netauction.removed_sets`: every R_l is the union of the per-buyer C^R sets
@@ -22,7 +23,7 @@ well as with the merged-rank rerun that replaced it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from netauction.errors import MuTooSmall
 from netauction.market import (
@@ -41,6 +42,7 @@ from netauction.mechanisms import (
     DnaTrace,
     LayerRecord,
     LdmTrace,
+    Menu,
     Outcome,
     ValueRerun,
     _ldm_layer,
@@ -151,16 +153,32 @@ def run_dna_mu(ref: ReferenceTree) -> Outcome:
             if k_remaining == 0:
                 done = True
                 break
-            pool = market.valid - ref.descendants[i] - winners - {i}
-            price = kth_first_unit(market, pool, k_remaining)
+            outside = market.valid - ref.descendants[i] - {i}
+            price = kth_first_unit(market, outside - winners, k_remaining)
             won = market.first_unit(i) >= price
-            rows.append(DnaRow(i, d, price, won, k_remaining))
+            rows.append(DnaRow(i, d, price, won, k_remaining,
+                               kth_first_unit(market, outside, market.k)))
             if won:
                 units[i] = 1
                 payments[i] = price
                 winners.add(i)
                 k_remaining -= 1
     return Outcome(units=units, payments=payments, trace=DnaTrace(tuple(rows)))
+
+
+def dna_mu_invitation_menu(market: Market) -> Callable[[BuyerId], Menu]:
+    """DNA-MU's invitation menu built apart from the run, as the library
+    built it before the run recorded x_K: one sort of the market's first
+    units, and per buyer a `Market.subtree` walk and a walk down that sort
+    to the K-th highest first unit outside her closed subtree."""
+    ranked = sorted(((market.first_unit(j), j) for j in market.valid), reverse=True)
+
+    def menu(i: BuyerId) -> Menu:
+        closed = market.subtree(i) | {i}
+        outside = [value for value, j in ranked if j not in closed]
+        return ((0, 0), (1, outside[market.k - 1] if len(outside) >= market.k else 0))
+
+    return menu
 
 
 def run_vcg_first_layer(market: Market, reserve: int | None = None) -> Outcome:

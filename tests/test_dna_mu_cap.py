@@ -71,7 +71,7 @@ def reached_caps(profile):
     report of the full enumeration; return how many buyers have a report
     that reaches a positive cap."""
     truth = _Truthful(ENUMERATED, profile)
-    menu = dna_mu_invitation_menu(truth.market)
+    menu = dna_mu_invitation_menu(truth.market, truth.outcome)
     reached = 0
     for i in truth.market.valid:
         values = profile.reports[i].values
@@ -95,7 +95,7 @@ def test_menu_certifies_exactly_the_full_reports_that_reach_the_cap(streams, cou
     checked = 0
     for profile in (p for config in streams for p in instance_stream(config, count)):
         truth = _Truthful(CERTIFIED, profile)
-        menu = dna_mu_invitation_menu(truth.market)
+        menu = dna_mu_invitation_menu(truth.market, truth.outcome)
         for i in truth.market.valid:
             rep = profile.reports[i]
             u_full = truth.utility(i, rep.invited)
@@ -143,7 +143,7 @@ def invitation_ic(mechanism, profile, check=check_invitation_ic):
 def certified(profile):
     """The valid buyers with invitations whose menu certifies their full report."""
     truth = _Truthful(CERTIFIED, profile)
-    menu = dna_mu_invitation_menu(truth.market)
+    menu = dna_mu_invitation_menu(truth.market, truth.outcome)
     reports = truth.instance.reports
     return {i for i in truth.market.valid if reports[i].invited and _certifies(
         menu(i), reports[i].values, truth.utility(i, reports[i].invited))}

@@ -314,6 +314,56 @@ def test_either_order_of_the_checks_shares_the_same_work(monkeypatch, name):
         assert answers[0][0]["run_ldm_tree" if name == "ldm" else "run_dna_mu"] >= 1
 
 
+def test_child_monotonicity_builds_only_the_certificates_reruns(monkeypatch):
+    """Child monotonicity reads each deletion's market through
+    `_Truthful.outcome_of`, which builds no value rerun. Alone, under LDM,
+    it builds only the reruns of LDM's certificate on the BFS tree, the full
+    and empty sets of each buyer with two or more children, once some buyer
+    with children and a same-layer observer lists her subsets."""
+    reruns = []
+    wrapped = verify.ldm_value_rerun
+    monkeypatch.setattr(verify, "ldm_value_rerun",
+                        lambda market, mu, i: reruns.append(i) or wrapped(market, mu, i))
+    graphs = instance_stream(STREAMS[1], 40)
+    deletions = 0
+    for profile in [*child_monotonicity_profiles(), *graphs]:
+        reruns.clear()
+        truth = verify._Truthful(ldm_mechanism(robust_mu(profile)), profile)
+        check_child_monotonicity(truth.mechanism, profile, truth=truth)
+        tree = truth.tree.market
+        read = sum(1 for j in tree.valid
+                   if tree.children[j] and len(tree.layers[tree.layer_of[j] - 1]) > 1)
+        certified = [i for i in tree.valid if len(tree.children[i]) >= 2]
+        assert sorted(reruns) == (sorted(certified * 2) if read else [])
+        deletions += read
+    # buyers with children and a same-layer observer, each read at least once
+    assert deletions > 80
+
+
+@pytest.mark.parametrize("order", [(*CHECKS, "child-monotonicity"),
+                                   ("child-monotonicity", *CHECKS[::-1]),
+                                   ("child-monotonicity",)],
+                         ids=["last", "first", "alone"])
+def test_a_black_box_runs_once_per_market_with_child_monotonicity(monkeypatch, order):
+    """Child monotonicity reads a black box's outcome on a deletion's market
+    from the run that answers the invitation checks there, or makes that
+    run for them: in any order, every market is run at most once."""
+    built, runs = [], []
+    build, run = verify.compute_market, verify.run_dna_mu
+    monkeypatch.setattr(verify, "compute_market",
+                        lambda profile: built.append(build(profile)) or built[-1])
+    monkeypatch.setattr(verify, "run_dna_mu", lambda market: runs.append(market) or run(market))
+    shared = 0
+    for profile in profiles():
+        built.clear()
+        runs.clear()
+        run_properties(profile, "dna-mu", order)
+        counts = Counter(map(id, runs))
+        assert max(counts.values()) == 1 and all(counts[id(market)] <= 1 for market in built)
+        shared += len(runs)
+    assert shared > 100
+
+
 def test_a_shared_truth_goes_with_its_last_reference():
     """`_Truthful.tree` keeps no reference from a `_Truthful` to itself, so a
     shared truth, own BFS tree or not, is freed with its last reference,
