@@ -13,7 +13,7 @@ DNA-MU takes no reserve and refuses a market with dummies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ContractError, ValidationError
@@ -52,9 +52,15 @@ class LayerRecord:
 
 @dataclass(frozen=True)
 class LdmTrace:
+    """A run's layer records on `market` at `mu`, and, for the value reruns
+    on `market` (`ldm_run_value_rerun`), each processed layer's free set and
+    welfare pool."""
+
     mu: int
     layers: tuple[LayerRecord, ...]
     market: Market
+    pools: tuple[tuple[frozenset[BuyerId], WelfarePool], ...] = field(
+        default=(), compare=False, repr=False)
 
 
 class DnaRow(NamedTuple):
@@ -278,6 +284,7 @@ def _ldm_layers(market: Market, mu: int, free_sets: Iterable[frozenset[BuyerId]]
     supply = market.k
     frozen: dict[BuyerId, int] = {}  # processed buyers holding units: at most K
     records: list[LayerRecord] = []
+    pools: list[tuple[frozenset[BuyerId], WelfarePool]] = []
     position = None if order is None else {b: p for p, b in enumerate(order)}
     for l, free in enumerate(free_sets, start=1):
         members = sorted(market.layers[l - 1])
@@ -286,6 +293,7 @@ def _ldm_layers(market: Market, mu: int, free_sets: Iterable[frozenset[BuyerId]]
                 raise ContractError(f"order leaves out layer member {missing[0]}")
             members.sort(key=position.__getitem__)
         pool, layer_opt, taken = _ldm_layer(market, members, free, supply)
+        pools.append((free, pool))
         supply -= taken
         # the trace alone adds back the frozen layers' units and welfare
         tentative = frozen | layer_opt.allocation
@@ -310,7 +318,7 @@ def _ldm_layers(market: Market, mu: int, free_sets: Iterable[frozenset[BuyerId]]
             break
         frozen = {j: m for j, m in tentative.items() if market.layer_of[j] <= l}
     return Outcome(units=units, payments=payments,
-                   trace=LdmTrace(mu, tuple(records), market))
+                   trace=LdmTrace(mu, tuple(records), market, tuple(pools)))
 
 
 class ValueRerun(NamedTuple):
@@ -335,16 +343,15 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
     units and payment are final once layer L is processed. Every v that
     puts i in C^R_p gives the same C^R_p, so the same layers before L; for
     any other v, at least K of her siblings outrank her in layer L, and the
-    answer below is (0, 0) whatever those layers did (the argument is in
-    notes/decisions.md). So mu is checked, the layers before L committed at
-    one such v, a bid above every first unit, and layer L's free pool
-    sorted once, here. i's units x never exceed the supply S left for
-    layer L, and her payment reads v only through x: the menu is
-    (x, SW_{-D_i} minus the others' first S - x marginals) for x in 0..S,
-    built here, and a vector's answer is its entry at the x found by binary
-    search in that pool: O(k log n), with no pool built and nothing sorted.
-    If a layer before L sells every unit, or i is a dummy, the menu is
-    ((0, 0),) and every report gets it.
+    answer is (0, 0) whatever those layers did (the argument is in
+    notes/decisions.md). So mu is checked and the layers before L
+    committed at one such v, a bid above every first unit; then layer L's
+    free pool, i in it at her values, is sorted once and `_pool_rerun`
+    reads her rerun from it. If a layer before L sells every unit, or i is
+    a dummy, the menu is ((0, 0),) and every report gets it.
+
+    This is the per-buyer set-up. On a market LDM has run on, the run's
+    own pools answer every buyer whom `ldm_run_value_rerun` does not refuse.
     """
     layer = market.layer_of[i]
     committing = market
@@ -360,11 +367,50 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
     free = next(free_sets)
     if is_dummy(i):
         return _NOTHING
-    pool = WelfarePool(market, free.difference((i,)), supply)
+    return _pool_rerun(market, WelfarePool(market, free, supply), i)
+
+
+def ldm_run_value_rerun(trace: LdmTrace, i: BuyerId) -> ValueRerun | None:
+    """`ldm_value_rerun(trace.market, trace.mu, i)` read from the run that
+    made `trace`, or None for a buyer outside her parent's C^R, whose rerun
+    must commit layer L-1 anew.
+
+    i sits in layer L with parent p. A sell-out at layer L-2 or earlier
+    reads none of her values: (0, 0). When she is in C^R_p at the truth,
+    not free in layer L-1, the rerun's layers before L commit as the run's
+    did, so a sell-out at layer L-1 gives (0, 0) too, and otherwise the
+    run's layer-L pool, with the run's supply, is the rerun's. A layer-1
+    buyer always qualifies, and so does every buyer with children, who is
+    in C^P_p. The read sorts nothing: two walks down the pool's first S
+    places or so, S the supply layer L shared, and k binary searches.
+    """
+    layer = trace.market.layer_of[i]
+    pools = trace.pools
+    if len(pools) < layer - 1:
+        return _NOTHING
+    if layer > 1 and i in pools[layer - 2][0]:
+        return None
+    if len(pools) < layer or is_dummy(i):
+        return _NOTHING
+    return _pool_rerun(trace.market, pools[layer - 1][1], i)
+
+
+def _pool_rerun(market: Market, pool: WelfarePool, i: BuyerId) -> ValueRerun:
+    """i's value rerun from her layer's free pool, in which she is a free
+    buyer at her values in `market`, with the supply S the layers before
+    hers left as its budget. Her units x never exceed S, and her payment
+    reads v only through x: the menu is (x, SW_{-D_i} minus the others'
+    first S - x marginals) for x in 0..S, her own marginals skipped in
+    those sums. A vector's answer is its entry at the x found by binary
+    search in the pool, her pooled marginals left out of the count:
+    O(k log n), with no pool built and nothing sorted."""
+    supply = pool.budget
     sw_d = _sw_minus_d(market, pool, i)
+    others = pool.tops_without(i)
     # p_i = SW_{-D_i} - (SW_L - v_i(x)), over layer L's free buyers
-    menu = tuple((x, sw_d - pool.top(supply - x)) for x in range(supply + 1))
-    return ValueRerun(lambda v: menu[pool.units_of(i, v)], menu)
+    menu = tuple((x, sw_d - others[supply - x]) for x in range(supply + 1))
+    own = pool.places_of(i, market.values_of(i))
+    return ValueRerun(lambda v: menu[pool.units_of(i, v, own)], menu)
 
 
 def run_ldm(market: Market, mu: int) -> Outcome:

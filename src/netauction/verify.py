@@ -64,6 +64,7 @@ from .mechanisms import (
     Outcome,
     ValueRerun,
     dna_mu_invitation_menu,
+    ldm_run_value_rerun,
     ldm_value_rerun,
     outcome_welfare,
     run_dna_mu,
@@ -115,6 +116,17 @@ class MechanismUnderTest:
         run on its market (`_Truthful.deviation`)."""
         return getattr(self.value_rerun, "func", None) is _with_values_rerun
 
+    @property
+    def ldm_mu(self) -> int | None:
+        """mu when `run` and `value_rerun` are LDM's own at one mu
+        (`ldm_mechanism`): then a value rerun on the truthful market is
+        read from the truthful run (`_Truthful.deviation`). Else None."""
+        run, rerun = self.run, self.value_rerun
+        if (getattr(run, "func", None) is _run_ldm and getattr(rerun, "func", None) is _ldm_rerun
+                and run.args == rerun.args):
+            return run.args[0]
+        return None
+
 
 def _with_values_rerun(run: Callable[[Market], Outcome], market: Market,
                        i: BuyerId) -> ValueRerun:
@@ -135,14 +147,21 @@ def given_mu(instance: ReportProfile, mu: int | None) -> int | None:
     return mu if mu is not None else instance.mu
 
 
-# The only definition of each mechanism. The lambdas look the run functions
-# up by name when called, so wrappers installed on this module (such as
-# tracing spans) see every run.
+# The only definition of each mechanism. The lambdas and helpers look the
+# run functions up by name when called, so wrappers installed on this module
+# (such as tracing spans) see every run.
 def ldm_mechanism(mu: int) -> MechanismUnderTest:
     """LDM at `mu`."""
-    return _Ldm("ldm", lambda market: run_ldm(market, mu),
-                lambda market, i: ldm_value_rerun(market, mu, i),
+    return _Ldm("ldm", partial(_run_ldm, mu), partial(_ldm_rerun, mu),
                 lambda truth: _ldm_invitation_menu(truth, mu))
+
+
+def _run_ldm(mu: int, market: Market) -> Outcome:
+    return run_ldm(market, mu)
+
+
+def _ldm_rerun(mu: int, market: Market, i: BuyerId) -> ValueRerun:
+    return ldm_value_rerun(market, mu, i)
 
 
 class _Ldm(MechanismUnderTest):
@@ -375,13 +394,21 @@ class _Truthful:
         `value_rerun(market, i)` first, then her utility at its answer for
         her true values, which that market already holds: for her full set
         the truthful outcome's, and, when the rerun is the generic one, that
-        of the one run on the market (`outcome_of`)."""
+        of the one run on the market (`outcome_of`).
+
+        For her full set under LDM's own run and rerun (`ldm_mu`), the
+        rerun is read from the truthful run's layer pools
+        (`ldm_run_value_rerun`); only a buyer outside her parent's C^R at
+        the truth gets the per-buyer set-up (notes/decisions.md, "The
+        truthful LDM run answers every value rerun on its market")."""
         found = self._record(i, invited)
         if found.rerun is None:
-            found.rerun = self.mechanism.value_rerun(found.market, i)
             if found.market is self.market:
+                found.rerun = (self._run_value_rerun(i)
+                               or self.mechanism.value_rerun(found.market, i))
                 found.utility = self.utility(i, invited)
             else:
+                found.rerun = self.mechanism.value_rerun(found.market, i)
                 values = self.instance.reports[i].values
                 if self.mechanism.runs_for_values:
                     out = self.outcome_of(i, invited)
@@ -390,6 +417,20 @@ class _Truthful:
                     units, payment = found.rerun.answer(values)
                 found.utility = cumulative_value(values, units) - payment
         return found
+
+    def _run_value_rerun(self, i: BuyerId) -> ValueRerun | None:
+        """LDM's value rerun of i on the truthful market, read from the
+        truthful run (`ldm_run_value_rerun`) when the mechanism's run and
+        rerun are LDM's own (`ldm_mu`) and the outcome's trace is that run's,
+        on this market at that mu; None where it is not, or the run refuses
+        her."""
+        mu = self.mechanism.ldm_mu
+        if mu is None:
+            return None
+        trace = self.outcome.trace
+        if trace.market is not self.market or trace.mu != mu:
+            return None
+        return ldm_run_value_rerun(trace, i)
 
     def outcome_of(self, i: BuyerId, invited: frozenset[BuyerId]) -> Outcome:
         """The mechanism's outcome when i invites `invited`, a proper subset

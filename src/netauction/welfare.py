@@ -7,9 +7,9 @@ defined in this module only: ``sorted_marginals`` sorts by it. ``WelfarePool``
 sorts a set of free buyers' marginals once; it then answers the problem itself
 and every variant with a few of them left out by walking that sorted list, so
 a mechanism that needs one optimum per buyer of a layer pays for one sort, not
-one per buyer. The same pool serves problems that differ in one outside
-buyer's marginals, merged in by binary search (``units_of``); only ``top``,
-the free buyers' value read from prefix sums built on first use, varies the
+one per buyer. The same pool serves problems that differ in one buyer's
+marginals, merged in by binary search in place of hers (``units_of``); only
+``tops_without``, the others' value for each smaller budget, varies the
 budget. A pool holds no fixed buyers; the caller that freezes some keeps
 their units and welfare. ``constrained_welfare``, the single-problem entry
 point, is the one that checks, sums and merges them.
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .errors import ContractError, FixedOutsideIncluded, OverCommitted
@@ -71,8 +70,6 @@ class WelfarePool:
             raise ContractError(f"budget must be >= 0, got {budget}")
         self.budget = budget
         self._pool = sorted_marginals(market.profile.reports, buyers)
-        # built by `top`; not a cached_property, which takes a lock per pool
-        self._prefix: list[Money] | None = None
 
     def best(self) -> WelfareResult:
         """The optimum of the whole problem, allocation included."""
@@ -84,8 +81,9 @@ class WelfarePool:
         return WelfareResult(welfare=welfare, allocation=allocation)
 
     def top_without(self, excluded: frozenset[BuyerId] | set[BuyerId]) -> Money:
-        """`top(budget)` of the pool without `excluded`: a walk over the sorted
-        marginals, skipping the excluded buyers', until `budget` are summed."""
+        """The total value of the first `budget` marginals of the pool without
+        `excluded`, or of all when fewer: a walk over the sorted marginals,
+        skipping the excluded buyers', until `budget` are summed."""
         total, budget = 0, self.budget
         for neg_v, i, _unit in self._pool:
             if not budget:
@@ -95,23 +93,38 @@ class WelfarePool:
                 budget -= 1
         return total
 
-    def top(self, budget: int) -> Money:
-        """Total value of the first `budget` free marginals, or of all when
-        fewer; the prefix sums are built on the first call."""
-        if self._prefix is None:
-            self._prefix = [0, *accumulate(-neg_v for neg_v, _i, _unit in self._pool)]
-        return self._prefix[min(budget, len(self._pool))]
+    def tops_without(self, i: BuyerId) -> list[Money]:
+        """The total value of the first m marginals of the free buyers other
+        than i, or of all when fewer, for m in 0..`budget`: a walk over the
+        sorted marginals, skipping hers, until `budget` are summed."""
+        tops, budget = [0], self.budget
+        for neg_v, j, _unit in self._pool:
+            if len(tops) > budget:
+                break
+            if j != i:
+                tops.append(tops[-1] - neg_v)
+        return tops + tops[-1:] * (budget + 1 - len(tops))
 
-    def units_of(self, i: BuyerId, values: ValuationVector) -> int:
+    def places_of(self, i: BuyerId, values: ValuationVector) -> list[int]:
+        """The places of free buyer i's marginals in the sorted pool, in unit
+        order, which is ascending; `values` are hers as the pool holds them."""
+        return [bisect_left(self._pool, (-v, i, unit)) for unit, v in enumerate(values)]
+
+    def units_of(self, i: BuyerId, values: ValuationVector, own: list[int]) -> int:
         """How many of buyer i's marginals `values` fall in the first `budget`
-        places once merged into the greedy order; i must not be a free buyer.
+        places once merged into the greedy order in place of her own: `own`
+        is `places_of` her pooled marginals when she is a free buyer, else
+        empty.
 
-        i's unit u follows her u earlier units and the marginals that precede
-        it here; values are non-increasing, so her units that fit are a prefix.
+        i's unit u follows her u earlier units and the others' marginals that
+        precede it here: those before its place less her own, counted by a
+        bisect over `own`. Values are non-increasing, so her units that fit
+        are a prefix.
         """
         marginals, budget = self._pool, self.budget
         for unit, v in enumerate(values):
-            if unit + bisect_left(marginals, (-v, i, unit)) >= budget:
+            place = bisect_left(marginals, (-v, i, unit))
+            if unit + place - bisect_left(own, place) >= budget:
                 return unit
         return len(values)
 

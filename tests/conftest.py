@@ -1,5 +1,6 @@
 """Shared fixtures: the worked tree example from the figures, the small
-hand-traced market T4, and a profile-building shorthand."""
+hand-traced market T4, a profile-building shorthand, and a counter of the
+LDM value reruns the checks read."""
 
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ try:
 except ImportError:  # running from a checkout without the editable install
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     from netauction.market import ReportProfile, ReportedType, validate_profile
+from netauction import verify
+from netauction.removed_sets import removed_sets_for
 
 DATA = Path(__file__).parent / "data"
 
@@ -54,6 +57,36 @@ def ldm_walked_subsets(profile: ReportProfile, market) -> int:
     own = all(reports[i].invited == market.children[i] for i in market.valid)
     return sum(1 if own and len(reports[i].invited) >= 2 else 2 ** len(reports[i].invited) - 1
                for i in market.valid)
+
+
+def counted_reruns(monkeypatch) -> list:
+    """Record each LDM value rerun the checks read as (path, market, buyer,
+    rerun): "set-up" for each `ldm_value_rerun`, "run" for each one read
+    from the truthful run, where `ldm_run_value_rerun` answers."""
+    reruns = []
+    set_up, read = verify.ldm_value_rerun, verify.ldm_run_value_rerun
+
+    def setting_up(market, mu, i):
+        found = set_up(market, mu, i)
+        reruns.append(("set-up", market, i, found))
+        return found
+
+    def reading(trace, i):
+        found = read(trace, i)
+        if found is not None:
+            reruns.append(("run", trace.market, i, found))
+        return found
+
+    monkeypatch.setattr(verify, "ldm_value_rerun", setting_up)
+    monkeypatch.setattr(verify, "ldm_run_value_rerun", reading)
+    return reruns
+
+
+def outside_parent_removed_set(market, mu: int, i) -> bool:
+    """Whether valid buyer i sits below layer 1 in no C^R, so free in her
+    parent's layer: the one buyer whose truthful-market rerun is set up."""
+    return market.layer_of[i] > 1 and all(i not in c_r
+                                          for c_r in removed_sets_for(market, mu).values())
 
 
 def chain_profile(n: int, k: int) -> ReportProfile:

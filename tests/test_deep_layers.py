@@ -1,13 +1,15 @@
 """The deviation checks on comb trees, where LDM sells past layer 1.
 
 The generated criterion-3 streams rarely reach a layer >= 2 with units left
-(4 of 394 deeper `ldm_value_rerun` set-ups), so their value-IC checks mostly
-exercise layer-1 buyers. A comb sends units deep: the seller invites the
+(4 of 394 deeper value reruns), so their value-IC checks mostly exercise
+layer-1 buyers. A comb sends units deep: the seller invites the
 first spine buyer, each spine buyer invites the next one and three leaves,
 and values rise with depth. With K <= 2 and mu = 1 the C^W quota
 K + mu - 1 leaves at least one leaf of every spine buyer in her layer's
 pool, where it outbids her, so the units pass down the spine.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -20,7 +22,7 @@ from netauction.verify import (PROPERTY_NAMES, MechanismUnderTest, check_child_m
                                ldm_mechanism, run_properties)
 
 import reference_verify as ref
-from conftest import make_profile
+from conftest import counted_reruns, make_profile, outside_parent_removed_set
 from test_value_rerun import first_price
 
 DEPTHS = (3, 4, 5)
@@ -59,43 +61,53 @@ def sold_by_layer(profile):
     return sold
 
 
-def counted_set_ups(monkeypatch):
-    """Record each `ldm_value_rerun` set-up as (buyer's layer, supply left)."""
-    set_ups = []
-    rerun = verify.ldm_value_rerun
-
-    def counting(market, mu, i):
-        found = rerun(market, mu, i)
-        set_ups.append((market.layer_of[i], len(found.menu) > 1))
-        return found
-
-    monkeypatch.setattr(verify, "ldm_value_rerun", counting)
-    return set_ups
+def counted_deeper_reruns(monkeypatch, profiles):
+    """Run every property on each profile; count each value rerun of a buyer
+    in layer 2 or deeper by (path, whether on the truthful market, whether
+    supply was left for her layer), the paths those of `counted_reruns`.
+    A set-up on the truthful market is only ever for a buyer outside her
+    parent's C^R."""
+    reruns = counted_reruns(monkeypatch)
+    deeper = Counter()
+    for profile in profiles:
+        results = run_properties(profile, "ldm", PROPERTY_NAMES)
+        assert [r.prop for r in results if not r.ok] == []
+        for path, market, i, found in reruns:
+            if path == "set-up" and market.profile is profile:
+                assert outside_parent_removed_set(market, robust_mu(profile), i), i
+            if market.layer_of[i] >= 2:
+                deeper[path, market.profile is profile, len(found.menu) > 1] += 1
+        reruns.clear()
+    return deeper
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_combs_sell_past_layer_one_and_hold_every_property(k, monkeypatch):
-    set_ups = counted_set_ups(monkeypatch)
     for profile in combs(k):
         assert max(sold_by_layer(profile)) >= 3
-        results = run_properties(profile, "ldm", PROPERTY_NAMES)
-        assert [r.prop for r in results if not r.ok] == []
-    deeper = [supplied for layer, supplied in set_ups if layer >= 2]
-    # every deeper set-up has supply left at k=1, and 135 of 162 at k=2; a
+    deeper = counted_deeper_reruns(monkeypatch, combs(k))
+    # 162 deeper reruns, every one with supply left at k=1 and 135 at k=2: a
     # spine buyer is certified and walks only her empty and full sets, where
-    # every subset made 468 set-ups
-    assert len(deeper) == 162 and sum(deeper) == {1: 162, 2: 135}[k]
+    # every subset made 468. Each empty set's is set up on its deviated
+    # market (27). On the truthful market the run answers the spine and the
+    # leaves in their parent's C^W. Only the others are set up: the quota
+    # K + mu - 1 leaves out two leaves of each spine buyer but the last (one
+    # of hers) at k=1, and one (none of hers) at k=2.
+    assert deeper == {
+        1: {("set-up", False, True): 27, ("run", True, True): 72, ("set-up", True, True): 63},
+        2: {("set-up", False, True): 27, ("run", True, True): 81, ("run", True, False): 27,
+            ("set-up", True, True): 27},
+    }[k]
 
 
 def test_k3_combs_sell_out_in_layer_one(monkeypatch):
     """At K = 3 the quota K + mu - 1 = 3 removes all three leaves of the
     root, with the next spine buyer, so layer 1's pool is the root alone and
-    she takes every unit, whatever the values: no deeper set-up has supply."""
-    set_ups = counted_set_ups(monkeypatch)
+    she takes every unit, whatever the values: no deeper rerun has supply."""
     for profile in combs(3):
         assert sold_by_layer(profile) == {1: 3}
-        assert all(r.ok for r in run_properties(profile, "ldm", PROPERTY_NAMES))
-    assert not any(supplied for layer, supplied in set_ups if layer >= 2)
+    deeper = counted_deeper_reruns(monkeypatch, combs(3))
+    assert not any(supplied for _path, _truthful, supplied in deeper)
 
 
 def grid(instance, i):

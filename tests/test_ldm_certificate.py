@@ -24,7 +24,7 @@ from netauction.verify import (PROPERTY_NAMES, MechanismUnderTest, _Truthful,
                                run_properties, vcg_mechanism)
 
 import reference_verify as ref
-from conftest import DATA, make_profile
+from conftest import DATA, counted_reruns, make_profile, outside_parent_removed_set
 from test_deep_layers import combs
 from test_value_rerun import first_price
 
@@ -146,6 +146,30 @@ def test_a_certificate_without_the_empty_set_would_miss_violations():
     assert found > 50 and missed > 20
 
 
+def test_only_ldms_own_run_and_rerun_read_the_truthful_run(monkeypatch):
+    """The truthful run answers the full sets' reruns only when both `run`
+    and `value_rerun` are LDM's own at one mu: a mechanism that replaces
+    either, even by an equal function, keeps the per-buyer set-up."""
+    mu = 2
+    ldm = ldm_mechanism(mu)
+    replaced = {
+        "own": ldm,
+        "run": dataclasses.replace(ldm, run=lambda market: run_ldm(market, mu)),
+        "rerun": dataclasses.replace(ldm, value_rerun=lambda market, i: ldm.value_rerun(market, i)),
+        "other-mu": dataclasses.replace(ldm, value_rerun=ldm_mechanism(mu + 1).value_rerun),
+        "subsidy": subsidised(mu),
+    }
+    assert {name: m.ldm_mu for name, m in replaced.items()} == {
+        "own": mu, "run": None, "rerun": None, "other-mu": None, "subsidy": None}
+    reruns = counted_reruns(monkeypatch)
+    profile = fixture("fig3")
+    for name, mechanism in replaced.items():
+        reruns.clear()
+        check_invitation_ic(mechanism, profile)
+        paths = {path for path, market, _i, _rerun in reruns if market.profile is profile}
+        assert paths == ({"run"} if name == "own" else {"set-up"}), name
+
+
 @pytest.mark.parametrize("mechanism", [dna_mu_mechanism(), vcg_mechanism(),
                                        MechanismUnderTest("first-price", first_price)],
                          ids=["dna-mu", "vcg-l1", "black-box"])
@@ -168,16 +192,18 @@ def test_work_on_a_fixed_own_tree(monkeypatch):
     full and empty sets' values; 2, whose one proper subset is empty, builds
     that one; a buyer who invites nobody builds none and reruns her values
     once, for value-IC; child monotonicity deletes the children of 0, 1 and
-    2, the parents with same-layer observers, once each."""
+    2, the parents with same-layer observers, once each. The truthful run
+    answers every full set's rerun but 5's: mu = 2 leaves a quota of 2 in
+    C^W_0, which 3 and 4 outbid her for, so 5 is free in layer 1 and her
+    rerun is set up."""
     profile = make_profile(2, {0, 9}, {
         0: ((6, 2), range(1, 6)), 1: ((5, 1), (6, 7)), 2: ((4, 4), (8,)),
         **{j: ((10 - j, 1), ()) for j in range(3, 10)},
     })
-    built, reruns, runs = [], [], []
-    build, rerun, run = verify.compute_market, verify.ldm_value_rerun, verify.run_ldm
+    built, runs = [], []
+    build, run = verify.compute_market, verify.run_ldm
+    reruns = counted_reruns(monkeypatch)
     monkeypatch.setattr(verify, "compute_market", lambda p: built.append(p) or build(p))
-    monkeypatch.setattr(verify, "ldm_value_rerun",
-                        lambda market, mu, i: reruns.append(i) or rerun(market, mu, i))
     monkeypatch.setattr(verify, "run_ldm",
                         lambda market, mu: runs.append(market) or run(market, mu))
     results = run_properties(profile, "ldm", PROPERTY_NAMES)
@@ -185,7 +211,13 @@ def test_work_on_a_fixed_own_tree(monkeypatch):
     assert built[0] is profile and len(built) == 1 + 3
     assert sorted((i, p.reports[i].invited) for p in built[1:] for i in p.reports
                   if p.reports[i] != profile.reports[i]) == [(i, frozenset()) for i in (0, 1, 2)]
-    assert sorted(reruns) == [0, 0, 1, 1, 2, 2, *range(3, 10)]
+    assert sorted(i for _path, _market, i, _rerun in reruns) == [0, 0, 1, 1, 2, 2, *range(3, 10)]
+    by_path = {}
+    for path, market, i, _rerun in sorted(reruns, key=lambda rerun: rerun[2]):
+        by_path.setdefault((path, market.profile is profile), []).append(i)
+    assert by_path == {("set-up", False): [0, 1, 2], ("set-up", True): [5],
+                       ("run", True): [0, 1, 2, 3, 4, 6, 7, 8, 9]}
+    assert outside_parent_removed_set(runs[0], 2, 5)
     # the truthful run, then one deletion per parent with observers
     assert runs[0].profile is profile and len(runs) == 1 + 3
     assert sorted(j for m in runs[1:] for j in (0, 1, 2)

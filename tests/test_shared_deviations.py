@@ -27,7 +27,7 @@ from netauction.verify import (MAX_INVITES_EXHAUSTIVE, MechanismUnderTest, _tree
                                ldm_mechanism, run_properties, vcg_mechanism)
 
 import reference_verify as ref
-from conftest import DATA, ldm_walked_subsets
+from conftest import DATA, counted_reruns, ldm_walked_subsets, outside_parent_removed_set
 from test_value_rerun import first_price
 
 STREAMS = (
@@ -319,25 +319,36 @@ def test_child_monotonicity_builds_only_the_certificates_reruns(monkeypatch):
     `_Truthful.outcome_of`, which builds no value rerun. Alone, under LDM,
     it builds only the reruns of LDM's certificate on the BFS tree, the full
     and empty sets of each buyer with two or more children, once some buyer
-    with children and a same-layer observer lists her subsets."""
-    reruns = []
-    wrapped = verify.ldm_value_rerun
-    monkeypatch.setattr(verify, "ldm_value_rerun",
-                        lambda market, mu, i: reruns.append(i) or wrapped(market, mu, i))
+    with children and a same-layer observer lists her subsets. The full
+    sets' reruns are read from the run on the BFS tree, the empty sets' set
+    up on their deviated markets."""
+    reruns = counted_reruns(monkeypatch)
     graphs = instance_stream(STREAMS[1], 40)
     deletions = 0
+    paths = Counter()
     for profile in [*child_monotonicity_profiles(), *graphs]:
         reruns.clear()
-        truth = verify._Truthful(ldm_mechanism(robust_mu(profile)), profile)
+        mu = robust_mu(profile)
+        truth = verify._Truthful(ldm_mechanism(mu), profile)
         check_child_monotonicity(truth.mechanism, profile, truth=truth)
         tree = truth.tree.market
         read = sum(1 for j in tree.valid
                    if tree.children[j] and len(tree.layers[tree.layer_of[j] - 1]) > 1)
         certified = [i for i in tree.valid if len(tree.children[i]) >= 2]
-        assert sorted(reruns) == (sorted(certified * 2) if read else [])
+        assert sorted(i for _path, _market, i, _rerun in reruns) == (
+            sorted(certified * 2) if read else [])
+        for path, market, i, _rerun in reruns:
+            on_tree = market is tree
+            assert on_tree == (market.profile.reports[i].invited == tree.children[i])
+            if path == "set-up" and on_tree:
+                assert outside_parent_removed_set(tree, mu, i), i
+            paths[path, on_tree] += 1
         deletions += read
     # buyers with children and a same-layer observer, each read at least once
     assert deletions > 80
+    # a buyer with children is in layer 1 or in her parent's C^P, so the run
+    # answers each full set, and no set-up is on the tree
+    assert paths == {("run", True): 34, ("set-up", False): 34}
 
 
 @pytest.mark.parametrize("order", [(*CHECKS, "child-monotonicity"),

@@ -19,16 +19,16 @@ from hypothesis import strategies as st
 from netauction import mechanisms
 from netauction.errors import MuTooSmall
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance
-from netauction.market import ReportedType, compute_market, cumulative_value
-from netauction.mechanisms import (Outcome, ValueRerun, inject_dummies, ldm_value_rerun,
-                                   run_ldm_tree, run_vcg_first_layer)
-from netauction.removed_sets import potential_inviters, removed_set_of, robust_mu
+from netauction.market import ReportedType, compute_market, cumulative_value, is_dummy
+from netauction.mechanisms import (Outcome, ValueRerun, inject_dummies, ldm_run_value_rerun,
+                                   ldm_value_rerun, run_ldm_tree, run_vcg_first_layer)
+from netauction.removed_sets import min_valid_mu, potential_inviters, removed_set_of, robust_mu
 from netauction.verify import (MAX_INVITES_EXHAUSTIVE, MechanismUnderTest, check_value_ic,
                                dna_mu_mechanism, integer_value_grid, ldm_mechanism,
                                vcg_mechanism)
 
 import reference_ldm as ref
-from conftest import DATA, make_profile
+from conftest import DATA, make_profile, outside_parent_removed_set
 
 STREAMS = (
     GeneratorConfig(seed=301, buyers=(2, 8), k=(1, 3), v_max=10, topology="tree"),
@@ -515,3 +515,157 @@ def test_rerun_matches_black_box_on_drawn_networks(profile, extra_mu):
     assert_reruns_match(
         profile, mus=(robust_mu(profile) + extra_mu,),
         vectors_of=lambda i: integer_value_grid(profile, i, cap=24) + reported)
+
+
+# The truthful run's reruns: `ldm_run_value_rerun` reads every valid buyer's
+# rerun on the market it ran on from its layer pools, and refuses (None) a
+# buyer outside her parent's C^R, whose rerun the per-buyer set-up makes.
+# (stream, instances read): criterion 3's, wider trees, and deep ones whose
+# every parent's quota holds all her children
+RUN_READ_STREAMS = {
+    "seed301-tree": (STREAMS[0], 100),
+    "seed302-graph": (STREAMS[1], 100),
+    "seed7-wide": (GeneratorConfig(seed=7, buyers=(8, 12), k=(1, 4)), 40),
+    "seed9-deep": (GeneratorConfig(seed=9, buyers=(20, 40), k=(1, 5), max_depth=4,
+                                   seller_bias=0.3), 12),
+}
+
+
+def mus_of(profile):
+    """Every mu from `min_valid_mu` to `robust_mu` + 2."""
+    return range(min_valid_mu(compute_market(profile)), robust_mu(profile) + 3)
+
+
+def refused(market, trace, i):
+    """Whether the run must refuse i: she is outside her parent's C^R, and
+    no layer up to L-2 sold out."""
+    sold_out_at = next((rec.layer for rec in trace.layers if rec.k_remain_after == 0), None)
+    layer = market.layer_of[i]
+    return (outside_parent_removed_set(market, trace.mu, i)
+            and (sold_out_at is None or sold_out_at >= layer - 1))
+
+
+def assert_run_reads_match(profile, mus, cap=40):
+    """For every valid buyer of the truthful market at each mu: the run's
+    rerun, unless refused, has the set-up's menu, and the same answer as
+    the set-up and the replaying reference on her values and every grid
+    vector. Returns the buyers read and refused."""
+    read = fell_back = 0
+    market = compute_market(profile)
+    for mu in mus:
+        trace = run_ldm_tree(market, mu).trace
+        for i in sorted(market.valid):
+            found = ldm_run_value_rerun(trace, i)
+            if refused(market, trace, i):
+                assert found is None, (mu, i)
+                fell_back += 1
+                continue
+            set_up = ldm_value_rerun(market, mu, i)
+            assert found.menu == set_up.menu, (mu, i)
+            replayed = ref.ldm_value_rerun(market, mu, i).answer
+            for v in (profile.reports[i].values, *integer_value_grid(profile, i, cap)):
+                assert found.answer(v) == set_up.answer(v) == replayed(v), (mu, i, v)
+            read += 1
+    return read, fell_back
+
+
+@pytest.mark.parametrize("stream", RUN_READ_STREAMS)
+@pytest.mark.parametrize("reserve", [None, 3], ids=["no-reserve", "reserve-3"])
+def test_run_read_reruns_match_the_set_up_and_the_reference(stream, reserve):
+    config, count = RUN_READ_STREAMS[stream]
+    read = fell_back = 0
+    for profile in instance_stream(config, count):
+        if reserve is not None:
+            profile = inject_dummies(profile, reserve)
+        found = assert_run_reads_match(profile, mus_of(profile))
+        read, fell_back = read + found[0], fell_back + found[1]
+    # the dummies of a reserve are layer-1 buyers: each adds reads, no refusal
+    assert (read, fell_back) == {
+        ("seed301-tree", None): (1449, 12), ("seed301-tree", 3): (2019, 12),
+        ("seed302-graph", None): (1970, 14), ("seed302-graph", 3): (2768, 14),
+        ("seed7-wide", None): (1213, 5), ("seed7-wide", 3): (1516, 5),
+        ("seed9-deep", None): (1110, 0), ("seed9-deep", 3): (1209, 0),
+    }[stream, reserve]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_run_read_reruns_match_on_combs(k):
+    from test_deep_layers import combs  # it imports this module
+
+    read = fell_back = 0
+    for profile in combs(k):
+        found = assert_run_reads_match(profile, mus_of(profile))
+        read, fell_back = read + found[0], fell_back + found[1]
+    assert read > 300 and (fell_back > 0) == (k < 3)
+
+
+def run_read(profile, mu, i):
+    """i's rerun read from the truthful run at mu, checked against the
+    set-up and the reference on a grid."""
+    market = compute_market(profile)
+    assert_run_reads_match(profile, (mu,))
+    return ldm_run_value_rerun(run_ldm_tree(market, mu).trace, i)
+
+
+def test_run_read_layer_one_buyer():
+    profile = figure("t4")
+    market = compute_market(profile)
+    for i in market.layers[0]:
+        found = run_read(profile, 1, i)
+        assert found is not None and found.menu == ldm_value_rerun(market, 1, i).menu
+
+
+def test_run_read_dummy_gets_nothing():
+    profile = inject_dummies(figure("fig3"), 4)
+    dummies = [i for i in compute_market(profile).layers[0] if is_dummy(i)]
+    assert dummies and all(run_read(profile, robust_mu(profile), i).menu == ((0, 0),)
+                           for i in dummies)
+
+
+def test_run_read_refuses_a_buyer_outside_her_parents_removed_set():
+    # k=1, mu=1: C^P_0 = {1} leaves a quota of 1 in C^W_0, which 2 outbids
+    # 3 for; 3 is free in layer 1, outbids 0 there and leaves the unit for
+    # layer 2, so only the set-up can answer her
+    profile = make_profile(1, {0}, {
+        0: ((1,), [1, 2, 3]), 1: ((0,), [4, 5, 6]), 2: ((6,), []), 3: ((5,), []),
+        4: ((9,), []), 5: ((8,), []), 6: ((7,), []),
+    })
+    market = compute_market(profile)
+    assert run_ldm_tree(market, 1).trace.layers[0].k_remain_after == 1
+    assert run_read(profile, 1, 3) is None
+    assert outside_parent_removed_set(market, 1, 3)
+    assert run_read(profile, 1, 2) is not None and run_read(profile, 1, 4) is not None
+
+
+def test_run_read_sell_out_at_layer_l_minus_2_reads_no_parent_set():
+    # k=1, mu=1: 0 takes the unit in layer 1. Buyer 4 in layer 3 is outside
+    # C^W_1 (quota 2, which 2 and 3 outbid her for), but no value of hers
+    # reaches layer 1: she gets (0, 0) without her parent's set tested
+    profile = make_profile(1, {0}, {
+        0: ((9,), [1]), 1: ((0,), [2, 3, 4]), 2: ((3,), []), 3: ((2,), []), 4: ((1,), []),
+    })
+    market = compute_market(profile)
+    assert len(run_ldm_tree(market, 1).trace.layers) == 1
+    assert outside_parent_removed_set(market, 1, 4)
+    assert run_read(profile, 1, 4).menu == ((0, 0),)
+
+
+def test_run_read_sell_out_at_layer_l_minus_1():
+    # In her parent's C^R, a buyer's rerun commits layer L-1 as the run did:
+    # the sell-out there gives her (0, 0) (the k=1, mu=1 tree of
+    # `test_supply_gone_at_layer_l_minus_1_replays_one_layer`, buyer 4).
+    # Outside it, her values decide whether layer L-1 sells out, so the run
+    # refuses her (k=1, mu=0: buyer 3 of
+    # `test_her_units_decide_a_layer_l_minus_1_sell_out`, who wins from 10 up).
+    inside = make_profile(1, {0}, {
+        0: ((1,), [1, 2, 3]), 1: ((0,), [4]), 2: ((6,), []), 3: ((5,), []), 4: ((2,), []),
+    })
+    assert [rec.k_remain_after for rec in run_ldm_tree(compute_market(inside), 1).trace.layers
+            ] == [1, 0]
+    assert run_read(inside, 1, 4).menu == ((0, 0),)
+    outside = make_profile(1, {0}, {0: ((3,), [1, 2, 3]), 1: ((9,), []), 2: ((1,), []),
+                                    3: ((0,), [])})
+    market = compute_market(outside)
+    assert [rec.k_remain_after for rec in run_ldm_tree(market, 0).trace.layers] == [0]
+    assert run_read(outside, 0, 3) is None
+    assert ldm_value_rerun(market, 0, 3).answer((10,)) == (1, 9)

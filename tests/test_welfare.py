@@ -131,6 +131,11 @@ def test_pool_walk_matches_fresh_solves(fig3_profile):
         assert fixed_welfare + pool.top_without(excluded) == oracle.welfare
 
 
+def top_of(market, buyers, budget):
+    """The total of the `budget` largest marginals of `buyers`, by a sort."""
+    return sum(sorted((v for i in buyers for v in market.values_of(i)), reverse=True)[:budget])
+
+
 def test_ranked_walk_matches_a_sort_without_the_excluded(fig3_profile):
     rng = random.Random(29)
     market = compute_market(fig3_profile)
@@ -139,8 +144,41 @@ def test_ranked_walk_matches_a_sort_without_the_excluded(fig3_profile):
         buyers = frozenset(rng.sample(ids, rng.randint(0, 10)))
         excluded = frozenset(rng.sample(ids, rng.randint(0, 6)))
         budget = rng.randint(0, 12)
-        expected = WelfarePool(market, buyers - excluded, market.k).top(budget)
+        expected = top_of(market, buyers - excluded, budget)
         assert WelfarePool(market, buyers, budget).top_without(excluded) == expected
+
+
+def test_tops_without_a_buyer_match_a_sort(fig3_profile):
+    rng = random.Random(31)
+    market = compute_market(fig3_profile)
+    ids = sorted(fig3_profile.reports)
+    for _ in range(300):
+        buyers = frozenset(rng.sample(ids, rng.randint(1, 10)))
+        i = rng.choice(sorted(buyers) + [max(ids) + 1])  # or a buyer outside
+        budget = rng.randint(0, 12)
+        tops = WelfarePool(market, buyers, budget).tops_without(i)
+        assert tops == [top_of(market, buyers - {i}, m) for m in range(budget + 1)]
+
+
+def test_a_free_buyers_units_are_hers_in_the_merged_order():
+    """`units_of` with her pooled places left out of the count, and with an
+    outside buyer, against the optimum of the pool with her report patched."""
+    rng = random.Random(37)
+    for _ in range(200):
+        k = rng.randint(1, 4)
+        buyers = {j: (sorted((rng.randint(0, 6) for _ in range(k)), reverse=True), ())
+                  for j in range(rng.randint(2, 6))}
+        market = compute_market(make_profile(k, set(buyers), buyers))
+        i = rng.choice(sorted(buyers))
+        budget = rng.randint(0, 2 * k)
+        held = WelfarePool(market, buyers, budget)
+        outside = WelfarePool(market, set(buyers) - {i}, budget)
+        own = held.places_of(i, market.values_of(i))
+        assert own == sorted(own)
+        for _ in range(5):
+            v = tuple(sorted((rng.randint(0, 7) for _ in range(k)), reverse=True))
+            expected = WelfarePool(market.with_values(i, v), buyers, budget).best().units_of(i)
+            assert held.units_of(i, v, own) == outside.units_of(i, v, []) == expected
 
 
 def test_monotone_in_included_set(fig3_profile):
