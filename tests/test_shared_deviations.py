@@ -379,7 +379,8 @@ def test_a_shared_truth_goes_with_its_last_reference():
     """`_Truthful.tree` keeps no reference from a `_Truthful` to itself, so a
     shared truth, own BFS tree or not, is freed with its last reference,
     and the markets and reruns it holds do not wait for the garbage
-    collector."""
+    collector; nor does the truthful run's trace, whose layer pools the
+    reruns read."""
     kinds = Counter()
     gc.disable()
     try:
@@ -388,9 +389,11 @@ def test_a_shared_truth_goes_with_its_last_reference():
             check_ir(truth.mechanism, profile, truth=truth)
             check_child_monotonicity(truth.mechanism, profile, truth=truth)
             kinds[truth.tree is truth] += 1
-            freed = weakref.ref(truth)
-            del truth
-            assert freed() is None
+            trace = truth.outcome.trace
+            freed = [weakref.ref(truth), weakref.ref(trace),
+                     *(weakref.ref(pool) for _free, pool in trace.pools)]
+            del truth, trace
+            assert [ref() for ref in freed] == [None] * len(freed)
     finally:
         gc.enable()
     assert kinds[True] >= 15 and kinds[False] >= 5
