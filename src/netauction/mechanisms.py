@@ -29,7 +29,7 @@ from .market import (
     cumulative_value,
     is_dummy,
 )
-from .removed_sets import layer_free_sets
+from .removed_sets import layer_free_sets, removed_set_of
 from .welfare import WelfarePool, WelfareResult
 
 # (units, payment) pairs. A menu bounds a family of one buyer's reports when
@@ -52,9 +52,9 @@ class LayerRecord:
 
 @dataclass(frozen=True)
 class LdmTrace:
-    """A run's layer records on `market` at `mu`, and, for the value reruns
-    on `market` (`ldm_run_value_rerun`), each processed layer's free set and
-    welfare pool."""
+    """A run's layer records on `market` at `mu`, and, for the reads of the
+    run (`ldm_run_value_rerun`, `ldm_run_peer_outcomes`), each processed
+    layer's free set and welfare pool."""
 
     mu: int
     layers: tuple[LayerRecord, ...]
@@ -241,17 +241,19 @@ def _ldm_layer(market: Market, members: Iterable[BuyerId], free: Iterable[BuyerI
     return pool, layer_opt, sum(map(layer_opt.units_of, members))
 
 
-def _sw_minus_d(market: Market, pool: WelfarePool, i: BuyerId) -> Money:
-    """SW_{-D_i} over the free set F_l of i's layer, in a pool with or without
-    i: valid - D_i is the frozen layers plus F_l - (C_i + {i})."""
-    return pool.top_without(market.children[i] | {i})
+def _sw_minus_d(market: Market, pool: WelfarePool, i: BuyerId,
+                skipped: frozenset[BuyerId] = frozenset()) -> Money:
+    """SW_{-D_i} over the free set F_l of i's layer, the pool's buyers less
+    `skipped`, with or without i: valid - D_i is the frozen layers plus
+    F_l - (C_i + {i})."""
+    return pool.top_without(market.children[i] | {i} | skipped)
 
 
-def _ldm_payment(market: Market, pool: WelfarePool, layer_opt: WelfareResult,
-                 i: BuyerId) -> tuple[Money, Money]:
+def _ldm_payment(market: Market, pool: WelfarePool, layer_opt: WelfareResult, i: BuyerId,
+                 skipped: frozenset[BuyerId] = frozenset()) -> tuple[Money, Money]:
     """(SW_{-D_i}, p_i) for a member i of the layer, both welfares over its
-    free buyers: p_i = SW_{-D_i} - (SW_l - v_i(x_i))."""
-    sw_d = _sw_minus_d(market, pool, i)
+    free buyers, the pool's less `skipped`: p_i = SW_{-D_i} - (SW_l - v_i(x_i))."""
+    sw_d = _sw_minus_d(market, pool, i, skipped)
     won = layer_opt.units_of(i)
     value = cumulative_value(market.values_of(i), won) if won else 0
     return sw_d, sw_d - (layer_opt.welfare - value)
@@ -350,8 +352,9 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
     reads her rerun from it. If a layer before L sells every unit, or i is
     a dummy, the menu is ((0, 0),) and every report gets it.
 
-    This is the per-buyer set-up. On a market LDM has run on, the run's
-    own pools answer every buyer whom `ldm_run_value_rerun` does not refuse.
+    This is the per-buyer set-up. On a market LDM has run on, and on every
+    market an own tree's invitation reports make from it, the run's own
+    pools answer every buyer whom `ldm_run_value_rerun` does not refuse.
     """
     layer = market.layer_of[i]
     committing = market
@@ -370,47 +373,149 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
     return _pool_rerun(market, WelfarePool(market, free, supply), i)
 
 
-def ldm_run_value_rerun(trace: LdmTrace, i: BuyerId) -> ValueRerun | None:
-    """`ldm_value_rerun(trace.market, trace.mu, i)` read from the run that
-    made `trace`, or None for a buyer outside her parent's C^R, whose rerun
-    must commit layer L-1 anew.
+def ldm_run_sold_out(trace: LdmTrace, i: BuyerId) -> ValueRerun | None:
+    """The rerun of a buyer who gets (0, 0), when the run that made `trace`
+    sold every unit at layer L - 2 or earlier, L the layer of i; else None.
 
-    i sits in layer L with parent p. A sell-out at layer L-2 or earlier
-    reads none of her values: (0, 0). When she is in C^R_p at the truth,
-    not free in layer L-1, the rerun's layers before L commit as the run's
-    did, so a sell-out at layer L-1 gives (0, 0) too, and otherwise the
-    run's layer-L pool, with the run's supply, is the rerun's. A layer-1
-    buyer always qualifies, and so does every buyer with children, who is
-    in C^P_p. The read sorts nothing: two walks down the pool's first S
-    places or so, S the supply layer L shared, and k binary searches.
+    Those layers never read a report of hers. Her values reach only
+    C^R_p, p her parent, in layer L - 1. Her invitations move only the
+    buyers below layer L, even on a graph, where a hidden invitee can
+    reattach: every buyer of layers 1 .. L keeps her layer and her parent,
+    so every C^P and C^R of layers 1 .. L - 2 stays. So this answers her
+    value rerun on `trace.market` and on every market her invitation
+    reports make from it, once that market's mu check passes."""
+    return _NOTHING if len(trace.pools) < trace.market.layer_of[i] - 1 else None
+
+
+def ldm_run_value_rerun(trace: LdmTrace, i: BuyerId,
+                        kept: frozenset[BuyerId]) -> ValueRerun | None:
+    """`ldm_value_rerun(m, trace.mu, i)` read from the run that made
+    `trace`, where m is `trace.market` with i inviting only `kept` of her
+    children C_i, on an own tree, where every valid buyer invites exactly
+    her children; `kept` = C_i is the run's own market. None for a buyer
+    outside her parent's C^R, whose rerun must commit layer L - 1 anew.
+
+    i sits in layer L with parent p. A sell-out at layer L - 2 or earlier
+    reads none of her reports (`ldm_run_sold_out`): (0, 0). When she is in
+    C^R_p at the truth, not free in layer L - 1, the rerun's layers before
+    L commit as the run's did, whatever she keeps: she stays in C^R_p, in
+    C^P_p while she keeps a child, else in C^W_p at the rerun's top bid.
+    So a sell-out at layer L - 1 gives (0, 0) too, and otherwise the run's
+    layer-L pool, with the run's supply and without the marginals of the
+    children that leave F_L (`_leaving`), is the rerun's. A layer-1 buyer
+    always qualifies, and so does every buyer with children, who is in
+    C^P_p. The read sorts nothing: two walks down the pool's first S
+    places or so, S the supply layer L shared, and k binary searches per
+    buyer left out (notes/decisions.md).
     """
     layer = trace.market.layer_of[i]
     pools = trace.pools
-    if len(pools) < layer - 1:
-        return _NOTHING
+    sold_out = ldm_run_sold_out(trace, i)
+    if sold_out is not None:
+        return sold_out
     if layer > 1 and i in pools[layer - 2][0]:
         return None
     if len(pools) < layer or is_dummy(i):
         return _NOTHING
-    return _pool_rerun(trace.market, pools[layer - 1][1], i)
+    free, pool = pools[layer - 1]
+    return _pool_rerun(trace.market, pool, i, _leaving(trace, i, kept, free))
 
 
-def _pool_rerun(market: Market, pool: WelfarePool, i: BuyerId) -> ValueRerun:
+def ldm_run_peer_outcomes(outcome: Outcome, j: BuyerId, kept: frozenset[BuyerId]) -> Outcome:
+    """The outcomes of j's layer peers, the members of her layer L other
+    than j, in `run_ldm_tree(m, mu)`, read from `outcome`, LDM's run on an
+    own tree at mu, where m is its market with j inviting only `kept` of
+    her children: `outcome` itself when the deletion moves no peer, else
+    an outcome that lists only them.
+
+    The layers before L - 1 commit as in the run: j's invitations move
+    only the buyers below layer L. Layer L - 1 does too, unless j keeps no
+    child: then she leaves C^P_p, p her parent, and the grown C^W_p quota
+    either holds her, leaving C^R_p as it was, or takes the next-ranked
+    childless child of p in her place, and layer L - 1 is solved again on
+    its free set with that swap. Every marginal of j comes after the first
+    unit of the child who takes her place, so a run that sold out at layer
+    L - 1 sells out there too. Layer L's free set F_L loses only the
+    children of j that leave it (`_leaving`): the run's layer-L pool
+    without their marginals, or, after a new layer L - 1, a pool of F_L
+    without them at the supply that layer left (notes/decisions.md).
+    """
+    trace = outcome.trace
+    market, pools = trace.market, trace.pools
+    layer = market.layer_of[j]
+    if len(pools) < layer:  # sold out before layer L, here as in the run
+        return outcome
+    free, pool = pools[layer - 1]
+    skipped = _leaving(trace, j, kept, free)
+    supply = _swapped_supply(trace, j) if layer > 1 and not kept else None
+    if supply is None:
+        if not skipped:
+            return outcome
+    elif not supply:
+        return Outcome({}, {})
+    else:
+        pool, skipped = WelfarePool(market, free - skipped, supply), frozenset()
+    layer_opt = pool.best(skipped)
+    units: dict[BuyerId, int] = {}
+    payments: dict[BuyerId, Money] = {}
+    for i in market.layers[layer - 1]:
+        if i != j and not is_dummy(i):
+            units[i] = layer_opt.units_of(i)
+            payments[i] = _ldm_payment(market, pool, layer_opt, i, skipped)[1]
+    return Outcome(units, payments)
+
+
+def _swapped_supply(trace: LdmTrace, j: BuyerId) -> int | None:
+    """The supply layer L - 1 leaves when j, in layer L >= 2, keeps no
+    child: None when C^R_p, p her parent, still holds her, so that the
+    layer is the run's; else the layer solved again on the run's free set
+    with the quota's next-ranked childless child of p in her place."""
+    market, pools = trace.market, trace.pools
+    layer = market.layer_of[j]
+    parent = next(q for q in market.layers[layer - 2] if j in market.children[q])
+    siblings = market.children[parent]
+    inviters = frozenset(c for c in siblings if market.children[c] and c != j)
+    removed = removed_set_of(market, siblings, inviters, trace.mu)
+    if j in removed:
+        return None
+    above, held = pools[layer - 2]
+    return held.budget - _ldm_layer(market, market.layers[layer - 2], (above - removed) | {j},
+                                    held.budget)[2]
+
+
+def _leaving(trace: LdmTrace, i: BuyerId, kept: frozenset[BuyerId],
+             free: frozenset[BuyerId]) -> frozenset[BuyerId]:
+    """X, the children of i in her layer's free set `free` of the run, F_L,
+    that leave it when she invites only `kept` of them: the hidden ones,
+    and the kept ones her C^R under `kept` now removes,
+    X = (C_i & F_L) - (kept - C^R_i(kept)). Every other buyer of F_L stays:
+    no other C^R of layer L reads her invitations. Empty when `kept` is
+    all of C_i."""
+    market = trace.market
+    inviters = frozenset(c for c in kept if market.children[c])
+    return (market.children[i] & free) - (kept - removed_set_of(market, kept, inviters, trace.mu))
+
+
+def _pool_rerun(market: Market, pool: WelfarePool, i: BuyerId,
+                skipped: frozenset[BuyerId] = frozenset()) -> ValueRerun:
     """i's value rerun from her layer's free pool, in which she is a free
     buyer at her values in `market`, with the supply S the layers before
-    hers left as its budget. Her units x never exceed S, and her payment
-    reads v only through x: the menu is (x, SW_{-D_i} minus the others'
-    first S - x marginals) for x in 0..S, her own marginals skipped in
-    those sums. A vector's answer is its entry at the x found by binary
-    search in the pool, her pooled marginals left out of the count:
-    O(k log n), with no pool built and nothing sorted."""
+    hers left as its budget, and the buyers `skipped` left out. Her units x
+    never exceed S, and her payment reads v only through x: the menu is
+    (x, SW_{-D_i} minus the others' first S - x marginals) for x in 0..S,
+    her own and the skipped marginals left out of those sums. A vector's
+    answer is its entry at the x found by binary search in the pool, those
+    pooled marginals left out of the count: O(k log n) with no pool built
+    and nothing sorted. The skipped buyers are children of i, so SW_{-D_i}
+    leaves them out anyway."""
     supply = pool.budget
     sw_d = _sw_minus_d(market, pool, i)
-    others = pool.tops_without(i)
+    left_out = skipped | {i}
+    others = pool.tops_without(left_out)
     # p_i = SW_{-D_i} - (SW_L - v_i(x)), over layer L's free buyers
     menu = tuple((x, sw_d - others[supply - x]) for x in range(supply + 1))
-    own = pool.places_of(i, market.values_of(i))
-    return ValueRerun(lambda v: menu[pool.units_of(i, v, own)], menu)
+    places = sorted(p for j in left_out for p in pool.places_of(j, market.values_of(j)))
+    return ValueRerun(lambda v: menu[pool.units_of(i, v, places)], menu)
 
 
 def run_ldm(market: Market, mu: int) -> Outcome:

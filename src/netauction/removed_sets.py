@@ -64,7 +64,7 @@ def potential_winners(market: Market, i: BuyerId, mu: int) -> frozenset[BuyerId]
     inviter_sets = _checked_inviter_sets(market, mu)  # MuTooSmall before a bad buyer
     if i not in market.valid:
         raise ContractError(f"buyer {i} is not a valid buyer")
-    return removed_set_of(market, i, inviter_sets[i], mu) - inviter_sets[i]
+    return removed_set_of(market, market.children[i], inviter_sets[i], mu) - inviter_sets[i]
 
 
 def removed_sets_for(market: Market, mu: int) -> dict[BuyerId, frozenset[BuyerId]]:
@@ -72,7 +72,8 @@ def removed_sets_for(market: Market, mu: int) -> dict[BuyerId, frozenset[BuyerId
 
     Each C_i^P is built once, and mu is checked against the largest of them.
     """
-    return {i: removed_set_of(market, i, inviters, mu)
+    children = market.children
+    return {i: removed_set_of(market, children[i], inviters, mu)
             for i, inviters in _checked_inviter_sets(market, mu).items()}
 
 
@@ -84,13 +85,14 @@ def _checked_inviter_sets(market: Market, mu: int) -> dict[BuyerId, frozenset[Bu
     return inviter_sets
 
 
-def removed_set_of(market: Market, i: BuyerId, inviters: frozenset[BuyerId],
-                   mu: int) -> frozenset[BuyerId]:
-    """C_i^R from i's C_i^P: the inviters plus C_i^W, the top K + mu - |C_i^P|
-    other children by first-unit value, ties to the smaller id. mu is not
-    checked here.
+def removed_set_of(market: Market, children: frozenset[BuyerId],
+                   inviters: frozenset[BuyerId], mu: int) -> frozenset[BuyerId]:
+    """C_i^R of a buyer i with the child set `children` and, among them, the
+    inviters C_i^P: the inviters plus C_i^W, the top K + mu - |C_i^P| other
+    children by first-unit value, ties to the smaller id. Taking the child
+    set, not i, it also gives C^R when i invites fewer of her children or
+    one of them stops inviting. mu is not checked here.
     """
-    children = market.children[i]
     quota = market.k + mu - len(inviters)
     if len(children) - len(inviters) <= quota:
         return children  # every other child fits the quota: no ranking needed
@@ -109,8 +111,9 @@ def layer_free_sets(market: Market, mu: int) -> Iterator[frozenset[BuyerId]]:
     only for the members of the layers asked for. No set holds a layer >= l+2.
     """
     inviter_sets = _checked_inviter_sets(market, mu)
+    children = market.children
     for l, layer in enumerate(market.layers, start=1):
-        winners = (removed_set_of(market, i, inviter_sets[i], mu) for i in layer)
+        winners = (removed_set_of(market, children[i], inviter_sets[i], mu) for i in layer)
         yield layer.union(*market.layers[l:l + 1]).difference(*winners)
 
 

@@ -13,12 +13,14 @@ instance (`_Truthful`), which holds the one enumeration of invitation
 deviations: `subsets(i)` lists buyer i's invitation reports, her full set
 last, and `utility(i, subset)` is her true-value utility under one of
 them. The truthful outcome answers her full set; any other subset is one
-record: its deviated market, built once, and, as `deviation(i, subset)`
-reads them, `value_rerun` on it and that rerun's answer at her true values.
-IR, invitation-IC and value-IC walk the same lists and read the same
-records; child monotonicity reads the outcomes on the markets of `tree`'s
-records (`outcome_of`), `tree` being the same `_Truthful` when the
-instance is its own BFS tree.
+record: its deviated market, built once when first read, and, as
+`deviation(i, subset)` reads them, `value_rerun` on it and that rerun's
+answer at her true values. IR, invitation-IC and value-IC walk the same
+lists and read the same records; child monotonicity reads the outcomes on
+the markets of `tree`'s records (`outcome_of`), `tree` being the same
+`_Truthful` when the instance is its own BFS tree. Under LDM's own run and
+rerun, on an own tree, the truthful run answers every one of these reads,
+and no deviated market is built (`_Truthful.ldm_trace`).
 
 A certificate is a menu of (units, payment) pairs that bounds a family of
 one buyer's reports (`mechanisms.Menu`), and `_certifies` is the one check
@@ -46,7 +48,7 @@ from functools import cached_property, lru_cache, partial
 from math import comb
 from typing import Callable, ClassVar, Iterable, Sequence
 
-from .errors import ContractError, SearchBudgetExceeded, TraceMissing
+from .errors import ContractError, MuTooSmall, SearchBudgetExceeded, TraceMissing
 from .market import (
     BuyerId,
     Market,
@@ -64,6 +66,8 @@ from .mechanisms import (
     Outcome,
     ValueRerun,
     dna_mu_invitation_menu,
+    ldm_run_peer_outcomes,
+    ldm_run_sold_out,
     ldm_run_value_rerun,
     ldm_value_rerun,
     outcome_welfare,
@@ -173,7 +177,7 @@ def _ldm_invitation_menu(truth: _Truthful, mu: int) -> Callable[[BuyerId], Menu 
     (else None, and the walk order decides which `MuTooSmall` a check
     raises), a buyer with two or more invitations gets her full and empty
     sets' value menus joined (notes/decisions.md); any other buyer, None."""
-    if truth.tree is not truth or mu < min_valid_mu(truth.market):
+    if not truth.own_tree or mu < truth.min_valid_mu:
         return None
     reports = truth.instance.reports
 
@@ -273,17 +277,24 @@ def utility_of(truthful: ReportProfile, buyer: BuyerId, outcome: Outcome) -> Mon
 class _Deviation:
     """One (valid buyer, invitation subset) of a `_Truthful`: the deviated
     market, and what the checks read of it, each set on first need: the
-    mechanism's value rerun on it, her true-value utility there and, when
-    that utility is read off a run on the market (`runs_for_values`), the
-    run's outcome, which child monotonicity reads too."""
+    market itself, built only when something reads it, the mechanism's
+    value rerun on it, her true-value utility there and, when that utility
+    is read off a run on the market (`runs_for_values`), the run's outcome,
+    which child monotonicity reads too."""
 
-    __slots__ = ("market", "rerun", "utility", "outcome")
+    __slots__ = ("_market", "rerun", "utility", "outcome")
 
-    def __init__(self, market: Market):
-        self.market = market
+    def __init__(self, market: Market | Callable[[], Market]):
+        self._market = market
         self.rerun: ValueRerun | None = None
         self.utility: Money | None = None
         self.outcome: Outcome | None = None
+
+    @property
+    def market(self) -> Market:
+        if not isinstance(self._market, Market):
+            self._market = self._market()
+        return self._market
 
 
 class _Truthful:
@@ -321,15 +332,40 @@ class _Truthful:
     @property
     def tree(self) -> _Truthful:
         """The BFS tree child monotonicity reads: this instance when every
-        valid buyer invites exactly her market children, else a `_Truthful` of
-        its `_tree_profile`, built once. Only that one is kept: keeping `self`
-        would make a reference cycle, which only the garbage collector frees."""
+        valid buyer invites exactly her market children (an own tree), else
+        a `_Truthful` of its `_tree_profile`, built once. The verdict is kept
+        as a flag (`own_tree`) and only the other instance is kept: keeping
+        `self` would make a reference cycle, which only the garbage
+        collector frees."""
+        if self.own_tree:
+            return self
         if self._tree is None:
-            market, reports = self.market, self.instance.reports
-            if all(reports[i].invited == market.children[i] for i in market.valid):
-                return self
-            self._tree = _Truthful(self.mechanism, _tree_profile(self.instance, market))
+            self._tree = _Truthful(self.mechanism, _tree_profile(self.instance, self.market))
         return self._tree
+
+    @cached_property
+    def own_tree(self) -> bool:
+        """Whether every valid buyer invites exactly her market children."""
+        market, reports = self.market, self.instance.reports
+        return all(reports[i].invited == market.children[i] for i in market.valid)
+
+    @cached_property
+    def min_valid_mu(self) -> int:
+        """`min_valid_mu` of the market: LDM's run refuses a smaller mu."""
+        return min_valid_mu(self.market)
+
+    @cached_property
+    def ldm_trace(self) -> LdmTrace | None:
+        """The truthful run's trace, when the mechanism's run and rerun are
+        LDM's own (`ldm_mu`) at a mu the market admits, so that reading the
+        run raises nothing, and the trace is that run's on this market at
+        that mu; else None. Every read of a rerun or an outcome from the
+        run goes through it (notes/decisions.md)."""
+        mu = self.mechanism.ldm_mu
+        if mu is None or mu < self.min_valid_mu:
+            return None
+        trace = self.outcome.trace
+        return trace if trace.market is self.market and trace.mu == mu else None
 
     @cached_property
     def certified(self) -> frozenset[BuyerId]:
@@ -366,16 +402,17 @@ class _Truthful:
         return found
 
     def _record(self, i: BuyerId, invited: frozenset[BuyerId]) -> _Deviation:
-        """i's `_Deviation` for `invited`, made once with its market: the
-        truthful market for her full set, else `compute_market` of the
-        instance with her one report changed, her values kept."""
+        """i's `_Deviation` for `invited`, made once: its market is the
+        truthful market for her full set, else, when first read,
+        `compute_market` of the instance with her one report changed, her
+        values kept."""
         key = (i, invited)
         found = self._deviations.get(key)
         if found is None:
             truthful = self.instance.reports[i]
             found = self._deviations[key] = _Deviation(
-                self.market if invited == truthful.invited else compute_market(
-                    self.instance.with_report(i, ReportedType(truthful.values, invited))))
+                self.market if invited == truthful.invited else partial(
+                    _deviated_market, self.instance, i, ReportedType(truthful.values, invited)))
         return found
 
     def utility(self, i: BuyerId, invited: frozenset[BuyerId]) -> Money:
@@ -391,24 +428,22 @@ class _Truthful:
 
     def deviation(self, i: BuyerId, invited: frozenset[BuyerId]) -> _Deviation:
         """i's `_Deviation` for `invited` with its rerun and utility set:
-        `value_rerun(market, i)` first, then her utility at its answer for
-        her true values, which that market already holds: for her full set
-        the truthful outcome's, and, when the rerun is the generic one, that
-        of the one run on the market (`outcome_of`).
+        the rerun first, then her utility at its answer for her true values,
+        which that market holds: for her full set the truthful outcome's,
+        and, when the rerun is the generic one, that of the one run on the
+        market (`outcome_of`).
 
-        For her full set under LDM's own run and rerun (`ldm_mu`), the
-        rerun is read from the truthful run's layer pools
-        (`ldm_run_value_rerun`); only a buyer outside her parent's C^R at
-        the truth gets the per-buyer set-up (notes/decisions.md, "The
-        truthful LDM run answers every value rerun on its market")."""
+        The rerun is `value_rerun(market, i)` on the deviated market, unless
+        the truthful LDM run answers it (`_run_value_rerun`), which builds
+        no market."""
         found = self._record(i, invited)
         if found.rerun is None:
-            if found.market is self.market:
-                found.rerun = (self._run_value_rerun(i)
-                               or self.mechanism.value_rerun(found.market, i))
+            full = invited == self.instance.reports[i].invited
+            found.rerun = (self._run_value_rerun(i, invited, full, found)
+                           or self.mechanism.value_rerun(found.market, i))
+            if full:
                 found.utility = self.utility(i, invited)
             else:
-                found.rerun = self.mechanism.value_rerun(found.market, i)
                 values = self.instance.reports[i].values
                 if self.mechanism.runs_for_values:
                     out = self.outcome_of(i, invited)
@@ -418,25 +453,42 @@ class _Truthful:
                 found.utility = cumulative_value(values, units) - payment
         return found
 
-    def _run_value_rerun(self, i: BuyerId) -> ValueRerun | None:
-        """LDM's value rerun of i on the truthful market, read from the
-        truthful run (`ldm_run_value_rerun`) when the mechanism's run and
-        rerun are LDM's own (`ldm_mu`) and the outcome's trace is that run's,
-        on this market at that mu; None where it is not, or the run refuses
-        her."""
-        mu = self.mechanism.ldm_mu
-        if mu is None:
+    def _run_value_rerun(self, i: BuyerId, invited: frozenset[BuyerId], full: bool,
+                         found: _Deviation) -> ValueRerun | None:
+        """LDM's value rerun of i when she invites `invited`, read from the
+        truthful run (`ldm_trace`); None where the run cannot answer it.
+
+        On her full set, and on every set of an own tree, it is
+        `ldm_run_value_rerun`, which refuses only a buyer outside her
+        parent's C^R at the truth. A graph deviation is read only when the
+        run sold out two layers or more above hers (`ldm_run_sold_out`),
+        after the deviated market's own mu check, which the set-up makes
+        first (notes/decisions.md, "Own-tree deviations are read from the
+        truthful LDM run")."""
+        trace = self.ldm_trace
+        if trace is None:
             return None
-        trace = self.outcome.trace
-        if trace.market is not self.market or trace.mu != mu:
-            return None
-        return ldm_run_value_rerun(trace, i)
+        if full or self.own_tree:
+            return ldm_run_value_rerun(trace, i, invited)
+        sold_out = ldm_run_sold_out(trace, i)
+        if sold_out is not None:
+            required = min_valid_mu(found.market)
+            if trace.mu < required:
+                raise MuTooSmall(required, trace.mu)
+        return sold_out
 
     def outcome_of(self, i: BuyerId, invited: frozenset[BuyerId]) -> Outcome:
         """The mechanism's outcome when i invites `invited`, a proper subset
         of her invitations: the run on her deviation's market, which builds
         no value rerun. The record keeps it when her utility is read off it
-        (`runs_for_values`), so that market is run once."""
+        (`runs_for_values`), so that market is run once.
+
+        On an own tree, the truthful LDM run (`ldm_trace`) answers instead,
+        with no market built, for i's layer peers, the buyers child
+        monotonicity reads (`ldm_run_peer_outcomes`): the truthful outcome
+        itself when none of them moves."""
+        if self.ldm_trace is not None and self.own_tree:
+            return ldm_run_peer_outcomes(self.outcome, i, invited)
         found = self._record(i, invited)
         if found.outcome is None:
             out = self.mechanism.run(found.market)
@@ -702,6 +754,11 @@ def check_decomposition_inequalities(rows: Sequence[DecompositionRow],
     return (q[1] >= vcg_outcome.revenue, all(q[l] >= t[l - 1] for l in q if l >= 2))
 
 
+def _deviated_market(instance: ReportProfile, i: BuyerId, report: ReportedType) -> Market:
+    """The market of the instance with buyer i's report changed."""
+    return compute_market(instance.with_report(i, report))
+
+
 def _tree_profile(instance: ReportProfile, tree: Market) -> ReportProfile:
     """The instance with invitations replaced by the child sets of its
     market `tree`."""
@@ -718,7 +775,8 @@ def check_child_monotonicity(mechanism: MechanismUnderTest, instance: ReportProf
     Works on `_Truthful.tree`: for each buyer j with children and each proper
     child subset it lists, the run on her deviation's market (the other
     subtrees deleted, `_Truthful.outcome_of`) must leave every same-layer
-    observer at least as well off.
+    observer at least as well off. A deletion that gives back the truthful
+    outcome itself moves no one.
     """
     own = truth or _Truthful(mechanism, instance)
     tree = own.tree
@@ -726,16 +784,19 @@ def check_child_monotonicity(mechanism: MechanismUnderTest, instance: ReportProf
     tree.outcome  # the truthful run comes first, whatever a deletion raises
     violations: list[DeviationReport] = []
     for j in sorted(market.valid):
-        if not market.children[j]:
-            continue
-        observers = [i for i in sorted(market.layers[market.layer_of[j] - 1]) if i != j]
-        if not observers:
+        layer = market.layers[market.layer_of[j] - 1]
+        if not market.children[j] or len(layer) < 2:  # no children, or no observer
             continue
         full_rep = profile.reports[j]
-        u_full = {i: tree.utility(i, profile.reports[i].invited) for i in observers}
+        u_full = None
         for sub in tree.subsets(j)[:-1]:
-            reduced = ReportedType(full_rep.values, sub)
             out = tree.outcome_of(j, sub)
+            if out is tree.outcome:  # the truthful outcome moves no observer
+                continue
+            if u_full is None:
+                u_full = {i: tree.utility(i, profile.reports[i].invited)
+                          for i in sorted(layer) if i != j}
+            reduced = ReportedType(full_rep.values, sub)
             for i, u in u_full.items():
                 u_reduced = utility_of(profile, i, out)
                 if u_reduced < u:

@@ -71,13 +71,18 @@ class WelfarePool:
         self.budget = budget
         self._pool = sorted_marginals(market.profile.reports, buyers)
 
-    def best(self) -> WelfareResult:
-        """The optimum of the whole problem, allocation included."""
+    def best(self, excluded: frozenset[BuyerId] | set[BuyerId] = frozenset()) -> WelfareResult:
+        """The optimum of the problem without `excluded`, allocation
+        included: the first `budget` marginals of the others."""
         allocation: Allocation = {}
-        welfare = 0
-        for neg_v, i, _unit in self._pool[:self.budget]:
-            allocation[i] = allocation.get(i, 0) + 1
-            welfare -= neg_v
+        welfare, budget = 0, self.budget
+        for neg_v, i, _unit in self._pool:
+            if not budget:
+                break
+            if i not in excluded:
+                allocation[i] = allocation.get(i, 0) + 1
+                welfare -= neg_v
+                budget -= 1
         return WelfareResult(welfare=welfare, allocation=allocation)
 
     def top_without(self, excluded: frozenset[BuyerId] | set[BuyerId]) -> Money:
@@ -93,15 +98,15 @@ class WelfarePool:
                 budget -= 1
         return total
 
-    def tops_without(self, i: BuyerId) -> list[Money]:
-        """The total value of the first m marginals of the free buyers other
-        than i, or of all when fewer, for m in 0..`budget`: a walk over the
-        sorted marginals, skipping hers, until `budget` are summed."""
+    def tops_without(self, excluded: frozenset[BuyerId] | set[BuyerId]) -> list[Money]:
+        """The total value of the first m marginals of the free buyers not in
+        `excluded`, or of all when fewer, for m in 0..`budget`: a walk over
+        the sorted marginals, skipping theirs, until `budget` are summed."""
         tops, budget = [0], self.budget
         for neg_v, j, _unit in self._pool:
             if len(tops) > budget:
                 break
-            if j != i:
+            if j not in excluded:
                 tops.append(tops[-1] - neg_v)
         return tops + tops[-1:] * (budget + 1 - len(tops))
 
@@ -110,21 +115,21 @@ class WelfarePool:
         order, which is ascending; `values` are hers as the pool holds them."""
         return [bisect_left(self._pool, (-v, i, unit)) for unit, v in enumerate(values)]
 
-    def units_of(self, i: BuyerId, values: ValuationVector, own: list[int]) -> int:
+    def units_of(self, i: BuyerId, values: ValuationVector, skipped: list[int]) -> int:
         """How many of buyer i's marginals `values` fall in the first `budget`
-        places once merged into the greedy order in place of her own: `own`
-        is `places_of` her pooled marginals when she is a free buyer, else
-        empty.
+        places once merged into the greedy order in place of her own, with
+        some buyers' marginals left out: `skipped` holds, ascending, the
+        `places_of` hers when she is a free buyer and of every buyer left out.
 
         i's unit u follows her u earlier units and the others' marginals that
-        precede it here: those before its place less her own, counted by a
-        bisect over `own`. Values are non-increasing, so her units that fit
-        are a prefix.
+        precede it here: those before its place less the skipped ones,
+        counted by a bisect over `skipped`. Values are non-increasing, so her
+        units that fit are a prefix.
         """
         marginals, budget = self._pool, self.budget
         for unit, v in enumerate(values):
             place = bisect_left(marginals, (-v, i, unit))
-            if unit + place - bisect_left(own, place) >= budget:
+            if unit + place - bisect_left(skipped, place) >= budget:
                 return unit
         return len(values)
 

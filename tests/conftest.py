@@ -71,8 +71,8 @@ def counted_reruns(monkeypatch) -> list:
         reruns.append(("set-up", market, i, found))
         return found
 
-    def reading(trace, i):
-        found = read(trace, i)
+    def reading(trace, i, kept):
+        found = read(trace, i, kept)
         if found is not None:
             reruns.append(("run", trace.market, i, found))
         return found

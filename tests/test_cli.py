@@ -563,6 +563,22 @@ def test_generated_batches_are_drawn_as_they_are_checked(argv, last, capsys):
     assert peak < 2 * 2**20
 
 
+def test_verify_on_a_wide_own_tree_holds_no_deviated_markets(capsys):
+    """`verify --all` under LDM on a 400-buyer own tree reads every
+    deviation from the truthful run, so it keeps no deviated market: the
+    check peaks under 8 MiB of traced memory, where one market per
+    deviation held 28 MiB."""
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(["verify", "--gen", "seed=1,n=400,k=8,depth=6,bias=0.3",
+                                "--count", "1", "--mechanism", "ldm", "--all"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out
+    assert peak < 8 * 2**20
+
+
 def test_verify_error_after_a_failing_instance_prints_nothing(capsys):
     """A failing instance is kept until the batch ends, and an error in a
     later instance still exits with empty stdout. The error is IR's: it

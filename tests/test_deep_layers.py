@@ -88,15 +88,14 @@ def test_combs_sell_past_layer_one_and_hold_every_property(k, monkeypatch):
     deeper = counted_deeper_reruns(monkeypatch, combs(k))
     # 162 deeper reruns, every one with supply left at k=1 and 135 at k=2: a
     # spine buyer is certified and walks only her empty and full sets, where
-    # every subset made 468. Each empty set's is set up on its deviated
-    # market (27). On the truthful market the run answers the spine and the
-    # leaves in their parent's C^W. Only the others are set up: the quota
-    # K + mu - 1 leaves out two leaves of each spine buyer but the last (one
-    # of hers) at k=1, and one (none of hers) at k=2.
+    # every subset made 468. The run answers both (27 empty sets), the
+    # spine's and the leaves in their parent's C^W. Only the other leaves
+    # are set up, on the truthful market: the quota K + mu - 1 leaves out
+    # two leaves of each spine buyer but the last (one of hers) at k=1, and
+    # one (none of hers) at k=2.
     assert deeper == {
-        1: {("set-up", False, True): 27, ("run", True, True): 72, ("set-up", True, True): 63},
-        2: {("set-up", False, True): 27, ("run", True, True): 81, ("run", True, False): 27,
-            ("set-up", True, True): 27},
+        1: {("run", True, True): 99, ("set-up", True, True): 63},
+        2: {("run", True, True): 108, ("run", True, False): 27, ("set-up", True, True): 27},
     }[k]
 
 

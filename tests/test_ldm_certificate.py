@@ -188,37 +188,37 @@ def test_other_mechanisms_keep_every_subset(mechanism):
 def test_work_on_a_fixed_own_tree(monkeypatch):
     """Buyer 0 invites 1..5; 1 invites 6 and 7, 2 invites 8; 9 sits in
     layer 1 beside 0. Under every property, a buyer with two or more
-    invitations builds one deviated market, the empty set's, and reruns her
-    full and empty sets' values; 2, whose one proper subset is empty, builds
-    that one; a buyer who invites nobody builds none and reruns her values
-    once, for value-IC; child monotonicity deletes the children of 0, 1 and
-    2, the parents with same-layer observers, once each. The truthful run
-    answers every full set's rerun but 5's: mu = 2 leaves a quota of 2 in
-    C^W_0, which 3 and 4 outbid her for, so 5 is free in layer 1 and her
-    rerun is set up."""
+    invitations reruns her full and empty sets' values; 2, whose one proper
+    subset is empty, reruns both sets too; a buyer who invites nobody
+    reruns her values once, for value-IC; child monotonicity deletes the
+    children of 0, 1 and 2, the parents with same-layer observers, once
+    each. The truthful run answers all of it, on the one market built,
+    but 5's rerun: mu = 2 leaves a quota of 2 in C^W_0, which 3 and 4
+    outbid her for, so 5 is free in layer 1 and her rerun is set up."""
     profile = make_profile(2, {0, 9}, {
         0: ((6, 2), range(1, 6)), 1: ((5, 1), (6, 7)), 2: ((4, 4), (8,)),
         **{j: ((10 - j, 1), ()) for j in range(3, 10)},
     })
-    built, runs = [], []
+    built, runs, deletions = [], [], []
     build, run = verify.compute_market, verify.run_ldm
+    read = verify.ldm_run_peer_outcomes
     reruns = counted_reruns(monkeypatch)
     monkeypatch.setattr(verify, "compute_market", lambda p: built.append(p) or build(p))
     monkeypatch.setattr(verify, "run_ldm",
                         lambda market, mu: runs.append(market) or run(market, mu))
+    monkeypatch.setattr(verify, "ldm_run_peer_outcomes",
+                        lambda outcome, j, kept: deletions.append((j, kept)) or read(outcome, j,
+                                                                                    kept))
     results = run_properties(profile, "ldm", PROPERTY_NAMES)
     assert [r.prop for r in results if not r.ok] == []
-    assert built[0] is profile and len(built) == 1 + 3
-    assert sorted((i, p.reports[i].invited) for p in built[1:] for i in p.reports
-                  if p.reports[i] != profile.reports[i]) == [(i, frozenset()) for i in (0, 1, 2)]
+    assert built == [profile]
     assert sorted(i for _path, _market, i, _rerun in reruns) == [0, 0, 1, 1, 2, 2, *range(3, 10)]
     by_path = {}
     for path, market, i, _rerun in sorted(reruns, key=lambda rerun: rerun[2]):
         by_path.setdefault((path, market.profile is profile), []).append(i)
-    assert by_path == {("set-up", False): [0, 1, 2], ("set-up", True): [5],
-                       ("run", True): [0, 1, 2, 3, 4, 6, 7, 8, 9]}
+    assert by_path == {("set-up", True): [5],
+                       ("run", True): [0, 0, 1, 1, 2, 2, 3, 4, 6, 7, 8, 9]}
     assert outside_parent_removed_set(runs[0], 2, 5)
-    # the truthful run, then one deletion per parent with observers
-    assert runs[0].profile is profile and len(runs) == 1 + 3
-    assert sorted(j for m in runs[1:] for j in (0, 1, 2)
-                  if not m.profile.reports[j].invited) == [0, 1, 2]
+    # the truthful run, which answers one deletion per parent with observers
+    assert runs[0].profile is profile and len(runs) == 1
+    assert deletions == [(j, frozenset()) for j in (0, 1, 2)]

@@ -206,9 +206,9 @@ def test_winners_are_ranked_only_for_the_layers_asked_for(monkeypatch):
     tree = compute_market(sold_out_in_layer_one())
     ranked = []
 
-    def counting(tree, i, inviters, mu):
-        ranked.append(i)
-        return removed_set_of(tree, i, inviters, mu)
+    def counting(tree, children, inviters, mu):
+        ranked.append(children)
+        return removed_set_of(tree, children, inviters, mu)
 
     monkeypatch.setattr(removed_sets, "removed_set_of", counting)
     with pytest.raises(MuTooSmall):
@@ -216,5 +216,5 @@ def test_winners_are_ranked_only_for_the_layers_asked_for(monkeypatch):
     assert ranked == []
     layers = removed_sets.layer_removed_sets(tree, 2)
     assert next(layers) == {1, 2, 3, 4, 5}
-    assert ranked == [0]
-    assert next(layers) == {2, 3, 4, 5} and ranked == [0, 1]
+    assert ranked == [tree.children[0]]
+    assert next(layers) == {2, 3, 4, 5} and ranked == [tree.children[0], tree.children[1]]

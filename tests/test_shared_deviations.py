@@ -27,7 +27,7 @@ from netauction.verify import (MAX_INVITES_EXHAUSTIVE, MechanismUnderTest, _tree
                                ldm_mechanism, run_properties, vcg_mechanism)
 
 import reference_verify as ref
-from conftest import DATA, counted_reruns, ldm_walked_subsets, outside_parent_removed_set
+from conftest import DATA, counted_reruns, ldm_walked_subsets
 from test_value_rerun import first_price
 
 STREAMS = (
@@ -116,25 +116,29 @@ def test_each_deviated_market_is_built_once_and_ldm_runs_once(monkeypatch):
     """`1 + Σ` markets, Σ the proper subsets the checks walk
     (`ldm_walked_subsets`), where building the table and value-IC's reruns
     apart takes `1 + 2Σ`, and one LDM run, on the truthful market: every
-    proper subset is answered by its value rerun."""
+    proper subset is answered by its value rerun. On an own tree the
+    truthful run reads every rerun, so the truthful market is the only
+    one built."""
     built, runs = [], []
     build, run = verify.compute_market, mechanisms.run_ldm_tree
     monkeypatch.setattr(verify, "compute_market",
                         lambda profile: built.append(profile) or build(profile))
     monkeypatch.setattr(mechanisms, "run_ldm_tree",
                         lambda market, *args, **kw: runs.append(market) or run(market, *args, **kw))
-    checked = 0
+    checked = read = 0
     for profile in profiles():
         built.clear()
         runs.clear()
         assert all(r.ok for r in run_properties(profile, "ldm", CHECKS))
         proper = ldm_walked_subsets(profile, build(profile))
-        assert len(built) == 1 + proper
+        assert len(built) == 1 + (0 if own_tree(profile) else proper)
         assert len(runs) == 1 and runs[0].profile is profile
         checked += proper
+        read += proper if own_tree(profile) else 0
     # the certificate walks one subset for each own-tree buyer with two or
-    # more invitations, so 113 where the enumeration walked 259
-    assert checked == 113
+    # more invitations, so 113 where the enumeration walked 259; 29 of them
+    # are on own trees
+    assert (checked, read) == (113, 29)
 
 
 def test_a_black_box_runs_once_per_market(monkeypatch):
@@ -257,30 +261,37 @@ def own_tree(profile):
 
 def test_child_monotonicity_reruns_the_shared_markets(monkeypatch):
     """With child monotonicity added to the three checks, an instance that is
-    its own BFS tree still builds `1 + Σ` markets, Σ the proper subsets the
-    checks walk (`ldm_walked_subsets`), and runs LDM once on the truthful
-    market and once per buyer j with children and same-layer observers, on
-    her one deletion: the empty set, as one child has no other proper
-    subset, and LDM certifies a buyer with more. Any other instance builds
-    its tree profile's market and those deletions' markets besides."""
-    built, runs = [], []
+    its own BFS tree still builds one market and runs LDM once, on the
+    truthful market: the run answers every proper subset the checks walk
+    (`ldm_walked_subsets`), and the one deletion of each buyer j with
+    children and same-layer observers, the empty set, as one child has no
+    other proper subset, and LDM certifies a buyer with more. Any other
+    instance builds `Σ` deviated markets besides, Σ the proper subsets the
+    checks walk, and its tree profile's market, whose one run answers those
+    deletions."""
+    built, runs, deletions = [], [], []
     build, run = verify.compute_market, mechanisms.run_ldm_tree
+    read = verify.ldm_run_peer_outcomes
     monkeypatch.setattr(verify, "compute_market",
                         lambda profile: built.append(profile) or build(profile))
     monkeypatch.setattr(mechanisms, "run_ldm_tree",
                         lambda market, *args, **kw: runs.append(market) or run(market, *args, **kw))
+    monkeypatch.setattr(verify, "ldm_run_peer_outcomes",
+                        lambda outcome, j, kept: deletions.append(j) or read(outcome, j, kept))
     counted = {True: 0, False: 0}
     for profile in profiles():
         built.clear()
         runs.clear()
+        deletions.clear()
         run_properties(profile, "ldm", (*CHECKS, "child-monotonicity"))
         tree = build(profile)
         proper = ldm_walked_subsets(profile, tree)
-        shrunk = sum(1 for j in tree.valid
-                     if tree.children[j] and len(tree.layers[tree.layer_of[j] - 1]) > 1)
+        shrunk = sorted(j for j in tree.valid
+                        if tree.children[j] and len(tree.layers[tree.layer_of[j] - 1]) > 1)
         shared = own_tree(profile)
-        assert len(built) == 1 + proper + (0 if shared else 1 + shrunk)
-        assert len(runs) == 1 + shrunk + (0 if shared else 1)
+        assert len(built) == 1 + (0 if shared else proper + 1)
+        assert len(runs) == 1 + (0 if shared else 1)
+        assert deletions == shrunk
         counted[shared] += 1
     assert counted[True] >= 15 and counted[False] >= 5
 
@@ -315,13 +326,12 @@ def test_either_order_of_the_checks_shares_the_same_work(monkeypatch, name):
 
 
 def test_child_monotonicity_builds_only_the_certificates_reruns(monkeypatch):
-    """Child monotonicity reads each deletion's market through
+    """Child monotonicity reads each deletion through
     `_Truthful.outcome_of`, which builds no value rerun. Alone, under LDM,
     it builds only the reruns of LDM's certificate on the BFS tree, the full
     and empty sets of each buyer with two or more children, once some buyer
-    with children and a same-layer observer lists her subsets. The full
-    sets' reruns are read from the run on the BFS tree, the empty sets' set
-    up on their deviated markets."""
+    with children and a same-layer observer lists her subsets. Both are
+    read from the run on the BFS tree, which is an own tree."""
     reruns = counted_reruns(monkeypatch)
     graphs = instance_stream(STREAMS[1], 40)
     deletions = 0
@@ -337,18 +347,14 @@ def test_child_monotonicity_builds_only_the_certificates_reruns(monkeypatch):
         certified = [i for i in tree.valid if len(tree.children[i]) >= 2]
         assert sorted(i for _path, _market, i, _rerun in reruns) == (
             sorted(certified * 2) if read else [])
-        for path, market, i, _rerun in reruns:
-            on_tree = market is tree
-            assert on_tree == (market.profile.reports[i].invited == tree.children[i])
-            if path == "set-up" and on_tree:
-                assert outside_parent_removed_set(tree, mu, i), i
-            paths[path, on_tree] += 1
+        for path, market, _i, _rerun in reruns:
+            paths[path, market is tree] += 1
         deletions += read
     # buyers with children and a same-layer observer, each read at least once
     assert deletions > 80
     # a buyer with children is in layer 1 or in her parent's C^P, so the run
-    # answers each full set, and no set-up is on the tree
-    assert paths == {("run", True): 34, ("set-up", False): 34}
+    # answers her full and empty sets alike, and nothing is set up
+    assert paths == {("run", True): 68}
 
 
 @pytest.mark.parametrize("order", [(*CHECKS, "child-monotonicity"),

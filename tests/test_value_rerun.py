@@ -209,7 +209,8 @@ def assert_matches_on(profile, mu, i, vectors):
 def parent_sets(tree, p, i, mu, vectors):
     """Every C^R_p that the vectors, reported by p's child i, give."""
     inviters = potential_inviters(tree, p)
-    return {removed_set_of(tree.with_values(i, v), p, inviters, mu) for v in vectors}
+    return {removed_set_of(tree.with_values(i, v), tree.children[p], inviters, mu)
+            for v in vectors}
 
 
 def holding_sets(tree, p, i, mu, vectors):
@@ -278,7 +279,7 @@ def test_quota_boundary_tie_broken_by_id(i, bar, joins_at_tie):
     assert values[bar] == (4, 4)
     vectors = [(a, b) for a in range(9) for b in range(a + 1)]
     tree, rerun = assert_matches_on(profile, 0, i, vectors)
-    c_r = lambda v: removed_set_of(tree.with_values(i, v), 0, frozenset(), 0)
+    c_r = lambda v: removed_set_of(tree.with_values(i, v), tree.children[0], frozenset(), 0)
     with_tie = c_r((4, 0))
     assert (i in with_tie) is joins_at_tie and (bar in with_tie) is not joins_at_tie
     assert i in c_r((5, 0)) and i not in c_r((3, 0))
@@ -555,7 +556,7 @@ def assert_run_reads_match(profile, mus, cap=40):
     for mu in mus:
         trace = run_ldm_tree(market, mu).trace
         for i in sorted(market.valid):
-            found = ldm_run_value_rerun(trace, i)
+            found = ldm_run_value_rerun(trace, i, market.children[i])
             if refused(market, trace, i):
                 assert found is None, (mu, i)
                 fell_back += 1
@@ -604,7 +605,7 @@ def run_read(profile, mu, i):
     set-up and the reference on a grid."""
     market = compute_market(profile)
     assert_run_reads_match(profile, (mu,))
-    return ldm_run_value_rerun(run_ldm_tree(market, mu).trace, i)
+    return ldm_run_value_rerun(run_ldm_tree(market, mu).trace, i, market.children[i])
 
 
 def test_run_read_layer_one_buyer():

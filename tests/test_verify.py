@@ -476,8 +476,9 @@ def test_run_properties_resolves_the_truthful_instance_once(monkeypatch, t4_prof
 def test_value_ic_builds_one_market_per_proper_invitation_subset(monkeypatch, fig3_profile,
                                                                 t4_profile):
     """The truthful market once, then one per proper invitation subset each
-    valid buyer walks (`ldm_walked_subsets`): the full set reruns on the
-    truthful market."""
+    valid buyer walks (`ldm_walked_subsets`) on an instance that is not its
+    own BFS tree: the full set reruns on the truthful market, and on an own
+    tree the truthful run answers every subset."""
     built, build = [], verify.compute_market
     monkeypatch.setattr(verify, "compute_market",
                         lambda profile: built.append(profile) or build(profile))
@@ -487,10 +488,13 @@ def test_value_ic_builds_one_market_per_proper_invitation_subset(monkeypatch, fi
     for profile in [fig3_profile, t4_profile, *instance_stream(config, 30)]:
         built.clear()
         assert run_properties(profile, "ldm", ("value-ic",))[0].ok
-        assert len(built) == 1 + ldm_walked_subsets(profile, build(profile))
+        market = build(profile)
+        own = all(profile.reports[i].invited == market.children[i] for i in market.valid)
+        assert len(built) == 1 + (0 if own else ldm_walked_subsets(profile, market))
         total += len(built)
-    # 367 with every subset enumerated
-    assert total == 225
+    # 367 with every subset enumerated, 225 with a market per walked subset
+    # on own trees too
+    assert total == 203
 
 
 @CRITERION_STREAMS

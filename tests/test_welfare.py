@@ -149,15 +149,20 @@ def test_ranked_walk_matches_a_sort_without_the_excluded(fig3_profile):
 
 
 def test_tops_without_a_buyer_match_a_sort(fig3_profile):
+    """`tops_without` and `best` leave out a buyer, or a few, as a pool
+    sorted without them does."""
     rng = random.Random(31)
     market = compute_market(fig3_profile)
     ids = sorted(fig3_profile.reports)
     for _ in range(300):
         buyers = frozenset(rng.sample(ids, rng.randint(1, 10)))
         i = rng.choice(sorted(buyers) + [max(ids) + 1])  # or a buyer outside
+        excluded = {i, *rng.sample(ids, rng.randint(0, 3))}
         budget = rng.randint(0, 12)
-        tops = WelfarePool(market, buyers, budget).tops_without(i)
-        assert tops == [top_of(market, buyers - {i}, m) for m in range(budget + 1)]
+        pool = WelfarePool(market, buyers, budget)
+        assert pool.tops_without(excluded) == [top_of(market, buyers - excluded, m)
+                                               for m in range(budget + 1)]
+        assert pool.best(excluded) == WelfarePool(market, buyers - excluded, budget).best()
 
 
 def test_a_free_buyers_units_are_hers_in_the_merged_order():
