@@ -354,7 +354,8 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
 
     This is the per-buyer set-up. On a market LDM has run on, and on every
     market an own tree's invitation reports make from it, the run's own
-    pools answer every buyer whom `ldm_run_value_rerun` does not refuse.
+    pools answer every buyer whom `ldm_run_value_rerun` does not refuse;
+    every other rerun, every graph deviation included, is this one.
     """
     layer = market.layer_of[i]
     committing = market
@@ -373,49 +374,37 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
     return _pool_rerun(market, WelfarePool(market, free, supply), i)
 
 
-def ldm_run_sold_out(trace: LdmTrace, i: BuyerId) -> ValueRerun | None:
-    """The rerun of a buyer who gets (0, 0), when the run that made `trace`
-    sold every unit at layer L - 2 or earlier, L the layer of i; else None.
-
-    Those layers never read a report of hers. Her values reach only
-    C^R_p, p her parent, in layer L - 1. Her invitations move only the
-    buyers below layer L, even on a graph, where a hidden invitee can
-    reattach: every buyer of layers 1 .. L keeps her layer and her parent,
-    so every C^P and C^R of layers 1 .. L - 2 stays. So this answers her
-    value rerun on `trace.market` and on every market her invitation
-    reports make from it, once that market's mu check passes."""
-    return _NOTHING if len(trace.pools) < trace.market.layer_of[i] - 1 else None
-
-
 def ldm_run_value_rerun(trace: LdmTrace, i: BuyerId,
                         kept: frozenset[BuyerId]) -> ValueRerun | None:
     """`ldm_value_rerun(m, trace.mu, i)` read from the run that made
-    `trace`, where m is `trace.market` with i inviting only `kept` of her
-    children C_i, on an own tree, where every valid buyer invites exactly
-    her children; `kept` = C_i is the run's own market. None for a buyer
-    outside her parent's C^R, whose rerun must commit layer L - 1 anew.
+    `trace`, where m is the market of `trace.market`'s BFS tree with i
+    inviting only S & C_i, S = `kept` any invitation report of hers and C_i
+    her children. For her full report m is `trace.market`; on an own tree,
+    where every valid buyer invites exactly her children, m is the market S
+    makes. On a graph, a proper S can reattach an invitee she hides, and
+    only `ldm_value_rerun` on S's market answers. None for a buyer outside
+    her parent's C^R, whose rerun must commit layer L - 1 anew.
 
-    i sits in layer L with parent p. A sell-out at layer L - 2 or earlier
-    reads none of her reports (`ldm_run_sold_out`): (0, 0). When she is in
-    C^R_p at the truth, not free in layer L - 1, the rerun's layers before
-    L commit as the run's did, whatever she keeps: she stays in C^R_p, in
-    C^P_p while she keeps a child, else in C^W_p at the rerun's top bid.
-    So a sell-out at layer L - 1 gives (0, 0) too, and otherwise the run's
-    layer-L pool, with the run's supply and without the marginals of the
-    children that leave F_L (`_leaving`), is the rerun's. A layer-1 buyer
-    always qualifies, and so does every buyer with children, who is in
-    C^P_p. The read sorts nothing: two walks down the pool's first S
-    places or so, S the supply layer L shared, and k binary searches per
-    buyer left out (notes/decisions.md).
+    i sits in layer L with parent p. Her reports reach the layers before L
+    only through C^R_p, in layer L - 1, and her invitations move only the
+    buyers below layer L. When she is in C^R_p at the truth, not free in
+    layer L - 1, the rerun's layers before L commit as the run's did,
+    whatever she keeps: she stays in C^R_p, in C^P_p while she keeps a
+    child, else in C^W_p at the rerun's top bid. So a run sold out before
+    layer L gives (0, 0), and otherwise the run's layer-L pool, with the
+    run's supply and without the marginals of the children that leave F_L
+    (`_leaving`), is the rerun's. A layer-1 buyer always qualifies, and so
+    does every buyer with children, who is in C^P_p, and every buyer of a
+    run sold out before layer L - 1, whose F_{L-1} was never built. The
+    read sorts nothing: two walks down about as many of the pool's first
+    places as the supply layer L shared, and k binary searches per buyer
+    left out (notes/decisions.md).
     """
     layer = trace.market.layer_of[i]
     pools = trace.pools
-    sold_out = ldm_run_sold_out(trace, i)
-    if sold_out is not None:
-        return sold_out
-    if layer > 1 and i in pools[layer - 2][0]:
+    if 1 < layer <= len(pools) + 1 and i in pools[layer - 2][0]:
         return None
-    if len(pools) < layer or is_dummy(i):
+    if len(pools) < layer or is_dummy(i):  # sold out before layer L
         return _NOTHING
     free, pool = pools[layer - 1]
     return _pool_rerun(trace.market, pool, i, _leaving(trace, i, kept, free))
@@ -486,12 +475,13 @@ def _swapped_supply(trace: LdmTrace, j: BuyerId) -> int | None:
 def _leaving(trace: LdmTrace, i: BuyerId, kept: frozenset[BuyerId],
              free: frozenset[BuyerId]) -> frozenset[BuyerId]:
     """X, the children of i in her layer's free set `free` of the run, F_L,
-    that leave it when she invites only `kept` of them: the hidden ones,
-    and the kept ones her C^R under `kept` now removes,
-    X = (C_i & F_L) - (kept - C^R_i(kept)). Every other buyer of F_L stays:
-    no other C^R of layer L reads her invitations. Empty when `kept` is
-    all of C_i."""
+    that leave it when she invites only S = `kept` & C_i of them, `kept`
+    any invitation report of hers: the hidden ones, and the kept ones her
+    C^R under S now removes, X = (C_i & F_L) - (S - C^R_i(S)). Every other
+    buyer of F_L stays: no other C^R of layer L reads her invitations.
+    Empty when S is all of C_i."""
     market = trace.market
+    kept = kept & market.children[i]
     inviters = frozenset(c for c in kept if market.children[c])
     return (market.children[i] & free) - (kept - removed_set_of(market, kept, inviters, trace.mu))
 

@@ -19,8 +19,9 @@ answer at her true values. IR, invitation-IC and value-IC walk the same
 lists and read the same records; child monotonicity reads the outcomes on
 the markets of `tree`'s records (`outcome_of`), `tree` being the same
 `_Truthful` when the instance is its own BFS tree. Under LDM's own run and
-rerun, on an own tree, the truthful run answers every one of these reads,
-and no deviated market is built (`_Truthful.ldm_trace`).
+rerun, the truthful run answers the full set's rerun, and, on an own tree,
+every one of these reads, so no deviated market is built
+(`_Truthful.ldm_trace`); every graph deviation is set up on its market.
 
 A certificate is a menu of (units, payment) pairs that bounds a family of
 one buyer's reports (`mechanisms.Menu`), and `_certifies` is the one check
@@ -48,7 +49,7 @@ from functools import cached_property, lru_cache, partial
 from math import comb
 from typing import Callable, ClassVar, Iterable, Sequence
 
-from .errors import ContractError, MuTooSmall, SearchBudgetExceeded, TraceMissing
+from .errors import ContractError, SearchBudgetExceeded, TraceMissing
 from .market import (
     BuyerId,
     Market,
@@ -67,7 +68,6 @@ from .mechanisms import (
     ValueRerun,
     dna_mu_invitation_menu,
     ldm_run_peer_outcomes,
-    ldm_run_sold_out,
     ldm_run_value_rerun,
     ldm_value_rerun,
     outcome_welfare,
@@ -174,8 +174,8 @@ class _Ldm(MechanismUnderTest):
 
 def _ldm_invitation_menu(truth: _Truthful, mu: int) -> Callable[[BuyerId], Menu | None] | None:
     """On an instance that is its own BFS tree and whose market admits `mu`
-    (else None, and the walk order decides which `MuTooSmall` a check
-    raises), a buyer with two or more invitations gets her full and empty
+    (else None, and the walk order decides which undersized mu a check
+    reports), a buyer with two or more invitations gets her full and empty
     sets' value menus joined (notes/decisions.md); any other buyer, None."""
     if not truth.own_tree or mu < truth.min_valid_mu:
         return None
@@ -278,9 +278,10 @@ class _Deviation:
     """One (valid buyer, invitation subset) of a `_Truthful`: the deviated
     market, and what the checks read of it, each set on first need: the
     market itself, built only when something reads it, the mechanism's
-    value rerun on it, her true-value utility there and, when that utility
-    is read off a run on the market (`runs_for_values`), the run's outcome,
-    which child monotonicity reads too."""
+    value rerun on it, which the truthful LDM run may answer instead
+    (`_Truthful.deviation`), her true-value utility there and, when that
+    utility is read off a run on the market (`runs_for_values`), the run's
+    outcome, which child monotonicity reads too."""
 
     __slots__ = ("_market", "rerun", "utility", "outcome")
 
@@ -433,13 +434,18 @@ class _Truthful:
         and, when the rerun is the generic one, that of the one run on the
         market (`outcome_of`).
 
-        The rerun is `value_rerun(market, i)` on the deviated market, unless
-        the truthful LDM run answers it (`_run_value_rerun`), which builds
-        no market."""
+        The truthful LDM run (`ldm_trace`) answers the rerun of her full
+        set, and on an own tree of every set, with no market built
+        (`ldm_run_value_rerun`), unless it refuses her; every other rerun,
+        every graph deviation included, is `value_rerun(market, i)` on the
+        deviated market (notes/decisions.md, "Own-tree deviations are read
+        from the truthful LDM run")."""
         found = self._record(i, invited)
         if found.rerun is None:
             full = invited == self.instance.reports[i].invited
-            found.rerun = (self._run_value_rerun(i, invited, full, found)
+            trace = self.ldm_trace
+            found.rerun = (trace is not None and (full or self.own_tree)
+                           and ldm_run_value_rerun(trace, i, invited)
                            or self.mechanism.value_rerun(found.market, i))
             if full:
                 found.utility = self.utility(i, invited)
@@ -452,30 +458,6 @@ class _Truthful:
                     units, payment = found.rerun.answer(values)
                 found.utility = cumulative_value(values, units) - payment
         return found
-
-    def _run_value_rerun(self, i: BuyerId, invited: frozenset[BuyerId], full: bool,
-                         found: _Deviation) -> ValueRerun | None:
-        """LDM's value rerun of i when she invites `invited`, read from the
-        truthful run (`ldm_trace`); None where the run cannot answer it.
-
-        On her full set, and on every set of an own tree, it is
-        `ldm_run_value_rerun`, which refuses only a buyer outside her
-        parent's C^R at the truth. A graph deviation is read only when the
-        run sold out two layers or more above hers (`ldm_run_sold_out`),
-        after the deviated market's own mu check, which the set-up makes
-        first (notes/decisions.md, "Own-tree deviations are read from the
-        truthful LDM run")."""
-        trace = self.ldm_trace
-        if trace is None:
-            return None
-        if full or self.own_tree:
-            return ldm_run_value_rerun(trace, i, invited)
-        sold_out = ldm_run_sold_out(trace, i)
-        if sold_out is not None:
-            required = min_valid_mu(found.market)
-            if trace.mu < required:
-                raise MuTooSmall(required, trace.mu)
-        return sold_out
 
     def outcome_of(self, i: BuyerId, invited: frozenset[BuyerId]) -> Outcome:
         """The mechanism's outcome when i invites `invited`, a proper subset

@@ -8,7 +8,9 @@ and her layer peers' outcomes too (`ldm_run_peer_outcomes`). The oracle is
 the slow path: `compute_market` of the profile with her report changed,
 then `ldm_value_rerun` and `run_ldm` on that market. Menus, answers and
 every peer's (units, payment) must be equal, at every mu from
-`min_valid_mu` to `min_valid_mu` + 2, with and without a reserve.
+`min_valid_mu` to `min_valid_mu` + 2, with and without a reserve. On a
+graph, only a buyer's full set is read; every other deviation is set up
+on its own market.
 """
 
 import itertools
@@ -17,7 +19,6 @@ from collections import Counter
 
 import pytest
 
-from netauction import verify
 from netauction.errors import MuTooSmall
 from netauction.instance_io import GeneratorConfig, instance_stream
 from netauction.market import ReportedType, compute_market
@@ -27,7 +28,8 @@ from netauction.removed_sets import layer_free_sets, min_valid_mu, robust_mu
 from netauction.verify import _tree_profile, integer_value_grid, ldm_mechanism, run_properties
 
 import reference_verify as ref
-from conftest import make_profile
+from conftest import (chain_profile, counted_reruns, ldm_walked_subsets, make_profile,
+                      sold_out_in_layer_one)
 from test_deep_layers import combs
 
 # (stream, instances): criterion 3's tree stream, its graph stream read as
@@ -216,34 +218,75 @@ def answer(call):
         return str(exc)
 
 
-def test_graph_deviations_past_a_sell_out_build_no_set_up(monkeypatch):
-    """On a graph, a deviation of a buyer in layer L is read as (0, 0)
-    when the truthful run sold out by layer L - 2, once her deviated
-    market passes its mu check: at every mu from the truthful market's
-    `min_valid_mu` to `robust_mu`, no set-up on a deviated market is for
-    such a buyer, and the reports, or the bound raised where a deviated
-    market needs a larger mu, are the reference's."""
-    set_ups = []
-    set_up = verify.ldm_value_rerun
-    monkeypatch.setattr(verify, "ldm_value_rerun",
-                        lambda market, mu, i: set_ups.append((market, i)) or set_up(market, mu, i))
-    read = raised = 0
+def test_graph_deviations_are_set_up_and_full_sets_read(monkeypatch):
+    """On a graph, every proper-subset rerun is set up on its deviated
+    market, once per (buyer, subset), and every full-set rerun is read from
+    the truthful run unless the run refuses the buyer: at every mu from the
+    truthful market's `min_valid_mu` to `robust_mu`. The reports, or the
+    bound raised where a deviated market needs a larger mu, are the
+    reference's."""
+    reruns = counted_reruns(monkeypatch)
+    deviated = read = raised = 0
     for profile in instance_stream(STREAMS["seed302-graph"][0], 100):
         market = compute_market(profile)
         if own_tree(profile).reports == profile.reports:
             continue
         for mu in range(min_valid_mu(market), robust_mu(profile) + 1):
-            set_ups.clear()
+            reruns.clear()
             found = answer(lambda: [r.reports for r in run_properties(profile, "ldm", CHECKS,
                                                                       mu=mu)])
-            pools = len(run_ldm_tree(market, mu).trace.pools)
-            sold_out = {i for i in market.valid if pools < market.layer_of[i] - 1}
-            assert not any(i in sold_out for deviated, i in set_ups
-                           if deviated.profile is not profile)
+            walked = list(reruns)  # the reference's reruns come next
             mechanism = ldm_mechanism(mu)
             assert found == answer(lambda: [tuple(ref.check_ir(mechanism, profile)),
                                             tuple(ref.check_invitation_ic(mechanism, profile)),
                                             tuple(ref.check_value_ic(mechanism, profile))])
-            read += sum(2 ** len(profile.reports[i].invited) - 1 for i in sold_out)
+            trace = run_ldm_tree(market, mu).trace
+            subsets = Counter()
+            full_sets = set()
+            for path, rerun_market, i, _ in walked:
+                invited = profile.reports[i].invited
+                if rerun_market.profile is profile:
+                    full_sets.add(i)
+                    assert (path == "run") == (ldm_run_value_rerun(trace, i, invited)
+                                               is not None), (mu, i)
+                else:
+                    assert path == "set-up", (mu, i)
+                    subsets[i, rerun_market.profile.reports[i].invited] += 1
+            assert all(sub < profile.reports[i].invited and count == 1
+                       for (i, sub), count in subsets.items())
             raised += isinstance(found, str)
-    assert read > 20 and raised > 0
+            if not isinstance(found, str):
+                assert full_sets == market.valid
+                assert sum(subsets.values()) == ldm_walked_subsets(profile, market)
+            deviated += sum(subsets.values())
+            read += sum(path == "run" for path, *_ in walked)
+    assert deviated > 1000 and read > 300 and raised > 0
+
+
+@pytest.mark.parametrize("profile", [sold_out_in_layer_one(), chain_profile(6, 1)],
+                         ids=["sold-out-in-layer-one", "chain"])
+def test_a_layer_one_sell_out_answers_two_layers_down(profile, monkeypatch):
+    """The run sells its one unit in layer 1, so every buyer two or more
+    layers down reads ((0, 0),) from it, under every invitation report of
+    hers, as the set-up on the market that report makes does; the checks
+    read her reruns with no refusal and no set-up."""
+    reruns = counted_reruns(monkeypatch)
+    market = compute_market(profile)
+    deep = {i for i in market.valid if market.layer_of[i] >= 3}
+    assert deep
+    for mu in range(min_valid_mu(market), robust_mu(profile) + 2):
+        trace = run_ldm_tree(market, mu).trace
+        assert len(trace.pools) == 1 and trace.layers[0].k_remain_after == 0
+        for i in deep:
+            rep = profile.reports[i]
+            for r in range(len(rep.invited) + 1):
+                for kept in map(frozenset, itertools.combinations(sorted(rep.invited), r)):
+                    found = ldm_run_value_rerun(trace, i, kept)
+                    assert found is not None and found.menu == ((0, 0),), (mu, i, kept)
+                    deviated = compute_market(profile.with_report(
+                        i, ReportedType(rep.values, kept)))
+                    assert ldm_value_rerun(deviated, mu, i).menu == ((0, 0),), (mu, i, kept)
+        reruns.clear()
+        run_properties(profile, "ldm", CHECKS, mu=mu)
+        deep_reruns = [(path, rerun.menu) for path, _, i, rerun in reruns if i in deep]
+        assert deep_reruns and set(deep_reruns) == {("run", ((0, 0),))}, mu

@@ -670,3 +670,69 @@ def test_run_read_sell_out_at_layer_l_minus_1():
     assert [rec.k_remain_after for rec in run_ldm_tree(market, 0).trace.layers] == [0]
     assert run_read(outside, 0, 3) is None
     assert ldm_value_rerun(market, 0, 3).answer((10,)) == (1, 9)
+
+
+# On a graph, a buyer's full report S can hold invitees that are not her BFS
+# children C_i. The run's read takes S & C_i (`mechanisms._leaving`): read
+# with all of S, her invitees who invite anyone once pushed her C^W quota
+# below zero, and a free child dropped out of her layer's pool.
+# (stream, instances): 5 of seed 11's first 1,000 hit that case
+FULL_SET_STREAMS = {
+    "seed11-graph": GeneratorConfig(seed=11, buyers=(6, 12), k=(1, 2), topology="graph",
+                                    edge_density=0.4),
+    "seed303-graph": GeneratorConfig(seed=303, topology="graph", edge_density=0.3),
+}
+
+
+def inviting_invitees():
+    """K = 1, mu = 0: the seller's neighbours are a (0), s1 (1) and s2 (2);
+    a invites s1, s2 and her childless children c1, c2, c3 (3, 4, 5), and s1
+    and s2, her layer peers, invite x1 (6) and x2 (7). Two invitees of a
+    invite anyone, more than K + mu."""
+    return make_profile(1, {0, 1, 2}, {
+        0: ((5,), [1, 2, 3, 4, 5]), 1: ((2,), [6]), 2: ((1,), [7]), 3: ((9,), []),
+        4: ((8,), []), 5: ((3,), []), 6: ((4,), []), 7: ((4,), []),
+    })
+
+
+def assert_full_set_reads_match(profile, cap=40):
+    """Every valid buyer's rerun read from the truthful run with her full
+    invitation report as `kept`, unless refused, against the set-up on the
+    truthful market, at every mu from `min_valid_mu` to `robust_mu`: the
+    menu, and the answers on her values and the grid. Returns the reads,
+    and those whose report holds a buyer outside her children."""
+    market = compute_market(profile)
+    reads = beyond = 0
+    for mu in range(min_valid_mu(market), robust_mu(profile) + 1):
+        trace = run_ldm_tree(market, mu).trace
+        for i in sorted(market.valid):
+            invited = profile.reports[i].invited
+            found = ldm_run_value_rerun(trace, i, invited)
+            if found is None:
+                continue
+            set_up = ldm_value_rerun(market, mu, i)
+            assert found.menu == set_up.menu, (mu, i)
+            for v in (profile.reports[i].values, *integer_value_grid(profile, i, cap)):
+                assert found.answer(v) == set_up.answer(v), (mu, i, v)
+            reads += 1
+            beyond += not invited <= market.children[i]
+    return reads, beyond
+
+
+def test_full_set_read_takes_the_invitees_among_her_children():
+    profile = inviting_invitees()
+    market = compute_market(profile)
+    assert market.children[0] == {3, 4, 5} and min_valid_mu(market) == 0
+    found = ldm_run_value_rerun(run_ldm_tree(market, 0).trace, 0, profile.reports[0].invited)
+    assert found.menu == ((0, -6), (1, 2)) and found.answer((5,)) == (0, -6)
+    assert assert_full_set_reads_match(profile) == (21, 3)
+
+
+@pytest.mark.parametrize("stream", FULL_SET_STREAMS)
+def test_full_set_reads_match_the_set_up_on_graphs(stream):
+    reads = beyond = 0
+    for profile in instance_stream(FULL_SET_STREAMS[stream], 1000):
+        found = assert_full_set_reads_match(profile)
+        reads, beyond = reads + found[0], beyond + found[1]
+    assert (reads, beyond) == {"seed11-graph": (50028, 46539),
+                               "seed303-graph": (14702, 11043)}[stream]
