@@ -290,6 +290,11 @@ class GeneratorConfig:
 
 # pairs per block of edge draws: 16 Ki pairs of two 32-bit words, 128 KiB
 _EDGE_BLOCK = 1 << 14
+# words per block of value draws: 16 Ki 32-bit words, 64 KiB
+_VALUE_BLOCK = 1 << 14
+# fewer value draws than this are drawn one `getrandbits` each: setting up
+# a block costs about as much as 40 to 50 of them (notes/decisions.md)
+_VALUE_BLOCK_MIN = 64
 
 
 def _below(getrandbits, bound: int) -> int:
@@ -310,7 +315,7 @@ def _candidate_table(limit: int) -> bytes:
     return bytes(t >= limit for t in range(256))
 
 
-def _draw_edges(rng: random.Random, invited: dict[BuyerId, set[BuyerId]],
+def _draw_edges(rng: random.Random, invited: list[set[BuyerId]],
                 density: float) -> None:
     """Join each pair u < v that no tree edge joins when its `random()` is
     below `density`, with the draws in (u, v) order (notes/decisions.md).
@@ -351,6 +356,55 @@ def _draw_edges(rng: random.Random, invited: dict[BuyerId, set[BuyerId]],
             p = marks.find(0, p + 1)
 
 
+@functools.lru_cache(maxsize=64)
+def _labels(n: int) -> tuple[str, ...]:
+    """The labels of buyers 0..n-1: "b" and the id, zero-padded to the
+    width of n - 1 and to at least two digits."""
+    width = max(2, len(str(max(n - 1, 0))))
+    return tuple("b" + str(i).zfill(width) for i in range(n))
+
+
+@functools.cache
+def _value_table(bound: int) -> tuple[bytes, bytes]:
+    """The `bytes.translate` arguments that turn words' top bytes into draws
+    below `bound`, at most 256: a table taking top byte t to its top
+    `bound.bit_length()` bits, and the top bytes whose draw is at or above
+    `bound`, which are deleted."""
+    shift = 8 - bound.bit_length()
+    return (bytes(t >> shift for t in range(256)),
+            bytes(t for t in range(256) if t >> shift >= bound))
+
+
+def _draw_values(rng: random.Random, count: int, bound: int) -> list[int]:
+    """At least `count` draws below `bound`, each as `_below` draws it, and
+    possibly more: the caller reads the first `count` and makes no later
+    draw (notes/decisions.md).
+
+    A draw of b <= 8 bits is a word's top byte shifted down, so from
+    `_VALUE_BLOCK_MIN` draws on the words are read `_VALUE_BLOCK` at a
+    time, enough of them for the draws still missing at the expected
+    rejection rate, plus a margin, and one `translate` keeps each accepted
+    draw; other draws take one `getrandbits` each.
+    """
+    bits = bound.bit_length()
+    if bits > 8 or count < _VALUE_BLOCK_MIN:
+        getrandbits = rng.getrandbits
+        drawn = []
+        for _ in range(count):
+            r = getrandbits(bits)
+            while r >= bound:
+                r = getrandbits(bits)
+            drawn.append(r)
+        return drawn
+    table, rejected = _value_table(bound)
+    drawn = []
+    while len(drawn) < count:
+        words = min(_VALUE_BLOCK, ((count - len(drawn)) << bits) // bound + 8)
+        block = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        drawn += block[3::4].translate(table, rejected)
+    return drawn
+
+
 def random_instance(config: GeneratorConfig, index: int = 0) -> ReportProfile:
     """Deterministic instance `index` of the stream seeded by `config.seed`.
 
@@ -374,9 +428,13 @@ def random_instance(config: GeneratorConfig, index: int = 0) -> ReportProfile:
     a graph with `edge_density > 0`, one `random()` per pair u < v not
     joined by a tree edge, in (u, v) order, joining the pair when it is
     below `edge_density`; then k values below v_max + 1 per buyer in id
-    order, each a draw as above, inline (a bound above 2^32 takes two words
-    a draw), sorted descending. A graph therefore reads about n² words
-    whatever its density: about 0.25 s at n = 3200 on a 2-core x86-64 VM.
+    order, each a draw as above (a bound above 2^32 takes two words a
+    draw), sorted descending. The values are the last draws, so many of
+    them are read a block of words at a time when a draw fits in a word's
+    top byte (`_draw_values`). A graph therefore reads about n² words whatever its
+    density: about 0.19 s at n = 3200 on a 2-core x86-64 VM (Python
+    3.11.7). An instance of the hunt's family (n = 5..7, k = 4) takes about
+    22 µs there, 7.5 µs of it seeding the Twister.
     """
     rng = random.Random(f"{config.seed}:{index}")
     getrandbits = rng.getrandbits
@@ -384,49 +442,42 @@ def random_instance(config: GeneratorConfig, index: int = 0) -> ReportProfile:
     n = low + _below(getrandbits, high - low + 1)
     low, high = config.k
     k = low + _below(getrandbits, high - low + 1)
-    width = max(2, len(str(max(n - 1, 0))))
-    labels = {i: "b" + str(i).zfill(width) for i in range(n)}
 
-    layer = {}
-    seller_neighbors: set[BuyerId] = set()
-    invited: dict[BuyerId, set[BuyerId]] = {i: set() for i in range(n)}
-    # the seller, then every earlier buyer whose layer admits a child, ascending
+    # the seller is parent -1: invited[-1] is her neighbour set and layer[-1] 0
+    invited: list[set[BuyerId]] = [set() for _ in range(n + 1)]
+    layer = [0] * (n + 1)
+    bias, cap, draw = config.seller_bias, config.max_depth or n + 1, rng.random
+    # the seller, then every earlier buyer whose layer admits a child,
+    # ascending; a parent is a draw below its size, as `_below` draws it
     pool: list[BuyerId] = [-1]
+    size = bits = 1
     for i in range(n):
-        if config.seller_bias and rng.random() < config.seller_bias:
+        if bias and draw() < bias:
             parent = -1
         else:
-            parent = pool[_below(getrandbits, len(pool))]
-        if parent < 0:
-            seller_neighbors.add(i)
-            layer[i] = 1
-        else:
-            invited[parent].add(i)
-            layer[i] = layer[parent] + 1
-        if config.max_depth is None or layer[i] < config.max_depth:
+            r = getrandbits(bits)
+            while r >= size:
+                r = getrandbits(bits)
+            parent = pool[r]
+        invited[parent].add(i)
+        layer[i] = depth = layer[parent] + 1
+        if depth < cap:
             pool.append(i)
+            size += 1
+            bits = size.bit_length()
+    seller_neighbors = invited.pop()
 
     if config.topology == "graph" and config.edge_density > 0:
         _draw_edges(rng, invited, config.edge_density)
 
-    bound = config.v_max + 1
-    bits = bound.bit_length()
+    drawn = _draw_values(rng, n * k, config.v_max + 1)
     reports = {}
     for i in range(n):
-        drawn = []
-        for _ in range(k):
-            r = getrandbits(bits)
-            while r >= bound:
-                r = getrandbits(bits)
-            drawn.append(r)
-        drawn.sort(reverse=True)
-        reports[i] = ReportedType(tuple(drawn), frozenset(invited[i]))
-    return ReportProfile(
-        k=k,
-        seller_neighbors=frozenset(seller_neighbors),
-        reports=reports,
-        labels=labels,
-    )
+        values = drawn[i * k:i * k + k]
+        values.sort(reverse=True)
+        reports[i] = ReportedType(tuple(values), frozenset(invited[i]))
+    return ReportProfile(k, frozenset(seller_neighbors), reports, None,
+                         dict(zip(range(n), _labels(n))))
 
 
 def instance_stream(config: GeneratorConfig, count: int) -> Iterator[ReportProfile]:

@@ -103,7 +103,9 @@ class Market:
         slower with it."""
         ranked = self._ranked
         if ranked is None:
-            ranked = sorted(((self.first_unit(j), j) for j in self.valid), reverse=True)
+            first = self.first_unit
+            ranked = [(first(j), j) for j in self.valid]
+            ranked.sort(reverse=True)
             object.__setattr__(self, "_ranked", ranked)
         return ranked
 
@@ -185,32 +187,28 @@ def compute_market(profile: ReportProfile) -> Market:
     It does not validate: a profile built in code goes through `validate_profile`.
     """
     reports = profile.reports
-    layer_of: dict[BuyerId, int] = {}
+    frontier = sorted(reports.keys() & profile.seller_neighbors)
+    layer_of: dict[BuyerId, int] = dict.fromkeys(frontier, 1)
     children: dict[BuyerId, frozenset[BuyerId]] = {}
     leaf: frozenset[BuyerId] = frozenset()
-    frontier = sorted(i for i in profile.seller_neighbors if i in reports)
-    for i in frontier:
-        layer_of[i] = 1
     layers: list[frozenset[BuyerId]] = []
     while frontier:
         layers.append(frozenset(frontier))
         depth = len(layers) + 1
         nxt: list[BuyerId] = []
         for i in frontier:
+            invited = reports[i].invited
+            if not invited:
+                children[i] = leaf
+                continue
             first = len(nxt)
-            for j in reports[i].invited:
+            for j in invited:
                 if j not in layer_of and j in reports:
                     layer_of[j] = depth
                     nxt.append(j)
             children[i] = frozenset(nxt[first:]) if len(nxt) > first else leaf
         frontier = sorted(nxt)
-    return Market(
-        profile=profile,
-        valid=frozenset(layer_of),
-        layer_of=layer_of,
-        layers=tuple(layers),
-        children=children,
-    )
+    return Market(profile, frozenset(layer_of), layer_of, tuple(layers), children)
 
 
 # `compute_market` builds the BFS tree into the market. These two names stay

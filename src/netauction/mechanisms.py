@@ -13,6 +13,7 @@ DNA-MU takes no reserve and refuses a market with dummies.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -74,6 +75,11 @@ class DnaRow(NamedTuple):
     won: bool
     k_before: int
     floor: Money
+
+
+# a DnaRow from the tuple of its fields: what `DnaRow._make` calls, without
+# a Python frame per row
+_row = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -141,35 +147,37 @@ def run_dna_mu(market: Market) -> Outcome:
     """DNA-MU: sequential unit-demand allocation, nearer layers first.
 
     Each buyer is priced at the K'-th highest first-unit value of the market
-    with her closed subtree (`Market.subtree` and herself) and the winners
-    so far removed, or 0 when fewer than K' buyers are left; she wins one
-    unit at that price iff her own first-unit value meets it. Only
+    with her closed subtree (`_closed_subtree`: her subtree and herself) and
+    the winners so far removed, or 0 when fewer than K' buyers are left; she
+    wins one unit at that price iff her own first-unit value meets it. Only
     first-unit values are read, through `Market.ranked_first_units`, and the
     walk down that ranking that finds her price also finds her menu floor x_K,
     which her `DnaRow` records. Once supply hits zero nothing more is sold,
     and no later buyer's subtree is walked. Buyers within a layer go in
     ascending id order.
     """
-    if market.layers and any(is_dummy(i) for i in market.layers[0]):
+    layers = market.layers
+    if layers and is_dummy(max(layers[0])):
         raise ContractError("dna-mu takes no reserve price")
     ranked = market.ranked_first_units()
+    layer_of = market.layer_of
     k = k_remaining = market.k
     winners: set[BuyerId] = set()
     units = dict.fromkeys(market.valid, 0)
     payments = dict(units)
     rows: list[DnaRow] = []
-    for i in (i for layer in market.layers for i in sorted(layer)):
-        if k_remaining == 0:
+    for i in itertools.chain.from_iterable(map(sorted, layers)):
+        if not k_remaining:
             break
         price, floor = _kth_outside(ranked, _closed_subtree(market, i), k, winners)
         won = market.first_unit(i) >= price
-        rows.append(DnaRow(i, market.layer_of[i], price, won, k_remaining, floor))
+        rows.append(_row(DnaRow, (i, layer_of[i], price, won, k_remaining, floor)))
         if won:
             units[i] = 1
             payments[i] = price
             winners.add(i)
             k_remaining -= 1
-    return Outcome(units=units, payments=payments, trace=DnaTrace(tuple(rows)))
+    return Outcome(units, payments, DnaTrace(tuple(rows)))
 
 
 def dna_mu_invitation_menu(market: Market, outcome: Outcome) -> Callable[[BuyerId], Menu]:
@@ -201,9 +209,17 @@ def dna_mu_invitation_menu(market: Market, outcome: Outcome) -> Callable[[BuyerI
 
 
 def _closed_subtree(market: Market, i: BuyerId) -> set[BuyerId]:
-    """i's subtree in the market's BFS tree, i included."""
-    closed = market.subtree(i)
-    closed.add(i)
+    """i's subtree in the market's BFS tree, i included; an explicit stack,
+    so any depth works, that takes each child set whole."""
+    children = market.children
+    closed = {i}
+    if not children[i]:
+        return closed
+    stack = [i]
+    while stack:
+        below = children[stack.pop()]
+        closed |= below
+        stack += below
     return closed
 
 

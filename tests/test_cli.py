@@ -821,3 +821,21 @@ def test_help_matches_a_freshly_built_parser(command, capsys):
     assert fresh.startswith("usage: netauction")
     assert help_text(main, command, capsys) == fresh
     assert help_text(main, command, capsys) == fresh
+
+
+@pytest.mark.parametrize("spec, short", [
+    ("seed=301,n=2..8,k=1..3", 49),
+    ("seed=302,n=2..8,k=1..3,topology=graph,density=0.15", 51),
+], ids=["trees-seed301", "graphs-seed302"])
+def test_dna_mu_leaves_units_unsold_exactly_below_k_valid_buyers(spec, short, capsys):
+    """DNA-MU sells at most one unit per buyer, so `non-wasteful` reports
+    "units unsold" on every market with fewer valid buyers than K, and on
+    no other, over the criterion-3 streams (README)."""
+    code, out, _ = run_cli(["verify", "--gen", spec, "--count", "1000", "--mechanism", "dna-mu",
+                            "--property", "non-wasteful"], capsys)
+    below_k = [index for index, profile in enumerate(instance_stream(_parse_gen_spec(spec), 1000))
+               if len(compute_market(profile).valid) < profile.k]
+    failing = [int(i) for i in re.findall(r"^instance (\d+): FAIL$", out, re.M)]
+    assert len(below_k) == short and failing == below_k and code == 1
+    assert out.count("\n  non-wasteful (units unsold)\n") == short
+    assert out.endswith(f"instances: 1000  failing: {short}\n")

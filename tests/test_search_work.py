@@ -3,8 +3,9 @@ family (`n=5..7,k=4,depth=3,bias=0.45`) as trees and as graphs.
 
 A DNA-MU market is ranked once (`Market.ranked_first_units`), for the run
 and its invitation menu together, and each buyer's closed subtree is walked
-at most once per market: the menu reads x_K from the run's rows and walks
-only the buyers the run never reached. `_Truthful` computes each full-report
+(`mechanisms._closed_subtree`) at most once per market: the run walks every
+buyer it prices, and the menu reads x_K from the run's rows and walks only
+the buyers the run never reached. `_Truthful` computes each full-report
 utility once, and invitation-IC reads none for a buyer without
 invitations. `search` builds one mechanism per distinct mu.
 """
@@ -16,7 +17,7 @@ from collections import Counter
 
 import pytest
 
-from netauction import cli, verify
+from netauction import cli, mechanisms, verify
 from netauction.instance_io import GeneratorConfig, instance_stream
 from netauction.market import Market
 from netauction.verify import _Truthful, check_invitation_ic, dna_mu_mechanism
@@ -33,12 +34,12 @@ def registered(name, instance):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Every DNA-MU run's market, every market whose first units are
-    sorted, every subtree walk as (market, buyer), and every `utility_of` as
-    (instance, buyer); the lists hold the objects, so no id is reused while
-    a test reads them."""
-    seen = {"runs": [], "ranked": [], "walks": [], "utilities": []}
-    run, walk, utility = verify.run_dna_mu, Market.subtree, verify.utility_of
+    """Every DNA-MU run's market, every run as (market, the buyers it
+    priced), every market whose first units are sorted, every closed-subtree
+    walk as (market, buyer), and every `utility_of` as (instance, buyer); the
+    lists hold the objects, so no id is reused while a test reads them."""
+    seen = {"runs": [], "priced": [], "ranked": [], "walks": [], "utilities": []}
+    run, walk, utility = verify.run_dna_mu, mechanisms._closed_subtree, verify.utility_of
     rank = Market.ranked_first_units
 
     def ranking(market):
@@ -46,10 +47,15 @@ def counted(monkeypatch):
             seen["ranked"].append(market)
         return rank(market)
 
-    monkeypatch.setattr(verify, "run_dna_mu",
-                        lambda market: seen["runs"].append(market) or run(market))
+    def counted_run(market):
+        seen["runs"].append(market)
+        outcome = run(market)
+        seen["priced"].append((market, [row.buyer for row in outcome.trace.rows]))
+        return outcome
+
+    monkeypatch.setattr(verify, "run_dna_mu", counted_run)
     monkeypatch.setattr(Market, "ranked_first_units", ranking)
-    monkeypatch.setattr(Market, "subtree",
+    monkeypatch.setattr(mechanisms, "_closed_subtree",
                         lambda market, i: seen["walks"].append((market, i)) or walk(market, i))
     monkeypatch.setattr(verify, "utility_of",
                         lambda truthful, i, out: seen["utilities"].append((truthful, i))
@@ -73,7 +79,11 @@ def test_a_dna_mu_market_is_ranked_once_and_each_subtree_walked_once(counted, co
         check_invitation_ic(truth.mechanism, profile, truth=truth)
         ranked = Counter(map(id, counted["ranked"]))
         assert ranked == Counter(map(id, counted["runs"])) and set(ranked.values()) <= {1}
-        assert set(keyed(counted["walks"]).values()) <= {1}
+        walked = keyed(counted["walks"])
+        assert set(walked.values()) <= {1}
+        # not vacuous: every run prices a buyer, and walks each one it prices
+        for market, buyers in counted["priced"]:
+            assert buyers and all(walked[id(market), i] for i in buyers)
         priced = {row.buyer for row in truth.outcome.trace.rows}
         menus_walked += sum(1 for market, i in counted["walks"]
                             if market is truth.market and i not in priced)
