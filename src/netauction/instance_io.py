@@ -432,9 +432,10 @@ def random_instance(config: GeneratorConfig, index: int = 0) -> ReportProfile:
     draw), sorted descending. The values are the last draws, so many of
     them are read a block of words at a time when a draw fits in a word's
     top byte (`_draw_values`). A graph therefore reads about n² words whatever its
-    density: about 0.19 s at n = 3200 on a 2-core x86-64 VM (Python
-    3.11.7). An instance of the hunt's family (n = 5..7, k = 4) takes about
-    22 µs there, 7.5 µs of it seeding the Twister.
+    density: about 0.2 s at n = 3200 on a 2-core x86-64 VM (Python 3.11.7,
+    at perfbench's reference speed). An instance of the hunt's family
+    (n = 5..7, k = 4) takes about 30 µs there, a third of it seeding the
+    Twister.
     """
     rng = random.Random(f"{config.seed}:{index}")
     getrandbits = rng.getrandbits
