@@ -290,11 +290,6 @@ class GeneratorConfig:
 
 # pairs per block of edge draws: 16 Ki pairs of two 32-bit words, 128 KiB
 _EDGE_BLOCK = 1 << 14
-# words per block of value draws: 16 Ki 32-bit words, 64 KiB
-_VALUE_BLOCK = 1 << 14
-# fewer value draws than this are drawn one `getrandbits` each: setting up
-# a block costs about as much as 40 to 50 of them (notes/decisions.md)
-_VALUE_BLOCK_MIN = 64
 
 
 def _below(getrandbits, bound: int) -> int:
@@ -364,47 +359,6 @@ def _labels(n: int) -> tuple[str, ...]:
     return tuple("b" + str(i).zfill(width) for i in range(n))
 
 
-@functools.cache
-def _value_table(bound: int) -> tuple[bytes, bytes]:
-    """The `bytes.translate` arguments that turn words' top bytes into draws
-    below `bound`, at most 256: a table taking top byte t to its top
-    `bound.bit_length()` bits, and the top bytes whose draw is at or above
-    `bound`, which are deleted."""
-    shift = 8 - bound.bit_length()
-    return (bytes(t >> shift for t in range(256)),
-            bytes(t for t in range(256) if t >> shift >= bound))
-
-
-def _draw_values(rng: random.Random, count: int, bound: int) -> list[int]:
-    """At least `count` draws below `bound`, each as `_below` draws it, and
-    possibly more: the caller reads the first `count` and makes no later
-    draw (notes/decisions.md).
-
-    A draw of b <= 8 bits is a word's top byte shifted down, so from
-    `_VALUE_BLOCK_MIN` draws on the words are read `_VALUE_BLOCK` at a
-    time, enough of them for the draws still missing at the expected
-    rejection rate, plus a margin, and one `translate` keeps each accepted
-    draw; other draws take one `getrandbits` each.
-    """
-    bits = bound.bit_length()
-    if bits > 8 or count < _VALUE_BLOCK_MIN:
-        getrandbits = rng.getrandbits
-        drawn = []
-        for _ in range(count):
-            r = getrandbits(bits)
-            while r >= bound:
-                r = getrandbits(bits)
-            drawn.append(r)
-        return drawn
-    table, rejected = _value_table(bound)
-    drawn = []
-    while len(drawn) < count:
-        words = min(_VALUE_BLOCK, ((count - len(drawn)) << bits) // bound + 8)
-        block = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-        drawn += block[3::4].translate(table, rejected)
-    return drawn
-
-
 def random_instance(config: GeneratorConfig, index: int = 0) -> ReportProfile:
     """Deterministic instance `index` of the stream seeded by `config.seed`.
 
@@ -429,13 +383,11 @@ def random_instance(config: GeneratorConfig, index: int = 0) -> ReportProfile:
     joined by a tree edge, in (u, v) order, joining the pair when it is
     below `edge_density`; then k values below v_max + 1 per buyer in id
     order, each a draw as above (a bound above 2^32 takes two words a
-    draw), sorted descending. The values are the last draws, so many of
-    them are read a block of words at a time when a draw fits in a word's
-    top byte (`_draw_values`). A graph therefore reads about n² words whatever its
-    density: about 0.2 s at n = 3200 on a 2-core x86-64 VM (Python 3.11.7,
-    at perfbench's reference speed). An instance of the hunt's family
-    (n = 5..7, k = 4) takes about 30 µs there, a third of it seeding the
-    Twister.
+    draw), sorted descending. A graph therefore reads about n² words
+    whatever its density: about 0.2 s at n = 3200 on a 2-core x86-64 VM
+    (Python 3.11.7, at perfbench's reference speed). An instance of the
+    hunt's family (n = 5..7, k = 4) takes about 30 µs there, a third of it
+    seeding the Twister.
     """
     rng = random.Random(f"{config.seed}:{index}")
     getrandbits = rng.getrandbits
@@ -448,30 +400,30 @@ def random_instance(config: GeneratorConfig, index: int = 0) -> ReportProfile:
     invited: list[set[BuyerId]] = [set() for _ in range(n + 1)]
     layer = [0] * (n + 1)
     bias, cap, draw = config.seller_bias, config.max_depth or n + 1, rng.random
-    # the seller, then every earlier buyer whose layer admits a child,
-    # ascending; a parent is a draw below its size, as `_below` draws it
+    # the seller, then every earlier buyer whose layer admits a child, ascending
     pool: list[BuyerId] = [-1]
-    size = bits = 1
     for i in range(n):
         if bias and draw() < bias:
             parent = -1
         else:
-            r = getrandbits(bits)
-            while r >= size:
-                r = getrandbits(bits)
-            parent = pool[r]
+            parent = pool[_below(getrandbits, len(pool))]
         invited[parent].add(i)
         layer[i] = depth = layer[parent] + 1
         if depth < cap:
             pool.append(i)
-            size += 1
-            bits = size.bit_length()
     seller_neighbors = invited.pop()
 
     if config.topology == "graph" and config.edge_density > 0:
         _draw_edges(rng, invited, config.edge_density)
 
-    drawn = _draw_values(rng, n * k, config.v_max + 1)
+    bound = config.v_max + 1
+    bits = bound.bit_length()
+    drawn = []
+    for _ in range(n * k):
+        r = getrandbits(bits)
+        while r >= bound:
+            r = getrandbits(bits)
+        drawn.append(r)
     reports = {}
     for i in range(n):
         values = drawn[i * k:i * k + k]

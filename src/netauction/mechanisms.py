@@ -77,11 +77,6 @@ class DnaRow(NamedTuple):
     floor: Money
 
 
-# a DnaRow from the tuple of its fields: what `DnaRow._make` calls, without
-# a Python frame per row
-_row = tuple.__new__
-
-
 @dataclass(frozen=True)
 class DnaTrace:
     rows: tuple[DnaRow, ...]
@@ -171,7 +166,7 @@ def run_dna_mu(market: Market) -> Outcome:
             break
         price, floor = _kth_outside(ranked, _closed_subtree(market, i), k, winners)
         won = market.first_unit(i) >= price
-        rows.append(_row(DnaRow, (i, layer_of[i], price, won, k_remaining, floor)))
+        rows.append(DnaRow(i, layer_of[i], price, won, k_remaining, floor))
         if won:
             units[i] = 1
             payments[i] = price

@@ -1,8 +1,7 @@
 """The seeded generator against its oracle, and its bytes pinned.
 
 `random_instance` reads a graph's edge draws as blocks of 32-bit words and
-decodes only the pairs whose first word can fall under the cut, and reads
-64 or more value draws of up to 8 bits as blocks of words' top bytes;
+decodes only the pairs whose first word can fall under the cut;
 `reference_io.random_instance` calls `random()` for every pair that no tree
 edge joins and `randint` for every value. Both must give equal profiles and
 identical bytes, at densities where the cut sits on a word or byte boundary
@@ -93,9 +92,7 @@ def test_generator_config_property(seed, buyers, k, v_max, topology, edge_densit
 # Bit lengths b of the sweep: at v_max = 2^b - 2, 2^b - 1 and 2^b the value
 # draws take b, b + 1 and b + 1 bits, below bounds 2^b - 1, 2^b and 2^b + 1,
 # so each length is met with its fewest and most rejections, across the
-# top-byte draws (up to 8 bits), the rest of a word and the draws of two
-# words and more; the small instances draw their values one call each, the
-# large ones (k·n from 64 up) read top-byte draws in blocks
+# draws of one word and of two words and more
 VALUE_BITS = (*range(1, 35), 40, 64)
 VALUE_SIZES = (((1, 9), (1, 5)), ((16, 40), (4, 6)))
 
@@ -107,13 +104,6 @@ def test_value_draw_bit_lengths_match_the_reference(bits):
         if v_max >= 1:
             assert_same(GeneratorConfig(seed=38, buyers=buyers, k=k, v_max=v_max,
                                         topology=topology, edge_density=0.3), 3)
-
-
-@pytest.mark.parametrize("n, k", [(63, 1), (64, 1), (65, 1), (21, 3), (16, 4)])
-def test_values_either_side_of_the_block_threshold_match_the_reference(n, k):
-    assert instance_io._VALUE_BLOCK_MIN == 64
-    for v_max in (1, 10, 254):
-        assert_same(GeneratorConfig(seed=40, buyers=(n, n), k=(k, k), v_max=v_max), 5)
 
 
 def test_auction_deep_instance_bytes_are_pinned():
@@ -176,17 +166,6 @@ def test_edges_do_not_depend_on_the_block_size(block, monkeypatch):
     expected = [ref.random_instance(config, 0) for config in configs]
     if block is not None:
         monkeypatch.setattr(instance_io, "_EDGE_BLOCK", block)
-    assert [random_instance(config, 0) for config in configs] == expected
-
-
-@pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "default"])
-def test_values_do_not_depend_on_the_block_size(block, monkeypatch):
-    configs = [GeneratorConfig(seed=39, buyers=(300, 300), k=(1, 9), v_max=v_max,
-                               topology=topology, edge_density=0.01)
-               for v_max in (1, 10, 127, 254) for topology in ("tree", "graph")]
-    expected = [ref.random_instance(config, 0) for config in configs]
-    if block is not None:
-        monkeypatch.setattr(instance_io, "_VALUE_BLOCK", block)
     assert [random_instance(config, 0) for config in configs] == expected
 
 
