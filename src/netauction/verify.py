@@ -11,17 +11,18 @@ always evaluated against the buyer's TRUE values from the untouched
 instance. The checks of one `run_properties` call share one truthful
 instance (`_Truthful`), which holds the one enumeration of invitation
 deviations: `subsets(i)` lists buyer i's invitation reports, her full set
-last, and `utility(i, subset)` is her true-value utility under one of
-them. The truthful outcome answers her full set; any other subset is one
-record: its deviated market, built once when first read, and, as
-`deviation(i, subset)` reads them, `value_rerun` on it and that rerun's
-answer at her true values. IR, invitation-IC and value-IC walk the same
-lists and read the same records; child monotonicity reads the outcomes on
-the markets of `tree`'s records (`outcome_of`), `tree` being the same
-`_Truthful` when the instance is its own BFS tree. Under LDM's own run and
-rerun, the truthful run answers the full set's rerun, and, on an own tree,
-every one of these reads, so no deviated market is built
-(`_Truthful.ldm_trace`); every graph deviation is set up on its market.
+last. Each fact of one of them is a table keyed by (buyer, subset) and
+filled on first read: `market_of` is its market, the truthful one for her
+full set, else built once; `rerun` is `value_rerun` on that market;
+`utility` is her true-value utility, the truthful outcome's for her full
+set, else the rerun's answer at her true values, or, for a black box, the
+one run's on the market; `outcome_of` is that run. IR, invitation-IC and
+value-IC walk the same lists and read the same tables; child monotonicity
+reads `tree`'s outcomes, `tree` being the same `_Truthful` when the
+instance is its own BFS tree. Under LDM's own run and rerun, the truthful
+run answers the full set's rerun, and, on an own tree, every one of these
+reads, so no deviated market is built (`_Truthful.ldm_trace`); every graph
+deviation is set up on its market.
 
 A certificate is a menu of (units, payment) pairs that bounds a family of
 one buyer's reports (`mechanisms.Menu`), and `_certifies` is the one check
@@ -91,9 +92,10 @@ class MechanismUnderTest:
     raw reports for a mechanism that needs them. `value_rerun(market, i)`
     returns a `ValueRerun` whose `answer(v)` is i's (units, payment) under
     `run(market.with_values(i, v))`, which is also what it does when left
-    out. Every invitation deviation is read from it at the buyer's true
-    values. Its `menu`, bounding every answer, lets `check_value_ic`
-    certify instead of enumerate.
+    out. An invitation deviation's utility is its answer at the buyer's
+    true values, except when it is left out: then the one run on the
+    deviated market gives it (`runs_for_values`). Its `menu`, bounding every
+    answer, lets `check_value_ic` certify instead of enumerate.
 
     `invitation_menu(truth)`, given the shared truthful instance, returns a
     function from a valid buyer to a menu bounding every invitation report
@@ -118,14 +120,14 @@ class MechanismUnderTest:
     def runs_for_values(self) -> bool:
         """Whether `value_rerun` is the generic one, `run` on each patched
         market: then a deviation's true-value utility is read off the one
-        run on its market (`_Truthful.deviation`)."""
+        run on its market (`_Truthful.utility`)."""
         return getattr(self.value_rerun, "func", None) is _with_values_rerun
 
     @property
     def ldm_mu(self) -> int | None:
         """mu when `run` and `value_rerun` are LDM's own at one mu
         (`ldm_mechanism`): then a value rerun on the truthful market is
-        read from the truthful run (`_Truthful.deviation`). Else None."""
+        read from the truthful run (`_Truthful.rerun`). Else None."""
         run, rerun = self.run, self.value_rerun
         if (getattr(run, "func", None) is _run_ldm and getattr(rerun, "func", None) is _ldm_rerun
                 and run.args == rerun.args):
@@ -184,7 +186,7 @@ def _ldm_invitation_menu(truth: _Truthful, mu: int) -> Callable[[BuyerId], Menu 
 
     def menu(i: BuyerId) -> Menu | None:
         invited = reports[i].invited
-        return (truth.deviation(i, invited).rerun.menu + truth.deviation(i, frozenset()).rerun.menu
+        return (truth.rerun(i, invited).menu + truth.rerun(i, frozenset()).menu
                 if len(invited) >= 2 else None)
 
     return menu
@@ -275,30 +277,6 @@ def utility_of(truthful: ReportProfile, buyer: BuyerId, outcome: Outcome) -> Mon
     return gained - outcome.payment_of(buyer)
 
 
-class _Deviation:
-    """One (valid buyer, invitation subset) of a `_Truthful`: the deviated
-    market, and what the checks read of it, each set on first need: the
-    market itself, built only when something reads it, the mechanism's
-    value rerun on it, which the truthful LDM run may answer instead
-    (`_Truthful.deviation`), her true-value utility there and, when that
-    utility is read off a run on the market (`runs_for_values`), the run's
-    outcome, which child monotonicity reads too."""
-
-    __slots__ = ("_market", "rerun", "utility", "outcome")
-
-    def __init__(self, market: Market | Callable[[], Market]):
-        self._market = market
-        self.rerun: ValueRerun | None = None
-        self.utility: Money | None = None
-        self.outcome: Outcome | None = None
-
-    @property
-    def market(self) -> Market:
-        if not isinstance(self._market, Market):
-            self._market = self._market()
-        return self._market
-
-
 class _lazy:
     """A method read as an attribute, computed on the first read and kept
     in the instance dictionary, where every later read finds it first:
@@ -322,12 +300,14 @@ class _lazy:
 class _Truthful:
     """An instance as its checks share it: its market, the mechanism's
     truthful outcome, first-layer VCG's outcome, each buyer's invitation
-    reports and one `_Deviation` per (valid buyer, invitation subset), each
-    computed once, on first use. Every deviation check reads `subsets`, the
-    one enumeration of invitation deviations, `utility`, the one conversion
-    of one into a utility, and `deviation` or `outcome_of`, the ways to a
-    deviated market, so each (buyer, subset) market is built once, given one
-    value rerun when a check reads one, and run at most once.
+    reports, and one table per fact of a deviation, keyed by (valid buyer,
+    invitation report): its market (`market_of`), the mechanism's value
+    rerun (`rerun`), her true-value utility (`utility`) and the run's
+    outcome (`outcome_of`), each computed once, on first read. Every
+    deviation check reads `subsets`, the one enumeration of invitation
+    deviations, and these tables, so each (buyer, subset) market is built
+    once, only when read, given one value rerun when a check reads one, and
+    run at most once.
     `run_properties` passes one to every check; a checker called on its own
     builds its own. The market, the outcomes and the verdicts read of them
     (`own_tree`, `min_valid_mu`, `ldm_trace`, `certified`) are `_lazy`
@@ -338,8 +318,11 @@ class _Truthful:
     def __init__(self, mechanism: MechanismUnderTest, instance: ReportProfile):
         self.mechanism = mechanism
         self.instance = instance
-        self._deviations: dict[tuple[BuyerId, frozenset[BuyerId]], _Deviation] = {}
-        self._utilities: dict[BuyerId, Money] = {}  # of full reports
+        # keyed by (buyer, invitation report), each filled on first read
+        self._markets: dict[tuple[BuyerId, frozenset[BuyerId]], Market] = {}
+        self._reruns: dict[tuple[BuyerId, frozenset[BuyerId]], ValueRerun] = {}
+        self._utilities: dict[tuple[BuyerId, frozenset[BuyerId]], Money] = {}
+        self._outcomes: dict[tuple[BuyerId, frozenset[BuyerId]], Outcome] = {}
         self._subset_lists: dict[BuyerId, list[frozenset[BuyerId]]] = {}
         self._tree: _Truthful | None = None
 
@@ -434,68 +417,66 @@ class _Truthful:
             self._subset_lists[i] = found
         return found
 
-    def _record(self, i: BuyerId, invited: frozenset[BuyerId]) -> _Deviation:
-        """i's `_Deviation` for `invited`, made once: its market is the
-        truthful market for her full set, else, when first read,
-        `compute_market` of the instance with her one report changed, her
-        values kept."""
+    def market_of(self, i: BuyerId, invited: frozenset[BuyerId]) -> Market:
+        """The market when i invites `invited`: the truthful market for her
+        full set, else `compute_market` of the instance with her one report
+        changed, her values kept, built on first read."""
+        truthful = self.instance.reports[i]
+        if invited == truthful.invited:
+            return self.market
         key = (i, invited)
-        found = self._deviations.get(key)
+        found = self._markets.get(key)
         if found is None:
-            truthful = self.instance.reports[i]
-            found = self._deviations[key] = _Deviation(
-                self.market if invited == truthful.invited else partial(
-                    _deviated_market, self.instance, i, ReportedType(truthful.values, invited)))
+            found = self._markets[key] = compute_market(
+                self.instance.with_report(i, ReportedType(truthful.values, invited)))
+        return found
+
+    def rerun(self, i: BuyerId, invited: frozenset[BuyerId]) -> ValueRerun:
+        """The mechanism's value rerun of i when she invites `invited`, made
+        once. The truthful LDM run (`ldm_trace`) answers her full set, and on
+        an own tree every set, with no market built (`ldm_run_value_rerun`),
+        unless it refuses her; every other rerun, every graph deviation
+        included, is `value_rerun(market_of(i, invited), i)`
+        (notes/decisions.md, "Own-tree deviations are read from the truthful
+        LDM run")."""
+        key = (i, invited)
+        found = self._reruns.get(key)
+        if found is None:
+            trace = self.ldm_trace
+            found = self._reruns[key] = (
+                trace is not None
+                and (invited == self.instance.reports[i].invited or self.own_tree)
+                and ldm_run_value_rerun(trace, i, invited)
+                or self.mechanism.value_rerun(self.market_of(i, invited), i))
         return found
 
     def utility(self, i: BuyerId, invited: frozenset[BuyerId]) -> Money:
-        """i's true-value utility when she invites `invited`: for her full
-        set the truthful outcome's, computed once and building no rerun,
-        else her deviation's."""
-        if invited != self.instance.reports[i].invited:
-            return self.deviation(i, invited).utility
-        u = self._utilities.get(i)
+        """i's true-value utility when she invites `invited`, computed once:
+        for her full set the truthful outcome's, building no rerun; else,
+        when the rerun is the generic one, that of the one run on her
+        deviated market (`outcome_of`), and otherwise her rerun's answer at
+        her true values."""
+        key = (i, invited)
+        u = self._utilities.get(key)
         if u is None:
-            u = self._utilities[i] = utility_of(self.instance, i, self.outcome)
-        return u
-
-    def deviation(self, i: BuyerId, invited: frozenset[BuyerId]) -> _Deviation:
-        """i's `_Deviation` for `invited` with its rerun and utility set:
-        the rerun first, then her utility at its answer for her true values,
-        which that market holds: for her full set the truthful outcome's,
-        and, when the rerun is the generic one, that of the one run on the
-        market (`outcome_of`).
-
-        The truthful LDM run (`ldm_trace`) answers the rerun of her full
-        set, and on an own tree of every set, with no market built
-        (`ldm_run_value_rerun`), unless it refuses her; every other rerun,
-        every graph deviation included, is `value_rerun(market, i)` on the
-        deviated market (notes/decisions.md, "Own-tree deviations are read
-        from the truthful LDM run")."""
-        found = self._record(i, invited)
-        if found.rerun is None:
-            full = invited == self.instance.reports[i].invited
-            trace = self.ldm_trace
-            found.rerun = (trace is not None and (full or self.own_tree)
-                           and ldm_run_value_rerun(trace, i, invited)
-                           or self.mechanism.value_rerun(found.market, i))
-            if full:
-                found.utility = self.utility(i, invited)
+            truthful = self.instance.reports[i]
+            if invited == truthful.invited:
+                u = utility_of(self.instance, i, self.outcome)
             else:
-                values = self.instance.reports[i].values
                 if self.mechanism.runs_for_values:
                     out = self.outcome_of(i, invited)
                     units, payment = out.units_of(i), out.payment_of(i)
                 else:
-                    units, payment = found.rerun.answer(values)
-                found.utility = cumulative_value(values, units) - payment
-        return found
+                    units, payment = self.rerun(i, invited).answer(truthful.values)
+                u = cumulative_value(truthful.values, units) - payment
+            self._utilities[key] = u
+        return u
 
     def outcome_of(self, i: BuyerId, invited: frozenset[BuyerId]) -> Outcome:
         """The mechanism's outcome when i invites `invited`, a proper subset
-        of her invitations: the run on her deviation's market, which builds
-        no value rerun. The record keeps it when her utility is read off it
-        (`runs_for_values`), so that market is run once.
+        of her invitations: the one run on `market_of(i, invited)`, which
+        builds no value rerun and which `utility` reads too when the rerun
+        is the generic one.
 
         On an own tree, the truthful LDM run (`ldm_trace`) answers instead,
         with no market built, for i's layer peers, the buyers child
@@ -503,13 +484,11 @@ class _Truthful:
         itself when none of them moves."""
         if self.ldm_trace is not None and self.own_tree:
             return ldm_run_peer_outcomes(self.outcome, i, invited)
-        found = self._record(i, invited)
-        if found.outcome is None:
-            out = self.mechanism.run(found.market)
-            if not self.mechanism.runs_for_values:
-                return out
-            found.outcome = out
-        return found.outcome
+        key = (i, invited)
+        found = self._outcomes.get(key)
+        if found is None:
+            found = self._outcomes[key] = self.mechanism.run(self.market_of(i, invited))
+        return found
 
     def report(self, kind: str, i: BuyerId, truthful: ReportedType, deviating: ReportedType,
                u_truthful: Money, u_deviating: Money) -> DeviationReport:
@@ -648,9 +627,9 @@ def check_value_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
                    *, truth: _Truthful | None = None) -> list[DeviationReport]:
     """For every buyer, invitation subset, and grid misreport: reporting true
     values must dominate the misreport at that same invitation set. Each
-    (buyer, subset) of `_Truthful.subsets` gets one `mechanism.value_rerun`,
-    and the truthful report's utility there, from the deviation the
-    invitation checks share (`_Truthful.deviation`).
+    (buyer, subset) of `_Truthful.subsets` gets one `mechanism.value_rerun`
+    (`_Truthful.rerun`), and the truthful report's utility there, the one
+    the invitation checks read (`_Truthful.utility`).
 
     A rerun whose `menu` `_certifies` the truthful report's utility needs no
     grid: no report of any size does better. Otherwise the rerun is asked
@@ -667,8 +646,8 @@ def check_value_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
         rep = instance.reports[i]
         vectors = None
         for sub in truth.subsets(i):
-            found = truth.deviation(i, sub)
-            rerun, u_base = found.rerun, found.utility
+            rerun = truth.rerun(i, sub)
+            u_base = truth.utility(i, sub)
             if _certifies(rerun.menu, rep.values, u_base):
                 continue
             if vectors is None:
@@ -774,11 +753,6 @@ def check_decomposition_inequalities(rows: Sequence[DecompositionRow],
     return (q[1] >= vcg_outcome.revenue, all(q[l] >= t[l - 1] for l in q if l >= 2))
 
 
-def _deviated_market(instance: ReportProfile, i: BuyerId, report: ReportedType) -> Market:
-    """The market of the instance with buyer i's report changed."""
-    return compute_market(instance.with_report(i, report))
-
-
 def _tree_profile(instance: ReportProfile, tree: Market) -> ReportProfile:
     """The instance with invitations replaced by the child sets of its
     market `tree`."""
@@ -793,7 +767,7 @@ def check_child_monotonicity(mechanism: MechanismUnderTest, instance: ReportProf
     """No same-layer buyer may gain utility from another buyer's extra children.
 
     Works on `_Truthful.tree`: for each buyer j with children and each proper
-    child subset it lists, the run on her deviation's market (the other
+    child subset it lists, the run on her deviated market (the other
     subtrees deleted, `_Truthful.outcome_of`) must leave every same-layer
     observer at least as well off. A deletion that gives back the truthful
     outcome itself moves no one.

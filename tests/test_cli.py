@@ -537,6 +537,21 @@ def test_verify_dna_mu_counterexample_exits_1(capsys):
     assert "replay fixture" in out
 
 
+def test_verify_finds_the_readmes_graph_invitation_ic_violation(capsys):
+    """LDM is not invitation-IC on every graph (README): in instance 2, b01
+    hides b04, who reattaches under b03, and b01's utility rises from 0 to
+    1. The hidden invitee's market is set up from the graph, so this pins
+    that path's output byte for byte."""
+    code, out, _ = run_cli(["verify", "--gen", "seed=696179,n=7,k=1,topology=graph,density=0.15",
+                            "--count", "3", "--mechanism", "ldm", "--all"], capsys)
+    assert code == 1
+    assert "  violation [invitation-ic] buyer b01: utility 0 -> 1\n" in out
+    assert "    deviating values: [9]  hidden invites: ['b04']\n" in out
+    assert out.endswith("instances: 3  failing: 1\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a48e87e5844270d0745b376d19c3113ed6cca6a3c8726beebfcdcbdd8eb31a1a")
+
+
 def test_verify_generated_batch(capsys):
     code, out, _ = run_cli(["verify", "--gen", "seed=7,n=2..6,k=1..2", "--count", "25",
                             "--mechanism", "ldm", "--property", "ir,non-wasteful,dominance"],

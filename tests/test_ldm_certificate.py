@@ -133,7 +133,7 @@ def test_a_certificate_without_the_empty_set_would_miss_violations():
     reports match the reference; a menu of the full set alone certifies
     them, and the reports go missing."""
     def full_set_only(truth):
-        return lambda i: truth.deviation(i, truth.instance.reports[i].invited).rerun.menu
+        return lambda i: truth.rerun(i, truth.instance.reports[i].invited).menu
 
     found = missed = 0
     for profile in instance_stream(CRITERION_3[0], 200):

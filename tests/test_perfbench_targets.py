@@ -1,7 +1,7 @@
 """perfbench still runs against the package: every function `perfbench/tracing.py`
-wraps and every name its scripts import exists, and the verify ops it
-recorded still print what it recorded, so a rename, a deletion or a changed
-output fails here rather than after a benchmark run."""
+wraps and every name its scripts import exists, and the verify ops and LDM
+search ops it recorded still print what it recorded, so a rename, a deletion
+or a changed output fails here rather than after a benchmark run."""
 
 import ast
 import contextlib
@@ -41,12 +41,12 @@ def test_every_name_perfbench_imports_exists():
     assert missing == []
 
 
-def test_verify_suite_ops_print_what_perfbench_recorded():
-    """Each recorded verify-suite op, run in-process as perfbench runs it,
-    exits with the recorded code and prints the recorded stdout bytes."""
+def replayed(workload, keep=lambda key: True):
+    """The recorded ops of `workload` that `keep` selects, and those of them
+    that, run in-process as perfbench runs them, do not exit with the
+    recorded code or print the recorded stdout bytes."""
     expected = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
-    ops = expected["verify-suite"]["ops"]
-    assert ops
+    ops = {key: record for key, record in expected[workload]["ops"].items() if keep(key)}
     mismatched = []
     for key, record in ops.items():
         out = io.StringIO()
@@ -58,4 +58,18 @@ def test_verify_suite_ops_print_what_perfbench_recorded():
         found = [code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()]
         if found != record:
             mismatched.append(key)
+    return ops, mismatched
+
+
+def test_verify_suite_ops_print_what_perfbench_recorded():
+    ops, mismatched = replayed("verify-suite")
+    assert ops
+    assert mismatched == []
+
+
+def test_ldm_search_ops_print_what_perfbench_recorded():
+    """search-ic's LDM hunts, each up to 180 instances of the hunt's family,
+    set up their deviations through `verify._Truthful` as verify does."""
+    ops, mismatched = replayed("search-ic", lambda key: " --mechanism ldm " in key)
+    assert len(ops) == 64
     assert mismatched == []

@@ -7,7 +7,8 @@ and its invitation menu together, and each buyer's closed subtree is walked
 buyer it prices, and the menu reads x_K from the run's rows and walks only
 the buyers the run never reached. `_Truthful` computes each full-report
 utility once, and invitation-IC reads none for a buyer without
-invitations. `search` builds one mechanism per distinct mu.
+invitations. An LDM hunt on own trees builds no deviated market or report.
+`search` builds one mechanism per distinct mu.
 """
 
 import contextlib
@@ -127,3 +128,25 @@ def test_search_builds_one_mechanism_per_mu(monkeypatch, name, spec):
     assert len(built) == len(set(built)) >= 1
     pinned = {entry.pinned_mu(p) for p in instance_stream(cli._parse_gen_spec(spec), 200)}
     assert set(built) <= pinned and (name == "dna-mu" or len(built) > 1)
+
+
+def test_an_ldm_hunt_sets_up_no_deviation_it_never_reads(monkeypatch):
+    """An LDM hunt's trees are their own BFS trees, so the truthful run
+    answers every rerun and utility invitation-IC reads: on 1,440 instances
+    with no violation, no deviated report is made and each instance's market
+    is the only one built. A deviation's report is made only with its
+    market."""
+    made, built = [], []
+    report, build = verify.ReportedType, verify.compute_market
+    monkeypatch.setattr(verify, "ReportedType",
+                        lambda *args: made.append(args) or report(*args))
+    monkeypatch.setattr(verify, "compute_market",
+                        lambda profile: built.append(profile) or build(profile))
+    instances = 0
+    for seed in range(20, 28):
+        for profile in instance_stream(dataclasses.replace(TREES, seed=seed), 180):
+            built.clear()
+            assert check_invitation_ic(registered("ldm", profile), profile) == []
+            assert len(built) == 1
+            instances += 1
+    assert made == [] and instances == 1440

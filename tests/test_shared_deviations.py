@@ -437,6 +437,6 @@ def test_a_black_box_is_never_certified(monkeypatch):
                                         if profile.reports[i].invited)
         for i in truth.market.valid:
             for sub in subsets(truth, i):
-                assert truth.deviation(i, sub).rerun.menu is None
+                assert truth.rerun(i, sub).menu is None
                 deviations += 1
     assert deviations > 300
