@@ -318,7 +318,6 @@ class _Truthful:
     def __init__(self, mechanism: MechanismUnderTest, instance: ReportProfile):
         self.mechanism = mechanism
         self.instance = instance
-        # keyed by (buyer, invitation report), each filled on first read
         self._markets: dict[tuple[BuyerId, frozenset[BuyerId]], Market] = {}
         self._reruns: dict[tuple[BuyerId, frozenset[BuyerId]], ValueRerun] = {}
         self._utilities: dict[tuple[BuyerId, frozenset[BuyerId]], Money] = {}
