@@ -263,9 +263,14 @@ def _sw_minus_d(market: Market, pool: WelfarePool, i: BuyerId,
 def _ldm_payment(market: Market, pool: WelfarePool, layer_opt: WelfareResult, i: BuyerId,
                  skipped: frozenset[BuyerId] = frozenset()) -> tuple[Money, Money]:
     """(SW_{-D_i}, p_i) for a member i of the layer, both welfares over its
-    free buyers, the pool's less `skipped`: p_i = SW_{-D_i} - (SW_l - v_i(x_i))."""
-    sw_d = _sw_minus_d(market, pool, i, skipped)
+    free buyers, the pool's less `skipped`: p_i = SW_{-D_i} - (SW_l - v_i(x_i)).
+    `layer_opt` is `pool.best(skipped)`; when no buyer of C_i + {i} holds a
+    unit of it, the optimum without them is the same, and (SW_l, 0) needs no
+    walk (notes/decisions.md)."""
     won = layer_opt.units_of(i)
+    if not won and layer_opt.allocation.keys().isdisjoint(market.children[i]):
+        return layer_opt.welfare, 0
+    sw_d = _sw_minus_d(market, pool, i, skipped)
     value = cumulative_value(market.values_of(i), won) if won else 0
     return sw_d, sw_d - (layer_opt.welfare - value)
 
@@ -279,8 +284,9 @@ def run_ldm_tree(market: Market, mu: int,
     they left, commit each layer-l buyer's tentative units, and charge her
     the welfare difference against the economy without her subtree
     influence (D_i). Stops once all K units are committed, zeroing the
-    deeper layers. Each layer sorts one welfare pool; every
-    SW_{-D_i} of the layer is a walk over it.
+    deeper layers. Each layer builds one welfare pool; SW_{-D_i} is a walk
+    over it when a buyer of C_i + {i} holds a unit of the layer optimum,
+    and SW_l otherwise.
 
     `order` optionally reorders each layer's buyer loop and must list its
     members (a testing hook; the outcome provably does not depend on it).

@@ -24,10 +24,11 @@ def potential_inviters(market: Market, i: BuyerId) -> frozenset[BuyerId]:
 
 def _inviter_sets(market: Market) -> tuple[dict[BuyerId, frozenset[BuyerId]], int]:
     """Every valid buyer's C_i^P (see `potential_inviters`), and the largest
-    |C_i^P|: the smallest valid mu. `children` has one key per valid buyer."""
+    |C_i^P|: the smallest valid mu. `children` has one key per valid buyer;
+    a leaf's C^P is her child set, the empty set leaves share."""
     children = market.children
     inviting = {j for j, below in children.items() if below}
-    inviters = {i: below & inviting for i, below in children.items()}
+    inviters = {i: below & inviting if below else below for i, below in children.items()}
     return inviters, max(map(len, inviters.values()), default=0)
 
 
@@ -96,7 +97,7 @@ def removed_set_of(market: Market, children: frozenset[BuyerId],
     quota = market.k + mu - len(inviters)
     if len(children) - len(inviters) <= quota:
         return children  # every other child fits the quota: no ranking needed
-    # the only place LDM ranks buyers by value
+    # the only place LDM ranks buyers to choose whom it removes
     ranked = sorted((j for j in children if j not in inviters),
                     key=lambda j: (-market.first_unit(j), j))
     return inviters | frozenset(ranked[:quota])

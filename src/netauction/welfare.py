@@ -4,22 +4,26 @@ Because every buyer's marginals are non-increasing, the welfare objective is a
 sum of independent concave unit sequences and the greedy that pops the largest
 remaining marginal is exactly optimal. That greedy order, ties included, is
 defined in this module only: ``sorted_marginals`` sorts by it. ``WelfarePool``
-sorts a set of free buyers' marginals once; it then answers the problem itself
-and every variant with a few of them left out by walking that sorted list, so
-a mechanism that needs one optimum per buyer of a layer pays for one sort, not
-one per buyer. The same pool serves problems that differ in one buyer's
-marginals, merged in by binary search in place of hers (``units_of``); only
-``tops_without``, the others' value for each smaller budget, varies the
-budget. A pool holds no fixed buyers; the caller that freezes some keeps
-their units and welfare. ``constrained_welfare``, the single-problem entry
-point, is the one that checks, sums and merges them.
+answers the problem itself and every variant with a few buyers left out by
+walking its free buyers' marginals in that order, so a mechanism that needs
+one optimum per buyer of a layer pays for one sort, not one per buyer. A
+walk reads about as many marginals as the budget, so a wide pool sorts only
+the marginals of its first-ranked buyers and sorts more in when a walk needs
+them (the prefix argument is in notes/decisions.md). The same pool serves
+problems that differ in one buyer's marginals, merged in by binary search in
+place of hers (``units_of``); only ``tops_without``, the others' value for
+each smaller budget, varies the budget. A pool holds no fixed buyers; the
+caller that freezes some keeps their units and welfare.
+``constrained_welfare``, the single-problem entry point, is the one that
+checks, sums and merges them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import islice
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import ContractError, FixedOutsideIncluded, OverCommitted
 from .market import BuyerId, Market, Money, ReportedType, ValuationVector, cumulative_value
@@ -60,23 +64,80 @@ def sorted_marginals(reports: Mapping[BuyerId, ReportedType],
     return pool
 
 
-class WelfarePool:
-    """The marginals of a set of free buyers, sorted once: the problem of
-    giving at most ``budget`` units to ``buyers`` for the most total reported
-    value, solved by taking marginals in the order of `sorted_marginals`."""
+# A pool of at most this many buyers per unit of budget sorts all their
+# marginals at once: its walks read most of them, and ranking its buyers
+# first would cost more than the sort it saves.
+_SORT_WHOLE = 8
 
-    def __init__(self, market: Market, buyers: Iterable[BuyerId], budget: int):
+
+class WelfarePool:
+    """The marginals of a set of free buyers in the order of
+    `sorted_marginals`: the problem of giving at most ``budget`` units to
+    ``buyers`` for the most total reported value, solved by taking
+    marginals in that order.
+
+    A pool of more than `_SORT_WHOLE` buyers per unit of budget ranks its
+    buyers by first marginal, in the greedy order, and sorts the marginals
+    of the first m only. Every marginal of a buyer ranked below them comes
+    after the first marginal of the (m+1)-th, the cut, so the sorted
+    marginals before the cut are the first ones of the whole order. A walk
+    that reaches the cut, or a place asked for past it, sorts the marginals
+    of the next m buyers in, doubling m, and goes on; every answer is the
+    one a sort of all the marginals gives."""
+
+    def __init__(self, market: Market, buyers: Collection[BuyerId], budget: int):
         if budget < 0:
             raise ContractError(f"budget must be >= 0, got {budget}")
         self.budget = budget
-        self._pool = sorted_marginals(market.profile.reports, buyers)
+        reports = self._reports = market.profile.reports
+        if len(buyers) <= _SORT_WHOLE * budget:
+            self._pool, self._cut = sorted_marginals(reports, buyers), None
+            return
+        # (-first marginal, buyer): ascending order ranks in the greedy order
+        self._ranked = sorted((-reports[i].values[0], i) for i in buyers)
+        self._pool, self._m = [], 0
+        self._sort_in(max(2 * budget, 1))
+
+    def _sort_in(self, m: int) -> None:
+        """Sort the marginals of the buyers ranked up to m in, and move the
+        cut to the first marginal of the (m+1)-th; `_exact` is the count of
+        sorted marginals before it, None once every buyer is in."""
+        ranked, reports, pool = self._ranked, self._reports, self._pool
+        pool += [(-v, i, unit) for _, i in ranked[self._m:m]
+                 for unit, v in enumerate(reports[i].values)]
+        pool.sort()
+        self._m = m
+        if m < len(ranked):
+            self._cut = (*ranked[m], 0)
+            self._exact = bisect_left(pool, self._cut)
+        else:
+            self._exact = self._cut = None
+
+    def _greedy(self) -> Iterable[Marginal]:
+        """The pool's marginals in the greedy order: the sorted list once it
+        holds every buyer, else a walk that sorts more in at the cut."""
+        return self._pool if self._cut is None else self._walk()
+
+    def _walk(self) -> Iterator[Marginal]:
+        at = 0
+        while self._cut is not None:
+            yield from islice(self._pool, at, self._exact)
+            at = self._exact
+            self._sort_in(2 * self._m)
+        yield from islice(self._pool, at, None)
+
+    def _sort_past(self, marginal: Marginal) -> None:
+        """Sort more in until no unsorted marginal comes before `marginal`:
+        then a bisect of the sorted ones finds its place."""
+        while self._cut is not None and marginal > self._cut:
+            self._sort_in(2 * self._m)
 
     def best(self, excluded: frozenset[BuyerId] | set[BuyerId] = frozenset()) -> WelfareResult:
         """The optimum of the problem without `excluded`, allocation
         included: the first `budget` marginals of the others."""
         allocation: Allocation = {}
         welfare, budget = 0, self.budget
-        for neg_v, i, _unit in self._pool:
+        for neg_v, i, _unit in self._greedy():
             if not budget:
                 break
             if i not in excluded:
@@ -87,10 +148,10 @@ class WelfarePool:
 
     def top_without(self, excluded: frozenset[BuyerId] | set[BuyerId]) -> Money:
         """The total value of the first `budget` marginals of the pool without
-        `excluded`, or of all when fewer: a walk over the sorted marginals,
-        skipping the excluded buyers', until `budget` are summed."""
+        `excluded`, or of all when fewer: a walk over the marginals in the
+        greedy order, skipping the excluded buyers', until `budget` are summed."""
         total, budget = 0, self.budget
-        for neg_v, i, _unit in self._pool:
+        for neg_v, i, _unit in self._greedy():
             if not budget:
                 break
             if i not in excluded:
@@ -101,9 +162,10 @@ class WelfarePool:
     def tops_without(self, excluded: frozenset[BuyerId] | set[BuyerId]) -> list[Money]:
         """The total value of the first m marginals of the free buyers not in
         `excluded`, or of all when fewer, for m in 0..`budget`: a walk over
-        the sorted marginals, skipping theirs, until `budget` are summed."""
+        the marginals in the greedy order, skipping theirs, until `budget`
+        are summed."""
         tops, budget = [0], self.budget
-        for neg_v, j, _unit in self._pool:
+        for neg_v, j, _unit in self._greedy():
             if len(tops) > budget:
                 break
             if j not in excluded:
@@ -111,8 +173,11 @@ class WelfarePool:
         return tops + tops[-1:] * (budget + 1 - len(tops))
 
     def places_of(self, i: BuyerId, values: ValuationVector) -> list[int]:
-        """The places of free buyer i's marginals in the sorted pool, in unit
-        order, which is ascending; `values` are hers as the pool holds them."""
+        """The places of free buyer i's marginals in the greedy order of the
+        pool, in unit order, which is ascending; `values` are hers as the
+        pool holds them."""
+        if self._cut is not None:
+            self._sort_past((-values[-1], i, len(values) - 1))
         return [bisect_left(self._pool, (-v, i, unit)) for unit, v in enumerate(values)]
 
     def units_of(self, i: BuyerId, values: ValuationVector, skipped: list[int]) -> int:
@@ -128,7 +193,10 @@ class WelfarePool:
         """
         marginals, budget = self._pool, self.budget
         for unit, v in enumerate(values):
-            place = bisect_left(marginals, (-v, i, unit))
+            marginal = (-v, i, unit)
+            if self._cut is not None:
+                self._sort_past(marginal)
+            place = bisect_left(marginals, marginal)
             if unit + place - bisect_left(skipped, place) >= budget:
                 return unit
         return len(values)
