@@ -71,8 +71,9 @@ class Market:
     ``layers[d-1]`` is the set of valid buyers at shortest invitation-chain
     length d. The tree is the child sets: ``children[i]`` for every valid
     buyer i, each buyer hung under her smallest-id inviter in the previous
-    layer. Nothing else is stored but the first units' ranking, once a
-    mechanism reads it, so the tree is linear in the buyers.
+    layer. Nothing else is stored but the first units' ranking and every
+    buyer's C^P (`removed_sets._inviter_sets`), each once a mechanism reads
+    it, so the tree is linear in the buyers.
     """
 
     profile: ReportProfile
@@ -82,6 +83,8 @@ class Market:
     children: Mapping[BuyerId, frozenset[BuyerId]]
     _ranked: list[tuple[Money, BuyerId]] | None = field(
         default=None, init=False, repr=False, compare=False)
+    _inviters: tuple[dict[BuyerId, frozenset[BuyerId]], int] | None = field(
+        default=None, repr=False, compare=False)
 
     @property
     def k(self) -> int:
@@ -120,14 +123,16 @@ class Market:
         return below
 
     def with_values(self, i: BuyerId, values: ValuationVector) -> "Market":
-        """Same market with buyer i's value vector swapped.
+        """Same market with buyer i's value vector swapped, and its C^P
+        sets, once built, carried over.
 
         Valid because layers and tree depend only on invitations; callers
         that patch values must leave invitations untouched.
         """
         old = self.profile.reports[i]
         profile = self.profile.with_report(i, ReportedType(tuple(values), old.invited))
-        return Market(profile, self.valid, self.layer_of, self.layers, self.children)
+        return Market(profile, self.valid, self.layer_of, self.layers, self.children,
+                      self._inviters)
 
 
 def _as_int(x) -> bool:

@@ -261,13 +261,12 @@ def _sw_minus_d(market: Market, pool: WelfarePool, i: BuyerId,
 
 
 def _ldm_payment(market: Market, pool: WelfarePool, layer_opt: WelfareResult, i: BuyerId,
-                 skipped: frozenset[BuyerId] = frozenset()) -> tuple[Money, Money]:
+                 won: int, skipped: frozenset[BuyerId] = frozenset()) -> tuple[Money, Money]:
     """(SW_{-D_i}, p_i) for a member i of the layer, both welfares over its
     free buyers, the pool's less `skipped`: p_i = SW_{-D_i} - (SW_l - v_i(x_i)).
-    `layer_opt` is `pool.best(skipped)`; when no buyer of C_i + {i} holds a
-    unit of it, the optimum without them is the same, and (SW_l, 0) needs no
-    walk (notes/decisions.md)."""
-    won = layer_opt.units_of(i)
+    `layer_opt` is `pool.best(skipped)` and `won` her units x_i in it; when
+    no buyer of C_i + {i} holds a unit of it, the optimum without them is
+    the same, and (SW_l, 0) needs no walk (notes/decisions.md)."""
     if not won and layer_opt.allocation.keys().isdisjoint(market.children[i]):
         return layer_opt.welfare, 0
     sw_d = _sw_minus_d(market, pool, i, skipped)
@@ -311,19 +310,22 @@ def _ldm_layers(market: Market, mu: int, free_sets: Iterable[frozenset[BuyerId]]
             if missing := [b for b in members if b not in position]:
                 raise ContractError(f"order leaves out layer member {missing[0]}")
             members.sort(key=position.__getitem__)
-        pool, layer_opt, taken = _ldm_layer(market, members, free, supply)
+        # `_ldm_layer` without its sum: the loop reads each member's units once
+        pool = WelfarePool(market, free, supply)
+        layer_opt = pool.best()
         pools.append((free, pool))
-        supply -= taken
         # the trace alone adds back the frozen layers' units and welfare
         tentative = frozen | layer_opt.allocation
         value = {j: cumulative_value(market.values_of(j), m) for j, m in tentative.items()}
         frozen_welfare = sum(value[j] for j in frozen)
         sw_d: dict[BuyerId, Money] = {}
         for i in members:
-            sw_d[i], payment = _ldm_payment(market, pool, layer_opt, i)
+            won = layer_opt.units_of(i)
+            supply -= won
+            sw_d[i], payment = _ldm_payment(market, pool, layer_opt, i, won)
             sw_d[i] += frozen_welfare
             if not is_dummy(i):
-                units[i] = layer_opt.units_of(i)
+                units[i] = won
                 payments[i] = payment
         records.append(LayerRecord(
             layer=l,
@@ -372,7 +374,7 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
     This is the per-buyer set-up. On a market LDM has run on, and on every
     market an own tree's invitation reports make from it, the run's own
     pools answer every buyer whom `ldm_run_value_rerun` does not refuse;
-    every other rerun, every graph deviation included, is this one.
+    every other rerun, of a graph deviation hiding a child too, is this one.
     """
     layer = market.layer_of[i]
     committing = market
@@ -466,8 +468,8 @@ def ldm_run_peer_outcomes(outcome: Outcome, j: BuyerId, kept: frozenset[BuyerId]
     payments: dict[BuyerId, Money] = {}
     for i in market.layers[layer - 1]:
         if i != j and not is_dummy(i):
-            units[i] = layer_opt.units_of(i)
-            payments[i] = _ldm_payment(market, pool, layer_opt, i, skipped)[1]
+            units[i] = won = layer_opt.units_of(i)
+            payments[i] = _ldm_payment(market, pool, layer_opt, i, won, skipped)[1]
     return Outcome(units, payments)
 
 

@@ -9,7 +9,7 @@ Only `layer_removed_sets` builds R_l = W_l + layers >= l+2; D_i = R_l + C_i + {i
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .errors import ContractError, MuTooSmall
 from .market import BuyerId, Market, ReportProfile
@@ -24,9 +24,20 @@ def potential_inviters(market: Market, i: BuyerId) -> frozenset[BuyerId]:
 
 def _inviter_sets(market: Market) -> tuple[dict[BuyerId, frozenset[BuyerId]], int]:
     """Every valid buyer's C_i^P (see `potential_inviters`), and the largest
-    |C_i^P|: the smallest valid mu. `children` has one key per valid buyer;
-    a leaf's C^P is her child set, the empty set leaves share."""
-    children = market.children
+    |C_i^P|: the smallest valid mu. Built once per tree, on the first call,
+    and kept on the market (`Market._inviters`), which `with_values`
+    carries."""
+    found = market._inviters
+    if found is None:
+        found = _build_inviter_sets(market.children)
+        object.__setattr__(market, "_inviters", found)
+    return found
+
+
+def _build_inviter_sets(children: Mapping[BuyerId, frozenset[BuyerId]],
+                        ) -> tuple[dict[BuyerId, frozenset[BuyerId]], int]:
+    """`_inviter_sets` of a tree. `children` has one key per valid buyer; a
+    leaf's C^P is her child set, the empty set leaves share."""
     inviting = {j for j, below in children.items() if below}
     inviters = {i: below & inviting if below else below for i, below in children.items()}
     return inviters, max(map(len, inviters.values()), default=0)

@@ -11,18 +11,19 @@ always evaluated against the buyer's TRUE values from the untouched
 instance. The checks of one `run_properties` call share one truthful
 instance (`_Truthful`), which holds the one enumeration of invitation
 deviations: `subsets(i)` lists buyer i's invitation reports, her full set
-last. Each fact of one of them is a table keyed by (buyer, subset) and
-filled on first read: `market_of` is its market, the truthful one for her
-full set, else built once; `rerun` is `value_rerun` on that market;
-`utility` is her true-value utility, the truthful outcome's for her full
-set, else the rerun's answer at her true values, or, for a black box, the
-one run's on the market; `outcome_of` is that run. IR, invitation-IC and
-value-IC walk the same lists and read the same tables; child monotonicity
-reads `tree`'s outcomes, `tree` being the same `_Truthful` when the
-instance is its own BFS tree. Under LDM's own run and rerun, the truthful
-run answers the full set's rerun, and, on an own tree, every one of these
-reads, so no deviated market is built (`_Truthful.ldm_trace`); every graph
-deviation is set up on its market.
+last. Each fact of one is a table keyed by (buyer, class), filled on first
+read; a class is one report, or, when the mechanism `reads_tree`, every
+report keeping the same children (`_Truthful.class_of`). `market_of` is
+its market, the truthful one for her full set's class, else built once;
+`rerun` is `value_rerun` on that market; `utility` is her true-value
+utility, the truthful outcome's for that class, else the rerun's answer
+at her true values, or, for a black box, the one run's on the market;
+`outcome_of` is that run. IR, invitation-IC and value-IC walk the same
+lists and read the same tables; child monotonicity reads `tree`'s
+outcomes, `tree` being the same `_Truthful` on an own BFS tree. Under
+LDM's own run and rerun, the truthful run answers the full set's class,
+and, on an own tree, every read, so no deviated market is built
+(`_Truthful.ldm_trace`); any other graph class is set up on its own.
 
 A certificate is a menu of (units, payment) pairs that bounds a family of
 one buyer's reports (`mechanisms.Menu`), and `_certifies` is the one check
@@ -103,7 +104,10 @@ class MechanismUnderTest:
     subsets of a buyer whose menu certifies her full report. Left out, every
     subset is enumerated. Only LDM's class sets `prunes_subsets`: its menu
     also proves IR and value-IC (notes/decisions.md), so every check walks
-    only a certified buyer's empty and full sets.
+    only a certified buyer's empty and full sets. `reads_tree`, set by every
+    registered mechanism's class, declares that it reads only the market's
+    tree and values, so reports keeping the same children share one
+    deviation (`_Truthful.class_of`); a black box may read `market.profile`.
     """
 
     name: str
@@ -111,6 +115,7 @@ class MechanismUnderTest:
     value_rerun: Callable[[Market, BuyerId], ValueRerun] | None = None
     invitation_menu: Callable[[_Truthful], Callable[[BuyerId], Menu | None] | None] | None = None
     prunes_subsets: ClassVar[bool] = False
+    reads_tree: ClassVar[bool] = False
 
     def __post_init__(self):
         if self.value_rerun is None:
@@ -171,7 +176,11 @@ def _ldm_rerun(mu: int, market: Market, i: BuyerId) -> ValueRerun:
     return ldm_value_rerun(market, mu, i)
 
 
-class _Ldm(MechanismUnderTest):
+class _TreeReader(MechanismUnderTest):
+    reads_tree = True
+
+
+class _Ldm(_TreeReader):
     prunes_subsets = True
 
 
@@ -193,13 +202,13 @@ def _ldm_invitation_menu(truth: _Truthful, mu: int) -> Callable[[BuyerId], Menu 
 
 
 def dna_mu_mechanism() -> MechanismUnderTest:
-    return MechanismUnderTest(
+    return _TreeReader(
         "dna-mu", lambda market: run_dna_mu(market),
         invitation_menu=lambda truth: dna_mu_invitation_menu(truth.market, truth.outcome))
 
 
 def vcg_mechanism() -> MechanismUnderTest:
-    return MechanismUnderTest("vcg-l1", lambda market: run_vcg_first_layer(market))
+    return _TreeReader("vcg-l1", lambda market: run_vcg_first_layer(market))
 
 
 @dataclass(frozen=True)
@@ -301,13 +310,13 @@ class _Truthful:
     """An instance as its checks share it: its market, the mechanism's
     truthful outcome, first-layer VCG's outcome, each buyer's invitation
     reports, and one table per fact of a deviation, keyed by (valid buyer,
-    invitation report): its market (`market_of`), the mechanism's value
+    `class_of` her report): its market (`market_of`), the mechanism's value
     rerun (`rerun`), her true-value utility (`utility`) and the run's
     outcome (`outcome_of`), each computed once, on first read. Every
     deviation check reads `subsets`, the one enumeration of invitation
-    deviations, and these tables, so each (buyer, subset) market is built
+    deviations, and these tables, so each (buyer, class) market is built
     once, only when read, given one value rerun when a check reads one, and
-    run at most once.
+    run at most once; her full set's class reads the truthful ones.
     `run_properties` passes one to every check; a checker called on its own
     builds its own. The market, the outcomes and the verdicts read of them
     (`own_tree`, `min_valid_mu`, `ldm_trace`, `certified`) are `_lazy`
@@ -416,14 +425,24 @@ class _Truthful:
             self._subset_lists[i] = found
         return found
 
+    def class_of(self, i: BuyerId, invited: frozenset[BuyerId]) -> frozenset[BuyerId]:
+        """The deviation tables' key of i's report `invited`: with N_i, her
+        invitees who are not her children, added back when the mechanism
+        `reads_tree` (notes/decisions.md, "A deviation is keyed by the
+        children it keeps"). Her full set is its own key."""
+        full = self.instance.reports[i].invited
+        if invited is full or not self.mechanism.reads_tree:
+            return invited
+        return invited | (full - self.market.children[i])
+
     def market_of(self, i: BuyerId, invited: frozenset[BuyerId]) -> Market:
         """The market when i invites `invited`: the truthful market for her
-        full set, else `compute_market` of the instance with her one report
-        changed, her values kept, built on first read."""
+        full set's class, else `compute_market` of the instance with her one
+        report changed, her values kept, built on its class's first read."""
         truthful = self.instance.reports[i]
-        if invited == truthful.invited:
+        key = (i, self.class_of(i, invited))
+        if key[1] == truthful.invited:
             return self.market
-        key = (i, invited)
         found = self._markets.get(key)
         if found is None:
             found = self._markets[key] = compute_market(
@@ -432,34 +451,33 @@ class _Truthful:
 
     def rerun(self, i: BuyerId, invited: frozenset[BuyerId]) -> ValueRerun:
         """The mechanism's value rerun of i when she invites `invited`, made
-        once. The truthful LDM run (`ldm_trace`) answers her full set, and on
-        an own tree every set, with no market built (`ldm_run_value_rerun`),
-        unless it refuses her; every other rerun, every graph deviation
-        included, is `value_rerun(market_of(i, invited), i)`
-        (notes/decisions.md, "Own-tree deviations are read from the truthful
-        LDM run")."""
-        key = (i, invited)
+        once per class. The truthful LDM run (`ldm_trace`) answers her full
+        set's class, and on an own tree every set, with no market built
+        (`ldm_run_value_rerun`), unless it refuses her; any other rerun is
+        `value_rerun(market_of(i, invited), i)` (notes/decisions.md,
+        "Own-tree deviations are read from the truthful LDM run")."""
+        key = (i, self.class_of(i, invited))
         found = self._reruns.get(key)
         if found is None:
             trace = self.ldm_trace
             found = self._reruns[key] = (
                 trace is not None
-                and (invited == self.instance.reports[i].invited or self.own_tree)
+                and (key[1] == self.instance.reports[i].invited or self.own_tree)
                 and ldm_run_value_rerun(trace, i, invited)
                 or self.mechanism.value_rerun(self.market_of(i, invited), i))
         return found
 
     def utility(self, i: BuyerId, invited: frozenset[BuyerId]) -> Money:
-        """i's true-value utility when she invites `invited`, computed once:
-        for her full set the truthful outcome's, building no rerun; else,
-        when the rerun is the generic one, that of the one run on her
-        deviated market (`outcome_of`), and otherwise her rerun's answer at
-        her true values."""
-        key = (i, invited)
+        """i's true-value utility when she invites `invited`, computed once
+        per class: for the class of her full set the truthful outcome's,
+        building no rerun; else, when the rerun is the generic one, that of
+        the one run on her deviated market (`outcome_of`), and otherwise her
+        rerun's answer at her true values."""
+        key = (i, self.class_of(i, invited))
         u = self._utilities.get(key)
         if u is None:
             truthful = self.instance.reports[i]
-            if invited == truthful.invited:
+            if key[1] == truthful.invited:
                 u = utility_of(self.instance, i, self.outcome)
             else:
                 if self.mechanism.runs_for_values:
@@ -473,9 +491,9 @@ class _Truthful:
 
     def outcome_of(self, i: BuyerId, invited: frozenset[BuyerId]) -> Outcome:
         """The mechanism's outcome when i invites `invited`, a proper subset
-        of her invitations: the one run on `market_of(i, invited)`, which
-        builds no value rerun and which `utility` reads too when the rerun
-        is the generic one.
+        of her invitations: the truthful one for her full set's class, else
+        the one run on `market_of(i, invited)`, which builds no value rerun
+        and which `utility` reads too when the rerun is the generic one.
 
         On an own tree, the truthful LDM run (`ldm_trace`) answers instead,
         with no market built, for i's layer peers, the buyers child
@@ -483,7 +501,9 @@ class _Truthful:
         itself when none of them moves."""
         if self.ldm_trace is not None and self.own_tree:
             return ldm_run_peer_outcomes(self.outcome, i, invited)
-        key = (i, invited)
+        key = (i, self.class_of(i, invited))
+        if key[1] == self.instance.reports[i].invited:
+            return self.outcome
         found = self._outcomes.get(key)
         if found is None:
             found = self._outcomes[key] = self.mechanism.run(self.market_of(i, invited))

@@ -4,6 +4,7 @@ LDM value reruns the checks read."""
 
 from __future__ import annotations
 
+import itertools
 import sys
 from pathlib import Path
 
@@ -48,15 +49,40 @@ def make_profile(k: int, seller, buyers: dict) -> ReportProfile:
     )
 
 
-def ldm_walked_subsets(profile: ReportProfile, market) -> int:
-    """The proper invitation subsets LDM's checks walk on `profile`, whose
-    market is `market`: on an instance that is its own BFS tree a buyer
-    with two or more invitations is certified and walks one, the empty
-    set; every other buyer walks all 2^|invited| - 1."""
+def ldm_walked(profile: ReportProfile, market) -> dict:
+    """Each valid buyer's proper invitation subsets that LDM's checks walk
+    on `profile`, whose market is `market`: on an instance that is its own
+    BFS tree a buyer with two or more invitations is certified and walks
+    one, the empty set; every other buyer walks all 2^|invited| - 1."""
     reports = profile.reports
     own = all(reports[i].invited == market.children[i] for i in market.valid)
-    return sum(1 if own and len(reports[i].invited) >= 2 else 2 ** len(reports[i].invited) - 1
-               for i in market.valid)
+    walked = {}
+    for i in market.valid:
+        elems = sorted(reports[i].invited)
+        walked[i] = ([frozenset()] if own and len(elems) >= 2 else
+                     [frozenset(c) for r in range(len(elems))
+                      for c in itertools.combinations(elems, r)])
+    return walked
+
+
+def ldm_walked_subsets(profile: ReportProfile, market) -> int:
+    """The count of `ldm_walked`'s subsets."""
+    return sum(map(len, ldm_walked(profile, market).values()))
+
+
+def ldm_walked_classes(profile: ReportProfile, market) -> int:
+    """The deviated markets the checks of a tree-reading mechanism build on
+    `profile`, whose market is `market`: one per distinct S + N_i over the
+    subsets S that buyer i walks (`ldm_walked`), N_i her invitees who are
+    not her market children, less the ones that are her full set, which
+    keep every child and read the truthful market."""
+    reports = profile.reports
+    total = 0
+    for i, walked in ldm_walked(profile, market).items():
+        invited = reports[i].invited
+        hidden = invited - market.children[i]
+        total += len({sub | hidden for sub in walked} - {invited})
+    return total
 
 
 def counted_reruns(monkeypatch) -> list:

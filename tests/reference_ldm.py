@@ -350,7 +350,8 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
         pool, layer_opt, _ = _ldm_layer(own, (), free_own, left)
         if is_dummy(i):
             return 0, 0
-        return layer_opt.units_of(i), _ldm_payment(own, pool, layer_opt, i)[1]
+        won = layer_opt.units_of(i)
+        return won, _ldm_payment(own, pool, layer_opt, i, won)[1]
 
     return ValueRerun(rerun)
 

@@ -5,13 +5,15 @@ monotonicity builds the BFS-tree profile's market, runs the mechanism on
 it, and builds a fresh market and runs in full for every proper child
 subset.
 
-The oracle for `verify._Truthful`, which lists each buyer's invitation
-reports once (`subsets`), builds each (buyer, subset) market once, reads
-the invitation checks' utility from the value rerun on it at the true
-values, and lets child monotonicity rerun those markets when the instance
-is its own BFS tree. The subsets are enumerated here too, by this module's
-own `_subsets`, so the oracle shares no enumeration with what it checks.
-Testing use only.
+The oracle for the shared truthful instance of `verify`, which lists each
+buyer's invitation reports once, builds one market per class of them (the
+reports that keep the same children, for a mechanism that reads only the
+BFS tree), reads the invitation checks' utility from the value rerun on it
+at the true values, and lets child monotonicity rerun those markets when
+the instance is its own BFS tree. The subsets are enumerated here too, by
+this module's own `_subsets`, and every one gets its own market, so the
+oracle shares neither the enumeration nor the classes with what it
+checks. Testing use only.
 """
 
 from __future__ import annotations

@@ -26,7 +26,9 @@ from netauction.mechanisms import (
 )
 from netauction.removed_sets import layer_removed_sets, robust_mu
 from netauction.verify import MECHANISMS
+from netauction.welfare import WelfareResult
 
+import reference_ldm
 from conftest import DATA, FIG3_LABELS, chain_profile, make_profile
 from test_deep_layers import comb
 
@@ -371,3 +373,21 @@ def test_unreachable_buyers_move_nothing(fig3_profile, t4_profile):
                 base, more = inject_dummies(base, reserve), inject_dummies(more, reserve)
             for entry in MECHANISMS.values():
                 assert _registry_outcome(entry, more, mu) == _registry_outcome(entry, base, mu)
+
+
+def test_ldm_reads_each_members_units_once(monkeypatch, fig3_profile):
+    """LDM's layer loop reads each processed member's units from the layer
+    optimum once, for the supply, her payment and her commit alike; the
+    outcome is the reference's."""
+    reads = []
+    units_of = WelfareResult.units_of
+    monkeypatch.setattr(WelfareResult, "units_of",
+                        lambda result, i: reads.append(i) or units_of(result, i))
+    for profile, mu in ((fig3_profile, 2), (inject_dummies(fig3_profile, 4), 2),
+                        *((p, robust_mu(p)) for p in instance_stream(GeneratorConfig(seed=3), 30))):
+        market = compute_market(profile)
+        reads.clear()
+        outcome = run_ldm_tree(market, mu)
+        processed = [i for layer in market.layers[:len(outcome.trace.layers)] for i in layer]
+        assert sorted(reads) == sorted(processed)
+        assert outcome == reference_ldm.run_ldm_tree(market, mu)

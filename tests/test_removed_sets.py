@@ -1,12 +1,15 @@
 """Exclusion-set construction: C^P, C^W, C^R, R_l, D_i, and the mu bound."""
 
 import itertools
+import json
 import random
 
 import pytest
 
 from netauction import removed_sets
+from netauction.cli import main
 from netauction.errors import ContractError, MuTooSmall
+from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance
 from netauction.market import ReportedType, compute_market
 from netauction.removed_sets import (
     layer_removed_sets,
@@ -17,8 +20,10 @@ from netauction.removed_sets import (
     removed_sets_for,
     robust_mu,
 )
+from netauction.verify import PROPERTY_NAMES, run_properties
 
-from conftest import FIG3_LABELS, fig3_ids, make_profile, sold_out_in_layer_one
+from conftest import (DATA, FIG3_LABELS, fig3_ids, ldm_walked_classes, make_profile,
+                      sold_out_in_layer_one)
 
 
 def lid(c):
@@ -218,3 +223,39 @@ def test_winners_are_ranked_only_for_the_layers_asked_for(monkeypatch):
     assert next(layers) == {1, 2, 3, 4, 5}
     assert ranked == [tree.children[0]]
     assert next(layers) == {2, 3, 4, 5} and ranked == [tree.children[0], tree.children[1]]
+
+
+def test_inviter_sets_are_built_once_per_tree(monkeypatch, tmp_path, capsys):
+    """C^P is read for `run`'s default mu and again by LDM's run, and by
+    `run_properties` for `min_valid_mu`, the truthful run, each value
+    rerun's patched copies of a market and each deviated market: it is
+    built once per tree, kept on the market and carried by `with_values`."""
+    built = []
+    build = removed_sets._build_inviter_sets
+    monkeypatch.setattr(removed_sets, "_build_inviter_sets",
+                        lambda children: built.append(children) or build(children))
+    doc = json.loads((DATA / "fig3.json").read_text())
+    del doc["mu"]
+    path = tmp_path / "fig3-no-mu.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--mechanism", "ldm"]) == 0
+    assert "defaulting to min valid bound 2" in capsys.readouterr().err
+    assert len(built) == 1
+    # fig3 is its own BFS tree: the truthful run answers every deviation
+    built.clear()
+    profile = parse_instance(path.read_text())
+    assert all(r.ok for r in run_properties(profile, "ldm", PROPERTY_NAMES))
+    assert len(built) == 1
+    # on a graph, the truthful market, and each deviated one once
+    config = GeneratorConfig(seed=302, buyers=(2, 8), k=(1, 3), v_max=10, topology="graph",
+                             edge_density=0.15)
+    graphs = 0
+    for profile in instance_stream(config, 40):
+        market = compute_market(profile)
+        if all(profile.reports[i].invited == market.children[i] for i in market.valid):
+            continue
+        built.clear()
+        run_properties(profile, "ldm", ("ir", "invite-ic", "value-ic"))
+        assert len(built) == 1 + ldm_walked_classes(profile, market)
+        graphs += 1
+    assert graphs == 20

@@ -28,7 +28,7 @@ from netauction.removed_sets import layer_free_sets, min_valid_mu, robust_mu
 from netauction.verify import _tree_profile, integer_value_grid, ldm_mechanism, run_properties
 
 import reference_verify as ref
-from conftest import (chain_profile, counted_reruns, ldm_walked_subsets, make_profile,
+from conftest import (chain_profile, counted_reruns, ldm_walked_classes, make_profile,
                       sold_out_in_layer_one)
 from test_deep_layers import combs
 
@@ -219,9 +219,11 @@ def answer(call):
 
 
 def test_graph_deviations_are_set_up_and_full_sets_read(monkeypatch):
-    """On a graph, every proper-subset rerun is set up on its deviated
-    market, once per (buyer, subset), and every full-set rerun is read from
-    the truthful run unless the run refuses the buyer: at every mu from the
+    """On a graph, the proper subsets a buyer walks that keep the same
+    children share one class, keyed by S + N_i, N_i her invitees who are
+    not her children: each class but her full set's is set up once, on the
+    market of its first subset, and the full set's class is read from the
+    truthful run unless the run refuses the buyer: at every mu from the
     truthful market's `min_valid_mu` to `robust_mu`. The reports, or the
     bound raised where a deviated market needs a larger mu, are the
     reference's."""
@@ -251,16 +253,19 @@ def test_graph_deviations_are_set_up_and_full_sets_read(monkeypatch):
                                                is not None), (mu, i)
                 else:
                     assert path == "set-up", (mu, i)
-                    subsets[i, rerun_market.profile.reports[i].invited] += 1
-            assert all(sub < profile.reports[i].invited and count == 1
-                       for (i, sub), count in subsets.items())
+                    sub = rerun_market.profile.reports[i].invited
+                    assert sub < invited, (mu, i)
+                    subsets[i, sub | (invited - market.children[i])] += 1
+            assert all(key < profile.reports[i].invited and count == 1
+                       for (i, key), count in subsets.items())
             raised += isinstance(found, str)
             if not isinstance(found, str):
                 assert full_sets == market.valid
-                assert sum(subsets.values()) == ldm_walked_subsets(profile, market)
+                assert sum(subsets.values()) == ldm_walked_classes(profile, market)
             deviated += sum(subsets.values())
             read += sum(path == "run" for path, *_ in walked)
-    assert deviated > 1000 and read > 300 and raised > 0
+    # 2,032 set-ups with one per walked subset
+    assert (deviated, read, raised) == (768, 775, 16)
 
 
 @pytest.mark.parametrize("profile", [sold_out_in_layer_one(), chain_profile(6, 1)],

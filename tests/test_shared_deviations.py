@@ -27,7 +27,7 @@ from netauction.verify import (MAX_INVITES_EXHAUSTIVE, MechanismUnderTest, _tree
                                ldm_mechanism, run_properties, vcg_mechanism)
 
 import reference_verify as ref
-from conftest import DATA, counted_reruns, ldm_walked_subsets
+from conftest import DATA, counted_reruns, ldm_walked_classes, ldm_walked_subsets
 from test_value_rerun import first_price
 
 STREAMS = (
@@ -113,32 +113,37 @@ def test_run_properties_matches_the_reference_at_the_default_grid():
 
 
 def test_each_deviated_market_is_built_once_and_ldm_runs_once(monkeypatch):
-    """`1 + Σ` markets, Σ the proper subsets the checks walk
-    (`ldm_walked_subsets`), where building the table and value-IC's reruns
-    apart takes `1 + 2Σ`, and one LDM run, on the truthful market: every
-    proper subset is answered by its value rerun. On an own tree the
-    truthful run reads every rerun, so the truthful market is the only
-    one built."""
+    """`1 + Γ` markets, Γ the classes of the proper subsets the checks walk
+    (`ldm_walked_classes`), where a market per subset takes `1 + Σ`, Σ
+    those subsets (`ldm_walked_subsets`), and building the table and
+    value-IC's reruns apart `1 + 2Σ`; and one LDM run, on the truthful
+    market: every proper subset is answered by its class's value rerun. On
+    an own tree the truthful run reads every rerun, so the truthful market
+    is the only one built."""
     built, runs = [], []
     build, run = verify.compute_market, mechanisms.run_ldm_tree
     monkeypatch.setattr(verify, "compute_market",
                         lambda profile: built.append(profile) or build(profile))
     monkeypatch.setattr(mechanisms, "run_ldm_tree",
                         lambda market, *args, **kw: runs.append(market) or run(market, *args, **kw))
-    checked = read = 0
+    checked = read = deviated = 0
     for profile in profiles():
         built.clear()
         runs.clear()
         assert all(r.ok for r in run_properties(profile, "ldm", CHECKS))
-        proper = ldm_walked_subsets(profile, build(profile))
-        assert len(built) == 1 + (0 if own_tree(profile) else proper)
+        market = build(profile)
+        proper = ldm_walked_subsets(profile, market)
+        classes = 0 if own_tree(profile) else ldm_walked_classes(profile, market)
+        assert len(built) == 1 + classes
         assert len(runs) == 1 and runs[0].profile is profile
         checked += proper
         read += proper if own_tree(profile) else 0
+        deviated += classes
     # the certificate walks one subset for each own-tree buyer with two or
     # more invitations, so 113 where the enumeration walked 259; 29 of them
-    # are on own trees
-    assert (checked, read) == (113, 29)
+    # are on own trees, and the other 84 fall into 29 classes that are not a
+    # full set
+    assert (checked, read, deviated) == (113, 29, 29)
 
 
 def test_a_black_box_runs_once_per_market(monkeypatch):
@@ -266,9 +271,10 @@ def test_child_monotonicity_reruns_the_shared_markets(monkeypatch):
     (`ldm_walked_subsets`), and the one deletion of each buyer j with
     children and same-layer observers, the empty set, as one child has no
     other proper subset, and LDM certifies a buyer with more. Any other
-    instance builds `Σ` deviated markets besides, Σ the proper subsets the
-    checks walk, and its tree profile's market, whose one run answers those
-    deletions."""
+    instance builds `Γ` deviated markets besides, Γ the classes of the
+    proper subsets the checks walk that are not a full set
+    (`ldm_walked_classes`), and its tree profile's market, whose one run
+    answers those deletions."""
     built, runs, deletions = [], [], []
     build, run = verify.compute_market, mechanisms.run_ldm_tree
     read = verify.ldm_run_peer_outcomes
@@ -279,21 +285,25 @@ def test_child_monotonicity_reruns_the_shared_markets(monkeypatch):
     monkeypatch.setattr(verify, "ldm_run_peer_outcomes",
                         lambda outcome, j, kept: deletions.append(j) or read(outcome, j, kept))
     counted = {True: 0, False: 0}
+    deviated = 0
     for profile in profiles():
         built.clear()
         runs.clear()
         deletions.clear()
         run_properties(profile, "ldm", (*CHECKS, "child-monotonicity"))
         tree = build(profile)
-        proper = ldm_walked_subsets(profile, tree)
         shrunk = sorted(j for j in tree.valid
                         if tree.children[j] and len(tree.layers[tree.layer_of[j] - 1]) > 1)
         shared = own_tree(profile)
-        assert len(built) == 1 + (0 if shared else proper + 1)
+        classes = 0 if shared else ldm_walked_classes(profile, tree)
+        assert len(built) == 1 + (0 if shared else classes + 1)
         assert len(runs) == 1 + (0 if shared else 1)
         assert deletions == shrunk
         counted[shared] += 1
+        deviated += classes
     assert counted[True] >= 15 and counted[False] >= 5
+    # 84 walked subsets on the other instances, 29 classes
+    assert deviated == 29
 
 
 @pytest.mark.parametrize("name", ["ldm", "dna-mu"])

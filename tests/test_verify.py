@@ -35,7 +35,7 @@ from netauction.verify import (
 )
 
 import reference_ldm
-from conftest import DATA, ldm_walked_subsets, make_profile
+from conftest import DATA, ldm_walked_classes, make_profile
 from test_deep_layers import comb
 
 
@@ -475,10 +475,12 @@ def test_run_properties_resolves_the_truthful_instance_once(monkeypatch, t4_prof
 
 def test_value_ic_builds_one_market_per_proper_invitation_subset(monkeypatch, fig3_profile,
                                                                 t4_profile):
-    """The truthful market once, then one per proper invitation subset each
-    valid buyer walks (`ldm_walked_subsets`) on an instance that is not its
-    own BFS tree: the full set reruns on the truthful market, and on an own
-    tree the truthful run answers every subset."""
+    """The truthful market once, then, on an instance that is not its own
+    BFS tree, one per class of the proper invitation subsets each valid
+    buyer walks, the subsets that keep the same children sharing one,
+    except a class that keeps every child (`ldm_walked_classes`): that one
+    and the full set rerun on the truthful market, and on an own tree the
+    truthful run answers every subset."""
     built, build = [], verify.compute_market
     monkeypatch.setattr(verify, "compute_market",
                         lambda profile: built.append(profile) or build(profile))
@@ -490,11 +492,12 @@ def test_value_ic_builds_one_market_per_proper_invitation_subset(monkeypatch, fi
         assert run_properties(profile, "ldm", ("value-ic",))[0].ok
         market = build(profile)
         own = all(profile.reports[i].invited == market.children[i] for i in market.valid)
-        assert len(built) == 1 + (0 if own else ldm_walked_subsets(profile, market))
+        assert len(built) == 1 + (0 if own else ldm_walked_classes(profile, market))
         total += len(built)
     # 367 with every subset enumerated, 225 with a market per walked subset
-    # on own trees too
-    assert total == 203
+    # on own trees too, 203 with one per walked graph subset, 105 with one
+    # per class
+    assert total == 105
 
 
 @CRITERION_STREAMS
@@ -576,5 +579,7 @@ def test_ir_and_invite_ic_share_one_invitation_enumeration(monkeypatch, countere
             assert all(map(int.__le__, work[("invite-ic",)], work[("ir",)]))
     # the DNA-MU counterexample's reports come through the shared table too
     assert violated[0] == (name == "dna-mu")
-    # four of the stream's graphs are not their own BFS tree and have deviations
-    assert graphs == 4
+    # four of the stream's graphs are not their own BFS tree and have
+    # deviations; on one of them every deviation keeps all the buyer's
+    # children, so builds no market
+    assert graphs == 3
