@@ -240,18 +240,6 @@ def _kth_outside(ranked: list[tuple[Money, BuyerId]], closed: set[BuyerId], k: i
     return price, 0
 
 
-def _ldm_layer(market: Market, members: Iterable[BuyerId], free: Iterable[BuyerId],
-               supply: int) -> tuple[WelfarePool, WelfareResult, int]:
-    """One LDM layer: the welfare optimum of its `free` buyers sharing the
-    `supply` the frozen earlier layers left, whose pool then answers every
-    SW_{-D_i} of the layer; returns the pool, the optimum and the units the
-    layer's `members` took. The frozen layers stay out of the pool: every
-    payment is a difference of two welfares over them, where they cancel."""
-    pool = WelfarePool(market, free, supply)
-    layer_opt = pool.best()
-    return pool, layer_opt, sum(map(layer_opt.units_of, members))
-
-
 def _sw_minus_d(market: Market, pool: WelfarePool, i: BuyerId,
                 skipped: frozenset[BuyerId] = frozenset()) -> Money:
     """SW_{-D_i} over the free set F_l of i's layer, the pool's buyers less
@@ -296,7 +284,9 @@ def run_ldm_tree(market: Market, mu: int,
 def _ldm_layers(market: Market, mu: int, free_sets: Iterable[frozenset[BuyerId]],
                 order: Sequence[BuyerId] | None = None) -> Outcome:
     """LDM's layer loop over `free_sets`, F_1, F_2, ..., with mu the value
-    its trace records."""
+    its trace records. A layer's pool holds its free buyers only: every
+    payment is a difference of two welfares over the frozen layers, where
+    they cancel."""
     units = {i: 0 for i in market.valid if not is_dummy(i)}
     payments = dict(units)
     supply = market.k
@@ -310,7 +300,6 @@ def _ldm_layers(market: Market, mu: int, free_sets: Iterable[frozenset[BuyerId]]
             if missing := [b for b in members if b not in position]:
                 raise ContractError(f"order leaves out layer member {missing[0]}")
             members.sort(key=position.__getitem__)
-        # `_ldm_layer` without its sum: the loop reads each member's units once
         pool = WelfarePool(market, free, supply)
         layer_opt = pool.best()
         pools.append((free, pool))
@@ -360,37 +349,20 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
     as a function of her value report v, with `menu`, every pair it can return.
 
     With i in layer L and parent p, the only removed set that reads v is
-    C^R_p, inside W_{L-1}, so F_{L-1} is the only free set v moves; i's
-    units and payment are final once layer L is processed. Every v that
-    puts i in C^R_p gives the same C^R_p, so the same layers before L; for
-    any other v, at least K of her siblings outrank her in layer L, and the
-    answer is (0, 0) whatever those layers did (the argument is in
-    notes/decisions.md). So mu is checked and the layers before L
-    committed at one such v, a bid above every first unit; then layer L's
-    free pool, i in it at her values, is sorted once and `_pool_rerun`
-    reads her rerun from it. If a layer before L sells every unit, or i is
-    a dummy, the menu is ((0, 0),) and every report gets it.
-
-    This is the per-buyer set-up. On a market LDM has run on, and on every
-    market an own tree's invitation reports make from it, the run's own
-    pools answer every buyer whom `ldm_run_value_rerun` does not refuse;
-    every other rerun, of a graph deviation hiding a child too, is this one.
+    C^R_p, inside W_{L-1}; i's units and payment are final once layer L is
+    processed. Every v that puts i in C^R_p gives the same C^R_p, so the
+    same layers before L; any other v gets (0, 0) (notes/decisions.md, "A
+    value rerun is a read of one run"). So the rerun is read from one run
+    at a bid above every first unit for each unit: it puts i in C^R_p,
+    whose C^W quota K + mu - |C^P_p| is at least K; it takes every unit
+    layer L has left, so the run stops there; and the read leaves her
+    marginals out of every sum. A run sold out before layer L, or a dummy
+    i, gives ((0, 0),). Its callers: a graph deviation that no run answers,
+    and a buyer `ldm_run_value_rerun` refuses.
     """
-    layer = market.layer_of[i]
-    committing = market
-    if layer > 1:  # a layer-1 buyer has no layer before hers
-        top = 1 + max(map(market.first_unit, market.valid))
-        committing = market.with_values(i, (top,) * market.k)
-    free_sets = layer_free_sets(committing, mu)
-    supply = market.k
-    for members, free in zip(market.layers[:layer - 1], free_sets):
-        supply -= _ldm_layer(committing, members, free, supply)[2]
-        if supply == 0:
-            return _NOTHING
-    free = next(free_sets)
-    if is_dummy(i):
-        return _NOTHING
-    return _pool_rerun(market, WelfarePool(market, free, supply), i)
+    top = 1 + max(map(market.first_unit, market.valid))
+    run = run_ldm_tree(market.with_values(i, (top,) * market.k), mu)
+    return ldm_run_value_rerun(run.trace, i, market.children[i])
 
 
 def ldm_run_value_rerun(trace: LdmTrace, i: BuyerId,
@@ -400,9 +372,10 @@ def ldm_run_value_rerun(trace: LdmTrace, i: BuyerId,
     inviting only S & C_i, S = `kept` any invitation report of hers and C_i
     her children. For her full report m is `trace.market`; on an own tree,
     where every valid buyer invites exactly her children, m is the market S
-    makes. On a graph, a proper S can reattach an invitee she hides, and
-    only `ldm_value_rerun` on S's market answers. None for a buyer outside
-    her parent's C^R, whose rerun must commit layer L - 1 anew.
+    makes. On a graph, a proper S can reattach an invitee she hides: then a
+    run on S's market answers, through `ldm_value_rerun`. None for a buyer
+    outside her parent's C^R, whose rerun must commit layer L - 1 anew:
+    `ldm_value_rerun` reads hers from a run at a top bid.
 
     i sits in layer L with parent p. Her reports reach the layers before L
     only through C^R_p, in layer L - 1, and her invitations move only the
@@ -487,8 +460,8 @@ def _swapped_supply(trace: LdmTrace, j: BuyerId) -> int | None:
     if j in removed:
         return None
     above, held = pools[layer - 2]
-    return held.budget - _ldm_layer(market, market.layers[layer - 2], (above - removed) | {j},
-                                    held.budget)[2]
+    layer_opt = WelfarePool(market, (above - removed) | {j}, held.budget).best()
+    return held.budget - sum(map(layer_opt.units_of, market.layers[layer - 2]))
 
 
 def _leaving(trace: LdmTrace, i: BuyerId, kept: frozenset[BuyerId],

@@ -23,7 +23,8 @@ lists and read the same tables; child monotonicity reads `tree`'s
 outcomes, `tree` being the same `_Truthful` on an own BFS tree. Under
 LDM's own run and rerun, the truthful run answers the full set's class,
 and, on an own tree, every read, so no deviated market is built
-(`_Truthful.ldm_trace`); any other graph class is set up on its own.
+(`_Truthful.ldm_trace`); any other graph class, and a buyer the run
+refuses, is read from one run of its own (`ldm_value_rerun`).
 
 A certificate is a menu of (units, payment) pairs that bounds a family of
 one buyer's reports (`mechanisms.Menu`), and `_certifies` is the one check

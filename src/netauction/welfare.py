@@ -14,8 +14,11 @@ problems that differ in one buyer's marginals, merged in by binary search in
 place of hers (``units_of``); only ``tops_without``, the others' value for
 each smaller budget, varies the budget. A pool holds no fixed buyers; the
 caller that freezes some keeps their units and welfare.
-``constrained_welfare``, the single-problem entry point, is the one that
-checks, sums and merges them.
+``constrained_welfare`` solves one problem with fixed buyers, checking,
+summing and merging them, and ``kth_highest_first_unit`` ranks first units;
+nothing in the package calls either. Both stay only for the benchmark in
+perfbench/, whose tracer times them by name, until ROADMAP item 1a moves
+them into the tests' reference.
 """
 
 from __future__ import annotations

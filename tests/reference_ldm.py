@@ -13,11 +13,7 @@ and each buyer's C^P and C^W are built one buyer at a time.
 Testing use only; it must never share code with the sorted welfare pool
 (`netauction.welfare`), the linear tree construction or
 `netauction.removed_sets`: every R_l is the union of the per-buyer C^R sets
-and a suffix union of the deeper layers (`layer_removed_sets`). The one
-exception is `ldm_value_rerun`, the rerun that replays layers L-1 and L
-with fresh pools for every vector: it solves each layer with the library's
-own per-layer step, `_ldm_layer`, so it is compared with the black box as
-well as with the merged-rank rerun that replaced it.
+and a suffix union of the deeper layers (`layer_removed_sets`).
 """
 
 from __future__ import annotations
@@ -45,8 +41,6 @@ from netauction.mechanisms import (
     Menu,
     Outcome,
     ValueRerun,
-    _ldm_layer,
-    _ldm_payment,
     inject_dummies,
 )
 
@@ -316,16 +310,16 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
 
     Layers up to L-2 are committed once; if they sell every unit, i gets
     (0, 0). Per vector, i's report is swapped in a private copy of the
-    profile, her parent's C^R re-ranked, and both layers solved with fresh
-    welfare pools over their free buyers, each built here as valid - R_l
-    less the processed layers.
+    profile, her parent's C^R re-ranked, and both layers, and her
+    SW_{-D_i}, solved afresh with `greedy_welfare` over their free buyers,
+    each built here as valid - R_l less the processed layers.
     """
     layer = market.layer_of[i]
     removed = iter(layer_removed_sets(market, mu))
     k_remain = market.k
     for l, r_l in zip(range(1, layer - 1), removed):
-        members = market.layers[l - 1]
-        k_remain -= _ldm_layer(market, members, layer_free_buyers(market, l, r_l), k_remain)[2]
+        solved = greedy_welfare(market, layer_free_buyers(market, l, r_l), {}, k_remain)
+        k_remain -= sum(map(solved.units_of, market.layers[l - 1]))
         if k_remain == 0:
             return ValueRerun(lambda v: (0, 0))
     if layer > 1:
@@ -344,14 +338,16 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
         if layer > 1:
             r_prev = r_prev_rest | inviters | potential_winners(own, parent, mu)
             free_prev = layer_free_buyers(own, layer - 1, r_prev)
-            left -= _ldm_layer(own, own.layers[layer - 2], free_prev, left)[2]
+            solved = greedy_welfare(own, free_prev, {}, left)
+            left -= sum(map(solved.units_of, own.layers[layer - 2]))
             if left == 0:
                 return 0, 0
-        pool, layer_opt, _ = _ldm_layer(own, (), free_own, left)
         if is_dummy(i):
             return 0, 0
+        layer_opt = greedy_welfare(own, free_own, {}, left)
         won = layer_opt.units_of(i)
-        return won, _ldm_payment(own, pool, layer_opt, i, won)[1]
+        sw_d = greedy_welfare(own, free_own - own.children[i] - {i}, {}, left).welfare
+        return won, sw_d - (layer_opt.welfare - cumulative_value(v, won))
 
     return ValueRerun(rerun)
 

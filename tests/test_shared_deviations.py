@@ -112,38 +112,67 @@ def test_run_properties_matches_the_reference_at_the_default_grid():
             tuple(ref.check_value_ic(mechanism, profile))]
 
 
+def counted_set_ups(monkeypatch, runs: list) -> list:
+    """Record each LDM value rerun set up (`ldm_value_rerun`) as the number
+    of LDM runs it made, each appended to `runs`, after checking that every
+    one of them is on its market with the buyer bidding one more than any
+    first unit for each unit."""
+    set_ups = []
+    set_up = verify.ldm_value_rerun
+
+    def setting_up(market, mu, i):
+        before = len(runs)
+        found = set_up(market, mu, i)
+        top = (1 + max(map(market.first_unit, market.valid)),) * market.k
+        assert all(ran.values_of(i) == top and ran.children is market.children
+                   for ran in runs[before:])
+        set_ups.append(len(runs) - before)
+        return found
+
+    monkeypatch.setattr(verify, "ldm_value_rerun", setting_up)
+    return set_ups
+
+
 def test_each_deviated_market_is_built_once_and_ldm_runs_once(monkeypatch):
     """`1 + Γ` markets, Γ the classes of the proper subsets the checks walk
     (`ldm_walked_classes`), where a market per subset takes `1 + Σ`, Σ
     those subsets (`ldm_walked_subsets`), and building the table and
-    value-IC's reruns apart `1 + 2Σ`; and one LDM run, on the truthful
-    market: every proper subset is answered by its class's value rerun. On
-    an own tree the truthful run reads every rerun, so the truthful market
-    is the only one built."""
+    value-IC's reruns apart `1 + 2Σ`; and one LDM run on the truthful
+    market, besides the one run each value rerun set-up makes on its
+    market at the buyer's top bid: every proper subset is answered by its
+    class's value rerun. On an own tree the truthful run reads every rerun
+    it does not refuse, so the truthful market is the only one built."""
     built, runs = [], []
     build, run = verify.compute_market, mechanisms.run_ldm_tree
     monkeypatch.setattr(verify, "compute_market",
                         lambda profile: built.append(profile) or build(profile))
     monkeypatch.setattr(mechanisms, "run_ldm_tree",
                         lambda market, *args, **kw: runs.append(market) or run(market, *args, **kw))
+    set_ups = counted_set_ups(monkeypatch, runs)
     checked = read = deviated = 0
+    set_up = {True: 0, False: 0}
     for profile in profiles():
         built.clear()
         runs.clear()
+        set_ups.clear()
         assert all(r.ok for r in run_properties(profile, "ldm", CHECKS))
         market = build(profile)
         proper = ldm_walked_subsets(profile, market)
         classes = 0 if own_tree(profile) else ldm_walked_classes(profile, market)
         assert len(built) == 1 + classes
-        assert len(runs) == 1 and runs[0].profile is profile
+        assert set(set_ups) <= {1} and len(runs) == 1 + len(set_ups)
+        assert [ran.profile is profile for ran in runs].count(True) == 1
         checked += proper
         read += proper if own_tree(profile) else 0
         deviated += classes
+        set_up[own_tree(profile)] += len(set_ups)
     # the certificate walks one subset for each own-tree buyer with two or
     # more invitations, so 113 where the enumeration walked 259; 29 of them
     # are on own trees, and the other 84 fall into 29 classes that are not a
-    # full set
+    # full set. The value rerun of each of those classes is set up, and so
+    # are 6 on own trees, of buyers the truthful run refuses
     assert (checked, read, deviated) == (113, 29, 29)
+    assert set_up == {True: 6, False: 29}
 
 
 def test_a_black_box_runs_once_per_market(monkeypatch):
@@ -274,7 +303,9 @@ def test_child_monotonicity_reruns_the_shared_markets(monkeypatch):
     instance builds `Γ` deviated markets besides, Γ the classes of the
     proper subsets the checks walk that are not a full set
     (`ldm_walked_classes`), and its tree profile's market, whose one run
-    answers those deletions."""
+    answers those deletions. Each value rerun set-up makes one more run,
+    on its market at the buyer's top bid, and child monotonicity sets up
+    none of its own."""
     built, runs, deletions = [], [], []
     build, run = verify.compute_market, mechanisms.run_ldm_tree
     read = verify.ldm_run_peer_outcomes
@@ -284,12 +315,15 @@ def test_child_monotonicity_reruns_the_shared_markets(monkeypatch):
                         lambda market, *args, **kw: runs.append(market) or run(market, *args, **kw))
     monkeypatch.setattr(verify, "ldm_run_peer_outcomes",
                         lambda outcome, j, kept: deletions.append(j) or read(outcome, j, kept))
+    set_ups = counted_set_ups(monkeypatch, runs)
     counted = {True: 0, False: 0}
     deviated = 0
+    set_up = {True: 0, False: 0}
     for profile in profiles():
         built.clear()
         runs.clear()
         deletions.clear()
+        set_ups.clear()
         run_properties(profile, "ldm", (*CHECKS, "child-monotonicity"))
         tree = build(profile)
         shrunk = sorted(j for j in tree.valid
@@ -297,13 +331,17 @@ def test_child_monotonicity_reruns_the_shared_markets(monkeypatch):
         shared = own_tree(profile)
         classes = 0 if shared else ldm_walked_classes(profile, tree)
         assert len(built) == 1 + (0 if shared else classes + 1)
-        assert len(runs) == 1 + (0 if shared else 1)
+        assert set(set_ups) <= {1}
+        assert len(runs) == 1 + (0 if shared else 1) + len(set_ups)
         assert deletions == shrunk
         counted[shared] += 1
         deviated += classes
+        set_up[shared] += len(set_ups)
     assert counted[True] >= 15 and counted[False] >= 5
-    # 84 walked subsets on the other instances, 29 classes
+    # 84 walked subsets on the other instances, 29 classes; the same 35
+    # set-ups as the three checks alone make
     assert deviated == 29
+    assert set_up == {True: 6, False: 29}
 
 
 @pytest.mark.parametrize("name", ["ldm", "dna-mu"])

@@ -25,10 +25,10 @@ from netauction.mechanisms import (Outcome, ValueRerun, inject_dummies, ldm_run_
 from netauction.removed_sets import min_valid_mu, potential_inviters, removed_set_of, robust_mu
 from netauction.verify import (MAX_INVITES_EXHAUSTIVE, MechanismUnderTest, check_value_ic,
                                dna_mu_mechanism, integer_value_grid, ldm_mechanism,
-                               vcg_mechanism)
+                               run_properties, vcg_mechanism)
 
 import reference_ldm as ref
-from conftest import DATA, make_profile, outside_parent_removed_set
+from conftest import DATA, counted_reruns, make_profile, outside_parent_removed_set
 
 STREAMS = (
     GeneratorConfig(seed=301, buyers=(2, 8), k=(1, 3), v_max=10, topology="tree"),
@@ -108,9 +108,8 @@ def test_rerun_matches_black_box_with_reserve_dummies():
 
 
 def work_of_rerun(monkeypatch, tree, mu, i, vectors):
-    """Check each vector against the black box. Returns the layers solved and
-    the pools sorted at set-up besides those layers' own (layer L's), and the
-    same pair for each vector."""
+    """Check each vector against the black box. Returns the LDM runs made and
+    the welfare pools built at set-up, and the same pair for each vector."""
     expected = [black_box(tree, mu, i, v) for v in vectors]
     work = [[0, 0]]
 
@@ -121,14 +120,14 @@ def work_of_rerun(monkeypatch, tree, mu, i, vectors):
         return counted
 
     with monkeypatch.context() as patch:
-        # a solved layer sorts its own pool through the patched name too
-        patch.setattr(mechanisms, "_ldm_layer", counting(mechanisms._ldm_layer, 0))
+        # the run builds each layer's pool through the patched name too
+        patch.setattr(mechanisms, "run_ldm_tree", counting(mechanisms.run_ldm_tree, 0))
         patch.setattr(mechanisms, "WelfarePool", counting(mechanisms.WelfarePool, 1))
         rerun = ldm_value_rerun(tree, mu, i).answer
         for v, want in zip(vectors, expected):
             work.append([0, 0])
             assert rerun(v) == want, (i, v)
-    work = [(layers, pools - layers) for layers, pools in work]
+    work = [tuple(pair) for pair in work]
     return work[0], work[1:]
 
 
@@ -139,11 +138,11 @@ def tree_of(profile):
 def test_supply_gone_by_layer_l_minus_2_skips_every_vector(monkeypatch):
     # k=1: buyer 0 takes the unit in layer 1 (her child 1 is in C^P_0 and 2
     # sits in layer 3, so both are removed), so buyer 2 in layer 3 gets
-    # nothing whatever she reports
+    # nothing whatever she reports: the set-up's one run stops at layer 1
     tree = tree_of(make_profile(1, {0}, {0: ((5,), [1]), 1: ((3,), [2]), 2: ((1,), [])}))
     vectors = [(0,), (1,), (50,)]
     setup, per_vector = work_of_rerun(monkeypatch, tree, 1, 2, vectors)
-    assert setup == (1, 0) and per_vector == [(0, 0)] * 3
+    assert setup == (1, 1) and per_vector == [(0, 0)] * 3
     assert [ldm_value_rerun(tree, 1, 2).answer(v) for v in vectors] == [(0, 0)] * 3
 
 
@@ -151,7 +150,7 @@ def test_supply_gone_at_layer_l_minus_1_replays_one_layer(monkeypatch):
     # k=1, mu=1: buyer 0's C^W (quota 1) removes 2, so 3 outbids 0 in layer 1
     # and 0 commits nothing; layer 2 then sells the unit to 2, before buyer
     # 4 in layer 3 (removed from layer 2 as C^W_1) is reached. Layer 2 is
-    # solved once, at set-up, not per vector.
+    # solved once, in the set-up's one run, not per vector.
     profile = make_profile(1, {0}, {
         0: ((1,), [1, 2, 3]), 1: ((0,), [4]), 2: ((6,), []), 3: ((5,), []), 4: ((2,), []),
     })
@@ -160,7 +159,7 @@ def test_supply_gone_at_layer_l_minus_1_replays_one_layer(monkeypatch):
     assert run_ldm_tree(tree, 1).units == {0: 0, 1: 0, 2: 1, 3: 0, 4: 0}
     vectors = [(0,), (2,), (9,)]
     setup, per_vector = work_of_rerun(monkeypatch, tree, 1, 4, vectors)
-    assert setup == (2, 0) and per_vector == [(0, 0)] * 3
+    assert setup == (1, 2) and per_vector == [(0, 0)] * 3
     assert [ldm_value_rerun(tree, 1, 4).answer(v) for v in vectors] == [(0, 0)] * 3
 
 
@@ -170,30 +169,33 @@ def test_value_decides_whether_layer_l_minus_1_sells_out(monkeypatch):
     # 2. Truthful, 4 is among them and 6 (7) outbids every layer-2 member, so
     # layer 2 commits nothing and 4 wins in layer 3. Reporting 0 puts 4
     # outside C^W_1; then 2 (6) is the top bid of layer 2 and takes the unit.
-    # The rerun solves layer 2 once, with 4 in C^W_1, and answers (0, 0) for
-    # every vector that leaves her out of it.
+    # The rerun's one run solves layer 2 once, with 4 in C^W_1, and layer 3,
+    # and answers (0, 0) for every vector that leaves her out of it.
     profile = make_profile(1, {0}, {
         0: ((1,), [1, 2, 3]), 1: ((0,), [4, 5, 6]), 2: ((6,), []), 3: ((5,), []),
         4: ((9,), []), 5: ((8,), []), 6: ((7,), []),
     })
     tree = tree_of(profile)
     setup, per_vector = work_of_rerun(monkeypatch, tree, 1, 4, [(9,), (0,)])
-    assert setup == (2, 1) and per_vector == [(0, 0)] * 2
+    assert setup == (1, 3) and per_vector == [(0, 0)] * 2
     rerun = ldm_value_rerun(tree, 1, 4).answer
     assert rerun((9,))[0] == 1 and rerun((0,)) == (0, 0)
     assert run_ldm_tree(tree.with_values(4, (0,)), 1).trace.layers[1].k_remain_after == 0
 
 
 def test_rerun_solves_at_most_layers_l_minus_1_and_l(monkeypatch):
-    # no vector solves a layer or sorts a pool: set-up solves the layers
-    # before L and sorts layer L's pool once
+    # no vector runs LDM or builds a pool: the set-up is one run, which
+    # builds a pool for each of layers 1..L, fewer only when it sells out
+    # before L, and then every report gets (0, 0)
     for profile in instance_stream(STREAMS[0], 40):
         tree = tree_of(profile)
         mu = robust_mu(profile)
         for i in sorted(tree.valid):
             vectors = integer_value_grid(profile, i, cap=8)
-            (layers, pools), per_vector = work_of_rerun(monkeypatch, tree, mu, i, vectors)
-            assert layers <= tree.layer_of[i] - 1 and pools in (0, 1)
+            (runs, pools), per_vector = work_of_rerun(monkeypatch, tree, mu, i, vectors)
+            layer = tree.layer_of[i]
+            assert runs == 1 and pools <= layer
+            assert pools == layer or ldm_value_rerun(tree, mu, i).menu == ((0, 0),)
             assert set(per_vector) == {(0, 0)}
 
 
@@ -331,7 +333,7 @@ def test_layer_one_buyer(monkeypatch):
         vectors = integer_value_grid(profile, i, cap=10_000)
         assert_matches_on(profile, 1, i, vectors)
         setup, per_vector = work_of_rerun(monkeypatch, tree, 1, i, vectors)
-        assert setup == (0, 1) and set(per_vector) == {(0, 0)}
+        assert setup == (1, 1) and set(per_vector) == {(0, 0)}
 
 
 def test_her_units_decide_a_layer_l_minus_1_sell_out():
@@ -636,6 +638,32 @@ def test_run_read_refuses_a_buyer_outside_her_parents_removed_set():
     assert run_read(profile, 1, 3) is None
     assert outside_parent_removed_set(market, 1, 3)
     assert run_read(profile, 1, 2) is not None and run_read(profile, 1, 4) is not None
+
+
+def test_set_up_top_bid_wins_a_quota_of_one(monkeypatch):
+    # K = 1 and mu = |C^P_0| = 1, so 0's C^W quota is exactly 1: the least
+    # the top bid needs to put a refused buyer in her parent's C^R. Buyer 3
+    # ties 2's first unit and the tie goes to 2, so 3 is free in layer 1 at
+    # the truth, outbids 0 there and leaves the unit for layer 2, where 2
+    # wins it. The harness sets up her rerun, one run at her top bid: up to
+    # 5 she stays out of C^W_0 and gets (0, 0); from 6 she wins at 2's 5.
+    profile = make_profile(1, {0}, {
+        0: ((2,), [1, 2, 3]), 1: ((1,), [4]), 2: ((5,), []), 3: ((5,), []), 4: ((3,), []),
+    })
+    tree = tree_of(profile)
+    assert potential_inviters(tree, 0) == {1} and robust_mu(profile) == 1
+    assert tree.first_unit(2) == tree.first_unit(3) and outside_parent_removed_set(tree, 1, 3)
+    reruns = counted_reruns(monkeypatch)
+    assert all(r.ok for r in run_properties(profile, "ldm", ("ir", "invite-ic", "value-ic")))
+    [(path, market, _i, rerun)] = [found for found in reruns if found[2] == 3]
+    assert path == "set-up" and market.profile is profile
+    vectors = integer_value_grid(profile, 3)
+    assert vectors == [(v,) for v in range(7, -1, -1)]  # the full grid: v_cap 7, k 1
+    replayed = ref.ldm_value_rerun(tree, 1, 3).answer
+    answers = [rerun.answer(v) for v in vectors]
+    assert answers == [replayed(v) for v in vectors] == [black_box(tree, 1, 3, v) for v in vectors]
+    assert answers == [(1, 5)] * 2 + [(0, 0)] * 6
+    assert rerun.menu == ((0, 0), (1, 5))
 
 
 def test_run_read_sell_out_at_layer_l_minus_2_reads_no_parent_set():
