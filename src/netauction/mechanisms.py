@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ContractError, ValidationError
 from .market import (
@@ -54,8 +54,8 @@ class LayerRecord:
 @dataclass(frozen=True)
 class LdmTrace:
     """A run's layer records on `market` at `mu`, and, for the reads of the
-    run (`ldm_run_value_rerun`, `ldm_run_peer_outcomes`), each processed
-    layer's free set and welfare pool."""
+    run (`ldm_run_*`), each processed layer's free set and welfare pool; a
+    value rerun's set-up, a walk with no pricing, records no layer."""
 
     mu: int
     layers: tuple[LayerRecord, ...]
@@ -131,9 +131,10 @@ def run_vcg_first_layer(market: Market) -> Outcome:
 
     Every other valid buyer gets 0 units and pays 0. Reserve dummies bid in
     layer 1 like any neighbor; units they win are withheld. The auction is
-    LDM's layer loop over layer 1 alone, at mu 0: a buyer's children lie
-    outside that pool, so SW_{-D_i} there is SW_{-i} and LDM's payment is
-    the Clarke payment. The trace is that one layer's `LdmTrace`.
+    LDM's priced layer loop over layer 1 alone, at mu 0: a buyer's children
+    lie outside that pool, so SW_{-D_i} there is SW_{-i} and LDM's payment
+    is the Clarke payment; its trace is that layer's (LDM's checks read VCG
+    off LDM's run: `ldm_run_vcg_first_layer`).
     """
     return _ldm_layers(market, 0, market.layers[:1])
 
@@ -281,33 +282,45 @@ def run_ldm_tree(market: Market, mu: int,
     return _ldm_layers(market, mu, layer_free_sets(market, mu), order)
 
 
+def _commit_walk(market: Market, free_sets: Iterable[frozenset[BuyerId]],
+                 ) -> Iterator[tuple[frozenset[BuyerId], WelfarePool, WelfareResult]]:
+    """LDM's layer loop: for each F_l of `free_sets`, (F_l, its pool at the
+    supply left, the pool's `best()`); then layer l commits its units of
+    that optimum, until none are left. A pool holds free buyers only: each
+    payment is a difference of welfares over the frozen layers, which cancel."""
+    supply, layer_of = market.k, market.layer_of
+    for l, free in enumerate(free_sets, start=1):
+        pool = WelfarePool(market, free, supply)
+        layer_opt = pool.best()
+        yield free, pool, layer_opt
+        supply -= sum(m for j, m in layer_opt.allocation.items() if layer_of[j] == l)
+        if not supply:
+            return
+
+
 def _ldm_layers(market: Market, mu: int, free_sets: Iterable[frozenset[BuyerId]],
                 order: Sequence[BuyerId] | None = None) -> Outcome:
-    """LDM's layer loop over `free_sets`, F_1, F_2, ..., with mu the value
-    its trace records. A layer's pool holds its free buyers only: every
-    payment is a difference of two welfares over the frozen layers, where
-    they cancel."""
+    """The commit walk, each layer priced and recorded; the trace records mu."""
     units = {i: 0 for i in market.valid if not is_dummy(i)}
     payments = dict(units)
-    supply = market.k
-    frozen: dict[BuyerId, int] = {}  # processed buyers holding units: at most K
+    tentative: dict[BuyerId, int] = {}  # the previous layer's optimum, frozen units included
     records: list[LayerRecord] = []
     pools: list[tuple[frozenset[BuyerId], WelfarePool]] = []
     position = None if order is None else {b: p for p, b in enumerate(order)}
-    for l, free in enumerate(free_sets, start=1):
+    for l, (free, pool, layer_opt) in enumerate(_commit_walk(market, free_sets), start=1):
         members = sorted(market.layers[l - 1])
         if position is not None:
             if missing := [b for b in members if b not in position]:
                 raise ContractError(f"order leaves out layer member {missing[0]}")
             members.sort(key=position.__getitem__)
-        pool = WelfarePool(market, free, supply)
-        layer_opt = pool.best()
         pools.append((free, pool))
-        # the trace alone adds back the frozen layers' units and welfare
+        # the trace alone adds back the frozen layers' units (at most K) and welfare
+        frozen = {j: m for j, m in tentative.items() if market.layer_of[j] < l}
         tentative = frozen | layer_opt.allocation
         value = {j: cumulative_value(market.values_of(j), m) for j, m in tentative.items()}
         frozen_welfare = sum(value[j] for j in frozen)
         sw_d: dict[BuyerId, Money] = {}
+        supply = pool.budget
         for i in members:
             won = layer_opt.units_of(i)
             supply -= won
@@ -324,9 +337,6 @@ def _ldm_layers(market: Market, mu: int, free_sets: Iterable[frozenset[BuyerId]]
             sw_minus_d=sw_d,
             k_remain_after=supply,
         ))
-        if supply == 0:
-            break
-        frozen = {j: m for j, m in tentative.items() if market.layer_of[j] <= l}
     return Outcome(units=units, payments=payments,
                    trace=LdmTrace(mu, tuple(records), market, tuple(pools)))
 
@@ -352,17 +362,18 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
     C^R_p, inside W_{L-1}; i's units and payment are final once layer L is
     processed. Every v that puts i in C^R_p gives the same C^R_p, so the
     same layers before L; any other v gets (0, 0) (notes/decisions.md, "A
-    value rerun is a read of one run"). So the rerun is read from one run
-    at a bid above every first unit for each unit: it puts i in C^R_p,
-    whose C^W quota K + mu - |C^P_p| is at least K; it takes every unit
-    layer L has left, so the run stops there; and the read leaves her
-    marginals out of every sum. A run sold out before layer L, or a dummy
-    i, gives ((0, 0),). Its callers: a graph deviation that no run answers,
-    and a buyer `ldm_run_value_rerun` refuses.
+    value rerun is a read of one run"). So the rerun is read from one
+    unpriced commit walk at a bid above every first unit for each unit: it
+    puts i in C^R_p, whose C^W quota K + mu - |C^P_p| is at least K; it
+    takes every unit layer L has left, so the walk stops there; and the
+    read leaves her marginals out of every sum. A walk sold out before
+    layer L, or a dummy i, gives ((0, 0),). Its callers: a graph deviation
+    that no run answers, and a buyer `ldm_run_value_rerun` refuses.
     """
     top = 1 + max(map(market.first_unit, market.valid))
-    run = run_ldm_tree(market.with_values(i, (top,) * market.k), mu)
-    return ldm_run_value_rerun(run.trace, i, market.children[i])
+    bid = market.with_values(i, (top,) * market.k)
+    pools = tuple((free, pool) for free, pool, _ in _commit_walk(bid, layer_free_sets(bid, mu)))
+    return ldm_run_value_rerun(LdmTrace(mu, (), bid, pools), i, market.children[i])
 
 
 def ldm_run_value_rerun(trace: LdmTrace, i: BuyerId,
@@ -373,9 +384,9 @@ def ldm_run_value_rerun(trace: LdmTrace, i: BuyerId,
     her children. For her full report m is `trace.market`; on an own tree,
     where every valid buyer invites exactly her children, m is the market S
     makes. On a graph, a proper S can reattach an invitee she hides: then a
-    run on S's market answers, through `ldm_value_rerun`. None for a buyer
+    walk on S's market answers, through `ldm_value_rerun`. None for a buyer
     outside her parent's C^R, whose rerun must commit layer L - 1 anew:
-    `ldm_value_rerun` reads hers from a run at a top bid.
+    `ldm_value_rerun` reads hers from a walk at a top bid.
 
     i sits in layer L with parent p. Her reports reach the layers before L
     only through C^R_p, in layer L - 1, and her invitations move only the
@@ -436,11 +447,27 @@ def ldm_run_peer_outcomes(outcome: Outcome, j: BuyerId, kept: frozenset[BuyerId]
         return Outcome({}, {})
     else:
         pool, skipped = WelfarePool(market, free - skipped, supply), frozenset()
+    return _priced(market, pool, market.layers[layer - 1] - {j}, skipped)
+
+
+def ldm_run_vcg_first_layer(trace: LdmTrace) -> Outcome:
+    """`run_vcg_first_layer(trace.market)` read off the LDM run that made
+    `trace`: its layer-1 pool less F_1 - layer 1 is VCG's, with i's children
+    outside, so SW_{-D_i} is SW_{-i} (notes/decisions.md). No pool: zeros."""
+    if not trace.pools:
+        return Outcome({}, {})
+    (free, pool), first = trace.pools[0], trace.market.layers[0]
+    return _priced(trace.market, pool, first, free - first)
+
+
+def _priced(market: Market, pool: WelfarePool, members: Iterable[BuyerId],
+            skipped: frozenset[BuyerId]) -> Outcome:
+    """Real `members`' units in `pool.best(skipped)` and LDM payments."""
     layer_opt = pool.best(skipped)
     units: dict[BuyerId, int] = {}
     payments: dict[BuyerId, Money] = {}
-    for i in market.layers[layer - 1]:
-        if i != j and not is_dummy(i):
+    for i in members:
+        if not is_dummy(i):
             units[i] = won = layer_opt.units_of(i)
             payments[i] = _ldm_payment(market, pool, layer_opt, i, won, skipped)[1]
     return Outcome(units, payments)
@@ -471,8 +498,10 @@ def _leaving(trace: LdmTrace, i: BuyerId, kept: frozenset[BuyerId],
     any invitation report of hers: the hidden ones, and the kept ones her
     C^R under S now removes, X = (C_i & F_L) - (S - C^R_i(S)). Every other
     buyer of F_L stays: no other C^R of layer L reads her invitations.
-    Empty when S is all of C_i."""
+    Empty, with no C^R built, when S is all of C_i."""
     market = trace.market
+    if market.children[i] <= kept:
+        return frozenset()
     kept = kept & market.children[i]
     inviters = frozenset(c for c in kept if market.children[c])
     return (market.children[i] & free) - (kept - removed_set_of(market, kept, inviters, trace.mu))

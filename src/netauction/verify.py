@@ -24,7 +24,8 @@ outcomes, `tree` being the same `_Truthful` on an own BFS tree. Under
 LDM's own run and rerun, the truthful run answers the full set's class,
 and, on an own tree, every read, so no deviated market is built
 (`_Truthful.ldm_trace`); any other graph class, and a buyer the run
-refuses, is read from one run of its own (`ldm_value_rerun`).
+refuses, is read from an unpriced walk of its own (`ldm_value_rerun`),
+and the LDM-only properties' first-layer VCG from the truthful run.
 
 A certificate is a menu of (units, payment) pairs that bounds a family of
 one buyer's reports (`mechanisms.Menu`), and `_certifies` is the one check
@@ -73,6 +74,7 @@ from .mechanisms import (
     dna_mu_invitation_menu,
     ldm_run_peer_outcomes,
     ldm_run_value_rerun,
+    ldm_run_vcg_first_layer,
     ldm_value_rerun,
     outcome_welfare,
     run_dna_mu,
@@ -309,7 +311,7 @@ class _lazy:
 
 class _Truthful:
     """An instance as its checks share it: its market, the mechanism's
-    truthful outcome, first-layer VCG's outcome, each buyer's invitation
+    truthful outcome, first-layer VCG's read off it, each buyer's invitation
     reports, and one table per fact of a deviation, keyed by (valid buyer,
     `class_of` her report): its market (`market_of`), the mechanism's value
     rerun (`rerun`), her true-value utility (`utility`) and the run's
@@ -345,7 +347,7 @@ class _Truthful:
 
     @_lazy
     def vcg(self) -> Outcome:
-        return run_vcg_first_layer(self.market)
+        return ldm_run_vcg_first_layer(self.outcome.trace)
 
     @property
     def tree(self) -> _Truthful:
@@ -704,9 +706,8 @@ class VcgComparison:
 
 
 def compare_vs_vcg(market: Market, mu: int) -> VcgComparison:
-    """LDM at mu and first-layer VCG on the same market, and so the same
-    reserve."""
-    return _comparison(market, run_ldm(market, mu), run_vcg_first_layer(market))
+    """LDM at mu and first-layer VCG, read off its run, on the same market."""
+    return _comparison(market, ldm := run_ldm(market, mu), ldm_run_vcg_first_layer(ldm.trace))
 
 
 def _comparison(market: Market, ldm: Outcome, vcg: Outcome) -> VcgComparison:

@@ -114,21 +114,24 @@ def test_run_properties_matches_the_reference_at_the_default_grid():
 
 def counted_set_ups(monkeypatch, runs: list) -> list:
     """Record each LDM value rerun set up (`ldm_value_rerun`) as the number
-    of LDM runs it made, each appended to `runs`, after checking that every
-    one of them is on its market with the buyer bidding one more than any
-    first unit for each unit."""
-    set_ups = []
-    set_up = verify.ldm_value_rerun
+    of commit walks it started, after checking that it made no LDM run,
+    none appended to `runs`, and that every walk is on its market with the
+    buyer bidding one more than any first unit for each unit."""
+    set_ups, walks = [], []
+    set_up, walk = verify.ldm_value_rerun, mechanisms._commit_walk
 
     def setting_up(market, mu, i):
-        before = len(runs)
+        before, ran = len(walks), len(runs)
         found = set_up(market, mu, i)
         top = (1 + max(map(market.first_unit, market.valid)),) * market.k
-        assert all(ran.values_of(i) == top and ran.children is market.children
-                   for ran in runs[before:])
-        set_ups.append(len(runs) - before)
+        assert len(runs) == ran
+        assert all(walked.values_of(i) == top and walked.children is market.children
+                   for walked in walks[before:])
+        set_ups.append(len(walks) - before)
         return found
 
+    monkeypatch.setattr(mechanisms, "_commit_walk",
+                        lambda market, free_sets: walks.append(market) or walk(market, free_sets))
     monkeypatch.setattr(verify, "ldm_value_rerun", setting_up)
     return set_ups
 
@@ -137,10 +140,10 @@ def test_each_deviated_market_is_built_once_and_ldm_runs_once(monkeypatch):
     """`1 + Γ` markets, Γ the classes of the proper subsets the checks walk
     (`ldm_walked_classes`), where a market per subset takes `1 + Σ`, Σ
     those subsets (`ldm_walked_subsets`), and building the table and
-    value-IC's reruns apart `1 + 2Σ`; and one LDM run on the truthful
-    market, besides the one run each value rerun set-up makes on its
-    market at the buyer's top bid: every proper subset is answered by its
-    class's value rerun. On an own tree the truthful run reads every rerun
+    value-IC's reruns apart `1 + 2Σ`; and one LDM run, on the truthful
+    market: each value rerun set-up makes one commit walk and no run, on
+    its market at the buyer's top bid, and every proper subset is answered
+    by its class's value rerun. On an own tree the truthful run reads every rerun
     it does not refuse, so the truthful market is the only one built."""
     built, runs = [], []
     build, run = verify.compute_market, mechanisms.run_ldm_tree
@@ -160,7 +163,7 @@ def test_each_deviated_market_is_built_once_and_ldm_runs_once(monkeypatch):
         proper = ldm_walked_subsets(profile, market)
         classes = 0 if own_tree(profile) else ldm_walked_classes(profile, market)
         assert len(built) == 1 + classes
-        assert set(set_ups) <= {1} and len(runs) == 1 + len(set_ups)
+        assert set(set_ups) <= {1} and len(runs) == 1
         assert [ran.profile is profile for ran in runs].count(True) == 1
         checked += proper
         read += proper if own_tree(profile) else 0
@@ -303,9 +306,9 @@ def test_child_monotonicity_reruns_the_shared_markets(monkeypatch):
     instance builds `Γ` deviated markets besides, Γ the classes of the
     proper subsets the checks walk that are not a full set
     (`ldm_walked_classes`), and its tree profile's market, whose one run
-    answers those deletions. Each value rerun set-up makes one more run,
-    on its market at the buyer's top bid, and child monotonicity sets up
-    none of its own."""
+    answers those deletions. Each value rerun set-up makes one commit walk
+    and no run, on its market at the buyer's top bid, and child
+    monotonicity sets up none of its own."""
     built, runs, deletions = [], [], []
     build, run = verify.compute_market, mechanisms.run_ldm_tree
     read = verify.ldm_run_peer_outcomes
@@ -332,7 +335,7 @@ def test_child_monotonicity_reruns_the_shared_markets(monkeypatch):
         classes = 0 if shared else ldm_walked_classes(profile, tree)
         assert len(built) == 1 + (0 if shared else classes + 1)
         assert set(set_ups) <= {1}
-        assert len(runs) == 1 + (0 if shared else 1) + len(set_ups)
+        assert len(runs) == 1 + (0 if shared else 1)
         assert deletions == shrunk
         counted[shared] += 1
         deviated += classes

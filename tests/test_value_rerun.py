@@ -108,10 +108,11 @@ def test_rerun_matches_black_box_with_reserve_dummies():
 
 
 def work_of_rerun(monkeypatch, tree, mu, i, vectors):
-    """Check each vector against the black box. Returns the LDM runs made and
-    the welfare pools built at set-up, and the same pair for each vector."""
+    """Check each vector against the black box. Returns the LDM runs made,
+    the commit walks started and the welfare pools built at set-up, and the
+    same triple for each vector."""
     expected = [black_box(tree, mu, i, v) for v in vectors]
-    work = [[0, 0]]
+    work = [[0, 0, 0]]
 
     def counting(fn, slot):
         def counted(*args):
@@ -120,12 +121,13 @@ def work_of_rerun(monkeypatch, tree, mu, i, vectors):
         return counted
 
     with monkeypatch.context() as patch:
-        # the run builds each layer's pool through the patched name too
+        # the walk builds each layer's pool through the patched name too
         patch.setattr(mechanisms, "run_ldm_tree", counting(mechanisms.run_ldm_tree, 0))
-        patch.setattr(mechanisms, "WelfarePool", counting(mechanisms.WelfarePool, 1))
+        patch.setattr(mechanisms, "_commit_walk", counting(mechanisms._commit_walk, 1))
+        patch.setattr(mechanisms, "WelfarePool", counting(mechanisms.WelfarePool, 2))
         rerun = ldm_value_rerun(tree, mu, i).answer
         for v, want in zip(vectors, expected):
-            work.append([0, 0])
+            work.append([0, 0, 0])
             assert rerun(v) == want, (i, v)
     work = [tuple(pair) for pair in work]
     return work[0], work[1:]
@@ -138,11 +140,12 @@ def tree_of(profile):
 def test_supply_gone_by_layer_l_minus_2_skips_every_vector(monkeypatch):
     # k=1: buyer 0 takes the unit in layer 1 (her child 1 is in C^P_0 and 2
     # sits in layer 3, so both are removed), so buyer 2 in layer 3 gets
-    # nothing whatever she reports: the set-up's one run stops at layer 1
+    # nothing whatever she reports: the set-up's one walk, which runs no
+    # LDM, stops at layer 1
     tree = tree_of(make_profile(1, {0}, {0: ((5,), [1]), 1: ((3,), [2]), 2: ((1,), [])}))
     vectors = [(0,), (1,), (50,)]
     setup, per_vector = work_of_rerun(monkeypatch, tree, 1, 2, vectors)
-    assert setup == (1, 1) and per_vector == [(0, 0)] * 3
+    assert setup == (0, 1, 1) and per_vector == [(0, 0, 0)] * 3
     assert [ldm_value_rerun(tree, 1, 2).answer(v) for v in vectors] == [(0, 0)] * 3
 
 
@@ -150,7 +153,7 @@ def test_supply_gone_at_layer_l_minus_1_replays_one_layer(monkeypatch):
     # k=1, mu=1: buyer 0's C^W (quota 1) removes 2, so 3 outbids 0 in layer 1
     # and 0 commits nothing; layer 2 then sells the unit to 2, before buyer
     # 4 in layer 3 (removed from layer 2 as C^W_1) is reached. Layer 2 is
-    # solved once, in the set-up's one run, not per vector.
+    # solved once, in the set-up's one walk, not per vector.
     profile = make_profile(1, {0}, {
         0: ((1,), [1, 2, 3]), 1: ((0,), [4]), 2: ((6,), []), 3: ((5,), []), 4: ((2,), []),
     })
@@ -159,7 +162,7 @@ def test_supply_gone_at_layer_l_minus_1_replays_one_layer(monkeypatch):
     assert run_ldm_tree(tree, 1).units == {0: 0, 1: 0, 2: 1, 3: 0, 4: 0}
     vectors = [(0,), (2,), (9,)]
     setup, per_vector = work_of_rerun(monkeypatch, tree, 1, 4, vectors)
-    assert setup == (1, 2) and per_vector == [(0, 0)] * 3
+    assert setup == (0, 1, 2) and per_vector == [(0, 0, 0)] * 3
     assert [ldm_value_rerun(tree, 1, 4).answer(v) for v in vectors] == [(0, 0)] * 3
 
 
@@ -169,7 +172,7 @@ def test_value_decides_whether_layer_l_minus_1_sells_out(monkeypatch):
     # 2. Truthful, 4 is among them and 6 (7) outbids every layer-2 member, so
     # layer 2 commits nothing and 4 wins in layer 3. Reporting 0 puts 4
     # outside C^W_1; then 2 (6) is the top bid of layer 2 and takes the unit.
-    # The rerun's one run solves layer 2 once, with 4 in C^W_1, and layer 3,
+    # The rerun's one walk solves layer 2 once, with 4 in C^W_1, and layer 3,
     # and answers (0, 0) for every vector that leaves her out of it.
     profile = make_profile(1, {0}, {
         0: ((1,), [1, 2, 3]), 1: ((0,), [4, 5, 6]), 2: ((6,), []), 3: ((5,), []),
@@ -177,26 +180,26 @@ def test_value_decides_whether_layer_l_minus_1_sells_out(monkeypatch):
     })
     tree = tree_of(profile)
     setup, per_vector = work_of_rerun(monkeypatch, tree, 1, 4, [(9,), (0,)])
-    assert setup == (1, 3) and per_vector == [(0, 0)] * 2
+    assert setup == (0, 1, 3) and per_vector == [(0, 0, 0)] * 2
     rerun = ldm_value_rerun(tree, 1, 4).answer
     assert rerun((9,))[0] == 1 and rerun((0,)) == (0, 0)
     assert run_ldm_tree(tree.with_values(4, (0,)), 1).trace.layers[1].k_remain_after == 0
 
 
 def test_rerun_solves_at_most_layers_l_minus_1_and_l(monkeypatch):
-    # no vector runs LDM or builds a pool: the set-up is one run, which
-    # builds a pool for each of layers 1..L, fewer only when it sells out
-    # before L, and then every report gets (0, 0)
+    # no vector runs LDM or builds a pool: the set-up is one commit walk and
+    # no LDM run, which builds a pool for each of layers 1..L, fewer only
+    # when it sells out before L, and then every report gets (0, 0)
     for profile in instance_stream(STREAMS[0], 40):
         tree = tree_of(profile)
         mu = robust_mu(profile)
         for i in sorted(tree.valid):
             vectors = integer_value_grid(profile, i, cap=8)
-            (runs, pools), per_vector = work_of_rerun(monkeypatch, tree, mu, i, vectors)
+            (runs, walks, pools), per_vector = work_of_rerun(monkeypatch, tree, mu, i, vectors)
             layer = tree.layer_of[i]
-            assert runs == 1 and pools <= layer
+            assert runs == 0 and walks == 1 and pools <= layer
             assert pools == layer or ldm_value_rerun(tree, mu, i).menu == ((0, 0),)
-            assert set(per_vector) == {(0, 0)}
+            assert set(per_vector) == {(0, 0, 0)}
 
 
 def assert_matches_on(profile, mu, i, vectors):
@@ -333,7 +336,7 @@ def test_layer_one_buyer(monkeypatch):
         vectors = integer_value_grid(profile, i, cap=10_000)
         assert_matches_on(profile, 1, i, vectors)
         setup, per_vector = work_of_rerun(monkeypatch, tree, 1, i, vectors)
-        assert setup == (1, 1) and set(per_vector) == {(0, 0)}
+        assert setup == (0, 1, 1) and set(per_vector) == {(0, 0, 0)}
 
 
 def test_her_units_decide_a_layer_l_minus_1_sell_out():
@@ -764,3 +767,36 @@ def test_full_set_reads_match_the_set_up_on_graphs(stream):
         reads, beyond = reads + found[0], beyond + found[1]
     assert (reads, beyond) == {"seed11-graph": (50028, 46539),
                                "seed303-graph": (14702, 11043)}[stream]
+
+
+def test_a_read_keeping_every_child_builds_no_removed_set(monkeypatch):
+    # `_leaving` answers X = {} before it builds C^R_i when `kept` holds
+    # every child of i, as every full-set read and every set-up's read does;
+    # a read that hides a child still builds it once. The answers are the
+    # replayed rerun's.
+    built = []
+    build = mechanisms.removed_set_of
+    monkeypatch.setattr(mechanisms, "removed_set_of",
+                        lambda *args: built.append(args) or build(*args))
+    reads = hiding = 0
+    for profile in (*instance_stream(STREAMS[0], 40), inviting_invitees()):
+        market = compute_market(profile)
+        mu = robust_mu(profile)
+        trace = run_ldm_tree(market, mu).trace
+        for i in sorted(market.valid):
+            children = market.children[i]
+            for kept in {children, profile.reports[i].invited}:
+                built.clear()
+                found = ldm_run_value_rerun(trace, i, kept)
+                assert built == []
+                if found is not None:
+                    replayed = ref.ldm_value_rerun(market, mu, i).answer
+                    for v in (profile.reports[i].values, *integer_value_grid(profile, i, cap=8)):
+                        assert found.answer(v) == replayed(v), (i, v)
+                    reads += 1
+            if children and ldm_run_value_rerun(trace, i, children) is not None:
+                built.clear()
+                ldm_run_value_rerun(trace, i, frozenset())
+                hiding += 1
+                assert len(built) == (market.layer_of[i] <= len(trace.pools))
+    assert (reads, hiding) == (175, 72)
