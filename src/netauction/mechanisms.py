@@ -283,17 +283,20 @@ def run_ldm_tree(market: Market, mu: int,
 
 
 def _commit_walk(market: Market, free_sets: Iterable[frozenset[BuyerId]],
-                 ) -> Iterator[tuple[frozenset[BuyerId], WelfarePool, WelfareResult]]:
+                 ) -> Iterator[tuple[frozenset[BuyerId], WelfarePool, WelfareResult, int]]:
     """LDM's layer loop: for each F_l of `free_sets`, (F_l, its pool at the
-    supply left, the pool's `best()`); then layer l commits its units of
-    that optimum, until none are left. A pool holds free buyers only: each
-    payment is a difference of welfares over the frozen layers, which cancel."""
+    supply left, the pool's `best()`, the supply left once layer l commits
+    its units of that optimum), until none are left. A pool holds free
+    buyers only: each payment is a difference of welfares over the frozen
+    layers, which cancel."""
     supply, layer_of = market.k, market.layer_of
     for l, free in enumerate(free_sets, start=1):
         pool = WelfarePool(market, free, supply)
         layer_opt = pool.best()
-        yield free, pool, layer_opt
-        supply -= sum(m for j, m in layer_opt.allocation.items() if layer_of[j] == l)
+        for j, m in layer_opt.allocation.items():
+            if layer_of[j] == l:
+                supply -= m
+        yield free, pool, layer_opt, supply
         if not supply:
             return
 
@@ -307,7 +310,7 @@ def _ldm_layers(market: Market, mu: int, free_sets: Iterable[frozenset[BuyerId]]
     records: list[LayerRecord] = []
     pools: list[tuple[frozenset[BuyerId], WelfarePool]] = []
     position = None if order is None else {b: p for p, b in enumerate(order)}
-    for l, (free, pool, layer_opt) in enumerate(_commit_walk(market, free_sets), start=1):
+    for l, (free, pool, layer_opt, left) in enumerate(_commit_walk(market, free_sets), start=1):
         members = sorted(market.layers[l - 1])
         if position is not None:
             if missing := [b for b in members if b not in position]:
@@ -320,10 +323,8 @@ def _ldm_layers(market: Market, mu: int, free_sets: Iterable[frozenset[BuyerId]]
         value = {j: cumulative_value(market.values_of(j), m) for j, m in tentative.items()}
         frozen_welfare = sum(value[j] for j in frozen)
         sw_d: dict[BuyerId, Money] = {}
-        supply = pool.budget
         for i in members:
             won = layer_opt.units_of(i)
-            supply -= won
             sw_d[i], payment = _ldm_payment(market, pool, layer_opt, i, won)
             sw_d[i] += frozen_welfare
             if not is_dummy(i):
@@ -335,7 +336,7 @@ def _ldm_layers(market: Market, mu: int, free_sets: Iterable[frozenset[BuyerId]]
             tentative_units=tentative,
             tentative_value=value,
             sw_minus_d=sw_d,
-            k_remain_after=supply,
+            k_remain_after=left,
         ))
     return Outcome(units=units, payments=payments,
                    trace=LdmTrace(mu, tuple(records), market, tuple(pools)))
@@ -372,7 +373,8 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
     """
     top = 1 + max(map(market.first_unit, market.valid))
     bid = market.with_values(i, (top,) * market.k)
-    pools = tuple((free, pool) for free, pool, _ in _commit_walk(bid, layer_free_sets(bid, mu)))
+    walk = _commit_walk(bid, layer_free_sets(bid, mu))
+    pools = tuple((free, pool) for free, pool, _, _ in walk)
     return ldm_run_value_rerun(LdmTrace(mu, (), bid, pools), i, market.children[i])
 
 

@@ -20,9 +20,11 @@ utility, the truthful outcome's for that class, else the rerun's answer
 at her true values, or, for a black box, the one run's on the market;
 `outcome_of` is that run. IR, invitation-IC and value-IC walk the same
 lists and read the same tables; child monotonicity reads `tree`'s
-outcomes, `tree` being the same `_Truthful` on an own BFS tree. Under
-LDM's own run and rerun, the truthful run answers the full set's class,
-and, on an own tree, every read, so no deviated market is built
+outcomes, `tree` being the same `_Truthful` on an own BFS tree. What the
+harness may assume of a mechanism is declared in its record, never
+inferred from its functions. Under a record that declares LDM's run and
+rerun (`ldm_mu`), the truthful run answers the full set's class, and, on
+an own tree, every read, so no deviated market is built
 (`_Truthful.ldm_trace`); any other graph class, and a buyer the run
 refuses, is read from an unpriced walk of its own (`ldm_value_rerun`),
 and the LDM-only properties' first-layer VCG from the truthful run.
@@ -52,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from math import comb
-from typing import Callable, ClassVar, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ContractError, SearchBudgetExceeded, TraceMissing
 from .market import (
@@ -90,7 +92,8 @@ DEFAULT_GRID_CAP = 128
 
 @dataclass(frozen=True)
 class MechanismUnderTest:
-    """A named mechanism as the CLI runs it and the checkers rerun it.
+    """A named mechanism as the CLI runs it and the checkers rerun it: the
+    one record of what it declares about itself.
 
     `run` maps a computed market to the outcome; `market.profile` keeps the
     raw reports for a mechanism that needs them. `value_rerun(market, i)`
@@ -105,20 +108,25 @@ class MechanismUnderTest:
     function from a valid buyer to a menu bounding every invitation report
     of hers, or None, or is None itself; `check_invitation_ic` skips the
     subsets of a buyer whose menu certifies her full report. Left out, every
-    subset is enumerated. Only LDM's class sets `prunes_subsets`: its menu
-    also proves IR and value-IC (notes/decisions.md), so every check walks
-    only a certified buyer's empty and full sets. `reads_tree`, set by every
-    registered mechanism's class, declares that it reads only the market's
-    tree and values, so reports keeping the same children share one
-    deviation (`_Truthful.class_of`); a black box may read `market.profile`.
+    subset is enumerated.
+
+    `reads_tree`, declared by every registered mechanism, says that it
+    reads only the market's tree and values, so reports keeping the same
+    children share one deviation (`_Truthful.class_of`); a black box may
+    read `market.profile`. `ldm_mu`, declared only by `ldm_mechanism`, says
+    that `run` and `value_rerun` are LDM's own at that mu: the truthful run
+    then answers reruns and outcomes (`_Truthful.ldm_trace`, which checks
+    that the run's trace is LDM's at that mu), and, since LDM's menu also
+    proves IR and value-IC (notes/decisions.md), every check walks only a
+    certified buyer's empty and full sets.
     """
 
     name: str
     run: Callable[[Market], Outcome]
     value_rerun: Callable[[Market, BuyerId], ValueRerun] | None = None
     invitation_menu: Callable[[_Truthful], Callable[[BuyerId], Menu | None] | None] | None = None
-    prunes_subsets: ClassVar[bool] = False
-    reads_tree: ClassVar[bool] = False
+    reads_tree: bool = False
+    ldm_mu: int | None = None
 
     def __post_init__(self):
         if self.value_rerun is None:
@@ -130,17 +138,6 @@ class MechanismUnderTest:
         market: then a deviation's true-value utility is read off the one
         run on its market (`_Truthful.utility`)."""
         return getattr(self.value_rerun, "func", None) is _with_values_rerun
-
-    @property
-    def ldm_mu(self) -> int | None:
-        """mu when `run` and `value_rerun` are LDM's own at one mu
-        (`ldm_mechanism`): then a value rerun on the truthful market is
-        read from the truthful run (`_Truthful.rerun`). Else None."""
-        run, rerun = self.run, self.value_rerun
-        if (getattr(run, "func", None) is _run_ldm and getattr(rerun, "func", None) is _ldm_rerun
-                and run.args == rerun.args):
-            return run.args[0]
-        return None
 
 
 def _with_values_rerun(run: Callable[[Market], Outcome], market: Market,
@@ -162,29 +159,15 @@ def given_mu(instance: ReportProfile, mu: int | None) -> int | None:
     return mu if mu is not None else instance.mu
 
 
-# The only definition of each mechanism. The lambdas and helpers look the
-# run functions up by name when called, so wrappers installed on this module
-# (such as tracing spans) see every run.
+# The only definition of each mechanism. The lambdas look the run functions
+# up by name when called, so wrappers installed on this module (such as
+# tracing spans) see every run.
 def ldm_mechanism(mu: int) -> MechanismUnderTest:
     """LDM at `mu`."""
-    return _Ldm("ldm", partial(_run_ldm, mu), partial(_ldm_rerun, mu),
-                lambda truth: _ldm_invitation_menu(truth, mu))
-
-
-def _run_ldm(mu: int, market: Market) -> Outcome:
-    return run_ldm(market, mu)
-
-
-def _ldm_rerun(mu: int, market: Market, i: BuyerId) -> ValueRerun:
-    return ldm_value_rerun(market, mu, i)
-
-
-class _TreeReader(MechanismUnderTest):
-    reads_tree = True
-
-
-class _Ldm(_TreeReader):
-    prunes_subsets = True
+    return MechanismUnderTest("ldm", lambda market: run_ldm(market, mu),
+                              lambda market, i: ldm_value_rerun(market, mu, i),
+                              lambda truth: _ldm_invitation_menu(truth, mu),
+                              reads_tree=True, ldm_mu=mu)
 
 
 def _ldm_invitation_menu(truth: _Truthful, mu: int) -> Callable[[BuyerId], Menu | None] | None:
@@ -205,13 +188,15 @@ def _ldm_invitation_menu(truth: _Truthful, mu: int) -> Callable[[BuyerId], Menu 
 
 
 def dna_mu_mechanism() -> MechanismUnderTest:
-    return _TreeReader(
+    return MechanismUnderTest(
         "dna-mu", lambda market: run_dna_mu(market),
-        invitation_menu=lambda truth: dna_mu_invitation_menu(truth.market, truth.outcome))
+        invitation_menu=lambda truth: dna_mu_invitation_menu(truth.market, truth.outcome),
+        reads_tree=True)
 
 
 def vcg_mechanism() -> MechanismUnderTest:
-    return _TreeReader("vcg-l1", lambda market: run_vcg_first_layer(market))
+    return MechanismUnderTest("vcg-l1", lambda market: run_vcg_first_layer(market),
+                              reads_tree=True)
 
 
 @dataclass(frozen=True)
@@ -376,16 +361,18 @@ class _Truthful:
 
     @_lazy
     def ldm_trace(self) -> LdmTrace | None:
-        """The truthful run's trace, when the mechanism's run and rerun are
-        LDM's own (`ldm_mu`) at a mu the market admits, so that reading the
-        run raises nothing, and the trace is that run's on this market at
-        that mu; else None. Every read of a rerun or an outcome from the
-        run goes through it (notes/decisions.md)."""
+        """The truthful run's trace, when the mechanism declares its run and
+        rerun LDM's own (`ldm_mu`) at a mu the market admits, so that reading
+        the run raises nothing, and the trace is an `LdmTrace` on this market
+        at that mu, so that the declaration holds of the run; else None.
+        Every read of a rerun or an outcome from the run goes through it
+        (notes/decisions.md)."""
         mu = self.mechanism.ldm_mu
         if mu is None or mu < self.min_valid_mu:
             return None
         trace = self.outcome.trace
-        return trace if trace.market is self.market and trace.mu == mu else None
+        return (trace if isinstance(trace, LdmTrace) and trace.market is self.market
+                and trace.mu == mu else None)
 
     @_lazy
     def certified(self) -> frozenset[BuyerId]:
@@ -406,16 +393,16 @@ class _Truthful:
 
     def subsets(self, i: BuyerId) -> list[frozenset[BuyerId]]:
         """Buyer i's invitation reports, by size, her full set last, listed
-        once: her empty and full sets when the mechanism `prunes_subsets` and
-        she is `certified`, else every subset of her invitations, which raise
-        `SearchBudgetExceeded` past `MAX_INVITES_EXHAUSTIVE`.
+        once: her empty and full sets when the mechanism declares `ldm_mu`
+        and she is `certified`, else every subset of her invitations, which
+        raise `SearchBudgetExceeded` past `MAX_INVITES_EXHAUSTIVE`.
 
         The order decides which deviation raises first: at an undersized mu
         each deviated market may name a different required bound."""
         found = self._subset_lists.get(i)
         if found is None:
             invited = self.instance.reports[i].invited
-            if self.mechanism.prunes_subsets and i in self.certified:
+            if self.mechanism.ldm_mu is not None and i in self.certified:
                 found = [frozenset()]
             elif len(invited) > MAX_INVITES_EXHAUSTIVE:
                 raise SearchBudgetExceeded(f"{len(invited)} invites exceed the exhaustive "

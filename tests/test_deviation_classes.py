@@ -123,11 +123,6 @@ def invitation_charge(market):
                    payments={i: len(reports[i].invited) for i in market.valid})
 
 
-class _ClaimsTree(MechanismUnderTest):
-    """The same black box, wrongly declared to read only the tree."""
-    reads_tree = True
-
-
 def test_a_black_box_reading_the_reports_gets_one_fact_per_subset(monkeypatch):
     """Its invitation-IC reports every hidden invitation, as the reference
     does, with one market per proper subset. Declared a tree reader, it
@@ -137,7 +132,8 @@ def test_a_black_box_reading_the_reports_gets_one_fact_per_subset(monkeypatch):
     monkeypatch.setattr(verify, "compute_market",
                         lambda profile: built.append(profile) or build(profile))
     box = MechanismUnderTest("invitation-charge", invitation_charge)
-    claimed = _ClaimsTree("invitation-charge", invitation_charge)
+    # the same black box, wrongly declared to read only the tree
+    claimed = MechanismUnderTest("invitation-charge", invitation_charge, reads_tree=True)
     subsets = differ = 0
     for profile, market in graphs("seed302-graph"):
         built.clear()

@@ -146,28 +146,30 @@ def test_a_certificate_without_the_empty_set_would_miss_violations():
     assert found > 50 and missed > 20
 
 
-def test_only_ldms_own_run_and_rerun_read_the_truthful_run(monkeypatch):
-    """The truthful run answers the full sets' reruns only when both `run`
-    and `value_rerun` are LDM's own at one mu: a mechanism that replaces
-    either, even by an equal function, keeps the per-buyer set-up."""
+def test_only_a_declared_ldm_mu_reads_the_truthful_run(monkeypatch):
+    """The truthful run answers the full sets' reruns only when the record
+    declares `ldm_mu` and the run's trace is LDM's at that mu: a record
+    that declares no mu, declares another mu than its run's, or runs a
+    mechanism whose outcome carries no LDM trace keeps the per-buyer
+    set-up. Every report list is the reference's."""
     mu = 2
     ldm = ldm_mechanism(mu)
-    replaced = {
+    declared = {
         "own": ldm,
-        "run": dataclasses.replace(ldm, run=lambda market: run_ldm(market, mu)),
-        "rerun": dataclasses.replace(ldm, value_rerun=lambda market, i: ldm.value_rerun(market, i)),
-        "other-mu": dataclasses.replace(ldm, value_rerun=ldm_mechanism(mu + 1).value_rerun),
+        "undeclared": dataclasses.replace(ldm, ldm_mu=None),
+        "other-mu": dataclasses.replace(ldm, ldm_mu=mu + 1),
         "subsidy": subsidised(mu),
     }
-    assert {name: m.ldm_mu for name, m in replaced.items()} == {
-        "own": mu, "run": None, "rerun": None, "other-mu": None, "subsidy": None}
+    assert {name: m.ldm_mu for name, m in declared.items()} == {
+        "own": mu, "undeclared": None, "other-mu": mu + 1, "subsidy": mu}
     reruns = counted_reruns(monkeypatch)
     profile = fixture("fig3")
-    for name, mechanism in replaced.items():
+    for name, mechanism in declared.items():
         reruns.clear()
-        check_invitation_ic(mechanism, profile)
+        found = check_invitation_ic(mechanism, profile)
         paths = {path for path, market, _i, _rerun in reruns if market.profile is profile}
         assert paths == ({"run"} if name == "own" else {"set-up"}), name
+        assert found == ref.check_invitation_ic(mechanism, profile), name
 
 
 @pytest.mark.parametrize("mechanism", [dna_mu_mechanism(), vcg_mechanism(),

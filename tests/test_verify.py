@@ -513,6 +513,17 @@ def test_run_properties_flags_dna_mu(counterexample_profile):
     assert results[0].reports
 
 
+def test_registry_declarations_agree():
+    """Every registered mechanism reads only the tree, and declares LDM's
+    run at mu exactly when its entry is layered: `layered` and `ldm_mu`
+    state the same fact, so they must not drift apart."""
+    for name, entry in verify.MECHANISMS.items():
+        for mu in (0, 3):
+            mechanism = entry.checked(mu)
+            assert mechanism.reads_tree is True, name
+            assert mechanism.ldm_mu == (mu if entry.layered else None), (name, mu)
+
+
 def test_run_properties_refuses_unknown_and_unlayered_mechanisms(t4_profile):
     with pytest.raises(ContractError, match="unknown mechanism"):
         run_properties(t4_profile, "vcg", ("ir",))
