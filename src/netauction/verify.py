@@ -5,29 +5,29 @@ randomized counterexample search.
 Checkers treat a mechanism as a black box over computed markets
 (`MechanismUnderTest`). An invitation deviation builds its own market, so
 buyers it disconnects correctly earn zero; a value misreport goes through
-the mechanism's `value_rerun` hook, by default `run` on
-`Market.with_values`, which must agree with `run` exactly. Utilities are
-always evaluated against the buyer's TRUE values from the untouched
-instance. The checks of one `run_properties` call share one truthful
-instance (`_Truthful`), which holds the one enumeration of invitation
-deviations: `subsets(i)` lists buyer i's invitation reports, her full set
-last. Each fact of one is a table keyed by (buyer, class), filled on first
-read; a class is one report, or, when the mechanism `reads_tree`, every
-report keeping the same children (`_Truthful.class_of`). `market_of` is
-its market, the truthful one for her full set's class, else built once;
-`rerun` is `value_rerun` on that market; `utility` is her true-value
-utility, the truthful outcome's for that class, else the rerun's answer
-at her true values, or, for a black box, the one run's on the market;
-`outcome_of` is that run. IR, invitation-IC and value-IC walk the same
-lists and read the same tables; child monotonicity reads `tree`'s
-outcomes, `tree` being the same `_Truthful` on an own BFS tree. What the
-harness may assume of a mechanism is declared in its record, never
-inferred from its functions. Under a record that declares LDM's run and
-rerun (`ldm_mu`), the truthful run answers the full set's class, and, on
-an own tree, every read, so no deviated market is built
-(`_Truthful.ldm_trace`); any other graph class, and a buyer the run
-refuses, is read from an unpriced walk of its own (`ldm_value_rerun`),
-and the LDM-only properties' first-layer VCG from the truthful run.
+the mechanism's value rerun (`MechanismUnderTest.rerun_on`), by default
+`run` on `Market.with_values`, which must agree with `run` exactly.
+Utilities are always evaluated against the buyer's TRUE values from the
+untouched instance. The checks of one `run_properties` call share one
+truthful instance (`_Truthful`), which holds the one enumeration of
+invitation deviations: `subsets(i)` lists one report of buyer i per class
+of the reports her mechanism cannot tell apart, as its record declares
+(`reads`), her full set last. Each fact of a report is a table keyed by
+(buyer, report), filled on first read. `market_of` is its market, the
+truthful one for her full set, else built once; `rerun` is the value rerun
+on that market; `utility` is her true-value utility, the truthful
+outcome's for her full set, else the rerun's answer at her true values,
+or, for a black box, the one run's on the market; `outcome_of` is that
+run. IR, invitation-IC and value-IC walk the same lists and read the same
+tables; child monotonicity reads `tree`'s outcomes, `tree` being the same
+`_Truthful` on an own BFS tree. What the harness may assume of a mechanism
+is declared in its record, never inferred from its functions. Under a
+record that declares LDM's run and rerun (`ldm_mu`), the truthful run
+answers the full set, and, on an own tree, every read, so no deviated
+market is built (`_Truthful.ldm_trace`); any other graph report, and a
+buyer the run refuses, is read from an unpriced walk of its own
+(`ldm_value_rerun`), and the LDM-only properties' first-layer VCG from the
+truthful run.
 
 A certificate is a menu of (units, payment) pairs that bounds a family of
 one buyer's reports (`mechanisms.Menu`), and `_certifies` is the one check
@@ -52,7 +52,7 @@ import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable, Sequence
 
@@ -98,60 +98,65 @@ class MechanismUnderTest:
     `run` maps a computed market to the outcome; `market.profile` keeps the
     raw reports for a mechanism that needs them. `value_rerun(market, i)`
     returns a `ValueRerun` whose `answer(v)` is i's (units, payment) under
-    `run(market.with_values(i, v))`, which is also what it does when left
-    out. An invitation deviation's utility is its answer at the buyer's
-    true values, except when it is left out: then the one run on the
-    deviated market gives it (`runs_for_values`). Its `menu`, bounding every
-    answer, lets `check_value_ic` certify instead of enumerate.
+    `run(market.with_values(i, v))`; left out, `rerun_on` builds that from
+    the record's `run`, and a deviation's utility is read off the one run
+    on its market (`runs_for_values`). Its `menu`, bounding every answer,
+    lets `check_value_ic` certify instead of enumerate.
 
     `invitation_menu(truth)`, given the shared truthful instance, returns a
     function from a valid buyer to a menu bounding every invitation report
     of hers, or None, or is None itself; `check_invitation_ic` skips the
     subsets of a buyer whose menu certifies her full report. Left out, every
-    subset is enumerated.
+    walked report is checked.
 
-    `reads_tree`, declared by every registered mechanism, says that it
-    reads only the market's tree and values, so reports keeping the same
-    children share one deviation (`_Truthful.class_of`); a black box may
-    read `market.profile`. `ldm_mu`, declared only by `ldm_mechanism`, says
-    that `run` and `value_rerun` are LDM's own at that mu: the truthful run
-    then answers reruns and outcomes (`_Truthful.ldm_trace`, which checks
-    that the run's trace is LDM's at that mu), and, since LDM's menu also
-    proves IR and value-IC (notes/decisions.md), every check walks only a
-    certified buyer's empty and full sets.
+    `reads` declares which of a buyer's invitees the mechanism can notice,
+    so which the harness walks (`WALKED`): left out, every one (a black
+    box); "tree", her BFS children (LDM, DNA-MU); "layer 1", none, as no
+    invitation report moves layer 1 (`vcg_mechanism`). `ldm_mu`, declared
+    only by `ldm_mechanism`, says that `run` and `value_rerun` are LDM's
+    own at that mu: the truthful run then answers reruns and outcomes
+    (`_Truthful.ldm_trace`, which checks that the run's trace is LDM's at
+    that mu), and, since LDM's menu also proves IR and value-IC
+    (notes/decisions.md), every check walks only a certified buyer's empty
+    and full sets.
     """
 
     name: str
     run: Callable[[Market], Outcome]
     value_rerun: Callable[[Market, BuyerId], ValueRerun] | None = None
     invitation_menu: Callable[[_Truthful], Callable[[BuyerId], Menu | None] | None] | None = None
-    reads_tree: bool = False
+    reads: str | None = None
     ldm_mu: int | None = None
-
-    def __post_init__(self):
-        if self.value_rerun is None:
-            object.__setattr__(self, "value_rerun", partial(_with_values_rerun, self.run))
 
     @property
     def runs_for_values(self) -> bool:
-        """Whether `value_rerun` is the generic one, `run` on each patched
+        """Whether the value rerun is the generic one, `run` on each patched
         market: then a deviation's true-value utility is read off the one
         run on its market (`_Truthful.utility`)."""
-        return getattr(self.value_rerun, "func", None) is _with_values_rerun
+        return self.value_rerun is None
+
+    def rerun_on(self, market: Market, i: BuyerId) -> ValueRerun:
+        """i's value rerun on `market`: `value_rerun`'s, else the generic
+        one, the record's `run` on each patched market, and on `market`
+        itself at the values it holds: one run per market at true values."""
+        if self.value_rerun is not None:
+            return self.value_rerun(market, i)
+        run, held = self.run, market.values_of(i)
+
+        def answer(v: ValuationVector) -> tuple[int, Money]:
+            outcome = run(market if v == held else market.with_values(i, v))
+            return outcome.units_of(i), outcome.payment_of(i)
+
+        return ValueRerun(answer)
 
 
-def _with_values_rerun(run: Callable[[Market], Outcome], market: Market,
-                       i: BuyerId) -> ValueRerun:
-    """The generic value rerun: the whole of `run` on each patched market,
-    and on `market` itself at the values it already holds, so a black box
-    costs one run per deviated market at the true values."""
-    held = market.values_of(i)
-
-    def rerun(v: ValuationVector) -> tuple[int, Money]:
-        outcome = run(market if v == held else market.with_values(i, v))
-        return outcome.units_of(i), outcome.payment_of(i)
-
-    return ValueRerun(rerun)
+# A record's `reads` -> buyer i's invitees whose hiding its run can notice,
+# given the truthful market and her invitations. A name not listed raises.
+WALKED: dict[str | None, Callable[..., frozenset[BuyerId]]] = {
+    None: lambda market, i, invited: invited,
+    "tree": lambda market, i, invited: market.children[i],
+    "layer 1": lambda market, i, invited: frozenset(),
+}
 
 
 def given_mu(instance: ReportProfile, mu: int | None) -> int | None:
@@ -167,7 +172,7 @@ def ldm_mechanism(mu: int) -> MechanismUnderTest:
     return MechanismUnderTest("ldm", lambda market: run_ldm(market, mu),
                               lambda market, i: ldm_value_rerun(market, mu, i),
                               lambda truth: _ldm_invitation_menu(truth, mu),
-                              reads_tree=True, ldm_mu=mu)
+                              reads="tree", ldm_mu=mu)
 
 
 def _ldm_invitation_menu(truth: _Truthful, mu: int) -> Callable[[BuyerId], Menu | None] | None:
@@ -191,12 +196,12 @@ def dna_mu_mechanism() -> MechanismUnderTest:
     return MechanismUnderTest(
         "dna-mu", lambda market: run_dna_mu(market),
         invitation_menu=lambda truth: dna_mu_invitation_menu(truth.market, truth.outcome),
-        reads_tree=True)
+        reads="tree")
 
 
 def vcg_mechanism() -> MechanismUnderTest:
     return MechanismUnderTest("vcg-l1", lambda market: run_vcg_first_layer(market),
-                              reads_tree=True)
+                              reads="layer 1")
 
 
 @dataclass(frozen=True)
@@ -297,20 +302,20 @@ class _lazy:
 class _Truthful:
     """An instance as its checks share it: its market, the mechanism's
     truthful outcome, first-layer VCG's read off it, each buyer's invitation
-    reports, and one table per fact of a deviation, keyed by (valid buyer,
-    `class_of` her report): its market (`market_of`), the mechanism's value
-    rerun (`rerun`), her true-value utility (`utility`) and the run's
-    outcome (`outcome_of`), each computed once, on first read. Every
-    deviation check reads `subsets`, the one enumeration of invitation
-    deviations, and these tables, so each (buyer, class) market is built
-    once, only when read, given one value rerun when a check reads one, and
-    run at most once; her full set's class reads the truthful ones.
-    `run_properties` passes one to every check; a checker called on its own
-    builds its own. The market, the outcomes and the verdicts read of them
-    (`own_tree`, `min_valid_mu`, `ldm_trace`, `certified`) are `_lazy`
-    attributes: a search builds one `_Truthful` per instance and reads three
-    of them (a DNA-MU search) or six (an LDM one), so their first reads take
-    no lock."""
+    reports (`subsets`, the one enumeration of invitation deviations, one
+    report per class the mechanism cannot tell apart), and one table per
+    fact of a deviation, keyed by (valid buyer, report): its market
+    (`market_of`), the mechanism's value rerun (`rerun`), her true-value
+    utility (`utility`) and the run's outcome (`outcome_of`), each computed
+    once, on first read. Every deviation check reads `subsets` and these
+    tables, so each walked market is built once, only when read, given one
+    value rerun when a check reads one, and run at most once; her full set
+    reads the truthful ones. `run_properties` passes one to every check; a
+    checker called on its own builds its own. The market, the outcomes and
+    the verdicts read of them (`own_tree`, `min_valid_mu`, `ldm_trace`,
+    `certified`) are `_lazy` attributes: a search builds one `_Truthful`
+    per instance and reads three of them (a DNA-MU search) or six (an LDM
+    one), so their first reads take no lock."""
 
     def __init__(self, mechanism: MechanismUnderTest, instance: ReportProfile):
         self.mechanism = mechanism
@@ -392,10 +397,13 @@ class _Truthful:
         return frozenset(found)
 
     def subsets(self, i: BuyerId) -> list[frozenset[BuyerId]]:
-        """Buyer i's invitation reports, by size, her full set last, listed
-        once: her empty and full sets when the mechanism declares `ldm_mu`
-        and she is `certified`, else every subset of her invitations, which
-        raise `SearchBudgetExceeded` past `MAX_INVITES_EXHAUSTIVE`.
+        """Buyer i's invitation reports, one per class, by size, her full
+        set last, listed once: her empty and full sets when the mechanism
+        declares `ldm_mu` and she is `certified`; else, W being the
+        invitees her mechanism can notice (`WALKED`), every proper subset
+        of W with her other invitees kept, raising `SearchBudgetExceeded`
+        when |W| is past `MAX_INVITES_EXHAUSTIVE` (notes/decisions.md, "A
+        deviation class is walked once").
 
         The order decides which deviation raises first: at an undersized mu
         each deviated market may name a different required bound."""
@@ -404,35 +412,26 @@ class _Truthful:
             invited = self.instance.reports[i].invited
             if self.mechanism.ldm_mu is not None and i in self.certified:
                 found = [frozenset()]
-            elif len(invited) > MAX_INVITES_EXHAUSTIVE:
-                raise SearchBudgetExceeded(f"{len(invited)} invites exceed the exhaustive "
-                                           f"bound {MAX_INVITES_EXHAUSTIVE}")
             else:
-                elems = sorted(invited)
-                found = [frozenset(combo) for r in range(len(elems))
-                         for combo in itertools.combinations(elems, r)]
+                walked = WALKED[self.mechanism.reads](self.market, i, invited)
+                if len(walked) > MAX_INVITES_EXHAUSTIVE:
+                    raise SearchBudgetExceeded(f"{len(walked)} invites exceed the exhaustive "
+                                               f"bound {MAX_INVITES_EXHAUSTIVE}")
+                elems, kept = sorted(walked), invited - walked
+                found = [frozenset(combo).union(kept) if kept else frozenset(combo)
+                         for r in range(len(elems)) for combo in itertools.combinations(elems, r)]
             found.append(invited)
             self._subset_lists[i] = found
         return found
 
-    def class_of(self, i: BuyerId, invited: frozenset[BuyerId]) -> frozenset[BuyerId]:
-        """The deviation tables' key of i's report `invited`: with N_i, her
-        invitees who are not her children, added back when the mechanism
-        `reads_tree` (notes/decisions.md, "A deviation is keyed by the
-        children it keeps"). Her full set is its own key."""
-        full = self.instance.reports[i].invited
-        if invited is full or not self.mechanism.reads_tree:
-            return invited
-        return invited | (full - self.market.children[i])
-
     def market_of(self, i: BuyerId, invited: frozenset[BuyerId]) -> Market:
         """The market when i invites `invited`: the truthful market for her
-        full set's class, else `compute_market` of the instance with her one
-        report changed, her values kept, built on its class's first read."""
+        full set, else `compute_market` of the instance with her one report
+        changed, her values kept, built on its first read."""
         truthful = self.instance.reports[i]
-        key = (i, self.class_of(i, invited))
-        if key[1] == truthful.invited:
+        if invited == truthful.invited:
             return self.market
+        key = (i, invited)
         found = self._markets.get(key)
         if found is None:
             found = self._markets[key] = compute_market(
@@ -441,49 +440,48 @@ class _Truthful:
 
     def rerun(self, i: BuyerId, invited: frozenset[BuyerId]) -> ValueRerun:
         """The mechanism's value rerun of i when she invites `invited`, made
-        once per class. The truthful LDM run (`ldm_trace`) answers her full
-        set's class, and on an own tree every set, with no market built
+        once. The truthful LDM run (`ldm_trace`) answers her full set, and
+        on an own tree every set, with no market built
         (`ldm_run_value_rerun`), unless it refuses her; any other rerun is
-        `value_rerun(market_of(i, invited), i)` (notes/decisions.md,
-        "Own-tree deviations are read from the truthful LDM run")."""
-        key = (i, self.class_of(i, invited))
+        `rerun_on(market_of(i, invited), i)` (notes/decisions.md, "Own-tree
+        deviations are read from the truthful LDM run")."""
+        key = (i, invited)
         found = self._reruns.get(key)
         if found is None:
             trace = self.ldm_trace
             found = self._reruns[key] = (
                 trace is not None
-                and (key[1] == self.instance.reports[i].invited or self.own_tree)
+                and (invited == self.instance.reports[i].invited or self.own_tree)
                 and ldm_run_value_rerun(trace, i, invited)
-                or self.mechanism.value_rerun(self.market_of(i, invited), i))
+                or self.mechanism.rerun_on(self.market_of(i, invited), i))
         return found
 
     def utility(self, i: BuyerId, invited: frozenset[BuyerId]) -> Money:
-        """i's true-value utility when she invites `invited`, computed once
-        per class: for the class of her full set the truthful outcome's,
-        building no rerun; else, when the rerun is the generic one, that of
-        the one run on her deviated market (`outcome_of`), and otherwise her
-        rerun's answer at her true values."""
-        key = (i, self.class_of(i, invited))
+        """i's true-value utility when she invites `invited`, computed once:
+        for her full set the truthful outcome's, building no rerun; else,
+        when the rerun is the generic one, that of the one run on her
+        deviated market (`outcome_of`), and otherwise her rerun's answer at
+        her true values."""
+        key = (i, invited)
         u = self._utilities.get(key)
         if u is None:
             truthful = self.instance.reports[i]
-            if key[1] == truthful.invited:
+            if invited == truthful.invited:
                 u = utility_of(self.instance, i, self.outcome)
+            elif self.mechanism.runs_for_values:
+                out = self.outcome_of(i, invited)
+                u = cumulative_value(truthful.values, out.units_of(i)) - out.payment_of(i)
             else:
-                if self.mechanism.runs_for_values:
-                    out = self.outcome_of(i, invited)
-                    units, payment = out.units_of(i), out.payment_of(i)
-                else:
-                    units, payment = self.rerun(i, invited).answer(truthful.values)
+                units, payment = self.rerun(i, invited).answer(truthful.values)
                 u = cumulative_value(truthful.values, units) - payment
             self._utilities[key] = u
         return u
 
     def outcome_of(self, i: BuyerId, invited: frozenset[BuyerId]) -> Outcome:
-        """The mechanism's outcome when i invites `invited`, a proper subset
-        of her invitations: the truthful one for her full set's class, else
-        the one run on `market_of(i, invited)`, which builds no value rerun
-        and which `utility` reads too when the rerun is the generic one.
+        """The mechanism's outcome when i invites `invited`: the truthful one
+        for her full set, else the one run on `market_of(i, invited)`, which
+        builds no value rerun and which `utility` reads too when the rerun
+        is the generic one.
 
         On an own tree, the truthful LDM run (`ldm_trace`) answers instead,
         with no market built, for i's layer peers, the buyers child
@@ -491,9 +489,9 @@ class _Truthful:
         itself when none of them moves."""
         if self.ldm_trace is not None and self.own_tree:
             return ldm_run_peer_outcomes(self.outcome, i, invited)
-        key = (i, self.class_of(i, invited))
-        if key[1] == self.instance.reports[i].invited:
+        if invited == self.instance.reports[i].invited:
             return self.outcome
+        key = (i, invited)
         found = self._outcomes.get(key)
         if found is None:
             found = self._outcomes[key] = self.mechanism.run(self.market_of(i, invited))
@@ -636,7 +634,7 @@ def check_value_ic(mechanism: MechanismUnderTest, instance: ReportProfile,
                    *, truth: _Truthful | None = None) -> list[DeviationReport]:
     """For every buyer, invitation subset, and grid misreport: reporting true
     values must dominate the misreport at that same invitation set. Each
-    (buyer, subset) of `_Truthful.subsets` gets one `mechanism.value_rerun`
+    (buyer, subset) of `_Truthful.subsets` gets one value rerun
     (`_Truthful.rerun`), and the truthful report's utility there, the one
     the invitation checks read (`_Truthful.utility`).
 

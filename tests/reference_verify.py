@@ -5,15 +5,17 @@ monotonicity builds the BFS-tree profile's market, runs the mechanism on
 it, and builds a fresh market and runs in full for every proper child
 subset.
 
-The oracle for the shared truthful instance of `verify`, which lists each
-buyer's invitation reports once, builds one market per class of them (the
-reports that keep the same children, for a mechanism that reads only the
-BFS tree), reads the invitation checks' utility from the value rerun on it
-at the true values, and lets child monotonicity rerun those markets when
-the instance is its own BFS tree. The subsets are enumerated here too, by
-this module's own `_subsets`, and every one gets its own market, so the
-oracle shares neither the enumeration nor the classes with what it
-checks. Testing use only.
+The oracle for the shared truthful instance of `verify`, which walks one
+report per class of the reports a mechanism cannot tell apart (those that
+hide the same invitees its declared read set lets it notice), builds one
+market per walked report, reads the invitation checks' utility from the
+value rerun on it at the true values, and lets child monotonicity rerun
+those markets when the instance is its own BFS tree. Here every subset is
+enumerated, by this module's own `_subsets`, and gets its own market; the
+walk's lists are this module's restricted to the class representatives
+(`representatives`), which keep every invitee the mechanism cannot
+notice. So the oracle shares neither the enumeration nor the classes with
+what it checks. Testing use only.
 """
 
 from __future__ import annotations
@@ -24,6 +26,14 @@ from netauction.errors import SearchBudgetExceeded
 from netauction.market import ReportedType, compute_market, cumulative_value
 from netauction.verify import (MAX_INVITES_EXHAUSTIVE, DeviationReport, _tree_profile,
                                integer_value_grid, utility_of)
+
+# A record's declared read set -> the invitees of buyer i in `market` whose
+# hiding it can notice.
+NOTICED = {
+    None: lambda market, i: market.profile.reports[i].invited,
+    "tree": lambda market, i: market.children[i],
+    "layer 1": lambda market, i: frozenset(),
+}
 
 
 def _subsets(invited, proper_only=False):
@@ -86,7 +96,7 @@ def check_value_ic(mechanism, instance, grid=integer_value_grid):
         for sub in _subsets(rep.invited):
             deviated = market if sub == rep.invited else compute_market(
                 instance.with_report(i, ReportedType(rep.values, sub)))
-            rerun = mechanism.value_rerun(deviated, i)
+            rerun = mechanism.rerun_on(deviated, i)
             units, payment = rerun.answer(rep.values)
             u_base = cumulative_value(rep.values, units) - payment
             if rerun.menu is not None and all(
@@ -130,3 +140,31 @@ def check_child_monotonicity(mechanism, instance):
                                                       mechanism.name, instance,
                                                       "child-monotonicity"))
     return sorted(violations, key=DeviationReport.sort_key)
+
+
+def is_representative(mechanism, market, i, sub):
+    """Whether i's invitation report `sub` in `market` stands for its class:
+    it hides only invitees that `mechanism` can notice (`NOTICED`)."""
+    return market.profile.reports[i].invited - sub <= NOTICED[mechanism.reads](market, i)
+
+
+def representatives(mechanism, instance, reports):
+    """`reports`, from this module's checks on `instance`, restricted to the
+    class representatives: for IR, invitation-IC and value-IC, the
+    buyer's own invitation report; for child monotonicity, the reduced
+    report of the tree parent j whose children are the full report's, in
+    the BFS-tree profile's market."""
+    market = compute_market(instance)
+    tree = compute_market(_tree_profile(instance, market))
+    kept = []
+    for report in reports:
+        if report.kind == "child-monotonicity":
+            full = report.deviating_report.invited
+            j = next(j for j in tree.valid if tree.children[j] == full)
+            keep = is_representative(mechanism, tree, j, report.truthful_report.invited)
+        else:
+            keep = is_representative(mechanism, market, report.buyer,
+                                     report.deviating_report.invited)
+        if keep:
+            kept.append(report)
+    return kept

@@ -683,6 +683,25 @@ def test_ldm_certifies_trees_past_the_exhaustive_bound(capsys):
     assert (code, out.splitlines()[-1]) == (0, "instances: 20  failing: 0")
 
 
+def test_vcg_l1_walks_only_full_sets_past_the_exhaustive_bound(capsys):
+    """The same batch under first-layer VCG: no invitation report moves
+    layer 1, so every buyer walks only her full set, and instance 18's
+    buyer with 7 invitations never meets the bound."""
+    code, out, _ = run_cli(["verify", "--gen", "seed=9,n=30..30,k=1..3", "--count", "20",
+                            "--mechanism", "vcg-l1", "--all"], capsys)
+    assert (code, out.splitlines()[-1]) == (0, "instances: 20  failing: 0")
+
+
+@pytest.mark.parametrize("mechanism", ["ldm", "dna-mu", "vcg-l1"])
+def test_fig4_verifies_at_a_valid_mu(mechanism, capsys):
+    """fig4's g invites 7 buyers, but j is not her child: a tree reader
+    walks her 6 children's subsets with j kept, and first-layer VCG only
+    her full set, so no check meets the exhaustive bound."""
+    code, out, err = run_cli(["verify", FIG4, "--mechanism", mechanism, "--all", "--mu", "6"],
+                             capsys)
+    assert (code, out, err) == (0, "instances: 1  failing: 0\n", "")
+
+
 @pytest.mark.parametrize("argv", [["run", FIG3, "--mechanism", "ldm"],
                                   ["verify", T4, "--mechanism", "ldm", "--property", "ir"]],
                          ids=["run", "verify"])

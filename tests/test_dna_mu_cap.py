@@ -5,16 +5,18 @@ On any instance, tree or graph, every invitation report of buyer i ends in
 unit outside her BFS subtree and herself, so the menu ((0, 0), (1, x_K))
 bounds them, and no report gives her more true-value utility than
 cap_i = max(0, v_i(1) - x_K) (notes/decisions.md). The menu's best entry is
-checked against cap_i's definition and against every (buyer, subset)
-utility of the full enumeration, it must certify exactly the full reports
+checked against cap_i's definition and against every (buyer, report)
+utility of the walk, one report per class, it must certify exactly the full reports
 that reach cap_i, and `check_invitation_ic` with it must return exactly the
 report lists, and raise exactly the errors, of the same mechanism without
 it, listing no subset of a buyer it certifies. Where the enumeration
-refuses only a certified buyer's invitations, the check answers, and its
-list is the reference's at a wider bound.
+refuses only a certified buyer's invitations, the check answers; its list
+is always the reference's restricted to the class representatives, at a
+wider bound where the reference refuses.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -68,7 +70,7 @@ def reference_cap(market, i):
 def reached_caps(profile):
     """Assert that each valid buyer's best menu entry at her true values is
     her cap by its definition, and bounds her utility under every invitation
-    report of the full enumeration; return how many buyers have a report
+    report of the walk; return how many buyers have a report
     that reaches a positive cap."""
     truth = _Truthful(ENUMERATED, profile)
     menu = dna_mu_invitation_menu(truth.market, truth.outcome)
@@ -149,36 +151,43 @@ def certified(profile):
         menu(i), reports[i].values, truth.utility(i, reports[i].invited))}
 
 
-def wider_reference(profile):
-    """The reference's report list with its exhaustive bound raised to 8, or
-    its refusal past that."""
+def reference(profile, bound=6):
+    """The reference's report list at an exhaustive bound of `bound`,
+    restricted to the class representatives, or its refusal past that."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ref, "MAX_INVITES_EXHAUSTIVE", 8)
-        return invitation_ic(ENUMERATED, profile, ref.check_invitation_ic)
+        patch.setattr(ref, "MAX_INVITES_EXHAUSTIVE", bound)
+        found = invitation_ic(ENUMERATED, profile, ref.check_invitation_ic)
+    return found if isinstance(found, str) else ref.representatives(ENUMERATED, profile, found)
 
 
 def test_certified_reports_match_the_enumeration():
-    """Where the enumeration refuses but every buyer past the bound is
-    certified, the certified check answers, and its list is the reference's
-    at a bound of 8."""
-    checked = {"violations": 0, "refusals": 0, "certified": 0, "past the bound": 0}
+    """The certified check's list is the walk's without the menu wherever
+    that answers, and always the reference's restricted to the class
+    representatives, at a bound of 8 where the reference refuses at 6."""
+    checked = Counter()
     profiles = [*(p for config in TREES for p in instance_stream(config, 40)),
                 *instance_stream(GRAPHS, 300), *instance_stream(HUNT, 5087),
                 *instance_stream(GRAPH_HUNT, 1427), *instance_stream(CROWDED, 2000),
                 *instance_stream(GeneratorConfig(seed=9, buyers=(30, 30), k=(1, 3)), 20),
                 *map(fixture, FIXTURES)]
     for profile in profiles:
-        found, expected = invitation_ic(CERTIFIED, profile), invitation_ic(ENUMERATED, profile)
+        found, walked = invitation_ic(CERTIFIED, profile), invitation_ic(ENUMERATED, profile)
+        expected = reference(profile)
         if isinstance(expected, str) and isinstance(found, list):
-            expected = wider_reference(profile)
-            checked["past the bound"] += 1
+            expected = reference(profile, 8)
+            checked["widened"] += 1
         assert found == expected
+        if isinstance(walked, str):
+            checked["past the bound"] += 1
+        else:
+            assert found == walked
         checked["violations"] += isinstance(found, list) and len(found)
         checked["refusals"] += isinstance(found, str)
         checked["certified"] += isinstance(found, list) and len(certified(profile))
-    # the graph streams add violations and certified buyers; the enumeration
-    # refuses eight batches, each for a certified buyer's invitations
-    assert checked["violations"] >= 15 and checked["past the bound"] >= 8
+    # the graph streams add violations (15 with every subset reported) and
+    # certified buyers; the walk without the menu refuses three batches, each
+    # for a certified buyer's children, and the reference eight at 6
+    assert (checked["violations"], checked["past the bound"], checked["widened"]) == (12, 3, 8)
     assert checked["refusals"] == 0
     assert checked["certified"] > 26_000
 
@@ -186,7 +195,7 @@ def test_certified_reports_match_the_enumeration():
 @pytest.mark.parametrize("name", FIXTURES)
 def test_certified_reports_match_the_reference(name):
     """fig4's g invites seven buyers: the reference answers at a bound of 8."""
-    assert invitation_ic(CERTIFIED, fixture(name)) == wider_reference(fixture(name))
+    assert invitation_ic(CERTIFIED, fixture(name)) == reference(fixture(name), 8)
 
 
 def test_a_certified_buyer_past_the_exhaustive_bound_verifies():

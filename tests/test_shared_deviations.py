@@ -27,7 +27,7 @@ from netauction.verify import (MAX_INVITES_EXHAUSTIVE, MechanismUnderTest, _tree
                                ldm_mechanism, run_properties, vcg_mechanism)
 
 import reference_verify as ref
-from conftest import DATA, counted_reruns, ldm_walked_classes, ldm_walked_subsets
+from conftest import DATA, counted_reruns, ldm_walked_classes
 from test_value_rerun import first_price
 
 STREAMS = (
@@ -137,14 +137,13 @@ def counted_set_ups(monkeypatch, runs: list) -> list:
 
 
 def test_each_deviated_market_is_built_once_and_ldm_runs_once(monkeypatch):
-    """`1 + Γ` markets, Γ the classes of the proper subsets the checks walk
-    (`ldm_walked_classes`), where a market per subset takes `1 + Σ`, Σ
-    those subsets (`ldm_walked_subsets`), and building the table and
-    value-IC's reruns apart `1 + 2Σ`; and one LDM run, on the truthful
-    market: each value rerun set-up makes one commit walk and no run, on
-    its market at the buyer's top bid, and every proper subset is answered
-    by its class's value rerun. On an own tree the truthful run reads every rerun
-    it does not refuse, so the truthful market is the only one built."""
+    """`1 + Γ` markets, Γ the proper reports the checks walk, one per class
+    (`ldm_walked_classes`), where building the table and value-IC's reruns
+    apart took `1 + 2Γ`; and one LDM run, on the truthful market: each
+    value rerun set-up makes one commit walk and no run, on its market at
+    the buyer's top bid, and every walked report is answered by its value
+    rerun. On an own tree the truthful run reads every rerun it does not
+    refuse, so the truthful market is the only one built."""
     built, runs = [], []
     build, run = verify.compute_market, mechanisms.run_ldm_tree
     monkeypatch.setattr(verify, "compute_market",
@@ -160,8 +159,8 @@ def test_each_deviated_market_is_built_once_and_ldm_runs_once(monkeypatch):
         set_ups.clear()
         assert all(r.ok for r in run_properties(profile, "ldm", CHECKS))
         market = build(profile)
-        proper = ldm_walked_subsets(profile, market)
-        classes = 0 if own_tree(profile) else ldm_walked_classes(profile, market)
+        proper = ldm_walked_classes(profile, market)
+        classes = 0 if own_tree(profile) else proper
         assert len(built) == 1 + classes
         assert set(set_ups) <= {1} and len(runs) == 1
         assert [ran.profile is profile for ran in runs].count(True) == 1
@@ -170,11 +169,12 @@ def test_each_deviated_market_is_built_once_and_ldm_runs_once(monkeypatch):
         deviated += classes
         set_up[own_tree(profile)] += len(set_ups)
     # the certificate walks one subset for each own-tree buyer with two or
-    # more invitations, so 113 where the enumeration walked 259; 29 of them
-    # are on own trees, and the other 84 fall into 29 classes that are not a
-    # full set. The value rerun of each of those classes is set up, and so
-    # are 6 on own trees, of buyers the truthful run refuses
-    assert (checked, read, deviated) == (113, 29, 29)
+    # more invitations, and the other instances one report per class, so
+    # 58 where every subset walked was 259, and 113 with the certificate
+    # alone; 29 of them are on own trees, and the other 29 are the classes
+    # of 84 proper subsets. The value rerun of each of those classes is set
+    # up, and so are 6 on own trees, of buyers the truthful run refuses
+    assert (checked, read, deviated) == (58, 29, 29)
     assert set_up == {True: 6, False: 29}
 
 
@@ -299,13 +299,13 @@ def own_tree(profile):
 def test_child_monotonicity_reruns_the_shared_markets(monkeypatch):
     """With child monotonicity added to the three checks, an instance that is
     its own BFS tree still builds one market and runs LDM once, on the
-    truthful market: the run answers every proper subset the checks walk
-    (`ldm_walked_subsets`), and the one deletion of each buyer j with
+    truthful market: the run answers every proper report the checks walk
+    (`ldm_walked_classes`), and the one deletion of each buyer j with
     children and same-layer observers, the empty set, as one child has no
     other proper subset, and LDM certifies a buyer with more. Any other
-    instance builds `Γ` deviated markets besides, Γ the classes of the
-    proper subsets the checks walk that are not a full set
-    (`ldm_walked_classes`), and its tree profile's market, whose one run
+    instance builds `Γ` deviated markets besides, Γ the proper reports the
+    checks walk, one per class (`ldm_walked_classes`), and its tree
+    profile's market, whose one run
     answers those deletions. Each value rerun set-up makes one commit walk
     and no run, on its market at the buyer's top bid, and child
     monotonicity sets up none of its own."""
@@ -341,7 +341,7 @@ def test_child_monotonicity_reruns_the_shared_markets(monkeypatch):
         deviated += classes
         set_up[shared] += len(set_ups)
     assert counted[True] >= 15 and counted[False] >= 5
-    # 84 walked subsets on the other instances, 29 classes; the same 35
+    # 84 proper subsets on the other instances, 29 classes; the same 35
     # set-ups as the three checks alone make
     assert deviated == 29
     assert set_up == {True: 6, False: 29}
@@ -463,7 +463,7 @@ def test_generic_rerun_at_the_held_values_runs_on_the_market_itself():
     market = compute_market(fixture("t4"))
     for i in sorted(market.valid):
         seen.clear()
-        rerun = mechanism.value_rerun(market, i).answer
+        rerun = mechanism.rerun_on(market, i).answer
         held = market.values_of(i)
         assert rerun(held) == rerun(tuple(held))
         rerun((0,) * market.k)

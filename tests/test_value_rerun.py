@@ -8,6 +8,7 @@ invitation subset the harness enumerates and every grid vector; so must
 falls back to where the menu does not certify.
 """
 
+import dataclasses
 import itertools
 from functools import partial
 from math import comb
@@ -21,7 +22,8 @@ from netauction.errors import MuTooSmall
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance
 from netauction.market import ReportedType, compute_market, cumulative_value, is_dummy
 from netauction.mechanisms import (Outcome, ValueRerun, inject_dummies, ldm_run_value_rerun,
-                                   ldm_value_rerun, run_ldm_tree, run_vcg_first_layer)
+                                   ldm_value_rerun, run_dna_mu, run_ldm_tree,
+                                   run_vcg_first_layer)
 from netauction.removed_sets import min_valid_mu, potential_inviters, removed_set_of, robust_mu
 from netauction.verify import (MAX_INVITES_EXHAUSTIVE, MechanismUnderTest, check_value_ic,
                                dna_mu_mechanism, integer_value_grid, ldm_mechanism,
@@ -450,12 +452,35 @@ def test_generic_value_rerun_matches_a_fresh_market(mechanism):
     assert (found > 0) == (mechanism.name == "first-price")
 
 
+def pay_first_unit(market):
+    """DNA-MU's allocation, each winner paying her own first-unit bid."""
+    outcome = run_dna_mu(market)
+    return Outcome(outcome.units, {i: market.first_unit(i) if units else 0
+                                   for i, units in outcome.units.items()})
+
+
+def test_a_replaced_run_reruns_itself():
+    """A record without a value rerun of its own reruns its current `run`:
+    DNA-MU's record with `dataclasses.replace`d run answers value-IC as a
+    record built with that run does, not with DNA-MU's run."""
+    replaced = dataclasses.replace(dna_mu_mechanism(), name="pay-bid", run=pay_first_unit,
+                                   invitation_menu=None)
+    built = MechanismUnderTest("pay-bid", pay_first_unit)
+    found = 0
+    for profile in instance_stream(STREAMS[0], 30):
+        reports = check_value_ic(replaced, profile)
+        assert reports == check_value_ic(built, profile)
+        found += bool(reports)
+    # paying her bid, a winner gains by shading it on 28 of the 30
+    assert found == 28
+
+
 def test_menu_that_fails_to_certify_falls_back_to_the_grid():
     black_box = MechanismUnderTest("first-price", first_price)
 
     def value_rerun(market, i):
         # the black box, with its outcomes over the full grid as the menu
-        answer = black_box.value_rerun(market, i).answer
+        answer = black_box.rerun_on(market, i).answer
         return ValueRerun(answer, tuple({answer(v) for v in full_grid(market.profile, i)}))
 
     with_menu = MechanismUnderTest("first-price", first_price, value_rerun)

@@ -35,6 +35,7 @@ from netauction.verify import (
 )
 
 import reference_ldm
+import reference_verify as ref
 from conftest import DATA, ldm_walked_classes, make_profile
 from test_deep_layers import comb
 
@@ -476,11 +477,9 @@ def test_run_properties_resolves_the_truthful_instance_once(monkeypatch, t4_prof
 def test_value_ic_builds_one_market_per_proper_invitation_subset(monkeypatch, fig3_profile,
                                                                 t4_profile):
     """The truthful market once, then, on an instance that is not its own
-    BFS tree, one per class of the proper invitation subsets each valid
-    buyer walks, the subsets that keep the same children sharing one,
-    except a class that keeps every child (`ldm_walked_classes`): that one
-    and the full set rerun on the truthful market, and on an own tree the
-    truthful run answers every subset."""
+    BFS tree, one per proper report each valid buyer walks, one per class
+    (`ldm_walked_classes`): the full set reruns on the truthful market, and
+    on an own tree the truthful run answers every subset."""
     built, build = [], verify.compute_market
     monkeypatch.setattr(verify, "compute_market",
                         lambda profile: built.append(profile) or build(profile))
@@ -513,15 +512,41 @@ def test_run_properties_flags_dna_mu(counterexample_profile):
     assert results[0].reports
 
 
-def test_registry_declarations_agree():
-    """Every registered mechanism reads only the tree, and declares LDM's
-    run at mu exactly when its entry is layered: `layered` and `ldm_mu`
-    state the same fact, so they must not drift apart."""
+# README's invitation-IC violation of LDM on a graph, in instance 2
+GRAPHS_696179 = GeneratorConfig(seed=696179, buyers=(7, 7), k=(1, 1), topology="graph",
+                                edge_density=0.15)
+
+
+def test_registry_declarations_agree(fig3_profile):
+    """Every registered mechanism declares a read set the reference knows,
+    "layer 1" for first-layer VCG and "tree" for the others, and its walk on
+    fig3 reports what the reference's full enumeration restricted to that
+    read set's class representatives reports, as on the seed-696179
+    graphs, whose buyers invite others than their children. Each declares
+    LDM's run at mu exactly when its entry is layered: `layered` and
+    `ldm_mu` state the same fact, so they must not drift apart."""
+    checks = ("ir", "invite-ic", "value-ic", "child-monotonicity")
+    reference = (ref.check_ir, ref.check_invitation_ic, ref.check_value_ic,
+                 ref.check_child_monotonicity)
     for name, entry in verify.MECHANISMS.items():
         for mu in (0, 3):
             mechanism = entry.checked(mu)
-            assert mechanism.reads_tree is True, name
+            assert mechanism.reads == ("layer 1" if name == "vcg-l1" else "tree"), name
             assert mechanism.ldm_mu == (mu if entry.layered else None), (name, mu)
+        for profile in [fig3_profile, *instance_stream(GRAPHS_696179, 3)]:
+            mu = entry.pinned_mu(profile)
+            mechanism = entry.checked(mu)
+            assert [r.reports for r in run_properties(profile, name, checks, mu=mu)] == [
+                tuple(ref.representatives(mechanism, profile, check(mechanism, profile)))
+                for check in reference], (name, profile)
+
+
+def test_an_unknown_read_set_raises(t4_profile):
+    """A read set `WALKED` does not list raises on the first walk; it never
+    falls back to another."""
+    mechanism = MechanismUnderTest("vcg-l1", vcg_mechanism().run, reads="layers")
+    with pytest.raises(KeyError, match="layers"):
+        check_ir(mechanism, t4_profile)
 
 
 def test_run_properties_refuses_unknown_and_unlayered_mechanisms(t4_profile):
