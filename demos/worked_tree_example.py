@@ -11,8 +11,7 @@ Run:  python demos/worked_tree_example.py
 
 from netauction.market import ReportProfile, ReportedType, compute_market, validate_profile
 from netauction.mechanisms import outcome_welfare, run_ldm_tree, run_vcg_first_layer
-from netauction.removed_sets import (layer_removed_sets, min_valid_mu, potential_inviters,
-                                     potential_winners)
+from netauction.removed_sets import min_valid_mu, potential_inviters, potential_winners
 
 LABELS = "abcdefghijklmnopqr"
 VALUES = {
@@ -56,8 +55,8 @@ def main():
 
     outcome = run_ldm_tree(market, mu)
     print("\nper-layer run:")
-    for rec, r_l in zip(outcome.trace.layers, layer_removed_sets(market, mu)):
-        print(f"  layer {rec.layer}: economy {names(ids, market.valid - r_l)}")
+    for rec in outcome.trace.layers:
+        print(f"  layer {rec.layer}: economy {names(ids, market.valid - rec.removed)}")
         print(f"    optimum welfare {rec.sw}, tentative units "
               + ", ".join(f"{LABELS[i]}:{u}" for i, u in sorted(rec.tentative_units.items())))
         print("    welfare without each member's influence: "

@@ -39,7 +39,7 @@ from .instance_io import (
 )
 from .market import Market, ReportProfile, compute_market
 from .mechanisms import Outcome, inject_dummies, outcome_welfare
-from .removed_sets import layer_removed_sets, min_valid_mu
+from .removed_sets import min_valid_mu
 from .verify import (
     MECHANISMS,
     PROPERTY_NAMES,
@@ -153,13 +153,13 @@ def _outcome_doc(market: Market, name: str, mu: int,
         doc["trace"] = [
             {
                 "layer": rec.layer,
-                "removed": sorted(label(i) for i in r_l),
+                "removed": sorted(label(i) for i in rec.removed),
                 "sw": rec.sw,
                 "tentative": {label(i): u for i, u in sorted(rec.tentative_units.items())},
                 "sw_minus_d": {label(i): v for i, v in sorted(rec.sw_minus_d.items())},
                 "k_remain": rec.k_remain_after,
             }
-            for rec, r_l in zip(outcome.trace.layers, layer_removed_sets(market, mu))
+            for rec in outcome.trace.layers
         ]
     return doc
 

@@ -14,7 +14,8 @@ DNA-MU takes no reserve and refuses a market with dummies.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ContractError, ValidationError
@@ -41,9 +42,10 @@ Menu = tuple[tuple[int, Money], ...]
 
 @dataclass(frozen=True)
 class LayerRecord:
-    """Diagnostic record of one processed LDM layer."""
+    """Diagnostic record of one processed LDM layer l: `removed` is R_l."""
 
     layer: int
+    removed: frozenset[BuyerId]
     sw: Money
     tentative_units: Mapping[BuyerId, int]
     tentative_value: Mapping[BuyerId, Money]
@@ -51,17 +53,19 @@ class LayerRecord:
     k_remain_after: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LdmTrace:
-    """A run's layer records on `market` at `mu`, and, for the reads of the
-    run (`ldm_run_*`), each processed layer's free set and welfare pool; a
-    value rerun's set-up, a walk with no pricing, records no layer."""
+    """An LDM commit walk on `market` at `mu`: each processed layer's free
+    set and welfare pool, which the reads of the run (`ldm_run_*`) and, on
+    first access, its layer records read."""
 
     mu: int
-    layers: tuple[LayerRecord, ...]
     market: Market
-    pools: tuple[tuple[frozenset[BuyerId], WelfarePool], ...] = field(
-        default=(), compare=False, repr=False)
+    pools: tuple[tuple[frozenset[BuyerId], WelfarePool], ...]
+
+    @cached_property
+    def layers(self) -> tuple[LayerRecord, ...]:
+        return tuple(_layer_records(self))
 
 
 class DnaRow(NamedTuple):
@@ -283,63 +287,64 @@ def run_ldm_tree(market: Market, mu: int,
 
 
 def _commit_walk(market: Market, free_sets: Iterable[frozenset[BuyerId]],
-                 ) -> Iterator[tuple[frozenset[BuyerId], WelfarePool, WelfareResult, int]]:
-    """LDM's layer loop: for each F_l of `free_sets`, (F_l, its pool at the
-    supply left, the pool's `best()`, the supply left once layer l commits
-    its units of that optimum), until none are left. A pool holds free
-    buyers only: each payment is a difference of welfares over the frozen
-    layers, which cancel."""
+                 ) -> Iterator[tuple[frozenset[BuyerId], WelfarePool]]:
+    """LDM's layer loop: each F_l of `free_sets` with its pool at the supply
+    the layers before l left, layer l then committing its units of the
+    pool's `best()`, until none are left. A pool holds free buyers only: each
+    payment is a difference of welfares over the frozen layers, which cancel."""
     supply, layer_of = market.k, market.layer_of
     for l, free in enumerate(free_sets, start=1):
         pool = WelfarePool(market, free, supply)
-        layer_opt = pool.best()
-        for j, m in layer_opt.allocation.items():
-            if layer_of[j] == l:
-                supply -= m
-        yield free, pool, layer_opt, supply
+        yield free, pool
+        supply -= sum(m for j, m in pool.best().allocation.items() if layer_of[j] == l)
         if not supply:
             return
 
 
 def _ldm_layers(market: Market, mu: int, free_sets: Iterable[frozenset[BuyerId]],
                 order: Sequence[BuyerId] | None = None) -> Outcome:
-    """The commit walk, each layer priced and recorded; the trace records mu."""
+    """The commit walk, which is the trace, and each layer's members priced."""
+    trace = LdmTrace(mu, market, tuple(_commit_walk(market, free_sets)))
     units = {i: 0 for i in market.valid if not is_dummy(i)}
     payments = dict(units)
-    tentative: dict[BuyerId, int] = {}  # the previous layer's optimum, frozen units included
-    records: list[LayerRecord] = []
-    pools: list[tuple[frozenset[BuyerId], WelfarePool]] = []
     position = None if order is None else {b: p for p, b in enumerate(order)}
-    for l, (free, pool, layer_opt, left) in enumerate(_commit_walk(market, free_sets), start=1):
-        members = sorted(market.layers[l - 1])
+    for layer, (_, pool) in zip(market.layers, trace.pools):
+        members = sorted(layer)
         if position is not None:
             if missing := [b for b in members if b not in position]:
                 raise ContractError(f"order leaves out layer member {missing[0]}")
             members.sort(key=position.__getitem__)
-        pools.append((free, pool))
-        # the trace alone adds back the frozen layers' units (at most K) and welfare
-        frozen = {j: m for j, m in tentative.items() if market.layer_of[j] < l}
+        priced = _priced(market, pool, members)[0]
+        units.update(priced.units)
+        payments.update(priced.payments)
+    return Outcome(units=units, payments=payments, trace=trace)
+
+
+def _layer_records(trace: LdmTrace) -> Iterator[LayerRecord]:
+    """The walk's layer records, read from its pools: R_l = layers >= l+1 - F_l,
+    the optimum and each member's SW_{-D_i} (`_priced`) with the frozen
+    layers' units (at most K) and welfare added back, and the supply left."""
+    market = trace.market
+    deeper = frozenset().union(*market.layers)
+    frozen: dict[BuyerId, int] = {}
+    for l, (layer, (free, pool)) in enumerate(zip(market.layers, trace.pools), start=1):
+        deeper -= layer
+        layer_opt = pool.best()
         tentative = frozen | layer_opt.allocation
         value = {j: cumulative_value(market.values_of(j), m) for j, m in tentative.items()}
         frozen_welfare = sum(value[j] for j in frozen)
-        sw_d: dict[BuyerId, Money] = {}
-        for i in members:
-            won = layer_opt.units_of(i)
-            sw_d[i], payment = _ldm_payment(market, pool, layer_opt, i, won)
-            sw_d[i] += frozen_welfare
-            if not is_dummy(i):
-                units[i] = won
-                payments[i] = payment
-        records.append(LayerRecord(
+        committed = {j: m for j, m in layer_opt.allocation.items() if j in layer}
+        sw_d = _priced(market, pool, layer)[1]
+        yield LayerRecord(
             layer=l,
+            removed=deeper - free,
             sw=frozen_welfare + layer_opt.welfare,
             tentative_units=tentative,
             tentative_value=value,
-            sw_minus_d=sw_d,
-            k_remain_after=left,
-        ))
-    return Outcome(units=units, payments=payments,
-                   trace=LdmTrace(mu, tuple(records), market, tuple(pools)))
+            sw_minus_d={i: frozen_welfare + sw for i, sw in sw_d.items()},
+            k_remain_after=pool.budget - sum(committed.values()),
+        )
+        frozen |= committed
 
 
 class ValueRerun(NamedTuple):
@@ -373,9 +378,8 @@ def ldm_value_rerun(market: Market, mu: int, i: BuyerId) -> ValueRerun:
     """
     top = 1 + max(map(market.first_unit, market.valid))
     bid = market.with_values(i, (top,) * market.k)
-    walk = _commit_walk(bid, layer_free_sets(bid, mu))
-    pools = tuple((free, pool) for free, pool, _, _ in walk)
-    return ldm_run_value_rerun(LdmTrace(mu, (), bid, pools), i, market.children[i])
+    walk = LdmTrace(mu, bid, tuple(_commit_walk(bid, layer_free_sets(bid, mu))))
+    return ldm_run_value_rerun(walk, i, market.children[i])
 
 
 def ldm_run_value_rerun(trace: LdmTrace, i: BuyerId,
@@ -449,7 +453,7 @@ def ldm_run_peer_outcomes(outcome: Outcome, j: BuyerId, kept: frozenset[BuyerId]
         return Outcome({}, {})
     else:
         pool, skipped = WelfarePool(market, free - skipped, supply), frozenset()
-    return _priced(market, pool, market.layers[layer - 1] - {j}, skipped)
+    return _priced(market, pool, market.layers[layer - 1] - {j}, skipped)[0]
 
 
 def ldm_run_vcg_first_layer(trace: LdmTrace) -> Outcome:
@@ -459,20 +463,23 @@ def ldm_run_vcg_first_layer(trace: LdmTrace) -> Outcome:
     if not trace.pools:
         return Outcome({}, {})
     (free, pool), first = trace.pools[0], trace.market.layers[0]
-    return _priced(trace.market, pool, first, free - first)
+    return _priced(trace.market, pool, first, free - first)[0]
 
 
 def _priced(market: Market, pool: WelfarePool, members: Iterable[BuyerId],
-            skipped: frozenset[BuyerId]) -> Outcome:
-    """Real `members`' units in `pool.best(skipped)` and LDM payments."""
+            skipped: frozenset[BuyerId] = frozenset()) -> tuple[Outcome, dict[BuyerId, Money]]:
+    """Real `members`' units in `pool.best(skipped)` and LDM payments, and
+    every member's SW_{-D_i} over the pool: the one pricing loop."""
     layer_opt = pool.best(skipped)
     units: dict[BuyerId, int] = {}
     payments: dict[BuyerId, Money] = {}
+    sw_d: dict[BuyerId, Money] = {}
     for i in members:
+        won = layer_opt.units_of(i)
+        sw_d[i], payment = _ldm_payment(market, pool, layer_opt, i, won, skipped)
         if not is_dummy(i):
-            units[i] = won = layer_opt.units_of(i)
-            payments[i] = _ldm_payment(market, pool, layer_opt, i, won, skipped)[1]
-    return Outcome(units, payments)
+            units[i], payments[i] = won, payment
+    return Outcome(units, payments), sw_d
 
 
 def _swapped_supply(trace: LdmTrace, j: BuyerId) -> int | None:

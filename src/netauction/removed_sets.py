@@ -4,7 +4,8 @@ For a buyer i with children C_i, the removed set C_i^R joins two groups: her
 children who can diffuse further (C_i^P) and her top-ranked childless children
 by first-unit value (C_i^W, quota K + mu - |C_i^P|). W_l, the union of C^R over
 layer l, lies in layer l+1; LDM reads only F_l = layers l and l+1 less W_l.
-Only `layer_removed_sets` builds R_l = W_l + layers >= l+2; D_i = R_l + C_i + {i}.
+R_l = W_l + layers >= l+2 = layers >= l+1 - F_l is read off an LDM walk only,
+as a layer record's `removed` (`mechanisms.LdmTrace.layers`); D_i = R_l + C_i + {i}.
 """
 
 from __future__ import annotations
@@ -127,14 +128,3 @@ def layer_free_sets(market: Market, mu: int) -> Iterator[frozenset[BuyerId]]:
     for l, layer in enumerate(market.layers, start=1):
         winners = (removed_set_of(market, children[i], inviter_sets[i], mu) for i in layer)
         yield layer.union(*market.layers[l:l + 1]).difference(*winners)
-
-
-def layer_removed_sets(market: Market, mu: int) -> Iterator[frozenset[BuyerId]]:
-    """R_1, R_2, ... in layer order, read from `layer_free_sets`:
-    R_l = W_l + layers >= l+2 = layers >= l+1 - F_l, the layers kept as a
-    running difference."""
-    deeper = frozenset().union(*market.layers)
-    for layer, free in zip(market.layers, layer_free_sets(market, mu)):
-        deeper -= layer
-        yield deeper - free
-

@@ -776,8 +776,10 @@ def check_child_monotonicity(mechanism: MechanismUnderTest, instance: ReportProf
     child subset it lists, the run on her deviated market (the other
     subtrees deleted, `_Truthful.outcome_of`) must leave every same-layer
     observer at least as well off. A deletion that gives back the truthful
-    outcome itself moves no one.
+    outcome itself moves no one. First-layer VCG walks none (`WALKED`).
     """
+    if mechanism.reads == "layer 1":
+        return []
     own = truth or _Truthful(mechanism, instance)
     tree = own.tree
     market, profile = tree.market, tree.instance

@@ -37,12 +37,22 @@ from netauction.mechanisms import (
     DnaRow,
     DnaTrace,
     LayerRecord,
-    LdmTrace,
     Menu,
     Outcome,
     ValueRerun,
     inject_dummies,
 )
+
+
+@dataclass(frozen=True)
+class Trace:
+    """An LDM run's trace as the oracle builds it: the reads of the
+    library's `LdmTrace` a comparison checks, its mu, market and layer
+    records, each record's `removed` the oracle's R_l."""
+
+    mu: int
+    market: Market
+    layers: tuple[LayerRecord, ...]
 
 
 @dataclass(frozen=True)
@@ -187,7 +197,7 @@ def run_vcg_first_layer(market: Market, reserve: int | None = None) -> Outcome:
     units = {i: 0 for i in market.valid}
     payments = {i: 0 for i in market.valid}
     if not aug.layers:
-        return Outcome(units=units, payments=payments, trace=LdmTrace(0, (), aug))
+        return Outcome(units=units, payments=payments, trace=Trace(0, aug, ()))
     layer1 = aug.layers[0]
     full = greedy_welfare(aug, layer1, {}, k)
     sw_without: dict[BuyerId, Money] = {}
@@ -200,6 +210,7 @@ def run_vcg_first_layer(market: Market, reserve: int | None = None) -> Outcome:
         payments[i] = sw_without[i] - (full.welfare - cumulative_value(aug.values_of(i), pi))
     record = LayerRecord(
         layer=1,
+        removed=aug.valid - layer1,
         sw=full.welfare,
         tentative_units=dict(full.allocation),
         tentative_value={j: cumulative_value(aug.values_of(j), m)
@@ -207,7 +218,7 @@ def run_vcg_first_layer(market: Market, reserve: int | None = None) -> Outcome:
         sw_minus_d=sw_without,
         k_remain_after=k - sum(full.allocation.values()),
     )
-    return Outcome(units=units, payments=payments, trace=LdmTrace(0, (record,), aug))
+    return Outcome(units=units, payments=payments, trace=Trace(0, aug, (record,)))
 
 
 def potential_inviters(tree: Market, i: BuyerId) -> frozenset[BuyerId]:
@@ -278,6 +289,7 @@ def run_ldm_tree(market: Market, mu: int) -> Outcome:
             committed[i] = layer_opt.units_of(i)
         records.append(LayerRecord(
             layer=l,
+            removed=r_l,
             sw=sw_l,
             tentative_units=dict(layer_opt.allocation),
             tentative_value={
@@ -290,7 +302,7 @@ def run_ldm_tree(market: Market, mu: int) -> Outcome:
         if k_remain == 0:
             break
     return Outcome(units=units, payments=payments,
-                   trace=LdmTrace(mu, tuple(records), market))
+                   trace=Trace(mu, market, tuple(records)))
 
 
 def run_ldm(market: Market, mu: int, reserve: int | None = None) -> Outcome:

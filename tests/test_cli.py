@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from netauction import cli
+from netauction import cli, mechanisms
 from netauction.cli import _parse_gen_spec, build_parser, main
 from netauction.errors import SearchBudgetExceeded
 from netauction.instance_io import (instance_stream, parse_instance, random_instance,
@@ -394,6 +394,28 @@ def test_run_trace_bytes_are_pinned(capsys):
             assert "layer 1" not in out and '"trace"' not in out, name
         elif name == "comb_k1-trace.json":
             assert out.count('"layer":') == 101
+
+
+def test_layer_records_are_built_only_for_the_trace(monkeypatch, capsys):
+    """An LDM trace is its walk: `run --format json` and a value rerun's
+    set-up build no layer record, and `run --trace` builds one per layer
+    its run processed (2 of fig3's 4, all 101 of the comb's)."""
+    built = []
+    record = mechanisms.LayerRecord
+    monkeypatch.setattr(mechanisms, "LayerRecord",
+                        lambda **fields: built.append(fields["layer"]) or record(**fields))
+    for path, layers in ((FIG3, 2), (COMB_K1, 101)):
+        built.clear()
+        assert run_cli(["run", path, "--mechanism", "ldm", "--format", "json"], capsys)[0] == 0
+        assert built == []
+        assert run_cli(["run", path, "--mechanism", "ldm", "--trace"], capsys)[0] == 0
+        assert built == list(range(1, layers + 1))
+    market = compute_market(parse_instance((DATA / "fig3.json").read_text()))
+    built.clear()
+    for i in market.valid:
+        rerun = mechanisms.ldm_value_rerun(market, 2, i)
+        rerun.answer(market.values_of(i))
+    assert built == []
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

@@ -140,6 +140,28 @@ def test_each_class_builds_one_market(name, monkeypatch):
     assert classes == (0 if name == "vcg-l1" else 306)
 
 
+def test_vcg_child_monotonicity_builds_nothing(monkeypatch):
+    """First-layer VCG notices no invitee, so child monotonicity has no
+    deletion to walk: on the graphs it builds no market, neither the
+    instance's nor its BFS tree's, and runs nothing, and its report list
+    is the reference's, empty."""
+    built, ran = [], []
+    build, run = verify.compute_market, verify.run_vcg_first_layer
+    monkeypatch.setattr(verify, "compute_market",
+                        lambda profile: built.append(profile) or build(profile))
+    monkeypatch.setattr(verify, "run_vcg_first_layer",
+                        lambda market: ran.append(market) or run(market))
+    count = 0
+    for profile, _ in graphs("seed302-graph"):
+        expected = tuple(ref.check_child_monotonicity(vcg_mechanism(), profile))
+        built.clear()
+        ran.clear()
+        [result] = run_properties(profile, "vcg-l1", ("child-monotonicity",))
+        assert (result.reports, built, ran) == (expected, [], []) and expected == ()
+        count += 1
+    assert count == 59
+
+
 def invitation_charge(market):
     """A black box that reads the raw reports: every valid buyer wins
     nothing and pays one per invitation her report lists, child or not, so

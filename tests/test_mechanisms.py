@@ -24,12 +24,13 @@ from netauction.mechanisms import (
     run_ldm_tree,
     run_vcg_first_layer,
 )
-from netauction.removed_sets import layer_removed_sets, robust_mu
+from netauction.removed_sets import robust_mu
 from netauction.verify import MECHANISMS
 from netauction.welfare import WelfareResult
 
 import reference_ldm
 from conftest import DATA, FIG3_LABELS, chain_profile, make_profile
+from reference_welfare import brute_force_welfare
 from test_deep_layers import comb
 
 
@@ -240,8 +241,7 @@ def test_ldm_t4_reserve_six_frozen_trace(t4_profile):
     assert out.units == {1: 0, 2: 0, 3: 1, 4: 0, 5: 0}
     assert out.payments == {1: -1, 2: 0, 3: 8, 4: 0, 5: 0}
     assert out.revenue == 7
-    removed = layer_removed_sets(market, 1)
-    assert all(i < DUMMY_BASE for _, r_l in zip(out.trace.layers, removed) for i in r_l)
+    assert all(i < DUMMY_BASE for rec in out.trace.layers for i in rec.removed)
 
 
 def test_ldm_empty_market_all_zero():
@@ -375,6 +375,69 @@ def test_unreachable_buyers_move_nothing(fig3_profile, t4_profile):
                 assert _registry_outcome(entry, more, mu) == _registry_outcome(entry, base, mu)
 
 
+# ---------------------------------------------------------------- metamorphic relations
+
+TREES = GeneratorConfig(seed=301, buyers=(2, 8), k=(1, 3), v_max=10, topology="tree")
+GRAPHS = GeneratorConfig(seed=302, buyers=(2, 8), k=(1, 3), v_max=10,
+                         topology="graph", edge_density=0.15)
+
+
+def _relabel(i):
+    """An order-preserving relabelling: every tie-break reads ids in the same order."""
+    return 3 * i + 7
+
+
+def _mapped(profile, label=lambda i: i, scale=1):
+    """The profile with buyer i renamed `label(i)` and every value times
+    `scale`; the display labels, which no mechanism reads, are dropped."""
+    reports = {label(i): ReportedType(tuple(scale * v for v in r.values),
+                                      frozenset(map(label, r.invited)))
+               for i, r in profile.reports.items()}
+    return validate_profile(replace(profile, reports=reports, labels=None,
+                                    seller_neighbors=frozenset(map(label, profile.seller_neighbors))))
+
+
+def _relabelled_record(rec):
+    return replace(rec, removed=frozenset(map(_relabel, rec.removed)),
+                   **{name: {_relabel(i): x for i, x in getattr(rec, name).items()}
+                      for name in ("tentative_units", "tentative_value", "sw_minus_d")})
+
+
+@pytest.mark.parametrize("config", [TREES, GRAPHS], ids=["seed301-tree", "seed302-graph"])
+def test_metamorphic_relations(config):
+    """Relabelling i -> 3i + 7 renames every outcome, and LDM's layer
+    records, R_l included; every value times 3 triples every payment and
+    keeps every unit; a reserve of 0 moves nothing for the mechanisms that
+    take one (ROADMAP "State", items 12 and 14)."""
+    for profile in instance_stream(config, 100):
+        mu = robust_mu(profile)
+        relabelled = _mapped(profile, label=_relabel)
+        for name in ("ldm", "dna-mu", "vcg-l1"):
+            entry = MECHANISMS[name]
+            units, payments = _registry_outcome(entry, profile, mu)
+            assert _registry_outcome(entry, relabelled, mu) == (
+                {_relabel(i): u for i, u in units.items()},
+                {_relabel(i): p for i, p in payments.items()})
+            assert _registry_outcome(entry, _mapped(profile, scale=3), mu) == (
+                units, {i: 3 * p for i, p in payments.items()})
+            if name != "dna-mu":
+                assert _registry_outcome(entry, inject_dummies(profile, 0), mu) == (units, payments)
+        records = run_ldm(compute_market(profile), mu).trace.layers
+        assert (run_ldm(compute_market(relabelled), mu).trace.layers
+                == tuple(map(_relabelled_record, records)))
+
+
+def test_no_mechanism_beats_the_optimum():
+    """Every registered mechanism's welfare is at most the welfare optimum
+    over all valid buyers (ROADMAP item 10's theorem)."""
+    for profile in instance_stream(TREES, 100):
+        market = compute_market(profile)
+        best = brute_force_welfare(market, market.valid, {}, market.k).welfare
+        for entry in MECHANISMS.values():
+            out = entry.checked(robust_mu(profile)).run(market)
+            assert outcome_welfare(market, out) <= best
+
+
 def test_ldm_reads_each_members_units_once(monkeypatch, fig3_profile):
     """LDM's layer loop reads each processed member's units from the layer
     optimum once, for the supply, her payment and her commit alike; the
@@ -388,6 +451,8 @@ def test_ldm_reads_each_members_units_once(monkeypatch, fig3_profile):
         market = compute_market(profile)
         reads.clear()
         outcome = run_ldm_tree(market, mu)
-        processed = [i for layer in market.layers[:len(outcome.trace.layers)] for i in layer]
+        processed = [i for layer in market.layers[:len(outcome.trace.pools)] for i in layer]
         assert sorted(reads) == sorted(processed)
-        assert outcome == reference_ldm.run_ldm_tree(market, mu)
+        slow = reference_ldm.run_ldm_tree(market, mu)
+        assert ((outcome.units, outcome.payments, outcome.trace.layers)
+                == (slow.units, slow.payments, slow.trace.layers))

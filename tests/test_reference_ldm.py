@@ -1,6 +1,6 @@
 """The BFS tree built by `compute_market`, DNA-MU's on-demand subtrees, LDM's free sets and
 the pooled LDM/VCG against the slow oracle in `reference_ldm.py`, and LDM's traced quantities
-against the public R_l/D_i definitions. Every comparison is exact: units,
+against the oracle's R_l and the D_i definition. Every comparison is exact: units,
 payments and the whole trace.
 A reserve reaches the fast path as a priced market (`inject_dummies`) and the
 oracle as its own reserve argument."""
@@ -13,9 +13,10 @@ from netauction.cli import _parse_gen_spec
 from netauction.errors import MuTooSmall
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance, random_instance
 from netauction.market import SELLER, compute_market
-from netauction.mechanisms import inject_dummies, run_dna_mu, run_ldm, run_vcg_first_layer
-from netauction.removed_sets import (layer_free_sets, layer_removed_sets, potential_winners,
-                                     removed_sets_for, robust_mu)
+from netauction.mechanisms import (LdmTrace, inject_dummies, run_dna_mu, run_ldm,
+                                   run_vcg_first_layer)
+from netauction.removed_sets import (layer_free_sets, potential_winners, removed_sets_for,
+                                     robust_mu)
 from netauction.welfare import constrained_welfare
 
 import reference_ldm as ref
@@ -78,9 +79,15 @@ def test_bfs_children_match_smallest_inviter_scan_on_any_digraph(profile):
 
 
 def assert_same(fast, slow):
+    """Units, payments and the trace: DNA-MU's rows, or an LDM trace's mu,
+    market and layer records, each record's R_l included."""
     assert fast.units == slow.units
     assert fast.payments == slow.payments
-    assert fast.trace == slow.trace
+    if isinstance(fast.trace, LdmTrace):
+        assert ((fast.trace.mu, fast.trace.market, fast.trace.layers)
+                == (slow.trace.mu, slow.trace.market, slow.trace.layers))
+    else:
+        assert fast.trace == slow.trace
 
 
 def assert_matches_reference(profile, mu, reserve):
@@ -148,10 +155,10 @@ def test_trace_matches_public_removed_and_exclusion_sets():
         trace = run_ldm(market, mu).trace
         slow = ref.layer_removed_sets(ref.build_bfs_tree(market).tree, mu)
         committed = {}
-        for rec, r_l in zip(trace.layers, layer_removed_sets(market, mu)):
-            assert r_l == slow[rec.layer - 1]
+        for rec in trace.layers:
+            assert rec.removed == slow[rec.layer - 1]
             for i, sw in rec.sw_minus_d.items():
-                kept = market.valid - (r_l | market.children[i] | {i})
+                kept = market.valid - (rec.removed | market.children[i] | {i})
                 assert sw == constrained_welfare(market, kept, committed, market.k).welfare
             for i in market.layers[rec.layer - 1]:
                 committed[i] = rec.tentative_units.get(i, 0)

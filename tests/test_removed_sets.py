@@ -11,8 +11,8 @@ from netauction.cli import main
 from netauction.errors import ContractError, MuTooSmall
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance
 from netauction.market import ReportedType, compute_market
+from netauction.mechanisms import run_ldm_tree
 from netauction.removed_sets import (
-    layer_removed_sets,
     min_valid_mu,
     potential_inviters,
     potential_winners,
@@ -78,23 +78,28 @@ def test_potential_winners_mu_too_small(fig3_tree):
         potential_winners(fig3_tree, 99, 1)
 
 
+def removed_rows(market, mu):
+    """R_1, R_2, ...: the `removed` of each layer record of LDM's run."""
+    return [rec.removed for rec in run_ldm_tree(market, mu).trace.layers]
+
+
 def exclusion(market, i, mu):
-    """D_i = R_l + C_i + {i} for i in layer l, R_l read from the layer walk."""
-    r_l = list(layer_removed_sets(market, mu))[market.layer_of[i] - 1]
+    """D_i = R_l + C_i + {i} for i in layer l, R_l read from the run's record."""
+    r_l = removed_rows(market, mu)[market.layer_of[i] - 1]
     return r_l | market.children[i] | {i}
 
 
 def test_layer_removed_set_fig3(fig3_tree):
     q = fig3_tree.valid
-    r = list(layer_removed_sets(fig3_tree, 2))
-    assert len(r) == 4
+    r = removed_rows(fig3_tree, 2)
+    assert len(r) == 2  # the run sells out in layer 2 of 4
     assert q - r[0] == fig3_ids("abci")
     assert q - r[1] == fig3_ids("abcdefghip")
-    assert r[3] == frozenset()
 
 
 def test_layer_removed_set_t4(t4_tree):
-    assert list(layer_removed_sets(t4_tree, 1)) == [{3, 4}, frozenset()]
+    # R_2 of the last layer is empty: no layer lies below it
+    assert removed_rows(t4_tree, 1) == [{3, 4}, frozenset()]
 
 
 def test_exclusion_set(t4_tree, fig3_tree):
@@ -207,7 +212,8 @@ def test_observation2_invitation_stability():
 
 def test_winners_are_ranked_only_for_the_layers_asked_for(monkeypatch):
     # mu is checked against |C_1^P| = 2 up front, but only layer 1's C^R is
-    # built while R_1 is the only set read
+    # built while F_1 is the only set read; the run sells out in layer 1,
+    # so it and its record of R_1 rank layer 1's children alone
     tree = compute_market(sold_out_in_layer_one())
     ranked = []
 
@@ -217,12 +223,14 @@ def test_winners_are_ranked_only_for_the_layers_asked_for(monkeypatch):
 
     monkeypatch.setattr(removed_sets, "removed_set_of", counting)
     with pytest.raises(MuTooSmall):
-        next(removed_sets.layer_removed_sets(tree, 1))
+        next(removed_sets.layer_free_sets(tree, 1))
     assert ranked == []
-    layers = removed_sets.layer_removed_sets(tree, 2)
-    assert next(layers) == {1, 2, 3, 4, 5}
+    layers = removed_sets.layer_free_sets(tree, 2)
+    assert next(layers) == {0}
     assert ranked == [tree.children[0]]
-    assert next(layers) == {2, 3, 4, 5} and ranked == [tree.children[0], tree.children[1]]
+    assert next(layers) == {1} and ranked == [tree.children[0], tree.children[1]]
+    ranked.clear()
+    assert removed_rows(tree, 2) == [{1, 2, 3, 4, 5}] and ranked == [tree.children[0]]
 
 
 def test_inviter_sets_are_built_once_per_tree(monkeypatch, tmp_path, capsys):

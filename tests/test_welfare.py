@@ -6,7 +6,7 @@ import pytest
 
 from netauction.errors import ContractError, FixedOutsideIncluded, OverCommitted
 from netauction.market import compute_market, cumulative_value
-from netauction.removed_sets import layer_removed_sets
+from netauction.mechanisms import run_ldm
 from netauction.welfare import (WelfarePool, WelfareResult, constrained_welfare,
                                 kth_highest_first_unit)
 
@@ -188,7 +188,7 @@ def test_a_free_buyers_units_are_hers_in_the_merged_order():
 
 def test_monotone_in_included_set(fig3_profile):
     market = compute_market(fig3_profile)
-    r1 = next(layer_removed_sets(market, 2))
+    r1 = run_ldm(market, 2).trace.layers[0].removed
     small = market.valid - r1 - fig3_ids("i")
     big = market.valid - r1
     assert constrained_welfare(market, big, {}, 3).welfare >= \

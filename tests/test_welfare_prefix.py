@@ -94,14 +94,17 @@ def test_the_auction_tree_sorts_a_prefix_and_walks_only_for_winners(monkeypatch)
     for run_on in (market, compute_market(inject_dummies(market.profile, 5))):
         walked.clear()
         outcome = run_ldm(run_on, min_valid_mu(market))
+        ran = list(walked)
         (free, pool), = outcome.trace.pools
         assert len(free) * market.k > 2_000
         assert len(pool._pool) <= 256
+        # the layer record, read from the pool, walks the same sets once more
         winners = outcome.trace.layers[0].tentative_units.keys()
+        assert walked == ran + ran
         holding = [i for i in run_on.layers[0]
                    if not winners.isdisjoint(run_on.children[i] | {i})]
-        assert 0 < len(walked) == len(holding) <= market.k
-        assert all(not winners.isdisjoint(excluded) for excluded in walked)
+        assert 0 < len(ran) == len(holding) <= market.k
+        assert all(not winners.isdisjoint(excluded) for excluded in ran)
 
 
 def test_first_layer_vcg_on_the_auction_tree_sorts_a_prefix():
