@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ContractError, ValidationError
 from .market import (
@@ -56,12 +56,14 @@ class LayerRecord:
 @dataclass(frozen=True, eq=False)
 class LdmTrace:
     """An LDM commit walk on `market` at `mu`: each processed layer's free
-    set and welfare pool, which the reads of the run (`ldm_run_*`) and, on
-    first access, its layer records read."""
+    set and welfare pool, which the reads of the run (`ldm_run_*`) read, and
+    the SW_{-D_i} its pricing kept per layer (None unpriced), which its layer
+    records read on first access."""
 
     mu: int
     market: Market
     pools: tuple[tuple[frozenset[BuyerId], WelfarePool], ...]
+    sw_minus_d: tuple[dict[BuyerId, Money], ...] | None = None
 
     @cached_property
     def layers(self) -> tuple[LayerRecord, ...]:
@@ -267,8 +269,7 @@ def _ldm_payment(market: Market, pool: WelfarePool, layer_opt: WelfareResult, i:
     return sw_d, sw_d - (layer_opt.welfare - value)
 
 
-def run_ldm_tree(market: Market, mu: int,
-                 order: Sequence[BuyerId] | None = None) -> Outcome:
+def run_ldm_tree(market: Market, mu: int) -> Outcome:
     """Layer-based diffusion mechanism on the market's BFS tree.
 
     Per layer l: solve the welfare optimum of its free set F_l (valid - R_l
@@ -278,12 +279,9 @@ def run_ldm_tree(market: Market, mu: int,
     influence (D_i). Stops once all K units are committed, zeroing the
     deeper layers. Each layer builds one welfare pool; SW_{-D_i} is a walk
     over it when a buyer of C_i + {i} holds a unit of the layer optimum,
-    and SW_l otherwise.
-
-    `order` optionally reorders each layer's buyer loop and must list its
-    members (a testing hook; the outcome provably does not depend on it).
+    and SW_l otherwise; the trace keeps it for the layer records.
     """
-    return _ldm_layers(market, mu, layer_free_sets(market, mu), order)
+    return _ldm_layers(market, mu, layer_free_sets(market, mu))
 
 
 def _commit_walk(market: Market, free_sets: Iterable[frozenset[BuyerId]],
@@ -301,40 +299,44 @@ def _commit_walk(market: Market, free_sets: Iterable[frozenset[BuyerId]],
             return
 
 
-def _ldm_layers(market: Market, mu: int, free_sets: Iterable[frozenset[BuyerId]],
-                order: Sequence[BuyerId] | None = None) -> Outcome:
-    """The commit walk, which is the trace, and each layer's members priced."""
-    trace = LdmTrace(mu, market, tuple(_commit_walk(market, free_sets)))
+def _ldm_layers(market: Market, mu: int, free_sets: Iterable[frozenset[BuyerId]]) -> Outcome:
+    """The commit walk, which is the trace, priced in ascending id order."""
+    return ldm_run_priced(LdmTrace(mu, market, tuple(_commit_walk(market, free_sets))), sorted)
+
+
+def ldm_run_priced(trace: LdmTrace,
+                   order: Callable[[frozenset[BuyerId]], Iterable[BuyerId]]) -> Outcome:
+    """The walk of `trace` priced, each processed layer's members in
+    `order(layer)` (`_priced`), its trace keeping their SW_{-D_i}. No price
+    reads another, so every order gives the run's (order-independence)."""
+    market = trace.market
     units = {i: 0 for i in market.valid if not is_dummy(i)}
     payments = dict(units)
-    position = None if order is None else {b: p for p, b in enumerate(order)}
+    kept: list[dict[BuyerId, Money]] = []
     for layer, (_, pool) in zip(market.layers, trace.pools):
-        members = sorted(layer)
-        if position is not None:
-            if missing := [b for b in members if b not in position]:
-                raise ContractError(f"order leaves out layer member {missing[0]}")
-            members.sort(key=position.__getitem__)
-        priced = _priced(market, pool, members)[0]
+        priced, sw_d = _priced(market, pool, order(layer))
         units.update(priced.units)
         payments.update(priced.payments)
-    return Outcome(units=units, payments=payments, trace=trace)
+        kept.append(sw_d)
+    return Outcome(units, payments, replace(trace, sw_minus_d=tuple(kept)))
 
 
 def _layer_records(trace: LdmTrace) -> Iterator[LayerRecord]:
-    """The walk's layer records, read from its pools: R_l = layers >= l+1 - F_l,
-    the optimum and each member's SW_{-D_i} (`_priced`) with the frozen
-    layers' units (at most K) and welfare added back, and the supply left."""
+    """The walk's layer records, read from its pools and kept SW_{-D_i} (an
+    unpriced walk's None raises): R_l = layers >= l+1 - F_l, the optimum and
+    each SW_{-D_i} with the frozen layers' units (at most K) and welfare
+    added back, and the supply left."""
     market = trace.market
     deeper = frozenset().union(*market.layers)
     frozen: dict[BuyerId, int] = {}
-    for l, (layer, (free, pool)) in enumerate(zip(market.layers, trace.pools), start=1):
+    for l, (layer, (free, pool), sw_d) in enumerate(
+            zip(market.layers, trace.pools, trace.sw_minus_d), start=1):
         deeper -= layer
         layer_opt = pool.best()
         tentative = frozen | layer_opt.allocation
         value = {j: cumulative_value(market.values_of(j), m) for j, m in tentative.items()}
         frozen_welfare = sum(value[j] for j in frozen)
         committed = {j: m for j, m in layer_opt.allocation.items() if j in layer}
-        sw_d = _priced(market, pool, layer)[1]
         yield LayerRecord(
             layer=l,
             removed=deeper - free,

@@ -75,13 +75,13 @@ from .mechanisms import (
     ValueRerun,
     dna_mu_invitation_menu,
     ldm_run_peer_outcomes,
+    ldm_run_priced,
     ldm_run_value_rerun,
     ldm_run_vcg_first_layer,
     ldm_value_rerun,
     outcome_welfare,
     run_dna_mu,
     run_ldm,
-    run_ldm_tree,
     run_vcg_first_layer,
 )
 from .removed_sets import min_valid_mu, robust_mu
@@ -872,15 +872,12 @@ def _decomposition(truth: _Truthful) -> tuple:
 
 
 def _order_independence(truth: _Truthful) -> tuple:
-    """Three permutations of the within-layer buyer loop must leave LDM's
-    truthful outcome, at the mu its trace records, as it is."""
-    ids = sorted(truth.market.valid)
-    rng = random.Random(f"order:{len(ids)}:{truth.market.k}")
+    """Three permutations of each processed layer's members, priced again
+    from the truthful LDM run's own pools, must give its units and payments."""
+    run, rng = truth.outcome, random.Random(f"order:{len(truth.market.valid)}:{truth.market.k}")
     for _ in range(3):
-        perm = ids[:]
-        rng.shuffle(perm)
-        out = run_ldm_tree(truth.market, truth.outcome.trace.mu, order=perm)
-        if out.units != truth.outcome.units or out.payments != truth.outcome.payments:
+        out = ldm_run_priced(run.trace, lambda layer: rng.sample(sorted(layer), len(layer)))
+        if out.units != run.units or out.payments != run.payments:
             return (False, "order changed outcome", ())
     return (True, "", ())
 

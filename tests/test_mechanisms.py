@@ -1,13 +1,17 @@
 """Mechanism-level behavior: frozen hand traces, reserve handling, axioms."""
 
+import itertools
 import random
 import tracemalloc
 from dataclasses import replace
 
 import pytest
 
+from netauction import mechanisms
+from netauction.cli import _parse_gen_spec
 from netauction.errors import ContractError, MuTooSmall, ValidationError
-from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance
+from netauction.instance_io import (GeneratorConfig, instance_stream, parse_instance,
+                                    random_instance)
 from netauction.market import (
     DUMMY_BASE,
     ReportProfile,
@@ -18,20 +22,22 @@ from netauction.market import (
 )
 from netauction.mechanisms import (
     inject_dummies,
+    ldm_run_priced,
     outcome_welfare,
     run_dna_mu,
     run_ldm,
     run_ldm_tree,
     run_vcg_first_layer,
 )
-from netauction.removed_sets import robust_mu
-from netauction.verify import MECHANISMS
+from netauction.removed_sets import min_valid_mu, robust_mu
+from netauction.verify import MECHANISMS, payment_decomposition
 from netauction.welfare import WelfareResult
 
 import reference_ldm
 from conftest import DATA, FIG3_LABELS, chain_profile, make_profile
 from reference_welfare import brute_force_welfare
 from test_deep_layers import comb
+from test_parse_oracle import WIDE
 
 
 def lid(c):
@@ -192,29 +198,57 @@ def test_ldm_rejects_undersized_mu(fig3_profile):
 
 
 def test_ldm_within_layer_order_is_immaterial(fig3_profile):
-    tree = compute_market(fig3_profile)
-    base = run_ldm_tree(tree, 2)
+    """Each processed layer's members, priced again from the run's own pools
+    in any order, give the run's outcome and SW_{-D_i}."""
+    base = run_ldm_tree(compute_market(fig3_profile), 2)
     rng = random.Random(1)
-    ids = sorted(tree.valid)
     for _ in range(4):
-        perm = ids[:]
-        rng.shuffle(perm)
-        out = run_ldm_tree(tree, 2, order=perm)
+        out = ldm_run_priced(base.trace, lambda layer: rng.sample(sorted(layer), len(layer)))
         assert out.units == base.units and out.payments == base.payments
+        assert out.trace.sw_minus_d == base.trace.sw_minus_d
 
 
-def test_ldm_order_must_list_every_layer_member(fig3_profile):
-    """An order that leaves out a member of a layer the loop reaches names
-    the first one it misses; ids outside the market are ignored."""
-    tree = compute_market(fig3_profile)
-    ids = sorted(tree.valid)
-    with pytest.raises(ContractError, match="order leaves out layer member 2$"):
-        run_ldm_tree(tree, 2, order=[0, 1])
-    with pytest.raises(ContractError, match="order leaves out layer member 5$"):
-        run_ldm_tree(tree, 2, order=[i for i in ids if i not in (5, 12)])
-    base = run_ldm_tree(tree, 2)
-    out = run_ldm_tree(tree, 2, order=[100, *reversed(ids), -1])
-    assert out.units == base.units and out.payments == base.payments
+@pytest.fixture(scope="module")
+def wide_tree():
+    """The auction benchmarks' wide tree."""
+    return compute_market(random_instance(_parse_gen_spec(WIDE), 0))
+
+
+@pytest.mark.parametrize("shape", ["fig3", "comb_k1", "wide"])
+def test_a_decomposed_run_prices_each_member_once(shape, monkeypatch, wide_tree):
+    """The run keeps the SW_{-D_i} its pricing computed, and its layer
+    records read them: `payment_decomposition` after `run_ldm_tree` prices
+    no member again, and the run prices each processed member once."""
+    market = (wide_tree if shape == "wide"
+              else compute_market(parse_instance((DATA / f"{shape}.json").read_text())))
+    priced = []
+    pay = mechanisms._ldm_payment
+    monkeypatch.setattr(mechanisms, "_ldm_payment",
+                        lambda market, pool, opt, i, *rest: priced.append(i)
+                        or pay(market, pool, opt, i, *rest))
+    out = run_ldm_tree(market, min_valid_mu(market))
+    members = sorted(itertools.chain(*market.layers[:len(out.trace.pools)]))
+    assert sorted(priced) == members
+    assert payment_decomposition(out) and len(priced) == len(members)
+
+
+def test_an_unpriced_walk_has_no_layer_records(monkeypatch, fig3_profile):
+    """A value rerun's set-up walks without pricing, so it keeps no
+    SW_{-D_i} (None): reading its layer records raises instead of giving
+    none or some; the same walk priced gives them all."""
+    walks = []
+    trace = mechanisms.LdmTrace
+    monkeypatch.setattr(mechanisms, "LdmTrace",
+                        lambda *walk: walks.append(trace(*walk)) or walks[-1])
+    market = compute_market(fig3_profile)
+    for i in market.valid:
+        mechanisms.ldm_value_rerun(market, 2, i)
+    assert walks and all(walk.pools for walk in walks)
+    for walk in walks:
+        assert walk.sw_minus_d is None
+        with pytest.raises(TypeError):
+            walk.layers
+        assert len(ldm_run_priced(walk, sorted).trace.layers) == len(walk.pools)
 
 
 def test_ldm_graph_equals_tree_on_fig4(fig3_profile):

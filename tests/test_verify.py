@@ -4,10 +4,11 @@ silent on the layer-based mechanism."""
 import dataclasses
 import itertools
 import time
+from collections import Counter
 
 import pytest
 
-from netauction import verify
+from netauction import mechanisms, removed_sets, verify
 from netauction.errors import ContractError, SearchBudgetExceeded, TraceMissing
 from netauction.instance_io import GeneratorConfig, instance_stream, parse_instance
 from netauction.market import compute_market, cumulative_value
@@ -438,27 +439,61 @@ def test_run_properties_all_green_on_t4(t4_profile):
 def test_run_properties_flags_a_broken_payment_and_an_order_dependent_run(monkeypatch,
                                                                           t4_profile):
     """The LDM-only checks fail when the run they read is at fault: one payment
-    off by one breaks p = q - t, and a run that reads its buyer order changes
-    the outcome under a permutation."""
-    run, run_tree = verify.run_ldm, verify.run_ldm_tree
+    off by one breaks p = q - t, and a pricing loop whose payments read state
+    the members priced before left changes the outcome under a permutation."""
+    run = verify.run_ldm
 
     def overcharged(market, mu):
         out = run(market, mu)
         return dataclasses.replace(out, payments={**out.payments, 3: out.payments[3] + 1})
-
-    def order_dependent(market, mu, order):
-        out = run_tree(market, mu, order=order)
-        first = order[0]
-        return dataclasses.replace(out, payments={**out.payments, first: out.payment_of(first) + 1})
 
     monkeypatch.setattr(verify, "run_ldm", overcharged)
     [result] = run_properties(t4_profile, "ldm", ("decomposition",))
     assert not result.ok
     assert result.detail == "decomposition identity failed for buyer 3: p=9, q-t=8"
     monkeypatch.setattr(verify, "run_ldm", run)
-    monkeypatch.setattr(verify, "run_ldm_tree", order_dependent)
+    pay, left = mechanisms._ldm_payment, {"opt": None, "winners": 0}
+
+    def leaky(market, pool, layer_opt, i, won, skipped=frozenset()):
+        """1 more for each winner priced before i in the same pricing loop,
+        which passes every member the same layer optimum"""
+        if left["opt"] is not layer_opt:
+            left.update(opt=layer_opt, winners=0)
+        sw_d, payment = pay(market, pool, layer_opt, i, won, skipped)
+        extra, left["winners"] = left["winners"], left["winners"] + bool(won)
+        return sw_d, payment + extra
+
+    monkeypatch.setattr(mechanisms, "_ldm_payment", leaky)
     [result] = run_properties(t4_profile, "ldm", ("order-independence",))
     assert (result.ok, result.detail) == (False, "order changed outcome")
+
+
+def test_order_independence_reads_the_truthful_run(monkeypatch, fig3_profile, t4_profile):
+    """After the truthful run, order-independence prices its pools again and
+    builds nothing: no welfare pool, commit walk, free set or removed set."""
+    calls = Counter()
+    for module, name in ((mechanisms, "WelfarePool"), (mechanisms, "_commit_walk"),
+                         (mechanisms, "layer_free_sets"), (mechanisms, "removed_set_of"),
+                         (removed_sets, "removed_set_of")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _real=real, _name=name:
+                            calls.update([_name]) or _real(*args))
+    check, after_run = verify.PROPERTIES["order-independence"][0], []
+
+    def counted(truth):
+        truth.outcome
+        before = calls.copy()
+        result = check(truth)
+        after_run.append(calls - before)
+        return result
+
+    monkeypatch.setitem(verify.PROPERTIES, "order-independence", (counted, True))
+    config = GeneratorConfig(seed=302, buyers=(2, 8), k=(1, 3), v_max=10, topology="graph",
+                             edge_density=0.15)
+    for profile in [fig3_profile, t4_profile, *instance_stream(config, 30)]:
+        assert run_properties(profile, "ldm", ("order-independence",))[0].ok
+    assert calls["WelfarePool"] and calls["layer_free_sets"]  # the truthful runs
+    assert after_run == [Counter()] * 32
 
 
 def test_run_properties_resolves_the_truthful_instance_once(monkeypatch, t4_profile):

@@ -98,9 +98,9 @@ def test_the_auction_tree_sorts_a_prefix_and_walks_only_for_winners(monkeypatch)
         (free, pool), = outcome.trace.pools
         assert len(free) * market.k > 2_000
         assert len(pool._pool) <= 256
-        # the layer record, read from the pool, walks the same sets once more
+        # the layer record reads the SW_{-D_i} the run kept and walks nothing
         winners = outcome.trace.layers[0].tentative_units.keys()
-        assert walked == ran + ran
+        assert walked == ran
         holding = [i for i in run_on.layers[0]
                    if not winners.isdisjoint(run_on.children[i] | {i})]
         assert 0 < len(ran) == len(holding) <= market.k
